@@ -57,7 +57,6 @@ class NumericsSpec:
     theta_resolution: int = 64
     q_max: int = 12
     chern_labels: bool = False
-    grid_points: int = 129
     macro_box: float = 4.0
     tolerances: dict = field(default_factory=dict)
 
@@ -84,7 +83,7 @@ _SCHEMA = {
     "numerics": {"cutoff": int, "kgrid": list, "n_bands": int,
                  "band_index": int, "eps_list": list, "dt": (int, float),
                  "t_final": (int, float), "theta_resolution": int,
-                 "q_max": int, "chern_labels": bool, "grid_points": int,
+                 "q_max": int, "chern_labels": bool,
                  "macro_box": (int, float), "tolerances": dict},
     "output": {"dir": str},
     "seed": int,
@@ -176,7 +175,6 @@ def serialize_config(cfg: RunConfig) -> str:
                      "theta_resolution": cfg.numerics.theta_resolution,
                      "q_max": cfg.numerics.q_max,
                      "chern_labels": cfg.numerics.chern_labels,
-                     "grid_points": cfg.numerics.grid_points,
                      "macro_box": cfg.numerics.macro_box,
                      "tolerances": cfg.numerics.tolerances},
         "output": {"dir": cfg.out_dir},

@@ -15,8 +15,9 @@ effective-variable map and the semiclassical Hamiltonian
 
 reproduce h (composed with the inverse map) up to second order, which the
 test suite measures as a convergence rate.  All band quantities are
-interpolated trigonometrically in the zone coefficients, so dual-lattice
-periodicity is exact.
+FFT-upsampled in the zone coefficients and held by one stacked periodic
+spline, so dual-lattice periodicity is exact; BandData.at returns them for a
+batch of k as one BandFields record, with the k-derivatives a caller asks for.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ import numpy as np
 
 from .fields import EMFieldConfig
 from .geometry import GeometricTensors
-from .interp import PeriodicFourier, PeriodicSpline, fourier_coeffs_centered
+from .interp import PeriodicSpline, fourier_coeffs_centered
 from .lattice import KGrid, Lattice
 from .weyl import GridSymbol, PhaseSpaceGrid
 
 __all__ = [
     "BandData",
+    "BandFields",
     "EffectiveHamiltonian",
     "SemiclassicalHamiltonian",
-    "peierls_h0",
-    "peierls_h1",
-    "semiclassical_h",
     "t_eff",
     "t_eff_inverse",
     "effective_observable",
@@ -71,14 +70,32 @@ def _upsampled(samples: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.ifftn(out).real * np.prod(fine_shape)
 
 
+@dataclass(frozen=True)
+class BandFields:
+    """Band fields at a batch of points k (..., d), derivatives in Cartesian k.
+
+    The gradient fields are None unless BandData.at was asked for them.
+    """
+
+    E: np.ndarray                       # (...)
+    A: np.ndarray                       # (..., l)       Berry connection
+    M: np.ndarray                       # (..., l, j)    Rammal-Wilkinson tensor
+    Om: np.ndarray                      # (..., l, j)    Berry curvature
+    dE: np.ndarray | None = None        # (..., m)
+    hessE: np.ndarray | None = None     # (..., m, n)
+    dA: np.ndarray | None = None        # (..., l, m)    d A_l / d k_m
+    dM: np.ndarray | None = None        # (..., l, j, m) d M_lj / d k_m
+
+
 @dataclass
 class BandData:
-    """Periodic band quantities of one isolated band with fast evaluators.
+    """Periodic band quantities of one isolated band with one evaluator.
 
     Samples live on the band's (cell-centered) k-grid; evaluation happens in
     zone coefficients alpha = k . dual^{-1}, so any Bravais lattice works.
-    energy/connection/rw/curvature evaluators take Cartesian k of shape
-    (..., d) (bare floats in 1D) and broadcast.
+    All fields are FFT-upsampled and held by one stacked PeriodicSpline with
+    field axis [E, dE/dalpha_1..d, A_l, M_lj, Omega_lj]; `at` evaluates them
+    for Cartesian k of shape (..., d) (bare floats in 1D).
     """
 
     lattice: Lattice
@@ -95,32 +112,25 @@ class BandData:
         self._to_cart = self.lattice.basis.T / (2 * np.pi)  # grad_k = T @ grad_alpha
         fine = lambda s: _upsampled(s, self.upsample)
         n_f = tuple(self.upsample * n for n in self.shape)
-        origin = -0.5
-        spacing = [1.0 / n for n in n_f]
-        mk = lambda v: PeriodicSpline(v, origin, spacing)
-
-        def grad_fields(values):
-            F = np.fft.fftn(values)
-            out = []
-            for ax, n in enumerate(values.shape):
-                P = np.fft.fftfreq(n, d=1.0 / n)
-                sh = [1] * values.ndim
-                sh[ax] = n
-                out.append(np.fft.ifftn(F * (2j * np.pi * P).reshape(sh)).real)
-            return out
-
-        # gradients are taken as exact derivatives of the value splines, so
-        # value/gradient pairs are Hamiltonian-consistent (flows conserve the
-        # interpolated energy to integrator accuracy)
         E_f = fine(self.energy_samples)
-        self._E = mk(E_f)
-        self._dE_splines = [mk(v) for v in grad_fields(E_f)]  # for the Hessian
-        self._A = [mk(fine(self.connection_samples[..., l])) for l in range(d)]
-        self._M = [[mk(fine(self.rw_samples[..., l, j])) for j in range(d)]
-                   for l in range(d)]
-        self._Om = [[mk(fine(self.curvature_samples[..., l, j])) for j in range(d)]
-                    for l in range(d)]
-        self._exactE = PeriodicFourier(self.energy_samples)
+        # the dE/dalpha fields are exact derivatives of the fine E values, so
+        # value/gradient pairs are Hamiltonian-consistent (flows conserve the
+        # interpolated energy to integrator accuracy); their own spline
+        # derivatives give the Hessian
+        F = np.fft.fftn(E_f)
+        dE_f = []
+        for ax, n in enumerate(n_f):
+            P = np.fft.fftfreq(n, d=1.0 / n)
+            sh = [1] * d
+            sh[ax] = n
+            dE_f.append(np.fft.ifftn(F * (2j * np.pi * P).reshape(sh)).real)
+        geo = np.concatenate([self.connection_samples.reshape(self.shape + (d,)),
+                              self.rw_samples.reshape(self.shape + (d * d,)),
+                              self.curvature_samples.reshape(self.shape + (d * d,))],
+                             axis=-1)
+        fields = [E_f, *dE_f, *(fine(geo[..., f]) for f in range(geo.shape[-1]))]
+        self._spline = PeriodicSpline(np.stack(fields, axis=-1), -0.5,
+                                      [1.0 / n for n in n_f])
 
     # -- constructors ---------------------------------------------------
 
@@ -155,86 +165,37 @@ class BandData:
                    connection_samples=A, rw_samples=M, curvature_samples=Om,
                    upsample=upsample)
 
-    # -- evaluation (Cartesian k, arbitrary shape (..., d)) --------------
+    # -- evaluation -----------------------------------------------------
 
-    def _alpha(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        if self.lattice.dim == 1 and (k.ndim == 0 or k.shape[-1] != 1):
-            k = k[..., None]
-        return k @ self._inv_dual
+    def at(self, k, grad: str = "none") -> BandFields:
+        """Band fields at Cartesian k (..., d).
 
-    def energy(self, k) -> np.ndarray:
-        return self._E(self._alpha(k))
-
-    def energy_exact(self, k) -> np.ndarray:
-        return self._exactE(self._alpha(k))
-
-    def prep(self, k):
-        """Shared spline preparation for a batch of k points (all band fields
-        live on the same fine grid)."""
-        return self._E.prep(self._alpha(k))
-
-    def _grad_alpha(self, spline, a, prep=None) -> np.ndarray:
+        grad selects the derivatives returned: "none"; "energy" for dE;
+        "all" for dE, hessE, dA and dM (what the gradient of h needs).
+        """
         d = self.lattice.dim
-        units = np.eye(d, dtype=int)
-        if prep is not None:
-            return np.stack([spline.eval_prepped(prep, deriv=tuple(units[j]))
-                             for j in range(d)], axis=-1)
-        return np.stack([spline(a, deriv=tuple(units[j])) for j in range(d)], axis=-1)
-
-    def denergy(self, k, prep=None) -> np.ndarray:
-        """Cartesian gradient of the band energy, shape (..., d)."""
-        a = None if prep is not None else self._alpha(k)
-        return self._grad_alpha(self._E, a, prep) @ self._to_cart.T
-
-    def hess_energy(self, k, prep=None) -> np.ndarray:
-        a = None if prep is not None else self._alpha(k)
-        d = self.lattice.dim
-        Ha = np.stack([self._grad_alpha(self._dE_splines[i], a, prep)
-                       for i in range(d)], axis=-2)
-        return np.einsum("mi,...ij,nj->...mn", self._to_cart, Ha, self._to_cart)
-
-    def connection(self, k, prep=None) -> np.ndarray:
-        if prep is not None:
-            return np.stack([f.eval_prepped(prep) for f in self._A], axis=-1)
-        a = self._alpha(k)
-        return np.stack([f(a) for f in self._A], axis=-1)
-
-    def dconnection(self, k, prep=None) -> np.ndarray:
-        """Jacobian d A_l / d k_m, shape (..., l, m)."""
-        a = None if prep is not None else self._alpha(k)
-        d = self.lattice.dim
-        J = np.stack([self._grad_alpha(self._A[l], a, prep) for l in range(d)], axis=-2)
-        return np.einsum("...lj,mj->...lm", J, self._to_cart)
-
-    def rw(self, k, prep=None) -> np.ndarray:
-        d = self.lattice.dim
-        if prep is not None:
-            return np.stack([np.stack([self._M[l][j].eval_prepped(prep)
-                                       for j in range(d)], axis=-1)
-                             for l in range(d)], axis=-2)
-        a = self._alpha(k)
-        return np.stack([np.stack([self._M[l][j](a) for j in range(d)], axis=-1)
-                         for l in range(d)], axis=-2)
-
-    def drw(self, k, prep=None) -> np.ndarray:
-        """d M_lj / d k_m, shape (..., l, j, m)."""
-        a = None if prep is not None else self._alpha(k)
-        d = self.lattice.dim
-        G = np.stack([np.stack([self._grad_alpha(self._M[l][j], a, prep)
-                                for j in range(d)], axis=-2)
-                      for l in range(d)], axis=-3)
-        return np.einsum("...lji,mi->...ljm", G, self._to_cart)
-
-    def curvature(self, k, prep=None) -> np.ndarray:
-        d = self.lattice.dim
-        if prep is not None:
-            return np.stack([np.stack([self._Om[l][j].eval_prepped(prep)
-                                       for j in range(d)], axis=-1)
-                             for l in range(d)], axis=-2)
-        a = self._alpha(k)
-        return np.stack([np.stack([self._Om[l][j](a) for j in range(d)], axis=-1)
-                         for l in range(d)], axis=-2)
+        n_grad = {"none": 0, "energy": 1, "all": 1 + 2 * d + d * d}[grad]
+        alpha = _as_points(k, d) @ self._inv_dual
+        lead = alpha.shape[:-1]
+        out = self._spline(alpha.reshape(-1, d), n_grad)
+        shaped = lambda x, *tail: x.reshape(lead + tail)
+        v = out[:, :self._spline.n_fields]
+        rec = {"E": shaped(v[:, 0]),
+               "A": shaped(v[:, 1 + d:1 + 2 * d], d),
+               "M": shaped(v[:, 1 + 2 * d:1 + 2 * d + d * d], d, d),
+               "Om": shaped(v[:, 1 + 2 * d + d * d:], d, d)}
+        if n_grad:
+            # g[p, m, f] = d field_f / d k_m
+            g = np.einsum("mi,pif->pmf", self._to_cart,
+                          out[:, self._spline.n_fields:].reshape(-1, d, n_grad))
+            rec["dE"] = shaped(g[:, :, 0], d)
+        if n_grad > 1:
+            rec["hessE"] = shaped(np.einsum("mi,pni->pmn", self._to_cart,
+                                            g[:, :, 1:1 + d]), d, d)
+            rec["dA"] = shaped(g[:, :, 1 + d:1 + 2 * d].transpose(0, 2, 1), d, d)
+            rec["dM"] = shaped(np.moveaxis(g[:, :, 1 + 2 * d:].reshape(-1, d, d, d),
+                                           1, -1), d, d, d)
+        return BandFields(**rec)
 
 
 def _as_points(v, d):
@@ -255,80 +216,62 @@ class EffectiveHamiltonian:
     def dim(self) -> int:
         return self.band.lattice.dim
 
-    def h0(self, k, r) -> np.ndarray:
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
-        return self.band.energy(k) + self.field.phi(r)
-
-    def lorentz(self, k, r, prep=None) -> np.ndarray:
+    def _lorentz(self, b: BandFields, r) -> np.ndarray:
         """F_l = -d_l phi + lam B_lj d_j E, shape (..., d)."""
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
         F = -self.field.grad_phi(r)
         if self.field.lam != 0.0:
-            B = self.field.B(r)
-            F = F + self.field.lam * np.einsum("...lj,...j->...l", B,
-                                               self.band.denergy(k, prep))
+            F = F + self.field.lam * np.einsum("...lj,...j->...l",
+                                               self.field.B(r), b.dE)
         return F
 
-    def h1(self, k, r) -> np.ndarray:
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
-        A = self.band.connection(k)
-        out = -np.einsum("...l,...l->...", self.lorentz(k, r), A)
+    def _h1(self, b: BandFields, r) -> np.ndarray:
+        out = -np.einsum("...l,...l->...", self._lorentz(b, r), b.A)
         if self.field.lam != 0.0:
-            B = self.field.B(r)
-            M = self.band.rw(k)
-            out = out - self.field.lam * np.einsum("...lj,...lj->...", B, M)
+            out = out - self.field.lam * np.einsum("...lj,...lj->...",
+                                                   self.field.B(r), b.M)
         return out
 
+    def _value_fields(self, k) -> BandFields:
+        # the Lorentz force needs dE only in a magnetic field
+        return self.band.at(k, "energy" if self.field.lam != 0.0 else "none")
+
+    def h0(self, k, r) -> np.ndarray:
+        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        return self.band.at(k).E + self.field.phi(r)
+
+    def h1(self, k, r) -> np.ndarray:
+        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        return self._h1(self._value_fields(k), r)
+
     def value(self, k, r) -> np.ndarray:
-        return self.h0(k, r) + self.field.eps * self.h1(k, r)
-
-    def grad_k(self, k, r, prep=None) -> np.ndarray:
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
-        eps, lam = self.field.eps, self.field.lam
-        g = self.band.denergy(k, prep)
-        if eps != 0.0:
-            A = self.band.connection(k, prep)
-            dA = self.band.dconnection(k, prep)    # (..., l, m)
-            F = self.lorentz(k, r, prep)
-            # d_m h1 = -(d_m F_l) A_l - F_l d_m A_l - lam B_lj d_m M_lj
-            term = -np.einsum("...l,...lm->...m", F, dA)
-            if lam != 0.0:
-                B = self.field.B(r)
-                H = self.band.hess_energy(k, prep)  # (..., j, m)
-                dF = lam * np.einsum("...lj,...jm->...lm", B, H)
-                term = term - np.einsum("...lm,...l->...m", dF, A)
-                dM = self.band.drw(k, prep)        # (..., l, j, m)
-                term = term - lam * np.einsum("...lj,...ljm->...m", B, dM)
-            g = g + eps * term
-        return g
-
-    def grad_r(self, k, r, prep=None) -> np.ndarray:
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
-        eps, lam = self.field.eps, self.field.lam
-        g = self.field.grad_phi(r)
-        if eps != 0.0:
-            A = self.band.connection(k, prep)
-            hess = self.field.hess_phi(r)          # (..., l, m)
-            # d_m h1 = (d_m d_l phi) A_l - lam (d_m B_lj)(d_j E A_l + M_lj)
-            term = np.einsum("...lm,...l->...m", hess, A)
-            if lam != 0.0 and self.field.dbfield is not None:
-                dB = self.field.dB(r)              # (..., l, j, m)
-                dE = self.band.denergy(k, prep)
-                M = self.band.rw(k, prep)
-                term = term - lam * np.einsum("...ljm,...j,...l->...m", dB, dE, A)
-                term = term - lam * np.einsum("...ljm,...lj->...m", dB, M)
-            g = g + eps * term
-        return g
+        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        b = self._value_fields(k)
+        return b.E + self.field.phi(r) + self.field.eps * self._h1(b, r)
 
     def grad_pair(self, k, r):
-        """(grad_k, grad_r) with one shared spline preparation per batch."""
-        prep = self.band.prep(_as_points(k, self.dim))
-        return self.grad_k(k, r, prep), self.grad_r(k, r, prep)
+        """(grad_k h, grad_r h) from one band evaluation per batch."""
+        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        eps, lam = self.field.eps, self.field.lam
+        b = self.band.at(k, "all" if eps != 0.0 else "energy")
+        gk = b.dE
+        gr = self.field.grad_phi(r)
+        if eps == 0.0:
+            return gk, gr
+        # d_{k_m} h1 = -(d_m F_l) A_l - F_l d_m A_l - lam B_lj d_m M_lj
+        term_k = -np.einsum("...l,...lm->...m", self._lorentz(b, r), b.dA)
+        # d_{r_m} h1 = (d_m d_l phi) A_l - lam (d_m B_lj)(d_j E A_l + M_lj)
+        term_r = np.einsum("...lm,...l->...m", self.field.hess_phi(r), b.A)
+        if lam != 0.0:
+            B = self.field.B(r)
+            dF = lam * np.einsum("...lj,...jm->...lm", B, b.hessE)
+            term_k = term_k - np.einsum("...lm,...l->...m", dF, b.A)
+            term_k = term_k - lam * np.einsum("...lj,...ljm->...m", B, b.dM)
+            if self.field.dbfield is not None:
+                dB = self.field.dB(r)
+                term_r = term_r - lam * np.einsum("...ljm,...j,...l->...m",
+                                                  dB, b.dE, b.A)
+                term_r = term_r - lam * np.einsum("...ljm,...lj->...m", dB, b.M)
+        return gk + eps * term_k, gr + eps * term_r
 
 
 @dataclass(frozen=True)
@@ -343,61 +286,29 @@ class SemiclassicalHamiltonian:
         return self.band.lattice.dim
 
     def value(self, k, r) -> np.ndarray:
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
-        out = self.band.energy(k) + self.field.phi(r)
+        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        b = self.band.at(k)
+        out = b.E + self.field.phi(r)
         eps, lam = self.field.eps, self.field.lam
         if eps != 0.0 and lam != 0.0:
             out = out - eps * lam * np.einsum("...lj,...lj->...",
-                                              self.field.B(r), self.band.rw(k))
+                                              self.field.B(r), b.M)
         return out
 
-    def grad_k(self, k, r, prep=None) -> np.ndarray:
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
-        g = self.band.denergy(k, prep)
-        eps, lam = self.field.eps, self.field.lam
-        if eps != 0.0 and lam != 0.0:
-            dM = self.band.drw(k, prep)
-            g = g - eps * lam * np.einsum("...lj,...ljm->...m", self.field.B(r), dM)
-        return g
-
-    def grad_r(self, k, r, prep=None) -> np.ndarray:
-        k = _as_points(k, self.dim)
-        r = _as_points(r, self.dim)
-        g = self.field.grad_phi(r)
-        eps, lam = self.field.eps, self.field.lam
-        if eps != 0.0 and lam != 0.0 and self.field.dbfield is not None:
-            dB = self.field.dB(r)
-            M = self.band.rw(k, prep)
-            g = g - eps * lam * np.einsum("...ljm,...lj->...m", dB, M)
-        return g
-
     def grad_pair(self, k, r):
-        prep = self.band.prep(_as_points(k, self.dim))
-        return self.grad_k(k, r, prep), self.grad_r(k, r, prep)
-
-
-# -- functional interfaces -------------------------------------------------
-
-
-def peierls_h0(band: BandData, field: EMFieldConfig):
-    """Leading symbol (k, r) -> E(k) + phi(r).  Refuses degenerate input
-    upstream (band data only exists for non-degenerate bands)."""
-    h = EffectiveHamiltonian(band=band, field=field)
-    return h.h0
-
-
-def peierls_h1(band: BandData, field: EMFieldConfig):
-    """Subleading symbol (k, r) -> -F . A - lam B : M."""
-    h = EffectiveHamiltonian(band=band, field=field)
-    return h.h1
-
-
-def semiclassical_h(band: BandData, field: EMFieldConfig):
-    """Semiclassical symbol of the corrected flow, on effective variables."""
-    h = SemiclassicalHamiltonian(band=band, field=field)
-    return h.value
+        """(grad_k h_sc, grad_r h_sc) from one band evaluation per batch."""
+        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        eps, lam = self.field.eps, self.field.lam
+        coupled = eps != 0.0 and lam != 0.0
+        b = self.band.at(k, "all" if coupled else "energy")
+        gk = b.dE
+        gr = self.field.grad_phi(r)
+        if coupled:
+            gk = gk - eps * lam * np.einsum("...lj,...ljm->...m", self.field.B(r), b.dM)
+            if self.field.dbfield is not None:
+                gr = gr - eps * lam * np.einsum("...ljm,...lj->...m",
+                                                self.field.dB(r), b.M)
+        return gk, gr
 
 
 def t_eff(k, r, band: BandData, field: EMFieldConfig):
@@ -406,7 +317,7 @@ def t_eff(k, r, band: BandData, field: EMFieldConfig):
     k = _as_points(k, d)
     r = _as_points(r, d)
     eps, lam = field.eps, field.lam
-    A = band.connection(k)
+    A = band.at(k).A
     k_eff = k.copy()
     if lam != 0.0:
         k_eff = k + eps * lam * np.einsum("...lj,...j->...l", field.B(r), A)

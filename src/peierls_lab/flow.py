@@ -133,7 +133,7 @@ def vector_field_corrected(k, r, model, field: EMFieldConfig, band, eps: float):
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
     d = k.shape[-1]
-    omega = band.curvature(k) if band is not None else None
+    omega = band.at(k).Om if band is not None else None
     J = _structure_matrix(r, field, omega=omega, eps=eps)
     det = np.linalg.det(J)
     if np.abs(det).min() < 1e-10:
@@ -146,7 +146,7 @@ def vector_field_corrected(k, r, model, field: EMFieldConfig, band, eps: float):
 
 def structure_factor(k, r, field: EMFieldConfig, band, eps: float):
     """sqrt(det J) of the corrected structure; 1 - eps lam B_12 Omega_12 in 2D."""
-    omega = band.curvature(np.asarray(k, dtype=float)) if band is not None else None
+    omega = band.at(k).Om if band is not None else None
     J = _structure_matrix(np.asarray(r, dtype=float), field, omega=omega, eps=eps)
     return np.sqrt(np.abs(np.linalg.det(J)))
 
@@ -254,7 +254,7 @@ def poisson_corrected(f, g, k, r, field: EMFieldConfig, band, eps: float):
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    omega = band.curvature(k) if band is not None else None
+    omega = band.at(k).Om if band is not None else None
     J = _structure_matrix(r, field, omega=omega, eps=eps)
     gf = np.concatenate([f.grad_r(k, r), f.grad_k(k, r)], axis=-1)
     gg = np.concatenate([g.grad_r(k, r), g.grad_k(k, r)], axis=-1)

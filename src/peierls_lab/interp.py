@@ -1,11 +1,11 @@
 """Periodic interpolation helpers for grid-sampled band quantities.
 
 Band data lives on uniform grids over the Brillouin-zone coefficient box
-(period 1 per axis, cell-centered sampling).  Two evaluators are provided:
-an exact trigonometric one (slow, small batches, used by tests and flows
-with few trajectories) and a cubic-spline one on an FFT-upsampled fine grid
-(fast vectorized gathers for phase-space-sized batches, error well under the
-expansion budgets).
+(period 1 per axis, cell-centered sampling).  Band fields are evaluated by a
+cubic spline of all fields at once on an FFT-upsampled fine grid (one tap
+gather per block of points, error well under the expansion budgets).  The
+exact trigonometric interpolant is kept as the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -69,84 +69,92 @@ class PeriodicFourier:
         return r.real.reshape(lead)
 
 
-class PeriodicSpline:
-    """Cubic B-spline on a uniform periodic grid with exact prefilter.
+# Points per tap gather: bounds the (BLOCK, 4^d, F) tap array of a batch.
+BLOCK = 1024
 
-    Fast vectorized evaluation for large batches; build from fine-grid values
-    (typically FFT-upsampled from coarse data).
+# Cubic B-spline tap weights for a fractional offset t in [0, 1), as
+# polynomials: w(t) = [1, t, t^2, t^3] @ _B3 and w'(t) = [1, t, t^2] @ _DB3.
+_B3 = np.array([[1, 4, 1, 0], [-3, 0, 3, 0], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6.0
+_DB3 = np.arange(1, 4)[:, None] * _B3[1:]
+
+
+class PeriodicSpline:
+    """Cubic B-splines of F fields on one uniform periodic grid, with exact
+    prefilter.
+
+    values has shape (n_1, ..., n_d, F): F fields sampled on the same grid
+    (typically FFT-upsampled from coarse data).  All fields share one tap
+    gather per point, and the value and first-derivative weights are
+    contracted in the same pass.
     """
 
     def __init__(self, values: np.ndarray, origin, spacing):
         values = np.asarray(values, dtype=float)
-        self.shape = values.shape
-        self.ndim = values.ndim
+        self.ndim = values.ndim - 1
+        self.shape = values.shape[:-1]
+        self.n_fields = values.shape[-1]
+        self._n = np.array(self.shape)[:, None]       # tap indices wrap per axis
         self.origin = np.broadcast_to(np.asarray(origin, dtype=float), (self.ndim,)).copy()
         self.spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (self.ndim,)).copy()
-        F = np.fft.fftn(values)
-        for ax, n in enumerate(values.shape):
+        axes = tuple(range(self.ndim))
+        F = np.fft.fftn(values, axes=axes)
+        for ax, n in enumerate(self.shape):
             w = 2 * np.pi * np.arange(n) / n
             bhat = (4.0 + 2.0 * np.cos(w)) / 6.0
-            sh = [1] * self.ndim
+            sh = [1] * values.ndim
             sh[ax] = n
             F = F / bhat.reshape(sh)
-        self.c = np.fft.ifftn(F).real
-
-    @staticmethod
-    def _weights(t: np.ndarray, deriv: int):
-        """Cubic B-spline tap weights for fractional offsets t in [0,1)."""
-        if deriv == 0:
-            w0 = (1 - t) ** 3 / 6.0
-            w1 = (3 * t ** 3 - 6 * t ** 2 + 4) / 6.0
-            w2 = (-3 * t ** 3 + 3 * t ** 2 + 3 * t + 1) / 6.0
-            w3 = t ** 3 / 6.0
-        elif deriv == 1:
-            w0 = -((1 - t) ** 2) / 2.0
-            w1 = (9 * t ** 2 - 12 * t) / 6.0
-            w2 = (-9 * t ** 2 + 6 * t + 3) / 6.0
-            w3 = t ** 2 / 2.0
-        else:
-            raise ValueError("only derivative orders 0 and 1 supported")
-        return np.stack([w0, w1, w2, w3], axis=-1)
+        # contiguous, flat grid index first: a gather is one take along axis 0
+        c = np.fft.ifftn(F, axes=axes).real
+        self.c = np.ascontiguousarray(c).reshape(-1, self.n_fields)
 
     def prep(self, pts: np.ndarray) -> "SplinePrep":
-        """Precompute tap indices and weights for a point batch so several
-        fields (and derivative orders) can be evaluated at shared cost."""
-        pts = np.asarray(pts, dtype=float)
-        if self.ndim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., None]
-        lead = pts.shape[:-1]
-        flat = pts.reshape(-1, self.ndim)
-        u = (flat - self.origin) / self.spacing
+        """Flat tap indices and per-axis weights for a block of points (B, d)."""
+        u = (pts - self.origin) / self.spacing
         base = np.floor(u).astype(int)
         t = u - base
-        idx = [np.stack([(base[:, ax] - 1 + o) % self.shape[ax] for o in range(4)],
-                        axis=-1) for ax in range(self.ndim)]
-        W0 = [self._weights(t[:, ax], 0) for ax in range(self.ndim)]
-        W1 = [self._weights(t[:, ax], 1) / self.spacing[ax] for ax in range(self.ndim)]
-        return SplinePrep(lead=lead, idx=idx, W0=W0, W1=W1)
+        taps = (base[..., None] + np.arange(-1, 3)) % self._n       # (B, d, 4)
+        flat = taps[:, 0]
+        for ax in range(1, self.ndim):
+            flat = flat[..., None] * self.shape[ax] + taps[:, ax].reshape(
+                (-1,) + (1,) * ax + (4,))
+        powers = t[..., None] ** np.arange(4)           # (B, d, 4)
+        # derivative weights in units of the point coordinates
+        return SplinePrep(flat=flat, W0=powers @ _B3,
+                          W1=powers[..., :3] @ _DB3 / self.spacing[:, None])
 
-    def eval_prepped(self, prep: "SplinePrep", deriv=None) -> np.ndarray:
-        dv = deriv if deriv is not None else (0,) * self.ndim
-        W = [(prep.W1[ax] if dv[ax] == 1 else prep.W0[ax]) for ax in range(self.ndim)]
-        idx = prep.idx
+    def eval_prepped(self, prep: "SplinePrep") -> np.ndarray:
+        """Values and first derivatives of all F fields, shape (B, 1 + d, F):
+        [value, d/du_1, ..., d/du_d].  The contraction shapes do not depend
+        on which of them a caller keeps, so neither do the rounded results."""
+        W0, W1 = prep.W0, prep.W1
+        taps = np.take(self.c, prep.flat, axis=0)     # (B, 4, ..., 4, F)
+        Wx = np.stack([W0[:, 0], W1[:, 0]], axis=1)
         if self.ndim == 1:
-            out = np.sum(self.c[idx[0]] * W[0], axis=-1)
-        elif self.ndim == 2:
-            vals = self.c[idx[0][:, :, None], idx[1][:, None, :]]
-            out = np.einsum("pij,pi,pj->p", vals, W[0], W[1])
-        else:
+            return Wx @ taps
+        if self.ndim != 2:
             raise ValueError("spline evaluation implemented for d <= 2")
-        return out.reshape(prep.lead)
+        # contract the second axis, then the first
+        rows = np.stack([W0[:, 1], W1[:, 1]], axis=1)[:, None] @ taps  # (B, 4, 2, F)
+        return np.concatenate([Wx @ rows[:, :, 0], W0[:, :1] @ rows[:, :, 1]], axis=1)
 
-    def __call__(self, pts: np.ndarray, deriv=None) -> np.ndarray:
-        return self.eval_prepped(self.prep(pts), deriv)
+    def __call__(self, pts: np.ndarray, n_grad: int = 0) -> np.ndarray:
+        """Values of all F fields and the gradients of the first n_grad ones
+        at points (P, d), shape (P, F + d n_grad): [values | d/du_1 | ... |
+        d/du_d].  Evaluated in blocks of BLOCK points."""
+        F = self.n_fields
+        out = np.empty((len(pts), F + self.ndim * n_grad))
+        for s in range(0, len(pts), BLOCK):
+            vd = self.eval_prepped(self.prep(pts[s:s + BLOCK]))
+            out[s:s + BLOCK, :F] = vd[:, 0]
+            out[s:s + BLOCK, F:] = vd[:, 1:, :n_grad].reshape(len(vd), -1)
+        return out
 
 
 class SplinePrep:
-    __slots__ = ("lead", "idx", "W0", "W1")
+    __slots__ = ("flat", "W0", "W1")
 
-    def __init__(self, lead, idx, W0, W1):
-        self.lead = lead
-        self.idx = idx
+    def __init__(self, flat, W0, W1):
+        self.flat = flat
         self.W0 = W0
         self.W1 = W1

@@ -333,7 +333,8 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     # integrator sanity on a small probe batch
     rng = np.random.default_rng(0)
     kp = rng.uniform(-np.pi, np.pi, (16, d))
-    xp = rng.uniform(grid.X_axis(0)[0], grid.X_axis(0)[-1], (16, d))
+    X = [grid.X_axis(l) for l in range(d)]
+    xp = rng.uniform([x[0] for x in X], [x[-1] for x in X], (16, d))
     k1, r1 = _rk4_run(kp, xp, heff, field, None, field.eps, False, t, dt, record=False)
     k2, r2 = _rk4_run(kp, xp, heff, field, None, field.eps, False, t, dt / 2, record=False)
     probe = max(np.abs(k1 - k2).max(), np.abs(r1 - r2).max())

@@ -31,10 +31,11 @@ def test_roundtrip_serialize_parse():
     assert serialize_config(cfg2) == text
 
 
-def test_unknown_key_rejected_with_path():
+@pytest.mark.parametrize("key", ["cutof", "grid_points"])
+def test_unknown_key_rejected_with_path(key):
     with pytest.raises(ConfigError) as exc:
-        parse_config('{"experiment": "bands", "numerics": {"cutof": 8}}')
-    assert any("numerics.cutof" in p for p in exc.value.problems)
+        parse_config('{"experiment": "bands", "numerics": {"%s": 8}}' % key)
+    assert any(f"numerics.{key}" in p for p in exc.value.problems)
 
 
 def test_negative_tolerance_rejected_with_path():

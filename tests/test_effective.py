@@ -6,11 +6,12 @@ import pytest
 from peierls_lab.effective import (BandData, EffectiveError,
                                    EffectiveHamiltonian,
                                    SemiclassicalHamiltonian,
-                                   effective_observable, peierls_h0,
-                                   peierls_h1, t_eff, t_eff_inverse)
+                                   effective_observable, t_eff,
+                                   t_eff_inverse)
 from peierls_lab.fiber import fiber_matrix, potential_2d, solve_bands
 from peierls_lab.fields import EMFieldConfig
 from peierls_lab.geometry import geometric_tensors
+from peierls_lab.interp import BLOCK
 from peierls_lab.lattice import Lattice, make_kgrid
 from peierls_lab.weyl import PhaseSpaceGrid
 
@@ -55,7 +56,7 @@ def test_h0_hofstadter_ansatz():
     bd = BandData.synthetic(LAT2, (33, 33),
                             lambda k: np.cos(k[..., 0]) + np.cos(k[..., 1]))
     fld = EMFieldConfig.zero(2, eps=0.1)
-    h0 = peierls_h0(bd, fld)
+    h0 = EffectiveHamiltonian(bd, fld).h0
     k = RNG.uniform(-4, 4, (30, 2))
     r = RNG.uniform(-2, 2, (30, 2))
     assert np.abs(h0(k, r) - (np.cos(k[..., 0]) + np.cos(k[..., 1]))).max() < 1e-8
@@ -65,14 +66,14 @@ def test_h0_constant_band():
     bd = BandData.synthetic(LAT2, (9, 9), lambda k: 2.5 + 0 * k[..., 0])
     phi, gphi, hphi = cos_phi_callables(0.3)
     fld = EMFieldConfig.zero(2, eps=0.1, phi=phi, grad_phi=gphi, hess_phi=hphi)
-    h0 = peierls_h0(bd, fld)
+    h0 = EffectiveHamiltonian(bd, fld).h0
     k = RNG.uniform(-3, 3, (10, 2))
     r = RNG.uniform(-3, 3, (10, 2))
     assert np.abs(h0(k, r) - (2.5 + phi(r))).max() < 1e-10
 
 
 def test_h0_pipeline_sample_oracle():
-    h0 = peierls_h0(BAND, FIELD)
+    h0 = EffectiveHamiltonian(BAND, FIELD).h0
     grid = BANDS.kgrid
     for p in (0, 37, 101):
         k = grid.points[p]
@@ -83,7 +84,7 @@ def test_h0_pipeline_sample_oracle():
 
 def test_h1_zero_without_geometry():
     bd = BandData.synthetic(LAT2, (9, 9), lambda k: np.cos(k[..., 0]))
-    h1 = peierls_h1(bd, field_2d())
+    h1 = EffectiveHamiltonian(bd, field_2d()).h1
     k = RNG.uniform(-3, 3, (10, 2))
     r = RNG.uniform(-3, 3, (10, 2))
     assert np.abs(h1(k, r)).max() < 1e-12
@@ -91,10 +92,10 @@ def test_h1_zero_without_geometry():
 
 def test_h1_electric_only_form():
     fld0 = dataclasses.replace(FIELD, lam=0.0)
-    h1 = peierls_h1(BAND, fld0)
+    h1 = EffectiveHamiltonian(BAND, fld0).h1
     k = RNG.uniform(-3, 3, (20, 2))
     r = RNG.uniform(-2, 2, (20, 2))
-    expected = np.einsum("...l,...l->...", fld0.grad_phi(r), BAND.connection(k))
+    expected = np.einsum("...l,...l->...", fld0.grad_phi(r), BAND.at(k).A)
     assert np.abs(h1(k, r) - expected).max() < 1e-10
 
 
@@ -136,7 +137,7 @@ def test_h1_matches_bracket_oracle():
     # they agree up to O(dk^2); a finer grid pins the assembly
     bands, band = pipeline_band(shape=(49, 49))
     geom = geometric_tensors(bands, 0)
-    h1 = peierls_h1(band, FIELD)
+    h1 = EffectiveHamiltonian(band, FIELD).h1
     rng = np.random.default_rng(9)
     worst = 0.0
     for _ in range(10):
@@ -157,7 +158,7 @@ def test_semiclassical_h_degenerations():
     fld_b0 = dataclasses.replace(FIELD, lam=0.0)
     hsc2 = SemiclassicalHamiltonian(BAND, fld_b0)
     assert np.abs(hsc2.value(k, r)
-                  - (BAND.energy(k) + fld_b0.phi(r))).max() < 1e-12
+                  - (BAND.at(k).E + fld_b0.phi(r))).max() < 1e-12
 
 
 def test_semiclassical_h_composes_with_inverse_map():
@@ -188,7 +189,7 @@ def test_t_eff_electric_only():
     r = RNG.uniform(-2, 2, (10, 2))
     ke, re = t_eff(k, r, BAND, fld)
     assert np.abs(ke - k).max() == 0.0
-    assert np.abs(re - (r + 0.03 * BAND.connection(k))).max() < 1e-14
+    assert np.abs(re - (r + 0.03 * BAND.at(k).A)).max() < 1e-14
 
 
 def test_t_eff_roundtrip():
@@ -207,7 +208,7 @@ def test_t_eff_first_order_inverse_consistency():
     for eps in (0.04, 0.02, 0.01):
         fld = dataclasses.replace(FIELD, eps=eps)
         kb, rb = t_eff_inverse(k, r, BAND, fld)
-        A = BAND.connection(k)
+        A = BAND.at(k).A
         B = fld.B(r)
         k1 = k - eps * fld.lam * np.einsum("...lj,...j->...l", B, A)
         r1 = r - eps * A
@@ -242,7 +243,7 @@ def test_effective_observable_taylor_consistency():
                       for l in range(d)], -1)
         K = np.stack([np.broadcast_to(mesh[d + l], grid.ns + grid.ns)
                       for l in range(d)], -1)
-        A = BAND.connection(K)
+        A = BAND.at(K).A
         B = fld.B(X)
         df0_dk = np.cos(K[..., 0]) * np.cos(X[..., 1])
         df0_dr1 = -np.sin(K[..., 0]) * np.sin(X[..., 1])
@@ -267,8 +268,55 @@ def test_periodicity_and_realness():
 
 def test_h1_lambda_zero_has_no_tensor_terms():
     fld = dataclasses.replace(FIELD, lam=0.0)
-    h1 = peierls_h1(BAND, fld)
+    h1 = EffectiveHamiltonian(BAND, fld).h1
     k = RNG.uniform(-3, 3, (50, 2))
     r = RNG.uniform(-2, 2, (50, 2))
-    via_A_only = np.einsum("...l,...l->...", fld.grad_phi(r), BAND.connection(k))
+    via_A_only = np.einsum("...l,...l->...", fld.grad_phi(r), BAND.at(k).A)
     assert np.abs(h1(k, r) - via_A_only).max() < 1e-12
+
+
+def trig_band_fields(lat):
+    """Analytic periodic E, A, M, Omega of k, through theta = 2 pi alpha."""
+    inv_dual = np.linalg.inv(lat.dual)
+    theta = lambda k: 2 * np.pi * np.asarray(k, float) @ inv_dual
+    E = lambda k: np.cos(theta(k)).sum(-1) + 0.3 * np.sin(theta(k)[..., 0]
+                                                         + theta(k)[..., -1])
+    A = lambda k: 0.2 * np.sin(theta(k)) + 0.1 * np.cos(theta(k)[..., :1])
+    M = lambda k: (0.1 * np.cos(theta(k)[..., :, None] - theta(k)[..., None, :])
+                   + 0.05 * np.sin(theta(k))[..., :, None])
+    Om = lambda k: 0.2 * np.cos(theta(k))[..., :, None] * np.sin(theta(k))[..., None, :]
+    return E, A, M, Om
+
+
+@pytest.mark.parametrize("basis, shape", [([[1.3]], (33,)),
+                                          ([[1.0, 0.0], [0.4, 1.1]], (25, 25))],
+                         ids=["1d", "2d"])
+def test_band_fields_stacked_evaluator(basis, shape):
+    lat = Lattice.from_basis(basis)
+    d = lat.dim
+    E, A, M, Om = trig_band_fields(lat)
+    bd = BandData.synthetic(lat, shape, E, A, M, Om)
+    # a (2, 700) batch spans more than one evaluation block
+    k = np.random.default_rng(3).uniform(-4, 4, (2, 700, d))
+    assert k[..., 0].size > BLOCK
+    plain, energy, full = bd.at(k), bd.at(k, "energy"), bd.at(k, "all")
+    assert plain.dE is None and energy.hessE is None and energy.dM is None
+    for name, fn in (("E", E), ("A", A), ("M", M), ("Om", Om)):
+        assert np.abs(getattr(plain, name) - fn(k)).max() < 1e-7
+        # asking for gradients leaves the values untouched, bit for bit
+        assert np.array_equal(getattr(plain, name), getattr(energy, name))
+        assert np.array_equal(getattr(plain, name), getattr(full, name))
+    assert np.array_equal(energy.dE, full.dE)
+    # every gradient is the derivative of the returned values: central
+    # differences along each Cartesian direction m
+    h = 1e-5
+    for m in range(d):
+        step = h * np.eye(d)[m]
+        up, dn = bd.at(k + step, "energy"), bd.at(k - step, "energy")
+        cd = lambda name: (getattr(up, name) - getattr(dn, name)) / (2 * h)
+        assert np.abs(full.dE[..., m] - cd("E")).max() < 1e-8
+        assert np.abs(full.dA[..., m] - cd("A")).max() < 1e-8
+        assert np.abs(full.dM[..., m] - cd("M")).max() < 1e-8
+        # the Hessian differentiates the dE splines, not dE itself
+        assert np.abs(full.hessE[..., m] - cd("dE")).max() < 1e-3
+    assert np.abs(full.hessE - np.swapaxes(full.hessE, -1, -2)).max() < 1e-6

@@ -171,6 +171,30 @@ def test_egorov_scaling_1d():
     assert 3.0 < ratio < 5.0
 
 
+def test_egorov_probe_draws_each_axis_from_its_own_range(monkeypatch):
+    import peierls_lab.quantum as quantum
+    eps = 0.1
+    grid = PhaseSpaceGrid.build((9, 25), (1.0, 0.2), eps=eps)
+    fld = EMFieldConfig.zero(2, eps=eps)
+    band = BandData.synthetic(Lattice.cubic(2), (9, 9), lambda k: np.cos(k[..., 0]))
+    starts = []
+
+    class Stop(Exception):
+        pass
+
+    def first_run(k0, r0, *args, **kwargs):
+        starts.append(np.array(r0))
+        raise Stop
+
+    monkeypatch.setattr(quantum, "_rk4_run", first_run)
+    with pytest.raises(Stop):
+        egorov_error(lambda k, r: np.sin(k[..., 0]), EffectiveHamiltonian(band, fld),
+                     grid, fld, t=0.1, dt=0.05)
+    for l in range(2):
+        X = grid.X_axis(l)
+        assert np.all((starts[0][:, l] >= X[0]) & (starts[0][:, l] <= X[-1]))
+
+
 def test_heisenberg_identity_observable():
     n = 33
     eps = 0.1
