@@ -128,6 +128,9 @@ def parse_config(text: str) -> RunConfig:
         for name, value in tols.items():
             if not isinstance(value, (int, float)) or value <= 0:
                 problems.append(f"numerics.tolerances.{name}: must be positive")
+    n_bands = num_raw.get("n_bands")
+    if isinstance(n_bands, int) and n_bands < 1:
+        problems.append("numerics.n_bands: must be >= 1")
     eps_list = num_raw.get("eps_list")
     if isinstance(eps_list, list) and exp in ("egorov", "propagate", "flow"):
         if any(not isinstance(e, (int, float)) or e <= 0 for e in eps_list):

@@ -9,6 +9,18 @@ dual-lattice vectors g inside a coefficient box |n_j| <= cutoff, the matrix is
 which makes dual-lattice equivariance an exact index shift and keeps the free
 case exact.  Fourier coefficients must decay; rough potentials that are merely
 integrable on the cell are outside the supported class.
+
+The magnetic field enters the effective dynamics only through the Peierls
+substitution, never the fiber, so the fiber family is time-reversal
+symmetric.  V is real, Vhat(-g) = conj(Vhat(g)), hence
+
+    H(-k) = P conj(H(k)) P,    P : g -> -g,
+
+where P reverses the flat index of the symmetric coefficient box.  Then
+E(-k) = E(k) and phi(-k) = P conj(phi(k)): solve_bands diagonalizes one
+point of each +-k pair on the grid and mirrors the other.  When every Vhat(g)
+is real (V even, as in all presets) H(k) is real symmetric and is assembled
+and diagonalized in real arithmetic.
 """
 
 from __future__ import annotations
@@ -17,13 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import KGrid, Lattice
+from .lattice import KGrid, Lattice, bz_coefficients
 
 __all__ = [
     "FourierPotential",
     "PlaneWaveBasis",
     "FiberMatrix",
     "BandStructure",
+    "fiber_terms",
     "fiber_matrix",
     "solve_bands",
     "check_gap",
@@ -163,32 +176,41 @@ class FiberMatrix:
         return self.basis.size
 
 
-def _potential_matrix(potential: FourierPotential, basis: PlaneWaveBasis) -> np.ndarray:
-    D = basis.size
-    V = np.zeros((D, D), dtype=complex)
+def fiber_terms(potential: FourierPotential, basis: PlaneWaveBasis,
+                kpoints) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of H(k) = V + diag(kin(k)) at a batch of momenta.
+
+    Returns the potential matrix V (D, D), float64 when every Vhat(g) is real
+    and complex128 otherwise, and the kinetic diagonals
+    kin (N, D) = (1/2)|k + g|^2 at the momenta kpoints (N, d).
+    """
+    if potential.max_order > basis.cutoff:
+        raise FiberError(
+            f"cutoff {basis.cutoff} cannot contain potential support {potential.max_order}")
+    coeffs = {n: complex(v) for n, v in potential.coefficients.items()}
+    real = all(v.imag == 0.0 for v in coeffs.values())
+    V = np.zeros((basis.size, basis.size), dtype=float if real else complex)
     diff = basis.offsets[:, None, :] - basis.offsets[None, :, :]
-    for n, v in potential.coefficients.items():
-        mask = np.all(diff == np.asarray(n, dtype=int), axis=-1)
-        V[mask] = v
-    return V
+    for n, v in coeffs.items():
+        V[np.all(diff == np.asarray(n, dtype=int), axis=-1)] = v.real if real else v
+    g = basis.gvectors()
+    kin = 0.5 * np.sum((np.asarray(kpoints, dtype=float)[:, None, :] + g) ** 2, axis=-1)
+    return V, kin
 
 
 def fiber_matrix(k, potential: FourierPotential, cutoff: int,
                  basis: PlaneWaveBasis | None = None) -> FiberMatrix:
-    """Assemble the Hermitian plane-wave fiber matrix at momentum k."""
-    lat = potential.lattice
+    """Assemble the Hermitian plane-wave fiber matrix at momentum k.
+
+    The matrix is real symmetric (float64) when every Vhat(g) is real.
+    """
     if basis is None:
-        basis = PlaneWaveBasis.build(lat, cutoff)
-    if potential.max_order > basis.cutoff:
-        raise FiberError(
-            f"cutoff {basis.cutoff} cannot contain potential support {potential.max_order}")
+        basis = PlaneWaveBasis.build(potential.lattice, cutoff)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if not np.all(np.isfinite(k)):
         raise FiberError("k must be finite")
-    g = basis.gvectors()
-    kin = 0.5 * np.sum((k[None, :] + g) ** 2, axis=-1)
-    H = _potential_matrix(potential, basis) + np.diag(kin)
-    return FiberMatrix(k=k, basis=basis, matrix=H)
+    V, kin = fiber_terms(potential, basis, k[None, :])
+    return FiberMatrix(k=k, basis=basis, matrix=V + np.diag(kin[0]))
 
 
 @dataclass(frozen=True)
@@ -232,23 +254,62 @@ class BandStructure:
         return float(min(gaps))
 
 
+def _time_reversal_partners(kgrid: KGrid) -> np.ndarray:
+    """partner[p] = q when k_q = -k_p (q = p at k = 0), else -1.
+
+    The grid is a product of per-axis coefficient ranges, so -k is looked up
+    axis by axis and confirmed on the Cartesian points,
+    |k_p + k_q| <= 1e-12 (1 + |k_p|), with partners kept only in mutual pairs.
+    A zone-edge point of an even zero-anchored grid has no partner.
+    """
+    k = kgrid.points
+    d = kgrid.dim
+    alpha = kgrid.reshape(bz_coefficients(k, kgrid.lattice))
+    nearest = []
+    for ax in range(d):
+        a = alpha[(0,) * ax + (slice(None),) + (0,) * (d - 1 - ax) + (ax,)]
+        nearest.append(np.argmin(np.abs(a[:, None] + a[None, :]), axis=1))
+    cand = np.ravel_multi_index(np.meshgrid(*nearest, indexing="ij"), kgrid.shape).ravel()
+    ok = (np.linalg.norm(k + k[cand], axis=-1)
+          <= 1e-12 * (1.0 + np.linalg.norm(k, axis=-1)))
+    ok &= ok[cand] & (cand[cand] == np.arange(cand.size))
+    return np.where(ok, cand, -1)
+
+
 def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
                 n_bands: int) -> BandStructure:
-    """Diagonalize the fiber family over the grid, eigenvalues ascending."""
+    """Diagonalize the fiber family over the grid, eigenvalues ascending.
+
+    Of each pair k_p = -k_q on the grid only the point with the lower index
+    is diagonalized; its partner gets the same energies and the vectors
+    P conj(u) (time reversal, see the module docstring).  Unpaired points,
+    such as the zone edge of an even zero-anchored grid, and k = 0 are solved
+    directly.  The matrices are float64 when every Vhat(g) is real and
+    complex128 otherwise; vectors are returned as complex128 either way.
+    """
     basis = PlaneWaveBasis.build(potential.lattice, cutoff)
+    if n_bands < 1:
+        raise FiberError(f"n_bands must be >= 1, got {n_bands}")
     if n_bands > basis.size:
         raise FiberError(f"n_bands {n_bands} exceeds matrix size {basis.size}")
-    V = _potential_matrix(potential, basis)
-    g = basis.gvectors()
-    N = kgrid.n_points
-    ham = np.broadcast_to(V, (N, basis.size, basis.size)).copy()
-    kin = 0.5 * np.sum((kgrid.points[:, None, :] + g[None, :, :]) ** 2, axis=-1)
-    ham[:, np.arange(basis.size), np.arange(basis.size)] += kin
+    N, D = kgrid.n_points, basis.size
+    partner = _time_reversal_partners(kgrid)
+    index = np.arange(N)
+    solved = np.flatnonzero((partner < 0) | (partner >= index))
+    mirrored = np.flatnonzero((partner >= 0) & (partner < index))
+    V, kin = fiber_terms(potential, basis, kgrid.points[solved])
+    ham = np.broadcast_to(V, (solved.size, D, D)).copy()
+    ham[:, np.arange(D), np.arange(D)] += kin
     evals, evecs = np.linalg.eigh(ham)
-    energies = np.ascontiguousarray(evals[:, :n_bands].T)
-    vectors = np.ascontiguousarray(np.transpose(evecs[:, :, :n_bands], (2, 0, 1)))
-    if n_bands < basis.size:
-        guard = evals[:, n_bands].copy()
+    row = np.empty(N, dtype=int)
+    row[solved] = np.arange(solved.size)
+    row[mirrored] = row[partner[mirrored]]
+    energies = np.ascontiguousarray(evals[row, :n_bands].T)
+    vectors = np.empty((n_bands, N, D), dtype=complex)
+    vectors[:, solved] = np.transpose(evecs[:, :, :n_bands], (2, 0, 1))
+    vectors[:, mirrored] = vectors[:, partner[mirrored], ::-1].conj()
+    if n_bands < D:
+        guard = evals[row, n_bands]
     else:
         guard = np.full(N, np.inf)
     return BandStructure(kgrid=kgrid, basis=basis, potential=potential,

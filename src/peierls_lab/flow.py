@@ -202,12 +202,10 @@ def integrate(state0: FlowState, model, field: EMFieldConfig, t_final: float,
             raise FlowError(
                 f"step-halving disagreement {dev:.3e} exceeds budget "
                 f"{halving_budget:.0e}; reduce dt")
-    energy = np.array([model.value(ks[i], rs[i]) for i in range(len(ts))]).ravel()
+    energy = np.asarray(model.value(ks, rs)).reshape(len(ts))
     diag = {"dt": dt, "n_steps": len(ts) - 1}
     if corrected and band is not None:
-        diag["structure_factor"] = np.array(
-            [float(structure_factor(ks[i], rs[i], field, band, eps))
-             for i in range(len(ts))])
+        diag["structure_factor"] = structure_factor(ks, rs, field, band, eps)
     return Trajectory(times=ts, k=ks, r=rs, energy=energy, diagnostics=diag)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import DEGENERACY_TOL, BandStructure, FiberError, fiber_matrix
+from .fiber import DEGENERACY_TOL, BandStructure, FiberError, fiber_terms
 
 __all__ = [
     "Frame",
@@ -318,21 +318,13 @@ def rammal_wilkinson(bands: BandStructure, frame: Frame):
     grid = frame.kgrid
     d = grid.dim
     dphi = _k_derivatives(frame)  # (d, grid..., D)
-    E = bands.kgrid.reshape(bands.energies[frame.band])
     N = grid.n_points
     D = bands.basis.size
-    flat_dphi = dphi.reshape(d, N, D)
-    t = np.empty((d, d, N), dtype=complex)
-    from .fiber import _potential_matrix
-    V = _potential_matrix(bands.potential, bands.basis)
-    g = bands.basis.gvectors()
-    for p in range(N):
-        k = bands.kgrid.points[p]
-        kin = 0.5 * np.sum((k[None, :] + g) ** 2, axis=-1)
-        Hm = V + np.diag(kin)
-        Hm = Hm - bands.energies[frame.band, p] * np.eye(D)
-        w = Hm @ flat_dphi[:, p, :].T  # (D, d)
-        t[:, :, p] = np.conj(flat_dphi[:, p, :]) @ w
+    x = dphi.reshape(d, N, D)
+    # (H(k) - E) x = V x + (kin(k) - E) x, all k-points at once
+    V, kin = fiber_terms(bands.potential, bands.basis, bands.kgrid.points)
+    w = x @ V.T + (kin - bands.energies[frame.band][:, None]) * x
+    t = np.einsum("lpg,jpg->ljp", np.conj(x), w)
     M = np.real(0.5j * t)  # (d, d, N)
     residue = np.imag(0.5j * t)
     M = np.moveaxis(M, -1, 0).reshape(grid.shape + (d, d))

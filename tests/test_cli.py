@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peierls_lab
 from peierls_lab.cli import emit_plotdata, main, run, write_csv
 from peierls_lab.config import ConfigError, parse_config, serialize_config
 
@@ -43,6 +48,14 @@ def test_negative_tolerance_rejected_with_path():
         parse_config('{"experiment": "bands", '
                      '"numerics": {"tolerances": {"min_gap": -1.0}}}')
     assert any("tolerances.min_gap" in p for p in exc.value.problems)
+
+
+@pytest.mark.parametrize("n_bands", [0, -1])
+def test_n_bands_below_one_rejected_with_path(n_bands):
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "bands", '
+                     f'"numerics": {{"n_bands": {n_bands}}}}}')
+    assert "numerics.n_bands: must be >= 1" in exc.value.problems
 
 
 def test_eps_list_must_decrease_for_sweeps():
@@ -177,3 +190,18 @@ def test_propagate_run_small(tmp_path):
     report = run(cfg, tmp_path)
     assert report["passed"], report["metrics"]
     assert (tmp_path / "propagate.csv").exists()
+
+
+def test_package_imports_load_no_scipy():
+    # scipy is a test-only dependency: importing scipy.linalg alone costs
+    # about 0.3 s and 27 MB of resident memory in every run
+    code = ("import importlib, pkgutil, sys, peierls_lab\n"
+            "for m in pkgutil.iter_modules(peierls_lab.__path__):\n"
+            "    importlib.import_module('peierls_lab.' + m.name)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
+    src = str(Path(peierls_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

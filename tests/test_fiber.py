@@ -134,6 +134,47 @@ def test_check_gap_rejects_non_contiguous():
         check_gap(bands, [0, 2])
 
 
+@pytest.mark.parametrize("n_bands", [0, -1])
+def test_solve_bands_rejects_n_bands_below_one(n_bands):
+    with pytest.raises(FiberError):
+        solve_bands(mathieu_potential(3), make_kgrid(LAT1, 8), 4, n_bands)
+
+
+NON_EVEN_2D = FourierPotential(LAT2, {(1, 0): 0.3 + 0.4j, (-1, 0): 0.3 - 0.4j,
+                                      (0, 1): 0.5j, (0, -1): -0.5j,
+                                      (1, 1): 0.7, (-1, -1): 0.7})
+
+
+@pytest.mark.parametrize("pot, grid, cutoff, n_bands", [
+    (potential_2d(12, 2), make_kgrid(LAT2, 15), 5, 3),
+    (potential_2d(12, 2), make_kgrid(LAT2, 14), 5, 3),
+    (mathieu_potential(3), make_kgrid(LAT1, 16, centered=False), 6, 4),
+    (NON_EVEN_2D, make_kgrid(LAT2, 9), 4, 3),
+], ids=["centered-15x15", "centered-14x14", "zero-anchored-16", "complex-9x9"])
+def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands):
+    bands = solve_bands(pot, grid, cutoff, n_bands)
+    assert bands.vectors.dtype == np.complex128
+    k = grid.points
+    for p in range(grid.n_points):
+        H = fiber_matrix(k[p], pot, cutoff).matrix
+        assert H.dtype == (np.complex128 if pot is NON_EVEN_2D else np.float64)
+        ev = np.linalg.eigvalsh(H)
+        assert np.abs(bands.energies[:, p] - ev[:n_bands]).max() < 1e-10
+        assert abs(bands.guard_energies[p] - ev[n_bands]) < 1e-10
+        u = bands.vectors[:, p, :]                      # (n_bands, D)
+        resid = H @ u.T - u.T * bands.energies[:, p]
+        assert np.linalg.norm(resid, axis=0).max() < 1e-10
+        assert np.abs(u.conj() @ u.T - np.eye(n_bands)).max() < 1e-10
+    # +-k pairs share bit-identical energies; a zero-anchored even grid
+    # leaves its zone-edge point alpha = -1/2 without a partner
+    dist = np.linalg.norm(k[:, None, :] + k[None, :, :], axis=-1)
+    p, q = np.nonzero(dist < 1e-12)
+    assert np.array_equal(bands.energies[:, p], bands.energies[:, q])
+    assert np.array_equal(bands.guard_energies[p], bands.guard_energies[q])
+    n_unpaired = grid.n_points - np.unique(p).size
+    assert n_unpaired == (0 if grid.centered else 1)
+
+
 def test_tau_equivariance_zero_shift():
     pot = mathieu_potential(1.0)
     assert tau_equivariance_check(pot, 0.37, [0], 8) == 0.0
