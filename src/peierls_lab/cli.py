@@ -230,8 +230,7 @@ def run_geometry(cfg: RunConfig, out: Path) -> dict:
 
 def run_butterfly(cfg: RunConfig, out: Path) -> dict:
     from .hofstadter import butterfly
-    data = butterfly(cfg.numerics.q_max, n_theta=cfg.numerics.theta_resolution,
-                     chern_labels=cfg.numerics.chern_labels,
+    data = butterfly(cfg.numerics.q_max, chern_labels=cfg.numerics.chern_labels,
                      n_workers=n_workers())
     rows = [[float(e[0]), e[1], e[2], e[3], "" if e[4] is None else e[4]]
             for e in data.entries]

@@ -54,6 +54,8 @@ class NumericsSpec:
     eps_list: list = field(default_factory=lambda: [0.1, 0.05, 0.025])
     dt: float = 0.02
     t_final: float = 1.0
+    # unused: butterfly edges are exact and Chern labels pick their own
+    # grid; kept so configs that set it still parse
     theta_resolution: int = 64
     q_max: int = 12
     chern_labels: bool = False
@@ -131,6 +133,12 @@ def parse_config(text: str) -> RunConfig:
     n_bands = num_raw.get("n_bands")
     if isinstance(n_bands, int) and n_bands < 1:
         problems.append("numerics.n_bands: must be >= 1")
+    q_max = num_raw.get("q_max")
+    if isinstance(q_max, int) and q_max < 1:
+        problems.append("numerics.q_max: must be >= 1")
+    theta_resolution = num_raw.get("theta_resolution")
+    if isinstance(theta_resolution, int) and theta_resolution < 2:
+        problems.append("numerics.theta_resolution: must be >= 2")
     eps_list = num_raw.get("eps_list")
     if isinstance(eps_list, list) and exp in ("egorov", "propagate", "flow"):
         if any(not isinstance(e, (int, float)) or e <= 0 for e in eps_list):

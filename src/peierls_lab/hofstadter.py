@@ -6,15 +6,18 @@ E(k) = cos k_1 + cos k_2 is the q x q family
     H(theta)[n, n] = cos(2 pi alpha n + theta_2),
     H(theta)[n, n+1] = e^{-i theta_1} / 2   (cyclic),
 
-whose spectrum is contained in [-2, 2].  Eigenvalue branches are periodic
-with 2 pi / q in both angles, and their extrema sit at the four Chambers
-points (q theta_i in {0, pi}), so per-branch min/max over an even reduced
-grid yields exact subband edges.
+whose spectrum is contained in [-2, 2].  Each eigenvalue branch depends on
+the angles only through cos q theta_1 + cos q theta_2, so its extrema sit
+at the four Chambers points (q theta_i in {0, pi}; W. G. Chambers,
+Phys. Rev. 140, A135 (1965)).  Subband edges are therefore the per-branch
+min/max over those four matrices, exactly; only the subband Chern numbers,
+which integrate over the torus, need a theta grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -62,68 +65,70 @@ class FluxRational:
 @dataclass(frozen=True)
 class ButterflyData:
     """Subband intervals per flux: entries (alpha: Fraction, band_index,
-    e_min, e_max, chern) with chern None when labels were not requested."""
+    e_min, e_max, chern) with chern None when labels were not requested.
+    `entries` is stored as a tuple; `fluxes` and `intervals` read a
+    per-flux table built from it once."""
 
-    entries: list
+    entries: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
+
+    @cached_property
+    def _by_flux(self) -> dict:
+        table = {}
+        for e in self.entries:
+            table.setdefault(e[0], []).append((e[2], e[3]))
+        return {fr: table[fr] for fr in sorted(table)}
 
     def fluxes(self):
-        return sorted({e[0] for e in self.entries})
+        return list(self._by_flux)
 
     def intervals(self, alpha):
         key = alpha if isinstance(alpha, Fraction) else Fraction(alpha).limit_denominator(10 ** 6)
-        return [(e[2], e[3]) for e in self.entries if e[0] == key]
+        return list(self._by_flux.get(key, ()))
 
 
-def harper_bloch_matrix(flux: FluxRational, theta1: float, theta2: float) -> np.ndarray:
-    """q x q Hermitian Bloch matrix at magnetic Bloch phases (theta1, theta2)."""
+def harper_bloch_matrix(flux: FluxRational, theta1, theta2) -> np.ndarray:
+    """q x q Hermitian Bloch matrices at magnetic Bloch phases (theta1, theta2).
+
+    The angles broadcast against each other; the result has shape
+    broadcast(theta1, theta2).shape + (q, q).
+    """
     q = flux.q
+    t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float),
+                                 np.asarray(theta2, dtype=float))
     n = np.arange(q)
-    H = np.zeros((q, q), dtype=complex)
-    H[n, n] = np.cos(2 * np.pi * flux.alpha * n + theta2)
+    H = np.zeros(t1.shape + (q, q), dtype=complex)
+    H[..., n, n] = np.cos(2 * np.pi * flux.alpha * n + t2[..., None])
     if q == 1:
-        H[0, 0] += np.cos(theta1)
+        H[..., 0, 0] += np.cos(t1)
         return H
-    hop = 0.5 * np.exp(-1j * theta1)
-    H[n[:-1], n[:-1] + 1] = hop
-    H[n[:-1] + 1, n[:-1]] = np.conj(hop)
-    H[q - 1, 0] += hop
-    H[0, q - 1] += np.conj(hop)
+    hop = 0.5 * np.exp(-1j * t1)
+    H[..., n[:-1], n[:-1] + 1] = hop[..., None]
+    H[..., n[:-1] + 1, n[:-1]] = np.conj(hop)[..., None]
+    H[..., q - 1, 0] += hop
+    H[..., 0, q - 1] += np.conj(hop)
     return H
 
 
 def _bloch_family(flux: FluxRational, n_theta: int, reduced: bool = True):
-    """Stacked H(theta) over an n_theta x n_theta grid.
+    """Angles th and stacked H(theta) over the n_theta x n_theta grid th x th.
 
-    reduced=True spans [0, 2 pi / q) per angle (even n_theta hits the
-    Chambers points exactly); otherwise the full [0, 2 pi) torus.
+    reduced=True spans [0, 2 pi / q) per angle (n_theta = 2 gives the four
+    Chambers points); otherwise the full [0, 2 pi) torus.
     """
-    q = flux.q
-    period = 2 * np.pi / q if reduced else 2 * np.pi
+    period = 2 * np.pi / flux.q if reduced else 2 * np.pi
     th = period * np.arange(n_theta) / n_theta
     T1, T2 = np.meshgrid(th, th, indexing="ij")
-    n = np.arange(q)
-    H = np.zeros(T1.shape + (q, q), dtype=complex)
-    diag = np.cos(2 * np.pi * flux.alpha * n[None, None, :] + T2[..., None])
-    H[..., n, n] = diag
-    if q == 1:
-        H[..., 0, 0] += np.cos(T1)
-        return th, H
-    hop = 0.5 * np.exp(-1j * T1)
-    for i in range(q - 1):
-        H[..., i, i + 1] = hop
-        H[..., i + 1, i] = np.conj(hop)
-    H[..., q - 1, 0] += hop
-    H[..., 0, q - 1] += np.conj(hop)
-    return th, H
+    return th, harper_bloch_matrix(flux, T1, T2)
 
 
-def spectrum_at_flux(flux: FluxRational, n_theta: int = 64) -> np.ndarray:
-    """Subband intervals [(e_min, e_max)] * q from per-branch extrema over the
-    reduced theta grid (exact edges for even n_theta)."""
-    if n_theta % 2 == 1:
-        n_theta += 1
-    _, H = _bloch_family(flux, n_theta, reduced=True)
-    evals = np.linalg.eigvalsh(H)  # (n, n, q) ascending
+def spectrum_at_flux(flux: FluxRational) -> np.ndarray:
+    """Exact subband intervals [(e_min, e_max)] * q: per-branch extrema of
+    the Bloch family over the four Chambers points."""
+    _, H = _bloch_family(flux, 2, reduced=True)
+    evals = np.linalg.eigvalsh(H)  # (2, 2, q) ascending
     lo = evals.min(axis=(0, 1))
     hi = evals.max(axis=(0, 1))
     return np.stack([lo, hi], axis=-1)
@@ -163,17 +168,23 @@ def transfer_trace_edges(flux: FluxRational) -> np.ndarray:
     return edges.reshape(q, 2)
 
 
-def butterfly(q_max: int, n_theta: int = 64, chern_labels: bool = False,
-              chern_q_max: int = 10, n_workers: int = 1) -> ButterflyData:
+def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
+              n_workers: int = 1) -> ButterflyData:
     """Subband intervals for all reduced fluxes p/q with q <= q_max,
-    deterministic ordering by (alpha, band index)."""
+    deterministic ordering by (alpha, band index).
+
+    Edges come from the Chambers points (`spectrum_at_flux`); Chern labels,
+    for q <= chern_q_max, use `subband_chern`'s default torus grid.
+    """
+    if q_max < 1:
+        raise HofstadterError(f"q_max must be >= 1, got {q_max}")
     fluxes = sorted({Fraction(p, q) for q in range(1, q_max + 1)
                      for p in range(0, q + 1)})
     entries = []
 
     def work(fr):
         fl = FluxRational(fr.numerator, fr.denominator)
-        ivals = spectrum_at_flux(fl, n_theta)
+        ivals = spectrum_at_flux(fl)
         cherns = [None] * fl.q
         if chern_labels and fl.q <= chern_q_max:
             try:
@@ -205,12 +216,12 @@ def subband_chern(flux: FluxRational, band: int, n_theta: int | None = None,
     when the band touches a neighbor anywhere on the grid.
     """
     q = flux.q
+    if band < 0 or band >= q:
+        raise HofstadterError("band index out of range")
     if n_theta is None:
         n_theta = max(24, 6 * q)
     _, H = _bloch_family(flux, n_theta, reduced=False)
     evals, evecs = np.linalg.eigh(H)
-    if band < 0 or band >= q:
-        raise HofstadterError("band index out of range")
     if band > 0 and np.min(evals[..., band] - evals[..., band - 1]) < gap_tol:
         raise HofstadterError(f"subband {band} touches band {band - 1}")
     if band + 1 < q and np.min(evals[..., band + 1] - evals[..., band]) < gap_tol:

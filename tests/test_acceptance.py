@@ -314,7 +314,7 @@ def test_criterion_9_rammal_wilkinson_cross_check(mathieu_band):
 
 def test_criterion_10_hofstadter_structure():
     t0 = time.time()
-    data = butterfly(20, n_theta=64)
+    data = butterfly(20)
     from fractions import Fraction
     ok_counts = all(len(data.intervals(fr)) == fr.denominator
                     for fr in data.fluxes())
@@ -325,7 +325,7 @@ def test_criterion_10_hofstadter_structure():
         iv2 = np.sort(np.asarray(data.intervals(Fraction(1) - fr)).ravel())
         sym_alpha = max(sym_alpha, float(np.abs(iv - iv2).max()))
         sym_E = max(sym_E, float(np.abs(iv + iv[::-1]).max()))
-    edges = spectrum_at_flux(FluxRational(1, 3), 64)
+    edges = spectrum_at_flux(FluxRational(1, 3))
     oracle = transfer_trace_edges(FluxRational(1, 3))
     edge_dev = float(np.abs(edges - oracle).max())
     chern_sums = []

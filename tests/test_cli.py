@@ -58,6 +58,14 @@ def test_n_bands_below_one_rejected_with_path(n_bands):
     assert "numerics.n_bands: must be >= 1" in exc.value.problems
 
 
+def test_empty_butterfly_sweep_rejected_with_paths():
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "butterfly", '
+                     '"numerics": {"q_max": 0, "theta_resolution": -4}}')
+    assert "numerics.q_max: must be >= 1" in exc.value.problems
+    assert "numerics.theta_resolution: must be >= 2" in exc.value.problems
+
+
 def test_eps_list_must_decrease_for_sweeps():
     with pytest.raises(ConfigError) as exc:
         parse_config('{"experiment": "egorov", '
@@ -102,6 +110,18 @@ def test_butterfly_run_schema(tmp_path):
     # q subbands per flux and LF endings
     raw = (tmp_path / "butterfly.csv").read_bytes()
     assert b"\r" not in raw
+
+
+def test_butterfly_chern_labels_ignore_theta_resolution(tmp_path):
+    # a coarse theta_resolution must not reach the Chern torus grid
+    cfg = parse_config('{"experiment": "butterfly", '
+                       '"numerics": {"q_max": 3, "theta_resolution": 2, '
+                       '"chern_labels": true}}')
+    run(cfg, tmp_path)
+    rows = [line.split(",") for line in
+            (tmp_path / "butterfly.csv").read_text().splitlines()[1:]]
+    third = [int(r[4]) for r in rows if abs(float(r[0]) - 1 / 3) < 1e-12]
+    assert third == [1, -2, 1]
 
 
 def test_geometry_run_1d(tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peierls_lab.hofstadter import (ButterflyData, FluxRational,
-                                    HofstadterError, butterfly,
+                                    HofstadterError, _bloch_family, butterfly,
                                     diophantine_chern_labels,
                                     harper_bloch_matrix, spectrum_at_flux,
                                     subband_chern, transfer_trace_edges)
@@ -51,20 +52,20 @@ def test_bloch_matrix_hermitian(p, q, t1, t2):
 
 def test_transfer_matrix_oracle_one_third():
     fl = FluxRational(1, 3)
-    direct = spectrum_at_flux(fl, 64)
+    direct = spectrum_at_flux(fl)
     oracle = transfer_trace_edges(fl)
     assert np.abs(direct - oracle).max() < 1e-6
 
 
 def test_transfer_matrix_oracle_two_fifths():
     fl = FluxRational(2, 5)
-    direct = spectrum_at_flux(fl, 64)
+    direct = spectrum_at_flux(fl)
     oracle = transfer_trace_edges(fl)
     assert np.abs(direct - oracle).max() < 1e-6
 
 
 def test_spectral_symmetries():
-    bf = butterfly(8, n_theta=32)
+    bf = butterfly(8)
     for fr in bf.fluxes():
         iv = np.sort(np.asarray(bf.intervals(fr)).ravel())
         # E <-> -E at every flux
@@ -83,13 +84,13 @@ def test_alpha_plus_one_periodicity():
 
 
 def test_subband_count_matches_q():
-    bf = butterfly(10, n_theta=32)
+    bf = butterfly(10)
     for fr in bf.fluxes():
         assert len(bf.intervals(fr)) == fr.denominator
 
 
 def test_bandwidth_below_zero_flux_and_thouless_trend():
-    bf = butterfly(6, n_theta=64)
+    bf = butterfly(6)
     width = {}
     for fr in bf.fluxes():
         iv = np.asarray(bf.intervals(fr))
@@ -120,8 +121,81 @@ def test_chern_gap_closure_raises():
 
 
 def test_butterfly_deterministic_and_chern_labels():
-    b1 = butterfly(5, n_theta=32, chern_labels=True, chern_q_max=5)
-    b2 = butterfly(5, n_theta=32, chern_labels=True, chern_q_max=5)
+    b1 = butterfly(5, chern_labels=True, chern_q_max=5)
+    b2 = butterfly(5, chern_labels=True, chern_q_max=5)
     assert b1.entries == b2.entries
     labels = [e[4] for e in b1.entries if e[0] == Fraction(1, 3)]
     assert labels == [1, -2, 1]
+
+
+def _reduced_fluxes(qs):
+    return [FluxRational(p, q) for q in qs for p in range(q + 1) if gcd(p, q) == 1]
+
+
+def test_chambers_edges_match_transfer_matrix_oracle_odd_q():
+    # even q closes the central gap at E = 0, where the oracle's root count
+    # fails; those fluxes are covered by the random-angle containment test
+    for fl in _reduced_fluxes(range(1, 12, 2)):
+        dev = np.abs(spectrum_at_flux(fl) - transfer_trace_edges(fl)).max()
+        assert dev < 1e-6, (fl, dev)
+
+
+def test_random_angles_lie_inside_chambers_edges():
+    rng = np.random.default_rng(7)
+    for fl in _reduced_fluxes(range(1, 13)):
+        t1, t2 = rng.uniform(0, 2 * np.pi, (2, 256))
+        ev = np.linalg.eigvalsh(harper_bloch_matrix(fl, t1, t2))  # (256, q)
+        iv = spectrum_at_flux(fl)
+        assert ev.shape == (256, fl.q)
+        assert np.all(ev >= iv[:, 0] - 1e-12), fl
+        assert np.all(ev <= iv[:, 1] + 1e-12), fl
+
+
+def test_dense_reduced_grid_agrees_with_chambers_edges():
+    for fl in _reduced_fluxes(range(1, 9)):
+        _, H = _bloch_family(fl, 64)
+        ev = np.linalg.eigvalsh(H)
+        dense = np.stack([ev.min(axis=(0, 1)), ev.max(axis=(0, 1))], axis=-1)
+        assert np.abs(dense - spectrum_at_flux(fl)).max() < 1e-12, fl
+
+
+def test_butterfly_data_index_matches_linear_scan():
+    data = butterfly(6)
+    shuffled = ButterflyData(entries=list(data.entries[::-1]))
+    # stored as a tuple, so the table cannot go stale
+    assert isinstance(shuffled.entries, tuple)
+
+    def scan(bf, alpha):
+        key = alpha if isinstance(alpha, Fraction) else \
+            Fraction(alpha).limit_denominator(10 ** 6)
+        return [(e[2], e[3]) for e in bf.entries if e[0] == key]
+
+    for bf in (data, shuffled):
+        for alpha in (Fraction(2, 5), 2 / 5, Fraction(1, 7), 0.123):
+            assert bf.intervals(alpha) == scan(bf, alpha)
+        assert bf.fluxes() == sorted({e[0] for e in bf.entries})
+    assert data.intervals(Fraction(1, 7)) == []
+    assert len(data.intervals(2 / 5)) == 5
+    # callers get copies: editing one leaves the table intact
+    data.intervals(Fraction(1, 3)).clear()
+    data.fluxes().clear()
+    assert len(data.intervals(Fraction(1, 3))) == 3
+    assert Fraction(1, 3) in data.fluxes()
+
+
+@pytest.mark.parametrize("q_max", [0, -3])
+def test_butterfly_rejects_empty_sweep(q_max):
+    with pytest.raises(HofstadterError, match="q_max"):
+        butterfly(q_max)
+
+
+@pytest.mark.parametrize("band", [-1, 3])
+def test_subband_chern_checks_band_before_building(band, monkeypatch):
+    import peierls_lab.hofstadter as hof
+
+    def build(*args, **kwargs):
+        raise AssertionError("built the torus for an invalid band")
+
+    monkeypatch.setattr(hof, "_bloch_family", build)
+    with pytest.raises(HofstadterError, match="band index out of range"):
+        subband_chern(FluxRational(1, 3), band)
