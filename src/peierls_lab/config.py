@@ -94,6 +94,12 @@ _SCHEMA = {
 _REQUIRED = ("experiment",)
 
 
+def _is_a(value, spec) -> bool:
+    """isinstance for schema types that keeps JSON true/false out of int and
+    float fields (bool subclasses int)."""
+    return isinstance(value, spec) and (spec is bool or not isinstance(value, bool))
+
+
 def _walk(node, schema, path, problems):
     if not isinstance(node, dict):
         problems.append(f"{path or '<root>'}: expected an object")
@@ -105,7 +111,7 @@ def _walk(node, schema, path, problems):
         spec = schema[key]
         if isinstance(spec, dict):
             _walk(val, spec, f"{path}{key}.", problems)
-        elif not isinstance(val, spec):
+        elif not _is_a(val, spec):
             problems.append(f"{path}{key}: expected {spec}, got {type(val).__name__}")
 
 
@@ -128,20 +134,20 @@ def parse_config(text: str) -> RunConfig:
     tols = num_raw.get("tolerances", {})
     if isinstance(tols, dict):
         for name, value in tols.items():
-            if not isinstance(value, (int, float)) or value <= 0:
-                problems.append(f"numerics.tolerances.{name}: must be positive")
+            if not _is_a(value, (int, float)) or value <= 0:
+                problems.append(f"numerics.tolerances.{name}: must be a positive number")
     n_bands = num_raw.get("n_bands")
-    if isinstance(n_bands, int) and n_bands < 1:
+    if _is_a(n_bands, int) and n_bands < 1:
         problems.append("numerics.n_bands: must be >= 1")
     q_max = num_raw.get("q_max")
-    if isinstance(q_max, int) and q_max < 1:
+    if _is_a(q_max, int) and q_max < 1:
         problems.append("numerics.q_max: must be >= 1")
     theta_resolution = num_raw.get("theta_resolution")
-    if isinstance(theta_resolution, int) and theta_resolution < 2:
+    if _is_a(theta_resolution, int) and theta_resolution < 2:
         problems.append("numerics.theta_resolution: must be >= 2")
     eps_list = num_raw.get("eps_list")
     if isinstance(eps_list, list) and exp in ("egorov", "propagate", "flow"):
-        if any(not isinstance(e, (int, float)) or e <= 0 for e in eps_list):
+        if any(not _is_a(e, (int, float)) or e <= 0 for e in eps_list):
             problems.append("numerics.eps_list: entries must be positive numbers")
         elif any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             problems.append("numerics.eps_list: must be strictly decreasing")

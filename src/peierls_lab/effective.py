@@ -30,7 +30,7 @@ from .fields import EMFieldConfig
 from .geometry import GeometricTensors
 from .interp import PeriodicSpline, fourier_coeffs_centered
 from .lattice import KGrid, Lattice
-from .weyl import GridSymbol, PhaseSpaceGrid
+from .weyl import GridSymbol, PhaseSpaceGrid, sample_broadcast
 
 __all__ = [
     "BandData",
@@ -198,6 +198,20 @@ class BandData:
         return BandFields(**rec)
 
 
+def _contract(a, b, axes: int) -> np.ndarray:
+    """Sum of a * b over the trailing `axes` axes, one component product at a
+    time.  The leading shapes need only broadcast: for r-fields against
+    k-fields on a phase-space axis pair this is several times faster than a
+    broadcasting einsum and builds no (..., components) product array."""
+    a, b = np.asarray(a), np.asarray(b)
+    a = a.reshape(a.shape[:a.ndim - axes] + (-1,))
+    b = b.reshape(b.shape[:b.ndim - axes] + (-1,))
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def _as_points(v, d):
     v = np.asarray(v, dtype=float)
     if d == 1 and (v.ndim == 0 or v.shape[-1] != 1):
@@ -225,10 +239,12 @@ class EffectiveHamiltonian:
         return F
 
     def _h1(self, b: BandFields, r) -> np.ndarray:
-        out = -np.einsum("...l,...l->...", self._lorentz(b, r), b.A)
+        # -F.A - lam B:M = d phi.A - lam B:(A dE^T + M): each term pairs an
+        # r-field with a k-field, so they meet only in _contract's products
+        out = _contract(self.field.grad_phi(r), b.A, 1)
         if self.field.lam != 0.0:
-            out = out - self.field.lam * np.einsum("...lj,...lj->...",
-                                                   self.field.B(r), b.M)
+            W = b.A[..., :, None] * b.dE[..., None, :] + b.M
+            out = out - self.field.lam * _contract(self.field.B(r), W, 2)
         return out
 
     def _value_fields(self, k) -> BandFields:
@@ -244,19 +260,27 @@ class EffectiveHamiltonian:
         return self._h1(self._value_fields(k), r)
 
     def value(self, k, r) -> np.ndarray:
+        """h at momenta k (..., d) and positions r (..., d).
+
+        The leading shapes of k and r need only broadcast against each other:
+        band fields are evaluated at the points of k, field terms at those of
+        r, and the result has the broadcast shape (see weyl.phase_points).
+        """
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         b = self._value_fields(k)
         return b.E + self.field.phi(r) + self.field.eps * self._h1(b, r)
 
     def grad_pair(self, k, r):
-        """(grad_k h, grad_r h) from one band evaluation per batch."""
+        """(grad_k h, grad_r h, fields): the gradients and the BandFields
+        record at k they were computed from (one band evaluation per batch;
+        flows read Omega from it)."""
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         eps, lam = self.field.eps, self.field.lam
         b = self.band.at(k, "all" if eps != 0.0 else "energy")
         gk = b.dE
         gr = self.field.grad_phi(r)
         if eps == 0.0:
-            return gk, gr
+            return gk, gr, b
         # d_{k_m} h1 = -(d_m F_l) A_l - F_l d_m A_l - lam B_lj d_m M_lj
         term_k = -np.einsum("...l,...lm->...m", self._lorentz(b, r), b.dA)
         # d_{r_m} h1 = (d_m d_l phi) A_l - lam (d_m B_lj)(d_j E A_l + M_lj)
@@ -271,7 +295,7 @@ class EffectiveHamiltonian:
                 term_r = term_r - lam * np.einsum("...ljm,...j,...l->...m",
                                                   dB, b.dE, b.A)
                 term_r = term_r - lam * np.einsum("...ljm,...lj->...m", dB, b.M)
-        return gk + eps * term_k, gr + eps * term_r
+        return gk + eps * term_k, gr + eps * term_r, b
 
 
 @dataclass(frozen=True)
@@ -286,17 +310,21 @@ class SemiclassicalHamiltonian:
         return self.band.lattice.dim
 
     def value(self, k, r) -> np.ndarray:
+        """h_sc at momenta k (..., d) and positions r (..., d) whose leading
+        shapes broadcast against each other; the result has the broadcast
+        shape."""
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         b = self.band.at(k)
         out = b.E + self.field.phi(r)
         eps, lam = self.field.eps, self.field.lam
         if eps != 0.0 and lam != 0.0:
-            out = out - eps * lam * np.einsum("...lj,...lj->...",
-                                              self.field.B(r), b.M)
+            out = out - eps * lam * _contract(self.field.B(r), b.M, 2)
         return out
 
     def grad_pair(self, k, r):
-        """(grad_k h_sc, grad_r h_sc) from one band evaluation per batch."""
+        """(grad_k h_sc, grad_r h_sc, fields): the gradients and the
+        BandFields record at k they were computed from (one band evaluation
+        per batch)."""
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         eps, lam = self.field.eps, self.field.lam
         coupled = eps != 0.0 and lam != 0.0
@@ -308,7 +336,7 @@ class SemiclassicalHamiltonian:
             if self.field.dbfield is not None:
                 gr = gr - eps * lam * np.einsum("...ljm,...lj->...m",
                                                 self.field.dB(r), b.M)
-        return gk, gr
+        return gk, gr, b
 
 
 def t_eff(k, r, band: BandData, field: EMFieldConfig):
@@ -347,14 +375,11 @@ def effective_observable(func, grid: PhaseSpaceGrid, band: BandData,
                          field: EMFieldConfig, check_periodic: bool = True) -> GridSymbol:
     """Samples of f o T_eff on a phase-space grid.
 
-    func(k, r) takes (..., d) arrays (momentum first); it must be periodic in
-    k under dual-lattice shifts, which is verified on a sample unless
-    check_periodic is disabled.
+    func(k, r) takes (..., d) arrays (momentum first) whose leading shapes
+    broadcast; it must be periodic in k under dual-lattice shifts, which is
+    verified on a sample unless check_periodic is disabled.
     """
     d = grid.dim
-    mesh = grid.phase_mesh()
-    X = np.stack([np.broadcast_to(mesh[l], grid.ns + grid.ns) for l in range(d)], axis=-1)
-    K = np.stack([np.broadcast_to(mesh[d + l], grid.ns + grid.ns) for l in range(d)], axis=-1)
     if check_periodic:
         rng = np.random.default_rng(0)
         kp = rng.normal(size=(16, d))
@@ -363,5 +388,4 @@ def effective_observable(func, grid: PhaseSpaceGrid, band: BandData,
         dev = np.abs(np.asarray(func(kp + g, rp)) - np.asarray(func(kp, rp))).max()
         if dev > 1e-8:
             raise EffectiveError("observable is not periodic in k under dual shifts")
-    k_eff, r_eff = t_eff(K, X, band, field)
-    return GridSymbol(grid=grid, samples=np.asarray(func(k_eff, r_eff), dtype=complex))
+    return sample_broadcast(lambda k, r: func(*t_eff(k, r, band, field)), grid)

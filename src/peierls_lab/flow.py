@@ -5,7 +5,15 @@ Two phase-space structures appear: the magnetic one
     [[lam B(r), -I], [I, 0]] (rdot, kdot)^T = (grad_r H, grad_k H)^T
 
 and the curvature-corrected one with eps Omega(k) in the lower-right block.
-Both are realized as batched linear solves (the structure matrices are tiny).
+Both are solved in closed form on the reduced d x d system
+
+    kdot = (I + eps lam B Omega)^{-1} (lam B grad_k H - grad_r H),
+    rdot = grad_k H - eps Omega kdot,   det J = det(I + eps lam B Omega),
+
+which for antisymmetric B and Omega in d <= 2 is a scalar division (one
+small batched solve for d >= 3).  Omega comes from the same band evaluation
+as the model's gradients, so each corrected right-hand side evaluates the
+band once.
 Integration is classical RK4 with a fixed step plus an optional step-halving
 verification, which keeps integrator error far below the second-order
 comparisons the flows are used for.
@@ -82,73 +90,91 @@ class Trajectory:
         return FlowState(k=self.k[-1], r=self.r[-1], t=float(self.times[-1]))
 
 
-def _structure_matrix(r, field: EMFieldConfig, omega=None, eps: float = 0.0):
-    """J = [[lam B(r), -I], [I, eps Omega]] batched over leading axes of r."""
-    r = np.asarray(r, dtype=float)
-    d = r.shape[-1]
-    lead = r.shape[:-1]
-    J = np.zeros(lead + (2 * d, 2 * d))
-    J[..., :d, :d] = field.lam * field.B(r)
-    eye = np.eye(d)
-    J[..., :d, d:] = -eye
-    J[..., d:, :d] = eye
-    if omega is not None and eps != 0.0:
-        J[..., d:, d:] = eps * omega
-    return J
+def _reduced(lamB, epsOm):
+    """I + eps lam B Omega: a scalar field (...) for d <= 2, else (..., d, d).
+
+    For antisymmetric B and Omega, B Omega = -b omega I in 2D and 0 in 1D, so
+    the matrix is its mean diagonal entry times I.
+    """
+    d = lamB.shape[-1]
+    if d <= 2:
+        return 1.0 + np.einsum("...lj,...jl->...", lamB, epsOm) / d
+    return np.eye(d) + lamB @ epsOm
 
 
-def _model_grads(model, k, r):
+def _reduced_det(red, d):
+    """det J = det(I + eps lam B Omega) from _reduced's output."""
+    return red ** d if d <= 2 else np.linalg.det(red)
+
+
+def _solve_structure(gk, gr, r, field: EMFieldConfig, omega=None, eps: float = 0.0):
+    """(kdot, rdot) solving J (rdot, kdot) = (grad_r H, grad_k H) for
+    J = [[lam B(r), -I], [I, eps Omega]].
+
+    The second row gives rdot = grad_k H - eps Omega kdot; the first then
+    reads (I + eps lam B Omega) kdot = lam B grad_k H - grad_r H.  Without
+    Omega (or at eps = 0) that is the magnetic structure, det J = 1.
+    """
+    lamB = field.lam * field.B(r) if field.lam != 0.0 else None
+    kdot = -gr if lamB is None else np.einsum("...lj,...j->...l", lamB, gk) - gr
+    if omega is None or eps == 0.0:
+        return kdot, gk
+    epsOm = eps * omega
+    if lamB is not None:
+        d = gk.shape[-1]
+        red = _reduced(lamB, epsOm)
+        if np.abs(_reduced_det(red, d)).min() < 1e-10:
+            raise FlowError("corrected structure matrix is degenerate")
+        kdot = kdot / red[..., None] if d <= 2 else \
+            np.linalg.solve(red, kdot[..., None])[..., 0]
+    return kdot, gk - np.einsum("...lj,...j->...l", epsOm, kdot)
+
+
+def _model_grads(model, k, r, band=None):
+    """(grad_k H, grad_r H, Omega(k)), Omega None without a band.
+
+    A model that holds `band` hands back the BandFields record its gradients
+    came from, so a corrected right-hand side costs one band evaluation.
+    """
     if hasattr(model, "grad_pair"):
-        return model.grad_pair(k, r)
-    return model.grad_k(k, r), model.grad_r(k, r)
+        gk, gr, fields = model.grad_pair(k, r)
+        if band is not None and getattr(model, "band", None) is band:
+            return gk, gr, fields.Om
+    else:
+        gk, gr = model.grad_k(k, r), model.grad_r(k, r)
+    return gk, gr, (band.at(k).Om if band is not None else None)
 
 
 def vector_field_magnetic(k, r, model, field: EMFieldConfig):
-    """(kdot, rdot) under the magnetic symplectic structure.
-
-    Solves the 2d x 2d system; equals rdot = grad_k H,
-    kdot = -grad_r H + lam B grad_k H.
+    """(kdot, rdot) under the magnetic symplectic structure:
+    rdot = grad_k H, kdot = -grad_r H + lam B grad_k H.
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    d = k.shape[-1]
-    J = _structure_matrix(r, field)
-    if np.abs(np.linalg.det(J)).min() < 1e-12:
-        raise FlowError("magnetic structure matrix singular (cannot happen)")
-    gk, gr = _model_grads(model, k, r)
-    rhs = np.concatenate([gr, gk], axis=-1)
-    sol = np.linalg.solve(J, rhs[..., None])[..., 0]
-    rdot = sol[..., :d]
-    kdot = sol[..., d:]
-    return kdot, rdot
+    gk, gr, _ = _model_grads(model, k, r)
+    return _solve_structure(gk, gr, r, field)
 
 
 def vector_field_corrected(k, r, model, field: EMFieldConfig, band, eps: float):
     """(kdot, rdot) under the curvature-corrected structure.
 
-    band supplies Omega(k); the determinant factor of the structure matrix is
-    returned through the model call sites as a diagnostic via
-    structure_factor().
+    band supplies Omega(k); raises FlowError where det J vanishes (see
+    structure_factor for its square root as a diagnostic).
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    d = k.shape[-1]
-    omega = band.at(k).Om if band is not None else None
-    J = _structure_matrix(r, field, omega=omega, eps=eps)
-    det = np.linalg.det(J)
-    if np.abs(det).min() < 1e-10:
-        raise FlowError("corrected structure matrix is degenerate")
-    gk, gr = _model_grads(model, k, r)
-    rhs = np.concatenate([gr, gk], axis=-1)
-    sol = np.linalg.solve(J, rhs[..., None])[..., 0]
-    return sol[..., d:], sol[..., :d]
+    gk, gr, omega = _model_grads(model, k, r, band if eps != 0.0 else None)
+    return _solve_structure(gk, gr, r, field, omega, eps)
 
 
 def structure_factor(k, r, field: EMFieldConfig, band, eps: float):
-    """sqrt(det J) of the corrected structure; 1 - eps lam B_12 Omega_12 in 2D."""
-    omega = band.at(k).Om if band is not None else None
-    J = _structure_matrix(np.asarray(r, dtype=float), field, omega=omega, eps=eps)
-    return np.sqrt(np.abs(np.linalg.det(J)))
+    """sqrt(|det J|) of the corrected structure; 1 - eps lam B_12 Omega_12 in 2D."""
+    k = np.asarray(k, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if band is None or eps == 0.0 or field.lam == 0.0:
+        return np.ones(r.shape[:-1])
+    red = _reduced(field.lam * field.B(r), eps * band.at(k).Om)
+    return np.sqrt(np.abs(_reduced_det(red, r.shape[-1])))
 
 
 def _rhs(k, r, model, field, band, eps, corrected):
@@ -253,8 +279,8 @@ def poisson_corrected(f, g, k, r, field: EMFieldConfig, band, eps: float):
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
     omega = band.at(k).Om if band is not None else None
-    J = _structure_matrix(r, field, omega=omega, eps=eps)
-    gf = np.concatenate([f.grad_r(k, r), f.grad_k(k, r)], axis=-1)
-    gg = np.concatenate([g.grad_r(k, r), g.grad_k(k, r)], axis=-1)
-    sol = np.linalg.solve(J, gg[..., None])[..., 0]
-    return -np.einsum("...i,...i->...", gf, sol)
+    # J^{-1} grad g is the vector field of g: (rdot, kdot)
+    kdot, rdot = _solve_structure(g.grad_k(k, r), g.grad_r(k, r), r, field,
+                                  omega, eps)
+    return -(np.einsum("...i,...i->...", f.grad_r(k, r), rdot)
+             + np.einsum("...i,...i->...", f.grad_k(k, r), kdot))

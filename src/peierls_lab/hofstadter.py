@@ -174,7 +174,9 @@ def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
     deterministic ordering by (alpha, band index).
 
     Edges come from the Chambers points (`spectrum_at_flux`); Chern labels,
-    for q <= chern_q_max, use `subband_chern`'s default torus grid.
+    for q <= chern_q_max, use `subband_chern`'s default torus grid, with one
+    torus diagonalization per flux shared by its q subbands.  A flux whose
+    subbands touch gets no labels.
     """
     if q_max < 1:
         raise HofstadterError(f"q_max must be >= 1, got {q_max}")
@@ -188,7 +190,7 @@ def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
         cherns = [None] * fl.q
         if chern_labels and fl.q <= chern_q_max:
             try:
-                cherns = [subband_chern(fl, j) for j in range(fl.q)]
+                cherns = _subband_cherns(fl)
             except HofstadterError:
                 cherns = [None] * fl.q
         return [(fr, j, float(ivals[j, 0]), float(ivals[j, 1]), cherns[j])
@@ -215,19 +217,34 @@ def subband_chern(flux: FluxRational, band: int, n_theta: int | None = None,
     standard gap-labeling convention (p t = r mod q) is reproduced.  Raises
     when the band touches a neighbor anywhere on the grid.
     """
-    q = flux.q
-    if band < 0 or band >= q:
+    if band < 0 or band >= flux.q:
         raise HofstadterError("band index out of range")
+    return _chern_on_torus(flux, band, *_torus_eigh(flux, n_theta), gap_tol)
+
+
+def _subband_cherns(flux: FluxRational, gap_tol: float = 1e-9) -> list:
+    """subband_chern for every band of the flux from one torus
+    diagonalization; raises on the first band that touches a neighbor."""
+    evals, evecs = _torus_eigh(flux, None)
+    return [_chern_on_torus(flux, j, evals, evecs, gap_tol) for j in range(flux.q)]
+
+
+def _torus_eigh(flux: FluxRational, n_theta: int | None):
+    """Eigenpairs of the Bloch family on the full n_theta^2 theta torus
+    (default max(24, 6q) per angle)."""
     if n_theta is None:
-        n_theta = max(24, 6 * q)
+        n_theta = max(24, 6 * flux.q)
     _, H = _bloch_family(flux, n_theta, reduced=False)
-    evals, evecs = np.linalg.eigh(H)
+    return np.linalg.eigh(H)
+
+
+def _chern_on_torus(flux: FluxRational, band: int, evals, evecs, gap_tol) -> int:
+    q = flux.q
     if band > 0 and np.min(evals[..., band] - evals[..., band - 1]) < gap_tol:
         raise HofstadterError(f"subband {band} touches band {band - 1}")
     if band + 1 < q and np.min(evals[..., band + 1] - evals[..., band]) < gap_tol:
         raise HofstadterError(f"subband {band} touches band {band + 1}")
-    vecs = evecs[..., band]
-    c = -chern_from_vectors(vecs) / q
+    c = -chern_from_vectors(evecs[..., band]) / q
     ci = int(np.round(c))
     if abs(c - ci) > 1e-6:
         raise HofstadterError(f"Chern number not integral: {c}")

@@ -20,7 +20,7 @@ from .flow import _rk4_run
 from .geometry import fix_gauge
 from .lattice import Lattice, make_kgrid
 from .weyl import (GridSymbol, PhaseSpaceGrid, QuantizedOperator, operator_norm,
-                   quantize, resample_periodic, sample_symbol)
+                   quantize, resample_periodic, sample_broadcast)
 
 __all__ = [
     "RealSpaceBox",
@@ -284,9 +284,7 @@ def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
     d = grid.dim
     if flow_shape is None:
         shape = grid.ns + grid.ns
-        mesh = grid.phase_mesh()
-        X = np.stack([np.broadcast_to(mesh[l], shape) for l in range(d)], axis=-1)
-        K = np.stack([np.broadcast_to(mesh[d + l], shape) for l in range(d)], axis=-1)
+        X, K = (np.broadcast_to(a, shape + (d,)) for a in grid.phase_points())
     else:
         shape = tuple(flow_shape) + tuple(flow_shape)
         axes = []
@@ -318,18 +316,16 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     """Interior-windowed operator norm of
     e^{+i(t/eps)Op(h)} Op(f) e^{-i(t/eps)Op(h)} - Op(f o Phi_t).
 
+    h and f are sampled once on the broadcast axis pair of
+    grid.phase_points() (see weyl.sample_broadcast), so f_func(k, r) must
+    broadcast k against r.
+
     The integrator budget is verified by a step-halving probe on a trajectory
     subsample before the norm is computed.
     """
     d = grid.dim
-    h_sym = sample_symbol(
-        lambda *mesh: heff.value(np.stack(mesh[d:], axis=-1),
-                                 np.stack(mesh[:d], axis=-1)), grid)
-    h_op = quantize(h_sym, field, assume_bandlimited=True)
-    f_sym = sample_symbol(
-        lambda *mesh: f_func(np.stack(mesh[d:], axis=-1),
-                             np.stack(mesh[:d], axis=-1)), grid)
-    f_op = quantize(f_sym, field, assume_bandlimited=True)
+    h_op = quantize(sample_broadcast(heff.value, grid), field, assume_bandlimited=True)
+    f_op = quantize(sample_broadcast(f_func, grid), field, assume_bandlimited=True)
     # integrator sanity on a small probe batch
     rng = np.random.default_rng(0)
     kp = rng.uniform(-np.pi, np.pi, (16, d))

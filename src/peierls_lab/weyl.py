@@ -24,6 +24,7 @@ __all__ = [
     "GridSymbol",
     "QuantizedOperator",
     "sample_symbol",
+    "sample_broadcast",
     "quantize",
     "dequantize",
     "exact_product",
@@ -104,6 +105,18 @@ class PhaseSpaceGrid:
                [self.xi_axis(l) for l in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
+    def phase_points(self):
+        """Positions X of shape ns + (1,)*d + (d,) and momenta K of shape
+        (1,)*d + ns + (d,): broadcast together they are the full phase-space
+        grid (position axes first), at n^d points each instead of n^(2d)."""
+        d = self.dim
+        X = np.stack(np.meshgrid(*[self.X_axis(l) for l in range(d)],
+                                 indexing="ij"), axis=-1)
+        K = np.stack(np.meshgrid(*[self.xi_axis(l) for l in range(d)],
+                                 indexing="ij"), axis=-1)
+        return (X.reshape(self.ns + (1,) * d + (d,)),
+                K.reshape((1,) * d + self.ns + (d,)))
+
     def interior_mask_1d(self, l: int, fraction: float = 0.5) -> np.ndarray:
         n = self.ns[l]
         lo = int(round(n * (1 - fraction) / 2))
@@ -167,6 +180,19 @@ def sample_symbol(func, grid: PhaseSpaceGrid) -> GridSymbol:
     """Sample func(X_1.., X_d, xi_1.., xi_d) on the phase-space grid."""
     mesh = grid.phase_mesh()
     return GridSymbol(grid=grid, samples=np.asarray(func(*mesh), dtype=complex))
+
+
+def sample_broadcast(func, grid: PhaseSpaceGrid) -> GridSymbol:
+    """Sample func(k, r) (momentum first) on the phase-space grid.
+
+    func is called once on the axis pair of grid.phase_points(), so it must
+    broadcast k against r; its result is broadcast to the full grid.  A
+    symbol built from k-fields and r-fields then costs n^d evaluations of
+    each instead of n^(2d).
+    """
+    X, K = grid.phase_points()
+    vals = np.broadcast_to(np.asarray(func(K, X)), grid.ns + grid.ns)
+    return GridSymbol(grid=grid, samples=vals.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -357,9 +383,7 @@ def magnetic_poisson(f: GridSymbol, g: GridSymbol, field: EMFieldConfig) -> Grid
     for l in range(d):
         out = out + dKf[l] * dXg[l] - dXf[l] * dKg[l]
     if field.lam != 0.0:
-        mesh = grid.phase_mesh()
-        X = np.stack([np.broadcast_to(mesh[l], f.samples.shape) for l in range(d)], axis=-1)
-        B = field.B(X)
+        B = field.B(grid.phase_points()[0])
         for l in range(d):
             for j in range(d):
                 if l == j:

@@ -66,6 +66,19 @@ def test_empty_butterfly_sweep_rejected_with_paths():
     assert "numerics.theta_resolution: must be >= 2" in exc.value.problems
 
 
+@pytest.mark.parametrize("path,numerics", [
+    ("numerics.q_max", '"q_max": true'),
+    ("numerics.cutoff", '"cutoff": false'),
+    ("numerics.tolerances.slope_min", '"tolerances": {"slope_min": true}'),
+    ("numerics.eps_list", '"eps_list": [true]'),
+])
+def test_json_booleans_rejected_as_numbers(path, numerics):
+    # bool subclasses int in Python, so true would otherwise parse as 1
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "egorov", "numerics": {%s}}' % numerics)
+    assert any(p.startswith(path) for p in exc.value.problems), exc.value.problems
+
+
 def test_eps_list_must_decrease_for_sweeps():
     with pytest.raises(ConfigError) as exc:
         parse_config('{"experiment": "egorov", '

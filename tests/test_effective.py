@@ -255,6 +255,33 @@ def test_effective_observable_taylor_consistency():
     assert np.all(ratios > 3.3) and np.all(ratios < 4.7)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_value_on_broadcast_axes_matches_full_mesh(dim):
+    if dim == 1:
+        band = BandData.synthetic(
+            Lattice.cubic(1), (33,), lambda k: np.cos(k[..., 0]),
+            connection=lambda k: 0.3 * np.sin(k),
+            rw=lambda k: 0.2 * np.cos(k)[..., None])
+        fld = EMFieldConfig.zero(
+            1, eps=0.1, phi=lambda r: 0.4 * np.cos(np.asarray(r, float)[..., 0]),
+            grad_phi=lambda r: -0.4 * np.sin(np.asarray(r, float)))
+    else:
+        band, fld = BAND, dataclasses.replace(FIELD, eps=0.1)
+    assert dim == 1 or fld.lam != 0.0
+    grid = PhaseSpaceGrid.build((9,) * dim, 0.7, eps=fld.eps)
+    X, K = grid.phase_points()
+    full = grid.ns + grid.ns
+    mesh = grid.phase_mesh()
+    assert np.array_equal(np.broadcast_to(X, full + (dim,)), np.stack(mesh[:dim], -1))
+    assert np.array_equal(np.broadcast_to(K, full + (dim,)), np.stack(mesh[dim:], -1))
+    for model in (EffectiveHamiltonian(band, fld), SemiclassicalHamiltonian(band, fld)):
+        on_axes = model.value(K, X)
+        on_mesh = model.value(np.broadcast_to(K, full + (dim,)),
+                              np.broadcast_to(X, full + (dim,)))
+        assert on_axes.shape == full
+        assert np.abs(on_axes - on_mesh).max() <= 1e-15 * np.abs(on_mesh).max()
+
+
 def test_periodicity_and_realness():
     heff = EffectiveHamiltonian(BAND, FIELD)
     hsc = SemiclassicalHamiltonian(BAND, FIELD)

@@ -191,3 +191,88 @@ def test_trajectory_monotone_times():
     fld = EMFieldConfig.zero(2, eps=0.1)
     tr = integrate(FlowState.of([0.1, 0.2], [0.0, 0.0]), FREE, fld, 1.0, 0.01)
     assert np.all(np.diff(tr.times) > 0)
+
+
+def _antisym(rng, shape, d):
+    a = rng.uniform(-1, 1, shape + (d, d))
+    return a - np.swapaxes(a, -1, -2)
+
+
+class _Fixed:
+    """Observable or model with given gradient samples (closed-form J tests)."""
+
+    def __init__(self, gk, gr):
+        self.gk, self.gr = gk, gr
+
+    def grad_k(self, k, r):
+        return self.gk
+
+    def grad_r(self, k, r):
+        return self.gr
+
+
+class _OmegaBand:
+    def __init__(self, om):
+        self.om = om
+
+    def at(self, k):
+        return type("Fields", (), {"Om": self.om})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_structure_matches_assembled_solve(d):
+    rng = np.random.default_rng(d)
+    n, eps, lam = 32, 0.3, 0.8
+    B = _antisym(rng, (), d)
+    fld = EMFieldConfig(eps=eps, lam=lam, dim=d, bfield=B,
+                        vector_potential=lambda r: -0.5 * np.asarray(r) @ B.T,
+                        gauge="symmetric")
+    k, r = rng.normal(size=(2, n, d))
+    om = _antisym(rng, (n,), d)
+    band = _OmegaBand(om)
+    h = _Fixed(*rng.normal(size=(2, n, d)))
+    g = _Fixed(*rng.normal(size=(2, n, d)))
+    f = _Fixed(*rng.normal(size=(2, n, d)))
+
+    def assembled(omega):
+        J = np.zeros((n, 2 * d, 2 * d))
+        J[:, :d, :d] = lam * B
+        J[:, :d, d:] = -np.eye(d)
+        J[:, d:, :d] = np.eye(d)
+        J[:, d:, d:] = eps * omega
+        return J
+
+    def close(a, ref):
+        return np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    for omega, (kdot, rdot) in [
+            (np.zeros((n, d, d)), vector_field_magnetic(k, r, h, fld)),
+            (om, vector_field_corrected(k, r, h, fld, band, eps))]:
+        sol = np.linalg.solve(assembled(omega),
+                              np.concatenate([h.gr, h.gk], -1)[..., None])[..., 0]
+        assert close(rdot, sol[:, :d]) and close(kdot, sol[:, d:])
+    J = assembled(om)
+    sf = structure_factor(k, r, fld, band, eps)
+    assert close(sf, np.sqrt(np.abs(np.linalg.det(J))))
+    sol = np.linalg.solve(J, np.concatenate([g.gr, g.gk], -1)[..., None])[..., 0]
+    ref = -np.einsum("pi,pi->p", np.concatenate([f.gr, f.gk], -1), sol)
+    assert close(poisson_corrected(f, g, k, r, fld, band, eps), ref)
+
+
+def test_corrected_integrate_evaluates_band_once_per_rhs():
+    from peierls_lab.effective import SemiclassicalHamiltonian
+    band = BandData.synthetic(
+        LAT2, (9, 9), energy=lambda k: np.cos(k[..., 0]) + np.cos(k[..., 1]),
+        rw=lambda k: np.einsum("...,lj->...lj", 0.1 * np.sin(k[..., 0]), np.ones((2, 2))),
+        curvature=lambda k: np.einsum("...,lj->...lj", 0.3 * np.cos(k[..., 1]), EPS2))
+    fld = EMFieldConfig.constant(2, b=0.9, eps=0.05, lam=1.0)
+    calls = []
+    at = band.at
+    band.at = lambda *args, **kwargs: calls.append(1) or at(*args, **kwargs)
+    n_steps = 5
+    tr = integrate(FlowState.of([0.3, -0.2], [0.1, 0.2]),
+                   SemiclassicalHamiltonian(band, fld), fld, n_steps * 0.01, 0.01,
+                   band=band, corrected=True, halving_budget=None)
+    # four RK4 stages per step, then the energy and structure-factor monitor
+    assert len(tr.times) == n_steps + 1
+    assert len(calls) == 4 * n_steps + 2

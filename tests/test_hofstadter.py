@@ -128,6 +128,31 @@ def test_butterfly_deterministic_and_chern_labels():
     assert labels == [1, -2, 1]
 
 
+def test_butterfly_chern_labels_solve_each_torus_once(monkeypatch):
+    import peierls_lab.hofstadter as hof
+    tori = []
+    family = hof._bloch_family
+
+    def counting(flux, n_theta, reduced=True):
+        if not reduced:
+            tori.append(flux)
+        return family(flux, n_theta, reduced)
+
+    monkeypatch.setattr(hof, "_bloch_family", counting)
+    data = butterfly(5, chern_labels=True)
+    assert len(tori) == len(data.fluxes())
+    monkeypatch.setattr(hof, "_bloch_family", family)
+    for fr in data.fluxes():
+        fl = FluxRational(fr.numerator, fr.denominator)
+        labels = [e[4] for e in data.entries if e[0] == fr]
+        try:
+            expected = [subband_chern(fl, j) for j in range(fl.q)]
+        except HofstadterError:
+            expected = [None] * fl.q  # touching subbands: no labels
+        assert labels == expected, fr
+    assert [e[4] for e in data.entries if e[0] == Fraction(1, 2)] == [None, None]
+
+
 def _reduced_fluxes(qs):
     return [FluxRational(p, q) for q in qs for p in range(q + 1) if gcd(p, q) == 1]
 
