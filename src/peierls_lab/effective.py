@@ -74,7 +74,8 @@ def _upsampled(samples: np.ndarray, factor: int) -> np.ndarray:
 class BandFields:
     """Band fields at a batch of points k (..., d), derivatives in Cartesian k.
 
-    The gradient fields are None unless BandData.at was asked for them.
+    The gradient fields are None unless BandData.at was asked for them.  The
+    arrays are views into one spline evaluation block; copy before writing.
     """
 
     E: np.ndarray                       # (...)
@@ -94,7 +95,7 @@ class BandData:
     Samples live on the band's (cell-centered) k-grid; evaluation happens in
     zone coefficients alpha = k . dual^{-1}, so any Bravais lattice works.
     All fields are FFT-upsampled and held by one stacked PeriodicSpline with
-    field axis [E, dE/dalpha_1..d, A_l, M_lj, Omega_lj]; `at` evaluates them
+    field axis [E, dE/dk_1..d, A_l, M_lj, Omega_lj]; `at` evaluates them
     for Cartesian k of shape (..., d) (bare floats in 1D).
     """
 
@@ -109,28 +110,31 @@ class BandData:
     def __post_init__(self):
         d = self.lattice.dim
         self._inv_dual = np.linalg.inv(self.lattice.dual)
-        self._to_cart = self.lattice.basis.T / (2 * np.pi)  # grad_k = T @ grad_alpha
-        fine = lambda s: _upsampled(s, self.upsample)
+        # grad_k f = grad_alpha f @ _to_cart_T, since alpha = k . dual^{-1}
+        self._to_cart_T = self.lattice.basis / (2 * np.pi)
         n_f = tuple(self.upsample * n for n in self.shape)
-        E_f = fine(self.energy_samples)
-        # the dE/dalpha fields are exact derivatives of the fine E values, so
-        # value/gradient pairs are Hamiltonian-consistent (flows conserve the
-        # interpolated energy to integrator accuracy); their own spline
-        # derivatives give the Hessian
-        F = np.fft.fftn(E_f)
-        dE_f = []
-        for ax, n in enumerate(n_f):
-            P = np.fft.fftfreq(n, d=1.0 / n)
-            sh = [1] * d
-            sh[ax] = n
-            dE_f.append(np.fft.ifftn(F * (2j * np.pi * P).reshape(sh)).real)
         geo = np.concatenate([self.connection_samples.reshape(self.shape + (d,)),
                               self.rw_samples.reshape(self.shape + (d * d,)),
                               self.curvature_samples.reshape(self.shape + (d * d,))],
                              axis=-1)
-        fields = [E_f, *dE_f, *(fine(geo[..., f]) for f in range(geo.shape[-1]))]
-        self._spline = PeriodicSpline(np.stack(fields, axis=-1), -0.5,
-                                      [1.0 / n for n in n_f])
+        fields = np.empty(n_f + (1 + d + geo.shape[-1],))
+        E_f = _upsampled(self.energy_samples, self.upsample)
+        fields[..., 0] = E_f
+        # the dE/dk fields are exact derivatives of the fine E values, so
+        # value/gradient pairs are Hamiltonian-consistent (flows conserve the
+        # interpolated energy to integrator accuracy); their own spline
+        # derivatives give the Hessian
+        F = np.fft.fftn(E_f)
+        dE_alpha = np.empty(n_f + (d,))
+        for ax, n in enumerate(n_f):
+            P = np.fft.fftfreq(n, d=1.0 / n)
+            sh = [1] * d
+            sh[ax] = n
+            dE_alpha[..., ax] = np.fft.ifftn(F * (2j * np.pi * P).reshape(sh)).real
+        fields[..., 1:1 + d] = dE_alpha @ self._to_cart_T
+        for f in range(geo.shape[-1]):
+            fields[..., 1 + d + f] = _upsampled(geo[..., f], self.upsample)
+        self._spline = PeriodicSpline(fields, -0.5, [1.0 / n for n in n_f])
 
     # -- constructors ---------------------------------------------------
 
@@ -173,28 +177,26 @@ class BandData:
         grad selects the derivatives returned: "none"; "energy" for dE;
         "all" for dE, hessE, dA and dM (what the gradient of h needs).
         """
+        if grad not in ("none", "energy", "all"):
+            raise EffectiveError(f"grad must be 'none', 'energy' or 'all', not {grad!r}")
         d = self.lattice.dim
-        n_grad = {"none": 0, "energy": 1, "all": 1 + 2 * d + d * d}[grad]
         alpha = _as_points(k, d) @ self._inv_dual
         lead = alpha.shape[:-1]
-        out = self._spline(alpha.reshape(-1, d), n_grad)
-        shaped = lambda x, *tail: x.reshape(lead + tail)
-        v = out[:, :self._spline.n_fields]
-        rec = {"E": shaped(v[:, 0]),
-               "A": shaped(v[:, 1 + d:1 + 2 * d], d),
-               "M": shaped(v[:, 1 + 2 * d:1 + 2 * d + d * d], d, d),
-               "Om": shaped(v[:, 1 + 2 * d + d * d:], d, d)}
-        if n_grad:
-            # g[p, m, f] = d field_f / d k_m
-            g = np.einsum("mi,pif->pmf", self._to_cart,
-                          out[:, self._spline.n_fields:].reshape(-1, d, n_grad))
-            rec["dE"] = shaped(g[:, :, 0], d)
-        if n_grad > 1:
-            rec["hessE"] = shaped(np.einsum("mi,pni->pmn", self._to_cart,
-                                            g[:, :, 1:1 + d]), d, d)
-            rec["dA"] = shaped(g[:, :, 1 + d:1 + 2 * d].transpose(0, 2, 1), d, d)
-            rec["dM"] = shaped(np.moveaxis(g[:, :, 1 + 2 * d:].reshape(-1, d, d, d),
-                                           1, -1), d, d, d)
+        out = self._spline(alpha.reshape(-1, d))        # (P, 1 + d, F)
+        v = out[:, 0]
+        rec = {"E": v[:, 0].reshape(lead),
+               "A": v[:, 1 + d:1 + 2 * d].reshape(lead + (d,)),
+               "M": v[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d)),
+               "Om": v[:, 1 + 2 * d + d * d:].reshape(lead + (d, d))}
+        if grad == "none":
+            return BandFields(**rec)
+        # g[p, f, m] = d field_f / d k_m
+        g = out[:, 1:].transpose(0, 2, 1) @ self._to_cart_T
+        rec["dE"] = g[:, 0].reshape(lead + (d,))
+        if grad == "all":
+            rec["hessE"] = g[:, 1:1 + d].reshape(lead + (d, d))
+            rec["dA"] = g[:, 1 + d:1 + 2 * d].reshape(lead + (d, d))
+            rec["dM"] = g[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d, d))
         return BandFields(**rec)
 
 

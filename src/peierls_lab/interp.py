@@ -2,10 +2,12 @@
 
 Band data lives on uniform grids over the Brillouin-zone coefficient box
 (period 1 per axis, cell-centered sampling).  Band fields are evaluated by a
-cubic spline of all fields at once on an FFT-upsampled fine grid (one tap
-gather per block of points, error well under the expansion budgets).  The
-exact trigonometric interpolant is kept as the oracle the tests compare
-against.
+cubic spline of all fields at once on an FFT-upsampled fine grid, in any
+dimension d: the coefficient grid carries wrapped ghost layers, so a block
+of points needs one tap gather and one batched contraction that returns
+values and first derivatives together as a (P, 1 + d, F) array (error well
+under the expansion budgets).  The exact trigonometric interpolant is kept
+as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -72,89 +74,105 @@ class PeriodicFourier:
 # Points per tap gather: bounds the (BLOCK, 4^d, F) tap array of a batch.
 BLOCK = 1024
 
-# Cubic B-spline tap weights for a fractional offset t in [0, 1), as
-# polynomials: w(t) = [1, t, t^2, t^3] @ _B3 and w'(t) = [1, t, t^2] @ _DB3.
+# Cubic B-spline tap weights (taps at -1, 0, 1, 2) for a fractional offset t
+# in [0, 1) as polynomials: [w(t) | w'(t)] = [1, t, t^2, t^3] @ _B3D.
 _B3 = np.array([[1, 4, 1, 0], [-3, 0, 3, 0], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6.0
-_DB3 = np.arange(1, 4)[:, None] * _B3[1:]
+_DB3 = np.vstack([np.arange(1, 4)[:, None] * _B3[1:], np.zeros(4)])    # d/dt t^j = j t^(j-1)
+_B3D = np.hstack([_B3, _DB3])
 
 
 class PeriodicSpline:
-    """Cubic B-splines of F fields on one uniform periodic grid, with exact
-    prefilter.
+    """Cubic B-splines of F fields on one uniform periodic grid in any
+    dimension d, with exact prefilter.
 
     values has shape (n_1, ..., n_d, F): F fields sampled on the same grid
-    (typically FFT-upsampled from coarse data).  All fields share one tap
-    gather per point, and the value and first-derivative weights are
-    contracted in the same pass.
+    (typically FFT-upsampled from coarse data).  The prefiltered coefficients
+    are stored with wrapped ghost layers, one before and two after each axis,
+    so the 4^d taps of a point are its base index (one floor and one modulo
+    per axis) plus a fixed table of flat offsets.  All fields share that one
+    gather, and values and first derivatives come from one contraction:
+    calls return blocks of shape (P, 1 + d, F), [value, d/dx_1, ..., d/dx_d]
+    in the units of the point coordinates.
     """
 
     def __init__(self, values: np.ndarray, origin, spacing):
         values = np.asarray(values, dtype=float)
-        self.ndim = values.ndim - 1
+        d = self.ndim = values.ndim - 1
         self.shape = values.shape[:-1]
         self.n_fields = values.shape[-1]
-        self._n = np.array(self.shape)[:, None]       # tap indices wrap per axis
-        self.origin = np.broadcast_to(np.asarray(origin, dtype=float), (self.ndim,)).copy()
-        self.spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (self.ndim,)).copy()
-        axes = tuple(range(self.ndim))
-        F = np.fft.fftn(values, axes=axes)
+        self.origin = np.broadcast_to(np.asarray(origin, dtype=float), (d,)).copy()
+        self.spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,)).copy()
+        # prefilter field by field into the interior of the padded grid;
+        # ghost layers: padded index i holds coefficient (i - 1) mod n
+        pad = np.empty(tuple(n + 3 for n in self.shape) + (self.n_fields,))
+        inner = pad[(slice(1, -2),) * d]
+        for f in range(self.n_fields):
+            c = np.fft.rfftn(values[..., f])
+            for ax, n in enumerate(self.shape):
+                m = c.shape[ax]
+                bhat = (4.0 + 2.0 * np.cos(2 * np.pi * np.arange(m) / n)) / 6.0
+                c /= bhat.reshape([m if a == ax else 1 for a in range(d)])
+            inner[..., f] = np.fft.irfftn(c, s=self.shape, axes=tuple(range(d)))
         for ax, n in enumerate(self.shape):
-            w = 2 * np.pi * np.arange(n) / n
-            bhat = (4.0 + 2.0 * np.cos(w)) / 6.0
-            sh = [1] * values.ndim
-            sh[ax] = n
-            F = F / bhat.reshape(sh)
-        # contiguous, flat grid index first: a gather is one take along axis 0
-        c = np.fft.ifftn(F, axes=axes).real
-        self.c = np.ascontiguousarray(c).reshape(-1, self.n_fields)
+            lead = (slice(None),) * ax
+            pad[lead + (0,)] = pad[lead + (n,)]
+            pad[lead + (slice(n + 1, n + 3),)] = pad[lead + (slice(1, 3),)]
+        # flat grid index first: a gather is one take along axis 0
+        self.c = pad.reshape(-1, self.n_fields)
+        strides = np.cumprod((1,) + tuple(n + 3 for n in self.shape[:0:-1]))[::-1]
+        self._strides = strides
+        self._n = np.array(self.shape)[:, None]
+        self._offsets = np.indices((4,) * d).reshape(d, -1).T @ strides
+        # per-axis [w | w'] weight polynomials, w' per unit of the points
+        scale = np.ones((d, 8, 1))
+        scale[:, 4:] = self.spacing[:, None, None]
+        self._poly = _B3D.T / scale                        # (d, 8, 4)
+        # _rows[l, r] picks axis l's factor of weight row r from the flat
+        # (d * 8) per-axis weights: w_l, or w'_l on row r = 1 + l
+        self._rows = 8 * np.arange(d)[:, None, None] + np.arange(4) \
+            + 4 * (np.arange(1 + d) == np.arange(1, 1 + d)[:, None])[..., None]
 
     def prep(self, pts: np.ndarray) -> "SplinePrep":
-        """Flat tap indices and per-axis weights for a block of points (B, d)."""
-        u = (pts - self.origin) / self.spacing
-        base = np.floor(u).astype(int)
+        """Flat tap indices (B, 4^d) and contraction weights (B, 1 + d, 4^d)
+        for a block of points (B, d).  Row r of the weights is the outer
+        product over the axes of the tap weights, differentiated along axis
+        r - 1 for r >= 1."""
+        d = self.ndim
+        u = (pts.T - self.origin[:, None]) / self.spacing[:, None]    # (d, B)
+        base = np.floor(u)
         t = u - base
-        taps = (base[..., None] + np.arange(-1, 3)) % self._n       # (B, d, 4)
-        flat = taps[:, 0]
-        for ax in range(1, self.ndim):
-            flat = flat[..., None] * self.shape[ax] + taps[:, ax].reshape(
-                (-1,) + (1,) * ax + (4,))
-        powers = t[..., None] ** np.arange(4)           # (B, d, 4)
-        # derivative weights in units of the point coordinates
-        return SplinePrep(flat=flat, W0=powers @ _B3,
-                          W1=powers[..., :3] @ _DB3 / self.spacing[:, None])
+        V = np.empty((d, 4, len(pts)))
+        V[:, 0] = 1.0
+        V[:, 1] = t
+        np.multiply(t, t, out=V[:, 2])
+        np.multiply(V[:, 2], t, out=V[:, 3])
+        R = (self._poly @ V).reshape(8 * d, -1)[self._rows]     # (d, 1 + d, 4, B)
+        W = R[0]
+        for l in range(1, d):
+            W = (W[:, :, None] * R[l][:, None]).reshape(1 + d, -1, len(pts))
+        flat = self._strides @ (base.astype(np.intp) % self._n)
+        return SplinePrep(flat=flat[:, None] + self._offsets, W=W.transpose(2, 0, 1))
 
     def eval_prepped(self, prep: "SplinePrep") -> np.ndarray:
-        """Values and first derivatives of all F fields, shape (B, 1 + d, F):
-        [value, d/du_1, ..., d/du_d].  The contraction shapes do not depend
-        on which of them a caller keeps, so neither do the rounded results."""
-        W0, W1 = prep.W0, prep.W1
-        taps = np.take(self.c, prep.flat, axis=0)     # (B, 4, ..., 4, F)
-        Wx = np.stack([W0[:, 0], W1[:, 0]], axis=1)
-        if self.ndim == 1:
-            return Wx @ taps
-        if self.ndim != 2:
-            raise ValueError("spline evaluation implemented for d <= 2")
-        # contract the second axis, then the first
-        rows = np.stack([W0[:, 1], W1[:, 1]], axis=1)[:, None] @ taps  # (B, 4, 2, F)
-        return np.concatenate([Wx @ rows[:, :, 0], W0[:, :1] @ rows[:, :, 1]], axis=1)
+        """Values and first derivatives of all F fields, shape (B, 1 + d, F).
+        The contraction shapes do not depend on which rows a caller keeps, so
+        neither do the rounded results."""
+        return prep.W @ np.take(self.c, prep.flat, axis=0)
 
-    def __call__(self, pts: np.ndarray, n_grad: int = 0) -> np.ndarray:
-        """Values of all F fields and the gradients of the first n_grad ones
-        at points (P, d), shape (P, F + d n_grad): [values | d/du_1 | ... |
-        d/du_d].  Evaluated in blocks of BLOCK points."""
-        F = self.n_fields
-        out = np.empty((len(pts), F + self.ndim * n_grad))
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        """Values and first derivatives of all F fields at points (P, d),
+        shape (P, 1 + d, F).  Evaluated in blocks of BLOCK points."""
+        if len(pts) <= BLOCK:
+            return self.eval_prepped(self.prep(pts))
+        out = np.empty((len(pts), 1 + self.ndim, self.n_fields))
         for s in range(0, len(pts), BLOCK):
-            vd = self.eval_prepped(self.prep(pts[s:s + BLOCK]))
-            out[s:s + BLOCK, :F] = vd[:, 0]
-            out[s:s + BLOCK, F:] = vd[:, 1:, :n_grad].reshape(len(vd), -1)
+            out[s:s + BLOCK] = self.eval_prepped(self.prep(pts[s:s + BLOCK]))
         return out
 
 
 class SplinePrep:
-    __slots__ = ("flat", "W0", "W1")
+    __slots__ = ("flat", "W")
 
-    def __init__(self, flat, W0, W1):
+    def __init__(self, flat, W):
         self.flat = flat
-        self.W0 = W0
-        self.W1 = W1
+        self.W = W

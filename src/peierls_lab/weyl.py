@@ -13,6 +13,7 @@ truncation artifacts.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .fields import EMFieldConfig
 __all__ = [
     "PhaseSpaceGrid",
     "GridSymbol",
+    "DenseMemoryError",
     "QuantizedOperator",
     "sample_symbol",
     "sample_broadcast",
@@ -42,6 +44,23 @@ __all__ = [
 
 class WeylError(ValueError):
     pass
+
+
+class DenseMemoryError(MemoryError):
+    """A dense path would need more memory than the machine has."""
+
+
+def check_dense_memory(what: str, grid, nbytes: float) -> None:
+    """Raise DenseMemoryError when a dense path on `grid` (described in the
+    message) is estimated to peak above the machine's physical memory."""
+    try:
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return      # the platform does not report its memory
+    if nbytes > phys:
+        raise DenseMemoryError(
+            f"{what} on grid {grid} needs an estimated {nbytes / 2**30:.1f} GiB, "
+            f"more than the {phys / 2**30:.1f} GiB of physical memory")
 
 
 def _sym_freqs(n: int) -> np.ndarray:
@@ -234,32 +253,61 @@ def _offset_table(samples: np.ndarray, d: int) -> np.ndarray:
     return T
 
 
-def _gather_indices(grid: PhaseSpaceGrid):
-    """(N, N) flat indices (mu_flat, delta_flat) for kernel assembly."""
-    ns = grid.ns
-    d = grid.dim
+# Peak bytes per N^2 matrix entry, from tracemalloc and rounded up.
+# quantize and dequantize hold up to six complex N x N arrays, inputs
+# included (64-80 bytes at N = 441 and 625 in 2D); the table build peaks at
+# 32 bytes in 1D and 72 (linear gauges) to 96 (transversal gauge) in 2D.
+_QUANTIZE_BYTES = 96
+_TABLE_BYTES_PER_AXIS = 56
+
+
+@dataclass(frozen=True)
+class _QuantizerTables:
+    """gather[a, b] = mu_flat * N + delta_flat indexes the flattened offset
+    table for kernel entry (a, b); weight is exp(-i lam Gamma[a, b]) / N,
+    or None when the magnetic phase is trivial."""
+
+    gather: np.ndarray
+    weight: np.ndarray | None
+
+
+_last_tables = None     # (grid, field, tables) of the latest build
+
+
+def _quantizer_tables(grid: PhaseSpaceGrid, field: EMFieldConfig) -> _QuantizerTables:
+    """Kernel tables for one (grid, field), rebuilt only when either changes.
+
+    The grid is compared by value, the field by identity (EMFieldConfig holds
+    arrays and callables, so it has no usable hash or equality)."""
+    global _last_tables
+    last = _last_tables
+    if last is not None and last[1] is field and last[0] == grid:
+        return last[2]
+    ns, d, N = grid.ns, grid.dim, grid.n_points
+    check_dense_memory("quantizer tables", ns, _TABLE_BYTES_PER_AXIS * d * N * N)
     axes_idx = np.indices(ns).reshape(d, -1)
-    MU = []
-    DD = []
-    for l in range(d):
-        n = ns[l]
-        inv2 = (n + 1) // 2
+    mu = np.zeros((N, N), dtype=np.intp)
+    delta = np.zeros((N, N), dtype=np.intp)
+    for l, n in enumerate(ns):
         a = axes_idx[l][:, None]
         b = axes_idx[l][None, :]
-        MU.append(((a + b) * inv2) % n)
-        DD.append((a - b) % n)
-    mu_flat = np.ravel_multi_index(MU, ns)
-    dd_flat = np.ravel_multi_index(DD, ns)
-    return mu_flat, dd_flat
-
-
-def _magnetic_phase(grid: PhaseSpaceGrid, field: EMFieldConfig) -> np.ndarray | None:
-    """Phase matrix exp(-i lam Gamma[a, b]) or None when it is trivial."""
-    if field.lam == 0.0 or field.gauge == "zero":
-        return None
-    pts = grid.points_micro()
-    gam = field.line_integral(pts[:, None, :], pts[None, :, :])
-    return np.exp(-1j * field.lam * gam)
+        # mu = (a + b) / 2 and delta = a - b, mod n (2 is invertible, n odd)
+        mu *= n
+        mu += ((a + b) * ((n + 1) // 2)) % n
+        delta *= n
+        delta += (a - b) % n
+    gather = np.multiply(mu, N, out=mu)
+    gather += delta         # mu * N + delta, built in place
+    del mu, delta
+    weight = None
+    if field.lam != 0.0 and field.gauge != "zero":
+        pts = grid.points_micro()
+        weight = np.exp(-1j * field.lam * field.line_integral(pts[:, None, :],
+                                                              pts[None, :, :]))
+        weight /= N
+    tables = _QuantizerTables(gather=gather, weight=weight)
+    _last_tables = (grid, field, tables)
+    return tables
 
 
 def quantize(symbol: GridSymbol, field: EMFieldConfig,
@@ -269,28 +317,31 @@ def quantize(symbol: GridSymbol, field: EMFieldConfig,
 
     The field's eps must match the symbol grid.  Raises on strong spectral
     tails unless assume_bandlimited is set (polynomial symbols such as the
-    coordinate functions are exact by construction and may opt out).
+    coordinate functions are exact by construction and may opt out), and
+    raises DenseMemoryError before allocating when the dense matrix and its
+    work arrays would not fit in physical memory.
     """
     grid = symbol.grid
     if abs(field.eps - grid.eps) > 1e-12 * max(1.0, field.eps):
         raise WeylError("field.eps does not match the symbol grid")
     if field.dim != grid.dim:
         raise WeylError("field dimension does not match the symbol grid")
+    N = grid.n_points
+    check_dense_memory("quantize", grid.ns, _QUANTIZE_BYTES * N * N)
     if not assume_bandlimited:
         tail = symbol.spectral_tail_fraction()
         if tail > aliasing_tol:
             raise WeylError(
                 f"symbol spectral tail fraction {tail:.2e} exceeds {aliasing_tol:.0e}; "
                 "refine the grid or pass assume_bandlimited=True")
-    d = grid.dim
-    N = grid.n_points
-    Fp = _chirp(symbol.samples, d)
-    T = _offset_table(Fp, d).reshape(N, N)
-    mu_flat, dd_flat = _gather_indices(grid)
-    M = T[mu_flat, dd_flat] / N
-    phase = _magnetic_phase(grid, field)
-    if phase is not None:
-        M = M * phase
+    tables = _quantizer_tables(grid, field)
+    T = _offset_table(_chirp(symbol.samples, grid.dim), grid.dim)
+    M = np.take(T.reshape(-1), tables.gather)
+    del T
+    if tables.weight is None:
+        M /= N
+    else:
+        M *= tables.weight
     return QuantizedOperator(grid=grid, matrix=M,
                              provenance={"eps": field.eps, "lam": field.lam,
                                          "gauge": field.gauge})
@@ -304,30 +355,17 @@ def dequantize(op: QuantizedOperator, field: EMFieldConfig) -> GridSymbol:
     N = grid.n_points
     if op.matrix.shape != (N, N):
         raise WeylError("operator matrix does not match its grid")
-    G = op.matrix * N
-    phase = _magnetic_phase(grid, field)
-    if phase is not None:
-        G = G / phase
-    # reorder kernel entries into the (mu, delta) table
-    mu_idx = np.indices(ns).reshape(d, -1)
-    dd_idx = np.indices(ns).reshape(d, -1)
-    ROW = []
-    COL = []
-    for l in range(d):
-        n = ns[l]
-        inv2 = (n + 1) // 2
-        mu = mu_idx[l][:, None]
-        dd = dd_idx[l][None, :]
-        V = (-dd) % n
-        s = (V * inv2) % n
-        row = (mu - s) % n
-        COL.append((row + V) % n)
-        ROW.append(row)
-    row_flat = np.ravel_multi_index(ROW, ns)
-    col_flat = np.ravel_multi_index(COL, ns)
-    T = G[row_flat, col_flat].reshape(ns + ns)
+    check_dense_memory("dequantize", ns, _QUANTIZE_BYTES * N * N)
+    tables = _quantizer_tables(grid, field)
+    # for odd n the gather is a bijection onto the (mu, delta) table, so
+    # scattering through it inverts quantize's gather exactly
+    T = np.empty(N * N, dtype=complex)
+    if tables.weight is None:
+        T[tables.gather] = op.matrix * N
+    else:
+        T[tables.gather] = op.matrix / tables.weight
     # invert the per-axis offset transforms
-    Fp = T
+    Fp = T.reshape(ns + ns)
     for l in range(d):
         ax = d + l
         n = ns[l]

@@ -315,14 +315,19 @@ def trig_band_fields(lat):
     return E, A, M, Om
 
 
-@pytest.mark.parametrize("basis, shape", [([[1.3]], (33,)),
-                                          ([[1.0, 0.0], [0.4, 1.1]], (25, 25))],
-                         ids=["1d", "2d"])
-def test_band_fields_stacked_evaluator(basis, shape):
+# The 3-D case needs a fine grid of ~100 points per axis for its values to
+# meet the same 1e-7 as the 1-D and 2-D cases (cubic spline error ~ h^4).
+@pytest.mark.parametrize("basis, shape, upsample",
+                         [([[1.3]], (33,), 8),
+                          ([[1.0, 0.0], [0.4, 1.1]], (25, 25), 8),
+                          ([[1.0, 0.0, 0.0], [0.4, 1.1, 0.0], [0.2, -0.3, 0.9]],
+                           (9, 9, 9), 12)],
+                         ids=["1d", "2d", "3d"])
+def test_band_fields_stacked_evaluator(basis, shape, upsample):
     lat = Lattice.from_basis(basis)
     d = lat.dim
     E, A, M, Om = trig_band_fields(lat)
-    bd = BandData.synthetic(lat, shape, E, A, M, Om)
+    bd = BandData.synthetic(lat, shape, E, A, M, Om, upsample=upsample)
     # a (2, 700) batch spans more than one evaluation block
     k = np.random.default_rng(3).uniform(-4, 4, (2, 700, d))
     assert k[..., 0].size > BLOCK

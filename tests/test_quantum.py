@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from peierls_lab.quantum import (Propagator, QuantumError, RealSpaceBox,
                                  propagate_reference, realspace_hamiltonian,
                                  zak_equivariance_defect, zak_inverse,
                                  zak_transform)
-from peierls_lab.weyl import PhaseSpaceGrid, position_operator, quantize, sample_symbol
+from peierls_lab.weyl import (DenseMemoryError, PhaseSpaceGrid, position_operator,
+                              quantize, sample_symbol)
 
 LAT1 = Lattice.cubic(1)
 BOX = RealSpaceBox(lattice=LAT1, n_cells=31, m=14)
@@ -100,6 +103,35 @@ def test_propagator_trivials():
     assert np.abs(prop.apply(psi, 0.0) - psi).max() < 1e-12
     out = prop.apply(psi, 0.7)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def test_windowed_conjugation_is_block_of_full():
+    rng = np.random.default_rng(4)
+    n = 60
+    H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    prop = Propagator.of(H + H.conj().T, 0.1)
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    full = prop.conjugate(M, 0.7)
+    for idx in (np.arange(20, 41), rng.choice(n, 17, replace=False)):
+        block = prop.conjugate(M, 0.7, idx)
+        assert block.shape == (len(idx), len(idx))
+        ref = full[np.ix_(idx, idx)]
+        assert np.abs(block - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_dense_quantum_paths_refuse_sizes_beyond_physical_memory():
+    fld = EMFieldConfig.zero(1, eps=0.1)
+    box = RealSpaceBox(lattice=LAT1, n_cells=100001, m=14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseMemoryError, match="GiB"):
+            realspace_hamiltonian(box, mathieu_potential(1.0), fld)
+        with pytest.raises(DenseMemoryError, match="GiB"):
+            Propagator.of(np.broadcast_to(0.0, (10**6, 10**6)), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_propagate_reference_unitary_and_phase():

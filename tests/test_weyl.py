@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from peierls_lab import weyl
 from peierls_lab.fields import EMFieldConfig, FieldError
-from peierls_lab.weyl import (GridSymbol, PhaseSpaceGrid, WeylError,
+from peierls_lab.weyl import (DenseMemoryError, GridSymbol, PhaseSpaceGrid,
+                              QuantizedOperator, WeylError,
                               coherent_state, commutation_check, dequantize,
                               exact_product, expanded_product,
                               gauge_covariance_check, magnetic_poisson,
@@ -85,6 +89,55 @@ def test_roundtrip_exact_with_magnetic_phase():
     sym = GridSymbol(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     back = dequantize(quantize(sym, fld, assume_bandlimited=True), fld)
     assert np.abs(back.samples - sym.samples).max() < 1e-12
+
+
+def test_quantizer_tables_follow_grid_and_field():
+    """quantize reuses its (grid, field) tables; interleaving fields and grids
+    gives the matrices of a cold build, bit for bit."""
+    grid = PhaseSpaceGrid.build((9, 9), 0.6, eps=0.1)
+    other = PhaseSpaceGrid.build((7, 9), 0.6, eps=0.1)
+    fields = [EMFieldConfig.constant(2, b=0.8, eps=0.1, lam=0.5),
+              EMFieldConfig.constant(2, b=0.8, eps=0.1, lam=0.5, gauge="landau"),
+              EMFieldConfig.constant(2, b=0.8, eps=0.1, lam=0.0)]
+    rng = np.random.default_rng(2)
+    syms = {g: GridSymbol(g, rng.normal(size=g.ns + g.ns) + 1j * rng.normal(size=g.ns + g.ns))
+            for g in (grid, other)}
+    cold = {}
+    for g in (grid, other):
+        for i, fld in enumerate(fields):
+            weyl._last_tables = None
+            cold[g, i] = quantize(syms[g], fld, assume_bandlimited=True).matrix
+    # the two gauges give different matrices, so a stale table would show
+    assert not np.allclose(cold[grid, 0], cold[grid, 1])
+    same = PhaseSpaceGrid.build((9, 9), 0.6, eps=0.1)     # equal to grid by value
+    # each step keeps the grid or the field, so a key missing either shows
+    steps = [(grid, 0), (grid, 0), (grid, 1), (grid, 2), (same, 2), (other, 2),
+             (other, 0), (grid, 0), (same, 1), (other, 1), (other, 2), (grid, 2)]
+    for g, i in steps:
+        key = other if g is other else grid
+        op = quantize(syms[key], fields[i], assume_bandlimited=True)
+        assert np.array_equal(op.matrix, cold[key, i])
+        back = dequantize(op, fields[i])
+        assert np.abs(back.samples - syms[key].samples).max() < 1e-12
+
+
+def test_dense_paths_refuse_grids_beyond_physical_memory():
+    grid = PhaseSpaceGrid.build((1001, 1001), 0.5, eps=0.1)
+    fld = EMFieldConfig.constant(2, b=1.0, eps=0.1, lam=0.5)
+    N = grid.n_points
+    sym = GridSymbol(grid, np.broadcast_to(np.complex128(0.0), grid.ns + grid.ns))
+    op = QuantizedOperator(grid, np.broadcast_to(np.complex128(0.0), (N, N)), {})
+    tracemalloc.start()
+    try:
+        for call in (lambda: quantize(sym, fld),
+                     lambda: dequantize(op, fld),
+                     lambda: weyl._quantizer_tables(grid, fld)):
+            with pytest.raises(DenseMemoryError, match=r"\(1001, 1001\).* GiB"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dequantize_gaussian_roundtrip_interior():
