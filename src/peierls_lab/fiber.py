@@ -11,25 +11,32 @@ case exact.  Fourier coefficients must decay; rough potentials that are merely
 integrable on the cell are outside the supported class.
 
 The magnetic field enters the effective dynamics only through the Peierls
-substitution, never the fiber, so the fiber family is time-reversal
-symmetric.  V is real, Vhat(-g) = conj(Vhat(g)), hence
+substitution, never the fiber, so the fiber family keeps the symmetries of
+the lattice and of V.  Let M be an integer matrix acting on coefficient rows,
+n -> n M, that preserves the dual metric G = dual dual^T (M G M^T = G) and
+fixes Vhat, either plainly, Vhat(n M) = Vhat(n), or up to complex
+conjugation, Vhat(n M) = conj(Vhat(n)).  Then, with P_M : e_n -> e_{n M},
 
-    H(-k) = P conj(H(k)) P,    P : g -> -g,
+    H(alpha M) = P_M H(alpha) P_M^T    or    P_M conj(H(alpha)) P_M^T,
 
-where P reverses the flat index of the symmetric coefficient box.  Then
-E(-k) = E(k) and phi(-k) = P conj(phi(k)): solve_bands diagonalizes one
-point of each +-k pair on the grid and mirrors the other.  When every Vhat(g)
-is real (V even, as in all presets) H(k) is real symmetric and is assembled
-and diagonalized in real arithmetic.
+in zone coefficients alpha, so E(alpha M) = E(alpha) and the vectors are
+P_M u or P_M conj(u).  Only signed permutations map the box |n_j| <= cutoff
+onto itself, so fiber_symmetries searches those 2 / 8 / 48 candidates
+(d = 1 / 2 / 3).  Time reversal is the element (-I, conj): V is real, so
+Vhat(-g) = conj(Vhat(g)) always holds.  solve_bands diagonalizes one point
+of each orbit of the grid and maps the result onto the others.  When every
+Vhat(g) is real (V even, as in all presets) H(k) is real symmetric and is
+assembled and diagonalized in real arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import KGrid, Lattice, bz_coefficients
+from .lattice import KGrid, Lattice
 
 __all__ = [
     "FourierPotential",
@@ -38,6 +45,8 @@ __all__ = [
     "BandStructure",
     "fiber_terms",
     "fiber_matrix",
+    "fiber_symmetries",
+    "kgrid_orbits",
     "solve_bands",
     "check_gap",
     "tau_equivariance_check",
@@ -46,6 +55,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-9
+SYMMETRY_TOL = 1e-12    # Hermitian partners and Vhat under a symmetry agree to this
 
 
 class FiberError(ValueError):
@@ -69,7 +79,7 @@ class FourierPotential:
             nm = tuple(-int(c) for c in n)
             if nm not in self.coefficients:
                 raise FiberError(f"missing Hermitian partner for coefficient {n}")
-            if abs(np.conj(self.coefficients[nm]) - v) > 1e-12:
+            if abs(np.conj(self.coefficients[nm]) - v) > SYMMETRY_TOL:
                 raise FiberError(f"coefficient {n} breaks Hermitian symmetry")
 
     @property
@@ -254,38 +264,84 @@ class BandStructure:
         return float(min(gaps))
 
 
-def _time_reversal_partners(kgrid: KGrid) -> np.ndarray:
-    """partner[p] = q when k_q = -k_p (q = p at k = 0), else -1.
+def fiber_symmetries(potential: FourierPotential) -> list:
+    """The symmetry group of the fiber family as (M, conj) pairs.
 
-    The grid is a product of per-axis coefficient ranges, so -k is looked up
-    axis by axis and confirmed on the Cartesian points,
-    |k_p + k_q| <= 1e-12 (1 + |k_p|), with partners kept only in mutual pairs.
-    A zone-edge point of an even zero-anchored grid has no partner.
+    M runs over the signed permutation matrices (d, d) that preserve the dual
+    metric to relative SYMMETRY_TOL and fix Vhat to SYMMETRY_TOL; conj is
+    False when Vhat(n M) = Vhat(n) and True when only
+    Vhat(n M) = conj(Vhat(n)) holds (see the module docstring).  The
+    identity comes first, and (-I, conj) or (-I, plain) is always present.
     """
-    k = kgrid.points
-    d = kgrid.dim
-    alpha = kgrid.reshape(bz_coefficients(k, kgrid.lattice))
-    nearest = []
-    for ax in range(d):
-        a = alpha[(0,) * ax + (slice(None),) + (0,) * (d - 1 - ax) + (ax,)]
-        nearest.append(np.argmin(np.abs(a[:, None] + a[None, :]), axis=1))
-    cand = np.ravel_multi_index(np.meshgrid(*nearest, indexing="ij"), kgrid.shape).ravel()
-    ok = (np.linalg.norm(k + k[cand], axis=-1)
-          <= 1e-12 * (1.0 + np.linalg.norm(k, axis=-1)))
-    ok &= ok[cand] & (cand[cand] == np.arange(cand.size))
-    return np.where(ok, cand, -1)
+    lat = potential.lattice
+    d = lat.dim
+    G = lat.dual @ lat.dual.T
+    coeffs = [(np.asarray(n, dtype=int), complex(v))
+              for n, v in potential.coefficients.items()]
+
+    def fixes(M, conj):
+        return all(abs(potential.vhat(n @ M) - (np.conj(v) if conj else v)) <= SYMMETRY_TOL
+                   for n, v in coeffs)
+
+    group = []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            M = np.zeros((d, d), dtype=int)
+            M[np.arange(d), perm] = signs
+            if np.abs(M @ G @ M.T - G).max() > SYMMETRY_TOL * np.abs(G).max():
+                continue
+            for conj in (False, True):
+                if fixes(M, conj):
+                    group.append((M, conj))
+                    break
+    return group
+
+
+def kgrid_orbits(kgrid: KGrid, symmetries) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the grid under symmetries, a list of (M, conj) pairs.
+
+    Returns rep (N,), the lowest index in each point's orbit, and element
+    (N,), the position in symmetries of an M with alpha_p = alpha_rep[p] M
+    (the identity, position 0, for every representative).  A point is an
+    image only when alpha M lands exactly on a grid point without wrapping,
+    so an element may leave some points without an image, such as the zone
+    edge alpha_j = -1/2 of an even zero-anchored grid.  The test is exact:
+    alpha is held as integers c = L alpha with L = 2 lcm(shape).
+    """
+    shape, d = kgrid.shape, kgrid.dim
+    L = 2 * int(np.lcm.reduce(shape))
+    lookup = np.full((d, L + 1), -1)
+    axes = []
+    for ax, n in enumerate(shape):
+        m = np.arange(n)
+        t = 2 * m + 1 - n if kgrid.centered else 2 * m - 2 * n * (2 * m >= n)
+        axes.append(L // (2 * n) * t)
+        lookup[ax, axes[-1] + L // 2] = m
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    N = coords.shape[0]
+    targets = np.empty((len(symmetries), N), dtype=int)
+    for s, (M, _) in enumerate(symmetries):
+        idx = lookup[np.arange(d), coords @ M + L // 2]
+        targets[s] = np.where(np.all(idx >= 0, axis=1), idx @ strides, N)
+    rep = targets.min(axis=0)
+    element = np.argmax(targets[:, rep] == np.arange(N), axis=0)
+    return rep, element
 
 
 def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
                 n_bands: int) -> BandStructure:
     """Diagonalize the fiber family over the grid, eigenvalues ascending.
 
-    Of each pair k_p = -k_q on the grid only the point with the lower index
-    is diagonalized; its partner gets the same energies and the vectors
-    P conj(u) (time reversal, see the module docstring).  Unpaired points,
-    such as the zone edge of an even zero-anchored grid, and k = 0 are solved
-    directly.  The matrices are float64 when every Vhat(g) is real and
-    complex128 otherwise; vectors are returned as complex128 either way.
+    The grid splits into orbits of the symmetry group of fiber_symmetries
+    (kgrid_orbits: alpha M must land on a grid point without wrapping).
+    Only the representative of each orbit is diagonalized, in one batched
+    eigh; an image alpha_p = alpha_rep M gets bit-identical energies and
+    guard energy and the vectors P_M u, or P_M conj(u) for a conj element.
+    On potential_2d(v, w) over the square lattice the group is {+-I, +-S}
+    with S the diagonal mirror, so a 15 x 15 centered grid needs 64
+    diagonalizations.  The matrices are float64 when every Vhat(g) is real
+    and complex128 otherwise; vectors are returned as complex128 either way.
     """
     basis = PlaneWaveBasis.build(potential.lattice, cutoff)
     if n_bands < 1:
@@ -293,21 +349,23 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
     if n_bands > basis.size:
         raise FiberError(f"n_bands {n_bands} exceeds matrix size {basis.size}")
     N, D = kgrid.n_points, basis.size
-    partner = _time_reversal_partners(kgrid)
-    index = np.arange(N)
-    solved = np.flatnonzero((partner < 0) | (partner >= index))
-    mirrored = np.flatnonzero((partner >= 0) & (partner < index))
+    symmetries = fiber_symmetries(potential)
+    rep, element = kgrid_orbits(kgrid, symmetries)
+    solved = np.flatnonzero(rep == np.arange(N))
     V, kin = fiber_terms(potential, basis, kgrid.points[solved])
     ham = np.broadcast_to(V, (solved.size, D, D)).copy()
     ham[:, np.arange(D), np.arange(D)] += kin
     evals, evecs = np.linalg.eigh(ham)
-    row = np.empty(N, dtype=int)
-    row[solved] = np.arange(solved.size)
-    row[mirrored] = row[partner[mirrored]]
+    row = np.searchsorted(solved, rep)
     energies = np.ascontiguousarray(evals[row, :n_bands].T)
     vectors = np.empty((n_bands, N, D), dtype=complex)
     vectors[:, solved] = np.transpose(evecs[:, :, :n_bands], (2, 0, 1))
-    vectors[:, mirrored] = vectors[:, partner[mirrored], ::-1].conj()
+    for s, (M, conj) in enumerate(symmetries[1:], start=1):
+        images = np.flatnonzero(element == s)
+        if images.size:
+            # (P_M u)[j] = u[index(offsets[j] M^-1)], and M^-1 = M^T
+            u = vectors[:, rep[images]][:, :, basis.index_of(basis.offsets @ M.T)]
+            vectors[:, images] = u.conj() if conj else u
     if n_bands < D:
         guard = evals[row, n_bands]
     else:

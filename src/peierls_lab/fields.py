@@ -45,7 +45,8 @@ def _zero_hess(r):
 class EMFieldConfig:
     """Scales and field data for one experiment.
 
-    eps : scale-separation parameter in (0, 1].
+    eps : finite scale-separation parameter, eps >= 0; eps = 0 is the
+        classical limit, and eps > 1 is allowed.
     lam : magnetic amplitude ratio in [0, 1].
     dim : spatial dimension.
     bfield : (d, d) constant antisymmetric matrix, or callable r -> (..., d, d).
@@ -67,7 +68,9 @@ class EMFieldConfig:
     dbfield: object = None
 
     def __post_init__(self):
-        if not (0 <= self.eps):
+        if not np.isfinite(self.eps):
+            raise FieldError(f"eps must be finite, got {self.eps}")
+        if self.eps < 0:
             raise FieldError("eps must be nonnegative")
         if not (0 <= self.lam <= 1):
             raise FieldError("lam must lie in [0, 1]")

@@ -216,16 +216,17 @@ def realspace_hamiltonian(box: RealSpaceBox, potential: FourierPotential,
     if field.lam != 0.0:
         raise QuantumError("real-space propagator implemented for B = 0 (1D)")
     n = box.n_points
-    # index table, H and its diagonal update: about four real n x n arrays
-    check_dense_memory("realspace_hamiltonian", (n,), 32 * n * n)
+    # H is the only n x n array: the circulant is copied from a strided view
+    check_dense_memory("realspace_hamiltonian", (n,), 8 * n * n)
     h = 1.0 / box.m
     xi = 2 * np.pi * np.fft.fftfreq(n, d=h)
     kin_spec = 0.5 * xi ** 2
     col = np.fft.ifft(kin_spec).real  # circulant generator
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    H = col[idx]
+    # H[i, j] = col[(i - j) % n] = rev[n - 1 + j - i] with rev = col[::-1] twice
+    rev = np.tile(col[::-1], 2)[:-1]
+    H = np.lib.stride_tricks.sliding_window_view(rev, n)[::-1].copy()
     x = box.points()
-    H = H + np.diag(potential.evaluate(x) + field.phi(field.eps * x[:, None]))
+    H.flat[::n + 1] += potential.evaluate(x) + field.phi(field.eps * x[:, None])
     return H
 
 
@@ -406,9 +407,11 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         psi0 = band_packet(bands, box, band_index, k0=k0, x0=0.0, sigma_k=sigma_k)
         if psi0.edge_mass() > 1e-8:
             raise QuantumError("packet touches the box boundary; enlarge the box")
-        H = realspace_hamiltonian(box, potential, fld)
-        prop = Propagator.of(H, eps)
+        # neither H nor its eigenbasis outlives this step, so the next,
+        # larger box is not allocated beside them
+        prop = Propagator.of(realspace_hamiltonian(box, potential, fld), eps)
         psi_t = WaveFunction(box, prop.apply(psi0.samples, t))
+        del prop
         if psi_t.edge_mass() > 1e-6:
             raise QuantumError("evolved packet reaches the box boundary")
         # measured initial phase-space center and spreads

@@ -383,6 +383,9 @@ def exact_product(f: GridSymbol, g: GridSymbol, field: EMFieldConfig,
     """Symbol of the operator product: dequantize(quantize(f) quantize(g))."""
     if f.grid is not g.grid and f.grid != g.grid:
         raise WeylError("operands live on different grids")
+    N = f.grid.n_points
+    # both factors stay alive through the second quantize and the dequantize
+    check_dense_memory("exact_product", f.grid.ns, (32 + _QUANTIZE_BYTES) * N * N)
     Mf = quantize(f, field, assume_bandlimited=assume_bandlimited)
     Mg = quantize(g, field, assume_bandlimited=assume_bandlimited)
     prod = QuantizedOperator(grid=f.grid, matrix=Mf.matrix @ Mg.matrix,
@@ -464,8 +467,11 @@ def gauge_covariance_check(symbol: GridSymbol, field: EMFieldConfig,
 
 def position_operator(grid: PhaseSpaceGrid, axis: int) -> QuantizedOperator:
     """Quantization of the macro coordinate X_axis: the diagonal matrix."""
-    pts = grid.eps * grid.points_micro()
-    return QuantizedOperator(grid=grid, matrix=np.diag(pts[:, axis]).astype(complex),
+    N = grid.n_points
+    check_dense_memory("position_operator", grid.ns, 16 * N * N)
+    matrix = np.zeros((N, N), dtype=complex)
+    matrix.flat[::N + 1] = grid.eps * grid.points_micro()[:, axis]
+    return QuantizedOperator(grid=grid, matrix=matrix,
                              provenance={"symbol": f"X_{axis}"})
 
 
@@ -504,6 +510,9 @@ def commutation_check(grid: PhaseSpaceGrid, field: EMFieldConfig,
       |([P_l, P_j] - i eps lam B_lj(Q)) psi|.
     """
     d = grid.dim
+    N = grid.n_points
+    # d position and d momentum matrices, the last built by quantize
+    check_dense_memory("commutation_check", grid.ns, (32 * d + _QUANTIZE_BYTES) * N * N)
     rng = np.random.default_rng(seed)
     Q = [position_operator(grid, l).matrix for l in range(d)]
     P = [momentum_operator(grid, field, l).matrix for l in range(d)]

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peierls_lab.fiber import (FiberError, FourierPotential, PlaneWaveBasis,
-                               check_gap, fiber_matrix, mathieu_potential,
-                               potential_2d, solve_bands,
+from peierls_lab.effective import BandData
+from peierls_lab.fiber import (BandStructure, FiberError, FourierPotential,
+                               PlaneWaveBasis, check_gap, fiber_matrix,
+                               fiber_symmetries, kgrid_orbits,
+                               mathieu_potential, potential_2d, solve_bands,
                                tau_equivariance_check)
-from peierls_lab.lattice import Lattice, make_kgrid, wrap_to_bz
+from peierls_lab.geometry import geometric_tensors
+from peierls_lab.lattice import Lattice, bz_coefficients, make_kgrid, wrap_to_bz
 
 LAT1 = Lattice.cubic(1)
 LAT2 = Lattice.cubic(2)
@@ -143,15 +146,31 @@ def test_solve_bands_rejects_n_bands_below_one(n_bands):
 NON_EVEN_2D = FourierPotential(LAT2, {(1, 0): 0.3 + 0.4j, (-1, 0): 0.3 - 0.4j,
                                       (0, 1): 0.5j, (0, -1): -0.5j,
                                       (1, 1): 0.7, (-1, -1): 0.7})
+# unequal (1, 0) and (0, 1) coefficients break the diagonal mirror
+S_BREAKING_2D = FourierPotential(LAT2, {(1, 0): 12.0, (-1, 0): 12.0,
+                                        (0, 1): 10.0, (0, -1): 10.0,
+                                        (1, 1): 2.0, (-1, -1): 2.0})
+LAT_HEX = Lattice.from_basis([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+HEX_2D = FourierPotential(LAT_HEX, {n: 1.5 + 0.0j for n in
+                                   [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]})
+LAT3 = Lattice.cubic(3)
+CUBIC_3D = FourierPotential(LAT3, {n: 2.0 + 0.0j for n in
+                                   [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                    (0, 0, 1), (0, 0, -1)]})
 
 
-@pytest.mark.parametrize("pot, grid, cutoff, n_bands", [
-    (potential_2d(12, 2), make_kgrid(LAT2, 15), 5, 3),
-    (potential_2d(12, 2), make_kgrid(LAT2, 14), 5, 3),
-    (mathieu_potential(3), make_kgrid(LAT1, 16, centered=False), 6, 4),
-    (NON_EVEN_2D, make_kgrid(LAT2, 9), 4, 3),
-], ids=["centered-15x15", "centered-14x14", "zero-anchored-16", "complex-9x9"])
-def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands):
+@pytest.mark.parametrize("pot, grid, cutoff, n_bands, n_group", [
+    (potential_2d(12, 2), make_kgrid(LAT2, 15), 5, 3, 4),
+    (potential_2d(12, 2), make_kgrid(LAT2, 14), 5, 3, 4),
+    (mathieu_potential(3), make_kgrid(LAT1, 16, centered=False), 6, 4, 2),
+    (NON_EVEN_2D, make_kgrid(LAT2, 9), 4, 3, 2),
+    (S_BREAKING_2D, make_kgrid(LAT2, 9), 4, 3, 2),
+    (HEX_2D, make_kgrid(LAT_HEX, 9), 4, 3, 4),
+    (CUBIC_3D, make_kgrid(LAT3, 4), 2, 3, 48),
+    (potential_2d(12, 2), make_kgrid(LAT2, 8, centered=False), 4, 3, 4),
+], ids=["centered-15x15", "centered-14x14", "zero-anchored-16", "complex-9x9",
+        "s-breaking-9x9", "hexagonal-9x9", "cubic-4x4x4", "zero-anchored-8x8"])
+def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands, n_group):
     bands = solve_bands(pot, grid, cutoff, n_bands)
     assert bands.vectors.dtype == np.complex128
     k = grid.points
@@ -165,14 +184,74 @@ def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands):
         resid = H @ u.T - u.T * bands.energies[:, p]
         assert np.linalg.norm(resid, axis=0).max() < 1e-10
         assert np.abs(u.conj() @ u.T - np.eye(n_bands)).max() < 1e-10
+    # every orbit shares bit-identical energies, and each image really is
+    # its representative moved by a metric-preserving element of the group
+    group = fiber_symmetries(pot)
+    assert len(group) == n_group
+    rep, element = kgrid_orbits(grid, group)
+    assert np.array_equal(bands.energies, bands.energies[:, rep])
+    assert np.array_equal(bands.guard_energies, bands.guard_energies[rep])
+    dual = grid.lattice.dual
+    R = np.stack([np.linalg.solve(dual, M @ dual) for M, _ in group])
+    assert np.abs(np.einsum("pi,pij->pj", k[rep], R[element]) - k).max() < 1e-12
+    assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(grid.dim)).max() < 1e-12
     # +-k pairs share bit-identical energies; a zero-anchored even grid
-    # leaves its zone-edge point alpha = -1/2 without a partner
+    # leaves its zone-edge points alpha_j = -1/2 without a partner
     dist = np.linalg.norm(k[:, None, :] + k[None, :, :], axis=-1)
     p, q = np.nonzero(dist < 1e-12)
     assert np.array_equal(bands.energies[:, p], bands.energies[:, q])
     assert np.array_equal(bands.guard_energies[p], bands.guard_energies[q])
     n_unpaired = grid.n_points - np.unique(p).size
-    assert n_unpaired == (0 if grid.centered else 1)
+    edge = np.any(np.isclose(bz_coefficients(k, grid.lattice), -0.5), axis=-1)
+    assert n_unpaired == edge.sum()
+
+
+@pytest.mark.parametrize("pot, n, n_solved", [
+    (potential_2d(12, 2), 15, 64),
+    (potential_2d(12, 2), 21, 121),
+    (S_BREAKING_2D, 15, 113),
+    # V-hat keeps the mirror, the rectangular metric does not
+    (potential_2d(12, 2, Lattice.from_basis([[1.0, 0.0], [0.0, 1.3]])), 15, 113),
+], ids=["15x15", "21x21", "s-breaking-15x15", "rectangular-15x15"])
+def test_solve_bands_diagonalizes_one_point_per_orbit(monkeypatch, pot, n, n_solved):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[:-2])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    bands = solve_bands(pot, make_kgrid(pot.lattice, n), 5, 3)
+    assert sizes == [(n_solved,)]
+    assert bands.energies.shape == (3, n * n)
+
+
+def direct_bands(pot, grid, cutoff, n_bands, rng):
+    """Per-point dense diagonalizations with seeded random vector phases."""
+    evals, evecs = zip(*(np.linalg.eigh(fiber_matrix(kp, pot, cutoff).matrix)
+                         for kp in grid.points))
+    evals, evecs = np.array(evals), np.array(evecs)
+    phases = np.exp(2j * np.pi * rng.random((n_bands, grid.n_points)))
+    return BandStructure(
+        kgrid=grid, basis=PlaneWaveBasis.build(pot.lattice, cutoff), potential=pot,
+        energies=evals[:, :n_bands].T.copy(), guard_energies=evals[:, n_bands],
+        vectors=np.transpose(evecs[:, :, :n_bands], (2, 0, 1)) * phases[..., None])
+
+
+def test_band_data_from_reduced_solve_matches_direct_diagonalization():
+    pot, grid = potential_2d(12, 2), make_kgrid(LAT2, 15)
+    reduced = BandData.from_geometry(geometric_tensors(solve_bands(pot, grid, 5, 3), 0))
+    direct = BandData.from_geometry(geometric_tensors(
+        direct_bands(pot, grid, 5, 3, np.random.default_rng(3)), 0))
+    for name in ("energy_samples", "connection_samples", "rw_samples",
+                 "curvature_samples"):
+        a, b = getattr(reduced, name), getattr(direct, name)
+        assert np.abs(a - b).max() < 1e-9, name
+    kq = np.random.default_rng(4).uniform(-4, 4, (50, 2))
+    fa, fb = reduced.at(kq), direct.at(kq)
+    for name in ("E", "A", "M", "Om"):
+        assert np.abs(getattr(fa, name) - getattr(fb, name)).max() < 1e-9, name
 
 
 def test_tau_equivariance_zero_shift():

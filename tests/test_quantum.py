@@ -119,6 +119,18 @@ def test_windowed_conjugation_is_block_of_full():
         assert np.abs(block - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_realspace_hamiltonian_matches_index_table_build():
+    box = RealSpaceBox(lattice=LAT1, n_cells=5, m=7)
+    fld = EMFieldConfig.zero(1, eps=0.2, phi=lambda r: 0.3 * np.cos(r[..., 0]))
+    pot = mathieu_potential(1.3)
+    n = box.n_points
+    col = np.fft.ifft(0.5 * (2 * np.pi * np.fft.fftfreq(n, d=1.0 / box.m)) ** 2).real
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    x = box.points()
+    expected = col[idx] + np.diag(pot.evaluate(x) + fld.phi(fld.eps * x[:, None]))
+    assert np.array_equal(realspace_hamiltonian(box, pot, fld), expected)
+
+
 def test_dense_quantum_paths_refuse_sizes_beyond_physical_memory():
     fld = EMFieldConfig.zero(1, eps=0.1)
     box = RealSpaceBox(lattice=LAT1, n_cells=100001, m=14)

@@ -140,6 +140,23 @@ def test_dense_paths_refuse_grids_beyond_physical_memory():
     assert peak < 2**20
 
 
+def test_dense_builders_refuse_grids_beyond_physical_memory():
+    grid = PhaseSpaceGrid.build((1001, 1001), 0.5, eps=0.1)
+    fld = EMFieldConfig.constant(2, b=1.0, eps=0.1, lam=0.5)
+    sym = GridSymbol(grid, np.broadcast_to(np.complex128(0.0), grid.ns + grid.ns))
+    tracemalloc.start()
+    try:
+        for call in (lambda: position_operator(grid, 0),
+                     lambda: commutation_check(grid, fld),
+                     lambda: exact_product(sym, sym, fld)):
+            with pytest.raises(DenseMemoryError, match=r"\(1001, 1001\).* GiB"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_dequantize_gaussian_roundtrip_interior():
     grid = PhaseSpaceGrid.build(33, np.sqrt(2 * np.pi / 33), eps=0.4)
     fld = EMFieldConfig.zero(1, eps=0.4)
@@ -171,6 +188,12 @@ def test_aliasing_guard():
     rough = sample_symbol(lambda X, K: np.sign(np.sin(40 * X + 0.1)), GRID_1D)
     with pytest.raises(WeylError):
         quantize(rough, FIELD_0)
+
+
+@pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan])
+def test_field_rejects_non_finite_eps(eps):
+    with pytest.raises(FieldError, match="eps must be finite"):
+        EMFieldConfig.constant(2, b=1.0, eps=eps, lam=0.5)
 
 
 def test_field_validation():
