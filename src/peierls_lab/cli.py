@@ -79,9 +79,7 @@ def _build_potential(cfg: RunConfig, lattice):
         return mathieu_potential(p.v, lattice)
     if p.preset == "cosine2d":
         return potential_2d(p.v, p.w, lattice)
-    if p.preset == "free":
-        return FourierPotential(lattice, {})
-    raise ConfigError([f"potential.preset: unknown preset {p.preset!r}"])
+    return FourierPotential(lattice, {})        # "free"
 
 
 def _phi_callables(cfg: RunConfig, dim: int):
@@ -114,25 +112,23 @@ def _phi_callables(cfg: RunConfig, dim: int):
                 return np.stack([np.stack([d11, d12], -1),
                                  np.stack([d12, d11], -1)], -2)
         return phi, gphi, hphi
-    if fs.phi_preset == "sine_ramp":
-        # nearly linear around the origin, periodic over the box
-        def phi(r):
-            r = np.asarray(r, float)
-            return -amp * (L / (2 * np.pi)) * np.sin(w * r[..., 0])
-        def gphi(r):
-            r = np.asarray(r, float)
-            return np.stack([-amp * np.cos(w * r[..., 0])], -1) if dim == 1 else \
-                np.stack([-amp * np.cos(w * r[..., 0]), np.zeros(r.shape[:-1])], -1)
-        def hphi(r):
-            r = np.asarray(r, float)
-            h = (amp * w * np.sin(w * r[..., 0]))
-            if dim == 1:
-                return h[..., None, None]
-            out = np.zeros(r.shape[:-1] + (2, 2))
-            out[..., 0, 0] = h
-            return out
-        return phi, gphi, hphi
-    raise ConfigError([f"field.phi.preset: unknown preset {fs.phi_preset!r}"])
+    # "sine_ramp": nearly linear around the origin, periodic over the box
+    def phi(r):
+        r = np.asarray(r, float)
+        return -amp * (L / (2 * np.pi)) * np.sin(w * r[..., 0])
+    def gphi(r):
+        r = np.asarray(r, float)
+        return np.stack([-amp * np.cos(w * r[..., 0])], -1) if dim == 1 else \
+            np.stack([-amp * np.cos(w * r[..., 0]), np.zeros(r.shape[:-1])], -1)
+    def hphi(r):
+        r = np.asarray(r, float)
+        h = (amp * w * np.sin(w * r[..., 0]))
+        if dim == 1:
+            return h[..., None, None]
+        out = np.zeros(r.shape[:-1] + (2, 2))
+        out[..., 0, 0] = h
+        return out
+    return phi, gphi, hphi
 
 
 def _build_field(cfg: RunConfig, dim: int, eps: float):

@@ -8,11 +8,15 @@ and value violations are collected and reported with their field paths.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config"]
 
 EXPERIMENTS = ("bands", "geometry", "butterfly", "egorov", "flow", "propagate")
+POTENTIAL_PRESETS = ("mathieu", "cosine2d", "free")
+PHI_PRESETS = ("zero", "cosine", "sine_ramp")
+GAUGES = ("symmetric", "landau")
 
 
 class ConfigError(ValueError):
@@ -29,7 +33,7 @@ class LatticeSpec:
 
 @dataclass
 class PotentialSpec:
-    preset: str = "mathieu"       # mathieu | cosine2d | free
+    preset: str = "mathieu"       # one of POTENTIAL_PRESETS
     v: float = 1.0
     w: float = 0.0
     coefficients: list = None     # [{"n": [..], "re": .., "im": ..}]
@@ -39,8 +43,8 @@ class PotentialSpec:
 class FieldSpec:
     b: float = 0.0
     lam: float = 0.0
-    gauge: str = "symmetric"
-    phi_preset: str = "zero"      # zero | cosine | sine_ramp
+    gauge: str = "symmetric"      # one of GAUGES
+    phi_preset: str = "zero"      # one of PHI_PRESETS
     phi_amplitude: float = 0.0
     phi_period: float = 1.0
 
@@ -115,6 +119,12 @@ def _walk(node, schema, path, problems):
             problems.append(f"{path}{key}: expected {spec}, got {type(val).__name__}")
 
 
+def _section(node: dict, key: str) -> dict:
+    """node[key] when it is an object, else {} (_walk reports the rest)."""
+    value = node.get(key, {})
+    return value if isinstance(value, dict) else {}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; raises ConfigError listing every
     violation with its field path."""
@@ -123,6 +133,8 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid JSON: {exc}"])
+    if not isinstance(raw, dict):
+        raise ConfigError(["<root>: expected an object"])
     _walk(raw, _SCHEMA, "", problems)
     for key in _REQUIRED:
         if key not in raw:
@@ -130,7 +142,19 @@ def parse_config(text: str) -> RunConfig:
     exp = raw.get("experiment")
     if exp is not None and exp not in EXPERIMENTS:
         problems.append(f"experiment: must be one of {EXPERIMENTS}")
-    num_raw = raw.get("numerics", {}) if isinstance(raw.get("numerics", {}), dict) else {}
+    pot_raw, field_raw, num_raw = (_section(raw, key)
+                                   for key in ("potential", "field", "numerics"))
+    phi_raw = _section(field_raw, "phi")
+    for path, node, key, names in (
+            ("potential.preset", pot_raw, "preset", POTENTIAL_PRESETS),
+            ("field.gauge", field_raw, "gauge", GAUGES),
+            ("field.phi.preset", phi_raw, "preset", PHI_PRESETS)):
+        value = node.get(key)
+        if isinstance(value, str) and value not in names:
+            problems.append(f"{path}: unknown value {value!r}, must be one of {names}")
+    period = phi_raw.get("period")
+    if _is_a(period, (int, float)) and not (math.isfinite(period) and period > 0):
+        problems.append("field.phi.period: must be a positive finite number")
     tols = num_raw.get("tolerances", {})
     if isinstance(tols, dict):
         for name, value in tols.items():

@@ -9,6 +9,15 @@ realized as dequantize(quantize(f) @ quantize(g)) is the operator product by
 construction.  Comparisons against continuum formulas are meaningful on
 interior windows and on band-limited states; the box seam carries the usual
 truncation artifacts.
+
+quantize is one transform pair and one gather:
+T = ifft_x(S * fftn(ifftshift_xi f)) with the half-shift signs
+S = (-1)^{P_l Q_l}, then kernel entry (a, b) reads T at mu = (a + b) / 2 and
+the reversed offset delta = b - a, times the magnetic phase.  The momentum
+axes stay in the frequency domain, because a second inverse DFT there only
+reverses delta; ifftshift carries the centering phase of the momentum
+samples.  dequantize scatters through the same index and runs the pair
+backwards: f = fftshift_xi(ifftn(S * fft_x(T))).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import EMFieldConfig
+from .interp import _sym_freqs
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -61,10 +71,6 @@ def check_dense_memory(what: str, grid, nbytes: float) -> None:
         raise DenseMemoryError(
             f"{what} on grid {grid} needs an estimated {nbytes / 2**30:.1f} GiB, "
             f"more than the {phys / 2**30:.1f} GiB of physical memory")
-
-
-def _sym_freqs(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n).astype(int)
 
 
 @dataclass(frozen=True)
@@ -170,19 +176,7 @@ class GridSymbol:
 
     def spectral_tail_fraction(self) -> float:
         """Energy fraction of the top 10% frequency shell (aliasing guard)."""
-        F = np.fft.fftn(self.samples)
-        p = np.abs(F) ** 2
-        total = p.sum()
-        if total == 0:
-            return 0.0
-        mask = np.zeros(self.samples.shape, dtype=bool)
-        for ax, n in enumerate(self.samples.shape):
-            f = np.abs(_sym_freqs(n))
-            sel = f >= 0.9 * (n // 2)
-            sh = [1] * self.samples.ndim
-            sh[ax] = n
-            mask |= sel.reshape(sh)
-        return float(p[mask].sum() / total)
+        return _tail_fraction(np.fft.fftn(self.samples))
 
     def interior_max(self, other=None, fraction: float = 0.5) -> float:
         """Max |self - other| over the interior phase-space window."""
@@ -193,6 +187,23 @@ class GridSymbol:
             lo = int(round(n * (1 - fraction) / 2))
             sl.append(slice(lo, n - lo))
         return float(np.abs(diff[tuple(sl)]).max())
+
+
+def _tail_fraction(F: np.ndarray) -> float:
+    """Energy fraction of the spectrum F (FFT layout) in its top 10%
+    frequency shell; any normalization of F gives the same fraction."""
+    p = np.abs(F) ** 2
+    total = p.sum()
+    if total == 0:
+        return 0.0
+    mask = np.zeros(F.shape, dtype=bool)
+    for ax, n in enumerate(F.shape):
+        f = np.abs(_sym_freqs(n))
+        sel = f >= 0.9 * (n // 2)
+        sh = [1] * F.ndim
+        sh[ax] = n
+        mask |= sel.reshape(sh)
+    return float(p[mask].sum() / total)
 
 
 def sample_symbol(func, grid: PhaseSpaceGrid) -> GridSymbol:
@@ -227,45 +238,32 @@ class QuantizedOperator:
 # -- core discrete correspondence ---------------------------------------
 
 
-def _chirp(samples: np.ndarray, d: int) -> np.ndarray:
-    """Half-shift correction on symbol harmonics: multiply the (P_l, Q_l)
-    spectrum by (-1)^{P_l Q_l} per axis pair.  Self-inverse."""
-    F = np.fft.fftn(samples)
+def _half_shift(F: np.ndarray, d: int) -> np.ndarray:
+    """Multiply the (P_l, Q_l) spectrum F in place by (-1)^{P_l Q_l} per
+    axis pair (the half-shift correction on symbol harmonics)."""
     for l in range(d):
-        n = samples.shape[l]
-        P = _sym_freqs(n).reshape([-1 if ax == l else 1 for ax in range(2 * d)])
-        Q = _sym_freqs(n).reshape([-1 if ax == d + l else 1 for ax in range(2 * d)])
-        F = F * (-1.0) ** (P * Q)
-    return np.fft.ifftn(F)
+        P = _sym_freqs(F.shape[l])
+        sh = [1] * (2 * d)
+        sh[l] = sh[d + l] = P.size
+        F *= ((-1.0) ** np.multiply.outer(P, P)).reshape(sh)
+    return F
 
 
-def _offset_table(samples: np.ndarray, d: int) -> np.ndarray:
-    """T[mu.., delta..] = sum_j f[mu.., j..] prod_l e^{2 pi i (j_l - c_l) delta_l / n_l}."""
-    T = samples
-    for l in range(d):
-        ax = d + l
-        n = samples.shape[ax]
-        c = (n - 1) // 2
-        T = n * np.fft.ifft(T, axis=ax)
-        sh = [1] * samples.ndim
-        sh[ax] = n
-        T = T * np.exp(-2j * np.pi * c * np.arange(n) / n).reshape(sh)
-    return T
-
-
-# Peak bytes per N^2 matrix entry, from tracemalloc and rounded up.
-# quantize and dequantize hold up to six complex N x N arrays, inputs
-# included (64-80 bytes at N = 441 and 625 in 2D); the table build peaks at
-# 32 bytes in 1D and 72 (linear gauges) to 96 (transversal gauge) in 2D.
-_QUANTIZE_BYTES = 96
+# Peak bytes per N^2 matrix entry, from tracemalloc at N = 441 and 625 in 1D
+# and 2D, inputs included, rounded up.  With cached tables quantize and
+# dequantize peak at 57 bytes (no magnetic phase) or 72; a call that builds
+# the tables peaks at 80-88 (Landau, symmetric), 112 (transversal gauge of a
+# constant B) and 168 (transversal gauge of a position-dependent B).
+_QUANTIZE_BYTES = 176
 _TABLE_BYTES_PER_AXIS = 56
 
 
 @dataclass(frozen=True)
 class _QuantizerTables:
-    """gather[a, b] = mu_flat * N + delta_flat indexes the flattened offset
-    table for kernel entry (a, b); weight is exp(-i lam Gamma[a, b]) / N,
-    or None when the magnetic phase is trivial."""
+    """gather[a, b] = mu_flat * N + delta_flat, with mu = (a + b) / 2 and the
+    reversed offset delta = b - a (mod n per axis), indexes the flattened
+    offset table for kernel entry (a, b); weight is the magnetic phase
+    exp(-i lam Gamma[a, b]), or None when it is trivial."""
 
     gather: np.ndarray
     weight: np.ndarray | None
@@ -291,11 +289,11 @@ def _quantizer_tables(grid: PhaseSpaceGrid, field: EMFieldConfig) -> _QuantizerT
     for l, n in enumerate(ns):
         a = axes_idx[l][:, None]
         b = axes_idx[l][None, :]
-        # mu = (a + b) / 2 and delta = a - b, mod n (2 is invertible, n odd)
+        # mu = (a + b) / 2 and delta = b - a, mod n (2 is invertible, n odd)
         mu *= n
         mu += ((a + b) * ((n + 1) // 2)) % n
         delta *= n
-        delta += (a - b) % n
+        delta += (b - a) % n
     gather = np.multiply(mu, N, out=mu)
     gather += delta         # mu * N + delta, built in place
     del mu, delta
@@ -304,7 +302,6 @@ def _quantizer_tables(grid: PhaseSpaceGrid, field: EMFieldConfig) -> _QuantizerT
         pts = grid.points_micro()
         weight = np.exp(-1j * field.lam * field.line_integral(pts[:, None, :],
                                                               pts[None, :, :]))
-        weight /= N
     tables = _QuantizerTables(gather=gather, weight=weight)
     _last_tables = (grid, field, tables)
     return tables
@@ -326,21 +323,28 @@ def quantize(symbol: GridSymbol, field: EMFieldConfig,
         raise WeylError("field.eps does not match the symbol grid")
     if field.dim != grid.dim:
         raise WeylError("field dimension does not match the symbol grid")
-    N = grid.n_points
+    N, d = grid.n_points, grid.dim
     check_dense_memory("quantize", grid.ns, _QUANTIZE_BYTES * N * N)
+    # built first, so that its transient peak does not meet the spectrum below
+    tables = _quantizer_tables(grid, field)
+    # ifftshift on the momentum axes applies the offset phase e^{-2 pi i c delta / n}
+    # (c = (n - 1) / 2) and leaves |F| unchanged for the aliasing guard; it
+    # returns a new array, which the transforms then overwrite in place
+    xi_axes = tuple(range(d, 2 * d))
+    F = np.fft.ifftshift(symbol.samples, axes=xi_axes).astype(complex, copy=False)
+    np.fft.fftn(F, norm="forward", out=F)
     if not assume_bandlimited:
-        tail = symbol.spectral_tail_fraction()
+        tail = _tail_fraction(F)
         if tail > aliasing_tol:
             raise WeylError(
                 f"symbol spectral tail fraction {tail:.2e} exceeds {aliasing_tol:.0e}; "
                 "refine the grid or pass assume_bandlimited=True")
-    tables = _quantizer_tables(grid, field)
-    T = _offset_table(_chirp(symbol.samples, grid.dim), grid.dim)
-    M = np.take(T.reshape(-1), tables.gather)
-    del T
-    if tables.weight is None:
-        M /= N
-    else:
+    # momenta stay in the frequency domain: a second inverse transform there
+    # would only reverse delta, which the gather index does instead
+    np.fft.ifftn(_half_shift(F, d), axes=tuple(range(d)), norm="forward", out=F)
+    M = np.take(F.reshape(-1), tables.gather)
+    del F
+    if tables.weight is not None:
         M *= tables.weight
     return QuantizedOperator(grid=grid, matrix=M,
                              provenance={"eps": field.eps, "lam": field.lam,
@@ -350,32 +354,19 @@ def quantize(symbol: GridSymbol, field: EMFieldConfig,
 def dequantize(op: QuantizedOperator, field: EMFieldConfig) -> GridSymbol:
     """Exact inverse of quantize on the same grid."""
     grid = op.grid
-    d = grid.dim
-    ns = grid.ns
-    N = grid.n_points
+    d, ns, N = grid.dim, grid.ns, grid.n_points
     if op.matrix.shape != (N, N):
         raise WeylError("operator matrix does not match its grid")
     check_dense_memory("dequantize", ns, _QUANTIZE_BYTES * N * N)
     tables = _quantizer_tables(grid, field)
     # for odd n the gather is a bijection onto the (mu, delta) table, so
     # scattering through it inverts quantize's gather exactly
-    T = np.empty(N * N, dtype=complex)
-    if tables.weight is None:
-        T[tables.gather] = op.matrix * N
-    else:
-        T[tables.gather] = op.matrix / tables.weight
-    # invert the per-axis offset transforms
-    Fp = T.reshape(ns + ns)
-    for l in range(d):
-        ax = d + l
-        n = ns[l]
-        c = (n - 1) // 2
-        sh = [1] * (2 * d)
-        sh[ax] = n
-        Fp = Fp * np.exp(+2j * np.pi * c * np.arange(n) / n).reshape(sh)
-        Fp = np.fft.fft(Fp, axis=ax) / n
-    samples = _chirp(Fp, d)
-    return GridSymbol(grid=grid, samples=samples)
+    T = np.empty(ns + ns, dtype=complex)
+    T.reshape(-1)[tables.gather] = (op.matrix if tables.weight is None
+                                    else op.matrix / tables.weight)
+    np.fft.fftn(T, axes=tuple(range(d)), norm="forward", out=T)
+    np.fft.ifftn(_half_shift(T, d), norm="forward", out=T)
+    return GridSymbol(grid=grid, samples=np.fft.fftshift(T, axes=tuple(range(d, 2 * d))))
 
 
 def exact_product(f: GridSymbol, g: GridSymbol, field: EMFieldConfig,
@@ -478,9 +469,10 @@ def position_operator(grid: PhaseSpaceGrid, axis: int) -> QuantizedOperator:
 def momentum_operator(grid: PhaseSpaceGrid, field: EMFieldConfig,
                       axis: int) -> QuantizedOperator:
     """Quantization of xi_axis (kinetic momentum when lam > 0)."""
-    mesh = grid.phase_mesh()
-    samples = np.asarray(mesh[grid.dim + axis], dtype=complex)
-    sym = GridSymbol(grid=grid, samples=np.broadcast_to(samples, grid.ns + grid.ns).copy())
+    sh = [1] * (2 * grid.dim)
+    sh[grid.dim + axis] = grid.ns[axis]
+    xi = grid.xi_axis(axis).astype(complex).reshape(sh)
+    sym = GridSymbol(grid=grid, samples=np.broadcast_to(xi, grid.ns + grid.ns))
     return quantize(sym, field, assume_bandlimited=True)
 
 
@@ -558,19 +550,21 @@ def operator_norm(M: np.ndarray, iters: int = 60, seed: int = 0) -> float:
 
 
 def resample_periodic(samples: np.ndarray, new_shape) -> np.ndarray:
-    """Trigonometric resampling of a periodic array onto a new grid shape."""
-    old = samples.shape
+    """Trigonometric resampling of a periodic array onto a new grid shape.
+
+    Every input and output size must be odd: an even size has a Nyquist bin
+    that belongs to neither half of the spectrum."""
+    old, new_shape = samples.shape, tuple(new_shape)
+    if any(n % 2 == 0 for n in old + new_shape):
+        raise WeylError(f"resample_periodic needs odd sizes, got {old} -> {new_shape}")
     F = np.fft.fftn(samples)
-    out = np.zeros(tuple(new_shape), dtype=complex)
+    out = np.zeros(new_shape, dtype=complex)
     slices_src = []
     slices_dst = []
     for n_old, n_new in zip(old, new_shape):
-        k_keep = min(n_old, n_new)
-        half = (k_keep - 1) // 2 if k_keep % 2 == 1 else k_keep // 2
-        src = np.r_[0:half + 1, n_old - half:n_old] if half > 0 else np.r_[0:1]
-        dst = np.r_[0:half + 1, n_new - half:n_new] if half > 0 else np.r_[0:1]
-        slices_src.append(src)
-        slices_dst.append(dst)
+        half = (min(n_old, n_new) - 1) // 2
+        slices_src.append(np.r_[0:half + 1, n_old - half:n_old])
+        slices_dst.append(np.r_[0:half + 1, n_new - half:n_new])
     out[np.ix_(*slices_dst)] = F[np.ix_(*slices_src)]
     scale = np.prod(new_shape) / np.prod(old)
     return np.fft.ifftn(out) * scale

@@ -184,6 +184,32 @@ def test_main_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o2")]) == 1
 
 
+UNBUILDABLE = {
+    "potential.preset": '"potential": {"preset": "mathieux"}',
+    "field.phi.preset": '"field": {"phi": {"preset": "wobble", "amplitude": 0.1}}',
+    "field.gauge": '"field": {"b": 1.0, "lam": 0.5, "gauge": "coulomb"}',
+    "field.phi.period": '"field": {"phi": {"preset": "cosine", "amplitude": 0.1, '
+                        '"period": 0}}',
+}
+
+
+@pytest.mark.parametrize("path", list(UNBUILDABLE))
+def test_unbuildable_config_values_exit_2_before_running(tmp_path, capsys, path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"experiment": "flow", "lattice": {"dim": 2}, %s}'
+                        % UNBUILDABLE[path])
+    out = tmp_path / "o"
+    assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_object_config_rejected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config('["bands"]')
+    assert exc.value.problems == ["<root>: expected an object"]
+
+
 def test_egorov_run_small(tmp_path):
     cfg = parse_config(
         '{"experiment": "egorov", "lattice": {"dim": 1}, '

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from peierls_lab import weyl
 from peierls_lab.fields import EMFieldConfig, FieldError
+from peierls_lab.interp import _sym_freqs
 from peierls_lab.weyl import (DenseMemoryError, GridSymbol, PhaseSpaceGrid,
                               QuantizedOperator, WeylError,
                               coherent_state, commutation_check, dequantize,
@@ -119,6 +121,96 @@ def test_quantizer_tables_follow_grid_and_field():
         assert np.array_equal(op.matrix, cold[key, i])
         back = dequantize(op, fields[i])
         assert np.abs(back.samples - syms[key].samples).max() < 1e-12
+
+
+def _chirp_oracle(samples: np.ndarray, d: int) -> np.ndarray:
+    """Half-shift correction on symbol harmonics: multiply the (P_l, Q_l)
+    spectrum by (-1)^{P_l Q_l} per axis pair.  Self-inverse."""
+    F = np.fft.fftn(samples)
+    for l in range(d):
+        n = samples.shape[l]
+        P = _sym_freqs(n).reshape([-1 if ax == l else 1 for ax in range(2 * d)])
+        Q = _sym_freqs(n).reshape([-1 if ax == d + l else 1 for ax in range(2 * d)])
+        F = F * (-1.0) ** (P * Q)
+    return np.fft.ifftn(F)
+
+
+def _offset_table_oracle(samples: np.ndarray, d: int) -> np.ndarray:
+    """T[mu.., delta..] = sum_j f[mu.., j..] prod_l e^{2 pi i (j_l - c_l) delta_l / n_l}."""
+    T = samples
+    for l in range(d):
+        ax = d + l
+        n = samples.shape[ax]
+        c = (n - 1) // 2
+        T = n * np.fft.ifft(T, axis=ax)
+        sh = [1] * samples.ndim
+        sh[ax] = n
+        T = T * np.exp(-2j * np.pi * c * np.arange(n) / n).reshape(sh)
+    return T
+
+
+def five_pass_quantize(symbol: GridSymbol, field: EMFieldConfig) -> np.ndarray:
+    """Reference quantizer with 5d FFT axis passes: the chirp round trip,
+    then one inverse DFT and an offset phase per momentum axis, gathered at
+    delta = a - b and scaled by 1/N (test oracle)."""
+    grid = symbol.grid
+    ns, d, N = grid.ns, grid.dim, grid.n_points
+    axes_idx = np.indices(ns).reshape(d, -1)
+    mu = np.zeros((N, N), dtype=np.intp)
+    delta = np.zeros((N, N), dtype=np.intp)
+    for l, n in enumerate(ns):
+        a = axes_idx[l][:, None]
+        b = axes_idx[l][None, :]
+        mu *= n
+        mu += ((a + b) * ((n + 1) // 2)) % n
+        delta *= n
+        delta += (a - b) % n
+    T = _offset_table_oracle(_chirp_oracle(symbol.samples, d), d)
+    M = np.take(T.reshape(-1), mu * N + delta) / N
+    if field.lam != 0.0 and field.gauge != "zero":
+        pts = grid.points_micro()
+        M *= np.exp(-1j * field.lam * field.line_integral(pts[:, None, :],
+                                                          pts[None, :, :]))
+    return M
+
+
+def _field_in_gauge(gauge: str, dim: int) -> EMFieldConfig:
+    if gauge == "zero":
+        return EMFieldConfig.zero(dim, eps=0.1)
+    if gauge == "transversal":
+        def bfield(r):
+            r = np.asarray(r, dtype=float)
+            B = np.zeros(r.shape[:-1] + (dim, dim))
+            B[..., 0, 1] = 0.8 + 0.3 * np.cos(r[..., 0])
+            B[..., 1, 0] = -B[..., 0, 1]
+            return B
+        return EMFieldConfig.transversal(dim, bfield, None, eps=0.1, lam=0.6)
+    return EMFieldConfig.constant(dim, b=0.8, eps=0.1, lam=0.6, gauge=gauge)
+
+
+@pytest.mark.parametrize("ns,gauge", [((7,), "zero")] + [
+    (ns, gauge) for ns in [(5, 7), (3, 5, 3)]
+    for gauge in ["zero", "symmetric", "landau", "transversal"]])
+def test_quantize_matches_five_pass_oracle(ns, gauge):
+    grid = PhaseSpaceGrid.build(ns, 0.6, eps=0.1)
+    fld = _field_in_gauge(gauge, grid.dim)
+    assert fld.gauge == gauge
+    rng = np.random.default_rng(5)
+    sym = GridSymbol(grid, rng.normal(size=ns + ns) + 1j * rng.normal(size=ns + ns))
+    ref = five_pass_quantize(sym, fld)
+    op = quantize(sym, fld, assume_bandlimited=True)
+    assert np.abs(op.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+    back = dequantize(op, fld)
+    assert np.abs(back.samples - sym.samples).max() < 1e-12
+
+
+def test_guarded_quantize_equals_bandlimited_matrix():
+    grid = PhaseSpaceGrid.build(33, np.sqrt(2 * np.pi / 33), eps=0.4)
+    fld = EMFieldConfig.zero(1, eps=0.4)
+    sym = gaussian_symbol(grid)
+    assert sym.spectral_tail_fraction() < 1e-6
+    assert np.array_equal(quantize(sym, fld).matrix,
+                          quantize(sym, fld, assume_bandlimited=True).matrix)
 
 
 def test_dense_paths_refuse_grids_beyond_physical_memory():
@@ -428,8 +520,16 @@ def test_resample_periodic_roundtrip():
     coarse = np.fft.ifftn(np.pad(np.fft.fftn(rng.normal(size=(9, 9))),
                                  ((0, 0), (0, 0)))).real
     fine = resample_periodic(coarse, (27, 27))
+    assert np.abs(fine[::3, ::3] - coarse).max() < 1e-13
     back = resample_periodic(fine, (9, 9))
     assert np.abs(back - coarse).max() < 1e-12
+    line = rng.normal(size=5)
+    assert np.abs(resample_periodic(line, (15,))[::3] - line).max() < 1e-13
+    # an even size has a Nyquist bin with no symmetric partner: refused
+    for old, new in [((4,), (8,)), ((9,), (8,)), ((9, 8), (9, 9))]:
+        samples = np.cos(np.pi * np.indices(old).sum(axis=0))
+        with pytest.raises(WeylError, match=re.escape(f"{old} -> {new}")):
+            resample_periodic(samples, new)
 
 
 def test_coherent_state_normalized():
