@@ -4,8 +4,15 @@ Commands map one-to-one onto experiment kinds (bands, geometry, butterfly,
 egorov, flow, propagate).  Every run writes a CSV per result series plus a
 JSON report mirroring the config, the metrics, and the pass/fail verdicts
 against the declared tolerances.  Exit status: 0 when all declared
-tolerances hold, 1 on a violation, 2 on config errors.  The environment
-variable PEIERLS_LAB_THREADS caps worker counts for sweep parallelism.
+tolerances hold, 1 on a violation, 2 on config errors.
+
+The environment variable PEIERLS_LAB_THREADS (a positive integer; default
+the CPU count, and anything else exits 2) sets the worker threads: the
+butterfly's Chern-torus pool, and in `propagate` whether the flow oracle
+runs on a background thread beside the dense eigendecompositions (any
+value above 1) or inline.  Pin the BLAS threads (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS, MKL_NUM_THREADS) so that workers x BLAS threads <= nproc.
+Each report records both under "threads"; the CSVs do not depend on them.
 """
 
 from __future__ import annotations
@@ -50,14 +57,29 @@ def emit_plotdata(path: Path, columns: dict) -> None:
             fh.write(" ".join(_fmt(c[i]) for c in data) + "\n")
 
 
+THREADS_VAR = "PEIERLS_LAB_THREADS"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def n_workers() -> int:
-    env = os.environ.get("PEIERLS_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    """Worker count from PEIERLS_LAB_THREADS (a positive integer), or the
+    CPU count when it is unset or empty; anything else is a ConfigError."""
+    env = os.environ.get(THREADS_VAR)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError([f"{THREADS_VAR}: expected a positive integer, got {env!r}"])
+    return n
+
+
+def thread_report() -> dict:
+    """Resolved workers and the BLAS/OpenMP thread variables (None: unset)."""
+    return {"workers": n_workers(),
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
 def _build_lattice(cfg: RunConfig):
@@ -346,7 +368,7 @@ def run_propagate(cfg: RunConfig, out: Path) -> dict:
     rep = semiclassical_limit_check(
         pot, fld, cfg.numerics.band_index, cfg.numerics.eps_list,
         t=cfg.numerics.t_final, macro_box=cfg.numerics.macro_box,
-        cutoff=cfg.numerics.cutoff)
+        cutoff=cfg.numerics.cutoff, n_workers=n_workers())
     rows = [[e, ep, ea] for e, ep, ea in
             zip(rep["eps"], rep["error_point"], rep["error_avg"])]
     write_csv(out / "propagate.csv",
@@ -374,11 +396,13 @@ _RUNNERS = {
 
 def run(cfg: RunConfig, out_dir=None) -> dict:
     """Dispatch one experiment; returns the report dictionary."""
+    threads = thread_report()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     result = _RUNNERS[cfg.experiment](cfg, out)
     report = {
+        "threads": threads,
         "config": json.loads(serialize_config(cfg)),
         "metrics": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
                     for k, v in result["metrics"].items()},
@@ -403,6 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text())
+        n_workers()     # a bad PEIERLS_LAB_THREADS fails before any output
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -177,33 +177,41 @@ def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
     for q <= chern_q_max, use `subband_chern`'s default torus grid, with one
     torus diagonalization per flux shared by its q subbands.  A flux whose
     subbands touch gets no labels.
+
+    Edges run serially on the calling thread: four q x q solves per flux
+    cost less than a pool hand-off (q_max 12, one BLAS thread: 9 ms serial
+    against 17 ms on 2 workers).  With n_workers > 1 the Chern tori, whose
+    batched eigh releases the GIL, go to a pool of n_workers threads while
+    the edges are computed.
     """
     if q_max < 1:
         raise HofstadterError(f"q_max must be >= 1, got {q_max}")
-    fluxes = sorted({Fraction(p, q) for q in range(1, q_max + 1)
-                     for p in range(0, q + 1)})
-    entries = []
+    fracs = sorted({Fraction(p, q) for q in range(1, q_max + 1)
+                    for p in range(0, q + 1)})
+    fluxes = [FluxRational(fr.numerator, fr.denominator) for fr in fracs]
 
-    def work(fr):
-        fl = FluxRational(fr.numerator, fr.denominator)
-        ivals = spectrum_at_flux(fl)
-        cherns = [None] * fl.q
-        if chern_labels and fl.q <= chern_q_max:
-            try:
-                cherns = _subband_cherns(fl)
-            except HofstadterError:
-                cherns = [None] * fl.q
-        return [(fr, j, float(ivals[j, 0]), float(ivals[j, 1]), cherns[j])
-                for j in range(fl.q)]
+    def labels(fl):
+        if not (chern_labels and fl.q <= chern_q_max):
+            return [None] * fl.q
+        try:
+            return _subband_cherns(fl)
+        except HofstadterError:
+            return [None] * fl.q
 
-    if n_workers > 1:
+    pool = None
+    if chern_labels and n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for rows in pool.map(work, fluxes):
-                entries.extend(rows)
-    else:
-        for fr in fluxes:
-            entries.extend(work(fr))
+        pool = ThreadPoolExecutor(max_workers=n_workers)
+    try:
+        entries = []
+        all_labels = (pool.map if pool else map)(labels, fluxes)
+        for fr, fl, cherns in zip(fracs, fluxes, all_labels):
+            ivals = spectrum_at_flux(fl)
+            entries.extend((fr, j, float(ivals[j, 0]), float(ivals[j, 1]), cherns[j])
+                           for j in range(fl.q))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return ButterflyData(entries=entries)
 
 

@@ -247,8 +247,19 @@ class Propagator:
         return cls(w=w, U=U, eps=eps)
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        c = self.U.conj().T @ psi
-        return self.U @ (np.exp(-1j * (t / self.eps) * self.w) * c)
+        """U e^{-i (t/eps) w} U^dagger psi for psi of shape (N,) or (N, m).
+
+        A real U acts on the (N, 2m) real view of psi, so U is neither
+        copied nor cast to complex."""
+        psi = np.asarray(psi)
+        ph = np.exp(-1j * (t / self.eps) * self.w).reshape((-1,) + (1,) * (psi.ndim - 1))
+        if np.iscomplexobj(self.U):
+            return self.U @ (ph * (self.U.conj().T @ psi))
+        n = psi.shape[0]
+        re = np.ascontiguousarray(psi, dtype=complex).view(np.float64).reshape(n, -1)
+        c = (self.U.T @ re).view(complex).reshape(psi.shape)
+        c *= ph
+        return (self.U @ c.view(np.float64).reshape(n, -1)).view(complex).reshape(psi.shape)
 
     def conjugate(self, M: np.ndarray, t: float, idx=None) -> np.ndarray:
         """Heisenberg evolution e^{+i(t/eps)H} M e^{-i(t/eps)H}, or only its
@@ -372,12 +383,24 @@ def _translation_expectation(psi: WaveFunction, cells: int = 1) -> complex:
     return complex(np.vdot(psi.samples, shifted))
 
 
+def _flow_oracle(bands: BandStructure, band_index: int, fld: EMFieldConfig,
+                 k_batch: np.ndarray, x_batch: np.ndarray, t: float,
+                 dt_flow: float) -> np.ndarray:
+    """sin k(t) along the corrected flow from each (k, eps x) of the batch."""
+    from .effective import SemiclassicalHamiltonian
+    geom_band = _band_data_1d(bands, band_index)
+    hsc = SemiclassicalHamiltonian(geom_band, fld)
+    kt, _ = _rk4_run(k_batch[:, None], x_batch[:, None], hsc, fld,
+                     geom_band, fld.eps, True, t, dt_flow, record=False)
+    return np.sin(kt[:, 0])
+
+
 def semiclassical_limit_check(potential: FourierPotential, field_template: EMFieldConfig,
                               band_index: int, eps_list, t: float,
                               macro_box: float = 4.0, m_per_cell: int = 14,
                               cutoff: int = 6, sigma_scale: float = 1.0,
                               k0: float = 0.6, dt_flow: float = 5e-3,
-                              n_hermite: int = 8) -> dict:
+                              n_hermite: int = 8, n_workers: int = 1) -> dict:
     """Bloch-oscillation expectation test against the corrected flow (1D).
 
     For each eps an n_cells ~ macro_box/eps periodic box is built, a band
@@ -386,6 +409,14 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
     the measured packet center (point oracle) and averaged over the packet's
     phase-space Gaussian (quadrature oracle).  Returns errors and log-log
     slopes; the point-oracle slope is the conservative figure.
+
+    Every box's bands, packet and measured center are built first.  With
+    n_workers > 1 the flow oracles (band data and one RK4 run per box) then
+    go to one background thread, which runs them while the main thread does
+    the dense real-space eigendecompositions (numpy's eigh releases the
+    GIL); with n_workers = 1 they run inline and no thread is started.  The
+    results are the same either way.  The dense boxes are propagated one at
+    a time, so only one dense H and its eigenbasis are alive at once.
     """
     from numpy.polynomial.hermite_e import hermegauss
     lat = potential.lattice
@@ -393,55 +424,65 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         raise QuantumError("expectation test implemented in one dimension")
     nodes, weights = hermegauss(n_hermite)
     weights = weights / np.sqrt(2 * np.pi)
-    errs_point = []
-    errs_avg = []
-    results = []
-    for eps in eps_list:
-        fld = replace(field_template, eps=float(eps))
-        n_cells = int(round(macro_box / eps))
-        if n_cells % 2 == 0:
-            n_cells += 1
-        box = RealSpaceBox(lattice=lat, n_cells=n_cells, m=m_per_cell)
-        bands = solve_bands(potential, box.fiber_grid(), cutoff, 3)
-        sigma_k = sigma_scale * np.sqrt(eps)
-        psi0 = band_packet(bands, box, band_index, k0=k0, x0=0.0, sigma_k=sigma_k)
-        if psi0.edge_mass() > 1e-8:
-            raise QuantumError("packet touches the box boundary; enlarge the box")
-        # neither H nor its eigenbasis outlives this step, so the next,
-        # larger box is not allocated beside them
-        prop = Propagator.of(realspace_hamiltonian(box, potential, fld), eps)
-        psi_t = WaveFunction(box, prop.apply(psi0.samples, t))
-        del prop
-        if psi_t.edge_mass() > 1e-6:
-            raise QuantumError("evolved packet reaches the box boundary")
-        # measured initial phase-space center and spreads
-        T1 = _translation_expectation(psi0)
-        k_bar = float(np.angle(T1))
-        sig_k_meas = float(np.sqrt(max(-2.0 * np.log(abs(T1)), 1e-30)))
-        x_bar = psi0.position_expectation()
-        sig_x = np.sqrt(psi0.position_variance())
-        # <Op(sin k)> = Im <T_1> exactly for B = 0
-        obs = float(np.imag(_translation_expectation(psi_t)))
-        # corrected-flow oracle from the measured center, batched together
-        # with the Gauss-Hermite quadrature nodes of the Wigner Gaussian
-        geom_band = _band_data_1d(bands, band_index)
-        from .effective import SemiclassicalHamiltonian
-        hsc = SemiclassicalHamiltonian(geom_band, fld)
-        KK, XX = np.meshgrid(nodes, nodes, indexing="ij")
-        k_batch = np.concatenate([[k_bar], (k_bar + sig_k_meas * KK).ravel()])
-        x_batch = np.concatenate([[eps * x_bar],
-                                  eps * (x_bar + sig_x * XX).ravel()])
-        kt, rt = _rk4_run(k_batch[:, None], x_batch[:, None], hsc, fld,
-                          geom_band, eps, True, t, dt_flow, record=False)
-        vals = np.sin(kt[:, 0])
-        val_point = float(vals[0])
-        WW = np.outer(weights, weights).ravel()
-        acc = float(np.sum(WW * vals[1:]))
-        errs_point.append(abs(obs - val_point))
-        errs_avg.append(abs(obs - acc))
-        results.append({"eps": eps, "n_cells": n_cells, "obs": obs,
-                        "oracle_point": val_point, "oracle_avg": acc,
-                        "k_bar": k_bar, "x_bar": x_bar})
+    KK, XX = np.meshgrid(nodes, nodes, indexing="ij")
+    WW = np.outer(weights, weights).ravel()
+    pool = None
+    if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor   # kept out of start-up
+        pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        boxes = []
+        for eps in eps_list:
+            fld = replace(field_template, eps=float(eps))
+            n_cells = int(round(macro_box / eps))
+            if n_cells % 2 == 0:
+                n_cells += 1
+            box = RealSpaceBox(lattice=lat, n_cells=n_cells, m=m_per_cell)
+            bands = solve_bands(potential, box.fiber_grid(), cutoff, 3)
+            sigma_k = sigma_scale * np.sqrt(eps)
+            psi0 = band_packet(bands, box, band_index, k0=k0, x0=0.0, sigma_k=sigma_k)
+            if psi0.edge_mass() > 1e-8:
+                raise QuantumError("packet touches the box boundary; enlarge the box")
+            # measured initial phase-space center and spreads
+            T1 = _translation_expectation(psi0)
+            k_bar = float(np.angle(T1))
+            sig_k_meas = float(np.sqrt(max(-2.0 * np.log(abs(T1)), 1e-30)))
+            x_bar = psi0.position_expectation()
+            sig_x = np.sqrt(psi0.position_variance())
+            # corrected-flow oracle from the measured center, batched together
+            # with the Gauss-Hermite quadrature nodes of the Wigner Gaussian
+            k_batch = np.concatenate([[k_bar], (k_bar + sig_k_meas * KK).ravel()])
+            x_batch = np.concatenate([[eps * x_bar],
+                                      eps * (x_bar + sig_x * XX).ravel()])
+            args = (bands, band_index, fld, k_batch, x_batch, t, dt_flow)
+            oracle = pool.submit(_flow_oracle, *args) if pool else _flow_oracle(*args)
+            boxes.append((eps, fld, box, psi0, oracle, k_bar, x_bar))
+        errs_point = []
+        errs_avg = []
+        results = []
+        for eps, fld, box, psi0, oracle, k_bar, x_bar in boxes:
+            # neither H nor its eigenbasis outlives this step, so the next,
+            # larger box is not allocated beside them
+            prop = Propagator.of(realspace_hamiltonian(box, potential, fld), eps)
+            psi_t = WaveFunction(box, prop.apply(psi0.samples, t))
+            del prop
+            if psi_t.edge_mass() > 1e-6:
+                raise QuantumError("evolved packet reaches the box boundary")
+            # <Op(sin k)> = Im <T_1> exactly for B = 0
+            obs = float(np.imag(_translation_expectation(psi_t)))
+            vals = oracle.result() if pool else oracle
+            val_point = float(vals[0])
+            acc = float(np.sum(WW * vals[1:]))
+            errs_point.append(abs(obs - val_point))
+            errs_avg.append(abs(obs - acc))
+            results.append({"eps": eps, "n_cells": box.n_cells, "obs": obs,
+                            "oracle_point": val_point, "oracle_avg": acc,
+                            "k_bar": k_bar, "x_bar": x_bar})
+    finally:
+        # every oracle has been collected unless something raised; then the
+        # queued ones are dropped and the running one is waited for
+        if pool:
+            pool.shutdown(cancel_futures=True)
     eps_arr = np.asarray(list(eps_list), dtype=float)
     ep = np.asarray(errs_point)
     ea = np.asarray(errs_avg)

@@ -253,9 +253,25 @@ def _half_shift(F: np.ndarray, d: int) -> np.ndarray:
 # and 2D, inputs included, rounded up.  With cached tables quantize and
 # dequantize peak at 57 bytes (no magnetic phase) or 72; a call that builds
 # the tables peaks at 80-88 (Landau, symmetric), 112 (transversal gauge of a
-# constant B) and 168 (transversal gauge of a position-dependent B).
+# constant B) and 168 (transversal gauge of a position-dependent B).  A 3D
+# build peaks higher (264 in the transversal gauge); the build checks its own
+# estimate, _table_bytes, before it allocates.
 _QUANTIZE_BYTES = 176
-_TABLE_BYTES_PER_AXIS = 56
+
+
+def _table_bytes(d: int, field: EMFieldConfig) -> int:
+    """Peak bytes per N^2 entry of a quantizer table build, from tracemalloc
+    at N = 441 in 1D, 2D and 3D, rounded up.  The gather index peaks just
+    above 32.  The magnetic phase adds (N, N, d) temporaries in a linear
+    gauge (72 / 104 measured for the symmetric gauge in 2D / 3D, 64 / 88 for
+    Landau).  The transversal gauge also evaluates B(s r) as (N, N, d, d)
+    arrays along its line integral (152 / 264 measured for a
+    position-dependent B that allocates one such array per call)."""
+    if field.lam == 0.0 or field.gauge == "zero":
+        return 40
+    if field.gauge in ("symmetric", "landau", "linear"):
+        return 16 + 32 * d
+    return 32 + 32 * d + 16 * d * d
 
 
 @dataclass(frozen=True)
@@ -282,7 +298,7 @@ def _quantizer_tables(grid: PhaseSpaceGrid, field: EMFieldConfig) -> _QuantizerT
     if last is not None and last[1] is field and last[0] == grid:
         return last[2]
     ns, d, N = grid.ns, grid.dim, grid.n_points
-    check_dense_memory("quantizer tables", ns, _TABLE_BYTES_PER_AXIS * d * N * N)
+    check_dense_memory("quantizer tables", ns, _table_bytes(d, field) * N * N)
     axes_idx = np.indices(ns).reshape(d, -1)
     mu = np.zeros((N, N), dtype=np.intp)
     delta = np.zeros((N, N), dtype=np.intp)

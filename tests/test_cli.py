@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import peierls_lab
-from peierls_lab.cli import emit_plotdata, main, run, write_csv
+from peierls_lab.cli import emit_plotdata, main, n_workers, run, write_csv
 from peierls_lab.config import ConfigError, parse_config, serialize_config
 
 MINIMAL_BANDS = """
@@ -249,6 +249,59 @@ def test_propagate_run_small(tmp_path):
     report = run(cfg, tmp_path)
     assert report["passed"], report["metrics"]
     assert (tmp_path / "propagate.csv").exists()
+
+
+SMALL_PROPAGATE = (
+    '{"experiment": "propagate", "lattice": {"dim": 1}, '
+    '"potential": {"preset": "mathieu", "v": 3.0}, '
+    '"field": {"phi": {"preset": "sine_ramp", "amplitude": 0.4, '
+    '"period": 3.6}}, '
+    '"numerics": {"cutoff": 6, "eps_list": [0.12, 0.06], '
+    '"t_final": 0.4, "macro_box": 3.6, '
+    '"tolerances": {"slope_min": 0.8}}}')
+
+
+def test_propagate_outputs_identical_across_thread_counts(tmp_path, monkeypatch):
+    reports = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PEIERLS_LAB_THREADS", threads)
+        reports[threads] = run(parse_config(SMALL_PROPAGATE), tmp_path / threads)
+    for name in ("propagate.csv", "propagate.dat"):
+        one, two = ((tmp_path / threads / name).read_bytes() for threads in ("1", "2"))
+        assert one == two, name
+    assert reports["1"]["metrics"] == reports["2"]["metrics"]
+    for threads, report in reports.items():
+        assert report["threads"] == {
+            "workers": int(threads),
+            **{var: os.environ.get(var) for var in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        written = json.loads((tmp_path / threads / "propagate_report.json").read_text())
+        assert written["threads"] == report["threads"]
+        assert "threads" not in (tmp_path / threads / "propagate.csv").read_text()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("PEIERLS_LAB_THREADS", value)
+    with pytest.raises(ConfigError, match="PEIERLS_LAB_THREADS"):
+        n_workers()
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(MINIMAL_BANDS)
+    out = tmp_path / "o"
+    assert main(["bands", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "PEIERLS_LAB_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_thread_count_defaults_to_cpu_count(monkeypatch):
+    monkeypatch.setenv("PEIERLS_LAB_THREADS", "3")
+    assert n_workers() == 3
+    for unset in ("", None):
+        if unset is None:
+            monkeypatch.delenv("PEIERLS_LAB_THREADS")
+        else:
+            monkeypatch.setenv("PEIERLS_LAB_THREADS", unset)
+        assert n_workers() == max(1, os.cpu_count() or 1)
 
 
 def test_package_imports_load_no_scipy():

@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 from math import gcd
 
@@ -151,6 +152,18 @@ def test_butterfly_chern_labels_solve_each_torus_once(monkeypatch):
             expected = [None] * fl.q  # touching subbands: no labels
         assert labels == expected, fr
     assert [e[4] for e in data.entries if e[0] == Fraction(1, 2)] == [None, None]
+
+
+def test_butterfly_pool_runs_only_chern_tori(monkeypatch):
+    serial = butterfly(6, chern_labels=True, n_workers=1)
+    assert butterfly(6, chern_labels=True, n_workers=2).entries == serial.entries
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pool constructed for edges only")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    edges = butterfly(6, n_workers=2)
+    assert [e[:4] for e in edges.entries] == [e[:4] for e in serial.entries]
 
 
 def _reduced_fluxes(qs):

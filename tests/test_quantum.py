@@ -1,3 +1,5 @@
+import concurrent.futures
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,13 @@ from peierls_lab.fiber import (FourierPotential, fiber_matrix,
                                mathieu_potential, solve_bands)
 from peierls_lab.fields import EMFieldConfig
 from peierls_lab.geometry import geometric_tensors
+from peierls_lab import quantum
 from peierls_lab.lattice import Lattice, make_kgrid
 from peierls_lab.quantum import (Propagator, QuantumError, RealSpaceBox,
                                  WaveFunction, band_packet, band_project,
                                  egorov_error, heisenberg_evolve,
                                  propagate_reference, realspace_hamiltonian,
+                                 semiclassical_limit_check,
                                  zak_equivariance_defect, zak_inverse,
                                  zak_transform)
 from peierls_lab.weyl import (DenseMemoryError, PhaseSpaceGrid, position_operator,
@@ -103,6 +107,89 @@ def test_propagator_trivials():
     assert np.abs(prop.apply(psi, 0.0) - psi).max() < 1e-12
     out = prop.apply(psi, 0.7)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def _complex_formula(prop, psi, t):
+    U = prop.U.astype(complex)
+    ph = np.exp(-1j * (t / prop.eps) * prop.w).reshape((-1,) + (1,) * (psi.ndim - 1))
+    return U @ (ph * (U.conj().T @ psi))
+
+
+@pytest.mark.parametrize("shape", [(BOX.n_points,), (BOX.n_points, 3)])
+def test_apply_with_real_basis_matches_complex_formula(shape):
+    H = realspace_hamiltonian(BOX, mathieu_potential(1.0), EMFieldConfig.zero(1, eps=0.1))
+    prop = Propagator.of(H, 0.1)
+    assert prop.U.dtype == np.float64
+    psi = RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+    psi /= np.linalg.norm(psi, axis=0)
+    out = prop.apply(psi, 0.7)
+    assert out.shape == shape and out.dtype == complex
+    assert np.abs(out - _complex_formula(prop, psi, 0.7)).max() < 1e-13
+    # real input, and a complex basis on the same shapes
+    assert np.abs(prop.apply(psi.real, 0.7)
+                  - _complex_formula(prop, psi.real, 0.7)).max() < 1e-13
+    cprop = Propagator(w=prop.w, U=prop.U * np.exp(0.3j), eps=0.1)
+    assert np.abs(cprop.apply(psi, 0.7) - out).max() < 1e-13
+
+
+def test_apply_with_real_basis_allocates_no_dense_copy():
+    n = 1610
+    rng = np.random.default_rng(1)
+    prop = Propagator(w=rng.normal(size=n), U=rng.normal(size=(n, n)), eps=0.1)
+    for shape in ((n,), (n, 4)):
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tracemalloc.start()
+        try:
+            prop.apply(psi, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n, shape
+
+
+def _small_limit(n_workers):
+    """A two-box limit check (N = 434 and 854) under phi(r) = -0.2 sin r."""
+    fld = EMFieldConfig.zero(1, eps=0.12, phi=lambda r: -0.2 * np.sin(r[..., 0]),
+                             grad_phi=lambda r: -0.2 * np.cos(r[..., :1]),
+                             hess_phi=lambda r: 0.2 * np.sin(r[..., :1, None]))
+    return semiclassical_limit_check(mathieu_potential(3.0), fld, 0, [0.12, 0.06],
+                                     t=0.4, macro_box=3.6, n_workers=n_workers)
+
+
+def test_semiclassical_limit_same_with_background_oracle():
+    inline = _small_limit(n_workers=1)
+    overlapped = _small_limit(n_workers=2)
+    for key in ("eps", "error_point", "error_avg"):
+        assert np.array_equal(inline[key], overlapped[key]), key
+    assert inline["slope_point"] == overlapped["slope_point"]
+    assert inline["slope_avg"] == overlapped["slope_avg"]
+    assert inline["details"] == overlapped["details"]
+
+
+def test_semiclassical_limit_inline_oracle_starts_no_executor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("executor constructed at n_workers = 1")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    before = threading.active_count()
+    assert _small_limit(n_workers=1)["error_point"].shape == (2,)
+    assert threading.active_count() == before
+
+
+def test_semiclassical_limit_worker_failure_reaches_caller(monkeypatch):
+    threads = []
+
+    def failing(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise FloatingPointError("oracle failed")
+
+    monkeypatch.setattr(quantum, "_rk4_run", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="oracle failed"):
+        _small_limit(n_workers=2)
+    assert threads and all(t is not threading.main_thread() for t in threads)
+    assert not any(t.is_alive() for t in threads)
+    assert set(threading.enumerate()) == before
 
 
 def test_windowed_conjugation_is_block_of_full():

@@ -213,6 +213,28 @@ def test_guarded_quantize_equals_bandlimited_matrix():
                           quantize(sym, fld, assume_bandlimited=True).matrix)
 
 
+@pytest.mark.parametrize("ns,gauge", [((441,), "zero")] + [
+    (ns, gauge) for ns in [(21, 21), (7, 9, 7)]
+    for gauge in ["zero", "symmetric", "landau", "transversal"]])
+def test_quantizer_table_preflight_covers_measured_peak(ns, gauge, monkeypatch):
+    """A cold table build at N = 441 peaks below the bytes its preflight
+    checked, in every gauge (transversal: a position-dependent B)."""
+    grid = PhaseSpaceGrid.build(ns, 0.6, eps=0.1)
+    fld = _field_in_gauge(gauge, grid.dim)
+    checked = {}
+    monkeypatch.setattr(weyl, "check_dense_memory",
+                        lambda what, grid, nbytes: checked.setdefault(what, nbytes))
+    weyl._last_tables = None
+    tracemalloc.start()
+    try:
+        weyl._quantizer_tables(grid, fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        weyl._last_tables = None
+    assert 0 < peak <= checked["quantizer tables"]
+
+
 def test_dense_paths_refuse_grids_beyond_physical_memory():
     grid = PhaseSpaceGrid.build((1001, 1001), 0.5, eps=0.1)
     fld = EMFieldConfig.constant(2, b=1.0, eps=0.1, lam=0.5)
