@@ -105,52 +105,67 @@ def _build_potential(cfg: RunConfig, lattice):
 
 
 def _phi_callables(cfg: RunConfig, dim: int):
+    """phi and its gradient and Hessian for the configured preset, each with
+    at most one sine and one cosine evaluation per call ("cosine" in
+    d <= 2, which parse_config enforces; "sine_ramp" in any d)."""
     fs = cfg.fieldspec
     amp, L = fs.phi_amplitude, fs.phi_period
     w = 2 * np.pi / L
     if fs.phi_preset == "zero" or amp == 0.0:
         return None, None, None
     if fs.phi_preset == "cosine":
+        # phi = amp prod_l cos(w r_l)
         def phi(r):
             r = np.asarray(r, float)
             out = amp * np.cos(w * r[..., 0])
             for ax in range(1, dim):
                 out = out * np.cos(w * r[..., ax])
             return out
+
         if dim == 1:
-            gphi = lambda r: np.stack(
-                [-amp * w * np.sin(w * np.asarray(r, float)[..., 0])], -1)
-            hphi = lambda r: (-amp * w * w * np.cos(
-                w * np.asarray(r, float)[..., 0]))[..., None, None]
-        else:
             def gphi(r):
-                r = np.asarray(r, float)
-                return np.stack([-amp * w * np.sin(w * r[..., 0]) * np.cos(w * r[..., 1]),
-                                 -amp * w * np.cos(w * r[..., 0]) * np.sin(w * r[..., 1])], -1)
+                return (-amp * w) * np.sin(w * np.asarray(r, float))
+
             def hphi(r):
-                r = np.asarray(r, float)
-                d11 = -amp * w * w * np.cos(w * r[..., 0]) * np.cos(w * r[..., 1])
-                d12 = amp * w * w * np.sin(w * r[..., 0]) * np.sin(w * r[..., 1])
-                return np.stack([np.stack([d11, d12], -1),
-                                 np.stack([d12, d11], -1)], -2)
+                return (-amp * w * w) * np.cos(w * np.asarray(r, float))[..., None]
+        else:
+            def sincos(r):
+                wr = w * np.asarray(r, float)
+                return np.sin(wr), np.cos(wr)
+
+            def gphi(r):
+                # d_l phi = -amp w sin(w r_l) cos(w r_other)
+                s, c = sincos(r)
+                return (-amp * w) * s * c[..., ::-1]
+
+            def hphi(r):
+                # off-diagonal amp w^2 s_1 s_2, diagonal -amp w^2 c_1 c_2
+                s, c = sincos(r)
+                h = s[..., :, None] * s[..., None, :]
+                h[..., _DIAG2, _DIAG2] = -(c[..., 0] * c[..., 1])[..., None]
+                return (amp * w * w) * h
         return phi, gphi, hphi
+
     # "sine_ramp": nearly linear around the origin, periodic over the box
     def phi(r):
         r = np.asarray(r, float)
         return -amp * (L / (2 * np.pi)) * np.sin(w * r[..., 0])
+
     def gphi(r):
         r = np.asarray(r, float)
-        return np.stack([-amp * np.cos(w * r[..., 0])], -1) if dim == 1 else \
-            np.stack([-amp * np.cos(w * r[..., 0]), np.zeros(r.shape[:-1])], -1)
+        out = np.zeros(r.shape)
+        out[..., 0] = -amp * np.cos(w * r[..., 0])
+        return out
+
     def hphi(r):
         r = np.asarray(r, float)
-        h = (amp * w * np.sin(w * r[..., 0]))
-        if dim == 1:
-            return h[..., None, None]
-        out = np.zeros(r.shape[:-1] + (2, 2))
-        out[..., 0, 0] = h
+        out = np.zeros(r.shape + r.shape[-1:])
+        out[..., 0, 0] = amp * w * np.sin(w * r[..., 0])
         return out
     return phi, gphi, hphi
+
+
+_DIAG2 = np.arange(2)
 
 
 def _build_field(cfg: RunConfig, dim: int, eps: float):

@@ -119,6 +119,22 @@ def _walk(node, schema, path, problems):
             problems.append(f"{path}{key}: expected {spec}, got {type(val).__name__}")
 
 
+def _nonfinite(node, path, problems):
+    """Report every Infinity or NaN (which json.loads accepts) by its path;
+    a list is reported once, under its own path."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _nonfinite(val, f"{path}.{key}" if path else key, problems)
+    elif isinstance(node, list):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in node):
+            problems.append(f"{path}: must be finite")
+        for val in node:
+            if isinstance(val, (dict, list)):
+                _nonfinite(val, path, problems)
+    elif isinstance(node, float) and not math.isfinite(node):
+        problems.append(f"{path}: must be finite")
+
+
 def _section(node: dict, key: str) -> dict:
     """node[key] when it is an object, else {} (_walk reports the rest)."""
     value = node.get(key, {})
@@ -136,6 +152,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["<root>: expected an object"])
     _walk(raw, _SCHEMA, "", problems)
+    _nonfinite(raw, "", problems)
     for key in _REQUIRED:
         if key not in raw:
             problems.append(f"missing required key: {key}")
@@ -152,9 +169,13 @@ def parse_config(text: str) -> RunConfig:
         value = node.get(key)
         if isinstance(value, str) and value not in names:
             problems.append(f"{path}: unknown value {value!r}, must be one of {names}")
+    dim = _section(raw, "lattice").get("dim", 1)
+    if phi_raw.get("preset") == "cosine" and _is_a(dim, int) and dim > 2:
+        # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
+        problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")
     period = phi_raw.get("period")
-    if _is_a(period, (int, float)) and not (math.isfinite(period) and period > 0):
-        problems.append("field.phi.period: must be a positive finite number")
+    if _is_a(period, (int, float)) and period <= 0:
+        problems.append("field.phi.period: must be a positive number")
     tols = num_raw.get("tolerances", {})
     if isinstance(tols, dict):
         for name, value in tols.items():

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import EMFieldConfig
+from .fields import EMFieldConfig, _contract, _vecmat
 from .geometry import GeometricTensors
 from .interp import PeriodicSpline, fourier_coeffs_centered
 from .lattice import KGrid, Lattice
@@ -109,9 +109,8 @@ class BandData:
 
     def __post_init__(self):
         d = self.lattice.dim
-        self._inv_dual = np.linalg.inv(self.lattice.dual)
-        # grad_k f = grad_alpha f @ _to_cart_T, since alpha = k . dual^{-1}
-        self._to_cart_T = self.lattice.basis / (2 * np.pi)
+        # grad_k f = grad_alpha f @ to_cart_T, since alpha = k . dual^{-1}
+        to_cart_T = self.lattice.basis / (2 * np.pi)
         n_f = tuple(self.upsample * n for n in self.shape)
         geo = np.concatenate([self.connection_samples.reshape(self.shape + (d,)),
                               self.rw_samples.reshape(self.shape + (d * d,)),
@@ -131,10 +130,14 @@ class BandData:
             sh = [1] * d
             sh[ax] = n
             dE_alpha[..., ax] = np.fft.ifftn(F * (2j * np.pi * P).reshape(sh)).real
-        fields[..., 1:1 + d] = dE_alpha @ self._to_cart_T
+        fields[..., 1:1 + d] = dE_alpha @ to_cart_T
         for f in range(geo.shape[-1]):
             fields[..., 1 + d + f] = _upsampled(geo[..., f], self.upsample)
-        self._spline = PeriodicSpline(fields, -0.5, [1.0 / n for n in n_f])
+        # fine node i sits at k = (i / n_f - 1/2) @ dual: the spline takes
+        # Cartesian k and returns Cartesian k-derivatives
+        dual = self.lattice.dual
+        self._spline = PeriodicSpline(fields, -0.5 * dual.sum(0),
+                                      dual / np.array(n_f)[:, None])
 
     # -- constructors ---------------------------------------------------
 
@@ -180,9 +183,9 @@ class BandData:
         if grad not in ("none", "energy", "all"):
             raise EffectiveError(f"grad must be 'none', 'energy' or 'all', not {grad!r}")
         d = self.lattice.dim
-        alpha = _as_points(k, d) @ self._inv_dual
-        lead = alpha.shape[:-1]
-        out = self._spline(alpha.reshape(-1, d))        # (P, 1 + d, F)
+        k = _as_points(k, d)
+        lead = k.shape[:-1]
+        out = self._spline(k.reshape(-1, d))            # (P, 1 + d, F)
         v = out[:, 0]
         rec = {"E": v[:, 0].reshape(lead),
                "A": v[:, 1 + d:1 + 2 * d].reshape(lead + (d,)),
@@ -190,28 +193,21 @@ class BandData:
                "Om": v[:, 1 + 2 * d + d * d:].reshape(lead + (d, d))}
         if grad == "none":
             return BandFields(**rec)
-        # g[p, f, m] = d field_f / d k_m
-        g = out[:, 1:].transpose(0, 2, 1) @ self._to_cart_T
-        rec["dE"] = g[:, 0].reshape(lead + (d,))
+        rec["dE"] = out[:, 1:, 0].reshape(lead + (d,))
         if grad == "all":
+            # g[p, f, m] = d field_f / d k_m, a view
+            g = out[:, 1:].transpose(0, 2, 1)
             rec["hessE"] = g[:, 1:1 + d].reshape(lead + (d, d))
             rec["dA"] = g[:, 1 + d:1 + 2 * d].reshape(lead + (d, d))
             rec["dM"] = g[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d, d))
         return BandFields(**rec)
 
 
-def _contract(a, b, axes: int) -> np.ndarray:
-    """Sum of a * b over the trailing `axes` axes, one component product at a
-    time.  The leading shapes need only broadcast: for r-fields against
-    k-fields on a phase-space axis pair this is several times faster than a
-    broadcasting einsum and builds no (..., components) product array."""
-    a, b = np.asarray(a), np.asarray(b)
-    a = a.reshape(a.shape[:a.ndim - axes] + (-1,))
-    b = b.reshape(b.shape[:b.ndim - axes] + (-1,))
-    out = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        out += a[..., i] * b[..., i]
-    return out
+def _flat2(a, trailing: int = 0) -> np.ndarray:
+    """a (..., l, j, *t) with its (l, j) axes merged, for t the `trailing`
+    axes: B_lj X_lj... contractions become vector-matrix products."""
+    cut = a.ndim - trailing
+    return a.reshape(a.shape[:cut - 2] + (-1,) + a.shape[cut:])
 
 
 def _as_points(v, d):
@@ -231,14 +227,6 @@ class EffectiveHamiltonian:
     @property
     def dim(self) -> int:
         return self.band.lattice.dim
-
-    def _lorentz(self, b: BandFields, r) -> np.ndarray:
-        """F_l = -d_l phi + lam B_lj d_j E, shape (..., d)."""
-        F = -self.field.grad_phi(r)
-        if self.field.lam != 0.0:
-            F = F + self.field.lam * np.einsum("...lj,...j->...l",
-                                               self.field.B(r), b.dE)
-        return F
 
     def _h1(self, b: BandFields, r) -> np.ndarray:
         # -F.A - lam B:M = d phi.A - lam B:(A dE^T + M): each term pairs an
@@ -272,32 +260,37 @@ class EffectiveHamiltonian:
         b = self._value_fields(k)
         return b.E + self.field.phi(r) + self.field.eps * self._h1(b, r)
 
-    def grad_pair(self, k, r):
+    def grad_pair(self, k, r, B=None):
         """(grad_k h, grad_r h, fields): the gradients and the BandFields
         record at k they were computed from (one band evaluation per batch;
-        flows read Omega from it)."""
+        flows read Omega from it).  B is the field's B_at(r) when the caller
+        already has it (a flow evaluates it once per right-hand side).  The
+        gradients broadcast to the batch of (k, r); a term of k alone, as in
+        a constant field, keeps the shape of k."""
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
-        eps, lam = self.field.eps, self.field.lam
+        fld = self.field
+        eps, lam = fld.eps, fld.lam
         b = self.band.at(k, "all" if eps != 0.0 else "energy")
-        gk = b.dE
-        gr = self.field.grad_phi(r)
+        gphi = fld.grad_phi(r)
         if eps == 0.0:
-            return gk, gr, b
-        # d_{k_m} h1 = -(d_m F_l) A_l - F_l d_m A_l - lam B_lj d_m M_lj
-        term_k = -np.einsum("...l,...lm->...m", self._lorentz(b, r), b.dA)
-        # d_{r_m} h1 = (d_m d_l phi) A_l - lam (d_m B_lj)(d_j E A_l + M_lj)
-        term_r = np.einsum("...lm,...l->...m", self.field.hess_phi(r), b.A)
+            return b.dE, gphi, b
+        # with the Lorentz force F = -grad phi + lam B dE,
+        # d_{k_m} h1 = -F_l d_m A_l - (d_m F_l) A_l - lam B_lj d_m M_lj,
+        #   where (d_m F_l) A_l = lam (A B)_j d_j d_m E;
+        # d_{r_m} h1 = (d_m d_l phi) A_l - lam (d_m B_lj)(A_l d_j E + M_lj)
+        F = -gphi
+        term_r = _vecmat(b.A, fld.hess_phi(r))
         if lam != 0.0:
-            B = self.field.B(r)
-            dF = lam * np.einsum("...lj,...jm->...lm", B, b.hessE)
-            term_k = term_k - np.einsum("...lm,...l->...m", dF, b.A)
-            term_k = term_k - lam * np.einsum("...lj,...ljm->...m", B, b.dM)
-            if self.field.dbfield is not None:
-                dB = self.field.dB(r)
-                term_r = term_r - lam * np.einsum("...ljm,...j,...l->...m",
-                                                  dB, b.dE, b.A)
-                term_r = term_r - lam * np.einsum("...ljm,...lj->...m", dB, b.M)
-        return gk + eps * term_k, gr + eps * term_r, b
+            lamB = lam * (fld.B_at(r) if B is None else B)
+            F = F + _vecmat(b.dE, lamB.swapaxes(-1, -2))
+            term_k = -(_vecmat(F, b.dA) + _vecmat(_vecmat(b.A, lamB), b.hessE)
+                       + _vecmat(_flat2(lamB), _flat2(b.dM, 1)))
+            if fld.dbfield is not None:
+                W = b.A[..., :, None] * b.dE[..., None, :] + b.M
+                term_r = term_r - lam * _vecmat(_flat2(W), _flat2(fld.dB(r), 1))
+        else:
+            term_k = -_vecmat(F, b.dA)
+        return b.dE + eps * term_k, gphi + eps * term_r, b
 
 
 @dataclass(frozen=True)
@@ -323,21 +316,24 @@ class SemiclassicalHamiltonian:
             out = out - eps * lam * _contract(self.field.B(r), b.M, 2)
         return out
 
-    def grad_pair(self, k, r):
+    def grad_pair(self, k, r, B=None):
         """(grad_k h_sc, grad_r h_sc, fields): the gradients and the
         BandFields record at k they were computed from (one band evaluation
-        per batch)."""
+        per batch).  B is the field's B_at(r) when the caller already has
+        it; shapes as for EffectiveHamiltonian.grad_pair."""
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
-        eps, lam = self.field.eps, self.field.lam
+        fld = self.field
+        eps, lam = fld.eps, fld.lam
         coupled = eps != 0.0 and lam != 0.0
         b = self.band.at(k, "all" if coupled else "energy")
         gk = b.dE
-        gr = self.field.grad_phi(r)
+        gr = fld.grad_phi(r)
         if coupled:
-            gk = gk - eps * lam * np.einsum("...lj,...ljm->...m", self.field.B(r), b.dM)
-            if self.field.dbfield is not None:
-                gr = gr - eps * lam * np.einsum("...ljm,...lj->...m",
-                                                self.field.dB(r), b.M)
+            # grad_k (B : M) = B_lj d_m M_lj, grad_r (B : M) = d_m B_lj M_lj
+            elB = (eps * lam) * (fld.B_at(r) if B is None else B)
+            gk = gk - _vecmat(_flat2(elB), _flat2(b.dM, 1))
+            if fld.dbfield is not None:
+                gr = gr - (eps * lam) * _vecmat(_flat2(b.M), _flat2(fld.dB(r), 1))
         return gk, gr, b
 
 
@@ -350,7 +346,7 @@ def t_eff(k, r, band: BandData, field: EMFieldConfig):
     A = band.at(k).A
     k_eff = k.copy()
     if lam != 0.0:
-        k_eff = k + eps * lam * np.einsum("...lj,...j->...l", field.B(r), A)
+        k_eff = k + eps * lam * _vecmat(A, field.B(r).swapaxes(-1, -2))
     r_eff = r + eps * A
     return k_eff, r_eff
 

@@ -25,6 +25,43 @@ class FieldError(ValueError):
     pass
 
 
+def _contract(a, b, axes: int) -> np.ndarray:
+    """Sum of a * b over the trailing `axes` axes, one component product at a
+    time.  The leading shapes need only broadcast: for r-fields against
+    k-fields on a phase-space axis pair this is several times faster than a
+    broadcasting einsum and builds no (..., components) product array."""
+    a, b = np.asarray(a), np.asarray(b)
+    a = a.reshape(a.shape[:a.ndim - axes] + (-1,))
+    b = b.reshape(b.shape[:b.ndim - axes] + (-1,))
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def _vecmat(v, M) -> np.ndarray:
+    """v M, the sum over l of v_l M_lj, for vectors v (..., L) and matrices
+    M (..., L, n) whose leading shapes broadcast; shape (..., n).
+
+    A matrix shared by all points (a constant field's B, or the band data of
+    a single point) makes this one BLAS product.  Otherwise each entry is a
+    sum of L products that each run over all the points, which beats a
+    broadcasting einsum or a stacked matmul on the narrow trailing axes of
+    batched band data."""
+    if M.ndim == 2:
+        return v @ M
+    L, n = M.shape[-2:]
+    out = None
+    for j in range(n):
+        col = v[..., 0] * M[..., 0, j]
+        for l in range(1, L):
+            col += v[..., l] * M[..., l, j]
+        if out is None:
+            out = np.empty(col.shape + (n,))
+        out[..., j] = col
+    return out
+
+
 def _zero_phi(r):
     r = np.asarray(r, dtype=float)
     return np.zeros(r.shape[:-1])
@@ -74,12 +111,20 @@ class EMFieldConfig:
             raise FieldError("eps must be nonnegative")
         if not (0 <= self.lam <= 1):
             raise FieldError("lam must lie in [0, 1]")
+        if not callable(self.bfield):
+            # B(r) hands out the stored matrix itself, so freeze a copy
+            B = np.array(self.bfield, dtype=float)
+            B.flags.writeable = False
+            object.__setattr__(self, "bfield", B)
         B0 = self.B(np.zeros(self.dim))
         if B0.shape != (self.dim, self.dim):
             raise FieldError("B must produce (d, d) matrices")
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(8, self.dim))
         Bs = self.B(pts)
+        # NaN compares false, so the antisymmetry test alone would pass it
+        if not (np.isfinite(B0).all() and np.isfinite(Bs).all()):
+            raise FieldError("magnetic field must be finite")
         if np.abs(Bs + np.swapaxes(Bs, -1, -2)).max() > 1e-12:
             raise FieldError("magnetic field matrix must be antisymmetric")
         if self.gauge in ("symmetric", "landau", "linear"):
@@ -143,10 +188,22 @@ class EMFieldConfig:
     # -- evaluation ----------------------------------------------------
 
     def B(self, r) -> np.ndarray:
+        """B at points r (..., d), shape (..., d, d); read-only for a
+        constant field (at a single point, the stored matrix itself)."""
         r = np.asarray(r, dtype=float)
         if callable(self.bfield):
             return np.asarray(self.bfield(r))
+        if r.ndim == 1:
+            return self.bfield
         return np.broadcast_to(self.bfield, r.shape[:-1] + (self.dim, self.dim))
+
+    def B_at(self, r) -> np.ndarray:
+        """B at points r in the smallest shape that broadcasts against their
+        batch: the stored (d, d) matrix of a constant field, B(r) otherwise.
+        Contractions with a shared matrix are one BLAS product (_vecmat)."""
+        if callable(self.bfield):
+            return self.B(r)
+        return self.bfield
 
     def dB(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)

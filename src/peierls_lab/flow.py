@@ -10,10 +10,16 @@ Both are solved in closed form on the reduced d x d system
     kdot = (I + eps lam B Omega)^{-1} (lam B grad_k H - grad_r H),
     rdot = grad_k H - eps Omega kdot,   det J = det(I + eps lam B Omega),
 
-which for antisymmetric B and Omega in d <= 2 is a scalar division (one
-small batched solve for d >= 3).  Omega comes from the same band evaluation
-as the model's gradients, so each corrected right-hand side evaluates the
-band once.
+which for antisymmetric B and Omega in d <= 2 is a division by the scalar
+1 + lam B_12 eps Omega_21 (one small batched solve for d >= 3).  Omega
+comes from the same band evaluation as the model's gradients, so each
+corrected right-hand side evaluates the band once, and B(r) is evaluated
+once per right-hand side and shared with the model (EMFieldConfig.B_at:
+a constant field's stored matrix).  There is one right-hand side for every
+batch size; its contractions (fields._vecmat) are one BLAS product where a
+matrix is shared by all points and per-entry sums over the points
+otherwise, so a single trajectory pays a fixed, small number of numpy
+calls per stage and large batches use no einsum.
 Integration is classical RK4 with a fixed step plus an optional step-halving
 verification, which keeps integrator error far below the second-order
 comparisons the flows are used for.
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import EMFieldConfig
+from .fields import EMFieldConfig, _contract, _vecmat
 
 __all__ = [
     "FlowState",
@@ -93,12 +99,12 @@ class Trajectory:
 def _reduced(lamB, epsOm):
     """I + eps lam B Omega: a scalar field (...) for d <= 2, else (..., d, d).
 
-    For antisymmetric B and Omega, B Omega = -b omega I in 2D and 0 in 1D, so
-    the matrix is its mean diagonal entry times I.
+    For antisymmetric B and Omega, B Omega is 0 in 1D and B_12 Omega_21 I in
+    2D, so the matrix is 1 + lam B_12 eps Omega_21 times I.
     """
     d = lamB.shape[-1]
     if d <= 2:
-        return 1.0 + np.einsum("...lj,...jl->...", lamB, epsOm) / d
+        return 1.0 + lamB[..., 0, d - 1] * epsOm[..., d - 1, 0]
     return np.eye(d) + lamB @ epsOm
 
 
@@ -107,16 +113,17 @@ def _reduced_det(red, d):
     return red ** d if d <= 2 else np.linalg.det(red)
 
 
-def _solve_structure(gk, gr, r, field: EMFieldConfig, omega=None, eps: float = 0.0):
+def _solve_structure(gk, gr, B, lam, omega=None, eps: float = 0.0):
     """(kdot, rdot) solving J (rdot, kdot) = (grad_r H, grad_k H) for
-    J = [[lam B(r), -I], [I, eps Omega]].
+    J = [[lam B, -I], [I, eps Omega]], with B the field's B_at(r) (unused
+    at lam = 0).
 
     The second row gives rdot = grad_k H - eps Omega kdot; the first then
     reads (I + eps lam B Omega) kdot = lam B grad_k H - grad_r H.  Without
     Omega (or at eps = 0) that is the magnetic structure, det J = 1.
     """
-    lamB = field.lam * field.B(r) if field.lam != 0.0 else None
-    kdot = -gr if lamB is None else np.einsum("...lj,...j->...l", lamB, gk) - gr
+    lamB = lam * B if lam != 0.0 else None
+    kdot = -gr if lamB is None else _vecmat(gk, lamB.swapaxes(-1, -2)) - gr
     if omega is None or eps == 0.0:
         return kdot, gk
     epsOm = eps * omega
@@ -127,17 +134,18 @@ def _solve_structure(gk, gr, r, field: EMFieldConfig, omega=None, eps: float = 0
             raise FlowError("corrected structure matrix is degenerate")
         kdot = kdot / red[..., None] if d <= 2 else \
             np.linalg.solve(red, kdot[..., None])[..., 0]
-    return kdot, gk - np.einsum("...lj,...j->...l", epsOm, kdot)
+    return kdot, gk - _vecmat(kdot, epsOm.swapaxes(-1, -2))
 
 
-def _model_grads(model, k, r, band=None):
+def _model_grads(model, k, r, B, band=None):
     """(grad_k H, grad_r H, Omega(k)), Omega None without a band.
 
-    A model that holds `band` hands back the BandFields record its gradients
-    came from, so a corrected right-hand side costs one band evaluation.
+    B is the field's B_at(r), handed to models that take it.  A model that
+    holds `band` hands back the BandFields record its gradients came from,
+    so a corrected right-hand side costs one band evaluation.
     """
     if hasattr(model, "grad_pair"):
-        gk, gr, fields = model.grad_pair(k, r)
+        gk, gr, fields = model.grad_pair(k, r, B)
         if band is not None and getattr(model, "band", None) is band:
             return gk, gr, fields.Om
     else:
@@ -151,8 +159,9 @@ def vector_field_magnetic(k, r, model, field: EMFieldConfig):
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    gk, gr, _ = _model_grads(model, k, r)
-    return _solve_structure(gk, gr, r, field)
+    B = field.B_at(r) if field.lam != 0.0 else None
+    gk, gr, _ = _model_grads(model, k, r, B)
+    return _solve_structure(gk, gr, B, field.lam)
 
 
 def vector_field_corrected(k, r, model, field: EMFieldConfig, band, eps: float):
@@ -163,8 +172,9 @@ def vector_field_corrected(k, r, model, field: EMFieldConfig, band, eps: float):
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    gk, gr, omega = _model_grads(model, k, r, band if eps != 0.0 else None)
-    return _solve_structure(gk, gr, r, field, omega, eps)
+    B = field.B_at(r) if field.lam != 0.0 else None
+    gk, gr, omega = _model_grads(model, k, r, B, band if eps != 0.0 else None)
+    return _solve_structure(gk, gr, B, field.lam, omega, eps)
 
 
 def structure_factor(k, r, field: EMFieldConfig, band, eps: float):
@@ -279,8 +289,8 @@ def poisson_corrected(f, g, k, r, field: EMFieldConfig, band, eps: float):
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
     omega = band.at(k).Om if band is not None else None
+    B = field.B_at(r) if field.lam != 0.0 else None
     # J^{-1} grad g is the vector field of g: (rdot, kdot)
-    kdot, rdot = _solve_structure(g.grad_k(k, r), g.grad_r(k, r), r, field,
+    kdot, rdot = _solve_structure(g.grad_k(k, r), g.grad_r(k, r), B, field.lam,
                                   omega, eps)
-    return -(np.einsum("...i,...i->...", f.grad_r(k, r), rdot)
-             + np.einsum("...i,...i->...", f.grad_k(k, r), kdot))
+    return -(_contract(f.grad_r(k, r), rdot, 1) + _contract(f.grad_k(k, r), kdot, 1))

@@ -6,8 +6,10 @@ cubic spline of all fields at once on an FFT-upsampled fine grid, in any
 dimension d: the coefficient grid carries wrapped ghost layers, so a block
 of points needs one tap gather and one batched contraction that returns
 values and first derivatives together as a (P, 1 + d, F) array (error well
-under the expansion budgets).  The exact trigonometric interpolant is kept
-as the oracle the tests compare against.
+under the expansion budgets).  The tap weights of a block are one matmul of
+its monomials by a table built once per spline, so a point costs the same
+few array operations whatever the batch.  The exact trigonometric
+interpolant is kept as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -75,10 +77,11 @@ class PeriodicFourier:
 BLOCK = 1024
 
 # Cubic B-spline tap weights (taps at -1, 0, 1, 2) for a fractional offset t
-# in [0, 1) as polynomials: [w(t) | w'(t)] = [1, t, t^2, t^3] @ _B3D.
+# in [0, 1) as polynomials: w(t) = [1, t, t^2, t^3] @ _B3, w'(t) the same
+# monomials @ _DB3.
 _B3 = np.array([[1, 4, 1, 0], [-3, 0, 3, 0], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6.0
 _DB3 = np.vstack([np.arange(1, 4)[:, None] * _B3[1:], np.zeros(4)])    # d/dt t^j = j t^(j-1)
-_B3D = np.hstack([_B3, _DB3])
+_POWERS = np.arange(4.0)[:, None]
 
 
 class PeriodicSpline:
@@ -86,13 +89,16 @@ class PeriodicSpline:
     dimension d, with exact prefilter.
 
     values has shape (n_1, ..., n_d, F): F fields sampled on the same grid
-    (typically FFT-upsampled from coarse data).  The prefiltered coefficients
-    are stored with wrapped ghost layers, one before and two after each axis,
-    so the 4^d taps of a point are its base index (one floor and one modulo
-    per axis) plus a fixed table of flat offsets.  All fields share that one
-    gather, and values and first derivatives come from one contraction:
-    calls return blocks of shape (P, 1 + d, F), [value, d/dx_1, ..., d/dx_d]
-    in the units of the point coordinates.
+    (typically FFT-upsampled from coarse data).  Node i sits at
+    origin + i @ steps, where spacing gives the steps: a scalar or (d,) per
+    axis, or a (d, d) matrix whose rows are the step vectors of a skewed
+    grid.  The prefiltered coefficients are stored with wrapped ghost
+    layers, one before and two after each axis, so the 4^d taps of a point
+    are its base index (one floor and one modulo per axis) plus a fixed
+    table of flat offsets.  All fields share that one gather, and values and
+    first derivatives come from one contraction: calls return blocks of
+    shape (P, 1 + d, F), [value, d/dx_1, ..., d/dx_d] in the units of the
+    point coordinates.
     """
 
     def __init__(self, values: np.ndarray, origin, spacing):
@@ -101,7 +107,9 @@ class PeriodicSpline:
         self.shape = values.shape[:-1]
         self.n_fields = values.shape[-1]
         self.origin = np.broadcast_to(np.asarray(origin, dtype=float), (d,)).copy()
-        self.spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,)).copy()
+        spacing = np.asarray(spacing, dtype=float)
+        self.steps = spacing.copy() if spacing.ndim == 2 else \
+            np.diag(np.broadcast_to(spacing, (d,)))
         # prefilter field by field into the interior of the padded grid;
         # ghost layers: padded index i holds coefficient (i - 1) mod n
         pad = np.empty(tuple(n + 3 for n in self.shape) + (self.n_fields,))
@@ -123,35 +131,40 @@ class PeriodicSpline:
         self._strides = strides
         self._n = np.array(self.shape)[:, None]
         self._offsets = np.indices((4,) * d).reshape(d, -1).T @ strides
-        # per-axis [w | w'] weight polynomials, w' per unit of the points
-        scale = np.ones((d, 8, 1))
-        scale[:, 4:] = self.spacing[:, None, None]
-        self._poly = _B3D.T / scale                        # (d, 8, 4)
-        # _rows[l, r] picks axis l's factor of weight row r from the flat
-        # (d * 8) per-axis weights: w_l, or w'_l on row r = 1 + l
-        self._rows = 8 * np.arange(d)[:, None, None] + np.arange(4) \
-            + 4 * (np.arange(1 + d) == np.arange(1, 1 + d)[:, None])[..., None]
+        # grid coordinates u = inv(steps)^T (x - origin), so du_l/dx_m = inv[m, l]
+        inv = np.linalg.inv(self.steps)
+        self._to_grid = inv.T
+        # the tap weights of a point are polynomials in its offsets t_l:
+        # [W_0 | W_1 | ... | W_d] = mono(t) @ _K, with mono the 4^d products
+        # t_1^j_1 ... t_d^j_d and W_r the weights of the value (r = 0) and of
+        # d/dx_r per unit of the points; rows and columns in C order
+        def table(factors):
+            out = factors[0]
+            for f in factors[1:]:
+                out = np.kron(out, f)
+            return out
+        blocks = [table([_B3] * d)]
+        for m in range(d):
+            blocks.append(sum(inv[m, l] * table([_DB3 if a == l else _B3
+                                                 for a in range(d)])
+                              for l in range(d)))
+        self._K = np.hstack(blocks)                     # (4^d, (1 + d) 4^d)
 
     def prep(self, pts: np.ndarray) -> "SplinePrep":
         """Flat tap indices (B, 4^d) and contraction weights (B, 1 + d, 4^d)
         for a block of points (B, d).  Row r of the weights is the outer
-        product over the axes of the tap weights, differentiated along axis
-        r - 1 for r >= 1."""
-        d = self.ndim
-        u = (pts.T - self.origin[:, None]) / self.spacing[:, None]    # (d, B)
+        product over the axes of the tap weights, differentiated along x_r
+        for r >= 1."""
+        d, n_pts = self.ndim, len(pts)
+        u = self._to_grid @ (pts - self.origin).T                  # (d, B)
         base = np.floor(u)
-        t = u - base
-        V = np.empty((d, 4, len(pts)))
-        V[:, 0] = 1.0
-        V[:, 1] = t
-        np.multiply(t, t, out=V[:, 2])
-        np.multiply(V[:, 2], t, out=V[:, 3])
-        R = (self._poly @ V).reshape(8 * d, -1)[self._rows]     # (d, 1 + d, 4, B)
-        W = R[0]
+        V = (u - base)[:, None] ** _POWERS              # (d, 4, B): t_l^j
+        mono = V[0]
         for l in range(1, d):
-            W = (W[:, :, None] * R[l][:, None]).reshape(1 + d, -1, len(pts))
+            mono = (mono[:, None] * V[l]).reshape(-1, n_pts)
         flat = self._strides @ (base.astype(np.intp) % self._n)
-        return SplinePrep(flat=flat[:, None] + self._offsets, W=W.transpose(2, 0, 1))
+        return SplinePrep(flat=flat[:, None] + self._offsets,
+                          W=(mono.T @ self._K).reshape(n_pts, 1 + d, -1))
 
     def eval_prepped(self, prep: "SplinePrep") -> np.ndarray:
         """Values and first derivatives of all F fields, shape (B, 1 + d, F).

@@ -193,6 +193,15 @@ UNBUILDABLE = {
 }
 
 
+def test_cosine_phi_needs_two_dimensions_at_most():
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "flow", "lattice": {"dim": 3}, '
+                     '"field": {"phi": {"preset": "cosine", "amplitude": 0.1}}}')
+    assert "field.phi.preset: 'cosine' needs lattice.dim <= 2" in exc.value.problems
+    parse_config('{"experiment": "flow", "lattice": {"dim": 3}, '
+                 '"field": {"phi": {"preset": "sine_ramp", "amplitude": 0.1}}}')
+
+
 @pytest.mark.parametrize("path", list(UNBUILDABLE))
 def test_unbuildable_config_values_exit_2_before_running(tmp_path, capsys, path):
     cfg_path = tmp_path / "c.json"
@@ -317,3 +326,57 @@ def test_package_imports_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset,dim", [("cosine", 1), ("cosine", 2), ("sine_ramp", 1),
+                                        ("sine_ramp", 2), ("sine_ramp", 3)])
+def test_phi_presets_match_central_differences(preset, dim):
+    from peierls_lab.cli import _phi_callables
+    cfg = parse_config(
+        '{"experiment": "flow", "lattice": {"dim": %d}, "field": {"phi": '
+        '{"preset": "%s", "amplitude": 0.4, "period": 2.5}}}' % (dim, preset))
+    phi, gphi, hphi = _phi_callables(cfg, dim)
+    rng = np.random.default_rng(dim)
+    h = 1e-5
+    steps = h * np.eye(dim)
+    for shape in [(dim,), (7, dim), (3, 4, dim)]:
+        r = rng.uniform(-3, 3, shape)
+        assert phi(r).shape == shape[:-1]
+        assert gphi(r).shape == shape
+        assert hphi(r).shape == shape + (dim,)
+        fd_g = np.stack([(phi(r + e) - phi(r - e)) / (2 * h) for e in steps], -1)
+        # column m of the Hessian is the derivative of grad phi along r_m
+        fd_h = np.stack([(gphi(r + e) - gphi(r - e)) / (2 * h) for e in steps], -1)
+        assert np.abs(gphi(r) - fd_g).max() < 1e-8
+        assert np.abs(hphi(r) - fd_h).max() < 1e-8
+        assert np.array_equal(hphi(r), np.swapaxes(hphi(r), -1, -2))
+
+
+NONFINITE_PATHS = {
+    "field.b": '"field": {"b": %s, "lam": 0.5}',
+    "field.phi.amplitude": '"field": {"phi": {"preset": "cosine", "amplitude": %s}}',
+    "numerics.dt": '"numerics": {"dt": %s}',
+    "numerics.t_final": '"numerics": {"t_final": %s}',
+    "numerics.eps_list": '"numerics": {"eps_list": [0.1, %s]}',
+}
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("path", list(NONFINITE_PATHS))
+def test_nonfinite_numbers_rejected_with_path(path, value):
+    # json.loads accepts these literals, and NaN passes every comparison test
+    text = '{"experiment": "flow", "lattice": {"dim": 2}, %s}' % (
+        NONFINITE_PATHS[path] % value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert f"{path}: must be finite" in exc.value.problems
+
+
+def test_nonfinite_config_exits_2_before_running(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"experiment": "flow", "lattice": {"dim": 2}, '
+                        '"field": {"b": NaN, "lam": 0.5}}')
+    out = tmp_path / "o"
+    assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "field.b: must be finite" in capsys.readouterr().err
+    assert not out.exists()
