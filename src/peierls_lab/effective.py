@@ -260,13 +260,12 @@ class EffectiveHamiltonian:
         b = self._value_fields(k)
         return b.E + self.field.phi(r) + self.field.eps * self._h1(b, r)
 
-    def grad_pair(self, k, r, B=None):
+    def grad_pair(self, k, r):
         """(grad_k h, grad_r h, fields): the gradients and the BandFields
         record at k they were computed from (one band evaluation per batch;
-        flows read Omega from it).  B is the field's B_at(r) when the caller
-        already has it (a flow evaluates it once per right-hand side).  The
-        gradients broadcast to the batch of (k, r); a term of k alone, as in
-        a constant field, keeps the shape of k."""
+        flows read Omega from it).  The gradients broadcast to the batch of
+        (k, r); a term of k alone, as in a constant field, keeps the shape
+        of k."""
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         fld = self.field
         eps, lam = fld.eps, fld.lam
@@ -281,7 +280,7 @@ class EffectiveHamiltonian:
         F = -gphi
         term_r = _vecmat(b.A, fld.hess_phi(r))
         if lam != 0.0:
-            lamB = lam * (fld.B_at(r) if B is None else B)
+            lamB = lam * fld.B_at(r)
             F = F + _vecmat(b.dE, lamB.swapaxes(-1, -2))
             term_k = -(_vecmat(F, b.dA) + _vecmat(_vecmat(b.A, lamB), b.hessE)
                        + _vecmat(_flat2(lamB), _flat2(b.dM, 1)))
@@ -316,11 +315,10 @@ class SemiclassicalHamiltonian:
             out = out - eps * lam * _contract(self.field.B(r), b.M, 2)
         return out
 
-    def grad_pair(self, k, r, B=None):
+    def grad_pair(self, k, r):
         """(grad_k h_sc, grad_r h_sc, fields): the gradients and the
         BandFields record at k they were computed from (one band evaluation
-        per batch).  B is the field's B_at(r) when the caller already has
-        it; shapes as for EffectiveHamiltonian.grad_pair."""
+        per batch); shapes as for EffectiveHamiltonian.grad_pair."""
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         fld = self.field
         eps, lam = fld.eps, fld.lam
@@ -330,7 +328,7 @@ class SemiclassicalHamiltonian:
         gr = fld.grad_phi(r)
         if coupled:
             # grad_k (B : M) = B_lj d_m M_lj, grad_r (B : M) = d_m B_lj M_lj
-            elB = (eps * lam) * (fld.B_at(r) if B is None else B)
+            elB = (eps * lam) * fld.B_at(r)
             gk = gk - _vecmat(_flat2(elB), _flat2(b.dM, 1))
             if fld.dbfield is not None:
                 gr = gr - (eps * lam) * _vecmat(_flat2(b.M), _flat2(fld.dB(r), 1))

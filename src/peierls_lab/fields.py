@@ -44,22 +44,14 @@ def _vecmat(v, M) -> np.ndarray:
     M (..., L, n) whose leading shapes broadcast; shape (..., n).
 
     A matrix shared by all points (a constant field's B, or the band data of
-    a single point) makes this one BLAS product.  Otherwise each entry is a
-    sum of L products that each run over all the points, which beats a
+    a single point) makes this one BLAS product.  Otherwise each column is a
+    _contract, L products that each run over all the points, which beats a
     broadcasting einsum or a stacked matmul on the narrow trailing axes of
     batched band data."""
     if M.ndim == 2:
         return v @ M
-    L, n = M.shape[-2:]
-    out = None
-    for j in range(n):
-        col = v[..., 0] * M[..., 0, j]
-        for l in range(1, L):
-            col += v[..., l] * M[..., l, j]
-        if out is None:
-            out = np.empty(col.shape + (n,))
-        out[..., j] = col
-    return out
+    return np.stack([_contract(v, M[..., j], 1) for j in range(M.shape[-1])],
+                    axis=-1)
 
 
 def _zero_phi(r):
@@ -112,7 +104,7 @@ class EMFieldConfig:
         if not (0 <= self.lam <= 1):
             raise FieldError("lam must lie in [0, 1]")
         if not callable(self.bfield):
-            # B(r) hands out the stored matrix itself, so freeze a copy
+            # B_at hands out the stored matrix itself, so freeze a copy
             B = np.array(self.bfield, dtype=float)
             B.flags.writeable = False
             object.__setattr__(self, "bfield", B)
@@ -188,13 +180,11 @@ class EMFieldConfig:
     # -- evaluation ----------------------------------------------------
 
     def B(self, r) -> np.ndarray:
-        """B at points r (..., d), shape (..., d, d); read-only for a
-        constant field (at a single point, the stored matrix itself)."""
+        """B at points r (..., d), shape (..., d, d); a read-only view for a
+        constant field."""
         r = np.asarray(r, dtype=float)
         if callable(self.bfield):
             return np.asarray(self.bfield(r))
-        if r.ndim == 1:
-            return self.bfield
         return np.broadcast_to(self.bfield, r.shape[:-1] + (self.dim, self.dim))
 
     def B_at(self, r) -> np.ndarray:

@@ -13,13 +13,13 @@ Both are solved in closed form on the reduced d x d system
 which for antisymmetric B and Omega in d <= 2 is a division by the scalar
 1 + lam B_12 eps Omega_21 (one small batched solve for d >= 3).  Omega
 comes from the same band evaluation as the model's gradients, so each
-corrected right-hand side evaluates the band once, and B(r) is evaluated
-once per right-hand side and shared with the model (EMFieldConfig.B_at:
-a constant field's stored matrix).  There is one right-hand side for every
-batch size; its contractions (fields._vecmat) are one BLAS product where a
-matrix is shared by all points and per-entry sums over the points
-otherwise, so a single trajectory pays a fixed, small number of numpy
-calls per stage and large batches use no einsum.
+corrected right-hand side evaluates the band once.  The structure and the
+models read B through EMFieldConfig.B_at, which for a constant field is the
+stored matrix, not a copy broadcast to the points.  There is one
+right-hand side for every batch size; its contractions (fields._vecmat)
+are one BLAS product where a matrix is shared by all points and per-entry
+sums over the points otherwise, so a single trajectory pays a fixed, small
+number of numpy calls per stage and large batches use no einsum.
 Integration is classical RK4 with a fixed step plus an optional step-halving
 verification, which keeps integrator error far below the second-order
 comparisons the flows are used for.
@@ -137,15 +137,14 @@ def _solve_structure(gk, gr, B, lam, omega=None, eps: float = 0.0):
     return kdot, gk - _vecmat(kdot, epsOm.swapaxes(-1, -2))
 
 
-def _model_grads(model, k, r, B, band=None):
+def _model_grads(model, k, r, band=None):
     """(grad_k H, grad_r H, Omega(k)), Omega None without a band.
 
-    B is the field's B_at(r), handed to models that take it.  A model that
-    holds `band` hands back the BandFields record its gradients came from,
-    so a corrected right-hand side costs one band evaluation.
+    A model that holds `band` hands back the BandFields record its gradients
+    came from, so a corrected right-hand side costs one band evaluation.
     """
     if hasattr(model, "grad_pair"):
-        gk, gr, fields = model.grad_pair(k, r, B)
+        gk, gr, fields = model.grad_pair(k, r)
         if band is not None and getattr(model, "band", None) is band:
             return gk, gr, fields.Om
     else:
@@ -159,8 +158,8 @@ def vector_field_magnetic(k, r, model, field: EMFieldConfig):
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
+    gk, gr, _ = _model_grads(model, k, r)
     B = field.B_at(r) if field.lam != 0.0 else None
-    gk, gr, _ = _model_grads(model, k, r, B)
     return _solve_structure(gk, gr, B, field.lam)
 
 
@@ -172,8 +171,8 @@ def vector_field_corrected(k, r, model, field: EMFieldConfig, band, eps: float):
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
+    gk, gr, omega = _model_grads(model, k, r, band if eps != 0.0 else None)
     B = field.B_at(r) if field.lam != 0.0 else None
-    gk, gr, omega = _model_grads(model, k, r, B, band if eps != 0.0 else None)
     return _solve_structure(gk, gr, B, field.lam, omega, eps)
 
 
