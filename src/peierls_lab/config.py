@@ -173,6 +173,10 @@ def parse_config(text: str) -> RunConfig:
     if phi_raw.get("preset") == "cosine" and _is_a(dim, int) and dim > 2:
         # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
         problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")
+    if exp in ("egorov", "flow", "geometry") and _is_a(dim, int) and dim > 2:
+        # each runs its band through geometry.fix_gauge
+        problems.append(f"lattice.dim: experiment {exp!r} needs lattice.dim <= 2, "
+                        "the limit of gauge fixing")
     period = phi_raw.get("period")
     if _is_a(period, (int, float)) and period <= 0:
         problems.append("field.phi.period: must be a positive number")

@@ -31,12 +31,11 @@ assembled and diagonalized in real arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import KGrid, Lattice
+from .lattice import KGrid, Lattice, signed_permutations
 
 __all__ = [
     "FourierPotential",
@@ -249,20 +248,6 @@ class BandStructure:
         """Eigenvector field of one band, shape (grid shape..., D)."""
         return self.kgrid.reshape(self.vectors[band])
 
-    def band_grid(self, band: int) -> np.ndarray:
-        return self.kgrid.reshape(self.energies[band])
-
-    def neighbor_gap(self, band: int) -> float:
-        """Minimal distance from band to its spectral neighbors over the grid."""
-        gaps = []
-        if band > 0:
-            gaps.append(np.min(self.energies[band] - self.energies[band - 1]))
-        if band + 1 < self.n_bands:
-            gaps.append(np.min(self.energies[band + 1] - self.energies[band]))
-        else:
-            gaps.append(np.min(self.guard_energies - self.energies[band]))
-        return float(min(gaps))
-
 
 def fiber_symmetries(potential: FourierPotential) -> list:
     """The symmetry group of the fiber family as (M, conj) pairs.
@@ -284,16 +269,13 @@ def fiber_symmetries(potential: FourierPotential) -> list:
                    for n, v in coeffs)
 
     group = []
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1, -1), repeat=d):
-            M = np.zeros((d, d), dtype=int)
-            M[np.arange(d), perm] = signs
-            if np.abs(M @ G @ M.T - G).max() > SYMMETRY_TOL * np.abs(G).max():
-                continue
-            for conj in (False, True):
-                if fixes(M, conj):
-                    group.append((M, conj))
-                    break
+    for M in signed_permutations(d):
+        if np.abs(M @ G @ M.T - G).max() > SYMMETRY_TOL * np.abs(G).max():
+            continue
+        for conj in (False, True):
+            if fixes(M, conj):
+                group.append((M, conj))
+                break
     return group
 
 

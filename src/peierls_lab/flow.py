@@ -92,9 +92,6 @@ class Trajectory:
     def energy_drift(self) -> float:
         return float(np.abs(self.energy - self.energy[0]).max())
 
-    def final(self) -> FlowState:
-        return FlowState(k=self.k[-1], r=self.r[-1], t=float(self.times[-1]))
-
 
 def _reduced(lamB, epsOm):
     """I + eps lam B Omega: a scalar field (...) for d <= 2, else (..., d, d).

@@ -8,6 +8,7 @@ so every band quantity downstream inherits clean dual-lattice periodicity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "wrap_to_bz",
     "bz_coefficients",
     "make_kgrid",
+    "signed_permutations",
 ]
 
 _DEGENERATE_TOL = 1e-12
@@ -72,9 +74,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def cell_volume(self) -> float:
-        return float(abs(np.linalg.det(self.basis)))
 
     def dual_vector(self, coeffs) -> np.ndarray:
         """Integer coefficients -> dual lattice vector."""
@@ -137,10 +136,6 @@ class KGrid:
     def dim(self) -> int:
         return self.lattice.dim
 
-    def index_grid(self):
-        """Per-axis integer index arrays, shape = self.shape each."""
-        return np.indices(self.shape)
-
     def reshape(self, values: np.ndarray) -> np.ndarray:
         """View flat per-point values (N, ...) as (shape..., ...)."""
         return np.asarray(values).reshape(self.shape + np.asarray(values).shape[1:])
@@ -175,3 +170,14 @@ def make_kgrid(lattice: Lattice, shape, centered: bool = True) -> KGrid:
     alpha = np.stack([a.ravel() for a in mesh], axis=-1)
     points = alpha @ lattice.dual
     return KGrid(lattice=lattice, shape=shape, points=points, centered=centered)
+
+
+def signed_permutations(d: int):
+    """The 2^d d! signed permutation matrices (d, d) of integers, identity
+    first: M[l, perm[l]] = sign[l], over permutations in lexicographic order
+    and, for each, signs from all +1 to all -1."""
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            M = np.zeros((d, d), dtype=int)
+            M[np.arange(d), perm] = signs
+            yield M

@@ -198,8 +198,21 @@ def test_cosine_phi_needs_two_dimensions_at_most():
         parse_config('{"experiment": "flow", "lattice": {"dim": 3}, '
                      '"field": {"phi": {"preset": "cosine", "amplitude": 0.1}}}')
     assert "field.phi.preset: 'cosine' needs lattice.dim <= 2" in exc.value.problems
-    parse_config('{"experiment": "flow", "lattice": {"dim": 3}, '
+    parse_config('{"experiment": "bands", "lattice": {"dim": 3}, '
                  '"field": {"phi": {"preset": "sine_ramp", "amplitude": 0.1}}}')
+
+
+@pytest.mark.parametrize("experiment", ["flow", "egorov", "geometry"])
+def test_three_dimensional_gauge_fixed_experiments_exit_2(tmp_path, capsys, experiment):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"experiment": "%s", "lattice": {"dim": 3}, '
+                        '"field": {"phi": {"preset": "sine_ramp", "amplitude": 0.1}}}'
+                        % experiment)
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "lattice.dim" in err and "gauge fixing" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", list(UNBUILDABLE))
@@ -333,7 +346,7 @@ def test_package_imports_load_no_scipy():
 def test_phi_presets_match_central_differences(preset, dim):
     from peierls_lab.cli import _phi_callables
     cfg = parse_config(
-        '{"experiment": "flow", "lattice": {"dim": %d}, "field": {"phi": '
+        '{"experiment": "bands", "lattice": {"dim": %d}, "field": {"phi": '
         '{"preset": "%s", "amplitude": 0.4, "period": 2.5}}}' % (dim, preset))
     phi, gphi, hphi = _phi_callables(cfg, dim)
     rng = np.random.default_rng(dim)

@@ -1,10 +1,17 @@
 import concurrent.futures
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from peierls_lab import cli
+from peierls_lab.config import parse_config
 from peierls_lab.effective import BandData, EffectiveHamiltonian
 from peierls_lab.fiber import (FourierPotential, fiber_matrix,
                                mathieu_potential, solve_bands)
@@ -20,7 +27,7 @@ from peierls_lab.quantum import (Propagator, QuantumError, RealSpaceBox,
                                  zak_equivariance_defect, zak_inverse,
                                  zak_transform)
 from peierls_lab.weyl import (DenseMemoryError, PhaseSpaceGrid, position_operator,
-                              quantize, sample_symbol)
+                              quantize, sample_broadcast, sample_symbol)
 
 LAT1 = Lattice.cubic(1)
 BOX = RealSpaceBox(lattice=LAT1, n_cells=31, m=14)
@@ -359,3 +366,185 @@ def test_packet_requires_matching_grid():
     wrong = solve_bands(pot, make_kgrid(LAT1, 16), 6, 2)
     with pytest.raises(QuantumError):
         band_packet(wrong, BOX, 0, k0=0.3, x0=0.0, sigma_k=0.2)
+
+
+# -- symmetry-reduced eigensolve ----------------------------------------------
+
+# the 2-D Egorov benchmark problem: symmetric gauge, constant B, cosine phi,
+# n = macro_box / eps = 21 points per axis (N = 441)
+EGOROV_2D = """{"experiment": "egorov", "lattice": {"dim": 2},
+  "potential": {"preset": "cosine2d", "v": 12.0, "w": 2.0},
+  "field": {"b": 1.0, "lam": 0.5,
+            "phi": {"preset": "cosine", "amplitude": 0.2, "period": 2.1}},
+  "numerics": {"cutoff": 5, "kgrid": [15, 15], "n_bands": 3, "eps_list": [0.1],
+               "dt": 0.05, "t_final": 0.3, "macro_box": 2.1}}"""
+
+
+def _egorov_2d_inputs(seed):
+    """(heff, field, grid, f) of the 2-D Egorov problem.  A nonzero seed
+    multiplies the band solve's eigenvectors by random unit phases (gauge
+    fixing must absorb them) and shifts the observable's two phases."""
+    cfg = parse_config(EGOROV_2D)
+    num = cfg.numerics
+    lat = cli._build_lattice(cfg)
+    bands = solve_bands(cli._build_potential(cfg, lat), make_kgrid(lat, tuple(num.kgrid)),
+                        num.cutoff, num.n_bands)
+    a = b = 0.0
+    if seed:
+        rng = np.random.default_rng(seed)
+        phases = np.exp(2j * np.pi * rng.random(bands.vectors.shape[:2]))
+        bands = dataclasses.replace(bands, vectors=bands.vectors * phases[..., None])
+        a, b = 2 * np.pi * np.random.default_rng([seed, 1]).random(2)
+    band = BandData.from_geometry(geometric_tensors(bands, 0))
+    L = num.macro_box
+    n = 21
+    fld = cli._build_field(cfg, 2, L / n)
+    grid = PhaseSpaceGrid.build((n, n), 1.0, eps=L / n)
+
+    def f(k, r):
+        return np.sin(k[..., 0] + a) + 0.3 * np.cos(2 * np.pi * r[..., 1] / L + b)
+
+    return EffectiveHamiltonian(band, fld), fld, grid, f
+
+
+@pytest.fixture(scope="module")
+def egorov_2d():
+    return _egorov_2d_inputs(0)
+
+
+def _hermitian_op(heff, fld, grid):
+    h_op = quantize(sample_broadcast(heff.value, grid), fld, assume_bandlimited=True)
+    return 0.5 * (h_op.matrix + h_op.matrix.conj().T)
+
+
+def _one_dim_zero_field():
+    """Op(h) and Op(f) of a cosine band under phi = 0.3 cos(2 pi r / L), no
+    magnetic field: a complex matrix whose imaginary part is rounding."""
+    n, eps = 129, 0.1
+    L = n * eps
+    fld = EMFieldConfig.zero(1, eps=eps, phi=lambda r: 0.3 * np.cos(2 * np.pi * r[..., 0] / L))
+    band = BandData.synthetic(LAT1, (65,), lambda k: np.cos(k[..., 0]))
+    grid = PhaseSpaceGrid.build(n, 1.0, eps=eps)
+    f = lambda k, r: np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
+    return EffectiveHamiltonian(band, fld), fld, grid, f
+
+
+@pytest.mark.parametrize("problem", ["2d_symmetric_gauge", "1d_zero_field"])
+def test_reduced_eigensolve_matches_complex_eigh(problem, egorov_2d):
+    heff, fld, grid, f = egorov_2d if problem == "2d_symmetric_gauge" else _one_dim_zero_field()
+    M = _hermitian_op(heff, fld, grid)
+    assert np.iscomplexobj(M)
+    prop = Propagator.of(M, fld.eps, grid.ns)
+    expected = np.array([[0, 1], [1, 0]]) if grid.dim == 2 else np.eye(1)
+    assert np.array_equal(prop.symmetry, expected)
+    assert prop.symmetry_defect <= quantum.GRID_SYMMETRY_TOL
+    w, U = np.linalg.eigh(M)
+    assert np.abs(prop.w - w).max() <= 1e-12 * np.abs(w).max()
+    f_op = quantize(sample_broadcast(f, grid), fld, assume_bandlimited=True)
+    iw = grid.interior_indices(0.5)
+    ref = Propagator(w=w, U=U, eps=fld.eps).conjugate(f_op.matrix, 0.3, iw)
+    out = prop.conjugate(f_op.matrix, 0.3, iw)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _swap_broken(M, size=1e-10):
+    """M plus a Hermitian perturbation of relative size `size` on one
+    off-diagonal pair, which no grid involution maps onto itself."""
+    M = M.copy()
+    M[0, 1] += size * np.abs(M).max() * (1 + 1j)
+    M[1, 0] = np.conj(M[0, 1])
+    return M
+
+
+def test_broken_symmetry_takes_the_complex_eigh_bit_for_bit(egorov_2d):
+    heff, fld, grid, _ = egorov_2d
+    M = _swap_broken(_hermitian_op(heff, fld, grid))
+    prop = Propagator.of(M, fld.eps, grid.ns)
+    assert prop.symmetry is None
+    assert prop.symmetry_defect > quantum.GRID_SYMMETRY_TOL
+    w, U = np.linalg.eigh(M)
+    assert np.array_equal(prop.w, w) and np.array_equal(prop.U, U)
+
+
+def test_real_hamiltonian_takes_the_real_eigh_bit_for_bit():
+    H = realspace_hamiltonian(BOX, mathieu_potential(1.0), EMFieldConfig.zero(1, eps=0.1))
+    prop = Propagator.of(H, 0.1)
+    w, U = np.linalg.eigh(H)
+    assert np.array_equal(prop.w, w) and np.array_equal(prop.U, U)
+    assert np.array_equal(prop.symmetry, np.eye(1)) and prop.symmetry_defect == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_egorov_error_reduced_matches_complex_path(seed, monkeypatch):
+    """The 2-D Egorov error through the pair-basis solve agrees with the
+    complex eigh to the benchmark reference gate's rtol 1e-6."""
+    heff, fld, grid, f = _egorov_2d_inputs(seed)
+    reduced_calls = []
+    pair_basis_eigh = quantum._pair_basis_eigh
+    monkeypatch.setattr(quantum, "_pair_basis_eigh",
+                        lambda H, p: reduced_calls.append(p) or pair_basis_eigh(H, p))
+    kwargs = dict(t=0.3, dt=0.05, flow_shape=(9, 9))
+    reduced = egorov_error(f, heff, grid, fld, **kwargs)
+    assert len(reduced_calls) == 1
+    monkeypatch.setattr(quantum, "_grid_symmetry", lambda H, ns: (None, None, np.inf))
+    full = egorov_error(f, heff, grid, fld, **kwargs)
+    assert len(reduced_calls) == 1
+    assert abs(reduced - full) <= 1e-6 * full
+
+
+def test_propagator_rejects_a_grid_shape_that_does_not_fit_h():
+    with pytest.raises(QuantumError, match="does not index"):
+        Propagator.of(np.eye(60, dtype=complex), 0.1, (5, 5))
+
+
+def test_grid_involutions_map_the_grid_onto_itself():
+    for ns, count in (((7,), 2), ((5, 5), 6), ((5, 7), 4), ((3, 3, 3), 20), ((4,), 1)):
+        pairs = quantum.grid_involutions(ns)
+        assert len(pairs) == count, ns
+        assert np.array_equal(pairs[0][0], np.eye(len(ns)))
+        for S, p in pairs:
+            assert np.array_equal(np.sort(p), np.arange(np.prod(ns)))
+            assert np.array_equal(p[p], np.arange(np.prod(ns)))
+            pts = np.indices(ns).reshape(len(ns), -1).T - (np.array(ns) - 1) // 2
+            assert np.array_equal(pts[p], pts @ S.T)
+
+
+_PREFLIGHT_CHILD = """
+import json, sys
+import numpy as np
+from peierls_lab import quantum
+
+def peak_rss():         # VmHWM, unlike ru_maxrss, starts afresh at exec
+    with open("/proc/self/status") as fh:
+        return next(1024 * int(line.split()[1]) for line in fh if line.startswith("VmHWM"))
+
+checked = {}
+quantum.check_dense_memory = lambda what, grid, nbytes: checked.setdefault(what, nbytes)
+H = np.load(sys.argv[1])
+for dtype in (float, complex):          # page LAPACK in before measuring
+    np.linalg.eigh(np.eye(64, dtype=dtype))
+before = peak_rss()
+prop = quantum.Propagator.of(H, 0.1, (21, 21))
+print(json.dumps({"checked": checked["Propagator.of"], "growth": peak_rss() - before,
+                  "reduced": prop.symmetry is not None}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize("path", ["pair_basis", "complex_fallback"])
+def test_propagator_preflight_covers_measured_peak(path, egorov_2d, tmp_path):
+    """At N = 441 the peak resident set of Propagator.of, measured in a fresh
+    interpreter after LAPACK is paged in, grows by less than the bytes its
+    preflight checked, on either path.  LAPACK works in arrays it allocates
+    itself, which tracemalloc does not see, so the peak RSS is read instead;
+    one BLAS thread keeps OpenBLAS's per-thread buffers out of the figure."""
+    heff, fld, grid, _ = egorov_2d
+    M = _hermitian_op(heff, fld, grid)
+    np.save(tmp_path / "H.npy", M if path == "pair_basis" else _swap_broken(M))
+    src = os.path.dirname(os.path.dirname(quantum.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _PREFLIGHT_CHILD, str(tmp_path / "H.npy")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    rec = json.loads(out.stdout)
+    assert rec["reduced"] == (path == "pair_basis")
+    assert 0 < rec["growth"] <= rec["checked"]
