@@ -18,6 +18,7 @@ Each report records both under "threads"; the CSVs do not depend on them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -216,20 +217,16 @@ def run_geometry(cfg: RunConfig, out: Path) -> dict:
     bands = solve_bands(pot, grid, cfg.numerics.cutoff, cfg.numerics.n_bands)
     geom = geometric_tensors(bands, cfg.numerics.band_index)
     d = lat.dim
+    planes = list(itertools.combinations(range(d), 2))
     header = [f"k{i+1}_inv_length" for i in range(d)] + \
         [f"A{i+1}_length" for i in range(d)] + \
-        [f"M{i+1}{j+1}_energy_length2" for i in range(d) for j in range(d)]
-    if d == 2:
-        header.append("Omega12_length2")
-    rows = []
+        [f"M{i+1}{j+1}_energy_length2" for i in range(d) for j in range(d)] + \
+        [f"Omega{a+1}{b+1}_length2" for a, b in planes]
     A = geom.connection.reshape(-1, d)
     M = geom.rw.reshape(-1, d, d)
     Om = geom.curvature.reshape(-1, d, d)
-    for p in range(grid.n_points):
-        row = list(grid.points[p]) + list(A[p]) + list(M[p].ravel())
-        if d == 2:
-            row.append(Om[p, 0, 1])
-        rows.append(row)
+    rows = [list(grid.points[p]) + list(A[p]) + list(M[p].ravel()) +
+            [Om[p, a, b] for a, b in planes] for p in range(grid.n_points)]
     write_csv(out / "geometry.csv", header, rows)
     metrics = dict(geom.diagnostics)
     # gauge invariance under re-randomized input phases
@@ -242,7 +239,7 @@ def run_geometry(cfg: RunConfig, out: Path) -> dict:
                   float(np.abs(geom.rw - geom2.rw).max()))
     metrics["gauge_invariance_dev"] = inv_dev
     checks = {}
-    if d == 2:
+    if geom.chern is not None:
         metrics["chern"] = geom.chern
         metrics["chern_integrality"] = abs(geom.chern - round(geom.chern))
         if "chern_tol" in cfg.numerics.tolerances:

@@ -173,10 +173,15 @@ def parse_config(text: str) -> RunConfig:
     if phi_raw.get("preset") == "cosine" and _is_a(dim, int) and dim > 2:
         # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
         problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")
-    if exp in ("egorov", "flow", "geometry") and _is_a(dim, int) and dim > 2:
-        # each runs its band through geometry.fix_gauge
-        problems.append(f"lattice.dim: experiment {exp!r} needs lattice.dim <= 2, "
-                        "the limit of gauge fixing")
+    if exp == "egorov" and _is_a(dim, int) and dim > 2:
+        # dense N x N operators on the n^d position grid (n ~ macro_box / eps):
+        # a 3-D run at n = 9, then 13, was still going after 5 minutes at
+        # 1.8 GB peak RSS on a 2-vCPU machine
+        problems.append("lattice.dim: experiment 'egorov' needs lattice.dim <= 2, "
+                        "the limit of its dense n^d x n^d operators")
+    if exp == "propagate" and _is_a(dim, int) and dim != 1:
+        # quantum.semiclassical_limit_check is one-dimensional
+        problems.append("lattice.dim: experiment 'propagate' needs lattice.dim == 1")
     period = phi_raw.get("period")
     if _is_a(period, (int, float)) and period <= 0:
         problems.append("field.phi.period: must be a positive number")

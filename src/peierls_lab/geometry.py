@@ -1,20 +1,27 @@
-"""Gauge fixing and geometric band data on k-grids.
+"""Gauge fixing and geometric band data on k-grids of any dimension d.
 
-A smooth periodic gauge is built by parallel transport along grid lines with
-the loop phase distributed uniformly, so that centered finite differences of
-the frame are second-order accurate everywhere, including across the zone
-boundary (closed with the exact dual-lattice index shift).  The curvature is
-computed from plaquette link phases, which is manifestly gauge invariant and
-produces integer Chern numbers without any gauge-obstruction bookkeeping.
+A smooth periodic gauge is built by recursion over the axes: the slice
+k_d = 0 is gauged as a (d-1)-dimensional field, and every point of it is
+parallel-transported along the last axis with the loop phase distributed
+uniformly.  Centered finite differences of the frame are then second-order
+accurate everywhere, including across the zone boundary (closed with the
+exact dual-lattice index shift).  The loop phases must lift continuously over
+the (d-1)-torus; a winding is a nonzero Chern number and has no smooth
+periodic gauge.  The curvature is computed from plaquette link phases in
+every coordinate plane, which is manifestly gauge invariant and produces
+integer Chern numbers without any gauge-obstruction bookkeeping.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import DEGENERACY_TOL, BandStructure, FiberError, fiber_terms
+from .fiber import DEGENERACY_TOL, BandStructure, fiber_terms
+from .lattice import bz_coefficients
 
 __all__ = [
     "Frame",
@@ -49,10 +56,15 @@ class Frame:
     def kgrid(self):
         return self.bands.kgrid
 
-    def shifted(self, vecs: np.ndarray, coeff_shift) -> np.ndarray:
-        """Apply the dual-translation index shift to a stack of vectors."""
-        S = self.bands.basis.shift_matrix(coeff_shift)
-        return vecs @ S.T
+
+def _translate(basis, vecs: np.ndarray, axis: int, c: int) -> np.ndarray:
+    """A stack of vectors continued across c dual translations along axis
+    (the dual-translation index shift)."""
+    if c == 0:
+        return vecs
+    n_shift = np.zeros(basis.lattice.dim, dtype=int)
+    n_shift[axis] = c
+    return vecs @ basis.shift_matrix(n_shift).T
 
 
 def _link_jumps(kgrid, axis: int) -> np.ndarray:
@@ -61,134 +73,110 @@ def _link_jumps(kgrid, axis: int) -> np.ndarray:
     alpha_{j+1} - alpha_j = 1/n + c_j with c_j integer (c_j = -1 at the seam).
     """
     n = kgrid.shape[axis]
-    from .lattice import bz_coefficients
-    # alpha along this axis for a line of points varying only in `axis`
-    idx = [0] * len(kgrid.shape)
-    coords = []
-    for j in range(n):
-        idx[axis] = j
-        flat = np.ravel_multi_index(tuple(idx), kgrid.shape)
-        coords.append(bz_coefficients(kgrid.points[flat], kgrid.lattice)[axis]
-                      if kgrid.dim > 1 else
-                      bz_coefficients(kgrid.points[flat], kgrid.lattice).item())
-    coords = np.asarray(coords)
-    nxt = np.roll(coords, -1)
-    jumps = nxt - coords - 1.0 / n
+    # the line of points varying only in `axis`
+    line = [0] * kgrid.dim
+    line[axis] = slice(None)
+    coords = bz_coefficients(kgrid.reshape(kgrid.points)[tuple(line)],
+                             kgrid.lattice)[:, axis]
+    jumps = np.roll(coords, -1) - coords - 1.0 / n
     out = np.round(jumps).astype(int)
     if np.abs(jumps - out).max() > 1e-9:
         raise GaugeError("k-grid is not uniform along axis %d" % axis)
     return out
 
 
-def _transport_line(vectors: np.ndarray, shift_of, jumps: np.ndarray,
-                    axis_unit, anchor: bool, distribute: bool = True):
-    """Parallel transport along one closed line; returns (phased vectors, loop phase).
+def _lift(theta: np.ndarray, axis: int) -> np.ndarray:
+    """Continuous lift of the loop phases of the lines along `axis` over the
+    torus of their base points, one torus axis at a time.
 
-    vectors: (n, D) stored eigenvectors along the line (wrapped representatives).
-    shift_of(vecs, c): tau-shift for integer jump c along this axis.
-    With distribute=False the raw transported line is returned together with
-    the loop phase, so the caller can spread an unwrapped phase instead.
+    A winding of the phases along torus axis a is the Chern number of the
+    plane (a, axis), which obstructs a smooth periodic gauge: GaugeError.
     """
-    n = vectors.shape[0]
+    for a in range(theta.ndim):
+        # torus axis a is at the front here; each pass moves it to the back
+        steps = np.angle(np.exp(1j * (np.roll(theta, -1, axis=0) - theta)))
+        winding = np.round(np.sum(steps, axis=0) / (2 * np.pi))
+        if np.any(winding != 0):
+            raise GaugeError(
+                f"loop phases along axis {axis} wind {int(winding[winding != 0][0])} "
+                f"times along axis {a}: a nonzero Chern number in plane "
+                f"({a}, {axis}) obstructs a smooth periodic gauge")
+        rise = np.cumsum(steps[:-1], axis=0)
+        theta = np.moveaxis(theta[0] + np.concatenate((np.zeros_like(theta[:1]), rise)), 0, -1)
+    return theta
+
+
+def _smooth_gauge(vectors: np.ndarray, jumps, shift) -> np.ndarray:
+    """Smooth periodic gauge of an (n_1, ..., n_m, D) vector field.
+
+    The closure of the torus: jumps[a] holds the integer jumps across the
+    links along axis a (_link_jumps), and shift(v, a, c) continues vectors v
+    across c dual translations along axis a (_translate).  One vector (m = 0)
+    is anchored: its first significant component becomes real positive.
+    """
+    if vectors.ndim == 1:
+        iref = int(np.argmax(np.abs(vectors) > 1e-8 * np.abs(vectors).max()))
+        return vectors * np.conj(vectors[iref] / abs(vectors[iref]))
+    axis = vectors.ndim - 2
+    n = vectors.shape[-2]
     out = vectors.copy()
-    if anchor:
-        v0 = out[0]
-        iref = int(np.argmax(np.abs(v0) > 1e-8 * np.abs(v0).max()))
-        ph = v0[iref] / abs(v0[iref])
-        out[0] = v0 * np.conj(ph)
+    out[..., 0, :] = _smooth_gauge(vectors[..., 0, :], jumps[:-1], shift)
     cum = 0
-    chart_prev = out[0]
-    for j in range(1, n):
-        cum += int(jumps[j - 1])
-        w = out[j] if cum == 0 else shift_of(out[j][None, :], cum * np.asarray(axis_unit))[0]
-        ov = np.vdot(chart_prev, w)
-        if abs(ov) < 1e-6:
+    chart = out[..., 0, :]
+    for j in range(1, n + 1):
+        # step j = n closes the loop onto the start of the line
+        cum += int(jumps[-1][j - 1])
+        w = shift(out[..., j % n, :], axis, cum)
+        ov = (np.conj(chart)[..., None, :] @ w[..., :, None])[..., 0, 0]
+        if j == n:
+            break
+        # hypot, not np.abs: numpy rounds a complex abs differently on arrays
+        # and on scalars, and a line's frame must not depend on its batch
+        size = np.hypot(ov.real, ov.imag)
+        if size.min() < 1e-6:
             raise GaugeError("parallel transport lost overlap (grid too coarse)")
-        ph = np.conj(ov) / abs(ov)
-        chart_prev = w * ph
-        out[j] = out[j] * ph
-    cum += int(jumps[n - 1])
-    closure = out[0] if cum == 0 else shift_of(out[0][None, :], cum * np.asarray(axis_unit))[0]
-    w_loop = np.vdot(chart_prev, closure)
-    theta = float(np.angle(w_loop))
-    if theta < -np.pi + 1e-7:
-        # holonomies at the branch cut (pi) must pick a deterministic side
-        theta += 2 * np.pi
-    if distribute:
-        # spread the loop phase so every link carries the same tiny angle
-        out *= np.exp(1j * np.arange(n) * theta / n)[:, None]
-    return out, theta
+        ph = (np.conj(ov) / size)[..., None]
+        chart = w * ph
+        out[..., j, :] *= ph
+    theta = np.angle(ov)
+    # holonomies at the branch cut (pi) must pick a deterministic side
+    theta = np.where(theta < -np.pi + 1e-7, theta + 2 * np.pi, theta)
+    theta = _lift(theta, axis)
+    # spread the loop phase so every link carries the same tiny angle
+    out *= np.exp(1j * np.arange(n) * theta[..., None] / n)[..., None]
+    return out
 
 
 def fix_gauge(bands: BandStructure, band: int) -> Frame:
-    """Smooth periodic gauge for a non-degenerate band (d = 1 or 2).
+    """Smooth periodic gauge for a non-degenerate band on a k-grid of any d.
 
     Raises GaugeError if the band approaches a neighbor anywhere on the grid,
-    or (d = 2) if a nonzero Chern number obstructs a smooth periodic gauge.
+    or if a nonzero Chern number obstructs a smooth periodic gauge.
     """
     grid = bands.kgrid
-    d = grid.dim
-    gaps_lo = np.full(grid.n_points, np.inf)
-    gaps_hi = bands.guard_energies - bands.energies[band] \
-        if band + 1 >= bands.n_bands else bands.energies[band + 1] - bands.energies[band]
-    if band > 0:
-        gaps_lo = bands.energies[band] - bands.energies[band - 1]
-    gmin = np.minimum(gaps_lo, gaps_hi)
+    E = bands.energies
+    upper = E[band + 1] if band + 1 < bands.n_bands else bands.guard_energies
+    lower = E[band - 1] if band > 0 else np.full(grid.n_points, -np.inf)
+    gmin = np.minimum(E[band] - lower, upper - E[band])
     worst = int(np.argmin(gmin))
     if gmin[worst] < DEGENERACY_TOL:
         raise GaugeError(
             f"band {band} degenerate at k = {bands.kgrid.points[worst]} "
             f"(separation {gmin[worst]:.3e})")
-    vecs = bands.frame(band).copy()
-    shift_of = lambda v, c: v @ bands.basis.shift_matrix(c).T
-
-    if d == 1:
-        jumps = _link_jumps(grid, 0)
-        line, _ = _transport_line(vecs, shift_of, jumps, [1], anchor=True)
-        return Frame(bands=bands, band=band, vectors=line)
-    if d == 2:
-        n1, n2 = grid.shape
-        j0 = _link_jumps(grid, 0)
-        j1 = _link_jumps(grid, 1)
-        row0, _ = _transport_line(vecs[:, 0, :], shift_of, j0, [1, 0], anchor=True)
-        vecs[:, 0, :] = row0
-        thetas = np.empty(n1)
-        for i in range(n1):
-            col, th = _transport_line(vecs[i], shift_of, j1, [0, 1],
-                                      anchor=False, distribute=False)
-            vecs[i] = col
-            thetas[i] = th
-        # winding of the column loop phases over the closed i-cycle
-        steps = np.angle(np.exp(1j * (np.roll(thetas, -1) - thetas)))
-        winding = int(np.round((np.sum(steps)) / (2 * np.pi)))
-        if winding != 0:
-            raise GaugeError(
-                f"column loop phases wind {winding} times: nonzero Chern number "
-                "obstructs a smooth periodic gauge")
-        theta_cont = thetas[0] + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-        vecs *= np.exp(1j * np.arange(n2)[None, :] * theta_cont[:, None] / n2)[:, :, None]
-        return Frame(bands=bands, band=band, vectors=vecs)
-    raise GaugeError("gauge fixing implemented for d <= 2")
+    jumps = [_link_jumps(grid, ax) for ax in range(grid.dim)]
+    vectors = _smooth_gauge(bands.frame(band), jumps,
+                            functools.partial(_translate, bands.basis))
+    return Frame(bands=bands, band=band, vectors=vectors)
 
 
 def _neighbor(frame: Frame, axis: int, step: int) -> np.ndarray:
     """Neighbor vectors along axis with equivariant closure, same shape as frame."""
-    grid = frame.kgrid
-    jumps = _link_jumps(grid, axis)
-    vecs = np.moveaxis(frame.vectors, axis, 0)
-    rolled = np.roll(vecs, -step, axis=0)
-    n = grid.shape[axis]
-    unit = np.zeros(grid.dim, dtype=int)
-    unit[axis] = 1
-    out = rolled.copy()
-    for j in range(n):
-        if step == 1:
-            c = int(jumps[j])
-        else:
-            c = -int(jumps[(j - 1) % n])
-        if c != 0:
-            flat = out[j].reshape(-1, out.shape[-1])
-            out[j] = frame.shifted(flat, c * unit).reshape(out[j].shape)
+    jumps = _link_jumps(frame.kgrid, axis)
+    # jump crossed from point j to its neighbor j + step
+    cross = jumps if step == 1 else -np.roll(jumps, 1)
+    out = np.moveaxis(np.roll(frame.vectors, -step, axis=axis), axis, 0).copy()
+    for j in np.flatnonzero(cross):
+        out[j] = _translate(frame.bands.basis, out[j], axis, int(cross[j]))
     return np.moveaxis(out, 0, axis)
 
 
@@ -198,13 +186,9 @@ def _k_derivatives(frame: Frame) -> np.ndarray:
     Returns (d, grid shape..., D): component m is d(phi)/dk_m.
     """
     grid = frame.kgrid
-    d = grid.dim
-    dalpha = []
-    for ax in range(d):
-        plus = _neighbor(frame, ax, +1)
-        minus = _neighbor(frame, ax, -1)
-        dalpha.append((plus - minus) * (grid.shape[ax] / 2.0))
-    dalpha = np.stack(dalpha)  # derivative w.r.t. alpha_ax
+    # derivative w.r.t. alpha_ax
+    dalpha = np.stack([(_neighbor(frame, ax, +1) - _neighbor(frame, ax, -1)) * (n / 2.0)
+                       for ax, n in enumerate(grid.shape)])
     # dk/dalpha_j = e*_j  =>  d/dk_m = sum_j (basis[j,m]/2pi) d/dalpha_j
     T = grid.lattice.basis / (2 * np.pi)  # (j, m)
     return np.tensordot(T.T, dalpha, axes=([1], [0]))
@@ -237,14 +221,14 @@ def wilson_loop(frame: Frame, axis: int = 0, index=None) -> np.ndarray:
 
 
 def curvature_from_vectors(vectors: np.ndarray, closure=None):
-    """Plaquette curvature angles for a (n1, n2, D) eigenvector field.
+    """Plaquette curvature angles for an (n1, n2, ..., D) eigenvector field.
 
+    The plaquettes span the first two axes, batched over any axes before D.
     closure: optional pair of callables (close_axis0, close_axis1) mapping the
-    (m, D) boundary stack to its continuation; defaults to periodic wrap.
-    Returns the (n1, n2) array of plaquette angles; their sum / 2 pi is the
-    Chern number.  Raises GaugeError if any plaquette phase reaches pi.
+    (m, ..., D) boundary stack to its continuation; defaults to periodic wrap.
+    Returns the (n1, n2, ...) plaquette angles; minus their plane sum / 2 pi
+    is the Chern number.  Raises GaugeError if any plaquette phase reaches pi.
     """
-    n1, n2, D = vectors.shape
     vp1 = np.roll(vectors, -1, axis=0)
     vp2 = np.roll(vectors, -1, axis=1)
     vp12 = np.roll(vp1, -1, axis=1)
@@ -254,10 +238,10 @@ def curvature_from_vectors(vectors: np.ndarray, closure=None):
         vp12[-1] = c0(vp2[0])
         vp2[:, -1] = c1(vectors[:, 0])
         vp12[:, -1] = c1(vp1[:, 0])
-    u1 = np.einsum("ijc,ijc->ij", np.conj(vectors), vp1)
-    u2 = np.einsum("ijc,ijc->ij", np.conj(vp1), vp12)
-    u3 = np.einsum("ijc,ijc->ij", np.conj(vp12), vp2)
-    u4 = np.einsum("ijc,ijc->ij", np.conj(vp2), vectors)
+    u1 = np.einsum("ij...c,ij...c->ij...", np.conj(vectors), vp1)
+    u2 = np.einsum("ij...c,ij...c->ij...", np.conj(vp1), vp12)
+    u3 = np.einsum("ij...c,ij...c->ij...", np.conj(vp12), vp2)
+    u4 = np.einsum("ij...c,ij...c->ij...", np.conj(vp2), vectors)
     loop = u1 * u2 * u3 * u4
     ang = np.angle(loop)
     if np.abs(ang).max() >= np.pi - 1e-9:
@@ -271,42 +255,59 @@ def chern_from_vectors(vectors: np.ndarray, closure=None) -> float:
     return float(-np.sum(ang) / (2 * np.pi))
 
 
-def berry_curvature(frame: Frame):
-    """Berry curvature field and Chern number on a 2-d k-grid.
+def _plane_cofactors(dual: np.ndarray) -> np.ndarray:
+    """C[a, b, m, n] = det(dual) x the (m, n) Cartesian component of a unit
+    alpha-space 2-form in the plane (a, b), for a < b.
 
-    Returns (Omega, chern): Omega has shape (grid..., d, d), antisymmetric,
-    in Cartesian components; chern is the float plaquette sum / 2 pi.
+    That component is the 2x2 minor of dual^-1 = basis.T / 2 pi, the map of
+    _k_derivatives.  By Jacobi's theorem it is the signed complementary minor
+    of dual over det(dual): exactly 1 / det(dual) in 2-D.
+    """
+    d = len(dual)
+    out = np.zeros((d,) * 4)
+    planes = list(itertools.combinations(range(d), 2))
+    for (a, b), (m, n) in itertools.product(planes, planes):
+        minor = np.delete(np.delete(dual, (a, b), axis=0), (m, n), axis=1)
+        out[a, b, m, n] = (-1) ** (a + b + m + n) * np.linalg.det(minor)
+    return out - np.swapaxes(out, 2, 3)
+
+
+def berry_curvature(frame: Frame):
+    """Berry curvature field and Chern number on a k-grid of any d.
+
+    Each coordinate plane (a, b) gives plaquette angles on all its parallel
+    slices at once.  Returns (Omega, chern): Omega (grid..., d, d) is
+    antisymmetric, in Cartesian components (zeros in 1-D, which has no
+    planes); chern is the signed Chern number (float plaquette sum / 2 pi)
+    of largest magnitude over all planes and slices, None in 1-D.
     """
     grid = frame.kgrid
-    if grid.dim != 2:
-        raise GaugeError("curvature/Chern requires a 2-d grid")
-    n1, n2 = grid.shape
-    unit0 = np.array([1, 0])
-    unit1 = np.array([0, 1])
-    j0 = _link_jumps(grid, 0)
-    j1 = _link_jumps(grid, 1)
+    d = grid.dim
+    jumps = [_link_jumps(grid, ax) for ax in range(d)]
 
-    def close0(stack):
-        c = int(j0[-1])
-        return stack if c == 0 else frame.shifted(stack, c * unit0)
+    def close(axis):
+        return lambda stack: _translate(frame.bands.basis, stack, axis,
+                                        int(jumps[axis][-1]))
 
-    def close1(stack):
-        c = int(j1[-1])
-        return stack if c == 0 else frame.shifted(stack, c * unit1)
-
-    # mid-grid seams only occur on zero-anchored grids, which are not used
-    # for geometry; verify and fall back to a hard error otherwise
-    if np.any(j0[:-1] != 0) or np.any(j1[:-1] != 0):
-        raise GaugeError("curvature requires a centered (seam-free) k-grid")
-    ang = curvature_from_vectors(frame.vectors, (close0, close1))
-    chern = float(-np.sum(ang) / (2 * np.pi))
-    # plaquette angle ~ -Omega^alpha_12 * dalpha1 * dalpha2
+    cofactors = _plane_cofactors(grid.lattice.dual)
     det_dual = float(np.linalg.det(grid.lattice.dual))
-    omega12 = -ang * (n1 * n2) / det_dual
-    Omega = np.zeros(grid.shape + (2, 2))
-    Omega[..., 0, 1] = omega12
-    Omega[..., 1, 0] = -omega12
-    return Omega, chern
+    Omega = np.zeros(grid.shape + (d, d))
+    cherns = []
+    for a, b in itertools.combinations(range(d), 2):
+        # mid-grid seams only occur on zero-anchored grids, which are not used
+        # for geometry; verify and fall back to a hard error otherwise
+        if np.any(jumps[a][:-1] != 0) or np.any(jumps[b][:-1] != 0):
+            raise GaugeError("curvature requires a centered (seam-free) k-grid")
+        ang = curvature_from_vectors(np.moveaxis(frame.vectors, (a, b), (0, 1)),
+                                     (close(a), close(b)))
+        cherns.append(np.ravel(-np.sum(ang, axis=(0, 1)) / (2 * np.pi)))
+        # plaquette angle ~ -Omega^alpha_ab * dalpha_a * dalpha_b
+        omega = -ang * (grid.shape[a] * grid.shape[b]) / det_dual
+        Omega += np.moveaxis(omega, (0, 1), (a, b))[..., None, None] * cofactors[a, b]
+    if not cherns:
+        return Omega, None
+    cherns = np.concatenate(cherns)
+    return Omega, float(cherns[np.argmax(np.abs(cherns))])
 
 
 def rammal_wilkinson(bands: BandStructure, frame: Frame):
@@ -317,10 +318,7 @@ def rammal_wilkinson(bands: BandStructure, frame: Frame):
     """
     grid = frame.kgrid
     d = grid.dim
-    dphi = _k_derivatives(frame)  # (d, grid..., D)
-    N = grid.n_points
-    D = bands.basis.size
-    x = dphi.reshape(d, N, D)
+    x = _k_derivatives(frame).reshape(d, grid.n_points, -1)  # (d, N, D)
     # (H(k) - E) x = V x + (kin(k) - E) x, all k-points at once
     V, kin = fiber_terms(bands.potential, bands.basis, bands.kgrid.points)
     w = x @ V.T + (kin - bands.energies[frame.band][:, None]) * x
@@ -336,8 +334,9 @@ def rammal_wilkinson(bands: BandStructure, frame: Frame):
 class GeometricTensors:
     """Geometric data of one band on its k-grid.
 
-    connection : (grid..., d); curvature : (grid..., d, d) (zeros in 1D);
-    rw : (grid..., d, d); chern : float or None; diagnostics carry the
+    connection : (grid..., d); curvature : (grid..., d, d) (zeros in 1-D);
+    rw : (grid..., d, d); chern : the plane Chern number of largest
+    magnitude (berry_curvature), None in 1-D; diagnostics carry the
     imaginary residues of the stencils.
     """
 
@@ -357,12 +356,7 @@ def geometric_tensors(bands: BandStructure, band: int) -> GeometricTensors:
     """Full geometric pipeline: gauge, connection, curvature, RW tensor."""
     frame = fix_gauge(bands, band)
     A, res_a = berry_connection(frame)
-    grid = frame.kgrid
-    if grid.dim == 2:
-        Omega, chern = berry_curvature(frame)
-    else:
-        Omega = np.zeros(grid.shape + (grid.dim, grid.dim))
-        chern = None
+    Omega, chern = berry_curvature(frame)
     M, res_m = rammal_wilkinson(bands, frame)
     return GeometricTensors(
         frame=frame, connection=A, curvature=Omega, rw=M, chern=chern,

@@ -1,14 +1,17 @@
 import dataclasses
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from peierls_lab.fiber import (FourierPotential, mathieu_potential,
                                potential_2d, solve_bands)
-from peierls_lab.geometry import (GaugeError, berry_connection, berry_curvature,
-                                  chern_from_vectors, fix_gauge,
-                                  geometric_tensors, rammal_wilkinson,
-                                  wilson_loop)
+from peierls_lab.geometry import (Frame, GaugeError, _smooth_gauge,
+                                  berry_connection, berry_curvature,
+                                  chern_from_vectors, curvature_from_vectors,
+                                  fix_gauge, geometric_tensors,
+                                  rammal_wilkinson, wilson_loop)
 from peierls_lab.lattice import Lattice, make_kgrid
 
 LAT1 = Lattice.cubic(1)
@@ -235,3 +238,148 @@ def test_stencil_convergence_second_order():
         errs.append(np.abs(A.ravel() - shared_ref).max())
     rate = np.log(errs[0] / errs[1]) / np.log(3.0)
     assert 1.7 < rate < 2.3
+
+
+LAT3 = Lattice.cubic(3)
+
+
+def identity_closure(vecs, axis, c):
+    return vecs
+
+
+@pytest.mark.parametrize("stack_axis", [None, 0, 1, 2])
+@pytest.mark.parametrize("m", [1.0, -1.0, 3.0])
+def test_gauge_obstruction_dirac(m, stack_axis):
+    # a nonzero Chern number has no smooth periodic gauge; the 3-D stacks put
+    # the Dirac plane through the last axis (0, 1) or inside the recursion (2)
+    v, _ = dirac_family(m)
+    if stack_axis is not None:
+        v = np.stack([v] * 5, axis=stack_axis)
+    jumps = [np.zeros(n, dtype=int) for n in v.shape[:-1]]
+    if m != 3.0:
+        plane = {None: "(0, 1)", 0: "(1, 2)", 1: "(0, 2)", 2: "(0, 1)"}[stack_axis]
+        with pytest.raises(GaugeError, match=re.escape(
+                f"nonzero Chern number in plane {plane}")):
+            _smooth_gauge(v, jumps, identity_closure)
+        return
+    out = _smooth_gauge(v, jumps, identity_closure)
+    # a rephasing of the input that is smooth across every link, wrap included
+    assert np.abs(np.abs(np.einsum("...c,...c->...", np.conj(out), v)) - 1).max() < 1e-12
+    for ax in range(v.ndim - 1):
+        links = np.einsum("...c,...c->...", np.conj(out), np.roll(out, -1, axis=ax))
+        assert np.abs(np.angle(links)).max() < 0.1
+
+
+def test_chern_is_the_signed_largest_over_planes_and_slices():
+    # Dirac layers with Chern numbers 0, 0, -1 stacked along k_3; the
+    # two-component vectors continue across the zone boundary unchanged
+    ms = (3.0, 3.0, 1.0)
+    v = np.stack([dirac_family(m)[0] for m in ms], axis=2)
+    basis = SimpleNamespace(lattice=LAT3, shift_matrix=lambda n_shift: np.eye(2))
+    bands = SimpleNamespace(kgrid=make_kgrid(LAT3, v.shape[:-1]), basis=basis)
+    Omega, chern = berry_curvature(Frame(bands=bands, band=0, vectors=v))
+    assert abs(chern + 1) < 1e-10
+    # the Cartesian field of a layer is its plaquette angles over the plaquette area
+    layer = -curvature_from_vectors(dirac_family(1.0)[0]) * (31 / (2 * np.pi)) ** 2
+    assert np.abs(Omega[:, :, 2, 0, 1] - layer).max() < 1e-12
+
+
+def separable_3d(v=1.0):
+    """V(x) + V(y) + V(z) with the Mathieu V of mathieu_potential(v)."""
+    return FourierPotential(LAT3, {
+        n: v for ax in range(3) for n in (tuple(np.eye(3, dtype=int)[ax]),
+                                          tuple(-np.eye(3, dtype=int)[ax]))})
+
+
+PRODUCT_2D = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
+              (1, 1): 0.6 * np.exp(0.9j), (-1, -1): 0.6 * np.exp(-0.9j)}
+
+
+def product_coefficients(plane=(0, 1)):
+    """V2 on the axes of `plane` (PRODUCT_2D, inversion broken by its (1, 1)
+    coefficient) plus a Mathieu V1 on the third axis."""
+    third = 3 - sum(plane)
+    coeffs = {}
+    for (i, j), c in PRODUCT_2D.items():
+        n = [0, 0, 0]
+        n[plane[0]], n[plane[1]] = i, j
+        coeffs[tuple(n)] = c
+    for s in (1, -1):
+        coeffs[tuple(s * np.eye(3, dtype=int)[third])] = 1.0
+    return coeffs
+
+
+@pytest.fixture(scope="module")
+def product_3d():
+    bands = solve_bands(FourierPotential(LAT3, product_coefficients()),
+                        make_kgrid(LAT3, 7), 2, 2)
+    return bands, geometric_tensors(bands, 0)
+
+
+def test_separable_3d_is_three_1d_bands():
+    bands = solve_bands(separable_3d(), make_kgrid(LAT3, 7), 2, 2)
+    geom = geometric_tensors(bands, 0)
+    line = solve_bands(mathieu_potential(1.0), make_kgrid(LAT1, 7), 2, 2)
+    e = line.energies[0]
+    E = e[:, None, None] + e[None, :, None] + e[None, None, :]
+    assert np.abs(bands.kgrid.reshape(bands.energies[0]) - E).max() < 1e-12
+    zak = float(wilson_loop(fix_gauge(line, 0)))
+    for ax in range(3):
+        w = wilson_loop(geom.frame, ax)
+        assert w.shape == (7, 7)
+        assert np.abs(np.angle(np.exp(1j * (w - zak)))).max() < 1e-12
+    assert np.abs(geom.curvature).max() < 1e-12
+    assert np.abs(geom.rw).max() < 1e-12
+    assert abs(geom.chern) < 1e-12
+
+
+@pytest.mark.parametrize("plane", [(0, 1), (0, 2), (1, 2)])
+def test_product_3d_curvature_is_the_2d_band(product_3d, plane):
+    if plane == (0, 1):
+        _, g3 = product_3d
+    else:
+        g3 = geometric_tensors(solve_bands(FourierPotential(LAT3, product_coefficients(plane)),
+                                           make_kgrid(LAT3, 7), 2, 2), 0)
+    g2 = geometric_tensors(solve_bands(FourierPotential(LAT2, PRODUCT_2D),
+                                       make_kgrid(LAT2, 7), 2, 2), 0)
+    third = 3 - sum(plane)
+    om2 = np.expand_dims(g2.curvature[..., 0, 1], third)
+    m2 = np.expand_dims(g2.rw[..., 0, 1], third)
+    assert np.abs(om2).max() > 0.05 and np.abs(m2).max() > 1e-3
+    a, b = plane
+    assert np.abs(g3.curvature[..., a, b] - om2).max() < 1e-12
+    assert np.abs(g3.rw[..., a, b] - m2).max() < 1e-12
+    others = np.ones((3, 3), dtype=bool)
+    others[a, b] = others[b, a] = False
+    assert np.abs(g3.curvature[..., others]).max() < 1e-12
+    assert np.abs(g3.rw[..., others]).max() < 1e-12
+
+
+def test_rotated_lattice_3d_tensors_are_covariant(product_3d):
+    # the same integer-coefficient potential on a rotated lattice has the same
+    # bands in alpha coordinates, so Cartesian tensors turn with the rotation
+    _, g3 = product_3d
+    a, b = 0.7, 0.4
+    R = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]]) @ \
+        np.array([[1, 0, 0], [0, np.cos(b), -np.sin(b)], [0, np.sin(b), np.cos(b)]])
+    lat = Lattice.from_basis(R.T)
+    gr = geometric_tensors(solve_bands(FourierPotential(lat, product_coefficients()),
+                                       make_kgrid(lat, 7), 2, 2), 0)
+    turn = lambda T: np.einsum("mi,...ij,nj->...mn", R, T, R)
+    assert np.abs(gr.curvature - turn(g3.curvature)).max() < 1e-12
+    assert np.abs(gr.rw - turn(g3.rw)).max() < 1e-12
+    assert np.abs(gr.connection - g3.connection @ R.T).max() < 1e-12
+
+
+def test_full_pipeline_3d_gauge_invariants(product_3d):
+    bands, g1 = product_3d
+    rng = np.random.default_rng(7)
+    vecs = bands.vectors.copy()
+    vecs[0] = vecs[0] * np.exp(1j * rng.uniform(0, 2 * np.pi, vecs.shape[1]))[:, None]
+    g2 = geometric_tensors(dataclasses.replace(bands, vectors=vecs), 0)
+    assert np.abs(g1.curvature - g2.curvature).max() < 1e-10
+    assert np.abs(g1.rw - g2.rw).max() < 1e-10
+    assert abs(g1.chern - g2.chern) < 1e-10
+    assert abs(g1.chern - round(g1.chern)) < 1e-6
+    assert np.abs(g1.curvature + np.swapaxes(g1.curvature, -1, -2)).max() < 1e-12
+    assert np.abs(g1.rw + np.swapaxes(g1.rw, -1, -2)).max() < 1e-12
