@@ -183,20 +183,29 @@ def _build_field(cfg: RunConfig, dim: int, eps: float):
 # -- experiment runners ------------------------------------------------------
 
 
-def run_bands(cfg: RunConfig, out: Path) -> dict:
-    from .fiber import check_gap, solve_bands
+def _solve_configured_bands(cfg: RunConfig):
+    """Bands of the configured potential on the configured k-grid."""
+    # imported at call time, so a rebound fiber.solve_bands is the one used
+    from .fiber import solve_bands
     from .lattice import make_kgrid
     lat = _build_lattice(cfg)
-    pot = _build_potential(cfg, lat)
     grid = make_kgrid(lat, tuple(cfg.numerics.kgrid))
-    bands = solve_bands(pot, grid, cfg.numerics.cutoff, cfg.numerics.n_bands)
-    header = [f"k{i+1}_inv_length" for i in range(lat.dim)] + \
+    return solve_bands(_build_potential(cfg, lat), grid, cfg.numerics.cutoff,
+                       cfg.numerics.n_bands)
+
+
+def run_bands(cfg: RunConfig, out: Path) -> dict:
+    from .fiber import check_gap
+    bands = _solve_configured_bands(cfg)
+    grid = bands.kgrid
+    d = grid.dim
+    header = [f"k{i+1}_inv_length" for i in range(d)] + \
         [f"E{n}_energy" for n in range(bands.n_bands)]
     rows = [list(grid.points[p]) + list(bands.energies[:, p])
             for p in range(grid.n_points)]
     write_csv(out / "bands.csv", header, rows)
     emit_plotdata(out / "bands.dat", {
-        **{f"k{i+1}": grid.points[:, i] for i in range(lat.dim)},
+        **{f"k{i+1}": grid.points[:, i] for i in range(d)},
         **{f"E{n}": bands.energies[n] for n in range(bands.n_bands)}})
     gap = check_gap(bands, [cfg.numerics.band_index])
     metrics = {"gap": gap}
@@ -208,15 +217,11 @@ def run_bands(cfg: RunConfig, out: Path) -> dict:
 
 def run_geometry(cfg: RunConfig, out: Path) -> dict:
     import dataclasses as dc
-    from .fiber import solve_bands
     from .geometry import geometric_tensors, wilson_loop
-    from .lattice import make_kgrid
-    lat = _build_lattice(cfg)
-    pot = _build_potential(cfg, lat)
-    grid = make_kgrid(lat, tuple(cfg.numerics.kgrid))
-    bands = solve_bands(pot, grid, cfg.numerics.cutoff, cfg.numerics.n_bands)
+    bands = _solve_configured_bands(cfg)
+    grid = bands.kgrid
     geom = geometric_tensors(bands, cfg.numerics.band_index)
-    d = lat.dim
+    d = grid.dim
     planes = list(itertools.combinations(range(d), 2))
     header = [f"k{i+1}_inv_length" for i in range(d)] + \
         [f"A{i+1}_length" for i in range(d)] + \
@@ -293,15 +298,9 @@ def run_butterfly(cfg: RunConfig, out: Path) -> dict:
 
 def _pipeline_band(cfg: RunConfig):
     from .effective import BandData
-    from .fiber import solve_bands
     from .geometry import geometric_tensors
-    from .lattice import make_kgrid
-    lat = _build_lattice(cfg)
-    pot = _build_potential(cfg, lat)
-    grid = make_kgrid(lat, tuple(cfg.numerics.kgrid))
-    bands = solve_bands(pot, grid, cfg.numerics.cutoff, cfg.numerics.n_bands)
-    geom = geometric_tensors(bands, cfg.numerics.band_index)
-    return lat, pot, BandData.from_geometry(geom)
+    bands = _solve_configured_bands(cfg)
+    return BandData.from_geometry(geometric_tensors(bands, cfg.numerics.band_index))
 
 
 def run_egorov(cfg: RunConfig, out: Path) -> dict:
@@ -309,8 +308,8 @@ def run_egorov(cfg: RunConfig, out: Path) -> dict:
     from .effective import EffectiveHamiltonian
     from .quantum import egorov_error
     from .weyl import PhaseSpaceGrid
-    lat, pot, band = _pipeline_band(cfg)
-    d = lat.dim
+    band = _pipeline_band(cfg)
+    d = band.lattice.dim
     rows = []
     errors = []
     eps_used = []
@@ -347,8 +346,8 @@ def run_egorov(cfg: RunConfig, out: Path) -> dict:
 def run_flow(cfg: RunConfig, out: Path) -> dict:
     from .effective import SemiclassicalHamiltonian
     from .flow import FlowState, compare_flows, integrate
-    lat, pot, band = _pipeline_band(cfg)
-    d = lat.dim
+    band = _pipeline_band(cfg)
+    d = band.lattice.dim
     fld = _build_field(cfg, d, cfg.numerics.eps_list[0])
     k0 = np.full(d, 0.7)
     r0 = np.full(d, 0.1)
@@ -357,7 +356,7 @@ def run_flow(cfg: RunConfig, out: Path) -> dict:
                         t_final=cfg.numerics.t_final, dt=cfg.numerics.dt)
     hsc = SemiclassicalHamiltonian(band, fld)
     traj = integrate(st, hsc, fld, 10.0, cfg.numerics.dt, band=band,
-                     corrected=True, halving_budget=None)
+                     halving_budget=None)
     drift = traj.energy_drift()
     rows = [[e, dist] for e, dist in zip(rep["eps"], rep["distance"])]
     write_csv(out / "flow.csv", ["eps_dimensionless", "distance_phase_space"], rows)

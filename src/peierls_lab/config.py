@@ -190,9 +190,22 @@ def parse_config(text: str) -> RunConfig:
         for name, value in tols.items():
             if not _is_a(value, (int, float)) or value <= 0:
                 problems.append(f"numerics.tolerances.{name}: must be a positive number")
-    n_bands = num_raw.get("n_bands")
+    n_bands = num_raw.get("n_bands", NumericsSpec.n_bands)
     if _is_a(n_bands, int) and n_bands < 1:
         problems.append("numerics.n_bands: must be >= 1")
+    band_index = num_raw.get("band_index", NumericsSpec.band_index)
+    if exp in ("bands", "geometry", "egorov", "flow") and _is_a(band_index, int) \
+            and _is_a(n_bands, int) and not 0 <= band_index < n_bands:
+        problems.append(f"numerics.band_index: must satisfy 0 <= band_index < "
+                        f"numerics.n_bands ({n_bands})")
+    cutoff = num_raw.get("cutoff")
+    if _is_a(cutoff, int) and cutoff < 1:
+        problems.append("numerics.cutoff: must be >= 1")
+    if exp in ("egorov", "flow", "propagate"):
+        for key in ("dt", "t_final"):
+            value = num_raw.get(key)
+            if _is_a(value, (int, float)) and value <= 0:
+                problems.append(f"numerics.{key}: must be a positive number")
     q_max = num_raw.get("q_max")
     if _is_a(q_max, int) and q_max < 1:
         problems.append("numerics.q_max: must be >= 1")

@@ -17,7 +17,9 @@ reproduce h (composed with the inverse map) up to second order, which the
 test suite measures as a convergence rate.  All band quantities are
 FFT-upsampled in the zone coefficients and held by one stacked periodic
 spline, so dual-lattice periodicity is exact; BandData.at returns them for a
-batch of k as one BandFields record, with the k-derivatives a caller asks for.
+batch of k as one BandFields record, values and k-derivatives together.
+EffectiveHamiltonian and SemiclassicalHamiltonian offer value(k, r) and the
+flow protocol grad_pair(k, r) -> (grad_k h, grad_r h, fields).
 """
 
 from __future__ import annotations
@@ -74,18 +76,18 @@ def _upsampled(samples: np.ndarray, factor: int) -> np.ndarray:
 class BandFields:
     """Band fields at a batch of points k (..., d), derivatives in Cartesian k.
 
-    The gradient fields are None unless BandData.at was asked for them.  The
-    arrays are views into one spline evaluation block; copy before writing.
+    The arrays are views into one spline evaluation block; copy before
+    writing.
     """
 
     E: np.ndarray                       # (...)
     A: np.ndarray                       # (..., l)       Berry connection
     M: np.ndarray                       # (..., l, j)    Rammal-Wilkinson tensor
     Om: np.ndarray                      # (..., l, j)    Berry curvature
-    dE: np.ndarray | None = None        # (..., m)
-    hessE: np.ndarray | None = None     # (..., m, n)
-    dA: np.ndarray | None = None        # (..., l, m)    d A_l / d k_m
-    dM: np.ndarray | None = None        # (..., l, j, m) d M_lj / d k_m
+    dE: np.ndarray                      # (..., m)
+    hessE: np.ndarray                   # (..., m, n)
+    dA: np.ndarray                      # (..., l, m)    d A_l / d k_m
+    dM: np.ndarray                      # (..., l, j, m) d M_lj / d k_m
 
 
 @dataclass
@@ -174,33 +176,25 @@ class BandData:
 
     # -- evaluation -----------------------------------------------------
 
-    def at(self, k, grad: str = "none") -> BandFields:
-        """Band fields at Cartesian k (..., d).
-
-        grad selects the derivatives returned: "none"; "energy" for dE;
-        "all" for dE, hessE, dA and dM (what the gradient of h needs).
-        """
-        if grad not in ("none", "energy", "all"):
-            raise EffectiveError(f"grad must be 'none', 'energy' or 'all', not {grad!r}")
+    def at(self, k) -> BandFields:
+        """Band fields at Cartesian k (..., d): the values E, A, M, Omega and
+        the derivatives dE, hessE, dA, dM, all from one spline evaluation."""
         d = self.lattice.dim
         k = _as_points(k, d)
         lead = k.shape[:-1]
         out = self._spline(k.reshape(-1, d))            # (P, 1 + d, F)
         v = out[:, 0]
-        rec = {"E": v[:, 0].reshape(lead),
-               "A": v[:, 1 + d:1 + 2 * d].reshape(lead + (d,)),
-               "M": v[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d)),
-               "Om": v[:, 1 + 2 * d + d * d:].reshape(lead + (d, d))}
-        if grad == "none":
-            return BandFields(**rec)
-        rec["dE"] = out[:, 1:, 0].reshape(lead + (d,))
-        if grad == "all":
-            # g[p, f, m] = d field_f / d k_m, a view
-            g = out[:, 1:].transpose(0, 2, 1)
-            rec["hessE"] = g[:, 1:1 + d].reshape(lead + (d, d))
-            rec["dA"] = g[:, 1 + d:1 + 2 * d].reshape(lead + (d, d))
-            rec["dM"] = g[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d, d))
-        return BandFields(**rec)
+        # g[p, f, m] = d field_f / d k_m, a view
+        g = out[:, 1:].transpose(0, 2, 1)
+        return BandFields(
+            E=v[:, 0].reshape(lead),
+            A=v[:, 1 + d:1 + 2 * d].reshape(lead + (d,)),
+            M=v[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d)),
+            Om=v[:, 1 + 2 * d + d * d:].reshape(lead + (d, d)),
+            dE=out[:, 1:, 0].reshape(lead + (d,)),
+            hessE=g[:, 1:1 + d].reshape(lead + (d, d)),
+            dA=g[:, 1 + d:1 + 2 * d].reshape(lead + (d, d)),
+            dM=g[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d, d)))
 
 
 def _flat2(a, trailing: int = 0) -> np.ndarray:
@@ -237,17 +231,13 @@ class EffectiveHamiltonian:
             out = out - self.field.lam * _contract(self.field.B(r), W, 2)
         return out
 
-    def _value_fields(self, k) -> BandFields:
-        # the Lorentz force needs dE only in a magnetic field
-        return self.band.at(k, "energy" if self.field.lam != 0.0 else "none")
-
     def h0(self, k, r) -> np.ndarray:
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         return self.band.at(k).E + self.field.phi(r)
 
     def h1(self, k, r) -> np.ndarray:
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
-        return self._h1(self._value_fields(k), r)
+        return self._h1(self.band.at(k), r)
 
     def value(self, k, r) -> np.ndarray:
         """h at momenta k (..., d) and positions r (..., d).
@@ -257,7 +247,7 @@ class EffectiveHamiltonian:
         r, and the result has the broadcast shape (see weyl.phase_points).
         """
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
-        b = self._value_fields(k)
+        b = self.band.at(k)
         return b.E + self.field.phi(r) + self.field.eps * self._h1(b, r)
 
     def grad_pair(self, k, r):
@@ -269,7 +259,7 @@ class EffectiveHamiltonian:
         k, r = _as_points(k, self.dim), _as_points(r, self.dim)
         fld = self.field
         eps, lam = fld.eps, fld.lam
-        b = self.band.at(k, "all" if eps != 0.0 else "energy")
+        b = self.band.at(k)
         gphi = fld.grad_phi(r)
         if eps == 0.0:
             return b.dE, gphi, b
@@ -323,7 +313,7 @@ class SemiclassicalHamiltonian:
         fld = self.field
         eps, lam = fld.eps, fld.lam
         coupled = eps != 0.0 and lam != 0.0
-        b = self.band.at(k, "all" if coupled else "energy")
+        b = self.band.at(k)
         gk = b.dE
         gr = fld.grad_phi(r)
         if coupled:

@@ -474,8 +474,7 @@ def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
         K = np.stack(mesh[d:], axis=-1)
     kf = K.reshape(-1, d)
     xf = X.reshape(-1, d)
-    k_t, r_t = _rk4_run(kf, xf, model, field, None, field.eps, False, t, dt,
-                        record=False)
+    k_t, r_t = _rk4_run(kf, xf, model, field, None, t, dt, record=False)
     vals = np.asarray(func(k_t, r_t), dtype=complex).reshape(shape)
     if flow_shape is not None:
         vals = resample_periodic(vals, grid.ns + grid.ns)
@@ -503,8 +502,8 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     kp = rng.uniform(-np.pi, np.pi, (16, d))
     X = [grid.X_axis(l) for l in range(d)]
     xp = rng.uniform([x[0] for x in X], [x[-1] for x in X], (16, d))
-    k1, r1 = _rk4_run(kp, xp, heff, field, None, field.eps, False, t, dt, record=False)
-    k2, r2 = _rk4_run(kp, xp, heff, field, None, field.eps, False, t, dt / 2, record=False)
+    k1, r1 = _rk4_run(kp, xp, heff, field, None, t, dt, record=False)
+    k2, r2 = _rk4_run(kp, xp, heff, field, None, t, dt / 2, record=False)
     probe = max(np.abs(k1 - k2).max(), np.abs(r1 - r2).max())
     if probe > 1e-3 * field.eps ** 2:
         raise QuantumError(
@@ -533,8 +532,8 @@ def _flow_oracle(bands: BandStructure, band_index: int, fld: EMFieldConfig,
     from .effective import SemiclassicalHamiltonian
     geom_band = _band_data_1d(bands, band_index)
     hsc = SemiclassicalHamiltonian(geom_band, fld)
-    kt, _ = _rk4_run(k_batch[:, None], x_batch[:, None], hsc, fld,
-                     geom_band, fld.eps, True, t, dt_flow, record=False)
+    kt, _ = _rk4_run(k_batch[:, None], x_batch[:, None], hsc, fld, geom_band,
+                     t, dt_flow, record=False)
     return np.sin(kt[:, 0])
 
 

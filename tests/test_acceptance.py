@@ -228,8 +228,7 @@ def test_criterion_7_flow_correspondence(tb_band_2d):
     st = FlowState.of([0.7, -0.4], [0.3, 0.1])
     rep = compare_flows(st, band, fld, [0.1, 0.05, 0.025], t_final=1.0, dt=4e-3)
     hsc = SemiclassicalHamiltonian(band, fld)
-    traj = integrate(st, hsc, fld, 10.0, 5e-3, band=band, corrected=True,
-                     halving_budget=None)
+    traj = integrate(st, hsc, fld, 10.0, 5e-3, band=band, halving_budget=None)
     drift = traj.energy_drift()
     dt = time.time() - t0
     ok = 1.8 <= rep["slope"] <= 2.2 and drift < 1e-8

@@ -190,6 +190,10 @@ UNBUILDABLE = {
     "field.gauge": '"field": {"b": 1.0, "lam": 0.5, "gauge": "coulomb"}',
     "field.phi.period": '"field": {"phi": {"preset": "cosine", "amplitude": 0.1, '
                         '"period": 0}}',
+    "numerics.dt": '"numerics": {"dt": 0}',
+    "numerics.t_final": '"numerics": {"t_final": -1}',
+    "numerics.cutoff": '"numerics": {"cutoff": 0}',
+    "numerics.band_index": '"numerics": {"band_index": 5, "n_bands": 3}',
 }
 
 
@@ -258,6 +262,19 @@ def test_unbuildable_config_values_exit_2_before_running(tmp_path, capsys, path)
     assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,numerics,path", [
+    ("flow", '"dt": -0.004', "numerics.dt"),
+    ("egorov", '"t_final": 0', "numerics.t_final"),
+    ("propagate", '"dt": 0', "numerics.dt"),
+    ("geometry", '"band_index": -1', "numerics.band_index"),
+    ("bands", '"band_index": 4', "numerics.band_index"),
+    ("butterfly", '"cutoff": 0', "numerics.cutoff")])
+def test_numerics_out_of_range_rejected(experiment, numerics, path):
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "%s", "numerics": {%s}}' % (experiment, numerics))
+    assert [p for p in exc.value.problems if p.startswith(path + ":")]
 
 
 def test_non_object_config_rejected():

@@ -5,8 +5,8 @@ from scipy.linalg import expm
 from peierls_lab.effective import BandData
 from peierls_lab.fields import EMFieldConfig
 from peierls_lab.flow import (AnalyticHamiltonian, FlowError, FlowState,
-                              integrate, poisson_corrected, structure_factor,
-                              vector_field_corrected, vector_field_magnetic)
+                              _rk4_run, integrate, poisson_corrected,
+                              structure_factor, vector_field)
 from peierls_lab.lattice import Lattice
 
 LAT2 = Lattice.cubic(2)
@@ -36,7 +36,7 @@ def test_vector_field_magnetic_closed_form():
     fld = EMFieldConfig.constant(2, b=0.9, eps=0.1, lam=0.7)
     k = np.array([[0.5, -0.3]])
     r = np.array([[0.2, 0.1]])
-    kdot, rdot = vector_field_magnetic(k, r, FREE, fld)
+    kdot, rdot = vector_field(k, r, FREE, fld)
     assert np.abs(rdot - k).max() < 1e-14
     expected_kdot = 0.7 * (fld.B(r) @ k[0])
     assert np.abs(kdot[0] - expected_kdot).max() < 1e-14
@@ -62,7 +62,7 @@ def test_lambda_zero_reduces_to_canonical():
     fld = EMFieldConfig.constant(2, b=0.9, eps=0.1, lam=0.0)
     k = np.array([[0.5, -0.3]])
     r = np.array([[0.0, 0.0]])
-    kdot, rdot = vector_field_magnetic(k, r, ham, fld)
+    kdot, rdot = vector_field(k, r, ham, fld)
     assert np.abs(kdot[0] - np.array([-0.3, 0.0])).max() < 1e-14
     assert np.abs(rdot[0] - k[0]).max() < 1e-14
 
@@ -72,13 +72,13 @@ def test_corrected_degenerations():
     band = omega_band(0.3)
     k = np.array([[0.4, 0.2]])
     r = np.array([[0.1, -0.2]])
-    k1, r1 = vector_field_magnetic(k, r, FREE, fld)
-    k2, r2 = vector_field_corrected(k, r, FREE, fld, band, eps=0.0)
+    k1, r1 = vector_field(k, r, FREE, fld)
+    k2, r2 = vector_field(k, r, FREE, fld, band)
     assert np.abs(k1 - k2).max() == 0.0 and np.abs(r1 - r2).max() == 0.0
     band0 = omega_band(0.0)
     fld2 = EMFieldConfig.constant(2, b=0.9, eps=0.05, lam=1.0)
-    k3, r3 = vector_field_corrected(k, r, FREE, fld2, band0, eps=0.05)
-    k4, r4 = vector_field_magnetic(k, r, FREE, fld2)
+    k3, r3 = vector_field(k, r, FREE, fld2, band0)
+    k4, r4 = vector_field(k, r, FREE, fld2)
     assert np.abs(k3 - k4).max() < 1e-14 and np.abs(r3 - r4).max() < 1e-14
 
 
@@ -93,7 +93,7 @@ def test_corrected_flow_vs_linear_ode_oracle():
     band = omega_band(om)
     st = FlowState.of([0.3, -0.2], [0.1, 0.2])
     t = 1.5
-    tr = integrate(st, ham, fld, t, 1e-3, band=band, corrected=True)
+    tr = integrate(st, ham, fld, t, 1e-3, band=band)
     J = np.zeros((4, 4))
     J[:2, :2] = b * EPS2
     J[:2, 2:] = -np.eye(2)
@@ -113,7 +113,7 @@ def test_corrected_flow_vs_linear_ode_oracle():
     assert np.abs(tr.r[-1] - zt[:2]).max() < 1e-10
     assert np.abs(tr.k[-1] - zt[2:]).max() < 1e-10
     # anomalous drift: the eps*Omega coupling displaces the trajectory
-    tr0 = integrate(st, ham, fld, t, 1e-3, band=omega_band(0.0), corrected=True)
+    tr0 = integrate(st, ham, fld, t, 1e-3, band=omega_band(0.0))
     assert np.abs(tr0.r[-1] - tr.r[-1]).max() > 1e-4
 
 
@@ -121,12 +121,12 @@ def test_structure_factor_and_degeneracy_error():
     b, om = 1.0, 0.5
     band = omega_band(om)
     fld = EMFieldConfig.constant(2, b=b, eps=0.05, lam=1.0)
-    sf = structure_factor([0.1, 0.2], [0.0, 0.0], fld, band, 0.05)
+    sf = structure_factor([0.1, 0.2], [0.0, 0.0], fld, band)
     assert abs(sf - (1 - 0.05 * 1.0 * b * om)) < 1e-12
     fld_big = EMFieldConfig.constant(2, b=b, eps=1.0 / om, lam=1.0)
     with pytest.raises(FlowError):
-        vector_field_corrected(np.array([[0.1, 0.2]]), np.array([[0.0, 0.0]]),
-                               FREE, fld_big, band, eps=1.0 / (b * om))
+        vector_field(np.array([[0.1, 0.2]]), np.array([[0.0, 0.0]]),
+                     FREE, fld_big, band)
 
 
 def test_energy_conservation_autonomous():
@@ -164,26 +164,19 @@ def test_poisson_corrected_position_bracket():
         def __init__(self, which, idx):
             self.w, self.i = which, idx
 
-        def grad_k(self, k, r):
-            g = np.zeros_like(k)
-            if self.w == "k":
-                g[..., self.i] = 1
-            return g
-
-        def grad_r(self, k, r):
-            g = np.zeros_like(r)
-            if self.w == "r":
-                g[..., self.i] = 1
-            return g
+        def grad_pair(self, k, r):
+            gk, gr = np.zeros_like(k), np.zeros_like(r)
+            (gk if self.w == "k" else gr)[..., self.i] = 1
+            return gk, gr, None
 
     k = np.array([[0.3, 0.2]])
     r = np.array([[0.0, 0.0]])
-    br = poisson_corrected(Coord("r", 0), Coord("r", 1), k, r, fld, band, eps)
+    br = poisson_corrected(Coord("r", 0), Coord("r", 1), k, r, fld, band)
     # {r_1, r_2} = -eps Omega_12 to leading order
     assert abs(br[0] + eps * om) < 2 * eps ** 2 * om * b
-    br_kk = poisson_corrected(Coord("k", 0), Coord("k", 1), k, r, fld, band, eps)
+    br_kk = poisson_corrected(Coord("k", 0), Coord("k", 1), k, r, fld, band)
     assert abs(br_kk[0] + b) < 2 * eps * om * b
-    br_kr = poisson_corrected(Coord("k", 0), Coord("r", 0), k, r, fld, band, eps)
+    br_kr = poisson_corrected(Coord("k", 0), Coord("r", 0), k, r, fld, band)
     assert abs(br_kr[0] - 1.0) < 2 * eps * om * b
 
 
@@ -204,11 +197,8 @@ class _Fixed:
     def __init__(self, gk, gr):
         self.gk, self.gr = gk, gr
 
-    def grad_k(self, k, r):
-        return self.gk
-
-    def grad_r(self, k, r):
-        return self.gr
+    def grad_pair(self, k, r):
+        return self.gk, self.gr, None
 
 
 class _OmegaBand:
@@ -246,17 +236,17 @@ def test_closed_form_structure_matches_assembled_solve(d):
         return np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
 
     for omega, (kdot, rdot) in [
-            (np.zeros((n, d, d)), vector_field_magnetic(k, r, h, fld)),
-            (om, vector_field_corrected(k, r, h, fld, band, eps))]:
+            (np.zeros((n, d, d)), vector_field(k, r, h, fld)),
+            (om, vector_field(k, r, h, fld, band))]:
         sol = np.linalg.solve(assembled(omega),
                               np.concatenate([h.gr, h.gk], -1)[..., None])[..., 0]
         assert close(rdot, sol[:, :d]) and close(kdot, sol[:, d:])
     J = assembled(om)
-    sf = structure_factor(k, r, fld, band, eps)
+    sf = structure_factor(k, r, fld, band)
     assert close(sf, np.sqrt(np.abs(np.linalg.det(J))))
     sol = np.linalg.solve(J, np.concatenate([g.gr, g.gk], -1)[..., None])[..., 0]
     ref = -np.einsum("pi,pi->p", np.concatenate([f.gr, f.gk], -1), sol)
-    assert close(poisson_corrected(f, g, k, r, fld, band, eps), ref)
+    assert close(poisson_corrected(f, g, k, r, fld, band), ref)
 
 
 def test_corrected_integrate_evaluates_band_once_per_rhs():
@@ -272,7 +262,24 @@ def test_corrected_integrate_evaluates_band_once_per_rhs():
     n_steps = 5
     tr = integrate(FlowState.of([0.3, -0.2], [0.1, 0.2]),
                    SemiclassicalHamiltonian(band, fld), fld, n_steps * 0.01, 0.01,
-                   band=band, corrected=True, halving_budget=None)
+                   band=band, halving_budget=None)
     # four RK4 stages per step, then the energy and structure-factor monitor
     assert len(tr.times) == n_steps + 1
     assert len(calls) == 4 * n_steps + 2
+
+
+@pytest.mark.parametrize("t_final,dt", [(1.0, 0.0), (1.0, -0.01), (1.0, np.nan),
+                                        (1.0, np.inf), (-1.0, 0.01),
+                                        (np.inf, 0.01), (np.nan, 0.01)])
+def test_rk4_rejects_bad_step_or_duration(t_final, dt):
+    fld = EMFieldConfig.zero(2, eps=0.1)
+    with pytest.raises(FlowError, match="dt must be|t_final must be"):
+        _rk4_run(np.array([0.4, 0.1]), np.zeros(2), FREE, fld, None, t_final, dt)
+    with pytest.raises(FlowError):
+        integrate(FlowState.of([0.4, 0.1], [0.0, 0.0]), FREE, fld, t_final, dt)
+
+
+def test_rk4_zero_duration_returns_the_initial_point():
+    fld = EMFieldConfig.zero(2, eps=0.1)
+    ts, ks, rs = _rk4_run(np.array([0.4, 0.1]), np.zeros(2), FREE, fld, None, 0.0, 0.01)
+    assert ts.tolist() == [0.0] and ks.tolist() == [[0.4, 0.1]]

@@ -9,6 +9,8 @@ phase-space sampling use, zero, constant (symmetric and Landau) and
 position-dependent (transversal) fields, and the eps = 0 and lam = 0 limits.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def oracle_lorentz(self, b, r):
 def oracle_heff_grad_pair(self, k, r):
     k, r = _as_points(k, self.dim), _as_points(r, self.dim)
     eps, lam = self.field.eps, self.field.lam
-    b = self.band.at(k, "all" if eps != 0.0 else "energy")
+    b = self.band.at(k)
     gk = b.dE
     gr = self.field.grad_phi(r)
     if eps == 0.0:
@@ -60,7 +62,7 @@ def oracle_hsc_grad_pair(self, k, r):
     k, r = _as_points(k, self.dim), _as_points(r, self.dim)
     eps, lam = self.field.eps, self.field.lam
     coupled = eps != 0.0 and lam != 0.0
-    b = self.band.at(k, "all" if coupled else "energy")
+    b = self.band.at(k)
     gk = b.dE
     gr = self.field.grad_phi(r)
     if coupled:
@@ -247,7 +249,7 @@ def test_rhs_matches_einsum_oracle(d, kind, eps, lam):
             close(new[0], ref[0])
             close(new[1], ref[1], broadcast=True)
         for e in (eps, 0.3):
-            close(flow.structure_factor(k, r, fld, band, e),
+            close(flow.structure_factor(k, r, dataclasses.replace(fld, eps=e), band),
                   oracle_structure_factor(k, r, fld, band, e))
         if fld.lam != 0.0:
             ref = oracle_reduced(fld.lam * fld.B(r), 0.3 * omega)
@@ -337,11 +339,11 @@ def test_batch1_rhs_makes_no_einsum_stack_or_broadcast(monkeypatch):
         counting(PeriodicSpline, name)
     counting(flow, "_rhs")
     k0, r0 = np.array([0.7, 0.7]), np.array([0.1, 0.1])
-    for model, corrected in ((SemiclassicalHamiltonian(band, fld), True),
-                             (EffectiveHamiltonian(band, fld), False)):
+    for model, flow_band in ((SemiclassicalHamiltonian(band, fld), band),
+                             (EffectiveHamiltonian(band, fld), None)):
         calls.clear()
-        k, r = flow._rk4_run(k0, r0, model, fld, band, fld.eps, corrected,
-                             0.01, 0.01, record=False)
+        k, r = flow._rk4_run(k0, r0, model, fld, flow_band, 0.01, 0.01,
+                             record=False)
         assert k.shape == r.shape == (2,)
         # one RK4 step: four right-hand sides, one band evaluation each
         assert calls == {"_rhs": 4, "prep": 4, "eval_prepped": 4}, calls
