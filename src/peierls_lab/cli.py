@@ -109,12 +109,12 @@ def _phi_callables(cfg: RunConfig, dim: int):
     """phi and its gradient and Hessian for the configured preset, each with
     at most one sine and one cosine evaluation per call ("cosine" in
     d <= 2, which parse_config enforces; "sine_ramp" in any d)."""
-    fs = cfg.fieldspec
-    amp, L = fs.phi_amplitude, fs.phi_period
+    spec = cfg.field.phi
+    amp, L = spec.amplitude, spec.period
     w = 2 * np.pi / L
-    if fs.phi_preset == "zero" or amp == 0.0:
+    if spec.preset == "zero" or amp == 0.0:
         return None, None, None
-    if fs.phi_preset == "cosine":
+    if spec.preset == "cosine":
         # phi = amp prod_l cos(w r_l)
         def phi(r):
             r = np.asarray(r, float)
@@ -172,7 +172,7 @@ _DIAG2 = np.arange(2)
 def _build_field(cfg: RunConfig, dim: int, eps: float):
     from .fields import EMFieldConfig
     phi, gphi, hphi = _phi_callables(cfg, dim)
-    fs = cfg.fieldspec
+    fs = cfg.field
     if dim == 1 or (fs.b == 0.0 and fs.lam == 0.0):
         return EMFieldConfig.zero(dim, eps, phi=phi, grad_phi=gphi, hess_phi=hphi)
     return EMFieldConfig.constant(dim, b=fs.b, eps=eps, lam=fs.lam,
@@ -330,7 +330,9 @@ def run_egorov(cfg: RunConfig, out: Path) -> dict:
         errors.append(err)
         eps_used.append(eps_eff)
         rows.append([eps_eff, n, err])
-    slope = float(np.polyfit(np.log(eps_used), np.log(errors), 1)[0])
+    # one point fixes no slope (parse_config requires two for slope_min)
+    slope = (float(np.polyfit(np.log(eps_used), np.log(errors), 1)[0])
+             if len(errors) > 1 else float("nan"))
     rows = [row + [slope] for row in rows]
     write_csv(out / "egorov.csv",
               ["eps_dimensionless", "grid_points", "error_opnorm", "slope_fit"],
@@ -408,7 +410,7 @@ _RUNNERS = {
 def run(cfg: RunConfig, out_dir=None) -> dict:
     """Dispatch one experiment; returns the report dictionary."""
     threads = thread_report()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir if out_dir is not None else cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     result = _RUNNERS[cfg.experiment](cfg, out)
@@ -426,6 +428,24 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
     return report
 
 
+def _preflight(cfg: RunConfig) -> None:
+    """Build the lattice, the potential and, for the experiments that solve
+    bands on it, the k-grid, so that a config the library refuses raises a
+    ConfigError naming the config path before any output exists."""
+    from .fiber import FiberError
+    from .lattice import LatticeError, make_kgrid
+    path = "lattice.basis"      # parse_config keeps lattice.dim in {1, 2, 3}
+    try:
+        lat = _build_lattice(cfg)
+        path = "potential.coefficients" if cfg.potential.coefficients else "potential.preset"
+        _build_potential(cfg, lat)
+        if cfg.experiment in ("bands", "geometry", "egorov", "flow"):
+            path = "numerics.kgrid"
+            make_kgrid(lat, tuple(cfg.numerics.kgrid))
+    except (LatticeError, FiberError) as exc:
+        raise ConfigError([f"{path}: {exc}"]) from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="peierls-lab",
@@ -439,6 +459,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text())
         n_workers()     # a bad PEIERLS_LAB_THREADS fails before any output
+        _preflight(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

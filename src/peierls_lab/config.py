@@ -1,15 +1,24 @@
 """Run configuration: strict JSON parsing, validation and serialization.
 
-Configs are plain JSON objects with nested sections.  Validation is strict:
-unknown keys are fatal (silent typos corrupt sweeps), missing required keys
-and value violations are collected and reported with their field paths.
+Configs are plain JSON objects with nested sections.  The spec dataclasses
+below are the schema: a field's name is its JSON key, its annotation the
+JSON type (a float field also takes a JSON integer, no number field takes
+true or false), its default the value of an omitted key, and a field with
+no default is required.  A nested spec is a nested object, so every
+attribute path is the JSON path (`cfg.field.phi.amplitude` reads
+`field.phi.amplitude`).  `parse_config` builds a RunConfig from these
+declarations and `serialize_config` writes one back with
+`dataclasses.asdict`; no key is listed anywhere else.
+
+Validation is strict: unknown keys are fatal (silent typos corrupt sweeps),
+missing required keys, wrong types and value violations are collected and
+reported with their field paths.
 """
 
-from __future__ import annotations
-
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -28,7 +37,7 @@ class ConfigError(ValueError):
 @dataclass
 class LatticeSpec:
     dim: int = 1
-    basis: list = None  # rows; identity when omitted
+    basis: list = None  # dim rows of dim numbers; identity when omitted
 
 
 @dataclass
@@ -40,22 +49,27 @@ class PotentialSpec:
 
 
 @dataclass
+class PhiSpec:
+    preset: str = "zero"          # one of PHI_PRESETS
+    amplitude: float = 0.0
+    period: float = 1.0
+
+
+@dataclass
 class FieldSpec:
     b: float = 0.0
     lam: float = 0.0
     gauge: str = "symmetric"      # one of GAUGES
-    phi_preset: str = "zero"      # one of PHI_PRESETS
-    phi_amplitude: float = 0.0
-    phi_period: float = 1.0
+    phi: PhiSpec = dataclasses.field(default_factory=PhiSpec)
 
 
 @dataclass
 class NumericsSpec:
     cutoff: int = 8
-    kgrid: list = field(default_factory=lambda: [64])
+    kgrid: list = dataclasses.field(default_factory=lambda: [64])
     n_bands: int = 4
     band_index: int = 0
-    eps_list: list = field(default_factory=lambda: [0.1, 0.05, 0.025])
+    eps_list: list = dataclasses.field(default_factory=lambda: [0.1, 0.05, 0.025])
     dt: float = 0.02
     t_final: float = 1.0
     # unused: butterfly edges are exact and Chern labels pick their own
@@ -64,38 +78,23 @@ class NumericsSpec:
     q_max: int = 12
     chern_labels: bool = False
     macro_box: float = 4.0
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = dataclasses.field(default_factory=dict)
+
+
+@dataclass
+class OutputSpec:
+    dir: str = "out"
 
 
 @dataclass
 class RunConfig:
-    experiment: str
-    lattice: LatticeSpec
-    potential: PotentialSpec
-    fieldspec: FieldSpec
-    numerics: NumericsSpec
-    out_dir: str = "out"
+    experiment: str               # required; one of EXPERIMENTS
+    lattice: LatticeSpec = dataclasses.field(default_factory=LatticeSpec)
+    potential: PotentialSpec = dataclasses.field(default_factory=PotentialSpec)
+    field: FieldSpec = dataclasses.field(default_factory=FieldSpec)
+    numerics: NumericsSpec = dataclasses.field(default_factory=NumericsSpec)
+    output: OutputSpec = dataclasses.field(default_factory=OutputSpec)
     seed: int = 0
-
-
-_SCHEMA = {
-    "experiment": str,
-    "lattice": {"dim": int, "basis": list},
-    "potential": {"preset": str, "v": (int, float), "w": (int, float),
-                  "coefficients": list},
-    "field": {"b": (int, float), "lam": (int, float), "gauge": str,
-              "phi": {"preset": str, "amplitude": (int, float),
-                      "period": (int, float)}},
-    "numerics": {"cutoff": int, "kgrid": list, "n_bands": int,
-                 "band_index": int, "eps_list": list, "dt": (int, float),
-                 "t_final": (int, float), "theta_resolution": int,
-                 "q_max": int, "chern_labels": bool,
-                 "macro_box": (int, float), "tolerances": dict},
-    "output": {"dir": str},
-    "seed": int,
-}
-
-_REQUIRED = ("experiment",)
 
 
 def _is_a(value, spec) -> bool:
@@ -104,19 +103,35 @@ def _is_a(value, spec) -> bool:
     return isinstance(value, spec) and (spec is bool or not isinstance(value, bool))
 
 
-def _walk(node, schema, path, problems):
+def _build(cls, node, path, problems):
+    """An instance of the spec dataclass cls from the JSON object node,
+    path being the prefix of its keys.  Unknown keys and values of the
+    wrong type are reported and leave the field at its default; a missing
+    required field is reported and set to None.  Field types are read as
+    classes, so this module must not postpone its annotations."""
     if not isinstance(node, dict):
         problems.append(f"{path or '<root>'}: expected an object")
-        return
+        node = {}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    values = {}
     for key, val in node.items():
-        if key not in schema:
+        f = fields.get(key)
+        if f is None:
             problems.append(f"unknown key: {path}{key}")
-            continue
-        spec = schema[key]
-        if isinstance(spec, dict):
-            _walk(val, spec, f"{path}{key}.", problems)
-        elif not _is_a(val, spec):
-            problems.append(f"{path}{key}: expected {spec}, got {type(val).__name__}")
+        elif dataclasses.is_dataclass(f.type):
+            values[key] = _build(f.type, val, f"{path}{key}.", problems)
+        else:
+            spec = (int, float) if f.type is float else f.type
+            if _is_a(val, spec):
+                values[key] = val
+            else:
+                problems.append(f"{path}{key}: expected {spec}, got {type(val).__name__}")
+    for f in fields.values():
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            if f.name not in node:
+                problems.append(f"missing required key: {path}{f.name}")
+            values[f.name] = None
+    return cls(**values)
 
 
 def _nonfinite(node, path, problems):
@@ -135,133 +150,94 @@ def _nonfinite(node, path, problems):
         problems.append(f"{path}: must be finite")
 
 
-def _section(node: dict, key: str) -> dict:
-    """node[key] when it is an object, else {} (_walk reports the rest)."""
-    value = node.get(key, {})
-    return value if isinstance(value, dict) else {}
+def _check(cfg: RunConfig, problems):
+    """Value ranges and cross-field rules of a built config."""
+    exp, dim, num = cfg.experiment, cfg.lattice.dim, cfg.numerics
+    if exp is not None and exp not in EXPERIMENTS:
+        problems.append(f"experiment: must be one of {EXPERIMENTS}")
+    for path, value, names in (
+            ("potential.preset", cfg.potential.preset, POTENTIAL_PRESETS),
+            ("field.gauge", cfg.field.gauge, GAUGES),
+            ("field.phi.preset", cfg.field.phi.preset, PHI_PRESETS)):
+        if value not in names:
+            problems.append(f"{path}: unknown value {value!r}, must be one of {names}")
+    basis = cfg.lattice.basis
+    if dim not in (1, 2, 3):
+        problems.append("lattice.dim: must be 1, 2 or 3")
+    elif basis is not None and not (len(basis) == dim and all(
+            isinstance(row, list) and len(row) == dim
+            and all(_is_a(x, (int, float)) for x in row) for row in basis)):
+        problems.append(f"lattice.basis: must be lattice.dim ({dim}) rows of "
+                        f"{dim} numbers")
+    if cfg.field.phi.preset == "cosine" and dim > 2:
+        # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
+        problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")
+    if exp == "egorov" and dim > 2:
+        # dense N x N operators on the n^d position grid (n ~ macro_box / eps):
+        # a 3-D run at n = 9, then 13, was still going after 5 minutes at
+        # 1.8 GB peak RSS on a 2-vCPU machine
+        problems.append("lattice.dim: experiment 'egorov' needs lattice.dim <= 2, "
+                        "the limit of its dense n^d x n^d operators")
+    if exp == "propagate" and dim != 1:
+        # quantum.semiclassical_limit_check is one-dimensional
+        problems.append("lattice.dim: experiment 'propagate' needs lattice.dim == 1")
+    if cfg.field.phi.period <= 0:
+        problems.append("field.phi.period: must be a positive number")
+    for name, value in num.tolerances.items():
+        if not _is_a(value, (int, float)) or value <= 0:
+            problems.append(f"numerics.tolerances.{name}: must be a positive number")
+    if num.n_bands < 1:
+        problems.append("numerics.n_bands: must be >= 1")
+    if exp in ("bands", "geometry", "egorov", "flow") and \
+            not 0 <= num.band_index < num.n_bands:
+        problems.append(f"numerics.band_index: must satisfy 0 <= band_index < "
+                        f"numerics.n_bands ({num.n_bands})")
+    if num.cutoff < 1:
+        problems.append("numerics.cutoff: must be >= 1")
+    if exp in ("egorov", "flow", "propagate"):
+        for key in ("dt", "t_final"):
+            if getattr(num, key) <= 0:
+                problems.append(f"numerics.{key}: must be a positive number")
+    if num.q_max < 1:
+        problems.append("numerics.q_max: must be >= 1")
+    if num.theta_resolution < 2:
+        problems.append("numerics.theta_resolution: must be >= 2")
+    if exp in ("egorov", "propagate", "flow"):
+        eps_list = num.eps_list
+        if any(not _is_a(e, (int, float)) or e <= 0 for e in eps_list):
+            problems.append("numerics.eps_list: entries must be positive numbers")
+        elif any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+            problems.append("numerics.eps_list: must be strictly decreasing")
+        # flow and propagate always fit a log-log slope, egorov to check slope_min
+        if len(eps_list) < 2 and (exp != "egorov" or "slope_min" in num.tolerances):
+            problems.append("numerics.eps_list: needs two or more entries to fit a slope")
+        elif not eps_list:
+            problems.append("numerics.eps_list: needs an entry")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; raises ConfigError listing every
     violation with its field path."""
-    problems = []
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid JSON: {exc}"])
     if not isinstance(raw, dict):
         raise ConfigError(["<root>: expected an object"])
-    _walk(raw, _SCHEMA, "", problems)
+    problems = []
+    cfg = _build(RunConfig, raw, "", problems)
     _nonfinite(raw, "", problems)
-    for key in _REQUIRED:
-        if key not in raw:
-            problems.append(f"missing required key: {key}")
-    exp = raw.get("experiment")
-    if exp is not None and exp not in EXPERIMENTS:
-        problems.append(f"experiment: must be one of {EXPERIMENTS}")
-    pot_raw, field_raw, num_raw = (_section(raw, key)
-                                   for key in ("potential", "field", "numerics"))
-    phi_raw = _section(field_raw, "phi")
-    for path, node, key, names in (
-            ("potential.preset", pot_raw, "preset", POTENTIAL_PRESETS),
-            ("field.gauge", field_raw, "gauge", GAUGES),
-            ("field.phi.preset", phi_raw, "preset", PHI_PRESETS)):
-        value = node.get(key)
-        if isinstance(value, str) and value not in names:
-            problems.append(f"{path}: unknown value {value!r}, must be one of {names}")
-    dim = _section(raw, "lattice").get("dim", 1)
-    if phi_raw.get("preset") == "cosine" and _is_a(dim, int) and dim > 2:
-        # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
-        problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")
-    if exp == "egorov" and _is_a(dim, int) and dim > 2:
-        # dense N x N operators on the n^d position grid (n ~ macro_box / eps):
-        # a 3-D run at n = 9, then 13, was still going after 5 minutes at
-        # 1.8 GB peak RSS on a 2-vCPU machine
-        problems.append("lattice.dim: experiment 'egorov' needs lattice.dim <= 2, "
-                        "the limit of its dense n^d x n^d operators")
-    if exp == "propagate" and _is_a(dim, int) and dim != 1:
-        # quantum.semiclassical_limit_check is one-dimensional
-        problems.append("lattice.dim: experiment 'propagate' needs lattice.dim == 1")
-    period = phi_raw.get("period")
-    if _is_a(period, (int, float)) and period <= 0:
-        problems.append("field.phi.period: must be a positive number")
-    tols = num_raw.get("tolerances", {})
-    if isinstance(tols, dict):
-        for name, value in tols.items():
-            if not _is_a(value, (int, float)) or value <= 0:
-                problems.append(f"numerics.tolerances.{name}: must be a positive number")
-    n_bands = num_raw.get("n_bands", NumericsSpec.n_bands)
-    if _is_a(n_bands, int) and n_bands < 1:
-        problems.append("numerics.n_bands: must be >= 1")
-    band_index = num_raw.get("band_index", NumericsSpec.band_index)
-    if exp in ("bands", "geometry", "egorov", "flow") and _is_a(band_index, int) \
-            and _is_a(n_bands, int) and not 0 <= band_index < n_bands:
-        problems.append(f"numerics.band_index: must satisfy 0 <= band_index < "
-                        f"numerics.n_bands ({n_bands})")
-    cutoff = num_raw.get("cutoff")
-    if _is_a(cutoff, int) and cutoff < 1:
-        problems.append("numerics.cutoff: must be >= 1")
-    if exp in ("egorov", "flow", "propagate"):
-        for key in ("dt", "t_final"):
-            value = num_raw.get(key)
-            if _is_a(value, (int, float)) and value <= 0:
-                problems.append(f"numerics.{key}: must be a positive number")
-    q_max = num_raw.get("q_max")
-    if _is_a(q_max, int) and q_max < 1:
-        problems.append("numerics.q_max: must be >= 1")
-    theta_resolution = num_raw.get("theta_resolution")
-    if _is_a(theta_resolution, int) and theta_resolution < 2:
-        problems.append("numerics.theta_resolution: must be >= 2")
-    eps_list = num_raw.get("eps_list")
-    if isinstance(eps_list, list) and exp in ("egorov", "propagate", "flow"):
-        if any(not _is_a(e, (int, float)) or e <= 0 for e in eps_list):
-            problems.append("numerics.eps_list: entries must be positive numbers")
-        elif any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            problems.append("numerics.eps_list: must be strictly decreasing")
+    _check(cfg, problems)
     if problems:
         raise ConfigError(problems)
-
-    lat = LatticeSpec(**raw.get("lattice", {}))
-    pot = PotentialSpec(**raw.get("potential", {}))
-    fr = dict(raw.get("field", {}))
-    phi = fr.pop("phi", {})
-    fs = FieldSpec(
-        b=fr.get("b", 0.0), lam=fr.get("lam", 0.0),
-        gauge=fr.get("gauge", "symmetric"),
-        phi_preset=phi.get("preset", "zero"),
-        phi_amplitude=phi.get("amplitude", 0.0),
-        phi_period=phi.get("period", 1.0))
-    num = NumericsSpec(**num_raw)
-    out = raw.get("output", {}).get("dir", "out")
-    return RunConfig(experiment=exp, lattice=lat, potential=pot, fieldspec=fs,
-                     numerics=num, out_dir=out, seed=raw.get("seed", 0))
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    obj = {
-        "experiment": cfg.experiment,
-        "lattice": {"dim": cfg.lattice.dim,
-                    **({"basis": cfg.lattice.basis} if cfg.lattice.basis else {})},
-        "potential": {"preset": cfg.potential.preset, "v": cfg.potential.v,
-                      "w": cfg.potential.w,
-                      **({"coefficients": cfg.potential.coefficients}
-                         if cfg.potential.coefficients else {})},
-        "field": {"b": cfg.fieldspec.b, "lam": cfg.fieldspec.lam,
-                  "gauge": cfg.fieldspec.gauge,
-                  "phi": {"preset": cfg.fieldspec.phi_preset,
-                          "amplitude": cfg.fieldspec.phi_amplitude,
-                          "period": cfg.fieldspec.phi_period}},
-        "numerics": {"cutoff": cfg.numerics.cutoff, "kgrid": cfg.numerics.kgrid,
-                     "n_bands": cfg.numerics.n_bands,
-                     "band_index": cfg.numerics.band_index,
-                     "eps_list": cfg.numerics.eps_list, "dt": cfg.numerics.dt,
-                     "t_final": cfg.numerics.t_final,
-                     "theta_resolution": cfg.numerics.theta_resolution,
-                     "q_max": cfg.numerics.q_max,
-                     "chern_labels": cfg.numerics.chern_labels,
-                     "macro_box": cfg.numerics.macro_box,
-                     "tolerances": cfg.numerics.tolerances},
-        "output": {"dir": cfg.out_dir},
-        "seed": cfg.seed,
-    }
+    """The config as sorted, indented JSON, with every field written out
+    except an unset lattice basis or potential coefficient list."""
+    obj = dataclasses.asdict(cfg)
+    for section, key in (("lattice", "basis"), ("potential", "coefficients")):
+        if not obj[section][key]:
+            del obj[section][key]
     return json.dumps(obj, indent=2, sort_keys=True)

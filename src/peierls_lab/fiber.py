@@ -75,6 +75,8 @@ class FourierPotential:
 
     def __post_init__(self):
         for n, v in self.coefficients.items():
+            if len(n) != self.lattice.dim:
+                raise FiberError(f"coefficient {n} needs {self.lattice.dim} indices")
             nm = tuple(-int(c) for c in n)
             if nm not in self.coefficients:
                 raise FiberError(f"missing Hermitian partner for coefficient {n}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import peierls_lab
 from peierls_lab.cli import emit_plotdata, main, n_workers, run, write_csv
-from peierls_lab.config import ConfigError, parse_config, serialize_config
+from peierls_lab.config import ConfigError, RunConfig, parse_config, serialize_config
 
 MINIMAL_BANDS = """
 {
@@ -194,6 +195,9 @@ UNBUILDABLE = {
     "numerics.t_final": '"numerics": {"t_final": -1}',
     "numerics.cutoff": '"numerics": {"cutoff": 0}',
     "numerics.band_index": '"numerics": {"band_index": 5, "n_bands": 3}',
+    # json.loads keeps the last of two equal keys: this lattice replaces the 2-D one
+    "lattice.dim": '"lattice": {"dim": 4}',
+    "lattice.basis": '"lattice": {"dim": 1, "basis": [[1, 0], [0, 1]]}',
 }
 
 
@@ -230,13 +234,39 @@ def test_two_dimensional_propagate_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+BENCH_CONFIGS = sorted((ROOT / "perfbench" / "configs").glob("*.json")) + \
+    sorted((ROOT / "perfbench" / "configs" / "smoke").glob("*.json"))
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+@pytest.mark.parametrize("path", CONFIGS + BENCH_CONFIGS,
+                         ids=[p.stem for p in CONFIGS] +
+                         [str(p.relative_to(ROOT)) for p in BENCH_CONFIGS])
 def test_shipped_configs_parse(path):
     cfg = parse_config(path.read_text())
     assert cfg.experiment in path.stem
+    text = serialize_config(cfg)
+    assert serialize_config(parse_config(text)) == text
+
+
+def test_serialized_defaults_cover_every_spec_field():
+    # each spec field appears under its JSON path with its declared default,
+    # so no second key list can drift from the dataclasses
+    def walk(cls, node, path):
+        fields = dataclasses.fields(cls)
+        assert set(node) == {f.name for f in fields} - {"basis", "coefficients"}, path
+        for f in fields:
+            if dataclasses.is_dataclass(f.type):
+                walk(f.type, node[f.name], f"{path}{f.name}.")
+            elif f.name in node and f.name != "experiment":
+                default = (f.default if f.default_factory is dataclasses.MISSING
+                           else f.default_factory())
+                assert node[f.name] == default, path + f.name
+
+    obj = json.loads(serialize_config(parse_config('{"experiment": "bands"}')))
+    assert obj["experiment"] == "bands"
+    walk(RunConfig, obj, "")
 
 
 @pytest.mark.parametrize("name", ["geometry_3d", "flow_3d"])
@@ -264,13 +294,43 @@ def test_unbuildable_config_values_exit_2_before_running(tmp_path, capsys, path)
     assert not out.exists()
 
 
+REFUSED_BEFORE_OUTPUT = [
+    # the library refuses these builds; main names the config path
+    ("bands", '"lattice": {"dim": 2, "basis": [[1, 0], [1, 0]]}', "lattice.basis"),
+    ("propagate", '"potential": {"coefficients": [{"n": [1], "re": 0.5}]}',
+     "potential.coefficients"),
+    ("geometry", '"lattice": {"dim": 2}, "potential": {"preset": "mathieu"}',
+     "potential.preset"),
+    *((experiment, '"lattice": {"dim": 2}, "potential": {"preset": "cosine2d"}, '
+       '"numerics": {"kgrid": [8]}', "numerics.kgrid")
+      for experiment in ("bands", "geometry", "egorov", "flow")),
+    # a slope fit needs two points
+    ("flow", '"numerics": {"eps_list": [0.1]}', "numerics.eps_list"),
+    ("propagate", '"numerics": {"eps_list": [0.1]}', "numerics.eps_list"),
+    ("egorov", '"numerics": {"eps_list": [0.2], "tolerances": {"slope_min": 1.5}}',
+     "numerics.eps_list"),
+]
+
+
+@pytest.mark.parametrize("experiment,section,path", REFUSED_BEFORE_OUTPUT,
+                         ids=[f"{e}-{p}" for e, _, p in REFUSED_BEFORE_OUTPUT])
+def test_refused_configs_exit_2_before_output(tmp_path, capsys, experiment, section, path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"experiment": "%s", %s}' % (experiment, section))
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment,numerics,path", [
     ("flow", '"dt": -0.004', "numerics.dt"),
     ("egorov", '"t_final": 0', "numerics.t_final"),
     ("propagate", '"dt": 0', "numerics.dt"),
     ("geometry", '"band_index": -1', "numerics.band_index"),
     ("bands", '"band_index": 4', "numerics.band_index"),
-    ("butterfly", '"cutoff": 0', "numerics.cutoff")])
+    ("butterfly", '"cutoff": 0', "numerics.cutoff"),
+    ("egorov", '"eps_list": []', "numerics.eps_list")])
 def test_numerics_out_of_range_rejected(experiment, numerics, path):
     with pytest.raises(ConfigError) as exc:
         parse_config('{"experiment": "%s", "numerics": {%s}}' % (experiment, numerics))
@@ -293,6 +353,18 @@ def test_egorov_run_small(tmp_path):
     report = run(cfg, tmp_path)
     assert report["passed"]
     assert (tmp_path / "egorov.csv").exists()
+
+
+def test_egorov_single_eps_writes_no_slope(tmp_path):
+    cfg = parse_config(
+        '{"experiment": "egorov", "lattice": {"dim": 1}, '
+        '"potential": {"preset": "mathieu", "v": 1.0}, '
+        '"numerics": {"cutoff": 6, "kgrid": [32], "n_bands": 2, '
+        '"eps_list": [0.2], "dt": 0.02, "t_final": 0.5, "macro_box": 2.6}}')
+    report = run(cfg, tmp_path)
+    assert report["passed"] and np.isnan(report["metrics"]["slope"])
+    header, row = (tmp_path / "egorov.csv").read_text().splitlines()
+    assert header.endswith(",slope_fit") and row.endswith(",nan")
 
 
 def test_flow_run_small(tmp_path):

@@ -342,7 +342,11 @@ def test_exact_product_matches_moyal_oracle():
 
 
 def moyal_oracle_2d(f: GridSymbol, g: GridSymbol, eps: float) -> np.ndarray:
-    """Twisted spectral convolution in two dimensions (test oracle)."""
+    """Twisted spectral convolution in two dimensions (test oracle).
+
+    The twist sig(u1, u2) = sum_l wx_l(u1) wk_l(u2) - wk_l(u1) wx_l(u2) is a
+    sum of per-axis products, so exp(-i eps sig / 2) is a product of
+    per-axis factors, read by index from one n x n phase table per axis."""
     ns = f.samples.shape
     n = ns[0]
     H = [f.grid.eps * f.grid.h[l] for l in range(2)]
@@ -351,21 +355,23 @@ def moyal_oracle_2d(f: GridSymbol, g: GridSymbol, eps: float) -> np.ndarray:
     wk = [2 * np.pi * np.fft.fftfreq(n, d=hxi[l]) for l in range(2)]
     F = np.fft.fftn(f.samples)
     G = np.fft.fftn(g.samples)
+    # table[ax][u, a]: the factor of axis ax at second-factor frequency a,
+    # with u the first factor's frequency on the conjugate axis partner[ax]
+    table = [np.exp(0.5j * eps * np.outer(wk[l], wx[l])) for l in range(2)] + \
+        [np.exp(-0.5j * eps * np.outer(wx[l], wk[l])) for l in range(2)]
+    partner = (2, 3, 0, 1)
     out = np.zeros_like(F)
     idx = np.arange(n)
-    grids = np.meshgrid(idx, idx, idx, idx, indexing="ij")
-    it = np.ndindex(n, n, n, n)
     # loop over the first factor's (4d) frequency; inner ops vectorized
     for u1 in np.ndindex((n,) * 4):
         c = F[u1]
         if abs(c) < 1e-14 * 1.0:
             continue
-        a2 = [(grids[ax] * 0 + (idx.reshape([-1 if k == ax else 1
-                                             for k in range(4)]) - u1[ax])) % n
-              for ax in range(4)]
-        sig = sum(wx[l][u1[l]] * wk[l][a2[2 + l]]
-                  - wk[l][u1[2 + l]] * wx[l][a2[l]] for l in range(2))
-        out += c * G[tuple(a2)] * np.exp(-0.5j * eps * sig)
+        a2 = [(idx - u1[ax]) % n for ax in range(4)]
+        term = c
+        for ax in range(4):
+            term = np.multiply.outer(term, table[ax][u1[partner[ax]], a2[ax]])
+        out += G[np.ix_(*a2)] * term
     return np.fft.ifftn(out) / np.prod(ns)
 
 
