@@ -430,18 +430,25 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
 
 def _preflight(cfg: RunConfig) -> None:
     """Build the lattice, the potential and, for the experiments that solve
-    bands on it, the k-grid, so that a config the library refuses raises a
-    ConfigError naming the config path before any output exists."""
-    from .fiber import FiberError
+    bands on it, the plane-wave basis and the k-grid, so that a config the
+    library refuses raises a ConfigError naming the config path before any
+    output exists."""
+    from .fiber import FiberError, fiber_basis
     from .lattice import LatticeError, make_kgrid
+    num = cfg.numerics
     path = "lattice.basis"      # parse_config keeps lattice.dim in {1, 2, 3}
     try:
         lat = _build_lattice(cfg)
         path = "potential.coefficients" if cfg.potential.coefficients else "potential.preset"
-        _build_potential(cfg, lat)
+        pot = _build_potential(cfg, lat)
+        if cfg.experiment != "butterfly":
+            path = "numerics.cutoff"
+            fiber_basis(pot, num.cutoff)
         if cfg.experiment in ("bands", "geometry", "egorov", "flow"):
             path = "numerics.kgrid"
-            make_kgrid(lat, tuple(cfg.numerics.kgrid))
+            make_kgrid(lat, tuple(num.kgrid))
+            path = "numerics.n_bands"
+            fiber_basis(pot, num.cutoff, num.n_bands)
     except (LatticeError, FiberError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
 

@@ -169,6 +169,18 @@ def _check(cfg: RunConfig, problems):
             and all(_is_a(x, (int, float)) for x in row) for row in basis)):
         problems.append(f"lattice.basis: must be lattice.dim ({dim}) rows of "
                         f"{dim} numbers")
+    for i, entry in enumerate(cfg.potential.coefficients or []):
+        path = f"potential.coefficients[{i}]"
+        if not (isinstance(entry, dict) and set(entry) <= {"n", "re", "im"}):
+            problems.append(f"{path}: must be an object with keys n, re, im")
+            continue
+        n = entry.get("n")
+        if not (isinstance(n, list) and len(n) == dim and all(_is_a(c, int) for c in n)):
+            problems.append(f"{path}.n: must be a list of lattice.dim ({dim}) integers")
+        problems.extend(f"{path}.{key}: must be a number" for key in ("re", "im")
+                        if key in entry and not _is_a(entry[key], (int, float)))
+    if not all(_is_a(n, int) and n >= 1 for n in num.kgrid):
+        problems.append("numerics.kgrid: entries must be positive integers")
     if cfg.field.phi.preset == "cosine" and dim > 2:
         # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
         problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")

@@ -14,10 +14,12 @@ effective-variable map and the semiclassical Hamiltonian
     h_sc(k, r) = E(k) + phi(r) - eps lam B(r) . M(k)
 
 reproduce h (composed with the inverse map) up to second order, which the
-test suite measures as a convergence rate.  All band quantities are
-FFT-upsampled in the zone coefficients and held by one stacked periodic
-spline, so dual-lattice periodicity is exact; BandData.at returns them for a
-batch of k as one BandFields record, values and k-derivatives together.
+test suite measures as a convergence rate.  All band quantities are held by
+one stacked periodic spline in the zone coefficients, built from their FFT
+spectra in one pass, so dual-lattice periodicity is exact.  BandData.at
+evaluates them for a batch of k as one BandFields record, values and
+k-derivatives together; a field of the record is made when it is first read,
+so a right-hand side that reads three of the eight pays for three.
 EffectiveHamiltonian and SemiclassicalHamiltonian offer value(k, r) and the
 flow protocol grad_pair(k, r) -> (grad_k h, grad_r h, fields).
 """
@@ -30,7 +32,7 @@ import numpy as np
 
 from .fields import EMFieldConfig, _contract, _vecmat
 from .geometry import GeometricTensors
-from .interp import PeriodicSpline, fourier_coeffs_centered
+from .interp import PeriodicSpline
 from .lattice import KGrid, Lattice
 from .weyl import GridSymbol, PhaseSpaceGrid, sample_broadcast
 
@@ -49,45 +51,47 @@ class EffectiveError(ValueError):
     pass
 
 
-def _upsampled(samples: np.ndarray, factor: int) -> np.ndarray:
-    """Fine-grid values (zero-anchored at -1/2) from cell-centered samples."""
-    c = fourier_coeffs_centered(samples)
-    fine_shape = tuple(factor * n for n in samples.shape)
-    out = np.zeros(fine_shape, dtype=complex)
-    idx = []
-    for n_old, n_new in zip(samples.shape, fine_shape):
-        half = (n_old - 1) // 2
-        idx.append(np.r_[0:half + 1, n_new - half:n_new])
-    src = []
-    for n_old in samples.shape:
-        half = (n_old - 1) // 2
-        src.append(np.r_[0:half + 1, n_old - half:n_old])
-    out[np.ix_(*idx)] = c[np.ix_(*src)]
-    # evaluate sum c_P e^{2 pi i P alpha} on alpha_m = -1/2 + m/n_fine
-    for ax, n_new in enumerate(fine_shape):
-        P = np.fft.fftfreq(n_new, d=1.0 / n_new).astype(int)
-        sh = [1] * len(fine_shape)
-        sh[ax] = n_new
-        out = out * np.exp(2j * np.pi * P * (-0.5)).reshape(sh)
-    return np.fft.ifftn(out).real * np.prod(fine_shape)
+class _Field:
+    """A BandFields field, made from the evaluation block when first read and
+    then kept in the record's __dict__, where later reads find it first.  A
+    gradient (grad) sits on the block's derivative rows, so its columns are
+    moved in front of the derivative axis m."""
+
+    def __init__(self, grad: bool):
+        self.grad = grad
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return self
+        index, tail = rec._layout[self.name]
+        view = rec._block[index]
+        view = (view.transpose(0, 2, 1) if self.grad else view).reshape(rec._lead + tail)
+        rec.__dict__[self.name] = view
+        return view
 
 
-@dataclass(frozen=True)
 class BandFields:
     """Band fields at a batch of points k (..., d), derivatives in Cartesian k.
 
-    The arrays are views into one spline evaluation block; copy before
-    writing.
+    A field is made when it is first read, as a view into the one spline
+    evaluation block (P, 1 + d, F) of the batch, and kept; a caller that
+    reads three of them pays for three.  Copy before writing.
     """
 
-    E: np.ndarray                       # (...)
-    A: np.ndarray                       # (..., l)       Berry connection
-    M: np.ndarray                       # (..., l, j)    Rammal-Wilkinson tensor
-    Om: np.ndarray                      # (..., l, j)    Berry curvature
-    dE: np.ndarray                      # (..., m)
-    hessE: np.ndarray                   # (..., m, n)
-    dA: np.ndarray                      # (..., l, m)    d A_l / d k_m
-    dM: np.ndarray                      # (..., l, j, m) d M_lj / d k_m
+    E = _Field(False)                   # (...)
+    A = _Field(False)                   # (..., l)       Berry connection
+    M = _Field(False)                   # (..., l, j)    Rammal-Wilkinson tensor
+    Om = _Field(False)                  # (..., l, j)    Berry curvature
+    dE = _Field(True)                   # (..., m)
+    hessE = _Field(True)                # (..., m, n)
+    dA = _Field(True)                   # (..., l, m)    d A_l / d k_m
+    dM = _Field(True)                   # (..., l, j, m) d M_lj / d k_m
+
+    def __init__(self, block, lead, layout):
+        self._block, self._lead, self._layout = block, lead, layout
 
 
 @dataclass
@@ -96,9 +100,12 @@ class BandData:
 
     Samples live on the band's (cell-centered) k-grid; evaluation happens in
     zone coefficients alpha = k . dual^{-1}, so any Bravais lattice works.
-    All fields are FFT-upsampled and held by one stacked PeriodicSpline with
-    field axis [E, dE/dk_1..d, A_l, M_lj, Omega_lj]; `at` evaluates them
-    for Cartesian k of shape (..., d) (bare floats in 1D).
+    All fields are held by one stacked PeriodicSpline with field axis
+    [E, dE/dk_1..d, A_l, M_lj, Omega_lj] on a grid `upsample` times finer,
+    built from one FFT of the samples: their spectrum, zero-padded to the
+    fine grid (dE's is E's times 2 pi i P), goes straight into the spline's
+    coefficients, so no fine-grid values are formed.  `at` evaluates the
+    fields for Cartesian k of shape (..., d) (bare floats in 1D).
     """
 
     lattice: Lattice
@@ -110,36 +117,46 @@ class BandData:
     upsample: int = 8
 
     def __post_init__(self):
-        d = self.lattice.dim
-        # grad_k f = grad_alpha f @ to_cart_T, since alpha = k . dual^{-1}
+        d, shape = self.lattice.dim, tuple(self.shape)
+        n_f = tuple(self.upsample * n for n in shape)
+        samples = np.concatenate(
+            [np.reshape(self.energy_samples, shape + (1,)),
+             np.reshape(self.connection_samples, shape + (d,)),
+             np.reshape(self.rw_samples, shape + (d * d,)),
+             np.reshape(self.curvature_samples, shape + (d * d,))], axis=-1)
+        # the fine grid's spectrum of the trigonometric interpolant of the
+        # cell-centered samples: the frequencies |P| <= (n - 1) // 2 of each
+        # axis (an even axis drops its Nyquist term), scaled by n_f / n and
+        # moved half a coarse cell, exp(-i pi P / n)
+        c = np.fft.rfftn(samples, axes=tuple(range(d))) * (np.prod(n_f) / np.prod(shape))
+        P = []
+        for ax, n in enumerate(shape):
+            h = (n - 1) // 2
+            keep = np.arange(h + 1) if ax == d - 1 else np.r_[0:h + 1, -h:0]
+            P.append(keep.reshape([-1 if a == ax else 1 for a in range(d)] + [1]))
+            c = np.take(c, keep, axis=ax) * np.exp(-1j * np.pi * P[-1] / n)
+        # dE/dk = dE/dalpha @ to_cart_T, since alpha = k . dual^{-1}: the dE
+        # spectra are E's times 2 pi i P @ to_cart_T, so the dE fields are
+        # exact derivatives of the fine E values and value/gradient pairs are
+        # Hamiltonian-consistent (flows conserve the interpolated energy to
+        # integrator accuracy); their own spline derivatives give the Hessian
         to_cart_T = self.lattice.basis / (2 * np.pi)
-        n_f = tuple(self.upsample * n for n in self.shape)
-        geo = np.concatenate([self.connection_samples.reshape(self.shape + (d,)),
-                              self.rw_samples.reshape(self.shape + (d * d,)),
-                              self.curvature_samples.reshape(self.shape + (d * d,))],
-                             axis=-1)
-        fields = np.empty(n_f + (1 + d + geo.shape[-1],))
-        E_f = _upsampled(self.energy_samples, self.upsample)
-        fields[..., 0] = E_f
-        # the dE/dk fields are exact derivatives of the fine E values, so
-        # value/gradient pairs are Hamiltonian-consistent (flows conserve the
-        # interpolated energy to integrator accuracy); their own spline
-        # derivatives give the Hessian
-        F = np.fft.fftn(E_f)
-        dE_alpha = np.empty(n_f + (d,))
-        for ax, n in enumerate(n_f):
-            P = np.fft.fftfreq(n, d=1.0 / n)
-            sh = [1] * d
-            sh[ax] = n
-            dE_alpha[..., ax] = np.fft.ifftn(F * (2j * np.pi * P).reshape(sh)).real
-        fields[..., 1:1 + d] = dE_alpha @ to_cart_T
-        for f in range(geo.shape[-1]):
-            fields[..., 1 + d + f] = _upsampled(geo[..., f], self.upsample)
+        ddk = 2j * np.pi * sum(P[ax] * to_cart_T[ax] for ax in range(d))
+        # each BandFields field: its rows and columns of the evaluation block
+        # (values; derivatives) x [E, dE/dk, A, M, Omega], and its shape
+        e, a, m = 1 + d, 1 + 2 * d, 1 + 2 * d + d * d
+        val, grad = (slice(None), 0), (slice(None), slice(1, None))
+        self._layout = {
+            "E": (val + (0,), ()), "A": (val + (slice(e, a),), (d,)),
+            "M": (val + (slice(a, m),), (d, d)), "Om": (val + (slice(m, None),), (d, d)),
+            "dE": (grad + (slice(0, 1),), (d,)), "hessE": (grad + (slice(1, e),), (d, d)),
+            "dA": (grad + (slice(e, a),), (d, d)), "dM": (grad + (slice(a, m),), (d, d, d))}
         # fine node i sits at k = (i / n_f - 1/2) @ dual: the spline takes
         # Cartesian k and returns Cartesian k-derivatives
         dual = self.lattice.dual
-        self._spline = PeriodicSpline(fields, -0.5 * dual.sum(0),
-                                      dual / np.array(n_f)[:, None])
+        self._spline = PeriodicSpline.from_spectrum(
+            np.concatenate([c[..., :1], c[..., :1] * ddk, c[..., 1:]], axis=-1),
+            n_f, -0.5 * dual.sum(0), dual / np.array(n_f)[:, None])
 
     # -- constructors ---------------------------------------------------
 
@@ -179,22 +196,9 @@ class BandData:
     def at(self, k) -> BandFields:
         """Band fields at Cartesian k (..., d): the values E, A, M, Omega and
         the derivatives dE, hessE, dA, dM, all from one spline evaluation."""
-        d = self.lattice.dim
-        k = _as_points(k, d)
-        lead = k.shape[:-1]
-        out = self._spline(k.reshape(-1, d))            # (P, 1 + d, F)
-        v = out[:, 0]
-        # g[p, f, m] = d field_f / d k_m, a view
-        g = out[:, 1:].transpose(0, 2, 1)
-        return BandFields(
-            E=v[:, 0].reshape(lead),
-            A=v[:, 1 + d:1 + 2 * d].reshape(lead + (d,)),
-            M=v[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d)),
-            Om=v[:, 1 + 2 * d + d * d:].reshape(lead + (d, d)),
-            dE=out[:, 1:, 0].reshape(lead + (d,)),
-            hessE=g[:, 1:1 + d].reshape(lead + (d, d)),
-            dA=g[:, 1 + d:1 + 2 * d].reshape(lead + (d, d)),
-            dM=g[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d, d)))
+        k = _as_points(k, self.lattice.dim)
+        return BandFields(self._spline(k.reshape(-1, k.shape[-1])), k.shape[:-1],
+                          self._layout)
 
 
 def _flat2(a, trailing: int = 0) -> np.ndarray:

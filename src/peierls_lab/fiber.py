@@ -42,6 +42,7 @@ __all__ = [
     "PlaneWaveBasis",
     "FiberMatrix",
     "BandStructure",
+    "fiber_basis",
     "fiber_terms",
     "fiber_matrix",
     "fiber_symmetries",
@@ -187,6 +188,21 @@ class FiberMatrix:
         return self.basis.size
 
 
+def fiber_basis(potential: FourierPotential, cutoff: int,
+                n_bands: int = 1) -> PlaneWaveBasis:
+    """The plane-wave basis of a band solve, refused (FiberError) when it
+    cannot hold the potential's support or n_bands eigenvalues."""
+    basis = PlaneWaveBasis.build(potential.lattice, cutoff)
+    if potential.max_order > cutoff:
+        raise FiberError(f"cutoff {cutoff} cannot contain potential support "
+                         f"{potential.max_order}")
+    if n_bands < 1:
+        raise FiberError(f"n_bands must be >= 1, got {n_bands}")
+    if n_bands > basis.size:
+        raise FiberError(f"n_bands {n_bands} exceeds matrix size {basis.size}")
+    return basis
+
+
 def fiber_terms(potential: FourierPotential, basis: PlaneWaveBasis,
                 kpoints) -> tuple[np.ndarray, np.ndarray]:
     """The two parts of H(k) = V + diag(kin(k)) at a batch of momenta.
@@ -198,12 +214,15 @@ def fiber_terms(potential: FourierPotential, basis: PlaneWaveBasis,
     if potential.max_order > basis.cutoff:
         raise FiberError(
             f"cutoff {basis.cutoff} cannot contain potential support {potential.max_order}")
-    coeffs = {n: complex(v) for n, v in potential.coefficients.items()}
-    real = all(v.imag == 0.0 for v in coeffs.values())
+    n = np.array(list(potential.coefficients), dtype=int).reshape(-1, basis.lattice.dim)
+    v = np.array([complex(c) for c in potential.coefficients.values()], dtype=complex)
+    real = not np.any(v.imag)
     V = np.zeros((basis.size, basis.size), dtype=float if real else complex)
-    diff = basis.offsets[:, None, :] - basis.offsets[None, :, :]
-    for n, v in coeffs.items():
-        V[np.all(diff == np.asarray(n, dtype=int), axis=-1)] = v.real if real else v
+    # V[i, j] = Vhat(n) where offsets[i] - offsets[j] = n: for each n, row i
+    # meets column index_of(offsets[i] - n) when that lies in the box
+    cols = basis.offsets - n[:, None]                       # (K, D, d)
+    which, rows = np.nonzero(np.all(np.abs(cols) <= basis.cutoff, axis=-1))
+    V[rows, basis.index_of(cols[which, rows])] = v.real[which] if real else v[which]
     g = basis.gvectors()
     kin = 0.5 * np.sum((np.asarray(kpoints, dtype=float)[:, None, :] + g) ** 2, axis=-1)
     return V, kin
@@ -327,11 +346,7 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
     diagonalizations.  The matrices are float64 when every Vhat(g) is real
     and complex128 otherwise; vectors are returned as complex128 either way.
     """
-    basis = PlaneWaveBasis.build(potential.lattice, cutoff)
-    if n_bands < 1:
-        raise FiberError(f"n_bands must be >= 1, got {n_bands}")
-    if n_bands > basis.size:
-        raise FiberError(f"n_bands {n_bands} exceeds matrix size {basis.size}")
+    basis = fiber_basis(potential, cutoff, n_bands)
     N, D = kgrid.n_points, basis.size
     symmetries = fiber_symmetries(potential)
     rep, element = kgrid_orbits(kgrid, symmetries)

@@ -107,11 +107,6 @@ def _reduced(lamB, epsOm):
     return np.eye(d) + lamB @ epsOm
 
 
-def _reduced_det(red, d):
-    """det J = det(I + eps lam B Omega) from _reduced's output."""
-    return red ** d if d <= 2 else np.linalg.det(red)
-
-
 def _solve_structure(gk, gr, B, lam, omega=None, eps: float = 0.0):
     """(kdot, rdot) solving J (rdot, kdot) = (grad_r H, grad_k H) for
     J = [[lam B, -I], [I, eps Omega]], with B the field's B_at(r) (unused
@@ -129,7 +124,10 @@ def _solve_structure(gk, gr, B, lam, omega=None, eps: float = 0.0):
     if lamB is not None:
         d = gk.shape[-1]
         red = _reduced(lamB, epsOm)
-        if np.abs(_reduced_det(red, d)).min() < 1e-10:
+        # det J = red^d for d <= 2: one pass finds the smallest |red|
+        det_min = np.abs(red).min() ** d if d <= 2 else \
+            np.abs(np.linalg.det(red)).min()
+        if det_min < 1e-10:
             raise FlowError("corrected structure matrix is degenerate")
         kdot = kdot / red[..., None] if d <= 2 else \
             np.linalg.solve(red, kdot[..., None])[..., 0]
@@ -162,8 +160,9 @@ def structure_factor(k, r, field: EMFieldConfig, band):
     r = np.asarray(r, dtype=float)
     if band is None or field.eps == 0.0 or field.lam == 0.0:
         return np.ones(r.shape[:-1])
+    d = r.shape[-1]
     red = _reduced(field.lam * field.B(r), field.eps * band.at(k).Om)
-    return np.sqrt(np.abs(_reduced_det(red, r.shape[-1])))
+    return np.sqrt(np.abs(red ** d if d <= 2 else np.linalg.det(red)))
 
 
 # _rk4_run's stage function, called k first; perfbench/tracing.py wraps it

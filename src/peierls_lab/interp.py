@@ -3,13 +3,18 @@
 Band data lives on uniform grids over the Brillouin-zone coefficient box
 (period 1 per axis, cell-centered sampling).  Band fields are evaluated by a
 cubic spline of all fields at once on an FFT-upsampled fine grid, in any
-dimension d: the coefficient grid carries wrapped ghost layers, so a block
-of points needs one tap gather and one batched contraction that returns
-values and first derivatives together as a (P, 1 + d, F) array (error well
-under the expansion budgets).  The tap weights of a block are one matmul of
-its monomials by a table built once per spline, so a point costs the same
-few array operations whatever the batch.  The exact trigonometric
-interpolant is kept as the oracle the tests compare against.
+dimension d.  A spline is built from the fields' spectrum: from values by
+one FFT, or from coarse samples' spectrum zero-padded (from_spectrum).  One
+division by the B-spline symbol and one inverse transform, slab by slab,
+write the coefficients into the interior of a grid with wrapped ghost
+layers; beside the spectrum only one slab of values is held (about an
+eighth of the grid for d >= 2).  With the ghost layers a block of points
+needs one tap gather and one batched contraction that returns values and
+first derivatives together as a (P, 1 + d, F) array (error well under the
+expansion budgets).  The tap weights of a block are one matmul of its
+monomials by a table built once per spline, so a point costs the same few
+array operations whatever the batch.  The exact trigonometric interpolant
+is kept as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -82,14 +87,45 @@ BLOCK = 1024
 _B3 = np.array([[1, 4, 1, 0], [-3, 0, 3, 0], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6.0
 _DB3 = np.vstack([np.arange(1, 4)[:, None] * _B3[1:], np.zeros(4)])    # d/dt t^j = j t^(j-1)
 _POWERS = np.arange(4.0)[:, None]
+# The prefilter writes the coefficients in this many slabs along the first
+# axis (d >= 2), so it holds one slab of values beside them, not a grid.
+SLABS = 8
+
+
+def _zero_filled(a, ax, n):
+    """a with its m <= n frequencies in FFT order along ax zero-filled to n."""
+    m = a.shape[ax]
+    return a if m == n else np.insert(a, [(m + 1) // 2] * (n - m), 0, axis=ax)
+
+
+def _prefilter(spectrum, shape, out):
+    """Write the cubic B-spline coefficients of the fields with the given
+    spectrum (laid out as for PeriodicSpline.from_spectrum) into out
+    (n_1, ..., n_d, F): divide by the spline's symbol, then transform back
+    axis by axis, the zero frequencies left out until each axis is reached,
+    and the axes after the first slab by slab."""
+    d = len(shape)
+    symbol = 1.0
+    for ax, (m, n) in enumerate(zip(spectrum.shape, shape)):
+        P = np.arange(m) if ax == d - 1 else np.fft.fftfreq(m, 1.0 / m)
+        symbol = symbol * ((4.0 + 2.0 * np.cos(2 * np.pi * P / n)) / 6.0).reshape(
+            (m,) + (1,) * (d - ax))
+    spectrum = spectrum / symbol
+    first = spectrum if d == 1 else np.fft.ifft(_zero_filled(spectrum, 0, shape[0]), axis=0)
+    step = shape[0] if d == 1 else -(-shape[0] // SLABS)
+    for i in range(0, shape[0], step):
+        slab = first[i:i + step]
+        for ax in range(1, d - 1):
+            slab = np.fft.ifft(_zero_filled(slab, ax, shape[ax]), axis=ax)
+        out[i:i + step] = np.fft.irfft(slab, shape[-1], axis=d - 1)
 
 
 class PeriodicSpline:
     """Cubic B-splines of F fields on one uniform periodic grid in any
     dimension d, with exact prefilter.
 
-    values has shape (n_1, ..., n_d, F): F fields sampled on the same grid
-    (typically FFT-upsampled from coarse data).  Node i sits at
+    values has shape (n_1, ..., n_d, F): F fields sampled on the same grid;
+    from_spectrum takes their spectrum instead.  Node i sits at
     origin + i @ steps, where spacing gives the steps: a scalar or (d,) per
     axis, or a (d, d) matrix whose rows are the step vectors of a skewed
     grid.  The prefiltered coefficients are stored with wrapped ghost
@@ -103,24 +139,32 @@ class PeriodicSpline:
 
     def __init__(self, values: np.ndarray, origin, spacing):
         values = np.asarray(values, dtype=float)
-        d = self.ndim = values.ndim - 1
-        self.shape = values.shape[:-1]
-        self.n_fields = values.shape[-1]
+        d = values.ndim - 1
+        self._build(np.fft.rfftn(values, axes=tuple(range(d))), values.shape[:-1],
+                    origin, spacing)
+
+    @classmethod
+    def from_spectrum(cls, spectrum: np.ndarray, shape, origin, spacing) -> "PeriodicSpline":
+        """The spline of the fields whose DFT over the grid axes (n_1, ..., n_d)
+        is spectrum (m_1, ..., m_d, F): frequencies 0..m_d - 1 of the last axis
+        (the rfftn half) and m_a <= n_a of every other axis in FFT order; the
+        frequencies left out are zero.  No grid of values is formed."""
+        self = cls.__new__(cls)
+        self._build(np.asarray(spectrum), tuple(shape), origin, spacing)
+        return self
+
+    def _build(self, spectrum, shape, origin, spacing):
+        d = self.ndim = len(shape)
+        self.shape = shape
+        self.n_fields = spectrum.shape[-1]
         self.origin = np.broadcast_to(np.asarray(origin, dtype=float), (d,)).copy()
         spacing = np.asarray(spacing, dtype=float)
         self.steps = spacing.copy() if spacing.ndim == 2 else \
             np.diag(np.broadcast_to(spacing, (d,)))
-        # prefilter field by field into the interior of the padded grid;
-        # ghost layers: padded index i holds coefficient (i - 1) mod n
+        # prefilter into the interior of the padded grid; ghost layers:
+        # padded index i holds coefficient (i - 1) mod n
         pad = np.empty(tuple(n + 3 for n in self.shape) + (self.n_fields,))
-        inner = pad[(slice(1, -2),) * d]
-        for f in range(self.n_fields):
-            c = np.fft.rfftn(values[..., f])
-            for ax, n in enumerate(self.shape):
-                m = c.shape[ax]
-                bhat = (4.0 + 2.0 * np.cos(2 * np.pi * np.arange(m) / n)) / 6.0
-                c /= bhat.reshape([m if a == ax else 1 for a in range(d)])
-            inner[..., f] = np.fft.irfftn(c, s=self.shape, axes=tuple(range(d)))
+        _prefilter(spectrum, shape, pad[(slice(1, -2),) * d])
         for ax, n in enumerate(self.shape):
             lead = (slice(None),) * ax
             pad[lead + (0,)] = pad[lead + (n,)]

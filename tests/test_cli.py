@@ -304,6 +304,16 @@ REFUSED_BEFORE_OUTPUT = [
     *((experiment, '"lattice": {"dim": 2}, "potential": {"preset": "cosine2d"}, '
        '"numerics": {"kgrid": [8]}', "numerics.kgrid")
       for experiment in ("bands", "geometry", "egorov", "flow")),
+    # the plane-wave basis must hold the potential's support and n_bands
+    ("bands", '"numerics": {"n_bands": 500}', "numerics.n_bands"),
+    *((experiment, '"potential": {"coefficients": [{"n": [3], "re": 0.2}, '
+       '{"n": [-3], "re": 0.2}]}, "numerics": {"cutoff": 1}', "numerics.cutoff")
+      for experiment in ("bands", "propagate")),
+    # coefficient entries and kgrid entries are checked by parse_config
+    ("bands", '"potential": {"coefficients": [{"re": 0.5}]}',
+     "potential.coefficients[0].n"),
+    ("butterfly", '"numerics": {"kgrid": [8.7]}', "numerics.kgrid"),
+    ("propagate", '"numerics": {"kgrid": ["a"]}', "numerics.kgrid"),
     # a slope fit needs two points
     ("flow", '"numerics": {"eps_list": [0.1]}', "numerics.eps_list"),
     ("propagate", '"numerics": {"eps_list": [0.1]}', "numerics.eps_list"),
@@ -335,6 +345,19 @@ def test_numerics_out_of_range_rejected(experiment, numerics, path):
     with pytest.raises(ConfigError) as exc:
         parse_config('{"experiment": "%s", "numerics": {%s}}' % (experiment, numerics))
     assert [p for p in exc.value.problems if p.startswith(path + ":")]
+
+
+def test_potential_coefficient_entries_checked():
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "bands", "lattice": {"dim": 2}, "potential": '
+                     '{"coefficients": [{"n": [1, 0.5], "re": "x"}, 3, '
+                     '{"n": [1, 0], "im": 0.1, "w": 1}, {"n": [0], "re": 1}]}}')
+    assert exc.value.problems == [
+        "potential.coefficients[0].n: must be a list of lattice.dim (2) integers",
+        "potential.coefficients[0].re: must be a number",
+        "potential.coefficients[1]: must be an object with keys n, re, im",
+        "potential.coefficients[2]: must be an object with keys n, re, im",
+        "potential.coefficients[3].n: must be a list of lattice.dim (2) integers"]
 
 
 def test_non_object_config_rejected():

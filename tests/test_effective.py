@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from peierls_lab.effective import (BandData, EffectiveError,
 from peierls_lab.fiber import fiber_matrix, potential_2d, solve_bands
 from peierls_lab.fields import EMFieldConfig
 from peierls_lab.geometry import geometric_tensors
-from peierls_lab.interp import BLOCK
+from peierls_lab.interp import BLOCK, PeriodicSpline, fourier_coeffs_centered
 from peierls_lab.lattice import Lattice, make_kgrid
 from peierls_lab.weyl import PhaseSpaceGrid
 
@@ -347,3 +348,105 @@ def test_band_fields_stacked_evaluator(basis, shape, upsample):
         # the Hessian differentiates the dE splines, not dE itself
         assert np.abs(full.hessE[..., m] - cd("dE")).max() < 1e-3
     assert np.abs(full.hessE - np.swapaxes(full.hessE, -1, -2)).max() < 1e-6
+
+
+# -- the one-pass build and the on-demand record against their older forms ----
+
+def upsampled_values(samples, factor):
+    """Fine-grid values (zero-anchored at -1/2) of cell-centered samples, as
+    BandData upsampled each field before it built the spline from spectra."""
+    c = fourier_coeffs_centered(samples)
+    fine = tuple(factor * n for n in samples.shape)
+    out = np.zeros(fine, dtype=complex)
+    keep = [np.r_[0:(n - 1) // 2 + 1, -((n - 1) // 2):0] for n in samples.shape]
+    out[np.ix_(*[k % n for k, n in zip(keep, fine)])] = \
+        c[np.ix_(*[k % n for k, n in zip(keep, samples.shape)])]
+    for ax, n in enumerate(fine):
+        P = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        shape = [n if a == ax else 1 for a in range(len(fine))]
+        out = out * np.exp(-1j * np.pi * P).reshape(shape)
+    return np.fft.ifftn(out).real * np.prod(fine)
+
+
+def two_pass_spline(band):
+    """The spline of the two-pass build: every field upsampled to fine
+    values, dE from an FFT pair of the fine E, then the prefilter."""
+    d, shape, up = band.lattice.dim, tuple(band.shape), band.upsample
+    n_f = tuple(up * n for n in shape)
+    geo = np.concatenate([band.connection_samples.reshape(shape + (d,)),
+                          band.rw_samples.reshape(shape + (d * d,)),
+                          band.curvature_samples.reshape(shape + (d * d,))], axis=-1)
+    fields = np.empty(n_f + (1 + d + geo.shape[-1],))
+    fields[..., 0] = upsampled_values(band.energy_samples, up)
+    F = np.fft.fftn(fields[..., 0])
+    dE_alpha = np.empty(n_f + (d,))
+    for ax, n in enumerate(n_f):
+        P = np.fft.fftfreq(n, d=1.0 / n).reshape([n if a == ax else 1 for a in range(d)])
+        dE_alpha[..., ax] = np.fft.ifftn(F * 2j * np.pi * P).real
+    fields[..., 1:1 + d] = dE_alpha @ (band.lattice.basis / (2 * np.pi))
+    for f in range(geo.shape[-1]):
+        fields[..., 1 + d + f] = upsampled_values(geo[..., f], up)
+    dual = band.lattice.dual
+    return PeriodicSpline(fields, -0.5 * dual.sum(0), dual / np.array(n_f)[:, None])
+
+
+def eager_fields(block, lead, d):
+    """The eight BandFields arrays as BandData.at built them all per call."""
+    v, g = block[:, 0], block[:, 1:].transpose(0, 2, 1)
+    return {"E": v[:, 0].reshape(lead),
+            "A": v[:, 1 + d:1 + 2 * d].reshape(lead + (d,)),
+            "M": v[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d)),
+            "Om": v[:, 1 + 2 * d + d * d:].reshape(lead + (d, d)),
+            "dE": block[:, 1:, 0].reshape(lead + (d,)),
+            "hessE": g[:, 1:1 + d].reshape(lead + (d, d)),
+            "dA": g[:, 1 + d:1 + 2 * d].reshape(lead + (d, d)),
+            "dM": g[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d, d))}
+
+
+LATTICES = {"square": ([[1.0, 0.0], [0.0, 1.0]], (15, 15), 8),
+            "oblique": ([[1.0, 0.0], [0.4, 1.1]], (16, 13), 8),
+            "3d": ([[1.0, 0.0, 0.0], [0.4, 1.1, 0.0], [0.2, -0.3, 0.9]], (7, 6, 5), 6)}
+
+
+@pytest.mark.parametrize("name", list(LATTICES))
+def test_one_pass_band_data_matches_two_pass_build(name):
+    basis, shape, upsample = LATTICES[name]
+    lat = Lattice.from_basis(basis)
+    d = lat.dim
+    bd = BandData.synthetic(lat, shape, *trig_band_fields(lat), upsample=upsample)
+    k = np.random.default_rng(4).uniform(-3, 3, (400, d))
+    new = bd.at(k)
+    old = eager_fields(two_pass_spline(bd)(k), (400,), d)
+    for field, ref in old.items():
+        assert np.abs(getattr(new, field) - ref).max() <= 1e-12 * np.abs(ref).max(), field
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 4)])
+def test_band_fields_on_demand_equal_eager_views(lead):
+    d = 2
+    k = np.random.default_rng(5).uniform(-3, 3, lead + (d,))
+    rec = BAND.at(k)
+    eager = eager_fields(BAND._spline(k.reshape(-1, d)), lead, d)
+    for field, ref in eager.items():
+        got = getattr(rec, field)
+        assert got.shape == ref.shape and np.array_equal(got, ref), field
+        assert getattr(rec, field) is got          # made once, then kept
+
+
+def test_band_data_build_holds_one_coefficient_array():
+    # the spline is built from spectra straight into its ghost-padded grid:
+    # beside it only one slab of fine values (an eighth) is ever alive; the
+    # two-pass build held all fine values too, 2.2 coefficient arrays here
+    lat = Lattice.from_basis([[1.0, 0.0, 0.0], [0.4, 1.1, 0.0], [0.2, -0.3, 0.9]])
+    E, A, M, Om = trig_band_fields(lat)
+    grid = make_kgrid(lat, (7, 7, 7))
+    samples = [grid.reshape(f(grid.points)) for f in (E, A, M, Om)]
+    tracemalloc.start()
+    try:
+        bd = BandData(lat, grid.shape, *samples, upsample=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    coefficients = bd._spline.c.nbytes
+    assert coefficients > 40e6
+    assert peak < 1.3 * coefficients, peak / coefficients

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from peierls_lab.effective import BandData
 from peierls_lab.fiber import (BandStructure, FiberError, FourierPotential,
                                PlaneWaveBasis, check_gap, fiber_matrix,
+                               fiber_terms,
                                fiber_symmetries, kgrid_orbits,
                                mathieu_potential, potential_2d, solve_bands,
                                tau_equivariance_check)
@@ -321,3 +322,44 @@ def test_shift_matrix_composition():
     P = S2 @ S1
     keep = np.abs(basis.offsets[:, 0] + 1) <= 4
     assert np.allclose(P[np.ix_(keep, keep)], np.eye(keep.sum()))
+
+
+def mask_loop_fiber_terms(potential, basis, kpoints):
+    """fiber_terms before V was built by index: one (D, D, d) offset
+    difference mask per coefficient."""
+    coeffs = {n: complex(v) for n, v in potential.coefficients.items()}
+    real = all(v.imag == 0.0 for v in coeffs.values())
+    V = np.zeros((basis.size, basis.size), dtype=float if real else complex)
+    diff = basis.offsets[:, None, :] - basis.offsets[None, :, :]
+    for n, v in coeffs.items():
+        V[np.all(diff == np.asarray(n, dtype=int), axis=-1)] = v.real if real else v
+    g = basis.gvectors()
+    kin = 0.5 * np.sum((np.asarray(kpoints, dtype=float)[:, None, :] + g) ** 2, axis=-1)
+    return V, kin
+
+
+def random_potential(lattice, order, complex_values, seed):
+    """Hermitian coefficients at random n with |n_j| <= order, real or not."""
+    rng = np.random.default_rng(seed)
+    d, coeffs = lattice.dim, {}
+    for n in rng.integers(-order, order + 1, size=(6, d)):
+        v = rng.normal() + (1j * rng.normal() if complex_values else 0.0)
+        n = tuple(int(c) for c in n)
+        coeffs[n] = v.real + 0j if not any(n) else v
+        coeffs[tuple(-c for c in n)] = np.conj(coeffs[n])
+    return FourierPotential(lattice, coeffs)
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("basis, cutoff", [([[1.3]], 4), ([[1.0, 0.0], [0.4, 1.1]], 3),
+                                           (np.eye(3), 2)], ids=["1d", "2d", "3d"])
+def test_fiber_terms_by_index_match_mask_loop(basis, cutoff, complex_values):
+    lat = Lattice.from_basis(basis)
+    pot = random_potential(lat, 2, complex_values, seed=lat.dim)
+    plane_waves = PlaneWaveBasis.build(lat, cutoff)
+    k = np.random.default_rng(1).uniform(-2, 2, (7, lat.dim))
+    V, kin = fiber_terms(pot, plane_waves, k)
+    V0, kin0 = mask_loop_fiber_terms(pot, plane_waves, k)
+    assert V.dtype == V0.dtype == (complex if complex_values else float)
+    assert np.array_equal(V, V0) and np.array_equal(kin, kin0)
+    assert np.count_nonzero(V) > plane_waves.size
