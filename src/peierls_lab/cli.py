@@ -3,8 +3,9 @@
 Commands map one-to-one onto experiment kinds (bands, geometry, butterfly,
 egorov, flow, propagate).  Every run writes a CSV per result series plus a
 JSON report mirroring the config, the metrics, and the pass/fail verdicts
-against the declared tolerances.  Exit status: 0 when all declared
-tolerances hold, 1 on a violation, 2 on config errors.
+against the tolerances set, each checked as config.EXPERIMENTS declares.
+Exit status: 0 when all checks hold, 1 on a violation or when the library
+refuses the run (the report then carries "refused"), 2 on config errors.
 
 The environment variable PEIERLS_LAB_THREADS (a positive integer; default
 the CPU count, and anything else exits 2) sets the worker threads: the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import os
 import sys
 import time
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import EXPERIMENTS, ConfigError, RunConfig, parse_config, serialize_config
 
 FLOAT_FMT = "%.17g"
 
@@ -116,6 +118,7 @@ def _phi_callables(cfg: RunConfig, dim: int):
         return None, None, None
     if spec.preset == "cosine":
         # phi = amp prod_l cos(w r_l)
+        diag = np.arange(dim)
         def phi(r):
             r = np.asarray(r, float)
             out = amp * np.cos(w * r[..., 0])
@@ -123,28 +126,21 @@ def _phi_callables(cfg: RunConfig, dim: int):
                 out = out * np.cos(w * r[..., ax])
             return out
 
-        if dim == 1:
-            def gphi(r):
-                return (-amp * w) * np.sin(w * np.asarray(r, float))
+        def sincos(r):
+            wr = w * np.asarray(r, float)
+            return np.sin(wr), np.cos(wr)
 
-            def hphi(r):
-                return (-amp * w * w) * np.cos(w * np.asarray(r, float))[..., None]
-        else:
-            def sincos(r):
-                wr = w * np.asarray(r, float)
-                return np.sin(wr), np.cos(wr)
+        def gphi(r):
+            # d_l phi = -amp w sin(w r_l) cos(w r_other), no other factor in 1-D
+            s, c = sincos(r)
+            return (-amp * w) * s * (c[..., ::-1] if dim == 2 else 1.0)
 
-            def gphi(r):
-                # d_l phi = -amp w sin(w r_l) cos(w r_other)
-                s, c = sincos(r)
-                return (-amp * w) * s * c[..., ::-1]
-
-            def hphi(r):
-                # off-diagonal amp w^2 s_1 s_2, diagonal -amp w^2 c_1 c_2
-                s, c = sincos(r)
-                h = s[..., :, None] * s[..., None, :]
-                h[..., _DIAG2, _DIAG2] = -(c[..., 0] * c[..., 1])[..., None]
-                return (amp * w * w) * h
+        def hphi(r):
+            # off-diagonal amp w^2 s_1 s_2, diagonal -amp w^2 c_1 (c_2)
+            s, c = sincos(r)
+            h = s[..., :, None] * s[..., None, :]
+            h[..., diag, diag] = -(c[..., 0] * c[..., 1] if dim == 2 else c[..., 0])[..., None]
+            return (amp * w * w) * h
         return phi, gphi, hphi
 
     # "sine_ramp": nearly linear around the origin, periodic over the box
@@ -164,9 +160,6 @@ def _phi_callables(cfg: RunConfig, dim: int):
         out[..., 0, 0] = amp * w * np.sin(w * r[..., 0])
         return out
     return phi, gphi, hphi
-
-
-_DIAG2 = np.arange(2)
 
 
 def _build_field(cfg: RunConfig, dim: int, eps: float):
@@ -194,11 +187,10 @@ def _solve_configured_bands(cfg: RunConfig):
                        cfg.numerics.n_bands)
 
 
-def run_bands(cfg: RunConfig, out: Path) -> dict:
+def run_bands(cfg: RunConfig, out: Path) -> tuple:
     from .fiber import check_gap
     bands = _solve_configured_bands(cfg)
-    grid = bands.kgrid
-    d = grid.dim
+    grid, d = bands.kgrid, bands.kgrid.dim
     header = [f"k{i+1}_inv_length" for i in range(d)] + \
         [f"E{n}_energy" for n in range(bands.n_bands)]
     rows = [list(grid.points[p]) + list(bands.energies[:, p])
@@ -207,21 +199,15 @@ def run_bands(cfg: RunConfig, out: Path) -> dict:
     emit_plotdata(out / "bands.dat", {
         **{f"k{i+1}": grid.points[:, i] for i in range(d)},
         **{f"E{n}": bands.energies[n] for n in range(bands.n_bands)}})
-    gap = check_gap(bands, [cfg.numerics.band_index])
-    metrics = {"gap": gap}
-    checks = {}
-    if "min_gap" in cfg.numerics.tolerances:
-        checks["gap_above_min"] = bool(gap >= cfg.numerics.tolerances["min_gap"])
-    return {"metrics": metrics, "checks": checks}
+    return {"gap": check_gap(bands, [cfg.numerics.band_index])}, {}
 
 
-def run_geometry(cfg: RunConfig, out: Path) -> dict:
+def run_geometry(cfg: RunConfig, out: Path) -> tuple:
     import dataclasses as dc
     from .geometry import geometric_tensors, wilson_loop
     bands = _solve_configured_bands(cfg)
-    grid = bands.kgrid
+    grid, d = bands.kgrid, bands.kgrid.dim
     geom = geometric_tensors(bands, cfg.numerics.band_index)
-    d = grid.dim
     planes = list(itertools.combinations(range(d), 2))
     header = [f"k{i+1}_inv_length" for i in range(d)] + \
         [f"A{i+1}_length" for i in range(d)] + \
@@ -243,27 +229,19 @@ def run_geometry(cfg: RunConfig, out: Path) -> dict:
     inv_dev = max(float(np.abs(geom.curvature - geom2.curvature).max()),
                   float(np.abs(geom.rw - geom2.rw).max()))
     metrics["gauge_invariance_dev"] = inv_dev
-    checks = {}
     if geom.chern is not None:
         metrics["chern"] = geom.chern
         metrics["chern_integrality"] = abs(geom.chern - round(geom.chern))
-        if "chern_tol" in cfg.numerics.tolerances:
-            checks["chern_integral"] = bool(
-                metrics["chern_integrality"] < cfg.numerics.tolerances["chern_tol"])
     else:
         zak = float(wilson_loop(geom.frame))
         metrics["zak_phase"] = zak
-        dist = min(abs(zak) % (2 * np.pi), abs(abs(zak) % (2 * np.pi) - np.pi),
-                   abs(abs(zak) % (2 * np.pi) - 2 * np.pi))
-        metrics["zak_dist_to_0_pi"] = dist
-        if "zak_tol" in cfg.numerics.tolerances:
-            checks["zak_quantized"] = bool(dist < cfg.numerics.tolerances["zak_tol"])
-    if "gauge_tol" in cfg.numerics.tolerances:
-        checks["gauge_invariant"] = bool(inv_dev < cfg.numerics.tolerances["gauge_tol"])
-    return {"metrics": metrics, "checks": checks}
+        metrics["zak_dist_to_0_pi"] = min(
+            abs(zak) % (2 * np.pi), abs(abs(zak) % (2 * np.pi) - np.pi),
+            abs(abs(zak) % (2 * np.pi) - 2 * np.pi))
+    return metrics, {}
 
 
-def run_butterfly(cfg: RunConfig, out: Path) -> dict:
+def run_butterfly(cfg: RunConfig, out: Path) -> tuple:
     from .hofstadter import butterfly
     data = butterfly(cfg.numerics.q_max, chern_labels=cfg.numerics.chern_labels,
                      n_workers=n_workers())
@@ -276,24 +254,16 @@ def run_butterfly(cfg: RunConfig, out: Path) -> dict:
         "alpha": [float(e[0]) for e in data.entries],
         "E_min": [e[2] for e in data.entries],
         "E_max": [e[3] for e in data.entries]})
-    # structural checks
-    subband_ok = True
-    for fr in data.fluxes():
-        if len(data.intervals(fr)) != fr.denominator:
-            subband_ok = False
+    # q subbands at flux p/q, and the spectrum at 1 - alpha mirrors alpha
     sym_dev = 0.0
-    from fractions import Fraction
     for fr in data.fluxes():
-        other = Fraction(1) - fr
         iv1 = np.sort(np.array(data.intervals(fr)).ravel())
-        iv2 = np.sort(np.array(data.intervals(other)).ravel())
+        iv2 = np.sort(np.array(data.intervals(1 - fr)).ravel())
         if iv2.size:
             sym_dev = max(sym_dev, float(np.abs(iv1 - iv2).max()))
-    metrics = {"n_fluxes": len(data.fluxes()), "alpha_symmetry_dev": sym_dev}
-    checks = {"subband_count": subband_ok}
-    if "symmetry_tol" in cfg.numerics.tolerances:
-        checks["alpha_symmetry"] = bool(sym_dev < cfg.numerics.tolerances["symmetry_tol"])
-    return {"metrics": metrics, "checks": checks}
+    subband_ok = all(len(data.intervals(fr)) == fr.denominator for fr in data.fluxes())
+    return ({"n_fluxes": len(data.fluxes()), "alpha_symmetry_dev": sym_dev},
+            {"subband_count": subband_ok})
 
 
 def _pipeline_band(cfg: RunConfig):
@@ -303,77 +273,55 @@ def _pipeline_band(cfg: RunConfig):
     return BandData.from_geometry(geometric_tensors(bands, cfg.numerics.band_index))
 
 
-def run_egorov(cfg: RunConfig, out: Path) -> dict:
-    import dataclasses as dc
+def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     from .effective import EffectiveHamiltonian
     from .quantum import egorov_error
     from .weyl import PhaseSpaceGrid
     band = _pipeline_band(cfg)
-    d = band.lattice.dim
-    rows = []
+    d, L = band.lattice.dim, cfg.numerics.macro_box
+
+    def f_obs(k, r):
+        return np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
+    ns = [int(round(L / eps)) | 1 for eps in cfg.numerics.eps_list]    # odd
+    eps_used = [L / n for n in ns]
     errors = []
-    eps_used = []
-    for eps in cfg.numerics.eps_list:
-        n = int(round(cfg.numerics.macro_box / eps))
-        if n % 2 == 0:
-            n += 1
-        eps_eff = cfg.numerics.macro_box / n
-        fld = _build_field(cfg, d, eps_eff)
-        heff = EffectiveHamiltonian(band, fld)
-        grid = PhaseSpaceGrid.build((n,) * d, 1.0, eps=eps_eff)
-        L = cfg.numerics.macro_box
-        def f_obs(k, r, L=L):
-            return np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
-        err = egorov_error(f_obs, heff, grid, fld, t=cfg.numerics.t_final,
-                           dt=cfg.numerics.dt,
-                           flow_shape=(17,) * d if n > 33 and d == 2 else None)
-        errors.append(err)
-        eps_used.append(eps_eff)
-        rows.append([eps_eff, n, err])
+    for n, eps in zip(ns, eps_used):
+        fld = _build_field(cfg, d, eps)
+        errors.append(egorov_error(
+            f_obs, EffectiveHamiltonian(band, fld),
+            PhaseSpaceGrid.build((n,) * d, 1.0, eps=eps), fld, t=cfg.numerics.t_final,
+            dt=cfg.numerics.dt, flow_shape=(17,) * d if n > 33 and d == 2 else None))
     # one point fixes no slope (parse_config requires two for slope_min)
     slope = (float(np.polyfit(np.log(eps_used), np.log(errors), 1)[0])
              if len(errors) > 1 else float("nan"))
-    rows = [row + [slope] for row in rows]
     write_csv(out / "egorov.csv",
               ["eps_dimensionless", "grid_points", "error_opnorm", "slope_fit"],
-              rows)
+              [row + (slope,) for row in zip(eps_used, ns, errors)])
     emit_plotdata(out / "egorov.dat", {"eps": eps_used, "error": errors})
-    metrics = {"errors": errors, "eps": eps_used, "slope": slope}
-    checks = {}
-    if "slope_min" in cfg.numerics.tolerances:
-        checks["slope"] = bool(slope >= cfg.numerics.tolerances["slope_min"])
-    return {"metrics": metrics, "checks": checks}
+    return {"errors": errors, "eps": eps_used, "slope": slope,
+            "error_per_eps2": max(e / h ** 2 for e, h in zip(errors, eps_used))}, {}
 
 
-def run_flow(cfg: RunConfig, out: Path) -> dict:
+def run_flow(cfg: RunConfig, out: Path) -> tuple:
     from .effective import SemiclassicalHamiltonian
     from .flow import FlowState, compare_flows, integrate
     band = _pipeline_band(cfg)
     d = band.lattice.dim
     fld = _build_field(cfg, d, cfg.numerics.eps_list[0])
-    k0 = np.full(d, 0.7)
-    r0 = np.full(d, 0.1)
-    st = FlowState.of(k0, r0)
+    st = FlowState.of(np.full(d, 0.7), np.full(d, 0.1))
     rep = compare_flows(st, band, fld, cfg.numerics.eps_list,
                         t_final=cfg.numerics.t_final, dt=cfg.numerics.dt)
     hsc = SemiclassicalHamiltonian(band, fld)
     traj = integrate(st, hsc, fld, 10.0, cfg.numerics.dt, band=band,
                      halving_budget=None)
     drift = traj.energy_drift()
-    rows = [[e, dist] for e, dist in zip(rep["eps"], rep["distance"])]
-    write_csv(out / "flow.csv", ["eps_dimensionless", "distance_phase_space"], rows)
+    write_csv(out / "flow.csv", ["eps_dimensionless", "distance_phase_space"],
+              zip(rep["eps"], rep["distance"]))
     emit_plotdata(out / "flow.dat", {"eps": rep["eps"], "distance": rep["distance"]})
-    metrics = {"slope": rep["slope"], "energy_drift": drift}
-    checks = {}
-    tol = cfg.numerics.tolerances
-    if "slope_min" in tol and "slope_max" in tol:
-        checks["slope"] = bool(tol["slope_min"] <= rep["slope"] <= tol["slope_max"])
-    if "drift_tol" in tol:
-        checks["energy_drift"] = bool(drift < tol["drift_tol"])
-    return {"metrics": metrics, "checks": checks}
+    return {"slope": rep["slope"], "energy_drift": drift}, {}
 
 
-def run_propagate(cfg: RunConfig, out: Path) -> dict:
+def run_propagate(cfg: RunConfig, out: Path) -> tuple:
     from .quantum import semiclassical_limit_check
     lat = _build_lattice(cfg)
     pot = _build_potential(cfg, lat)
@@ -382,69 +330,74 @@ def run_propagate(cfg: RunConfig, out: Path) -> dict:
         pot, fld, cfg.numerics.band_index, cfg.numerics.eps_list,
         t=cfg.numerics.t_final, macro_box=cfg.numerics.macro_box,
         cutoff=cfg.numerics.cutoff, n_workers=n_workers())
-    rows = [[e, ep, ea] for e, ep, ea in
-            zip(rep["eps"], rep["error_point"], rep["error_avg"])]
-    write_csv(out / "propagate.csv",
-              ["eps_dimensionless", "error_point", "error_avg"], rows)
+    write_csv(out / "propagate.csv", ["eps_dimensionless", "error_point", "error_avg"],
+              zip(rep["eps"], rep["error_point"], rep["error_avg"]))
     emit_plotdata(out / "propagate.dat", {
         "eps": rep["eps"], "error_point": rep["error_point"],
         "error_avg": rep["error_avg"]})
-    metrics = {"slope_point": rep["slope_point"], "slope_avg": rep["slope_avg"]}
-    checks = {}
-    if "slope_min" in cfg.numerics.tolerances:
-        checks["slope_point"] = bool(
-            rep["slope_point"] >= cfg.numerics.tolerances["slope_min"])
-    return {"metrics": metrics, "checks": checks}
+    return {"slope_point": rep["slope_point"], "slope_avg": rep["slope_avg"]}, {}
 
 
-_RUNNERS = {
-    "bands": run_bands,
-    "geometry": run_geometry,
-    "butterfly": run_butterfly,
-    "egorov": run_egorov,
-    "flow": run_flow,
-    "propagate": run_propagate,
-}
+# each runner returns its metrics and its structural checks (no tolerance read)
+_RUNNERS = {name: globals()["run_" + name] for name in EXPERIMENTS}
+_COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
+
+
+def _refusals() -> tuple:
+    """The package's error classes: a run that raises one is refused."""
+    from . import effective, fiber, fields, flow, geometry, hofstadter, lattice, quantum, weyl
+    return (fiber.FiberError, geometry.GaugeError, effective.EffectiveError, flow.FlowError,
+            weyl.WeylError, weyl.DenseMemoryError, quantum.QuantumError,
+            hofstadter.HofstadterError, lattice.LatticeError, fields.FieldError)
 
 
 def run(cfg: RunConfig, out_dir=None) -> dict:
-    """Dispatch one experiment; returns the report dictionary."""
-    threads = thread_report()
+    """Run one experiment, make every declared check whose tolerance is set
+    and write the report; returns it.  A refusal (_refusals) is written as
+    "refused" and raised again."""
+    report = {"threads": thread_report(), "config": json.loads(serialize_config(cfg))}
     out = Path(out_dir if out_dir is not None else cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{cfg.experiment}_report.json"
     t0 = time.time()
-    result = _RUNNERS[cfg.experiment](cfg, out)
-    report = {
-        "threads": threads,
-        "config": json.loads(serialize_config(cfg)),
-        "metrics": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                    for k, v in result["metrics"].items()},
-        "checks": result["checks"],
-        "passed": all(result["checks"].values()) if result["checks"] else True,
-        "elapsed_seconds": round(time.time() - t0, 3),
-    }
-    with open(out / f"{cfg.experiment}_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
+    try:
+        metrics, checks = _RUNNERS[cfg.experiment](cfg, out)
+    except _refusals() as exc:
+        report.update(refused={"error": type(exc).__name__, "message": str(exc)},
+                      passed=False)
+        path.write_text(json.dumps(report, indent=2, sort_keys=True))
+        raise
+    tol = cfg.numerics.tolerances
+    for c in EXPERIMENTS[cfg.experiment].checks:
+        if c.key in tol:
+            ok = bool(_COMPARE[c.op](metrics[c.metric], tol[c.key]))
+            checks[c.name] = checks.get(c.name, True) and ok
+    report.update(
+        metrics={k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                 for k, v in metrics.items()},
+        checks=checks, passed=all(checks.values()),
+        elapsed_seconds=round(time.time() - t0, 3))
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, default=float))
     return report
 
 
 def _preflight(cfg: RunConfig) -> None:
-    """Build the lattice, the potential and, for the experiments that solve
-    bands on it, the plane-wave basis and the k-grid, so that a config the
-    library refuses raises a ConfigError naming the config path before any
-    output exists."""
+    """Build the lattice, the potential and, for an experiment that solves
+    bands, the plane-wave basis, and the k-grid for one that solves them on
+    numerics.kgrid, so that a config the library refuses raises a
+    ConfigError naming the config path before any output exists."""
     from .fiber import FiberError, fiber_basis
     from .lattice import LatticeError, make_kgrid
-    num = cfg.numerics
+    num, bound = cfg.numerics, EXPERIMENTS[cfg.experiment].band_bound
     path = "lattice.basis"      # parse_config keeps lattice.dim in {1, 2, 3}
     try:
         lat = _build_lattice(cfg)
         path = "potential.coefficients" if cfg.potential.coefficients else "potential.preset"
         pot = _build_potential(cfg, lat)
-        if cfg.experiment != "butterfly":
+        if bound is not None:
             path = "numerics.cutoff"
             fiber_basis(pot, num.cutoff)
-        if cfg.experiment in ("bands", "geometry", "egorov", "flow"):
+        if bound == "n_bands":
             path = "numerics.kgrid"
             make_kgrid(lat, tuple(num.kgrid))
             path = "numerics.n_bands"
@@ -476,7 +429,11 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg.seed = args.seed
-    report = run(cfg, args.out)
+    try:
+        report = run(cfg, args.out)
+    except _refusals() as exc:
+        print(f"{cfg.experiment}: refused: {type(exc).__name__}: {exc}")
+        return 1
     for name, ok in report["checks"].items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     print(f"{cfg.experiment}: {'pass' if report['passed'] else 'FAIL'} "

@@ -15,6 +15,7 @@ missing required keys, wrong types and value violations are collected and
 reported with their field paths.
 """
 
+import collections
 import dataclasses
 import json
 import math
@@ -22,7 +23,6 @@ from dataclasses import MISSING, dataclass
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config"]
 
-EXPERIMENTS = ("bands", "geometry", "butterfly", "egorov", "flow", "propagate")
 POTENTIAL_PRESETS = ("mathieu", "cosine2d", "free")
 PHI_PRESETS = ("zero", "cosine", "sine_ramp")
 GAUGES = ("symmetric", "landau")
@@ -88,13 +88,62 @@ class OutputSpec:
 
 @dataclass
 class RunConfig:
-    experiment: str               # required; one of EXPERIMENTS
+    experiment: str               # required; a key of EXPERIMENTS
     lattice: LatticeSpec = dataclasses.field(default_factory=LatticeSpec)
     potential: PotentialSpec = dataclasses.field(default_factory=PotentialSpec)
     field: FieldSpec = dataclasses.field(default_factory=FieldSpec)
     numerics: NumericsSpec = dataclasses.field(default_factory=NumericsSpec)
     output: OutputSpec = dataclasses.field(default_factory=OutputSpec)
     seed: int = 0
+
+
+ALL_DIMS = (1, 2, 3)
+# made when numerics.tolerances sets `key`, and holds when `metric op tolerance`
+Check = collections.namedtuple("Check", "name metric key op dims", defaults=[ALL_DIMS])
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """What an experiment reads and checks: its Checks (two under one name
+    must both hold); the lattice.dim values it runs in, and why no other;
+    the bound on numerics.band_index: "n_bands" (n_bands bands are solved
+    on numerics.kgrid, which the CLI builds first), a number (that many are
+    solved on a grid of its own) or None (no band is solved, band_index and
+    cutoff are not read); how many eps_list entries it needs, 0 meaning
+    eps_list, dt and t_final are not read (a slope check needs two)."""
+    checks: tuple
+    dims: tuple = ALL_DIMS
+    dims_reason: str = ""
+    band_bound: object = "n_bands"
+    n_eps: int = 0
+
+
+EXPERIMENTS = {
+    "bands": Experiment((Check("gap_above_min", "gap", "min_gap", ">="),)),
+    "geometry": Experiment((
+        Check("chern_integral", "chern_integrality", "chern_tol", "<", (2, 3)),
+        Check("zak_quantized", "zak_dist_to_0_pi", "zak_tol", "<", (1,)),
+        Check("gauge_invariant", "gauge_invariance_dev", "gauge_tol", "<"))),
+    "butterfly": Experiment((
+        Check("alpha_symmetry", "alpha_symmetry_dev", "symmetry_tol", "<"),),
+        band_bound=None),
+    # dense N x N operators on the n^d position grid (n ~ macro_box / eps):
+    # a 3-D run at n = 9, then 13, was still going after 5 minutes at
+    # 1.8 GB peak RSS on a 2-vCPU machine
+    "egorov": Experiment((
+        Check("slope", "slope", "slope_min", ">="),
+        Check("error_within_eps2_budget", "error_per_eps2", "error_per_eps2", "<=")),
+        dims=(1, 2), n_eps=1,
+        dims_reason="needs lattice.dim <= 2, the limit of its dense n^d x n^d operators"),
+    "flow": Experiment((
+        Check("slope", "slope", "slope_min", ">="),
+        Check("slope", "slope", "slope_max", "<="),
+        Check("energy_drift", "energy_drift", "drift_tol", "<")), n_eps=2),
+    # quantum.semiclassical_limit_check is 1-D and solves quantum.LIMIT_BANDS = 3 bands
+    "propagate": Experiment((Check("slope_point", "slope_point", "slope_min", ">="),),
+                            dims=(1,), dims_reason="needs lattice.dim == 1",
+                            band_bound=3, n_eps=2),
+}
 
 
 def _is_a(value, spec) -> bool:
@@ -151,10 +200,11 @@ def _nonfinite(node, path, problems):
 
 
 def _check(cfg: RunConfig, problems):
-    """Value ranges and cross-field rules of a built config."""
-    exp, dim, num = cfg.experiment, cfg.lattice.dim, cfg.numerics
-    if exp is not None and exp not in EXPERIMENTS:
-        problems.append(f"experiment: must be one of {EXPERIMENTS}")
+    """Value ranges and cross-field rules of a built config; what the
+    experiment reads and checks comes from its EXPERIMENTS declaration."""
+    exp, dim, num = EXPERIMENTS.get(cfg.experiment), cfg.lattice.dim, cfg.numerics
+    if cfg.experiment is not None and exp is None:
+        problems.append(f"experiment: must be one of {tuple(EXPERIMENTS)}")
     for path, value, names in (
             ("potential.preset", cfg.potential.preset, POTENTIAL_PRESETS),
             ("field.gauge", cfg.field.gauge, GAUGES),
@@ -162,7 +212,7 @@ def _check(cfg: RunConfig, problems):
         if value not in names:
             problems.append(f"{path}: unknown value {value!r}, must be one of {names}")
     basis = cfg.lattice.basis
-    if dim not in (1, 2, 3):
+    if dim not in ALL_DIMS:
         problems.append("lattice.dim: must be 1, 2 or 3")
     elif basis is not None and not (len(basis) == dim and all(
             isinstance(row, list) and len(row) == dim
@@ -184,47 +234,40 @@ def _check(cfg: RunConfig, problems):
     if cfg.field.phi.preset == "cosine" and dim > 2:
         # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
         problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")
-    if exp == "egorov" and dim > 2:
-        # dense N x N operators on the n^d position grid (n ~ macro_box / eps):
-        # a 3-D run at n = 9, then 13, was still going after 5 minutes at
-        # 1.8 GB peak RSS on a 2-vCPU machine
-        problems.append("lattice.dim: experiment 'egorov' needs lattice.dim <= 2, "
-                        "the limit of its dense n^d x n^d operators")
-    if exp == "propagate" and dim != 1:
-        # quantum.semiclassical_limit_check is one-dimensional
-        problems.append("lattice.dim: experiment 'propagate' needs lattice.dim == 1")
     if cfg.field.phi.period <= 0:
         problems.append("field.phi.period: must be a positive number")
+    for key, low in (("n_bands", 1), ("cutoff", 1), ("q_max", 1), ("theta_resolution", 2)):
+        if getattr(num, key) < low:
+            problems.append(f"numerics.{key}: must be >= {low}")
     for name, value in num.tolerances.items():
         if not _is_a(value, (int, float)) or value <= 0:
             problems.append(f"numerics.tolerances.{name}: must be a positive number")
-    if num.n_bands < 1:
-        problems.append("numerics.n_bands: must be >= 1")
-    if exp in ("bands", "geometry", "egorov", "flow") and \
-            not 0 <= num.band_index < num.n_bands:
-        problems.append(f"numerics.band_index: must satisfy 0 <= band_index < "
-                        f"numerics.n_bands ({num.n_bands})")
-    if num.cutoff < 1:
-        problems.append("numerics.cutoff: must be >= 1")
-    if exp in ("egorov", "flow", "propagate"):
-        for key in ("dt", "t_final"):
-            if getattr(num, key) <= 0:
-                problems.append(f"numerics.{key}: must be a positive number")
-    if num.q_max < 1:
-        problems.append("numerics.q_max: must be >= 1")
-    if num.theta_resolution < 2:
-        problems.append("numerics.theta_resolution: must be >= 2")
-    if exp in ("egorov", "propagate", "flow"):
+    if exp is None:
+        return
+    if dim in ALL_DIMS and dim not in exp.dims:
+        problems.append(f"lattice.dim: experiment '{cfg.experiment}' {exp.dims_reason}")
+    read = [c.key for c in exp.checks if dim in c.dims]
+    problems.extend(f"numerics.tolerances.{name}: no check of experiment "
+                    f"'{cfg.experiment}' reads it at lattice.dim {dim}; declared: {read}"
+                    for name in num.tolerances if dim in ALL_DIMS and name not in read)
+    bound = num.n_bands if exp.band_bound == "n_bands" else exp.band_bound
+    if bound is not None and not 0 <= num.band_index < bound:
+        problems.append("numerics.band_index: must satisfy 0 <= band_index < " + (
+            f"numerics.n_bands ({bound})" if exp.band_bound == "n_bands" else str(bound)))
+    # a slope is fit to two points or more
+    need = max([exp.n_eps] + [2 for c in exp.checks
+                              if c.key in num.tolerances and c.metric.startswith("slope")])
+    if need:
+        problems.extend(f"numerics.{key}: must be a positive number"
+                        for key in ("dt", "t_final") if getattr(num, key) <= 0)
         eps_list = num.eps_list
         if any(not _is_a(e, (int, float)) or e <= 0 for e in eps_list):
             problems.append("numerics.eps_list: entries must be positive numbers")
         elif any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             problems.append("numerics.eps_list: must be strictly decreasing")
-        # flow and propagate always fit a log-log slope, egorov to check slope_min
-        if len(eps_list) < 2 and (exp != "egorov" or "slope_min" in num.tolerances):
-            problems.append("numerics.eps_list: needs two or more entries to fit a slope")
-        elif not eps_list:
-            problems.append("numerics.eps_list: needs an entry")
+        if len(eps_list) < need:
+            problems.append("numerics.eps_list: " + (
+                "needs an entry" if need == 1 else "needs two or more entries to fit a slope"))
 
 
 def parse_config(text: str) -> RunConfig:

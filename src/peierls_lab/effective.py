@@ -343,20 +343,23 @@ def t_eff(k, r, band: BandData, field: EMFieldConfig):
     return k_eff, r_eff
 
 
-def t_eff_inverse(k_eff, r_eff, band: BandData, field: EMFieldConfig,
-                  tol: float = 1e-12, max_iter: int = 50):
+T_EFF_INVERSE_TOL = 1e-12      # fixed-point step size at which t_eff_inverse stops
+T_EFF_INVERSE_MAX_ITER = 50
+
+
+def t_eff_inverse(k_eff, r_eff, band: BandData, field: EMFieldConfig):
     """Invert the effective-variable map by fixed-point iteration."""
     d = band.lattice.dim
     k_eff = _as_points(k_eff, d)
     r_eff = _as_points(r_eff, d)
     k, r = k_eff.copy(), r_eff.copy()
-    for _ in range(max_iter):
+    for _ in range(T_EFF_INVERSE_MAX_ITER):
         k2, r2 = t_eff(k, r, band, field)
         dk = k_eff - k2
         dr = r_eff - r2
         k = k + dk
         r = r + dr
-        if max(np.abs(dk).max(), np.abs(dr).max()) < tol:
+        if max(np.abs(dk).max(), np.abs(dr).max()) < T_EFF_INVERSE_TOL:
             return k, r
     raise EffectiveError("effective-map inversion did not converge; eps too large")
 

@@ -106,13 +106,15 @@ def _lift(theta: np.ndarray, axis: int) -> np.ndarray:
     return theta
 
 
-def _smooth_gauge(vectors: np.ndarray, jumps, shift) -> np.ndarray:
+def _smooth_gauge(vectors: np.ndarray, jumps, shift, points: np.ndarray) -> np.ndarray:
     """Smooth periodic gauge of an (n_1, ..., n_m, D) vector field.
 
     The closure of the torus: jumps[a] holds the integer jumps across the
     links along axis a (_link_jumps), and shift(v, a, c) continues vectors v
     across c dual translations along axis a (_translate).  One vector (m = 0)
     is anchored: its first significant component becomes real positive.
+    points, the (n_1, ..., n_m, d) k-points of the field, name the point
+    where parallel transport loses overlap.
     """
     if vectors.ndim == 1:
         iref = int(np.argmax(np.abs(vectors) > 1e-8 * np.abs(vectors).max()))
@@ -120,7 +122,7 @@ def _smooth_gauge(vectors: np.ndarray, jumps, shift) -> np.ndarray:
     axis = vectors.ndim - 2
     n = vectors.shape[-2]
     out = vectors.copy()
-    out[..., 0, :] = _smooth_gauge(vectors[..., 0, :], jumps[:-1], shift)
+    out[..., 0, :] = _smooth_gauge(vectors[..., 0, :], jumps[:-1], shift, points[..., 0, :])
     cum = 0
     chart = out[..., 0, :]
     for j in range(1, n + 1):
@@ -134,7 +136,9 @@ def _smooth_gauge(vectors: np.ndarray, jumps, shift) -> np.ndarray:
         # and on scalars, and a line's frame must not depend on its batch
         size = np.hypot(ov.real, ov.imag)
         if size.min() < 1e-6:
-            raise GaugeError("parallel transport lost overlap (grid too coarse)")
+            at = np.unravel_index(np.argmin(size), size.shape) + (j,)
+            raise GaugeError(f"parallel transport lost overlap at k = {points[at]} "
+                             "(grid too coarse)")
         ph = (np.conj(ov) / size)[..., None]
         chart = w * ph
         out[..., j, :] *= ph
@@ -165,7 +169,8 @@ def fix_gauge(bands: BandStructure, band: int) -> Frame:
             f"(separation {gmin[worst]:.3e})")
     jumps = [_link_jumps(grid, ax) for ax in range(grid.dim)]
     vectors = _smooth_gauge(bands.frame(band), jumps,
-                            functools.partial(_translate, bands.basis))
+                            functools.partial(_translate, bands.basis),
+                            grid.reshape(grid.points))
     return Frame(bands=bands, band=band, vectors=vectors)
 
 

@@ -215,8 +215,10 @@ def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
     return ButterflyData(entries=entries)
 
 
-def subband_chern(flux: FluxRational, band: int, n_theta: int | None = None,
-                  gap_tol: float = 1e-9) -> int:
+GAP_TOL = 1e-9    # smallest subband separation on the theta torus
+
+
+def subband_chern(flux: FluxRational, band: int, n_theta: int | None = None) -> int:
     """Chern number of one magnetic subband.
 
     The plaquette sum runs over the full theta torus, which is a q-fold cover
@@ -227,14 +229,14 @@ def subband_chern(flux: FluxRational, band: int, n_theta: int | None = None,
     """
     if band < 0 or band >= flux.q:
         raise HofstadterError("band index out of range")
-    return _chern_on_torus(flux, band, *_torus_eigh(flux, n_theta), gap_tol)
+    return _chern_on_torus(flux, band, *_torus_eigh(flux, n_theta))
 
 
-def _subband_cherns(flux: FluxRational, gap_tol: float = 1e-9) -> list:
+def _subband_cherns(flux: FluxRational) -> list:
     """subband_chern for every band of the flux from one torus
     diagonalization; raises on the first band that touches a neighbor."""
     evals, evecs = _torus_eigh(flux, None)
-    return [_chern_on_torus(flux, j, evals, evecs, gap_tol) for j in range(flux.q)]
+    return [_chern_on_torus(flux, j, evals, evecs) for j in range(flux.q)]
 
 
 def _torus_eigh(flux: FluxRational, n_theta: int | None):
@@ -246,11 +248,11 @@ def _torus_eigh(flux: FluxRational, n_theta: int | None):
     return np.linalg.eigh(H)
 
 
-def _chern_on_torus(flux: FluxRational, band: int, evals, evecs, gap_tol) -> int:
+def _chern_on_torus(flux: FluxRational, band: int, evals, evecs) -> int:
     q = flux.q
-    if band > 0 and np.min(evals[..., band] - evals[..., band - 1]) < gap_tol:
+    if band > 0 and np.min(evals[..., band] - evals[..., band - 1]) < GAP_TOL:
         raise HofstadterError(f"subband {band} touches band {band - 1}")
-    if band + 1 < q and np.min(evals[..., band + 1] - evals[..., band]) < gap_tol:
+    if band + 1 < q and np.min(evals[..., band + 1] - evals[..., band]) < GAP_TOL:
         raise HofstadterError(f"subband {band} touches band {band + 1}")
     c = -chern_from_vectors(evecs[..., band]) / q
     ci = int(np.round(c))

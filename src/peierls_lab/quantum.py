@@ -157,7 +157,10 @@ def zak_inverse(zf: ZakField) -> WaveFunction:
     return WaveFunction(box=box, samples=arr.ravel())
 
 
-def zak_equivariance_defect(psi: WaveFunction, n_fibers: int = 4) -> float:
+ZAK_CHECK_FIBERS = 4     # fibers zak_equivariance_defect samples
+
+
+def zak_equivariance_defect(psi: WaveFunction) -> float:
     """Deviation of the dual-shift identity u(k - 2 pi, y) = e^{2 pi i y} u(k, y)
     evaluated directly from the transform definition."""
     box = psi.box
@@ -166,7 +169,7 @@ def zak_equivariance_defect(psi: WaveFunction, n_fibers: int = 4) -> float:
     gam = box.cell_offsets()
     y = box.cell_coords()
     worst = 0.0
-    for q in range(0, box.n_cells, max(1, box.n_cells // n_fibers)):
+    for q in range(0, box.n_cells, max(1, box.n_cells // ZAK_CHECK_FIBERS)):
         k = 2 * np.pi * q / box.n_cells - 2 * np.pi
         u_shift = (np.exp(-1j * k * gam) @ arr) / np.sqrt(box.n_cells) * np.exp(-1j * k * y)
         target = np.exp(2j * np.pi * y) * zf.samples[q]
@@ -421,13 +424,15 @@ class Propagator:
         return (L @ M) @ L.conj().T
 
 
+HERMITICITY_TOL = 1e-10  # largest Hermiticity defect propagate_reference accepts
+
+
 def propagate_reference(h_op: QuantizedOperator, field: EMFieldConfig,
-                        psi: np.ndarray, t: float,
-                        herm_tol: float = 1e-10) -> np.ndarray:
+                        psi: np.ndarray, t: float) -> np.ndarray:
     """Evolve psi under the quantized effective Hamiltonian for macroscopic
     time t (spectral, unitary)."""
     defect = h_op.hermiticity_defect()
-    if defect > herm_tol:
+    if defect > HERMITICITY_TOL:
         raise QuantumError(f"quantized Hamiltonian not Hermitian ({defect:.2e})")
     M = 0.5 * (h_op.matrix + h_op.matrix.conj().T)
     return Propagator.of(M, field.eps, h_op.grid.ns).apply(psi, t)
@@ -537,12 +542,18 @@ def _flow_oracle(bands: BandStructure, band_index: int, fld: EMFieldConfig,
     return np.sin(kt[:, 0])
 
 
+# semiclassical_limit_check: bands solved per box (band_index is below this),
+# the RK4 step of the flow oracle and the Gauss-Hermite nodes per axis
+LIMIT_BANDS = 3
+LIMIT_DT_FLOW = 5e-3
+LIMIT_HERMITE_NODES = 8
+
+
 def semiclassical_limit_check(potential: FourierPotential, field_template: EMFieldConfig,
                               band_index: int, eps_list, t: float,
                               macro_box: float = 4.0, m_per_cell: int = 14,
                               cutoff: int = 6, sigma_scale: float = 1.0,
-                              k0: float = 0.6, dt_flow: float = 5e-3,
-                              n_hermite: int = 8, n_workers: int = 1) -> dict:
+                              k0: float = 0.6, n_workers: int = 1) -> dict:
     """Bloch-oscillation expectation test against the corrected flow (1D).
 
     For each eps an n_cells ~ macro_box/eps periodic box is built, a band
@@ -564,7 +575,9 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
     lat = potential.lattice
     if lat.dim != 1:
         raise QuantumError("expectation test implemented in one dimension")
-    nodes, weights = hermegauss(n_hermite)
+    if not 0 <= band_index < LIMIT_BANDS:
+        raise QuantumError(f"band_index {band_index} outside [0, {LIMIT_BANDS})")
+    nodes, weights = hermegauss(LIMIT_HERMITE_NODES)
     weights = weights / np.sqrt(2 * np.pi)
     KK, XX = np.meshgrid(nodes, nodes, indexing="ij")
     WW = np.outer(weights, weights).ravel()
@@ -580,7 +593,7 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
             if n_cells % 2 == 0:
                 n_cells += 1
             box = RealSpaceBox(lattice=lat, n_cells=n_cells, m=m_per_cell)
-            bands = solve_bands(potential, box.fiber_grid(), cutoff, 3)
+            bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS)
             sigma_k = sigma_scale * np.sqrt(eps)
             psi0 = band_packet(bands, box, band_index, k0=k0, x0=0.0, sigma_k=sigma_k)
             if psi0.edge_mass() > 1e-8:
@@ -596,7 +609,7 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
             k_batch = np.concatenate([[k_bar], (k_bar + sig_k_meas * KK).ravel()])
             x_batch = np.concatenate([[eps * x_bar],
                                       eps * (x_bar + sig_x * XX).ravel()])
-            args = (bands, band_index, fld, k_batch, x_batch, t, dt_flow)
+            args = (bands, band_index, fld, k_batch, x_batch, t, LIMIT_DT_FLOW)
             oracle = pool.submit(_flow_oracle, *args) if pool else _flow_oracle(*args)
             boxes.append((eps, fld, box, psi0, oracle, k_bar, x_bar))
         errs_point = []

@@ -323,9 +323,11 @@ def _quantizer_tables(grid: PhaseSpaceGrid, field: EMFieldConfig) -> _QuantizerT
     return tables
 
 
+ALIASING_TOL = 1e-6    # largest spectral tail fraction quantize accepts
+
+
 def quantize(symbol: GridSymbol, field: EMFieldConfig,
-             assume_bandlimited: bool = False,
-             aliasing_tol: float = 1e-6) -> QuantizedOperator:
+             assume_bandlimited: bool = False) -> QuantizedOperator:
     """Dense matrix of the magnetic Weyl operator of a grid symbol.
 
     The field's eps must match the symbol grid.  Raises on strong spectral
@@ -351,9 +353,9 @@ def quantize(symbol: GridSymbol, field: EMFieldConfig,
     np.fft.fftn(F, norm="forward", out=F)
     if not assume_bandlimited:
         tail = _tail_fraction(F)
-        if tail > aliasing_tol:
+        if tail > ALIASING_TOL:
             raise WeylError(
-                f"symbol spectral tail fraction {tail:.2e} exceeds {aliasing_tol:.0e}; "
+                f"symbol spectral tail fraction {tail:.2e} exceeds {ALIASING_TOL:.0e}; "
                 "refine the grid or pass assume_bandlimited=True")
     # momenta stay in the frequency domain: a second inverse transform there
     # would only reverse delta, which the gather index does instead
@@ -548,14 +550,17 @@ def commutation_check(grid: PhaseSpaceGrid, field: EMFieldConfig,
     return res
 
 
-def operator_norm(M: np.ndarray, iters: int = 60, seed: int = 0) -> float:
+OPNORM_ITERS = 60      # power iterations of operator_norm, from a seed-0 start
+
+
+def operator_norm(M: np.ndarray) -> float:
     """Largest singular value by power iteration on M*M (deterministic)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.normal(size=M.shape[1]) + 1j * rng.normal(size=M.shape[1])
     v /= np.linalg.norm(v)
     Mh = M.conj().T
     s = 0.0
-    for _ in range(iters):
+    for _ in range(OPNORM_ITERS):
         w = Mh @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import peierls_lab
+from peierls_lab import cli
 from peierls_lab.cli import emit_plotdata, main, n_workers, run, write_csv
 from peierls_lab.config import ConfigError, RunConfig, parse_config, serialize_config
 
@@ -319,6 +320,17 @@ REFUSED_BEFORE_OUTPUT = [
     ("propagate", '"numerics": {"eps_list": [0.1]}', "numerics.eps_list"),
     ("egorov", '"numerics": {"eps_list": [0.2], "tolerances": {"slope_min": 1.5}}',
      "numerics.eps_list"),
+    # quantum.semiclassical_limit_check solves 3 bands
+    *(("propagate", '"numerics": {"band_index": %d}' % i, "numerics.band_index")
+      for i in (3, -1)),
+    # a tolerance that no check reads there: a typo, or a quantity of another dim
+    ("bands", '"numerics": {"kgrid": [16], "tolerances": {"min_gapp": 100.0}}',
+     "numerics.tolerances.min_gapp"),
+    ("geometry", '"numerics": {"kgrid": [16], "tolerances": {"chern_tol": 1e-30}}',
+     "numerics.tolerances.chern_tol"),
+    ("geometry", '"lattice": {"dim": 2}, "potential": {"preset": "cosine2d"}, '
+     '"numerics": {"kgrid": [8, 8], "tolerances": {"zak_tol": 1e-4}}',
+     "numerics.tolerances.zak_tol"),
 ]
 
 
@@ -539,3 +551,110 @@ def test_nonfinite_config_exits_2_before_running(tmp_path, capsys):
     assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "field.b: must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unread_tolerance_lists_the_declared_keys():
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "geometry", "numerics": {"tolerances": '
+                     '{"chern_tol": 1e-6, "gauge_tol": 1e-10}}}')
+    assert exc.value.problems == [
+        "numerics.tolerances.chern_tol: no check of experiment 'geometry' reads it "
+        "at lattice.dim 1; declared: ['zak_tol', 'gauge_tol']"]
+
+
+@pytest.mark.parametrize("tolerances,checks", [
+    ({"slope_min": 50.0}, {"slope": False}),
+    ({"slope_max": 1.0}, {"slope": False}),
+    ({"slope_min": 1.8, "slope_max": 2.2}, {"slope": True}),
+    ({"slope_min": 1.8, "slope_max": 2.0}, {"slope": False}),
+    ({"slope_min": 50.0, "slope_max": 2.2}, {"slope": False}),
+    ({"slope_min": 2.04}, {"slope": True}),
+    ({"drift_tol": 1e-9}, {"energy_drift": False}),
+    ({}, {}),
+])
+def test_each_bound_of_a_check_holds_when_set(tmp_path, monkeypatch, capsys,
+                                              tolerances, checks):
+    # each bound is checked on its own; two under one check name must both hold
+    monkeypatch.setitem(cli._RUNNERS, "flow",
+                        lambda cfg, out: ({"slope": 2.04, "energy_drift": 1e-9}, {}))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "flow", "lattice": {"dim": 2},
+                                    "potential": {"preset": "cosine2d"},
+                                    "numerics": {"kgrid": [8, 8],
+                                                 "tolerances": tolerances}}))
+    code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    report = json.loads((tmp_path / "o" / "flow_report.json").read_text())
+    assert report["checks"] == checks
+    assert code == (0 if all(checks.values()) else 1) and report["passed"] == (code == 0)
+
+
+def test_egorov_error_per_eps2_budget(tmp_path):
+    text = ('{"experiment": "egorov", "lattice": {"dim": 1}, '
+            '"potential": {"preset": "mathieu", "v": 1.0}, '
+            '"numerics": {"cutoff": 6, "kgrid": [32], "n_bands": 2, '
+            '"eps_list": [0.2], "dt": 0.02, "t_final": 0.5, "macro_box": 2.6, '
+            '"tolerances": {"error_per_eps2": %s}}}')
+    report = run(parse_config(text % 1.0), tmp_path)
+    (eps,), (error,) = report["metrics"]["eps"], report["metrics"]["errors"]
+    per_eps2 = report["metrics"]["error_per_eps2"]
+    assert per_eps2 == error / eps ** 2 > 0
+    assert report["checks"] == {"error_within_eps2_budget": per_eps2 <= 1.0}
+    assert run(parse_config(text % per_eps2), tmp_path)["passed"]
+    tight = run(parse_config(text % (0.5 * per_eps2)), tmp_path)
+    assert tight["checks"] == {"error_within_eps2_budget": False}
+
+
+def test_refused_geometry_run_writes_a_report(tmp_path, capsys):
+    # v = 0: the free band 1 turns too fast for parallel transport on 32 points
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"experiment": "geometry", "potential": {"preset": "mathieu", '
+                        '"v": 0}, "numerics": {"kgrid": [32], "band_index": 1}}')
+    out = tmp_path / "o"
+    assert main(["geometry", "--config", str(cfg_path), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "geometry: refused: GaugeError: parallel transport lost overlap at k = [")
+    report = json.loads((out / "geometry_report.json").read_text())
+    assert set(report) == {"config", "threads", "refused", "passed"}
+    assert report["passed"] is False and report["refused"]["error"] == "GaugeError"
+    assert report["config"]["numerics"]["band_index"] == 1
+
+
+REFUSAL_CLASSES = [
+    ("fiber", "FiberError"), ("geometry", "GaugeError"), ("effective", "EffectiveError"),
+    ("flow", "FlowError"), ("weyl", "WeylError"), ("weyl", "DenseMemoryError"),
+    ("quantum", "QuantumError"), ("hofstadter", "HofstadterError"),
+    ("lattice", "LatticeError"), ("fields", "FieldError")]
+
+
+@pytest.mark.parametrize("module,name", REFUSAL_CLASSES,
+                         ids=[name for _, name in REFUSAL_CLASSES])
+def test_library_refusals_exit_1_with_a_report(tmp_path, monkeypatch, capsys, module, name):
+    import importlib
+    error = getattr(importlib.import_module(f"peierls_lab.{module}"), name)
+
+    def refuse(cfg, out):
+        raise error("cannot do this")
+    monkeypatch.setitem(cli._RUNNERS, "bands", refuse)
+    with pytest.raises(error):      # run raises; main reports
+        run(parse_config(MINIMAL_BANDS), tmp_path / "run")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(MINIMAL_BANDS)
+    out = tmp_path / "o"
+    assert main(["bands", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"bands: refused: {name}: cannot do this\n"
+    for written in (tmp_path / "run", out):
+        report = json.loads((written / "bands_report.json").read_text())
+        assert report["refused"] == {"error": name, "message": "cannot do this"}
+        assert report["passed"] is False and "threads" in report
+
+
+def test_other_errors_are_not_refusals(tmp_path, monkeypatch):
+    def crash(cfg, out):
+        raise KeyError("bug")
+    monkeypatch.setitem(cli._RUNNERS, "bands", crash)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(MINIMAL_BANDS)
+    with pytest.raises(KeyError):
+        main(["bands", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o" / "bands_report.json").exists()

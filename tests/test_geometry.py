@@ -256,13 +256,14 @@ def test_gauge_obstruction_dirac(m, stack_axis):
     if stack_axis is not None:
         v = np.stack([v] * 5, axis=stack_axis)
     jumps = [np.zeros(n, dtype=int) for n in v.shape[:-1]]
+    points = np.moveaxis(np.indices(v.shape[:-1]), 0, -1)
     if m != 3.0:
         plane = {None: "(0, 1)", 0: "(1, 2)", 1: "(0, 2)", 2: "(0, 1)"}[stack_axis]
         with pytest.raises(GaugeError, match=re.escape(
                 f"nonzero Chern number in plane {plane}")):
-            _smooth_gauge(v, jumps, identity_closure)
+            _smooth_gauge(v, jumps, identity_closure, points)
         return
-    out = _smooth_gauge(v, jumps, identity_closure)
+    out = _smooth_gauge(v, jumps, identity_closure, points)
     # a rephasing of the input that is smooth across every link, wrap included
     assert np.abs(np.abs(np.einsum("...c,...c->...", np.conj(out), v)) - 1).max() < 1e-12
     for ax in range(v.ndim - 1):

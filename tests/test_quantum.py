@@ -163,6 +163,17 @@ def _small_limit(n_workers):
                                      t=0.4, macro_box=3.6, n_workers=n_workers)
 
 
+@pytest.mark.parametrize("band_index", [quantum.LIMIT_BANDS, -1])
+def test_semiclassical_limit_refuses_band_index_before_solving(monkeypatch, band_index):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("bands solved before band_index was checked")
+    monkeypatch.setattr(quantum, "solve_bands", no_solve)
+    fld = EMFieldConfig.zero(1, eps=0.12)
+    with pytest.raises(QuantumError, match=f"band_index {band_index} outside"):
+        semiclassical_limit_check(mathieu_potential(3.0), fld, band_index, [0.12, 0.06],
+                                  t=0.4, macro_box=3.6)
+
+
 def test_semiclassical_limit_same_with_background_oracle():
     inline = _small_limit(n_workers=1)
     overlapped = _small_limit(n_workers=2)
