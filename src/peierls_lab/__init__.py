@@ -9,3 +9,9 @@ harnesses, and Harper/Hofstadter spectra.
 """
 
 __version__ = "0.1.0"
+
+
+class PeierlsError(Exception):
+    """Base of the package's refusals: a run that raises one is refused (the
+    CLI reports it and exits 1).  Each error class also keeps a builtin base
+    (ValueError, RuntimeError or MemoryError), which callers may catch."""

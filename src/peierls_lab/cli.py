@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import PeierlsError
 from .config import EXPERIMENTS, ConfigError, RunConfig, parse_config, serialize_config
 
 FLOAT_FMT = "%.17g"
@@ -109,16 +110,22 @@ def _build_potential(cfg: RunConfig, lattice):
 
 def _phi_callables(cfg: RunConfig, dim: int):
     """phi and its gradient and Hessian for the configured preset, each with
-    at most one sine and one cosine evaluation per call ("cosine" in
-    d <= 2, which parse_config enforces; "sine_ramp" in any d)."""
+    at most one sine and one cosine evaluation per call."""
     spec = cfg.field.phi
     amp, L = spec.amplitude, spec.period
     w = 2 * np.pi / L
     if spec.preset == "zero" or amp == 0.0:
         return None, None, None
     if spec.preset == "cosine":
-        # phi = amp prod_l cos(w r_l)
+        # phi = amp prod_l c_l with s_l, c_l = sin, cos(w r_l): each derivative
+        # d_l turns the factor c_l into -w s_l.  c[..., shift] over the cyclic
+        # shifts of the axes multiplies axis l by every c_m with m != l, and
+        # an off-diagonal Hessian entry of a 3-D pair keeps the third axis's c
         diag = np.arange(dim)
+        shifts = [np.roll(diag, -j) for j in range(1, dim)]
+        thirds = [(l, m, n) for l, m in itertools.combinations(range(dim), 2)
+                  for n in range(dim) if n not in (l, m)]
+
         def phi(r):
             r = np.asarray(r, float)
             out = amp * np.cos(w * r[..., 0])
@@ -131,15 +138,22 @@ def _phi_callables(cfg: RunConfig, dim: int):
             return np.sin(wr), np.cos(wr)
 
         def gphi(r):
-            # d_l phi = -amp w sin(w r_l) cos(w r_other), no other factor in 1-D
             s, c = sincos(r)
-            return (-amp * w) * s * (c[..., ::-1] if dim == 2 else 1.0)
+            g = (-amp * w) * s
+            for shift in shifts:
+                g = g * c[..., shift]
+            return g
 
         def hphi(r):
-            # off-diagonal amp w^2 s_1 s_2, diagonal -amp w^2 c_1 (c_2)
             s, c = sincos(r)
             h = s[..., :, None] * s[..., None, :]
-            h[..., diag, diag] = -(c[..., 0] * c[..., 1] if dim == 2 else c[..., 0])[..., None]
+            for l, m, n in thirds:
+                h[..., l, m] *= c[..., n]
+                h[..., m, l] = h[..., l, m]
+            full = c[..., 0]
+            for ax in range(1, dim):
+                full = full * c[..., ax]
+            h[..., diag, diag] = -full[..., None]
             return (amp * w * w) * h
         return phi, gphi, hphi
 
@@ -166,7 +180,7 @@ def _build_field(cfg: RunConfig, dim: int, eps: float):
     from .fields import EMFieldConfig
     phi, gphi, hphi = _phi_callables(cfg, dim)
     fs = cfg.field
-    if dim == 1 or (fs.b == 0.0 and fs.lam == 0.0):
+    if fs.b == 0.0 and fs.lam == 0.0:
         return EMFieldConfig.zero(dim, eps, phi=phi, grad_phi=gphi, hess_phi=hphi)
     return EMFieldConfig.constant(dim, b=fs.b, eps=eps, lam=fs.lam,
                                   gauge=fs.gauge, phi=phi, grad_phi=gphi,
@@ -273,24 +287,32 @@ def _pipeline_band(cfg: RunConfig):
     return BandData.from_geometry(geometric_tensors(bands, cfg.numerics.band_index))
 
 
+def _egorov_grids(cfg: RunConfig) -> list:
+    """(grid, field) per eps_list entry: the n^d grid with n the odd number
+    nearest macro_box / eps, and the field at the eps = macro_box / n it
+    realizes."""
+    from .weyl import PhaseSpaceGrid
+    d, L = cfg.lattice.dim, cfg.numerics.macro_box
+    ns = [int(round(L / eps)) | 1 for eps in cfg.numerics.eps_list]
+    return [(PhaseSpaceGrid.build((n,) * d, 1.0, eps=L / n), _build_field(cfg, d, L / n))
+            for n in ns]
+
+
 def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     from .effective import EffectiveHamiltonian
     from .quantum import egorov_error
-    from .weyl import PhaseSpaceGrid
     band = _pipeline_band(cfg)
     d, L = band.lattice.dim, cfg.numerics.macro_box
 
     def f_obs(k, r):
         return np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
-    ns = [int(round(L / eps)) | 1 for eps in cfg.numerics.eps_list]    # odd
-    eps_used = [L / n for n in ns]
-    errors = []
-    for n, eps in zip(ns, eps_used):
-        fld = _build_field(cfg, d, eps)
-        errors.append(egorov_error(
-            f_obs, EffectiveHamiltonian(band, fld),
-            PhaseSpaceGrid.build((n,) * d, 1.0, eps=eps), fld, t=cfg.numerics.t_final,
-            dt=cfg.numerics.dt, flow_shape=(17,) * d if n > 33 and d == 2 else None))
+    grids = _egorov_grids(cfg)
+    ns = [grid.ns[0] for grid, _ in grids]
+    eps_used = [grid.eps for grid, _ in grids]
+    errors = [egorov_error(f_obs, EffectiveHamiltonian(band, fld), grid, fld,
+                           t=cfg.numerics.t_final, dt=cfg.numerics.dt,
+                           flow_shape=(17,) * d if grid.ns[0] > 33 and d == 2 else None)
+              for grid, fld in grids]
     # one point fixes no slope (parse_config requires two for slope_min)
     slope = (float(np.polyfit(np.log(eps_used), np.log(errors), 1)[0])
              if len(errors) > 1 else float("nan"))
@@ -312,8 +334,7 @@ def run_flow(cfg: RunConfig, out: Path) -> tuple:
     rep = compare_flows(st, band, fld, cfg.numerics.eps_list,
                         t_final=cfg.numerics.t_final, dt=cfg.numerics.dt)
     hsc = SemiclassicalHamiltonian(band, fld)
-    traj = integrate(st, hsc, fld, 10.0, cfg.numerics.dt, band=band,
-                     halving_budget=None)
+    traj = integrate(st, hsc, fld, 10.0, cfg.numerics.dt, band=band)
     drift = traj.energy_drift()
     write_csv(out / "flow.csv", ["eps_dimensionless", "distance_phase_space"],
               zip(rep["eps"], rep["distance"]))
@@ -343,18 +364,25 @@ _RUNNERS = {name: globals()["run_" + name] for name in EXPERIMENTS}
 _COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
 
 
-def _refusals() -> tuple:
-    """The package's error classes: a run that raises one is refused."""
-    from . import effective, fiber, fields, flow, geometry, hofstadter, lattice, quantum, weyl
-    return (fiber.FiberError, geometry.GaugeError, effective.EffectiveError, flow.FlowError,
-            weyl.WeylError, weyl.DenseMemoryError, quantum.QuantumError,
-            hofstadter.HofstadterError, lattice.LatticeError, fields.FieldError)
+def _egorov_memory(cfg: RunConfig, lattice) -> None:
+    from .quantum import check_egorov_memory
+    for grid, fld in _egorov_grids(cfg):
+        check_egorov_memory(grid, fld)
+
+
+def _propagate_memory(cfg: RunConfig, lattice) -> None:
+    from .quantum import check_limit_memory
+    check_limit_memory(lattice, cfg.numerics.eps_list, cfg.numerics.macro_box)
+
+
+# the whole-run estimates of the experiments with dense N x N steps
+_MEMORY_CHECKS = {"egorov": _egorov_memory, "propagate": _propagate_memory}
 
 
 def run(cfg: RunConfig, out_dir=None) -> dict:
     """Run one experiment, make every declared check whose tolerance is set
-    and write the report; returns it.  A refusal (_refusals) is written as
-    "refused" and raised again."""
+    and write the report; returns it.  A refusal (a PeierlsError) is written
+    as "refused" and raised again."""
     report = {"threads": thread_report(), "config": json.loads(serialize_config(cfg))}
     out = Path(out_dir if out_dir is not None else cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,7 +390,7 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
     t0 = time.time()
     try:
         metrics, checks = _RUNNERS[cfg.experiment](cfg, out)
-    except _refusals() as exc:
+    except PeierlsError as exc:
         report.update(refused={"error": type(exc).__name__, "message": str(exc)},
                       passed=False)
         path.write_text(json.dumps(report, indent=2, sort_keys=True))
@@ -384,11 +412,14 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
 def _preflight(cfg: RunConfig) -> None:
     """Build the lattice, the potential and, for an experiment that solves
     bands, the plane-wave basis, and the k-grid for one that solves them on
-    numerics.kgrid, so that a config the library refuses raises a
-    ConfigError naming the config path before any output exists."""
-    from .fiber import FiberError, fiber_basis
-    from .lattice import LatticeError, make_kgrid
-    num, bound = cfg.numerics, EXPERIMENTS[cfg.experiment].band_bound
+    numerics.kgrid; build the field of one that reads eps_list, and check
+    a dense experiment's memory estimate at every eps.  A config the
+    library refuses then raises a ConfigError naming the config path before
+    any output exists."""
+    from .fiber import fiber_basis
+    from .lattice import make_kgrid
+    num, exp = cfg.numerics, EXPERIMENTS[cfg.experiment]
+    bound = exp.band_bound
     path = "lattice.basis"      # parse_config keeps lattice.dim in {1, 2, 3}
     try:
         lat = _build_lattice(cfg)
@@ -402,8 +433,16 @@ def _preflight(cfg: RunConfig) -> None:
             make_kgrid(lat, tuple(num.kgrid))
             path = "numerics.n_bands"
             fiber_basis(pot, num.cutoff, num.n_bands)
-    except (LatticeError, FiberError) as exc:
+        if exp.n_eps:
+            path = "field"
+            _build_field(cfg, lat.dim, num.eps_list[0])
+        if cfg.experiment in _MEMORY_CHECKS:
+            path = "numerics.eps_list"
+            _MEMORY_CHECKS[cfg.experiment](cfg, lat)
+    except PeierlsError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
+    except OverflowError as exc:    # macro_box / eps beyond any grid size
+        raise ConfigError([f"numerics.macro_box: {exc}"]) from exc
 
 
 def main(argv=None) -> int:
@@ -431,7 +470,7 @@ def main(argv=None) -> int:
         cfg.seed = args.seed
     try:
         report = run(cfg, args.out)
-    except _refusals() as exc:
+    except PeierlsError as exc:
         print(f"{cfg.experiment}: refused: {type(exc).__name__}: {exc}")
         return 1
     for name, ok in report["checks"].items():

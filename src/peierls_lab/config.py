@@ -231,9 +231,8 @@ def _check(cfg: RunConfig, problems):
                         if key in entry and not _is_a(entry[key], (int, float)))
     if not all(_is_a(n, int) and n >= 1 for n in num.kgrid):
         problems.append("numerics.kgrid: entries must be positive integers")
-    if cfg.field.phi.preset == "cosine" and dim > 2:
-        # phi = prod_l cos(w r_l) has closed-form derivatives for d <= 2 only
-        problems.append("field.phi.preset: 'cosine' needs lattice.dim <= 2")
+    if dim == 1 and cfg.field.b != 0:
+        problems.append("field.b: must be 0 at lattice.dim 1, which has no magnetic field")
     if cfg.field.phi.period <= 0:
         problems.append("field.phi.period: must be a positive number")
     for key, low in (("n_bands", 1), ("cutoff", 1), ("q_max", 1), ("theta_resolution", 2)):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PeierlsError
 from .fields import EMFieldConfig, _contract, _vecmat
 from .geometry import GeometricTensors
 from .interp import PeriodicSpline
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 
-class EffectiveError(ValueError):
+class EffectiveError(PeierlsError, ValueError):
     pass
 
 
@@ -161,7 +162,7 @@ class BandData:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_geometry(cls, geom: GeometricTensors, upsample: int = 8) -> "BandData":
+    def from_geometry(cls, geom: GeometricTensors) -> "BandData":
         bands = geom.frame.bands
         grid = bands.kgrid
         if not grid.centered:
@@ -169,8 +170,7 @@ class BandData:
         E = grid.reshape(bands.energies[geom.frame.band])
         return cls(lattice=grid.lattice, shape=grid.shape,
                    energy_samples=E, connection_samples=geom.connection,
-                   rw_samples=geom.rw, curvature_samples=geom.curvature,
-                   upsample=upsample)
+                   rw_samples=geom.rw, curvature_samples=geom.curvature)
 
     @classmethod
     def synthetic(cls, lattice: Lattice, shape, energy, connection=None,

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import PeierlsError
 from .lattice import KGrid, Lattice, signed_permutations
 
 __all__ = [
@@ -58,7 +59,7 @@ DEGENERACY_TOL = 1e-9
 SYMMETRY_TOL = 1e-12    # Hermitian partners and Vhat under a symmetry agree to this
 
 
-class FiberError(ValueError):
+class FiberError(PeierlsError, ValueError):
     pass
 
 
@@ -182,10 +183,6 @@ class FiberMatrix:
     k: np.ndarray
     basis: PlaneWaveBasis
     matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.basis.size
 
 
 def fiber_basis(potential: FourierPotential, cutoff: int,

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import PeierlsError
+
 __all__ = ["EMFieldConfig", "FieldError"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -21,7 +23,7 @@ _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
-class FieldError(ValueError):
+class FieldError(PeierlsError, ValueError):
     pass
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PeierlsError
 from .fiber import DEGENERACY_TOL, BandStructure, fiber_terms
 from .lattice import bz_coefficients
 
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-class GaugeError(RuntimeError):
+class GaugeError(PeierlsError, RuntimeError):
     pass
 
 
@@ -210,7 +211,7 @@ def berry_connection(frame: Frame):
     return raw.real, float(np.abs(raw.imag).max())
 
 
-def wilson_loop(frame: Frame, axis: int = 0, index=None) -> np.ndarray:
+def wilson_loop(frame: Frame, axis: int = 0) -> np.ndarray:
     """Closed-loop Berry phases along one grid axis.
 
     Returns the per-line phase in (-pi, pi]: the discrete integral of A.dk
@@ -219,10 +220,7 @@ def wilson_loop(frame: Frame, axis: int = 0, index=None) -> np.ndarray:
     plus = _neighbor(frame, axis, +1)
     links = np.einsum("...c,...c->...", np.conj(frame.vectors), plus)
     prod = np.prod(np.moveaxis(links, axis, 0), axis=0)
-    phases = -np.angle(prod)
-    if index is not None:
-        return phases[index]
-    return phases
+    return -np.angle(prod)
 
 
 def curvature_from_vectors(vectors: np.ndarray, closure=None):
@@ -254,9 +252,10 @@ def curvature_from_vectors(vectors: np.ndarray, closure=None):
     return ang
 
 
-def chern_from_vectors(vectors: np.ndarray, closure=None) -> float:
-    """Chern number of an (n1, n2, D) family (float; integer up to rounding)."""
-    ang = curvature_from_vectors(vectors, closure)
+def chern_from_vectors(vectors: np.ndarray) -> float:
+    """Chern number of a periodic (n1, n2, D) family (float; integer up to
+    rounding)."""
+    ang = curvature_from_vectors(vectors)
     return float(-np.sum(ang) / (2 * np.pi))
 
 
@@ -351,10 +350,6 @@ class GeometricTensors:
     rw: np.ndarray
     chern: float | None
     diagnostics: dict
-
-    @property
-    def kgrid(self):
-        return self.frame.kgrid
 
 
 def geometric_tensors(bands: BandStructure, band: int) -> GeometricTensors:

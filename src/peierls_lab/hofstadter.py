@@ -23,6 +23,7 @@ from math import gcd
 
 import numpy as np
 
+from . import PeierlsError
 from .geometry import chern_from_vectors
 
 __all__ = [
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-class HofstadterError(ValueError):
+class HofstadterError(PeierlsError, ValueError):
     pass
 
 
@@ -168,13 +169,15 @@ def transfer_trace_edges(flux: FluxRational) -> np.ndarray:
     return edges.reshape(q, 2)
 
 
-def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
-              n_workers: int = 1) -> ButterflyData:
+CHERN_Q_MAX = 10    # largest flux denominator butterfly labels with Chern numbers
+
+
+def butterfly(q_max: int, chern_labels: bool = False, n_workers: int = 1) -> ButterflyData:
     """Subband intervals for all reduced fluxes p/q with q <= q_max,
     deterministic ordering by (alpha, band index).
 
     Edges come from the Chambers points (`spectrum_at_flux`); Chern labels,
-    for q <= chern_q_max, use `subband_chern`'s default torus grid, with one
+    for q <= CHERN_Q_MAX, use `subband_chern`'s torus grid, with one
     torus diagonalization per flux shared by its q subbands.  A flux whose
     subbands touch gets no labels.
 
@@ -191,7 +194,7 @@ def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
     fluxes = [FluxRational(fr.numerator, fr.denominator) for fr in fracs]
 
     def labels(fl):
-        if not (chern_labels and fl.q <= chern_q_max):
+        if not (chern_labels and fl.q <= CHERN_Q_MAX):
             return [None] * fl.q
         try:
             return _subband_cherns(fl)
@@ -218,7 +221,7 @@ def butterfly(q_max: int, chern_labels: bool = False, chern_q_max: int = 10,
 GAP_TOL = 1e-9    # smallest subband separation on the theta torus
 
 
-def subband_chern(flux: FluxRational, band: int, n_theta: int | None = None) -> int:
+def subband_chern(flux: FluxRational, band: int) -> int:
     """Chern number of one magnetic subband.
 
     The plaquette sum runs over the full theta torus, which is a q-fold cover
@@ -229,22 +232,20 @@ def subband_chern(flux: FluxRational, band: int, n_theta: int | None = None) -> 
     """
     if band < 0 or band >= flux.q:
         raise HofstadterError("band index out of range")
-    return _chern_on_torus(flux, band, *_torus_eigh(flux, n_theta))
+    return _chern_on_torus(flux, band, *_torus_eigh(flux))
 
 
 def _subband_cherns(flux: FluxRational) -> list:
     """subband_chern for every band of the flux from one torus
     diagonalization; raises on the first band that touches a neighbor."""
-    evals, evecs = _torus_eigh(flux, None)
+    evals, evecs = _torus_eigh(flux)
     return [_chern_on_torus(flux, j, evals, evecs) for j in range(flux.q)]
 
 
-def _torus_eigh(flux: FluxRational, n_theta: int | None):
-    """Eigenpairs of the Bloch family on the full n_theta^2 theta torus
-    (default max(24, 6q) per angle)."""
-    if n_theta is None:
-        n_theta = max(24, 6 * flux.q)
-    _, H = _bloch_family(flux, n_theta, reduced=False)
+def _torus_eigh(flux: FluxRational):
+    """Eigenpairs of the Bloch family on the full theta torus, max(24, 6q)
+    points per angle."""
+    _, H = _bloch_family(flux, max(24, 6 * flux.q), reduced=False)
     return np.linalg.eigh(H)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PeierlsError
+
 __all__ = [
     "Lattice",
     "KGrid",
@@ -26,7 +28,7 @@ __all__ = [
 _DEGENERATE_TOL = 1e-12
 
 
-class LatticeError(ValueError):
+class LatticeError(PeierlsError, ValueError):
     pass
 
 
@@ -68,8 +70,8 @@ class Lattice:
         return cls(basis=basis, dual=dual_basis(basis))
 
     @classmethod
-    def cubic(cls, dim: int, a: float = 1.0) -> "Lattice":
-        return cls.from_basis(a * np.eye(dim))
+    def cubic(cls, dim: int) -> "Lattice":
+        return cls.from_basis(np.eye(dim))
 
     @property
     def dim(self) -> int:
@@ -139,10 +141,6 @@ class KGrid:
     def reshape(self, values: np.ndarray) -> np.ndarray:
         """View flat per-point values (N, ...) as (shape..., ...)."""
         return np.asarray(values).reshape(self.shape + np.asarray(values).shape[1:])
-
-    def spacing(self) -> np.ndarray:
-        """Coefficient-space spacing 1/n per axis."""
-        return 1.0 / np.asarray(self.shape, dtype=float)
 
 
 def make_kgrid(lattice: Lattice, shape, centered: bool = True) -> KGrid:

@@ -24,14 +24,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import PeierlsError
 from .effective import BandData, EffectiveHamiltonian
 from .fiber import BandStructure, FourierPotential, fiber_on_cell_grid, solve_bands
 from .fields import EMFieldConfig
 from .flow import _rk4_run
 from .geometry import fix_gauge
 from .lattice import Lattice, make_kgrid, signed_permutations
-from .weyl import (GridSymbol, PhaseSpaceGrid, QuantizedOperator, check_dense_memory,
-                   operator_norm, quantize, resample_periodic, sample_broadcast)
+from .weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid, QuantizedOperator,
+                   _table_bytes, check_dense_memory, operator_norm, quantize,
+                   resample_periodic, sample_broadcast)
 
 __all__ = [
     "RealSpaceBox",
@@ -48,12 +50,14 @@ __all__ = [
     "propagate_reference",
     "heisenberg_evolve",
     "flowed_symbol",
+    "check_egorov_memory",
     "egorov_error",
+    "check_limit_memory",
     "semiclassical_limit_check",
 ]
 
 
-class QuantumError(RuntimeError):
+class QuantumError(PeierlsError, RuntimeError):
     pass
 
 
@@ -88,8 +92,8 @@ class RealSpaceBox:
     def fiber_momenta_unwrapped(self) -> np.ndarray:
         return 2 * np.pi * np.arange(self.n_cells) / self.n_cells
 
-    def length(self) -> float:
-        return float(self.n_cells)
+
+EDGE_FRACTION = 0.1     # outer share of the box that WaveFunction.edge_mass reads
 
 
 @dataclass
@@ -115,10 +119,10 @@ class WaveFunction:
         mu = np.sum(x * w)
         return float(np.sum((x - mu) ** 2 * w))
 
-    def edge_mass(self, fraction: float = 0.1) -> float:
-        """Probability mass within the outer fraction of the box."""
+    def edge_mass(self) -> float:
+        """Probability mass within the outer EDGE_FRACTION of the box."""
         n = self.box.n_points
-        lo = int(n * fraction / 2)
+        lo = int(n * EDGE_FRACTION / 2)
         w = np.abs(self.samples) ** 2
         return float((w[:lo].sum() + w[n - lo:].sum()) / w.sum())
 
@@ -454,41 +458,41 @@ def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
     """Samples of f o Phi_t (magnetic flow of the model Hamiltonian) on the
     phase-space grid.
 
-    func(k, r) takes (..., d) arrays.  With flow_shape set, trajectories are
-    integrated on a coarser phase-space grid and resampled trigonometrically
-    (valid for smooth periodic data).
+    func(k, r) takes (..., d) arrays.  Trajectories start on the same box
+    sampled at flow_shape points per axis, or on the grid itself; a flow
+    grid of its own is resampled trigonometrically onto the full one (valid
+    for smooth periodic data).
     """
     d = grid.dim
-    if flow_shape is None:
-        shape = grid.ns + grid.ns
-        X, K = (np.broadcast_to(a, shape + (d,)) for a in grid.phase_points())
-    else:
-        shape = tuple(flow_shape) + tuple(flow_shape)
-        axes = []
-        for l in range(d):
-            Xf = grid.X_axis(l)
-            n_c = flow_shape[l]
-            # same box, coarser uniform sampling (periodic): endpoints align
-            axes.append(Xf[0] + (Xf[1] - Xf[0]) * grid.ns[l] / n_c * np.arange(n_c))
-        for l in range(d):
-            xif = grid.xi_axis(l)
-            n_c = flow_shape[l]
-            axes.append(xif[0] + (xif[1] - xif[0]) * grid.ns[l] / n_c * np.arange(n_c))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack(mesh[:d], axis=-1)
-        K = np.stack(mesh[d:], axis=-1)
-    kf = K.reshape(-1, d)
-    xf = X.reshape(-1, d)
-    k_t, r_t = _rk4_run(kf, xf, model, field, None, t, dt, record=False)
-    vals = np.asarray(func(k_t, r_t), dtype=complex).reshape(shape)
+    ms = grid.ns if flow_shape is None else tuple(flow_shape)
+    # fractional fine-grid indices, the grid's own at m = n: the axes then
+    # repeat PhaseSpaceGrid.X_axis and xi_axis to the bit
+    j = [np.arange(m) * (n / m) - (n - 1) // 2 for n, m in zip(grid.ns, ms)]
+    axes = [grid.eps * (jl * h) for jl, h in zip(j, grid.h)] + \
+        [2 * np.pi * jl / (n * h) for jl, n, h in zip(j, grid.ns, grid.h)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    X = np.stack(mesh[:d], axis=-1).reshape(-1, d)
+    K = np.stack(mesh[d:], axis=-1).reshape(-1, d)
+    k_t, r_t = _rk4_run(K, X, model, field, None, t, dt, record=False)
+    vals = np.asarray(func(k_t, r_t), dtype=complex).reshape(ms + ms)
     if flow_shape is not None:
         vals = resample_periodic(vals, grid.ns + grid.ns)
     return GridSymbol(grid=grid, samples=vals)
 
 
+def check_egorov_memory(grid: PhaseSpaceGrid, field: EMFieldConfig) -> None:
+    """Refuse (DenseMemoryError) an egorov_error whose dense steps would not
+    fit.  Op(h) and Op(f) stay alive to its end, beside the larger of a
+    quantize (its table build included) and the Heisenberg eigensolve of
+    the Hermitian part of Op(h)."""
+    N = grid.n_points
+    step = max(_QUANTIZE_BYTES, _table_bytes(grid.dim, field), 16 * (1 + _EIGH_COPIES))
+    check_dense_memory("egorov_error", grid.ns, (2 * 16 + step) * N * N)
+
+
 def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
                  field: EMFieldConfig, t: float, dt: float = 0.02,
-                 flow_shape=None, window: float = 0.5) -> float:
+                 flow_shape=None) -> float:
     """Interior-windowed operator norm of
     e^{+i(t/eps)Op(h)} Op(f) e^{-i(t/eps)Op(h)} - Op(f o Phi_t).
 
@@ -496,10 +500,12 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     grid.phase_points() (see weyl.sample_broadcast), so f_func(k, r) must
     broadcast k against r.
 
-    The integrator budget is verified by a step-halving probe on a trajectory
-    subsample before the norm is computed.
+    The whole run's memory is checked first (check_egorov_memory), and the
+    integrator budget by a step-halving probe on a trajectory subsample
+    before the norm is computed.
     """
     d = grid.dim
+    check_egorov_memory(grid, field)
     h_op = quantize(sample_broadcast(heff.value, grid), field, assume_bandlimited=True)
     f_op = quantize(sample_broadcast(f_func, grid), field, assume_bandlimited=True)
     # integrator sanity on a small probe batch
@@ -513,7 +519,7 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     if probe > 1e-3 * field.eps ** 2:
         raise QuantumError(
             f"integrator budget violation: halving probe {probe:.2e} vs eps^2 scale")
-    iw = grid.interior_indices(window)
+    iw = grid.interior_indices()
     evolved = heisenberg_evolve(h_op, f_op, field, t, iw)
     flowed = flowed_symbol(f_func, grid, heff, field, t, dt, flow_shape=flow_shape)
     target = quantize(flowed, field, assume_bandlimited=True)
@@ -523,10 +529,10 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
 # -- semiclassical limit at the level of expectation values ----------------
 
 
-def _translation_expectation(psi: WaveFunction, cells: int = 1) -> complex:
-    """<psi| T_cells |psi> with T the lattice translation (B = 0)."""
+def _translation_expectation(psi: WaveFunction) -> complex:
+    """<psi| T_1 |psi> with T_1 the translation by one cell (B = 0)."""
     arr = psi.samples
-    shifted = np.roll(arr, -cells * psi.box.m)
+    shifted = np.roll(arr, -psi.box.m)
     return complex(np.vdot(psi.samples, shifted))
 
 
@@ -543,17 +549,38 @@ def _flow_oracle(bands: BandStructure, band_index: int, fld: EMFieldConfig,
 
 
 # semiclassical_limit_check: bands solved per box (band_index is below this),
-# the RK4 step of the flow oracle and the Gauss-Hermite nodes per axis
+# the RK4 step of the flow oracle, the Gauss-Hermite nodes per axis, the
+# sample points per cell, the packet's momentum width over sqrt(eps) and its
+# central momentum
 LIMIT_BANDS = 3
 LIMIT_DT_FLOW = 5e-3
 LIMIT_HERMITE_NODES = 8
+LIMIT_M_PER_CELL = 14
+LIMIT_SIGMA_SCALE = 1.0
+LIMIT_K0 = 0.6
+
+
+def _limit_box(lattice: Lattice, eps: float, macro_box: float) -> RealSpaceBox:
+    """The periodic box of semiclassical_limit_check at eps: round(macro_box
+    / eps) cells, one more when that is even."""
+    n_cells = int(round(macro_box / eps))
+    if n_cells % 2 == 0:
+        n_cells += 1
+    return RealSpaceBox(lattice=lattice, n_cells=n_cells, m=LIMIT_M_PER_CELL)
+
+
+def check_limit_memory(lattice: Lattice, eps_list, macro_box: float) -> None:
+    """Refuse (DenseMemoryError) a semiclassical_limit_check whose largest
+    box, at the smallest eps, would not fit: its real dense H beside the
+    eigendecomposition of Propagator.of."""
+    n = _limit_box(lattice, min(eps_list), macro_box).n_points
+    check_dense_memory("semiclassical_limit_check", (n,), 8 * (1 + _EIGH_COPIES) * n * n)
 
 
 def semiclassical_limit_check(potential: FourierPotential, field_template: EMFieldConfig,
                               band_index: int, eps_list, t: float,
-                              macro_box: float = 4.0, m_per_cell: int = 14,
-                              cutoff: int = 6, sigma_scale: float = 1.0,
-                              k0: float = 0.6, n_workers: int = 1) -> dict:
+                              macro_box: float = 4.0, cutoff: int = 6,
+                              n_workers: int = 1) -> dict:
     """Bloch-oscillation expectation test against the corrected flow (1D).
 
     For each eps an n_cells ~ macro_box/eps periodic box is built, a band
@@ -577,6 +604,7 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         raise QuantumError("expectation test implemented in one dimension")
     if not 0 <= band_index < LIMIT_BANDS:
         raise QuantumError(f"band_index {band_index} outside [0, {LIMIT_BANDS})")
+    check_limit_memory(lat, eps_list, macro_box)
     nodes, weights = hermegauss(LIMIT_HERMITE_NODES)
     weights = weights / np.sqrt(2 * np.pi)
     KK, XX = np.meshgrid(nodes, nodes, indexing="ij")
@@ -589,13 +617,10 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         boxes = []
         for eps in eps_list:
             fld = replace(field_template, eps=float(eps))
-            n_cells = int(round(macro_box / eps))
-            if n_cells % 2 == 0:
-                n_cells += 1
-            box = RealSpaceBox(lattice=lat, n_cells=n_cells, m=m_per_cell)
+            box = _limit_box(lat, eps, macro_box)
             bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS)
-            sigma_k = sigma_scale * np.sqrt(eps)
-            psi0 = band_packet(bands, box, band_index, k0=k0, x0=0.0, sigma_k=sigma_k)
+            sigma_k = LIMIT_SIGMA_SCALE * np.sqrt(eps)
+            psi0 = band_packet(bands, box, band_index, k0=LIMIT_K0, x0=0.0, sigma_k=sigma_k)
             if psi0.edge_mass() > 1e-8:
                 raise QuantumError("packet touches the box boundary; enlarge the box")
             # measured initial phase-space center and spreads

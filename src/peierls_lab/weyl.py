@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PeierlsError
 from .fields import EMFieldConfig
 from .interp import _sym_freqs
 
@@ -52,25 +53,61 @@ __all__ = [
 ]
 
 
-class WeylError(ValueError):
+class WeylError(PeierlsError, ValueError):
     pass
 
 
-class DenseMemoryError(MemoryError):
+class DenseMemoryError(PeierlsError, MemoryError):
     """A dense path would need more memory than the machine has."""
+
+
+CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+MEMINFO = "/proc/meminfo"
+
+
+def _memory_figures() -> dict:
+    """The memory figures the platform reports, in bytes by name: physical
+    memory, the cgroup limit (absent when it reads "max") and MemAvailable."""
+    figures = {}
+    try:
+        figures["physical memory"] = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        pass
+    try:
+        with open(CGROUP_MEMORY_MAX) as fh:
+            figures["the cgroup memory limit"] = int(fh.read())
+    except (OSError, ValueError):
+        pass
+    try:
+        with open(MEMINFO) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    figures["available memory"] = 1024 * int(line.split()[1])
+    except (OSError, ValueError):
+        pass
+    return figures
 
 
 def check_dense_memory(what: str, grid, nbytes: float) -> None:
     """Raise DenseMemoryError when a dense path on `grid` (described in the
-    message) is estimated to peak above the machine's physical memory."""
-    try:
-        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+    message) is estimated to peak above the smallest memory figure the
+    platform reports (_memory_figures), which the message names."""
+    figures = _memory_figures()
+    if not figures:
         return      # the platform does not report its memory
-    if nbytes > phys:
+    name, limit = min(figures.items(), key=lambda item: item[1])
+    if nbytes > limit:
         raise DenseMemoryError(
             f"{what} on grid {grid} needs an estimated {nbytes / 2**30:.1f} GiB, "
-            f"more than the {phys / 2**30:.1f} GiB of physical memory")
+            f"more than the {limit / 2**30:.1f} GiB of {name}")
+
+
+INTERIOR_FRACTION = 0.5    # central share of each axis that interior windows keep
+
+
+def _interior_margin(n: int) -> int:
+    """Points cut from each end of an n-point axis by the interior window."""
+    return int(round(n * (1 - INTERIOR_FRACTION) / 2))
 
 
 @dataclass(frozen=True)
@@ -142,16 +179,16 @@ class PhaseSpaceGrid:
         return (X.reshape(self.ns + (1,) * d + (d,)),
                 K.reshape((1,) * d + self.ns + (d,)))
 
-    def interior_mask_1d(self, l: int, fraction: float = 0.5) -> np.ndarray:
+    def interior_mask_1d(self, l: int) -> np.ndarray:
         n = self.ns[l]
-        lo = int(round(n * (1 - fraction) / 2))
+        lo = _interior_margin(n)
         m = np.zeros(n, dtype=bool)
         m[lo:n - lo] = True
         return m
 
-    def interior_indices(self, fraction: float = 0.5) -> np.ndarray:
+    def interior_indices(self) -> np.ndarray:
         """Flat indices of position-grid points in the central window."""
-        masks = [self.interior_mask_1d(l, fraction) for l in range(self.dim)]
+        masks = [self.interior_mask_1d(l) for l in range(self.dim)]
         mesh = np.meshgrid(*masks, indexing="ij")
         keep = np.ones(self.ns, dtype=bool)
         for m in mesh:
@@ -178,14 +215,11 @@ class GridSymbol:
         """Energy fraction of the top 10% frequency shell (aliasing guard)."""
         return _tail_fraction(np.fft.fftn(self.samples))
 
-    def interior_max(self, other=None, fraction: float = 0.5) -> float:
+    def interior_max(self, other=None) -> float:
         """Max |self - other| over the interior phase-space window."""
         diff = self.samples if other is None else self.samples - (
             other.samples if isinstance(other, GridSymbol) else other)
-        sl = []
-        for n in self.samples.shape:
-            lo = int(round(n * (1 - fraction) / 2))
-            sl.append(slice(lo, n - lo))
+        sl = [slice(_interior_margin(n), n - _interior_margin(n)) for n in self.samples.shape]
         return float(np.abs(diff[tuple(sl)]).max())
 
 

@@ -228,7 +228,7 @@ def test_criterion_7_flow_correspondence(tb_band_2d):
     st = FlowState.of([0.7, -0.4], [0.3, 0.1])
     rep = compare_flows(st, band, fld, [0.1, 0.05, 0.025], t_final=1.0, dt=4e-3)
     hsc = SemiclassicalHamiltonian(band, fld)
-    traj = integrate(st, hsc, fld, 10.0, 5e-3, band=band, halving_budget=None)
+    traj = integrate(st, hsc, fld, 10.0, 5e-3, band=band)
     drift = traj.energy_drift()
     dt = time.time() - t0
     ok = 1.8 <= rep["slope"] <= 2.2 and drift < 1e-8
@@ -362,8 +362,7 @@ def test_criterion_11_semiclassical_limit_expectation():
 
     fld = EMFieldConfig.zero(1, eps=0.08, phi=phi, grad_phi=gphi, hess_phi=hphi)
     rep = semiclassical_limit_check(pot, fld, 0, [0.08, 0.04, 0.02], t=1.0,
-                                    macro_box=L, m_per_cell=14, cutoff=6,
-                                    sigma_scale=1.0, k0=0.6)
+                                    macro_box=L, cutoff=6)
     dt = time.time() - t0
     ok = rep["slope_point"] >= 1.0
     verdict("criterion 11 (semiclassical expectation tracking)",

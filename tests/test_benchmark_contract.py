@@ -62,7 +62,7 @@ def test_rhs_receives_the_state_momentum_first():
     original = flow._rhs
     tracing.rebind("flow", "_rhs", record)
     try:
-        flow.integrate(state, free, fld, 0.01, 0.01, halving_budget=None)
+        flow.integrate(state, free, fld, 0.01, 0.01)
     finally:
         tracing.rebind("flow", "_rhs", lambda fn: original)
     assert flow._rhs is original and flow.vector_field is original

@@ -202,15 +202,6 @@ UNBUILDABLE = {
 }
 
 
-def test_cosine_phi_needs_two_dimensions_at_most():
-    with pytest.raises(ConfigError) as exc:
-        parse_config('{"experiment": "flow", "lattice": {"dim": 3}, '
-                     '"field": {"phi": {"preset": "cosine", "amplitude": 0.1}}}')
-    assert "field.phi.preset: 'cosine' needs lattice.dim <= 2" in exc.value.problems
-    parse_config('{"experiment": "bands", "lattice": {"dim": 3}, '
-                 '"field": {"phi": {"preset": "sine_ramp", "amplitude": 0.1}}}')
-
-
 @pytest.mark.parametrize("experiment", ["egorov"])
 def test_three_dimensional_gauge_fixed_experiments_exit_2(tmp_path, capsys, experiment):
     cfg_path = tmp_path / "c.json"
@@ -331,6 +322,11 @@ REFUSED_BEFORE_OUTPUT = [
     ("geometry", '"lattice": {"dim": 2}, "potential": {"preset": "cosine2d"}, '
      '"numerics": {"kgrid": [8, 8], "tolerances": {"zak_tol": 1e-4}}',
      "numerics.tolerances.zak_tol"),
+    # one dimension has no magnetic field: b would be dropped, not applied
+    ("flow", '"field": {"b": 0.8, "lam": 0.7}', "field.b"),
+    # the field the run builds first: lam outside [0, 1]
+    ("flow", '"lattice": {"dim": 2}, "potential": {"preset": "cosine2d"}, '
+     '"field": {"b": 0.8, "lam": 1.5}, "numerics": {"kgrid": [8, 8]}', "field"),
 ]
 
 
@@ -499,8 +495,8 @@ def test_package_imports_load_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("preset,dim", [("cosine", 1), ("cosine", 2), ("sine_ramp", 1),
-                                        ("sine_ramp", 2), ("sine_ramp", 3)])
+@pytest.mark.parametrize("preset,dim", [("cosine", 1), ("cosine", 2), ("cosine", 3),
+                                        ("sine_ramp", 1), ("sine_ramp", 2), ("sine_ramp", 3)])
 def test_phi_presets_match_central_differences(preset, dim):
     from peierls_lab.cli import _phi_callables
     cfg = parse_config(
@@ -647,6 +643,40 @@ def test_library_refusals_exit_1_with_a_report(tmp_path, monkeypatch, capsys, mo
         report = json.loads((written / "bands_report.json").read_text())
         assert report["refused"] == {"error": name, "message": "cannot do this"}
         assert report["passed"] is False and "threads" in report
+
+
+def test_every_package_error_is_a_refusal():
+    # a new error class that is not a PeierlsError would escape main as a traceback
+    import importlib
+    import inspect
+    import pkgutil
+    found = set()
+    for info in pkgutil.iter_modules(peierls_lab.__path__):
+        module = importlib.import_module(f"peierls_lab.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if inspect.isclass(obj) and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__)
+    assert ConfigError in found and not issubclass(ConfigError, peierls_lab.PeierlsError)
+    refusals = found - {ConfigError}
+    assert {cls.__name__ for cls in refusals} == {name for _, name in REFUSAL_CLASSES}
+    for cls in refusals:
+        assert issubclass(cls, peierls_lab.PeierlsError)
+        assert issubclass(cls, (ValueError, RuntimeError, MemoryError))
+
+
+@pytest.mark.parametrize("name", ["egorov_1d", "propagate_bloch"])
+def test_dense_runs_beyond_memory_exit_2_before_output(tmp_path, monkeypatch, capsys, name):
+    # the memory figure is faked: the whole-run estimate is refused before any output
+    from peierls_lab import weyl
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"available memory": 2**20})
+    path = ROOT / "configs" / f"{name}.json"
+    experiment = parse_config(path.read_text()).experiment
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: numerics.eps_list: ")
+    assert "GiB, more than the 0.0 GiB of available memory" in err
+    assert not out.exists()
 
 
 def test_other_errors_are_not_refusals(tmp_path, monkeypatch):

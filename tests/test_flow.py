@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from peierls_lab.effective import BandData
+from peierls_lab.effective import BandData, EffectiveHamiltonian
 from peierls_lab.fields import EMFieldConfig
 from peierls_lab.flow import (AnalyticHamiltonian, FlowError, FlowState,
                               _rk4_run, integrate, poisson_corrected,
                               structure_factor, vector_field)
 from peierls_lab.lattice import Lattice
+from peierls_lab.quantum import QuantumError, egorov_error
+from peierls_lab.weyl import PhaseSpaceGrid
 
 LAT2 = Lattice.cubic(2)
 
@@ -140,19 +142,24 @@ def test_energy_conservation_autonomous():
              -0.2 * np.cos(r[..., 0]) * np.sin(r[..., 1])], -1))
     fld = EMFieldConfig.constant(2, b=b, eps=0.05, lam=0.6)
     st = FlowState.of([0.7, -0.4], [0.3, 0.1])
-    tr = integrate(st, ham, fld, 10.0, 1e-3, halving_budget=None)
+    tr = integrate(st, ham, fld, 10.0, 1e-3)
     assert tr.energy_drift() < 1e-8
 
 
 def test_step_halving_guard():
-    fld = EMFieldConfig.constant(2, b=1.0, eps=0.1, lam=1.0)
-    ham = AnalyticHamiltonian(
-        f=lambda k, r: np.sum(np.cosh(k), -1),
-        fk=lambda k, r: np.sinh(k),
-        fr=lambda k, r: np.zeros_like(r))
-    st = FlowState.of([1.5, -0.5], [0.0, 0.0])
-    with pytest.raises(FlowError):
-        integrate(st, ham, fld, 5.0, 0.5, halving_budget=1e-12)
+    # egorov_error's probe: RK4 at dt and dt/2 must agree to 1e-3 eps^2
+    n, eps = 33, 0.1
+    L = n * eps
+    w = 2 * np.pi / L
+    fld = EMFieldConfig.zero(1, eps=eps, phi=lambda r: 0.3 * np.cos(w * r[..., 0]),
+                             grad_phi=lambda r: -0.3 * w * np.sin(w * r))
+    band = BandData.synthetic(Lattice.cubic(1), (65,), lambda k: np.cos(k[..., 0]))
+    grid = PhaseSpaceGrid.build(n, 1.0, eps=eps)
+    heff = EffectiveHamiltonian(band, fld)
+    f = lambda k, r: np.sin(k[..., 0])
+    assert egorov_error(f, heff, grid, fld, t=1.0, dt=0.02) > 0
+    with pytest.raises(QuantumError, match="integrator budget violation: halving probe"):
+        egorov_error(f, heff, grid, fld, t=1.0, dt=0.5)
 
 
 def test_poisson_corrected_position_bracket():
@@ -262,7 +269,7 @@ def test_corrected_integrate_evaluates_band_once_per_rhs():
     n_steps = 5
     tr = integrate(FlowState.of([0.3, -0.2], [0.1, 0.2]),
                    SemiclassicalHamiltonian(band, fld), fld, n_steps * 0.01, 0.01,
-                   band=band, halving_budget=None)
+                   band=band)
     # four RK4 stages per step, then the energy and structure-factor monitor
     assert len(tr.times) == n_steps + 1
     assert len(calls) == 4 * n_steps + 2

@@ -122,8 +122,8 @@ def test_chern_gap_closure_raises():
 
 
 def test_butterfly_deterministic_and_chern_labels():
-    b1 = butterfly(5, chern_labels=True, chern_q_max=5)
-    b2 = butterfly(5, chern_labels=True, chern_q_max=5)
+    b1 = butterfly(5, chern_labels=True)
+    b2 = butterfly(5, chern_labels=True)
     assert b1.entries == b2.entries
     labels = [e[4] for e in b1.entries if e[0] == Fraction(1, 3)]
     assert labels == [1, -2, 1]

@@ -236,6 +236,26 @@ def test_realspace_hamiltonian_matches_index_table_build():
     assert np.array_equal(realspace_hamiltonian(box, pot, fld), expected)
 
 
+def test_dense_runs_refuse_at_entry_beyond_memory(monkeypatch):
+    # the memory figure is faked; each whole-run estimate is checked before
+    # the first sample, band solve or dense matrix
+    from peierls_lab import weyl
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"physical memory": 2**20})
+    heff, fld, grid, f = _one_dim_zero_field()
+
+    def unsampled(k, r):
+        raise AssertionError("sampled before the memory check")
+    with pytest.raises(DenseMemoryError, match=r"egorov_error on grid \(129,\)"):
+        egorov_error(unsampled, heff, grid, fld, t=0.3)
+
+    def unsolved(*args, **kwargs):
+        raise AssertionError("solved before the memory check")
+    monkeypatch.setattr(quantum, "solve_bands", unsolved)
+    with pytest.raises(DenseMemoryError, match=r"semiclassical_limit_check on grid \(2814,\)"):
+        semiclassical_limit_check(mathieu_potential(3.0), EMFieldConfig.zero(1, eps=0.08),
+                                  0, [0.08, 0.04, 0.02], t=1.0)
+
+
 def test_dense_quantum_paths_refuse_sizes_beyond_physical_memory():
     fld = EMFieldConfig.zero(1, eps=0.1)
     box = RealSpaceBox(lattice=LAT1, n_cells=100001, m=14)
@@ -452,7 +472,7 @@ def test_reduced_eigensolve_matches_complex_eigh(problem, egorov_2d):
     w, U = np.linalg.eigh(M)
     assert np.abs(prop.w - w).max() <= 1e-12 * np.abs(w).max()
     f_op = quantize(sample_broadcast(f, grid), fld, assume_bandlimited=True)
-    iw = grid.interior_indices(0.5)
+    iw = grid.interior_indices()
     ref = Propagator(w=w, U=U, eps=fld.eps).conjugate(f_op.matrix, 0.3, iw)
     out = prop.conjugate(f_op.matrix, 0.3, iw)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()

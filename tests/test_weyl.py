@@ -254,6 +254,39 @@ def test_dense_paths_refuse_grids_beyond_physical_memory():
     assert peak < 2**20
 
 
+def test_memory_figure_is_the_smallest_reported(tmp_path, monkeypatch):
+    cgroup, meminfo = tmp_path / "memory.max", tmp_path / "meminfo"
+    monkeypatch.setattr(weyl, "CGROUP_MEMORY_MAX", str(cgroup))
+    monkeypatch.setattr(weyl, "MEMINFO", str(meminfo))
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}      # 4 GiB
+    monkeypatch.setattr(weyl.os, "sysconf", pages.__getitem__)
+
+    def refusal(nbytes):
+        with pytest.raises(DenseMemoryError) as exc:
+            weyl.check_dense_memory("quantize", (5,), nbytes)
+        return str(exc.value)
+
+    # neither file exists: physical memory binds
+    assert weyl._memory_figures() == {"physical memory": 4 * 2**30}
+    weyl.check_dense_memory("quantize", (5,), 3 * 2**30)
+    assert refusal(5 * 2**30) == ("quantize on grid (5,) needs an estimated 5.0 GiB, "
+                                  "more than the 4.0 GiB of physical memory")
+    cgroup.write_text("max\n")          # no cgroup limit
+    meminfo.write_text("MemTotal:        8000000 kB\nMemAvailable:    2097152 kB\n")
+    assert refusal(3 * 2**30).endswith("the 2.0 GiB of available memory")
+    cgroup.write_text("1073741824\n")
+    assert refusal(1.5 * 2**30).endswith("the 1.0 GiB of the cgroup memory limit")
+    weyl.check_dense_memory("quantize", (5,), 2**29)
+
+    def unreported(name):
+        raise ValueError(name)
+    monkeypatch.setattr(weyl.os, "sysconf", unreported)
+    cgroup.unlink()
+    meminfo.unlink()
+    assert weyl._memory_figures() == {}
+    weyl.check_dense_memory("quantize", (5,), 2.0**80)   # nothing to compare against
+
+
 def test_dense_builders_refuse_grids_beyond_physical_memory():
     grid = PhaseSpaceGrid.build((1001, 1001), 0.5, eps=0.1)
     fld = EMFieldConfig.constant(2, b=1.0, eps=0.1, lam=0.5)
