@@ -233,8 +233,9 @@ def _check(cfg: RunConfig, problems):
         problems.append("numerics.kgrid: entries must be positive integers")
     if dim == 1 and cfg.field.b != 0:
         problems.append("field.b: must be 0 at lattice.dim 1, which has no magnetic field")
-    if cfg.field.phi.period <= 0:
-        problems.append("field.phi.period: must be a positive number")
+    problems.extend(f"{path}: must be a positive number" for path, value in (
+        ("field.phi.period", cfg.field.phi.period), ("numerics.macro_box", num.macro_box))
+        if value <= 0)
     for key, low in (("n_bands", 1), ("cutoff", 1), ("q_max", 1), ("theta_resolution", 2)):
         if getattr(num, key) < low:
             problems.append(f"numerics.{key}: must be >= {low}")

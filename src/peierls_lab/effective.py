@@ -16,12 +16,15 @@ effective-variable map and the semiclassical Hamiltonian
 reproduce h (composed with the inverse map) up to second order, which the
 test suite measures as a convergence rate.  All band quantities are held by
 one stacked periodic spline in the zone coefficients, built from their FFT
-spectra in one pass, so dual-lattice periodicity is exact.  BandData.at
+spectra in one pass, so dual-lattice periodicity is exact: the channels
+[E, dE, A, m, omega], 1 + 2d + d(d-1) of them, with the 2-forms M and Omega
+stored by their pair components m and omega (fields.pairs).  BandData.at
 evaluates them for a batch of k as one BandFields record, values and
 k-derivatives together; a field of the record is made when it is first read,
 so a right-hand side that reads three of the eight pays for three.
 EffectiveHamiltonian and SemiclassicalHamiltonian offer value(k, r) and the
-flow protocol grad_pair(k, r) -> (grad_k h, grad_r h, fields).
+flow protocol grad_pair(k, r) -> (grad_k h, grad_r h, fields), contracting
+B with the components, B:M = sum_p 2 B_p m_p, so no full M is formed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import PeierlsError
-from .fields import EMFieldConfig, _contract, _vecmat
+from .fields import (EMFieldConfig, _contract, _vecmat, pair_weights, pairs,
+                     wedge)
 from .geometry import GeometricTensors
 from .interp import PeriodicSpline
 from .lattice import KGrid, Lattice
@@ -52,11 +56,16 @@ class EffectiveError(PeierlsError, ValueError):
     pass
 
 
+# Largest symmetric part of M and Omega samples, relative to their largest
+# entry or 1, that BandData drops (geometric_tensors' M: below 5e-16).
+ANTISYMMETRY_TOL = 1e-9
+
+
 class _Field:
     """A BandFields field, made from the evaluation block when first read and
     then kept in the record's __dict__, where later reads find it first.  A
     gradient (grad) sits on the block's derivative rows, so its columns are
-    moved in front of the derivative axis m."""
+    moved in front of the derivative axis n."""
 
     def __init__(self, grad: bool):
         self.grad = grad
@@ -78,18 +87,19 @@ class BandFields:
     """Band fields at a batch of points k (..., d), derivatives in Cartesian k.
 
     A field is made when it is first read, as a view into the one spline
-    evaluation block (P, 1 + d, F) of the batch, and kept; a caller that
-    reads three of them pays for three.  Copy before writing.
+    evaluation block (points, 1 + d, F) of the batch, and kept; a caller
+    that reads three of them pays for three.  Copy before writing.  The
+    2-forms come as their pair components p = (l < j) (fields.pairs).
     """
 
     E = _Field(False)                   # (...)
     A = _Field(False)                   # (..., l)       Berry connection
-    M = _Field(False)                   # (..., l, j)    Rammal-Wilkinson tensor
-    Om = _Field(False)                  # (..., l, j)    Berry curvature
-    dE = _Field(True)                   # (..., m)
-    hessE = _Field(True)                # (..., m, n)
-    dA = _Field(True)                   # (..., l, m)    d A_l / d k_m
-    dM = _Field(True)                   # (..., l, j, m) d M_lj / d k_m
+    m = _Field(False)                   # (..., p)       Rammal-Wilkinson M_lj
+    om = _Field(False)                  # (..., p)       Berry curvature Omega_lj
+    dE = _Field(True)                   # (..., n)
+    hessE = _Field(True)                # (..., n, q)
+    dA = _Field(True)                   # (..., l, n)    d A_l / d k_n
+    dm = _Field(True)                   # (..., p, n)    d m_p / d k_n
 
     def __init__(self, block, lead, layout):
         self._block, self._lead, self._layout = block, lead, layout
@@ -102,11 +112,13 @@ class BandData:
     Samples live on the band's (cell-centered) k-grid; evaluation happens in
     zone coefficients alpha = k . dual^{-1}, so any Bravais lattice works.
     All fields are held by one stacked PeriodicSpline with field axis
-    [E, dE/dk_1..d, A_l, M_lj, Omega_lj] on a grid `upsample` times finer,
-    built from one FFT of the samples: their spectrum, zero-padded to the
-    fine grid (dE's is E's times 2 pi i P), goes straight into the spline's
-    coefficients, so no fine-grid values are formed.  `at` evaluates the
-    fields for Cartesian k of shape (..., d) (bare floats in 1D).
+    [E, dE/dk_1..d, A_l, m_p, omega_p] on a grid `upsample` times finer
+    (m, omega: the pair components of the M and Omega samples, refused when
+    not antisymmetric to ANTISYMMETRY_TOL), built from one FFT of the
+    samples: their spectrum, zero-padded to the fine grid (dE's is E's times
+    2 pi i P), goes straight into the spline's coefficients, so no fine-grid
+    values are formed.  `at` evaluates the fields for Cartesian k of shape
+    (..., d) (bare floats in 1D).
     """
 
     lattice: Lattice
@@ -120,11 +132,16 @@ class BandData:
     def __post_init__(self):
         d, shape = self.lattice.dim, tuple(self.shape)
         n_f = tuple(self.upsample * n for n in shape)
+        forms = []
+        for name in ("rw_samples", "curvature_samples"):
+            T = np.reshape(getattr(self, name), shape + (d, d))
+            skew = 0.5 * (T - np.swapaxes(T, -1, -2))
+            if np.abs(T - skew).max() > ANTISYMMETRY_TOL * max(1.0, np.abs(T).max()):
+                raise EffectiveError(f"{name} are not antisymmetric to {ANTISYMMETRY_TOL:g}")
+            forms.append(pairs(skew))
         samples = np.concatenate(
             [np.reshape(self.energy_samples, shape + (1,)),
-             np.reshape(self.connection_samples, shape + (d,)),
-             np.reshape(self.rw_samples, shape + (d * d,)),
-             np.reshape(self.curvature_samples, shape + (d * d,))], axis=-1)
+             np.reshape(self.connection_samples, shape + (d,))] + forms, axis=-1)
         # the fine grid's spectrum of the trigonometric interpolant of the
         # cell-centered samples: the frequencies |P| <= (n - 1) // 2 of each
         # axis (an even axis drops its Nyquist term), scaled by n_f / n and
@@ -144,14 +161,15 @@ class BandData:
         to_cart_T = self.lattice.basis / (2 * np.pi)
         ddk = 2j * np.pi * sum(P[ax] * to_cart_T[ax] for ax in range(d))
         # each BandFields field: its rows and columns of the evaluation block
-        # (values; derivatives) x [E, dE/dk, A, M, Omega], and its shape
-        e, a, m = 1 + d, 1 + 2 * d, 1 + 2 * d + d * d
+        # (values; derivatives) x [E, dE/dk, A, m, omega], and its shape
+        p = d * (d - 1) // 2
+        e, a, m = 1 + d, 1 + 2 * d, 1 + 2 * d + p
         val, grad = (slice(None), 0), (slice(None), slice(1, None))
         self._layout = {
             "E": (val + (0,), ()), "A": (val + (slice(e, a),), (d,)),
-            "M": (val + (slice(a, m),), (d, d)), "Om": (val + (slice(m, None),), (d, d)),
+            "m": (val + (slice(a, m),), (p,)), "om": (val + (slice(m, None),), (p,)),
             "dE": (grad + (slice(0, 1),), (d,)), "hessE": (grad + (slice(1, e),), (d, d)),
-            "dA": (grad + (slice(e, a),), (d, d)), "dM": (grad + (slice(a, m),), (d, d, d))}
+            "dA": (grad + (slice(e, a),), (d, d)), "dm": (grad + (slice(a, m),), (p, d))}
         # fine node i sits at k = (i / n_f - 1/2) @ dual: the spline takes
         # Cartesian k and returns Cartesian k-derivatives
         dual = self.lattice.dual
@@ -181,12 +199,9 @@ class BandData:
         d = lattice.dim
         k = grid.points
         E = grid.reshape(np.asarray(energy(k), dtype=float))
-        A = grid.reshape(np.asarray(connection(k), dtype=float)) if connection \
-            else np.zeros(grid.shape + (d,))
-        M = grid.reshape(np.asarray(rw(k), dtype=float)) if rw \
-            else np.zeros(grid.shape + (d, d))
-        Om = grid.reshape(np.asarray(curvature(k), dtype=float)) if curvature \
-            else np.zeros(grid.shape + (d, d))
+        A, M, Om = [grid.reshape(np.asarray(f(k), dtype=float)) if f
+                    else np.zeros(grid.shape + tail)
+                    for f, tail in ((connection, (d,)), (rw, (d, d)), (curvature, (d, d)))]
         return cls(lattice=lattice, shape=grid.shape, energy_samples=E,
                    connection_samples=A, rw_samples=M, curvature_samples=Om,
                    upsample=upsample)
@@ -194,18 +209,11 @@ class BandData:
     # -- evaluation -----------------------------------------------------
 
     def at(self, k) -> BandFields:
-        """Band fields at Cartesian k (..., d): the values E, A, M, Omega and
-        the derivatives dE, hessE, dA, dM, all from one spline evaluation."""
+        """Band fields at Cartesian k (..., d): the values E, A, m, om and
+        the derivatives dE, hessE, dA, dm, all from one spline evaluation."""
         k = _as_points(k, self.lattice.dim)
         return BandFields(self._spline(k.reshape(-1, k.shape[-1])), k.shape[:-1],
                           self._layout)
-
-
-def _flat2(a, trailing: int = 0) -> np.ndarray:
-    """a (..., l, j, *t) with its (l, j) axes merged, for t the `trailing`
-    axes: B_lj X_lj... contractions become vector-matrix products."""
-    cut = a.ndim - trailing
-    return a.reshape(a.shape[:cut - 2] + (-1,) + a.shape[cut:])
 
 
 def _as_points(v, d):
@@ -213,6 +221,12 @@ def _as_points(v, d):
     if d == 1 and (v.ndim == 0 or v.shape[-1] != 1):
         v = v[..., None]
     return v
+
+
+def _coupling(b: BandFields) -> np.ndarray:
+    """Pair components of the antisymmetric part of W = A dE^T + M, the
+    tensor B meets in h1: B:W = sum_p 2 B_p w_p."""
+    return b.m + 0.5 * wedge(b.A, b.dE)
 
 
 @dataclass(frozen=True)
@@ -229,19 +243,16 @@ class EffectiveHamiltonian:
     def _h1(self, b: BandFields, r) -> np.ndarray:
         # -F.A - lam B:M = d phi.A - lam B:(A dE^T + M): each term pairs an
         # r-field with a k-field, so they meet only in _contract's products
-        out = _contract(self.field.grad_phi(r), b.A, 1)
+        out = _contract(self.field.grad_phi(r), b.A)
         if self.field.lam != 0.0:
-            W = b.A[..., :, None] * b.dE[..., None, :] + b.M
-            out = out - self.field.lam * _contract(self.field.B(r), W, 2)
+            out = out - self.field.lam * _contract(pair_weights(self.field.B(r)), _coupling(b))
         return out
 
     def h0(self, k, r) -> np.ndarray:
-        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
-        return self.band.at(k).E + self.field.phi(r)
+        return self.band.at(k).E + self.field.phi(_as_points(r, self.dim))
 
     def h1(self, k, r) -> np.ndarray:
-        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
-        return self._h1(self.band.at(k), r)
+        return self._h1(self.band.at(k), _as_points(r, self.dim))
 
     def value(self, k, r) -> np.ndarray:
         """h at momenta k (..., d) and positions r (..., d).
@@ -250,17 +261,17 @@ class EffectiveHamiltonian:
         band fields are evaluated at the points of k, field terms at those of
         r, and the result has the broadcast shape (see weyl.phase_points).
         """
-        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        r = _as_points(r, self.dim)
         b = self.band.at(k)
         return b.E + self.field.phi(r) + self.field.eps * self._h1(b, r)
 
     def grad_pair(self, k, r):
         """(grad_k h, grad_r h, fields): the gradients and the BandFields
         record at k they were computed from (one band evaluation per batch;
-        flows read Omega from it).  The gradients broadcast to the batch of
+        flows read omega from it).  The gradients broadcast to the batch of
         (k, r); a term of k alone, as in a constant field, keeps the shape
         of k."""
-        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        r = _as_points(r, self.dim)
         fld = self.field
         eps, lam = fld.eps, fld.lam
         b = self.band.at(k)
@@ -268,19 +279,18 @@ class EffectiveHamiltonian:
         if eps == 0.0:
             return b.dE, gphi, b
         # with the Lorentz force F = -grad phi + lam B dE,
-        # d_{k_m} h1 = -F_l d_m A_l - (d_m F_l) A_l - lam B_lj d_m M_lj,
-        #   where (d_m F_l) A_l = lam (A B)_j d_j d_m E;
-        # d_{r_m} h1 = (d_m d_l phi) A_l - lam (d_m B_lj)(A_l d_j E + M_lj)
+        # d_{k_n} h1 = -F_l d_n A_l - (d_n F_l) A_l - lam B_lj d_n M_lj,
+        #   where (d_n F_l) A_l = lam (A B)_j d_j d_n E;
+        # d_{r_n} h1 = (d_n d_l phi) A_l - lam (d_n B_lj)(A_l d_j E + M_lj)
         F = -gphi
         term_r = _vecmat(b.A, fld.hess_phi(r))
         if lam != 0.0:
             lamB = lam * fld.B_at(r)
             F = F + _vecmat(b.dE, lamB.swapaxes(-1, -2))
             term_k = -(_vecmat(F, b.dA) + _vecmat(_vecmat(b.A, lamB), b.hessE)
-                       + _vecmat(_flat2(lamB), _flat2(b.dM, 1)))
+                       + _vecmat(pair_weights(lamB), b.dm))
             if fld.dbfield is not None:
-                W = b.A[..., :, None] * b.dE[..., None, :] + b.M
-                term_r = term_r - lam * _vecmat(_flat2(W), _flat2(fld.dB(r), 1))
+                term_r = term_r - lam * _vecmat(_coupling(b), pair_weights(fld.dB(r), 1))
         else:
             term_k = -_vecmat(F, b.dA)
         return b.dE + eps * term_k, gphi + eps * term_r, b
@@ -301,39 +311,36 @@ class SemiclassicalHamiltonian:
         """h_sc at momenta k (..., d) and positions r (..., d) whose leading
         shapes broadcast against each other; the result has the broadcast
         shape."""
-        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        r = _as_points(r, self.dim)
         b = self.band.at(k)
         out = b.E + self.field.phi(r)
         eps, lam = self.field.eps, self.field.lam
         if eps != 0.0 and lam != 0.0:
-            out = out - eps * lam * _contract(self.field.B(r), b.M, 2)
+            out = out - eps * lam * _contract(pair_weights(self.field.B(r)), b.m)
         return out
 
     def grad_pair(self, k, r):
         """(grad_k h_sc, grad_r h_sc, fields): the gradients and the
         BandFields record at k they were computed from (one band evaluation
         per batch); shapes as for EffectiveHamiltonian.grad_pair."""
-        k, r = _as_points(k, self.dim), _as_points(r, self.dim)
+        r = _as_points(r, self.dim)
         fld = self.field
         eps, lam = fld.eps, fld.lam
-        coupled = eps != 0.0 and lam != 0.0
         b = self.band.at(k)
         gk = b.dE
         gr = fld.grad_phi(r)
-        if coupled:
-            # grad_k (B : M) = B_lj d_m M_lj, grad_r (B : M) = d_m B_lj M_lj
-            elB = (eps * lam) * fld.B_at(r)
-            gk = gk - _vecmat(_flat2(elB), _flat2(b.dM, 1))
+        if eps != 0.0 and lam != 0.0:
+            # grad_k (B : M) = B_lj d_n M_lj, grad_r (B : M) = d_n B_lj M_lj
+            gk = gk - _vecmat((eps * lam) * pair_weights(fld.B_at(r)), b.dm)
             if fld.dbfield is not None:
-                gr = gr - (eps * lam) * _vecmat(_flat2(b.M), _flat2(fld.dB(r), 1))
+                gr = gr - (eps * lam) * _vecmat(b.m, pair_weights(fld.dB(r), 1))
         return gk, gr, b
 
 
 def t_eff(k, r, band: BandData, field: EMFieldConfig):
     """First-order effective-variable map (k, r) -> (k_eff, r_eff)."""
     d = band.lattice.dim
-    k = _as_points(k, d)
-    r = _as_points(r, d)
+    k, r = _as_points(k, d), _as_points(r, d)
     eps, lam = field.eps, field.lam
     A = band.at(k).A
     k_eff = k.copy()
@@ -350,8 +357,7 @@ T_EFF_INVERSE_MAX_ITER = 50
 def t_eff_inverse(k_eff, r_eff, band: BandData, field: EMFieldConfig):
     """Invert the effective-variable map by fixed-point iteration."""
     d = band.lattice.dim
-    k_eff = _as_points(k_eff, d)
-    r_eff = _as_points(r_eff, d)
+    k_eff, r_eff = _as_points(k_eff, d), _as_points(r_eff, d)
     k, r = k_eff.copy(), r_eff.copy()
     for _ in range(T_EFF_INVERSE_MAX_ITER):
         k2, r2 = t_eff(k, r, band, field)

@@ -1,4 +1,5 @@
-"""External electromagnetic field configuration.
+"""External electromagnetic field configuration, and the pair convention of
+the 2-forms.
 
 The magnetic field enters everything downstream only through the
 antisymmetric matrix B(r); vector potentials are needed solely for kernel
@@ -6,6 +7,11 @@ phases and may be supplied in any gauge with dA = B, where
 B_lj = d_l A_j - d_j A_l.  For constant B the symmetric gauge
 A(r) = -B r / 2 and the Landau gauge are built in; the transversal gauge
 construction covers smooth position-dependent fields.
+
+B, the Berry curvature Omega and the Rammal-Wilkinson tensor M are 2-forms,
+held by their P = d(d-1)/2 pair components T_lj, l < j, in row order (12 in
+2D; 12, 13, 23 in 3D; none in 1D).  A full contraction of two 2-forms is
+sum_lj T_lj X_lj = sum_p (2 T_p) X_p: one side enters by its pair weights.
 """
 
 from __future__ import annotations
@@ -27,14 +33,14 @@ class FieldError(PeierlsError, ValueError):
     pass
 
 
-def _contract(a, b, axes: int) -> np.ndarray:
-    """Sum of a * b over the trailing `axes` axes, one component product at a
-    time.  The leading shapes need only broadcast: for r-fields against
-    k-fields on a phase-space axis pair this is several times faster than a
+def _contract(a, b) -> np.ndarray:
+    """Sum of a * b over the last axis, one component product at a time.
+    The leading shapes need only broadcast: for r-fields against k-fields on
+    a phase-space axis pair this is several times faster than a
     broadcasting einsum and builds no (..., components) product array."""
     a, b = np.asarray(a), np.asarray(b)
-    a = a.reshape(a.shape[:a.ndim - axes] + (-1,))
-    b = b.reshape(b.shape[:b.ndim - axes] + (-1,))
+    if not a.shape[-1]:                 # no components: the 2-forms of 1D
+        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     out = a[..., 0] * b[..., 0]
     for i in range(1, a.shape[-1]):
         out += a[..., i] * b[..., i]
@@ -52,8 +58,41 @@ def _vecmat(v, M) -> np.ndarray:
     batched band data."""
     if M.ndim == 2:
         return v @ M
-    return np.stack([_contract(v, M[..., j], 1) for j in range(M.shape[-1])],
+    return np.stack([_contract(v, M[..., j]) for j in range(M.shape[-1])],
                     axis=-1)
+
+
+_PAIRS = {d: np.triu_indices(d, 1) for d in (1, 2, 3)}
+
+
+def pairs(T, trailing: int = 0) -> np.ndarray:
+    """The pair components (..., P, *t) of T (..., d, d, *t), antisymmetric
+    in its (l, j) axes, for t the `trailing` axes; a view for d <= 2."""
+    d = T.shape[-2 - trailing]
+    ix = (0, slice(1, None)) if d <= 2 else _PAIRS[d]
+    return T[(Ellipsis,) + ix + (slice(None),) * trailing]
+
+
+def pair_weights(T, trailing: int = 0) -> np.ndarray:
+    """2 T_p, the weights of T's pair components in a full contraction."""
+    return 2.0 * pairs(T, trailing)
+
+
+def wedge(a, v) -> np.ndarray:
+    """The pair components a_l v_j - a_j v_l of a v^T - v a^T, for vectors
+    a and v (..., d) whose leading shapes broadcast."""
+    l, j = _PAIRS[a.shape[-1]]
+    return a[..., l] * v[..., j] - a[..., j] * v[..., l]
+
+
+def antisymmetric(c, d: int, trailing: int = 0) -> np.ndarray:
+    """The full tensor (..., d, d, *t) with pair components c (..., P, *t)."""
+    l, j = _PAIRS[d]
+    cut = c.ndim - 1 - trailing
+    T = np.zeros(c.shape[:cut] + (d, d) + c.shape[cut + 1:], dtype=c.dtype)
+    lj, jl = [(Ellipsis, a, b) + (slice(None),) * trailing for a, b in ((l, j), (j, l))]
+    T[lj], T[jl] = c, -c
+    return T
 
 
 def _zero_phi(r):

@@ -12,12 +12,13 @@ reduced d x d system
     kdot = (I + eps lam B Omega)^{-1} (lam B grad_k H - grad_r H),
     rdot = grad_k H - eps Omega kdot,   det J = det(I + eps lam B Omega),
 
-which for antisymmetric B and Omega in d <= 2 is a division by the scalar
-1 + lam B_12 eps Omega_21 (one small batched solve for d >= 3).
+which for antisymmetric B and Omega is the identity in 1D, a division by the
+scalar 1 - lam B_12 eps omega in 2D (omega = Omega_12, fields.pairs), and
+one small batched solve on the full Omega for d >= 3.
 
 Models and observables offer one method, grad_pair(k, r) -> (grad_k H,
 grad_r H, fields), where fields is the BandFields record the gradients came
-from, or None.  A model that holds the flow's band hands Omega over in that
+from, or None.  A model that holds the flow's band hands omega over in that
 record, so each corrected right-hand side evaluates the band once.  The
 structure and the models read B through EMFieldConfig.B_at, which for a
 constant field is the stored matrix, not a copy broadcast to the points.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import PeierlsError
-from .fields import EMFieldConfig, _contract, _vecmat
+from .fields import EMFieldConfig, _contract, _vecmat, antisymmetric
 
 __all__ = [
     "FlowState",
@@ -96,74 +97,73 @@ class Trajectory:
         return float(np.abs(self.energy - self.energy[0]).max())
 
 
-def _reduced(lamB, epsOm):
-    """I + eps lam B Omega: a scalar field (...) for d <= 2, else (..., d, d).
+_FLIP = np.array([1.0, -1.0])
 
-    For antisymmetric B and Omega, B Omega is 0 in 1D and B_12 Omega_21 I in
-    2D, so the matrix is 1 + lam B_12 eps Omega_21 times I.
-    """
+
+def _reduced(lamB, epsom):
+    """I + eps lam B Omega for eps Omega given by its pair components epsom:
+    a scalar field (...) in 2D, where B Omega = -B_12 Omega_12 I, else
+    (..., d, d)."""
     d = lamB.shape[-1]
-    if d <= 2:
-        return 1.0 + lamB[..., 0, d - 1] * epsOm[..., d - 1, 0]
-    return np.eye(d) + lamB @ epsOm
+    if d == 2:
+        return 1.0 - lamB[..., 0, 1] * epsom[..., 0]
+    return np.eye(d) + lamB @ antisymmetric(epsom, d)
 
 
 def _solve_structure(gk, gr, B, lam, omega=None, eps: float = 0.0):
     """(kdot, rdot) solving J (rdot, kdot) = (grad_r H, grad_k H) for
     J = [[lam B, -I], [I, eps Omega]], with B the field's B_at(r) (unused
-    at lam = 0).
+    at lam = 0) and omega the pair components of Omega.
 
     The second row gives rdot = grad_k H - eps Omega kdot; the first then
     reads (I + eps lam B Omega) kdot = lam B grad_k H - grad_r H.  Without
-    Omega (or at eps = 0) that is the magnetic structure, det J = 1.
+    omega (or at eps = 0, or in 1D) that is the magnetic structure, det J = 1.
     """
     lamB = lam * B if lam != 0.0 else None
     kdot = -gr if lamB is None else _vecmat(gk, lamB.swapaxes(-1, -2)) - gr
-    if omega is None or eps == 0.0:
+    if omega is None or eps == 0.0 or not omega.shape[-1]:
         return kdot, gk
-    epsOm = eps * omega
+    d = gk.shape[-1]
+    epsom = eps * omega
     if lamB is not None:
-        d = gk.shape[-1]
-        red = _reduced(lamB, epsOm)
-        # det J = red^d for d <= 2: one pass finds the smallest |red|
-        det_min = np.abs(red).min() ** d if d <= 2 else \
-            np.abs(np.linalg.det(red)).min()
-        if det_min < 1e-10:
+        red = _reduced(lamB, epsom)
+        # det J = red^2 in 2D; count_nonzero is one call at any batch size
+        det = red * red if d == 2 else np.linalg.det(red)
+        if np.count_nonzero(abs(det) < 1e-10):
             raise FlowError("corrected structure matrix is degenerate")
-        kdot = kdot / red[..., None] if d <= 2 else \
+        kdot = kdot / red[..., None] if d == 2 else \
             np.linalg.solve(red, kdot[..., None])[..., 0]
-    return kdot, gk - _vecmat(kdot, epsOm.swapaxes(-1, -2))
+    if d == 2:      # eps Omega kdot = eps omega (kdot_2, -kdot_1)
+        return kdot, gk - epsom * kdot[..., ::-1] * _FLIP
+    return kdot, gk + _vecmat(kdot, antisymmetric(epsom, d))
 
 
 def vector_field(k, r, model, field: EMFieldConfig, band=None):
     """(kdot, rdot) of model: the curvature-corrected structure at
-    field.eps when band supplies Omega(k), the magnetic one otherwise
+    field.eps when band supplies omega(k), the magnetic one otherwise
     (rdot = grad_k H, kdot = -grad_r H + lam B grad_k H).
 
     Raises FlowError where det J vanishes (see structure_factor for its
     square root as a diagnostic).
     """
-    k = np.asarray(k, dtype=float)
-    r = np.asarray(r, dtype=float)
     gk, gr, fields = model.grad_pair(k, r)
     omega = None
     if band is not None and field.eps != 0.0:
         # a model that holds the band already evaluated it at k
-        omega = (fields if getattr(model, "band", None) is band else band.at(k)).Om
+        omega = (fields if getattr(model, "band", None) is band else band.at(k)).om
     B = field.B_at(r) if field.lam != 0.0 else None
     return _solve_structure(gk, gr, B, field.lam, omega, field.eps)
 
 
 def structure_factor(k, r, field: EMFieldConfig, band):
     """sqrt(|det J|) of the corrected structure at field.eps;
-    1 - eps lam B_12 Omega_12 in 2D."""
-    k = np.asarray(k, dtype=float)
+    |1 - eps lam B_12 Omega_12| in 2D, 1 in 1D."""
     r = np.asarray(r, dtype=float)
-    if band is None or field.eps == 0.0 or field.lam == 0.0:
-        return np.ones(r.shape[:-1])
     d = r.shape[-1]
-    red = _reduced(field.lam * field.B(r), field.eps * band.at(k).Om)
-    return np.sqrt(np.abs(red ** d if d <= 2 else np.linalg.det(red)))
+    if band is None or field.eps == 0.0 or field.lam == 0.0 or d == 1:
+        return np.ones(r.shape[:-1])
+    red = _reduced(field.lam * field.B(r), field.eps * band.at(k).om)
+    return np.sqrt(np.abs(red * red if d == 2 else np.linalg.det(red)))
 
 
 # _rk4_run's stage function, called k first; perfbench/tracing.py wraps it
@@ -248,17 +248,17 @@ def compare_flows(state0: FlowState, band, field: EMFieldConfig, eps_list,
 def poisson_corrected(f, g, k, r, field: EMFieldConfig, band):
     """Corrected Poisson bracket of two observables at sampled points.
 
-    f and g offer grad_pair(k, r) like the models; band supplies Omega(k)
+    f and g offer grad_pair(k, r) like the models; band supplies omega(k)
     and field.eps its weight.  The bracket follows the flow orientation
     df/dt = {h, f}, i.e. {f, g} = -(grad f)^T J^{-1} grad g, so that
     {r_l, r_j} = -eps Omega_lj at leading order.
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    omega = band.at(k).Om if band is not None else None
+    omega = band.at(k).om if band is not None else None
     B = field.B_at(r) if field.lam != 0.0 else None
     fk, fr, _ = f.grad_pair(k, r)
     gk, gr, _ = g.grad_pair(k, r)
     # J^{-1} grad g is the vector field of g: (rdot, kdot)
     kdot, rdot = _solve_structure(gk, gr, B, field.lam, omega, field.eps)
-    return -(_contract(fr, rdot, 1) + _contract(fk, kdot, 1))
+    return -(_contract(fr, rdot) + _contract(fk, kdot))

@@ -13,69 +13,19 @@ needs one tap gather and one batched contraction that returns values and
 first derivatives together as a (P, 1 + d, F) array (error well under the
 expansion budgets).  The tap weights of a block are one matmul of its
 monomials by a table built once per spline, so a point costs the same few
-array operations whatever the batch.  The exact trigonometric interpolant
-is kept as the oracle the tests compare against.
+array operations whatever the batch.  The tests compare it against the
+exact trigonometric interpolant (tests/fourier_oracle.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fourier_coeffs_centered", "PeriodicFourier", "PeriodicSpline"]
+__all__ = ["PeriodicSpline"]
 
 
 def _sym_freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(int)
-
-
-def fourier_coeffs_centered(samples: np.ndarray) -> np.ndarray:
-    """Fourier coefficients c_P of data sampled at alpha_m = (m + 1/2)/n - 1/2.
-
-    f(alpha) = sum_P c_P exp(2 pi i P . alpha); coefficients in FFT layout.
-    """
-    c = np.fft.fftn(samples) / np.prod(samples.shape)
-    for ax, n in enumerate(samples.shape):
-        P = _sym_freqs(n)
-        phase = np.exp(-2j * np.pi * P * (0.5 / n - 0.5))
-        sh = [1] * samples.ndim
-        sh[ax] = n
-        c = c * phase.reshape(sh)
-    return c
-
-
-class PeriodicFourier:
-    """Exact trigonometric interpolation of real periodic grid data.
-
-    Data is sampled cell-centered on [-1/2, 1/2)^d; evaluation accepts
-    arbitrary alpha (period-1 wrap is automatic).
-    """
-
-    def __init__(self, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=float)
-        self.shape = samples.shape
-        self.coeffs = fourier_coeffs_centered(samples)
-        self.freqs = [_sym_freqs(n) for n in samples.shape]
-
-    def __call__(self, alpha: np.ndarray, deriv=None) -> np.ndarray:
-        """Evaluate at alpha (..., d); deriv is an optional tuple of per-axis
-        derivative orders (w.r.t. alpha).  Real output (real data)."""
-        d = len(self.shape)
-        alpha = np.asarray(alpha, dtype=float)
-        if d == 1 and (alpha.ndim == 0 or alpha.shape[-1] != 1):
-            alpha = alpha[..., None]
-        lead = alpha.shape[:-1]
-        flat = alpha.reshape(-1, d)
-        r = None
-        for ax in range(d):
-            P = self.freqs[ax]
-            ph = np.exp(2j * np.pi * np.outer(flat[:, ax], P))
-            if deriv is not None and deriv[ax] > 0:
-                ph = ph * (2j * np.pi * P[None, :]) ** deriv[ax]
-            if ax == 0:
-                r = np.tensordot(ph, self.coeffs, axes=([1], [0]))
-            else:
-                r = np.einsum("pa,pa...->p...", ph, r)
-        return r.real.reshape(lead)
 
 
 # Points per tap gather: bounds the (BLOCK, 4^d, F) tap array of a batch.
@@ -194,8 +144,8 @@ class PeriodicSpline:
                               for l in range(d)))
         self._K = np.hstack(blocks)                     # (4^d, (1 + d) 4^d)
 
-    def prep(self, pts: np.ndarray) -> "SplinePrep":
-        """Flat tap indices (B, 4^d) and contraction weights (B, 1 + d, 4^d)
+    def prep(self, pts: np.ndarray) -> tuple:
+        """(flat tap indices (B, 4^d), contraction weights (B, 1 + d, 4^d))
         for a block of points (B, d).  Row r of the weights is the outer
         product over the axes of the tap weights, differentiated along x_r
         for r >= 1."""
@@ -207,14 +157,14 @@ class PeriodicSpline:
         for l in range(1, d):
             mono = (mono[:, None] * V[l]).reshape(-1, n_pts)
         flat = self._strides @ (base.astype(np.intp) % self._n)
-        return SplinePrep(flat=flat[:, None] + self._offsets,
-                          W=(mono.T @ self._K).reshape(n_pts, 1 + d, -1))
+        return flat[:, None] + self._offsets, (mono.T @ self._K).reshape(n_pts, 1 + d, -1)
 
-    def eval_prepped(self, prep: "SplinePrep") -> np.ndarray:
-        """Values and first derivatives of all F fields, shape (B, 1 + d, F).
-        The contraction shapes do not depend on which rows a caller keeps, so
-        neither do the rounded results."""
-        return prep.W @ np.take(self.c, prep.flat, axis=0)
+    def eval_prepped(self, prep: tuple) -> np.ndarray:
+        """Values and first derivatives of all F fields, shape (B, 1 + d, F),
+        from the taps and weights of prep.  The contraction shapes do not
+        depend on which rows a caller keeps, so neither do the rounded results."""
+        flat, W = prep
+        return W @ np.take(self.c, flat, axis=0)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """Values and first derivatives of all F fields at points (P, d),
@@ -225,11 +175,3 @@ class PeriodicSpline:
         for s in range(0, len(pts), BLOCK):
             out[s:s + BLOCK] = self.eval_prepped(self.prep(pts[s:s + BLOCK]))
         return out
-
-
-class SplinePrep:
-    __slots__ = ("flat", "W")
-
-    def __init__(self, flat, W):
-        self.flat = flat
-        self.W = W

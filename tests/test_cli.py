@@ -348,7 +348,9 @@ def test_refused_configs_exit_2_before_output(tmp_path, capsys, experiment, sect
     ("geometry", '"band_index": -1', "numerics.band_index"),
     ("bands", '"band_index": 4', "numerics.band_index"),
     ("butterfly", '"cutoff": 0', "numerics.cutoff"),
-    ("egorov", '"eps_list": []', "numerics.eps_list")])
+    ("egorov", '"eps_list": []', "numerics.eps_list"),
+    ("egorov", '"macro_box": -1', "numerics.macro_box"),
+    ("propagate", '"macro_box": 0', "numerics.macro_box")])
 def test_numerics_out_of_range_rejected(experiment, numerics, path):
     with pytest.raises(ConfigError) as exc:
         parse_config('{"experiment": "%s", "numerics": {%s}}' % (experiment, numerics))

@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fourier_oracle import PeriodicFourier, fourier_coeffs_centered
 from peierls_lab.effective import (BandData, EffectiveError,
                                    EffectiveHamiltonian,
                                    SemiclassicalHamiltonian,
                                    effective_observable, t_eff,
                                    t_eff_inverse)
 from peierls_lab.fiber import fiber_matrix, potential_2d, solve_bands
-from peierls_lab.fields import EMFieldConfig
+from peierls_lab.fields import EMFieldConfig, antisymmetric, pairs
 from peierls_lab.geometry import geometric_tensors
-from peierls_lab.interp import BLOCK, PeriodicSpline, fourier_coeffs_centered
+from peierls_lab.interp import BLOCK, PeriodicSpline
 from peierls_lab.lattice import Lattice, make_kgrid
 from peierls_lab.weyl import PhaseSpaceGrid
 
@@ -114,7 +115,6 @@ def h1_bracket_oracle(bands, frame, field, p, r):
     g = bands.basis.gvectors()
     # the energy gradient is smooth shared data (not gauge-paired with the
     # frame stencil); evaluate it spectrally from the band samples
-    from peierls_lab.interp import PeriodicFourier
     E_interp = PeriodicFourier(grid.reshape(bands.energies[frame.band]))
     alpha = k / (2 * np.pi)
     dE = np.array([E_interp(alpha, deriv=(1, 0)), E_interp(alpha, deriv=(0, 1))]) \
@@ -261,8 +261,7 @@ def test_value_on_broadcast_axes_matches_full_mesh(dim):
     if dim == 1:
         band = BandData.synthetic(
             Lattice.cubic(1), (33,), lambda k: np.cos(k[..., 0]),
-            connection=lambda k: 0.3 * np.sin(k),
-            rw=lambda k: 0.2 * np.cos(k)[..., None])
+            connection=lambda k: 0.3 * np.sin(k))
         fld = EMFieldConfig.zero(
             1, eps=0.1, phi=lambda r: 0.4 * np.cos(np.asarray(r, float)[..., 0]),
             grad_phi=lambda r: -0.4 * np.sin(np.asarray(r, float)))
@@ -304,15 +303,19 @@ def test_h1_lambda_zero_has_no_tensor_terms():
 
 
 def trig_band_fields(lat):
-    """Analytic periodic E, A, M, Omega of k, through theta = 2 pi alpha."""
+    """Analytic periodic E, A, M, Omega of k, through theta = 2 pi alpha; M
+    and Omega are antisymmetric to the bit, as 2-forms are."""
     inv_dual = np.linalg.inv(lat.dual)
     theta = lambda k: 2 * np.pi * np.asarray(k, float) @ inv_dual
     E = lambda k: np.cos(theta(k)).sum(-1) + 0.3 * np.sin(theta(k)[..., 0]
                                                          + theta(k)[..., -1])
     A = lambda k: 0.2 * np.sin(theta(k)) + 0.1 * np.cos(theta(k)[..., :1])
-    M = lambda k: (0.1 * np.cos(theta(k)[..., :, None] - theta(k)[..., None, :])
-                   + 0.05 * np.sin(theta(k))[..., :, None])
-    Om = lambda k: 0.2 * np.cos(theta(k))[..., :, None] * np.sin(theta(k))[..., None, :]
+
+    def skew(a, b):                     # a_l b_j - a_j b_l
+        return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
+    M = lambda k: (0.1 * np.sin(theta(k)[..., :, None] - theta(k)[..., None, :])
+                   + 0.05 * skew(np.sin(theta(k)), np.ones_like(theta(k))))
+    Om = lambda k: 0.2 * skew(np.cos(theta(k)), np.sin(theta(k)))
     return E, A, M, Om
 
 
@@ -333,8 +336,9 @@ def test_band_fields_stacked_evaluator(basis, shape, upsample):
     k = np.random.default_rng(3).uniform(-4, 4, (2, 700, d))
     assert k[..., 0].size > BLOCK
     full = bd.at(k)
-    for name, fn in (("E", E), ("A", A), ("M", M), ("Om", Om)):
-        assert np.abs(getattr(full, name) - fn(k)).max() < 1e-7
+    for name, fn in (("E", E), ("A", A), ("m", lambda k: pairs(M(k))),
+                     ("om", lambda k: pairs(Om(k)))):
+        assert np.abs(getattr(full, name) - fn(k)).max(initial=0) < 1e-7
     # every gradient is the derivative of the returned values: central
     # differences along each Cartesian direction m
     h = 1e-5
@@ -344,7 +348,7 @@ def test_band_fields_stacked_evaluator(basis, shape, upsample):
         cd = lambda name: (getattr(up, name) - getattr(dn, name)) / (2 * h)
         assert np.abs(full.dE[..., m] - cd("E")).max() < 1e-8
         assert np.abs(full.dA[..., m] - cd("A")).max() < 1e-8
-        assert np.abs(full.dM[..., m] - cd("M")).max() < 1e-8
+        assert np.abs(full.dm[..., m] - cd("m")).max(initial=0) < 1e-8
         # the Hessian differentiates the dE splines, not dE itself
         assert np.abs(full.hessE[..., m] - cd("dE")).max() < 1e-3
     assert np.abs(full.hessE - np.swapaxes(full.hessE, -1, -2)).max() < 1e-6
@@ -374,8 +378,8 @@ def two_pass_spline(band):
     d, shape, up = band.lattice.dim, tuple(band.shape), band.upsample
     n_f = tuple(up * n for n in shape)
     geo = np.concatenate([band.connection_samples.reshape(shape + (d,)),
-                          band.rw_samples.reshape(shape + (d * d,)),
-                          band.curvature_samples.reshape(shape + (d * d,))], axis=-1)
+                          pairs(band.rw_samples.reshape(shape + (d, d))),
+                          pairs(band.curvature_samples.reshape(shape + (d, d)))], axis=-1)
     fields = np.empty(n_f + (1 + d + geo.shape[-1],))
     fields[..., 0] = upsampled_values(band.energy_samples, up)
     F = np.fft.fftn(fields[..., 0])
@@ -391,16 +395,19 @@ def two_pass_spline(band):
 
 
 def eager_fields(block, lead, d):
-    """The eight BandFields arrays as BandData.at built them all per call."""
+    """The eight BandFields arrays as BandData.at built them all per call,
+    from the channels [E, dE, A, m, omega] of the block."""
+    p = d * (d - 1) // 2
+    a, m = 1 + 2 * d, 1 + 2 * d + p
     v, g = block[:, 0], block[:, 1:].transpose(0, 2, 1)
     return {"E": v[:, 0].reshape(lead),
-            "A": v[:, 1 + d:1 + 2 * d].reshape(lead + (d,)),
-            "M": v[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d)),
-            "Om": v[:, 1 + 2 * d + d * d:].reshape(lead + (d, d)),
+            "A": v[:, 1 + d:a].reshape(lead + (d,)),
+            "m": v[:, a:m].reshape(lead + (p,)),
+            "om": v[:, m:].reshape(lead + (p,)),
             "dE": block[:, 1:, 0].reshape(lead + (d,)),
             "hessE": g[:, 1:1 + d].reshape(lead + (d, d)),
-            "dA": g[:, 1 + d:1 + 2 * d].reshape(lead + (d, d)),
-            "dM": g[:, 1 + 2 * d:1 + 2 * d + d * d].reshape(lead + (d, d, d))}
+            "dA": g[:, 1 + d:a].reshape(lead + (d, d)),
+            "dm": g[:, a:m].reshape(lead + (p, d))}
 
 
 LATTICES = {"square": ([[1.0, 0.0], [0.0, 1.0]], (15, 15), 8),
@@ -439,7 +446,7 @@ def test_band_data_build_holds_one_coefficient_array():
     # two-pass build held all fine values too, 2.2 coefficient arrays here
     lat = Lattice.from_basis([[1.0, 0.0, 0.0], [0.4, 1.1, 0.0], [0.2, -0.3, 0.9]])
     E, A, M, Om = trig_band_fields(lat)
-    grid = make_kgrid(lat, (7, 7, 7))
+    grid = make_kgrid(lat, (9, 9, 9))
     samples = [grid.reshape(f(grid.points)) for f in (E, A, M, Om)]
     tracemalloc.start()
     try:
@@ -450,3 +457,42 @@ def test_band_data_build_holds_one_coefficient_array():
     coefficients = bd._spline.c.nbytes
     assert coefficients > 40e6
     assert peak < 1.3 * coefficients, peak / coefficients
+
+
+# -- the 2-forms by their pair components --------------------------------------
+
+@pytest.mark.parametrize("basis, shape", [([[1.3]], (9,)),
+                                          ([[1.0, 0.0], [0.4, 1.1]], (9, 8)),
+                                          ([[1.0, 0.0, 0.0], [0.4, 1.1, 0.0],
+                                            [0.2, -0.3, 0.9]], (5, 6, 5))],
+                         ids=["1d", "2d", "3d"])
+def test_two_forms_are_exactly_antisymmetric(basis, shape):
+    lat = Lattice.from_basis(basis)
+    d = lat.dim
+    bd = BandData.synthetic(lat, shape, *trig_band_fields(lat), upsample=4)
+    assert bd._spline.n_fields == 1 + 2 * d + d * (d - 1)
+    b = bd.at(np.random.default_rng(6).uniform(-3, 3, (50, d)))
+    assert b.m.shape == b.om.shape == (50, d * (d - 1) // 2)
+    assert b.dm.shape == (50, d * (d - 1) // 2, d)
+    for T in (antisymmetric(b.m, d), antisymmetric(b.om, d), antisymmetric(b.dm, d, 1)):
+        assert np.all(np.diagonal(T, 0, 1, 2) == 0)
+        assert np.array_equal(T, -np.swapaxes(T, 1, 2))
+
+
+def test_non_antisymmetric_samples_refused():
+    lat = Lattice.from_basis([[1.0, 0.0], [0.4, 1.1]])
+    E, A, M, Om = trig_band_fields(lat)
+    grid = make_kgrid(lat, (9, 9))
+    samples = [grid.reshape(f(grid.points)) for f in (E, A, M, Om)]
+    sym = np.ones((2, 2))
+    for i, name in ((2, "rw_samples"), (3, "curvature_samples")):
+        bad = list(samples)
+        bad[i] = samples[i] + 1e-6 * sym
+        with pytest.raises(EffectiveError, match=f"{name} are not antisymmetric"):
+            BandData(lat, grid.shape, *bad)
+    # a symmetric part below the tolerance is dropped
+    kept = list(samples)
+    kept[2] = samples[2] + 1e-12 * sym
+    k = np.random.default_rng(7).uniform(-3, 3, (20, 2))
+    assert np.array_equal(BandData(lat, grid.shape, *kept).at(k).m,
+                          BandData(lat, grid.shape, *samples).at(k).m)

@@ -251,7 +251,7 @@ def test_band_data_from_reduced_solve_matches_direct_diagonalization():
         assert np.abs(a - b).max() < 1e-9, name
     kq = np.random.default_rng(4).uniform(-4, 4, (50, 2))
     fa, fb = reduced.at(kq), direct.at(kq)
-    for name in ("E", "A", "M", "Om"):
+    for name in ("E", "A", "m", "om"):
         assert np.abs(getattr(fa, name) - getattr(fb, name)).max() < 1e-9, name
 
 

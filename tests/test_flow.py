@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from peierls_lab.effective import BandData, EffectiveHamiltonian
-from peierls_lab.fields import EMFieldConfig
+from peierls_lab.fields import EMFieldConfig, pairs
 from peierls_lab.flow import (AnalyticHamiltonian, FlowError, FlowState,
                               _rk4_run, integrate, poisson_corrected,
                               structure_factor, vector_field)
@@ -213,7 +213,7 @@ class _OmegaBand:
         self.om = om
 
     def at(self, k):
-        return type("Fields", (), {"Om": self.om})
+        return type("Fields", (), {"om": pairs(self.om)})
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -260,7 +260,7 @@ def test_corrected_integrate_evaluates_band_once_per_rhs():
     from peierls_lab.effective import SemiclassicalHamiltonian
     band = BandData.synthetic(
         LAT2, (9, 9), energy=lambda k: np.cos(k[..., 0]) + np.cos(k[..., 1]),
-        rw=lambda k: np.einsum("...,lj->...lj", 0.1 * np.sin(k[..., 0]), np.ones((2, 2))),
+        rw=lambda k: np.einsum("...,lj->...lj", 0.1 * np.sin(k[..., 0]), EPS2),
         curvature=lambda k: np.einsum("...,lj->...lj", 0.3 * np.cos(k[..., 1]), EPS2))
     fld = EMFieldConfig.constant(2, b=0.9, eps=0.05, lam=1.0)
     calls = []

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from peierls_lab.interp import BLOCK, PeriodicFourier, PeriodicSpline
+from fourier_oracle import PeriodicFourier
+from peierls_lab.interp import BLOCK, PeriodicSpline
 
 # non-cubic grids, so a mixed-up axis stride or offset table shows
 SHAPES = {1: (48,), 2: (40, 44), 3: (20, 22, 24)}

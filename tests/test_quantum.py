@@ -248,12 +248,44 @@ def test_dense_runs_refuse_at_entry_beyond_memory(monkeypatch):
     with pytest.raises(DenseMemoryError, match=r"egorov_error on grid \(129,\)"):
         egorov_error(unsampled, heff, grid, fld, t=0.3)
 
+    class Unflowed:
+        def grad_pair(self, k, r):
+            raise AssertionError("flowed before the memory check")
+    with pytest.raises(DenseMemoryError, match=r"flowed_symbol on grid \(129,\)"):
+        quantum.flowed_symbol(unsampled, grid, Unflowed(), fld, t=0.3, dt=0.05)
+
     def unsolved(*args, **kwargs):
         raise AssertionError("solved before the memory check")
     monkeypatch.setattr(quantum, "solve_bands", unsolved)
     with pytest.raises(DenseMemoryError, match=r"semiclassical_limit_check on grid \(2814,\)"):
         semiclassical_limit_check(mathieu_potential(3.0), EMFieldConfig.zero(1, eps=0.08),
                                   0, [0.08, 0.04, 0.02], t=1.0)
+
+
+@pytest.mark.parametrize("d,n,flow_shape", [(1, 129, None), (2, 15, None),
+                                            (2, 21, (9, 9))])
+def test_flowed_symbol_preflight_covers_measured_peak(d, n, flow_shape, monkeypatch):
+    """flowed_symbol peaks below the bytes its preflight checked, with and
+    without a flow grid of its own (constant field, cosine band)."""
+    lat = Lattice.cubic(d)
+    skew = np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)
+    band = BandData.synthetic(lat, (9,) * d, lambda k: np.cos(k).sum(-1),
+                              lambda k: 0.2 * np.sin(k),
+                              lambda k: 0.1 * np.cos(k[..., :1])[..., None] * skew,
+                              lambda k: 0.2 * np.sin(k[..., :1])[..., None] * skew)
+    grid = PhaseSpaceGrid.build((n,) * d, 1.0, eps=4.0 / n)
+    fld = EMFieldConfig.constant(d, b=0.8 * (d > 1), eps=grid.eps, lam=0.7 * (d > 1))
+    checked = {}
+    monkeypatch.setattr(quantum, "check_dense_memory",
+                        lambda what, grid, nbytes: checked.setdefault(what, nbytes))
+    tracemalloc.start()
+    try:
+        quantum.flowed_symbol(lambda k, r: np.sin(k[..., 0]) + np.cos(r[..., -1]), grid,
+                              EffectiveHamiltonian(band, fld), fld, 0.1, 0.05, flow_shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= checked["flowed_symbol"]
 
 
 def test_dense_quantum_paths_refuse_sizes_beyond_physical_memory():

@@ -3,6 +3,8 @@
 The oracle functions below are verbatim copies of the einsum forms of both
 grad_pair methods, _solve_structure, _reduced and structure_factor before
 they were rewritten as matrix products (methods as functions of `self`).
+They contract full d x d tensors, which they expand from the band's pair
+components with fields.antisymmetric (the library reads the components).
 The rewrite changes only the order of floating-point sums, so every case is
 compared at 1e-13 relative, over d = 1, 2, 3, the batch shapes flows and
 phase-space sampling use, zero, constant (symmetric and Landau) and
@@ -14,10 +16,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from peierls_lab import flow
+from peierls_lab import effective, flow
 from peierls_lab.effective import (BandData, EffectiveHamiltonian,
                                    SemiclassicalHamiltonian, _as_points)
-from peierls_lab.fields import EMFieldConfig, _vecmat
+from peierls_lab.fields import EMFieldConfig, _vecmat, antisymmetric
 from peierls_lab.flow import FlowError
 from peierls_lab.lattice import Lattice
 
@@ -33,10 +35,16 @@ def oracle_lorentz(self, b, r):
     return F
 
 
+def full_tensors(b, d):
+    """M and dM of a BandFields record as full (..., d, d) and (..., d, d, n)."""
+    return antisymmetric(b.m, d), antisymmetric(b.dm, d, 1)
+
+
 def oracle_heff_grad_pair(self, k, r):
     k, r = _as_points(k, self.dim), _as_points(r, self.dim)
     eps, lam = self.field.eps, self.field.lam
     b = self.band.at(k)
+    M, dM = full_tensors(b, self.dim)
     gk = b.dE
     gr = self.field.grad_phi(r)
     if eps == 0.0:
@@ -49,12 +57,12 @@ def oracle_heff_grad_pair(self, k, r):
         B = self.field.B(r)
         dF = lam * np.einsum("...lj,...jm->...lm", B, b.hessE)
         term_k = term_k - np.einsum("...lm,...l->...m", dF, b.A)
-        term_k = term_k - lam * np.einsum("...lj,...ljm->...m", B, b.dM)
+        term_k = term_k - lam * np.einsum("...lj,...ljm->...m", B, dM)
         if self.field.dbfield is not None:
             dB = self.field.dB(r)
             term_r = term_r - lam * np.einsum("...ljm,...j,...l->...m",
                                               dB, b.dE, b.A)
-            term_r = term_r - lam * np.einsum("...ljm,...lj->...m", dB, b.M)
+            term_r = term_r - lam * np.einsum("...ljm,...lj->...m", dB, M)
     return gk + eps * term_k, gr + eps * term_r, b
 
 
@@ -63,13 +71,14 @@ def oracle_hsc_grad_pair(self, k, r):
     eps, lam = self.field.eps, self.field.lam
     coupled = eps != 0.0 and lam != 0.0
     b = self.band.at(k)
+    M, dM = full_tensors(b, self.dim)
     gk = b.dE
     gr = self.field.grad_phi(r)
     if coupled:
-        gk = gk - eps * lam * np.einsum("...lj,...ljm->...m", self.field.B(r), b.dM)
+        gk = gk - eps * lam * np.einsum("...lj,...ljm->...m", self.field.B(r), dM)
         if self.field.dbfield is not None:
             gr = gr - eps * lam * np.einsum("...ljm,...lj->...m",
-                                            self.field.dB(r), b.M)
+                                            self.field.dB(r), M)
     return gk, gr, b
 
 
@@ -105,8 +114,9 @@ def oracle_structure_factor(k, r, field, band, eps):
     r = np.asarray(r, dtype=float)
     if band is None or eps == 0.0 or field.lam == 0.0:
         return np.ones(r.shape[:-1])
-    red = oracle_reduced(field.lam * field.B(r), eps * band.at(k).Om)
-    return np.sqrt(np.abs(oracle_reduced_det(red, r.shape[-1])))
+    d = r.shape[-1]
+    red = oracle_reduced(field.lam * field.B(r), eps * antisymmetric(band.at(k).om, d))
+    return np.sqrt(np.abs(oracle_reduced_det(red, d)))
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -138,7 +148,8 @@ def _band(d):
         return 0.3 * np.sin(k + 0.2)
 
     def rw(k):
-        return 0.2 * np.cos(k[..., :1])[..., None] * tens + 0.1 * np.sin(k[..., -1:])[..., None]
+        return (0.2 * np.cos(k[..., :1])[..., None] * (tens - tens.T)
+                + 0.1 * np.sin(k[..., -1:])[..., None] * sum(_antisym(d), np.zeros((d, d))))
 
     def curvature(k):
         out = np.zeros(k.shape[:-1] + (d, d))
@@ -241,18 +252,19 @@ def test_rhs_matches_einsum_oracle(d, kind, eps, lam):
             gk0, gr0, _ = oracle(model, k, r)
             close(gk, gk0, broadcast=True)
             close(gr, gr0, broadcast=True)
-        omega = band.at(k).Om
+        omega = band.at(k).om
+        Omega = antisymmetric(omega, d)
         gk = np.broadcast_to(gk0, np.broadcast_shapes(k.shape, r.shape))
-        for om, e in ((None, 0.0), (omega, eps), (omega, 0.3)):
+        for om, Om, e in ((None, None, 0.0), (omega, Omega, eps), (omega, Omega, 0.3)):
             new = flow._solve_structure(gk, gr0, fld.B_at(r), fld.lam, om, e)
-            ref = oracle_solve_structure(gk, gr0, r, fld, om, e)
+            ref = oracle_solve_structure(gk, gr0, r, fld, Om, e)
             close(new[0], ref[0])
             close(new[1], ref[1], broadcast=True)
         for e in (eps, 0.3):
             close(flow.structure_factor(k, r, dataclasses.replace(fld, eps=e), band),
                   oracle_structure_factor(k, r, fld, band, e))
         if fld.lam != 0.0:
-            ref = oracle_reduced(fld.lam * fld.B(r), 0.3 * omega)
+            ref = oracle_reduced(fld.lam * fld.B(r), 0.3 * Omega)
             close(flow._reduced(fld.lam * fld.B(r), 0.3 * omega), ref)
             # B_at is B(r) before broadcasting against the points
             close(np.broadcast_to(flow._reduced(fld.lam * fld.B_at(r), 0.3 * omega),
@@ -263,14 +275,14 @@ def test_corrected_degeneracy_threshold_and_message_unchanged():
     band = BANDS[2]
     fld = make_field("symmetric", 2, eps=0.1, lam=1.0)
     k, r = np.array([0.3, -0.2]), np.array([0.1, 0.4])
-    om = band.at(k).Om
+    om = band.at(k).om
     # 1 + lam B_12 eps Omega_21 = 0 for this eps
-    eps = -1.0 / (fld.lam * fld.B(r)[0, 1] * om[1, 0])
+    eps = 1.0 / (fld.lam * fld.B(r)[0, 1] * om[0])
     g = np.ones(2)
-    for solve, arg in ((flow._solve_structure, (fld.B_at(r), fld.lam)),
-                       (oracle_solve_structure, (r, fld))):
+    for solve, arg in ((flow._solve_structure, (fld.B_at(r), fld.lam, om)),
+                       (oracle_solve_structure, (r, fld, antisymmetric(om, 2)))):
         with pytest.raises(FlowError, match="corrected structure matrix is degenerate"):
-            solve(g, g, *arg, om, eps)
+            solve(g, g, *arg, eps)
 
 
 @pytest.mark.parametrize("kind,d", [("zero", 1), ("zero", 2), ("symmetric", 2),
@@ -338,6 +350,7 @@ def test_batch1_rhs_makes_no_einsum_stack_or_broadcast(monkeypatch):
     for name in ("prep", "eval_prepped"):
         counting(PeriodicSpline, name)
     counting(flow, "_rhs")
+    counting(effective, "_as_points")
     k0, r0 = np.array([0.7, 0.7]), np.array([0.1, 0.1])
     for model, flow_band in ((SemiclassicalHamiltonian(band, fld), band),
                              (EffectiveHamiltonian(band, fld), None)):
@@ -345,8 +358,9 @@ def test_batch1_rhs_makes_no_einsum_stack_or_broadcast(monkeypatch):
         k, r = flow._rk4_run(k0, r0, model, fld, flow_band, 0.01, 0.01,
                              record=False)
         assert k.shape == r.shape == (2,)
-        # one RK4 step: four right-hand sides, one band evaluation each
-        assert calls == {"_rhs": 4, "prep": 4, "eval_prepped": 4}, calls
+        # one RK4 step: four right-hand sides, one band evaluation each,
+        # and each of k and r made a point array once per right-hand side
+        assert calls == {"_rhs": 4, "prep": 4, "eval_prepped": 4, "_as_points": 8}, calls
 
 
 @pytest.mark.parametrize("b", [np.inf, -np.inf, np.nan])
