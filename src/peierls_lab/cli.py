@@ -108,14 +108,15 @@ def _build_potential(cfg: RunConfig, lattice):
     return FourierPotential(lattice, {})        # "free"
 
 
-def _phi_callables(cfg: RunConfig, dim: int):
-    """phi and its gradient and Hessian for the configured preset, each with
+def _phi_callables(cfg: RunConfig, dim: int) -> dict:
+    """The field keywords of the configured potential preset (phi, grad_phi,
+    hess_phi and, for "cosine", phi_derivatives; none for "zero"), each with
     at most one sine and one cosine evaluation per call."""
     spec = cfg.field.phi
     amp, L = spec.amplitude, spec.period
     w = 2 * np.pi / L
     if spec.preset == "zero" or amp == 0.0:
-        return None, None, None
+        return {}
     if spec.preset == "cosine":
         # phi = amp prod_l c_l with s_l, c_l = sin, cos(w r_l): each derivative
         # d_l turns the factor c_l into -w s_l.  c[..., shift] over the cyclic
@@ -137,15 +138,13 @@ def _phi_callables(cfg: RunConfig, dim: int):
             wr = w * np.asarray(r, float)
             return np.sin(wr), np.cos(wr)
 
-        def gphi(r):
-            s, c = sincos(r)
+        def grad(s, c):
             g = (-amp * w) * s
             for shift in shifts:
                 g = g * c[..., shift]
             return g
 
-        def hphi(r):
-            s, c = sincos(r)
+        def hess(s, c):
             h = s[..., :, None] * s[..., None, :]
             for l, m, n in thirds:
                 h[..., l, m] *= c[..., n]
@@ -153,9 +152,16 @@ def _phi_callables(cfg: RunConfig, dim: int):
             full = c[..., 0]
             for ax in range(1, dim):
                 full = full * c[..., ax]
-            h[..., diag, diag] = -full[..., None]
-            return (amp * w * w) * h
-        return phi, gphi, hphi
+            # the diagonal of the fresh (..., d, d) array, as one strided view
+            h.reshape(h.shape[:-2] + (dim * dim,))[..., ::dim + 1] = -full[..., None]
+            h *= amp * w * w
+            return h
+
+        def both(r):
+            s, c = sincos(r)
+            return grad(s, c), hess(s, c)
+        return {"phi": phi, "grad_phi": lambda r: grad(*sincos(r)),
+                "hess_phi": lambda r: hess(*sincos(r)), "phi_derivatives": both}
 
     # "sine_ramp": nearly linear around the origin, periodic over the box
     def phi(r):
@@ -173,18 +179,17 @@ def _phi_callables(cfg: RunConfig, dim: int):
         out = np.zeros(r.shape + r.shape[-1:])
         out[..., 0, 0] = amp * w * np.sin(w * r[..., 0])
         return out
-    return phi, gphi, hphi
+    return {"phi": phi, "grad_phi": gphi, "hess_phi": hphi}
 
 
 def _build_field(cfg: RunConfig, dim: int, eps: float):
     from .fields import EMFieldConfig
-    phi, gphi, hphi = _phi_callables(cfg, dim)
+    potential = _phi_callables(cfg, dim)
     fs = cfg.field
     if fs.b == 0.0 and fs.lam == 0.0:
-        return EMFieldConfig.zero(dim, eps, phi=phi, grad_phi=gphi, hess_phi=hphi)
+        return EMFieldConfig.zero(dim, eps, **potential)
     return EMFieldConfig.constant(dim, b=fs.b, eps=eps, lam=fs.lam,
-                                  gauge=fs.gauge, phi=phi, grad_phi=gphi,
-                                  hess_phi=hphi)
+                                  gauge=fs.gauge, **potential)
 
 
 # -- experiment runners ------------------------------------------------------
@@ -298,11 +303,17 @@ def _egorov_grids(cfg: RunConfig) -> list:
             for n in ns]
 
 
+def _egorov_flow_shape(grid):
+    """The flow grid of an egorov run: 17 points per axis on a 2-D grid finer
+    than 33, else the grid itself (None)."""
+    return (17,) * grid.dim if grid.dim == 2 and grid.ns[0] > 33 else None
+
+
 def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     from .effective import EffectiveHamiltonian
     from .quantum import egorov_error
     band = _pipeline_band(cfg)
-    d, L = band.lattice.dim, cfg.numerics.macro_box
+    L = cfg.numerics.macro_box
 
     def f_obs(k, r):
         return np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
@@ -311,7 +322,7 @@ def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     eps_used = [grid.eps for grid, _ in grids]
     errors = [egorov_error(f_obs, EffectiveHamiltonian(band, fld), grid, fld,
                            t=cfg.numerics.t_final, dt=cfg.numerics.dt,
-                           flow_shape=(17,) * d if grid.ns[0] > 33 and d == 2 else None)
+                           flow_shape=_egorov_flow_shape(grid))
               for grid, fld in grids]
     # one point fixes no slope (parse_config requires two for slope_min)
     slope = (float(np.polyfit(np.log(eps_used), np.log(errors), 1)[0])
@@ -367,7 +378,7 @@ _COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
 def _egorov_memory(cfg: RunConfig, lattice) -> None:
     from .quantum import check_egorov_memory
     for grid, fld in _egorov_grids(cfg):
-        check_egorov_memory(grid, fld)
+        check_egorov_memory(grid, fld, _egorov_flow_shape(grid))
 
 
 def _propagate_memory(cfg: RunConfig, lattice) -> None:

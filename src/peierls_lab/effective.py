@@ -275,15 +275,15 @@ class EffectiveHamiltonian:
         fld = self.field
         eps, lam = fld.eps, fld.lam
         b = self.band.at(k)
-        gphi = fld.grad_phi(r)
         if eps == 0.0:
-            return b.dE, gphi, b
+            return b.dE, fld.grad_phi(r), b
+        gphi, hphi = fld.grad_hess_phi(r)
         # with the Lorentz force F = -grad phi + lam B dE,
         # d_{k_n} h1 = -F_l d_n A_l - (d_n F_l) A_l - lam B_lj d_n M_lj,
         #   where (d_n F_l) A_l = lam (A B)_j d_j d_n E;
         # d_{r_n} h1 = (d_n d_l phi) A_l - lam (d_n B_lj)(A_l d_j E + M_lj)
         F = -gphi
-        term_r = _vecmat(b.A, fld.hess_phi(r))
+        term_r = _vecmat(b.A, hphi)
         if lam != 0.0:
             lamB = lam * fld.B_at(r)
             F = F + _vecmat(b.dE, lamB.swapaxes(-1, -2))

@@ -22,7 +22,10 @@ import numpy as np
 
 from . import PeierlsError
 
-__all__ = ["EMFieldConfig", "FieldError"]
+__all__ = ["EMFieldConfig", "FieldError", "LINEAR_GAUGES"]
+
+# gauge tags of a vector potential linear in position (a constant B)
+LINEAR_GAUGES = ("symmetric", "landau")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_S = 0.5 * (_GL_NODES + 1.0)
@@ -122,6 +125,8 @@ class EMFieldConfig:
     bfield : (d, d) constant antisymmetric matrix, or callable r -> (..., d, d).
     vector_potential : callable r -> (..., d); gauge tag records the choice.
     phi, grad_phi, hess_phi : scalar potential and its derivatives (analytic).
+    phi_derivatives : optional callable r -> (grad phi, Hess phi) in one pass,
+        for a potential whose two derivatives share work (grad_hess_phi).
     dbfield : callable r -> (..., d, d, d) with entry [l, j, m] = d_m B_lj,
         required only for position-dependent B in corrected flows.
     """
@@ -135,6 +140,7 @@ class EMFieldConfig:
     phi: object = dc_field(default=_zero_phi)
     grad_phi: object = dc_field(default=_zero_grad)
     hess_phi: object = dc_field(default=_zero_hess)
+    phi_derivatives: object = None
     dbfield: object = None
 
     def __post_init__(self):
@@ -160,30 +166,29 @@ class EMFieldConfig:
             raise FieldError("magnetic field must be finite")
         if np.abs(Bs + np.swapaxes(Bs, -1, -2)).max() > 1e-12:
             raise FieldError("magnetic field matrix must be antisymmetric")
-        if self.gauge in ("symmetric", "landau", "linear"):
+        if self.gauge in LINEAR_GAUGES:
             self._check_linear_gauge(pts)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int, eps: float, phi=None, grad_phi=None, hess_phi=None) -> "EMFieldConfig":
-        """No magnetic field; optional electric potential."""
+    def zero(cls, dim: int, eps: float, **potential) -> "EMFieldConfig":
+        """No magnetic field.  Each constructor passes its keyword arguments
+        `potential` (phi, grad_phi, hess_phi, phi_derivatives) on to the
+        field; those left out give phi = 0."""
         B = np.zeros((dim, dim))
         return cls(eps=eps, lam=0.0, dim=dim,
                    bfield=B, vector_potential=lambda r: np.zeros(np.shape(r)),
-                   gauge="zero",
-                   phi=phi or _zero_phi, grad_phi=grad_phi or _zero_grad,
-                   hess_phi=hess_phi or _zero_hess)
+                   gauge="zero", **potential)
 
     @classmethod
     def constant(cls, dim: int, b: float, eps: float, lam: float = 1.0,
-                 gauge: str = "symmetric", phi=None, grad_phi=None,
-                 hess_phi=None) -> "EMFieldConfig":
+                 gauge: str = "symmetric", **potential) -> "EMFieldConfig":
         """Constant magnetic field; in 2D, B_12 = b."""
         if dim == 1:
             if b != 0.0:
                 raise FieldError("no magnetic field in one dimension")
-            return cls.zero(dim, eps, phi, grad_phi, hess_phi)
+            return cls.zero(dim, eps, **potential)
         B = np.zeros((dim, dim))
         B[0, 1], B[1, 0] = b, -b
         if gauge == "symmetric":
@@ -197,13 +202,11 @@ class EMFieldConfig:
         else:
             raise FieldError(f"unknown constant-field gauge {gauge!r}")
         return cls(eps=eps, lam=lam, dim=dim, bfield=B, vector_potential=A,
-                   gauge=gauge if gauge == "landau" else "symmetric",
-                   phi=phi or _zero_phi, grad_phi=grad_phi or _zero_grad,
-                   hess_phi=hess_phi or _zero_hess)
+                   gauge=gauge if gauge == "landau" else "symmetric", **potential)
 
     @classmethod
     def transversal(cls, dim: int, bfield, dbfield, eps: float, lam: float = 1.0,
-                    phi=None, grad_phi=None, hess_phi=None) -> "EMFieldConfig":
+                    **potential) -> "EMFieldConfig":
         """Position-dependent field with the transversal gauge
         A_k(r) = -int_0^1 ds B_kj(s r) s r_j."""
         def A(r):
@@ -214,9 +217,8 @@ class EMFieldConfig:
                 out += w * s * np.einsum("...kj,...j->...k", Bs, r)
             return -out
         return cls(eps=eps, lam=lam, dim=dim, bfield=bfield,
-                   vector_potential=A, gauge="transversal",
-                   phi=phi or _zero_phi, grad_phi=grad_phi or _zero_grad,
-                   hess_phi=hess_phi or _zero_hess, dbfield=dbfield)
+                   vector_potential=A, gauge="transversal", dbfield=dbfield,
+                   **potential)
 
     # -- evaluation ----------------------------------------------------
 
@@ -244,8 +246,20 @@ class EMFieldConfig:
             return np.zeros(r.shape[:-1] + (self.dim,) * 3)
         return np.asarray(self.dbfield(r))
 
+    def grad_hess_phi(self, r):
+        """(grad phi, Hess phi) at points r: one phi_derivatives call when
+        the field has one, else grad_phi and hess_phi."""
+        if self.phi_derivatives is None:
+            return self.grad_phi(r), self.hess_phi(r)
+        return self.phi_derivatives(r)
+
     def A(self, r) -> np.ndarray:
         return np.asarray(self.vector_potential(np.asarray(r, dtype=float)))
+
+    def gauge_matrix(self) -> np.ndarray:
+        """G with A(r) = A(0) + G r in a linear gauge, read off A at the unit
+        vectors: column m is A(e_m) - A(0)."""
+        return (self.A(np.eye(self.dim)) - self.A(np.zeros(self.dim))).T
 
     def line_integral(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
         """Integral of A(eps z) . dz along straight micro segments start -> stop.
@@ -258,7 +272,7 @@ class EMFieldConfig:
         delta = stop - start
         if self.gauge in ("zero",):
             return np.zeros(start.shape[:-1])
-        if self.gauge in ("symmetric", "landau", "linear"):
+        if self.gauge in LINEAR_GAUGES:
             mid = 0.5 * self.eps * (start + stop)
             return np.einsum("...j,...j->...", self.A(mid), delta)
         out = np.zeros(start.shape[:-1])
@@ -268,15 +282,12 @@ class EMFieldConfig:
         return out
 
     def _check_linear_gauge(self, pts):
-        """Verify dA = B by finite differences at sample points."""
-        h = 1e-5
-        d = self.dim
-        for p in pts:
-            J = np.zeros((d, d))
-            for m in range(d):
-                e = np.zeros(d)
-                e[m] = h
-                J[m] = (self.A(p + e) - self.A(p - e)) / (2 * h)
-            curl = J - J.T  # curl[l, j] = d_l A_j - d_j A_l
-            if np.abs(curl - self.B(p)).max() > 1e-6:
-                raise FieldError("vector potential inconsistent with B (dA != B)")
+        """Verify at sample points that A is affine, A(r) = A(0) + G r with
+        G = gauge_matrix() (the midpoint rule and the quantizer's per-axis
+        phase rely on it), and that dA = G^T - G is B."""
+        A0, G = self.A(np.zeros(self.dim)), self.gauge_matrix()
+        scale = 1.0 + np.abs(A0).max() + np.abs(G).max() * np.abs(pts).max()
+        if np.abs(self.A(pts) - A0 - pts @ G.T).max() > 1e-9 * scale:
+            raise FieldError(f"a {self.gauge} gauge needs a vector potential affine in position")
+        if np.abs(G.T - G - self.B(pts)).max() > 1e-6:
+            raise FieldError("vector potential inconsistent with B (dA != B)")

@@ -459,6 +459,12 @@ def heisenberg_evolve(h_op: QuantizedOperator, f_op: QuantizedOperator,
 _FLOW_BYTES, _RESAMPLE_BYTES = 384, 64
 
 
+def _flow_bytes(grid: PhaseSpaceGrid, flow_shape) -> int:
+    """flowed_symbol's estimated peak bytes on grid, with flow_shape as there."""
+    M = grid.n_points if flow_shape is None else int(np.prod(flow_shape))
+    return _FLOW_BYTES * grid.dim * M * M + _RESAMPLE_BYTES * grid.n_points ** 2
+
+
 def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
                   t: float, dt: float, flow_shape=None) -> GridSymbol:
     """Samples of f o Phi_t (magnetic flow of the model Hamiltonian) on the
@@ -471,8 +477,7 @@ def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
     """
     d = grid.dim
     ms = grid.ns if flow_shape is None else tuple(flow_shape)
-    M, N = int(np.prod(ms)), grid.n_points
-    check_dense_memory("flowed_symbol", grid.ns, _FLOW_BYTES * d * M * M + _RESAMPLE_BYTES * N * N)
+    check_dense_memory("flowed_symbol", grid.ns, _flow_bytes(grid, flow_shape))
     # fractional fine-grid indices, the grid's own at m = n: the axes then
     # repeat PhaseSpaceGrid.X_axis and xi_axis to the bit
     j = [np.arange(m) * (n / m) - (n - 1) // 2 for n, m in zip(grid.ns, ms)]
@@ -488,14 +493,16 @@ def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
     return GridSymbol(grid=grid, samples=vals)
 
 
-def check_egorov_memory(grid: PhaseSpaceGrid, field: EMFieldConfig) -> None:
-    """Refuse (DenseMemoryError) an egorov_error whose dense steps would not
-    fit.  Op(h) and Op(f) stay alive to its end, beside the larger of a
-    quantize (its table build included) and the Heisenberg eigensolve of
-    the Hermitian part of Op(h)."""
+def check_egorov_memory(grid: PhaseSpaceGrid, field: EMFieldConfig,
+                        flow_shape=None) -> None:
+    """Refuse (DenseMemoryError) an egorov_error (flow_shape as there) whose
+    steps would not fit.  Op(h) and Op(f) stay alive to its end, beside the
+    largest of a quantize (its table build included), the Heisenberg
+    eigensolve of the Hermitian part of Op(h) and the flowed_symbol."""
     N = grid.n_points
     step = max(_QUANTIZE_BYTES, _table_bytes(grid.dim, field), 16 * (1 + _EIGH_COPIES))
-    check_dense_memory("egorov_error", grid.ns, (2 * 16 + step) * N * N)
+    check_dense_memory("egorov_error", grid.ns,
+                       2 * 16 * N * N + max(step * N * N, _flow_bytes(grid, flow_shape)))
 
 
 def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
@@ -513,7 +520,7 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     before the norm is computed.
     """
     d = grid.dim
-    check_egorov_memory(grid, field)
+    check_egorov_memory(grid, field, flow_shape)
     h_op = quantize(sample_broadcast(heff.value, grid), field, assume_bandlimited=True)
     f_op = quantize(sample_broadcast(f_func, grid), field, assume_bandlimited=True)
     # integrator sanity on a small probe batch

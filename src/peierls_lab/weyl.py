@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import PeierlsError
-from .fields import EMFieldConfig
+from .fields import LINEAR_GAUGES, EMFieldConfig
 from .interp import _sym_freqs
 
 __all__ = [
@@ -277,35 +277,65 @@ def _half_shift(F: np.ndarray, d: int) -> np.ndarray:
     axis pair (the half-shift correction on symbol harmonics)."""
     for l in range(d):
         P = _sym_freqs(F.shape[l])
-        sh = [1] * (2 * d)
-        sh[l] = sh[d + l] = P.size
-        F *= ((-1.0) ** np.multiply.outer(P, P)).reshape(sh)
+        F *= ((-1.0) ** np.multiply.outer(P, P)).reshape(_pair_shape(F.shape[:d], l, l))
     return F
 
 
 # Peak bytes per N^2 matrix entry, from tracemalloc at N = 441 and 625 in 1D
 # and 2D, inputs included, rounded up.  With cached tables quantize and
 # dequantize peak at 57 bytes (no magnetic phase) or 72; a call that builds
-# the tables peaks at 80-88 (Landau, symmetric), 112 (transversal gauge of a
-# constant B) and 168 (transversal gauge of a position-dependent B).  A 3D
-# build peaks higher (264 in the transversal gauge); the build checks its own
-# estimate, _table_bytes, before it allocates.
+# the tables peaks at 57 (no phase), 72 (Landau, symmetric), 112 (transversal
+# gauge of a constant B) and 168 (transversal gauge of a position-dependent
+# B).  A 3D build peaks higher (264 in the transversal gauge); the build
+# checks its own estimate, _table_bytes, before it allocates.
 _QUANTIZE_BYTES = 176
 
 
 def _table_bytes(d: int, field: EMFieldConfig) -> int:
     """Peak bytes per N^2 entry of a quantizer table build, from tracemalloc
-    at N = 441 in 1D, 2D and 3D, rounded up.  The gather index peaks just
-    above 32.  The magnetic phase adds (N, N, d) temporaries in a linear
-    gauge (72 / 104 measured for the symmetric gauge in 2D / 3D, 64 / 88 for
-    Landau).  The transversal gauge also evaluates B(s r) as (N, N, d, d)
-    arrays along its line integral (152 / 264 measured for a
+    at N = 441 in 1D, 2D and 3D, rounded up.  The gather index is 8 bytes,
+    built from per-axis tables (8.7 measured in 2D and 3D; 24 in 1D, where
+    the one axis table is N x N itself).  A linear gauge's phase adds 16 (25.4
+    measured), and the transversal gauge evaluates B(s r) as (N, N, d, d)
+    arrays along its line integral (152 / 264 measured in 2D / 3D for a
     position-dependent B that allocates one such array per call)."""
+    gather = 26 if d == 1 else 10
     if field.lam == 0.0 or field.gauge == "zero":
-        return 40
-    if field.gauge in ("symmetric", "landau", "linear"):
-        return 16 + 32 * d
+        return gather
+    if field.gauge in LINEAR_GAUGES:
+        return gather + 18
     return 32 + 32 * d + 16 * d * d
+
+
+def _pair_shape(ns: tuple, l: int, j: int) -> list:
+    """Shape that broadcasts an (n_l, n_j) table in (a_l, b_j) over the
+    kernel axes ns + ns, which hold the row index a, then the column b."""
+    d = len(ns)
+    shape = [1] * (2 * d)
+    shape[l], shape[d + j] = ns[l], ns[j]
+    return shape
+
+
+def _linear_phase(grid: PhaseSpaceGrid, field: EMFieldConfig) -> np.ndarray:
+    """exp(-i lam Gamma[a, b]) over the N x N kernel for a linear gauge.
+
+    With A(r) = A(0) + G r (field.gauge_matrix) and micro positions, the
+    midpoint rule gives Gamma(a, b) = eps a^T S b / 2 + p(b) - p(a) with
+    S = G^T - G (that is B) and p(x) = Gamma(0, x).  The phase is the outer
+    product u(a)* u(b) of u = exp(-i lam p), times one (n_l, n_j) table in
+    (x_l(a_l), x_j(b_j)) per ordered axis pair with S_lj != 0."""
+    d, ns, lam = grid.dim, grid.ns, field.lam
+    G = field.gauge_matrix()
+    S = G.T - G
+    u = np.exp(-1j * lam * field.line_integral(np.zeros(d), grid.points_micro()))
+    weight = np.multiply.outer(u.conj(), u).reshape(ns + ns)
+    x = [grid.x_axis(l) for l in range(d)]
+    for l in range(d):
+        for j in range(d):
+            if l != j and S[l, j] != 0.0:
+                arg = (-0.5j * lam * field.eps * S[l, j]) * np.multiply.outer(x[l], x[j])
+                weight *= np.exp(arg).reshape(_pair_shape(ns, l, j))
+    return weight.reshape(grid.n_points, grid.n_points)
 
 
 @dataclass(frozen=True)
@@ -313,7 +343,9 @@ class _QuantizerTables:
     """gather[a, b] = mu_flat * N + delta_flat, with mu = (a + b) / 2 and the
     reversed offset delta = b - a (mod n per axis), indexes the flattened
     offset table for kernel entry (a, b); weight is the magnetic phase
-    exp(-i lam Gamma[a, b]), or None when it is trivial."""
+    exp(-i lam Gamma[a, b]), or None when it is trivial.  The gather, and
+    the weight of a linear gauge, are built from per-axis factors
+    (_quantizer_tables, _linear_phase)."""
 
     gather: np.ndarray
     weight: np.ndarray | None
@@ -333,26 +365,25 @@ def _quantizer_tables(grid: PhaseSpaceGrid, field: EMFieldConfig) -> _QuantizerT
         return last[2]
     ns, d, N = grid.ns, grid.dim, grid.n_points
     check_dense_memory("quantizer tables", ns, _table_bytes(d, field) * N * N)
-    axes_idx = np.indices(ns).reshape(d, -1)
-    mu = np.zeros((N, N), dtype=np.intp)
-    delta = np.zeros((N, N), dtype=np.intp)
+    # mu_l = (a_l + b_l) / 2 and delta_l = b_l - a_l, mod n_l (2 is invertible,
+    # n_l odd), depend on axis l alone, so the flat index
+    # mu * N + delta = sum_l (mu_l * N + delta_l) * stride_l
+    # is a sum of d broadcast (n_l, n_l) tables, full-size only at the last
+    gather, stride = 0, N
     for l, n in enumerate(ns):
-        a = axes_idx[l][:, None]
-        b = axes_idx[l][None, :]
-        # mu = (a + b) / 2 and delta = b - a, mod n (2 is invertible, n odd)
-        mu *= n
-        mu += ((a + b) * ((n + 1) // 2)) % n
-        delta *= n
-        delta += (b - a) % n
-    gather = np.multiply(mu, N, out=mu)
-    gather += delta         # mu * N + delta, built in place
-    del mu, delta
+        stride //= n
+        a, b = np.ogrid[:n, :n]
+        table = (((a + b) * ((n + 1) // 2)) % n * N + (b - a) % n) * stride
+        gather = gather + table.reshape(_pair_shape(ns, l, l))
     weight = None
     if field.lam != 0.0 and field.gauge != "zero":
-        pts = grid.points_micro()
-        weight = np.exp(-1j * field.lam * field.line_integral(pts[:, None, :],
-                                                              pts[None, :, :]))
-    tables = _QuantizerTables(gather=gather, weight=weight)
+        if field.gauge in LINEAR_GAUGES:
+            weight = _linear_phase(grid, field)
+        else:
+            pts = grid.points_micro()
+            weight = np.exp(-1j * field.lam * field.line_integral(pts[:, None, :],
+                                                                  pts[None, :, :]))
+    tables = _QuantizerTables(gather=gather.reshape(N, N), weight=weight)
     _last_tables = (grid, field, tables)
     return tables
 

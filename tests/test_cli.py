@@ -504,7 +504,11 @@ def test_phi_presets_match_central_differences(preset, dim):
     cfg = parse_config(
         '{"experiment": "bands", "lattice": {"dim": %d}, "field": {"phi": '
         '{"preset": "%s", "amplitude": 0.4, "period": 2.5}}}' % (dim, preset))
-    phi, gphi, hphi = _phi_callables(cfg, dim)
+    potential = _phi_callables(cfg, dim)
+    phi, gphi, hphi = potential["phi"], potential["grad_phi"], potential["hess_phi"]
+    # a joint gradient and Hessian, where a preset has one, is theirs to the bit
+    both = potential.get("phi_derivatives", lambda r: (gphi(r), hphi(r)))
+    assert (preset == "cosine") == ("phi_derivatives" in potential)
     rng = np.random.default_rng(dim)
     h = 1e-5
     steps = h * np.eye(dim)
@@ -519,6 +523,8 @@ def test_phi_presets_match_central_differences(preset, dim):
         assert np.abs(gphi(r) - fd_g).max() < 1e-8
         assert np.abs(hphi(r) - fd_h).max() < 1e-8
         assert np.array_equal(hphi(r), np.swapaxes(hphi(r), -1, -2))
+        g, hess = both(r)
+        assert np.array_equal(g, gphi(r)) and np.array_equal(hess, hphi(r))
 
 
 NONFINITE_PATHS = {

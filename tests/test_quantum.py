@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +261,33 @@ def test_dense_runs_refuse_at_entry_beyond_memory(monkeypatch):
     with pytest.raises(DenseMemoryError, match=r"semiclassical_limit_check on grid \(2814,\)"):
         semiclassical_limit_check(mathieu_potential(3.0), EMFieldConfig.zero(1, eps=0.08),
                                   0, [0.08, 0.04, 0.02], t=1.0)
+
+
+def test_egorov_counts_its_flow_at_entry(monkeypatch):
+    # 1-D flows run on the full grid: N^2 trajectories at 384 bytes each, plus
+    # 64 per N^2 sample, need more than Op(h), Op(f) and the dense steps (208
+    # per N^2 entry); a memory figure between the two is refused at entry
+    from peierls_lab import weyl
+    heff, fld, grid, f = _one_dim_zero_field()
+    N = grid.n_points
+    dense = (2 * 16 + weyl._QUANTIZE_BYTES) * N * N
+    whole = 2 * 16 * N * N + quantum._flow_bytes(grid, None)
+    assert dense == 208 * N * N and whole == 480 * N * N
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"physical memory": 300 * N * N})
+
+    def unquantized(*args, **kwargs):
+        raise AssertionError("quantized before the memory check")
+    monkeypatch.setattr(quantum, "quantize", unquantized)
+    with pytest.raises(DenseMemoryError, match=r"egorov_error on grid \(129,\)"):
+        egorov_error(f, heff, grid, fld, t=0.3)
+    # the CLI preflight counts the same flow, on the shape its runner uses
+    cfg = parse_config((Path(__file__).parents[1] / "configs" / "egorov_1d.json").read_text())
+    big = max(cli._egorov_grids(cfg), key=lambda gf: gf[0].n_points)[0]
+    assert cli._egorov_flow_shape(big) is None
+    monkeypatch.setattr(weyl, "_memory_figures",
+                        lambda: {"physical memory": 300 * big.n_points ** 2})
+    with pytest.raises(DenseMemoryError, match=rf"egorov_error on grid \({big.ns[0]},\)"):
+        cli._egorov_memory(cfg, LAT1)
 
 
 @pytest.mark.parametrize("d,n,flow_shape", [(1, 129, None), (2, 15, None),

@@ -149,12 +149,11 @@ def _offset_table_oracle(samples: np.ndarray, d: int) -> np.ndarray:
     return T
 
 
-def five_pass_quantize(symbol: GridSymbol, field: EMFieldConfig) -> np.ndarray:
-    """Reference quantizer with 5d FFT axis passes: the chirp round trip,
-    then one inverse DFT and an offset phase per momentum axis, gathered at
-    delta = a - b and scaled by 1/N (test oracle)."""
-    grid = symbol.grid
-    ns, d, N = grid.ns, grid.dim, grid.n_points
+def _mixed_radix_indices(ns) -> tuple:
+    """Flat (N, N) indices mu = (a + b) / 2 and delta = a - b (mod n per
+    axis) of kernel entry (a, b), built one axis at a time over the whole
+    matrix (test oracle)."""
+    d, N = len(ns), int(np.prod(ns))
     axes_idx = np.indices(ns).reshape(d, -1)
     mu = np.zeros((N, N), dtype=np.intp)
     delta = np.zeros((N, N), dtype=np.intp)
@@ -165,6 +164,16 @@ def five_pass_quantize(symbol: GridSymbol, field: EMFieldConfig) -> np.ndarray:
         mu += ((a + b) * ((n + 1) // 2)) % n
         delta *= n
         delta += (a - b) % n
+    return mu, delta
+
+
+def five_pass_quantize(symbol: GridSymbol, field: EMFieldConfig) -> np.ndarray:
+    """Reference quantizer with 5d FFT axis passes: the chirp round trip,
+    then one inverse DFT and an offset phase per momentum axis, gathered at
+    delta = a - b and scaled by 1/N (test oracle)."""
+    grid = symbol.grid
+    d, N = grid.dim, grid.n_points
+    mu, delta = _mixed_radix_indices(grid.ns)
     T = _offset_table_oracle(_chirp_oracle(symbol.samples, d), d)
     M = np.take(T.reshape(-1), mu * N + delta) / N
     if field.lam != 0.0 and field.gauge != "zero":
@@ -202,6 +211,67 @@ def test_quantize_matches_five_pass_oracle(ns, gauge):
     assert np.abs(op.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
     back = dequantize(op, fld)
     assert np.abs(back.samples - sym.samples).max() < 1e-12
+
+
+@pytest.mark.parametrize("ns", [(7,), (5, 7), (9, 5), (3, 5, 7), (7, 3, 5)])
+def test_gather_matches_mixed_radix_loop(ns):
+    """The gather index, a sum of per-axis tables, is the oracle loop's
+    mu * N + delta with the offset reversed (delta = b - a), bit for bit."""
+    grid = PhaseSpaceGrid.build(ns, 0.6, eps=0.1)
+    weyl._last_tables = None
+    gather = weyl._quantizer_tables(grid, EMFieldConfig.zero(grid.dim, eps=0.1)).gather
+    mu, delta = _mixed_radix_indices(ns)
+    assert gather.dtype == np.intp
+    assert np.array_equal(gather, mu * grid.n_points + delta.T)
+
+
+def _linear_gauge_fields(d: int) -> list:
+    """Fields in linear gauges: the constructor's two, and in 3D a B with all
+    three pairs nonzero, in the symmetric gauge plus a constant (still
+    linear) and in a Landau-type gauge A = (-B_01 r_1 - B_02 r_2, -B_12 r_2, 0)."""
+    fields = [EMFieldConfig.constant(d, b=0.8, eps=0.07, lam=0.6, gauge=g)
+              for g in ("symmetric", "landau")]
+    if d == 3:
+        B = np.array([[0.0, 0.8, -0.5], [-0.8, 0.0, 0.3], [0.5, -0.3, 0.0]])
+        shift = np.array([0.4, -0.2, 0.7])
+
+        def landau(r):
+            r = np.asarray(r, float)
+            return np.stack([-B[0, 1] * r[..., 1] - B[0, 2] * r[..., 2],
+                             -B[1, 2] * r[..., 2], np.zeros(r.shape[:-1])], -1)
+        fields += [EMFieldConfig(eps=0.07, lam=0.6, dim=3, bfield=B, gauge="symmetric",
+                                 vector_potential=lambda r: shift - 0.5 * np.asarray(r) @ B.T),
+                   EMFieldConfig(eps=0.07, lam=0.6, dim=3, bfield=B, gauge="landau",
+                                 vector_potential=landau)]
+    return fields
+
+
+@pytest.mark.parametrize("ns,h", [((9, 5), (0.6, 1.1)), ((5, 11), (1.3, 0.4)),
+                                  ((5, 7, 3), (0.6, 0.9, 1.4)), ((3, 5, 9), (1.2, 0.5, 0.8))])
+def test_linear_phase_matches_line_integral(ns, h):
+    """A linear gauge's phase, from per-axis-pair tables and one outer
+    product, is exp(-i lam Gamma) of the midpoint line integral."""
+    grid = PhaseSpaceGrid.build(ns, h, eps=0.07)
+    pts = grid.points_micro()
+    for fld in _linear_gauge_fields(grid.dim):
+        weyl._last_tables = None
+        weight = weyl._quantizer_tables(grid, fld).weight
+        ref = np.exp(-1j * fld.lam * fld.line_integral(pts[:, None, :], pts[None, :, :]))
+        assert np.abs(weight - ref).max() <= 1e-14
+
+
+def test_transversal_phase_stays_quadrature(monkeypatch):
+    """A position-dependent B keeps the Gauss-Legendre line integral."""
+    def per_axis(grid, field):
+        raise AssertionError("per-axis phase for a non-linear gauge")
+    monkeypatch.setattr(weyl, "_linear_phase", per_axis)
+    grid = PhaseSpaceGrid.build((5, 7), (0.6, 0.9), eps=0.1)
+    fld = _field_in_gauge("transversal", 2)
+    weyl._last_tables = None
+    weight = weyl._quantizer_tables(grid, fld).weight
+    pts = grid.points_micro()
+    ref = np.exp(-1j * fld.lam * fld.line_integral(pts[:, None, :], pts[None, :, :]))
+    assert np.array_equal(weight, ref)
 
 
 def test_guarded_quantize_equals_bandlimited_matrix():
@@ -352,6 +422,16 @@ def test_field_validation():
         EMFieldConfig(eps=0.1, lam=0.5, dim=2, bfield=bad_B,
                       vector_potential=lambda r: np.zeros(np.shape(r)),
                       gauge="custom")
+    # a linear gauge tag needs an affine A whose curl is B
+    B = np.array([[0.0, 0.8], [-0.8, 0.0]])
+    sym = lambda r: -0.5 * np.asarray(r) @ B.T
+    bent = lambda r: sym(r) + 3 * np.asarray(r)[..., :1] ** 2 * np.array([1.0, 0.0])
+    for gauge, A, message in [("symmetric", bent, "symmetric gauge needs .* affine"),
+                              ("landau", lambda r: 2 * sym(r), r"dA != B")]:
+        with pytest.raises(FieldError, match=message):
+            EMFieldConfig(eps=0.1, lam=0.5, dim=2, bfield=B, vector_potential=A, gauge=gauge)
+    # the bent A is a pure gauge change (its curl is B), fine in a general gauge
+    EMFieldConfig(eps=0.1, lam=0.5, dim=2, bfield=B, vector_potential=bent, gauge="general")
 
 
 def test_exact_product_unit():
