@@ -109,9 +109,9 @@ def _build_potential(cfg: RunConfig, lattice):
 
 
 def _phi_callables(cfg: RunConfig, dim: int) -> dict:
-    """The field keywords of the configured potential preset (phi, grad_phi,
-    hess_phi and, for "cosine", phi_derivatives; none for "zero"), each with
-    at most one sine and one cosine evaluation per call."""
+    """The field keywords of the configured potential preset (phi, grad_phi
+    and grad_hess_phi; none for "zero"), each with at most one sine and one
+    cosine evaluation per call."""
     spec = cfg.field.phi
     amp, L = spec.amplitude, spec.period
     w = 2 * np.pi / L
@@ -157,11 +157,11 @@ def _phi_callables(cfg: RunConfig, dim: int) -> dict:
             h *= amp * w * w
             return h
 
-        def both(r):
+        def grad_hess(r):
             s, c = sincos(r)
             return grad(s, c), hess(s, c)
         return {"phi": phi, "grad_phi": lambda r: grad(*sincos(r)),
-                "hess_phi": lambda r: hess(*sincos(r)), "phi_derivatives": both}
+                "grad_hess_phi": grad_hess}
 
     # "sine_ramp": nearly linear around the origin, periodic over the box
     def phi(r):
@@ -174,12 +174,12 @@ def _phi_callables(cfg: RunConfig, dim: int) -> dict:
         out[..., 0] = -amp * np.cos(w * r[..., 0])
         return out
 
-    def hphi(r):
+    def grad_hess(r):
         r = np.asarray(r, float)
         out = np.zeros(r.shape + r.shape[-1:])
         out[..., 0, 0] = amp * w * np.sin(w * r[..., 0])
-        return out
-    return {"phi": phi, "grad_phi": gphi, "hess_phi": hphi}
+        return gphi(r), out
+    return {"phi": phi, "grad_phi": gphi, "grad_hess_phi": grad_hess}
 
 
 def _build_field(cfg: RunConfig, dim: int, eps: float):

@@ -38,7 +38,7 @@ from .fields import (EMFieldConfig, _contract, _vecmat, pair_weights, pairs,
                      wedge)
 from .geometry import GeometricTensors
 from .interp import PeriodicSpline
-from .lattice import KGrid, Lattice
+from .lattice import Lattice
 from .weyl import GridSymbol, PhaseSpaceGrid, sample_broadcast
 
 __all__ = [
@@ -285,11 +285,11 @@ class EffectiveHamiltonian:
         F = -gphi
         term_r = _vecmat(b.A, hphi)
         if lam != 0.0:
-            lamB = lam * fld.B_at(r)
+            lamB = lam * fld.B(r)
             F = F + _vecmat(b.dE, lamB.swapaxes(-1, -2))
             term_k = -(_vecmat(F, b.dA) + _vecmat(_vecmat(b.A, lamB), b.hessE)
                        + _vecmat(pair_weights(lamB), b.dm))
-            if fld.dbfield is not None:
+            if callable(fld.bfield):
                 term_r = term_r - lam * _vecmat(_coupling(b), pair_weights(fld.dB(r), 1))
         else:
             term_k = -_vecmat(F, b.dA)
@@ -331,14 +331,15 @@ class SemiclassicalHamiltonian:
         gr = fld.grad_phi(r)
         if eps != 0.0 and lam != 0.0:
             # grad_k (B : M) = B_lj d_n M_lj, grad_r (B : M) = d_n B_lj M_lj
-            gk = gk - _vecmat((eps * lam) * pair_weights(fld.B_at(r)), b.dm)
-            if fld.dbfield is not None:
+            gk = gk - _vecmat((eps * lam) * pair_weights(fld.B(r)), b.dm)
+            if callable(fld.bfield):
                 gr = gr - (eps * lam) * _vecmat(b.m, pair_weights(fld.dB(r), 1))
         return gk, gr, b
 
 
 def t_eff(k, r, band: BandData, field: EMFieldConfig):
-    """First-order effective-variable map (k, r) -> (k_eff, r_eff)."""
+    """First-order effective-variable map (k, r) -> (k_eff, r_eff); k_eff
+    keeps the shape of k unless B depends on r, as at lam = 0."""
     d = band.lattice.dim
     k, r = _as_points(k, d), _as_points(r, d)
     eps, lam = field.eps, field.lam

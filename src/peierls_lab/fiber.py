@@ -256,7 +256,6 @@ class BandStructure:
     energies: np.ndarray
     vectors: np.ndarray
     guard_energies: np.ndarray
-    relevant_index: int = 0
 
     @property
     def n_bands(self) -> int:

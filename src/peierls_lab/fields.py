@@ -108,10 +108,9 @@ def _zero_grad(r):
     return np.zeros(r.shape)
 
 
-def _zero_hess(r):
-    r = np.asarray(r, dtype=float)
-    d = r.shape[-1]
-    return np.zeros(r.shape[:-1] + (d, d))
+def _zero_grad_hess(r):
+    g = _zero_grad(r)
+    return g, np.zeros(g.shape + g.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -122,13 +121,15 @@ class EMFieldConfig:
         classical limit, and eps > 1 is allowed.
     lam : magnetic amplitude ratio in [0, 1].
     dim : spatial dimension.
-    bfield : (d, d) constant antisymmetric matrix, or callable r -> (..., d, d).
+    bfield : (d, d) constant antisymmetric matrix, or callable r -> (..., d, d);
+        read through B.
     vector_potential : callable r -> (..., d); gauge tag records the choice.
-    phi, grad_phi, hess_phi : scalar potential and its derivatives (analytic).
-    phi_derivatives : optional callable r -> (grad phi, Hess phi) in one pass,
-        for a potential whose two derivatives share work (grad_hess_phi).
+    phi, grad_phi : scalar potential r -> (...) and its gradient r -> (..., d).
+    grad_hess_phi : callable r -> (grad phi, Hess phi), shapes (..., d) and
+        (..., d, d), in one pass so the two derivatives can share work; the
+        only route to the Hessian.
     dbfield : callable r -> (..., d, d, d) with entry [l, j, m] = d_m B_lj,
-        required only for position-dependent B in corrected flows.
+        required by every r-gradient of a position-dependent B.
     """
 
     eps: float
@@ -139,8 +140,7 @@ class EMFieldConfig:
     gauge: str
     phi: object = dc_field(default=_zero_phi)
     grad_phi: object = dc_field(default=_zero_grad)
-    hess_phi: object = dc_field(default=_zero_hess)
-    phi_derivatives: object = None
+    grad_hess_phi: object = dc_field(default=_zero_grad_hess)
     dbfield: object = None
 
     def __post_init__(self):
@@ -150,8 +150,12 @@ class EMFieldConfig:
             raise FieldError("eps must be nonnegative")
         if not (0 <= self.lam <= 1):
             raise FieldError("lam must lie in [0, 1]")
+        # the effective grad_pair reads grad phi from grad_hess_phi, the
+        # semiclassical one from grad_phi: both describe one potential
+        if (self.grad_phi is _zero_grad) != (self.grad_hess_phi is _zero_grad_hess):
+            raise FieldError("grad_phi and grad_hess_phi must be given together")
         if not callable(self.bfield):
-            # B_at hands out the stored matrix itself, so freeze a copy
+            # B hands out the stored matrix itself, so freeze a copy
             B = np.array(self.bfield, dtype=float)
             B.flags.writeable = False
             object.__setattr__(self, "bfield", B)
@@ -174,8 +178,8 @@ class EMFieldConfig:
     @classmethod
     def zero(cls, dim: int, eps: float, **potential) -> "EMFieldConfig":
         """No magnetic field.  Each constructor passes its keyword arguments
-        `potential` (phi, grad_phi, hess_phi, phi_derivatives) on to the
-        field; those left out give phi = 0."""
+        `potential` (phi, grad_phi, grad_hess_phi) on to the field; those
+        left out give phi = 0."""
         B = np.zeros((dim, dim))
         return cls(eps=eps, lam=0.0, dim=dim,
                    bfield=B, vector_potential=lambda r: np.zeros(np.shape(r)),
@@ -223,35 +227,20 @@ class EMFieldConfig:
     # -- evaluation ----------------------------------------------------
 
     def B(self, r) -> np.ndarray:
-        """B at points r (..., d), shape (..., d, d); a read-only view for a
-        constant field."""
-        r = np.asarray(r, dtype=float)
+        """B at points r (..., d) in the smallest shape that broadcasts
+        against r.shape[:-1] + (d, d): the stored, read-only (d, d) matrix of
+        a constant field, bfield(r) otherwise.  A shared matrix makes
+        contractions with it one BLAS product (_vecmat)."""
         if callable(self.bfield):
-            return np.asarray(self.bfield(r))
-        return np.broadcast_to(self.bfield, r.shape[:-1] + (self.dim, self.dim))
-
-    def B_at(self, r) -> np.ndarray:
-        """B at points r in the smallest shape that broadcasts against their
-        batch: the stored (d, d) matrix of a constant field, B(r) otherwise.
-        Contractions with a shared matrix are one BLAS product (_vecmat)."""
-        if callable(self.bfield):
-            return self.B(r)
+            return np.asarray(self.bfield(np.asarray(r, dtype=float)))
         return self.bfield
 
     def dB(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
+        """d_m B_lj at points r, shape (..., d, d, d); read only for a
+        position-dependent B, which must come with dbfield."""
         if self.dbfield is None:
-            if callable(self.bfield):
-                raise FieldError("position-dependent B needs dbfield")
-            return np.zeros(r.shape[:-1] + (self.dim,) * 3)
-        return np.asarray(self.dbfield(r))
-
-    def grad_hess_phi(self, r):
-        """(grad phi, Hess phi) at points r: one phi_derivatives call when
-        the field has one, else grad_phi and hess_phi."""
-        if self.phi_derivatives is None:
-            return self.grad_phi(r), self.hess_phi(r)
-        return self.phi_derivatives(r)
+            raise FieldError("position-dependent B needs dbfield")
+        return np.asarray(self.dbfield(np.asarray(r, dtype=float)))
 
     def A(self, r) -> np.ndarray:
         return np.asarray(self.vector_potential(np.asarray(r, dtype=float)))

@@ -20,7 +20,7 @@ Models and observables offer one method, grad_pair(k, r) -> (grad_k H,
 grad_r H, fields), where fields is the BandFields record the gradients came
 from, or None.  A model that holds the flow's band hands omega over in that
 record, so each corrected right-hand side evaluates the band once.  The
-structure and the models read B through EMFieldConfig.B_at, which for a
+structure and the models read B through EMFieldConfig.B, which for a
 constant field is the stored matrix, not a copy broadcast to the points.
 There is one right-hand side for every batch size; its contractions
 (fields._vecmat) are one BLAS product where a matrix is shared by all points
@@ -112,7 +112,7 @@ def _reduced(lamB, epsom):
 
 def _solve_structure(gk, gr, B, lam, omega=None, eps: float = 0.0):
     """(kdot, rdot) solving J (rdot, kdot) = (grad_r H, grad_k H) for
-    J = [[lam B, -I], [I, eps Omega]], with B the field's B_at(r) (unused
+    J = [[lam B, -I], [I, eps Omega]], with B the field's B(r) (unused
     at lam = 0) and omega the pair components of Omega.
 
     The second row gives rdot = grad_k H - eps Omega kdot; the first then
@@ -151,19 +151,24 @@ def vector_field(k, r, model, field: EMFieldConfig, band=None):
     if band is not None and field.eps != 0.0:
         # a model that holds the band already evaluated it at k
         omega = (fields if getattr(model, "band", None) is band else band.at(k)).om
-    B = field.B_at(r) if field.lam != 0.0 else None
+    B = field.B(r) if field.lam != 0.0 else None
     return _solve_structure(gk, gr, B, field.lam, omega, field.eps)
 
 
 def structure_factor(k, r, field: EMFieldConfig, band):
     """sqrt(|det J|) of the corrected structure at field.eps;
-    |1 - eps lam B_12 Omega_12| in 2D, 1 in 1D."""
+    |1 - eps lam B_12 Omega_12| in 2D, 1 in 1D.  The result has the
+    broadcast shape of the points k and r in every case."""
+    k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
     d = r.shape[-1]
+    shape = np.broadcast_shapes(k.shape, r.shape)[:-1]
     if band is None or field.eps == 0.0 or field.lam == 0.0 or d == 1:
-        return np.ones(r.shape[:-1])
+        return np.ones(shape)
     red = _reduced(field.lam * field.B(r), field.eps * band.at(k).om)
-    return np.sqrt(np.abs(red * red if d == 2 else np.linalg.det(red)))
+    sf = np.sqrt(np.abs(red * red if d == 2 else np.linalg.det(red)))
+    # a constant B leaves red with the shape of k alone
+    return np.broadcast_to(sf, shape).copy()
 
 
 # _rk4_run's stage function, called k first; perfbench/tracing.py wraps it
@@ -256,7 +261,7 @@ def poisson_corrected(f, g, k, r, field: EMFieldConfig, band):
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
     omega = band.at(k).om if band is not None else None
-    B = field.B_at(r) if field.lam != 0.0 else None
+    B = field.B(r) if field.lam != 0.0 else None
     fk, fr, _ = f.grad_pair(k, r)
     gk, gr, _ = g.grad_pair(k, r)
     # J^{-1} grad g is the vector field of g: (rdot, kdot)

@@ -415,16 +415,13 @@ class Propagator:
         """Heisenberg evolution e^{+i(t/eps)H} M e^{-i(t/eps)H}, or only its
         (idx, idx) block when idx (flat indices) is given.
 
-        The block is L M L^dagger with L = U[idx] e^{i(t/eps)w} U^dagger, the
-        idx rows of e^{+i(t/eps)H}: for m = len(idx) rows of an N x N
-        problem it costs ~2 m N^2 instead of ~4 N^3 operations.
+        Both are L M L^dagger, L = U[idx] e^{i(t/eps)w} U^dagger the idx rows
+        of e^{+i(t/eps)H} (all rows for idx None): ~2 m N^2 operations for
+        m = len(idx) rows of an N x N problem, ~3 N^3 for all N.
         """
         ph = np.exp(1j * (t / self.eps) * self.w)
         Uh = self.U.conj().T
-        if idx is None:
-            inner = Uh @ M @ self.U
-            return self.U @ (ph[:, None] * inner * np.conj(ph)[None, :]) @ Uh
-        L = (self.U[idx] * ph) @ Uh
+        L = ((self.U if idx is None else self.U[idx]) * ph) @ Uh
         return (L @ M) @ L.conj().T
 
 

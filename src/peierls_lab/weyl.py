@@ -609,7 +609,7 @@ def commutation_check(grid: PhaseSpaceGrid, field: EMFieldConfig,
                 res["qp"] = max(res["qp"], float(np.abs(r_qp - target).max()))
                 if j > l:
                     r_pp = (P[l] @ (P[j] @ psi)) - (P[j] @ (P[l] @ psi))
-                    Bq = field.B(pts)[:, l, j]
+                    Bq = field.B(pts)[..., l, j]
                     t_pp = 1j * field.eps * field.lam * Bq * psi
                     res["pp"] = max(res["pp"], float(np.abs(r_pp - t_pp).max()))
     return res

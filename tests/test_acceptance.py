@@ -54,8 +54,8 @@ def cosine_field_2d(L, eps, lam=0.5, b=1.0, amp=0.2):
         d12 = amp * w * w * np.sin(w * r[..., 0]) * np.sin(w * r[..., 1])
         return np.stack([np.stack([d11, d12], -1), np.stack([d12, d11], -1)], -2)
 
-    return EMFieldConfig.constant(2, b=b, eps=eps, lam=lam, phi=phi,
-                                  grad_phi=gphi, hess_phi=hphi)
+    return EMFieldConfig.constant(2, b=b, eps=eps, lam=lam, phi=phi, grad_phi=gphi,
+                                  grad_hess_phi=lambda r: (gphi(r), hphi(r)))
 
 
 def cosine_field_1d(L, eps, amp=0.3):
@@ -73,7 +73,8 @@ def cosine_field_1d(L, eps, amp=0.3):
         r = np.asarray(r, float)
         return (-amp * w * w * np.cos(w * r[..., 0]))[..., None, None]
 
-    return EMFieldConfig.zero(1, eps, phi=phi, grad_phi=gphi, hess_phi=hphi)
+    return EMFieldConfig.zero(1, eps, phi=phi, grad_phi=gphi,
+                              grad_hess_phi=lambda r: (gphi(r), hphi(r)))
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +361,8 @@ def test_criterion_11_semiclassical_limit_expectation():
         r = np.asarray(r, float)
         return (F * w * np.sin(w * r[..., 0]))[..., None, None]
 
-    fld = EMFieldConfig.zero(1, eps=0.08, phi=phi, grad_phi=gphi, hess_phi=hphi)
+    fld = EMFieldConfig.zero(1, eps=0.08, phi=phi, grad_phi=gphi,
+                             grad_hess_phi=lambda r: (gphi(r), hphi(r)))
     rep = semiclassical_limit_check(pot, fld, 0, [0.08, 0.04, 0.02], t=1.0,
                                     macro_box=L, cutoff=6)
     dt = time.time() - t0

@@ -1,20 +1,23 @@
-"""The benchmark tracer's entry points still exist in the package.
+"""The benchmark's uses of the package still resolve.
 
 perfbench/tracing.py wraps package functions and methods by name; a rename
 would otherwise surface only when the traced benchmark runs.  The tracer
 module is loaded from its file and its own lookup (rebind, with an identity
 wrapper) is applied to every entry point.  Its right-hand side counter reads
 the momentum from the first positional argument of flow._rhs, which an RK4
-step is run to confirm.
+step is run to confirm.  perfbench/workloads.py runs egorov-2d through
+private CLI builders and quantum.egorov_error, which its smoke config runs.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -72,3 +75,31 @@ def test_rhs_receives_the_state_momentum_first():
     assert all(np.shape(args[0]) == state.k.shape == (2,) for args in seen)
     assert tracer.counters["flow.rhs_calls"] == 4
     assert tracer.counters["flow.rhs_points"] == 4
+
+
+def _perfbench_files():
+    """Modification time of every file under perfbench/ but its out/ tree,
+    which benchmark runs own."""
+    return {p: p.stat().st_mtime_ns for p in PERFBENCH.rglob("*")
+            if p.relative_to(PERFBENCH).parts[0] != "out"}
+
+
+def test_egorov_2d_workload_runs_on_its_smoke_config(tmp_path, monkeypatch):
+    before = _perfbench_files()
+    # workloads imports its sibling tracing as a top-level module
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        import workloads
+        assert workloads.config_path("egorov-2d", smoke=True) == \
+            PERFBENCH / "configs" / "smoke" / "egorov_2d.json"
+        cfg = workloads.load_config("egorov-2d", smoke=True)
+        report = workloads.run_egorov_2d(cfg, workloads.REFERENCE_SEED, tmp_path)
+        figures = workloads.figures("egorov-2d", tmp_path)
+    finally:
+        for name in ("workloads", "tracing"):
+            sys.modules.pop(name, None)
+    assert report["metrics"]["phases"] == [0.0, 0.0]
+    assert report["passed"] and np.isfinite(figures["error"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["egorov.csv", "egorov_report.json"]
+    assert _perfbench_files() == before

@@ -505,26 +505,25 @@ def test_phi_presets_match_central_differences(preset, dim):
         '{"experiment": "bands", "lattice": {"dim": %d}, "field": {"phi": '
         '{"preset": "%s", "amplitude": 0.4, "period": 2.5}}}' % (dim, preset))
     potential = _phi_callables(cfg, dim)
-    phi, gphi, hphi = potential["phi"], potential["grad_phi"], potential["hess_phi"]
-    # a joint gradient and Hessian, where a preset has one, is theirs to the bit
-    both = potential.get("phi_derivatives", lambda r: (gphi(r), hphi(r)))
-    assert (preset == "cosine") == ("phi_derivatives" in potential)
+    assert set(potential) == {"phi", "grad_phi", "grad_hess_phi"}
+    phi, gphi, grad_hess = (potential[key] for key in ("phi", "grad_phi", "grad_hess_phi"))
     rng = np.random.default_rng(dim)
     h = 1e-5
     steps = h * np.eye(dim)
     for shape in [(dim,), (7, dim), (3, 4, dim)]:
         r = rng.uniform(-3, 3, shape)
+        g, hess = grad_hess(r)
         assert phi(r).shape == shape[:-1]
         assert gphi(r).shape == shape
-        assert hphi(r).shape == shape + (dim,)
+        assert hess.shape == shape + (dim,)
         fd_g = np.stack([(phi(r + e) - phi(r - e)) / (2 * h) for e in steps], -1)
         # column m of the Hessian is the derivative of grad phi along r_m
         fd_h = np.stack([(gphi(r + e) - gphi(r - e)) / (2 * h) for e in steps], -1)
         assert np.abs(gphi(r) - fd_g).max() < 1e-8
-        assert np.abs(hphi(r) - fd_h).max() < 1e-8
-        assert np.array_equal(hphi(r), np.swapaxes(hphi(r), -1, -2))
-        g, hess = both(r)
-        assert np.array_equal(g, gphi(r)) and np.array_equal(hess, hphi(r))
+        assert np.abs(hess - fd_h).max() < 1e-8
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+        # the joint gradient is grad_phi's to the bit
+        assert np.array_equal(g, gphi(r))
 
 
 NONFINITE_PATHS = {

@@ -46,8 +46,8 @@ def pipeline_band(shape=(17, 17), v=1.0, w=0.3, cutoff=5):
 
 def field_2d(eps=0.05, lam=0.6, b=0.8):
     phi, gphi, hphi = cos_phi_callables()
-    return EMFieldConfig.constant(2, b=b, eps=eps, lam=lam, phi=phi,
-                                  grad_phi=gphi, hess_phi=hphi)
+    return EMFieldConfig.constant(2, b=b, eps=eps, lam=lam, phi=phi, grad_phi=gphi,
+                                  grad_hess_phi=lambda r: (gphi(r), hphi(r)))
 
 
 BANDS, BAND = pipeline_band()
@@ -67,7 +67,8 @@ def test_h0_hofstadter_ansatz():
 def test_h0_constant_band():
     bd = BandData.synthetic(LAT2, (9, 9), lambda k: 2.5 + 0 * k[..., 0])
     phi, gphi, hphi = cos_phi_callables(0.3)
-    fld = EMFieldConfig.zero(2, eps=0.1, phi=phi, grad_phi=gphi, hess_phi=hphi)
+    fld = EMFieldConfig.zero(2, eps=0.1, phi=phi, grad_phi=gphi,
+                             grad_hess_phi=lambda r: (gphi(r), hphi(r)))
     h0 = EffectiveHamiltonian(bd, fld).h0
     k = RNG.uniform(-3, 3, (10, 2))
     r = RNG.uniform(-3, 3, (10, 2))
@@ -262,9 +263,12 @@ def test_value_on_broadcast_axes_matches_full_mesh(dim):
         band = BandData.synthetic(
             Lattice.cubic(1), (33,), lambda k: np.cos(k[..., 0]),
             connection=lambda k: 0.3 * np.sin(k))
+        def gphi(r):
+            return -0.4 * np.sin(np.asarray(r, float))
         fld = EMFieldConfig.zero(
             1, eps=0.1, phi=lambda r: 0.4 * np.cos(np.asarray(r, float)[..., 0]),
-            grad_phi=lambda r: -0.4 * np.sin(np.asarray(r, float)))
+            grad_phi=gphi, grad_hess_phi=lambda r: (
+                gphi(r), (-0.4 * np.cos(np.asarray(r, float)))[..., None]))
     else:
         band, fld = BAND, dataclasses.replace(FIELD, eps=0.1)
     assert dim == 1 or fld.lam != 0.0

@@ -151,8 +151,13 @@ def test_step_halving_guard():
     n, eps = 33, 0.1
     L = n * eps
     w = 2 * np.pi / L
+    def gphi(r):
+        return -0.3 * w * np.sin(w * r)
+
+    def grad_hess(r):
+        return gphi(r), -0.3 * w * w * np.cos(w * r)[..., None]
     fld = EMFieldConfig.zero(1, eps=eps, phi=lambda r: 0.3 * np.cos(w * r[..., 0]),
-                             grad_phi=lambda r: -0.3 * w * np.sin(w * r))
+                             grad_phi=gphi, grad_hess_phi=grad_hess)
     band = BandData.synthetic(Lattice.cubic(1), (65,), lambda k: np.cos(k[..., 0]))
     grid = PhaseSpaceGrid.build(n, 1.0, eps=eps)
     heff = EffectiveHamiltonian(band, fld)

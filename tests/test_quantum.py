@@ -157,9 +157,13 @@ def test_apply_with_real_basis_allocates_no_dense_copy():
 
 def _small_limit(n_workers):
     """A two-box limit check (N = 434 and 854) under phi(r) = -0.2 sin r."""
+    def gphi(r):
+        return -0.2 * np.cos(r[..., :1])
+
+    def grad_hess(r):
+        return gphi(r), 0.2 * np.sin(r[..., :1, None])
     fld = EMFieldConfig.zero(1, eps=0.12, phi=lambda r: -0.2 * np.sin(r[..., 0]),
-                             grad_phi=lambda r: -0.2 * np.cos(r[..., :1]),
-                             hess_phi=lambda r: 0.2 * np.sin(r[..., :1, None]))
+                             grad_phi=gphi, grad_hess_phi=grad_hess)
     return semiclassical_limit_check(mathieu_potential(3.0), fld, 0, [0.12, 0.06],
                                      t=0.4, macro_box=3.6, n_workers=n_workers)
 
@@ -217,7 +221,11 @@ def test_windowed_conjugation_is_block_of_full():
     H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     prop = Propagator.of(H + H.conj().T, 0.1)
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    full = prop.conjugate(M, 0.7)
+    # oracle: the two-sided product U (e^{iwt/eps} (U^dagger M U) e^{-iwt/eps}) U^dagger
+    ph = np.exp(1j * (0.7 / prop.eps) * prop.w)
+    Uh = prop.U.conj().T
+    full = prop.U @ (ph[:, None] * (Uh @ M @ prop.U) * np.conj(ph)[None, :]) @ Uh
+    assert np.abs(prop.conjugate(M, 0.7) - full).max() <= 1e-13 * np.abs(full).max()
     for idx in (np.arange(20, 41), rng.choice(n, 17, replace=False)):
         block = prop.conjugate(M, 0.7, idx)
         assert block.shape == (len(idx), len(idx))
@@ -391,7 +399,8 @@ def test_egorov_scaling_1d():
         def hphi(r, L=L):
             r = np.asarray(r, float)
             return (-0.3 * (2 * np.pi / L) ** 2 * np.cos(2 * np.pi * r[..., 0] / L))[..., None, None]
-        fld = EMFieldConfig.zero(1, eps=eps, phi=phi, grad_phi=gphi, hess_phi=hphi)
+        fld = EMFieldConfig.zero(1, eps=eps, phi=phi, grad_phi=gphi,
+                                 grad_hess_phi=lambda r: (gphi(r), hphi(r)))
         heff = EffectiveHamiltonian(band, fld)
         grid = PhaseSpaceGrid.build(n, 1.0, eps=eps)
         f = lambda k, r, L=L: np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)

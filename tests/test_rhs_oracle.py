@@ -26,12 +26,19 @@ from peierls_lab.lattice import Lattice
 # -- oracle: the einsum forms -------------------------------------------------
 
 
+def full_B(field, r):
+    """B at every point r, shape r.shape[:-1] + (d, d), as the einsum forms
+    read it."""
+    d = field.dim
+    return np.broadcast_to(field.B(r), np.shape(r)[:-1] + (d, d))
+
+
 def oracle_lorentz(self, b, r):
     """F_l = -d_l phi + lam B_lj d_j E, shape (..., d)."""
     F = -self.field.grad_phi(r)
     if self.field.lam != 0.0:
         F = F + self.field.lam * np.einsum("...lj,...j->...l",
-                                           self.field.B(r), b.dE)
+                                           full_B(self.field, r), b.dE)
     return F
 
 
@@ -52,9 +59,9 @@ def oracle_heff_grad_pair(self, k, r):
     # d_{k_m} h1 = -(d_m F_l) A_l - F_l d_m A_l - lam B_lj d_m M_lj
     term_k = -np.einsum("...l,...lm->...m", oracle_lorentz(self, b, r), b.dA)
     # d_{r_m} h1 = (d_m d_l phi) A_l - lam (d_m B_lj)(d_j E A_l + M_lj)
-    term_r = np.einsum("...lm,...l->...m", self.field.hess_phi(r), b.A)
+    term_r = np.einsum("...lm,...l->...m", self.field.grad_hess_phi(r)[1], b.A)
     if lam != 0.0:
-        B = self.field.B(r)
+        B = full_B(self.field, r)
         dF = lam * np.einsum("...lj,...jm->...lm", B, b.hessE)
         term_k = term_k - np.einsum("...lm,...l->...m", dF, b.A)
         term_k = term_k - lam * np.einsum("...lj,...ljm->...m", B, dM)
@@ -75,7 +82,7 @@ def oracle_hsc_grad_pair(self, k, r):
     gk = b.dE
     gr = self.field.grad_phi(r)
     if coupled:
-        gk = gk - eps * lam * np.einsum("...lj,...ljm->...m", self.field.B(r), dM)
+        gk = gk - eps * lam * np.einsum("...lj,...ljm->...m", full_B(self.field, r), dM)
         if self.field.dbfield is not None:
             gr = gr - eps * lam * np.einsum("...ljm,...lj->...m",
                                             self.field.dB(r), M)
@@ -94,7 +101,7 @@ def oracle_reduced_det(red, d):
 
 
 def oracle_solve_structure(gk, gr, r, field, omega=None, eps=0.0):
-    lamB = field.lam * field.B(r) if field.lam != 0.0 else None
+    lamB = field.lam * full_B(field, r) if field.lam != 0.0 else None
     kdot = -gr if lamB is None else np.einsum("...lj,...j->...l", lamB, gk) - gr
     if omega is None or eps == 0.0:
         return kdot, gk
@@ -115,7 +122,7 @@ def oracle_structure_factor(k, r, field, band, eps):
     if band is None or eps == 0.0 or field.lam == 0.0:
         return np.ones(r.shape[:-1])
     d = r.shape[-1]
-    red = oracle_reduced(field.lam * field.B(r), eps * antisymmetric(band.at(k).om, d))
+    red = oracle_reduced(field.lam * full_B(field, r), eps * antisymmetric(band.at(k).om, d))
     return np.sqrt(np.abs(oracle_reduced_det(red, d)))
 
 
@@ -175,7 +182,7 @@ def _phi(d):
     def hphi(r):
         r = np.asarray(r, float)
         return (-a * np.cos(r))[..., None] * np.eye(d)
-    return dict(phi=phi, grad_phi=gphi, hess_phi=hphi)
+    return dict(phi=phi, grad_phi=gphi, grad_hess_phi=lambda r: (gphi(r), hphi(r)))
 
 
 def _transversal(d, eps, lam):
@@ -256,19 +263,19 @@ def test_rhs_matches_einsum_oracle(d, kind, eps, lam):
         Omega = antisymmetric(omega, d)
         gk = np.broadcast_to(gk0, np.broadcast_shapes(k.shape, r.shape))
         for om, Om, e in ((None, None, 0.0), (omega, Omega, eps), (omega, Omega, 0.3)):
-            new = flow._solve_structure(gk, gr0, fld.B_at(r), fld.lam, om, e)
+            new = flow._solve_structure(gk, gr0, fld.B(r), fld.lam, om, e)
             ref = oracle_solve_structure(gk, gr0, r, fld, Om, e)
             close(new[0], ref[0])
             close(new[1], ref[1], broadcast=True)
+        full = np.broadcast_shapes(k.shape, r.shape)[:-1]
         for e in (eps, 0.3):
-            close(flow.structure_factor(k, r, dataclasses.replace(fld, eps=e), band),
-                  oracle_structure_factor(k, r, fld, band, e))
+            sf = flow.structure_factor(k, r, dataclasses.replace(fld, eps=e), band)
+            assert np.shape(sf) == full, (np.shape(sf), full)
+            close(sf, np.broadcast_to(oracle_structure_factor(k, r, fld, band, e), full))
         if fld.lam != 0.0:
-            ref = oracle_reduced(fld.lam * fld.B(r), 0.3 * Omega)
-            close(flow._reduced(fld.lam * fld.B(r), 0.3 * omega), ref)
-            # B_at is B(r) before broadcasting against the points
-            close(np.broadcast_to(flow._reduced(fld.lam * fld.B_at(r), 0.3 * omega),
-                                  ref.shape), ref)
+            ref = oracle_reduced(fld.lam * full_B(fld, r), 0.3 * Omega)
+            # a constant B's (d, d) matrix leaves the shape of k alone
+            close(flow._reduced(fld.lam * fld.B(r), 0.3 * omega), ref, broadcast=True)
 
 
 def test_corrected_degeneracy_threshold_and_message_unchanged():
@@ -279,7 +286,7 @@ def test_corrected_degeneracy_threshold_and_message_unchanged():
     # 1 + lam B_12 eps Omega_21 = 0 for this eps
     eps = 1.0 / (fld.lam * fld.B(r)[0, 1] * om[0])
     g = np.ones(2)
-    for solve, arg in ((flow._solve_structure, (fld.B_at(r), fld.lam, om)),
+    for solve, arg in ((flow._solve_structure, (fld.B(r), fld.lam, om)),
                        (oracle_solve_structure, (r, fld, antisymmetric(om, 2)))):
         with pytest.raises(FlowError, match="corrected structure matrix is degenerate"):
             solve(g, g, *arg, eps)
@@ -289,13 +296,17 @@ def test_corrected_degeneracy_threshold_and_message_unchanged():
                                     ("landau", 3), ("transversal", 2),
                                     ("transversal", 3)])
 def test_field_matrix_has_the_shape_of_the_points(kind, d):
+    """B(r) broadcasts to r.shape[:-1] + (d, d), in its smallest shape: the
+    one (d, d) matrix of a constant field; and it is B at every point."""
     fld = make_field(kind, d)
     rng = np.random.default_rng(3)
     for shape in [(d,), (1, d), (5, d), (3, 1, d), (1, 4, d), (2, 3, 4, d)]:
         r = rng.normal(size=shape)
         B = fld.B(r)
-        assert B.shape == shape[:-1] + (d, d)
-        assert np.array_equal(B, np.broadcast_to(fld.B_at(r), B.shape))
+        assert B.shape == ((d, d) if kind != "transversal" else shape[:-1] + (d, d))
+        full = np.broadcast_to(B, shape[:-1] + (d, d))
+        pointwise = np.array([fld.B(p) for p in r.reshape(-1, d)])
+        assert np.array_equal(full.reshape(-1, d, d), pointwise)
 
 
 @pytest.mark.parametrize("v_shape,M_shape", [((3,), (3, 2)), ((5, 3), (5, 3, 2)),
@@ -317,7 +328,7 @@ def test_constant_field_matrix_is_read_only():
                         vector_potential=lambda r: -0.5 * np.asarray(r) @ B0.T,
                         gauge="symmetric")
     B0[0, 1] = 5.0                      # the field keeps its own copy
-    for B in (fld.B(np.zeros(2)), fld.B(np.zeros((3, 2))), fld.B_at(np.zeros(2))):
+    for B in (fld.B(np.zeros(2)), fld.B(np.zeros((3, 2)))):
         assert np.all(B[..., 0, 1] == 0.8)
         with pytest.raises(ValueError):
             B[..., 0, 1] = 1.0
@@ -361,6 +372,28 @@ def test_batch1_rhs_makes_no_einsum_stack_or_broadcast(monkeypatch):
         # one RK4 step: four right-hand sides, one band evaluation each,
         # and each of k and r made a point array once per right-hand side
         assert calls == {"_rhs": 4, "prep": 4, "eval_prepped": 4, "_as_points": 8}, calls
+
+
+def test_position_dependent_field_without_dbfield_refused():
+    """grad_r h of a position-dependent B has a d_m B_lj term; a field built
+    without dbfield is refused there, not flowed without that term."""
+    from peierls_lab.fields import FieldError
+    fld = dataclasses.replace(_transversal(2, 0.1, 0.7), dbfield=None)
+    k, r = np.array([0.3, -0.2]), np.array([0.5, 0.4])
+    for model in (EffectiveHamiltonian(BANDS[2], fld),
+                  SemiclassicalHamiltonian(BANDS[2], fld)):
+        with pytest.raises(FieldError, match="position-dependent B needs dbfield"):
+            model.grad_pair(k, r)
+
+
+def test_phi_gradient_without_its_hessian_refused():
+    """grad phi reaches the effective grad_pair through grad_hess_phi and the
+    semiclassical one through grad_phi, so a field gives both or neither."""
+    from peierls_lab.fields import FieldError
+    p = _phi(2)
+    for one in ("grad_phi", "grad_hess_phi"):
+        with pytest.raises(FieldError, match="must be given together"):
+            EMFieldConfig.zero(2, 0.1, phi=p["phi"], **{one: p[one]})
 
 
 @pytest.mark.parametrize("b", [np.inf, -np.inf, np.nan])
