@@ -422,12 +422,12 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
 
 def _preflight(cfg: RunConfig) -> None:
     """Build the lattice, the potential and, for an experiment that solves
-    bands, the plane-wave basis, and the k-grid for one that solves them on
-    numerics.kgrid; build the field of one that reads eps_list, and check
-    a dense experiment's memory estimate at every eps.  A config the
-    library refuses then raises a ConfigError naming the config path before
-    any output exists."""
-    from .fiber import fiber_basis
+    bands, the plane-wave basis; for one that solves them on numerics.kgrid,
+    check the band solve's memory estimate, then build the k-grid; build the
+    field of one that reads eps_list, and check a dense experiment's memory
+    estimate at every eps.  A config the library refuses then raises a
+    ConfigError naming the config path before any output exists."""
+    from .fiber import check_band_memory, fiber_basis
     from .lattice import make_kgrid
     num, exp = cfg.numerics, EXPERIMENTS[cfg.experiment]
     bound = exp.band_bound
@@ -441,6 +441,7 @@ def _preflight(cfg: RunConfig) -> None:
             fiber_basis(pot, num.cutoff)
         if bound == "n_bands":
             path = "numerics.kgrid"
+            check_band_memory(pot, num.kgrid, num.cutoff, num.n_bands)
             make_kgrid(lat, tuple(num.kgrid))
             path = "numerics.n_bands"
             fiber_basis(pot, num.cutoff, num.n_bands)

@@ -27,16 +27,25 @@ Vhat(-g) = conj(Vhat(g)) always holds.  solve_bands diagonalizes one point
 of each orbit of the grid and maps the result onto the others.  When every
 Vhat(g) is real (V even, as in all presets) H(k) is real symmetric and is
 assembled and diagonalized in real arithmetic.
+
+The representatives are solved in chunks of at most CHUNK_BYTES of
+matrices: each chunk is assembled, diagonalized and cut down to the stored
+window (n_bands + 1 eigenvalues, n_bands vectors) before the next one is
+built, so the matrices a solve holds at once do not grow with the grid.
+check_band_memory refuses a solve whose chunk working set and stored
+vectors would not fit, before anything is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import PeierlsError
 from .lattice import KGrid, Lattice, signed_permutations
+from .weyl import check_dense_memory
 
 __all__ = [
     "FourierPotential",
@@ -49,6 +58,7 @@ __all__ = [
     "fiber_symmetries",
     "kgrid_orbits",
     "solve_bands",
+    "check_band_memory",
     "check_gap",
     "tau_equivariance_check",
     "mathieu_potential",
@@ -57,6 +67,16 @@ __all__ = [
 
 DEGENERACY_TOL = 1e-9
 SYMMETRY_TOL = 1e-12    # Hermitian partners and Vhat under a symmetry agree to this
+# Bytes of fiber matrices solve_bands assembles and diagonalizes at once (one
+# matrix when a single one is larger).  Against 4 MiB, 2 MiB cut the flow-2d
+# benchmark's peak RSS further (-17% against -13%) but raised egorov-2d's by
+# 1.1 MB: freeing a smaller chunk leaves glibc's dynamic mmap threshold below
+# the 3.1 MB matrices of its N = 441 Egorov stage.
+CHUNK_BYTES = 4 * 2**20
+# chunks of matrices check_band_memory counts: tracemalloc sees two alive at
+# once in solve_bands (the assembled matrices and eigh's eigenvectors), and
+# one more covers what the allocator keeps of the freed ones
+_CHUNK_COPIES = 3
 
 
 class FiberError(PeierlsError, ValueError):
@@ -84,6 +104,11 @@ class FourierPotential:
                 raise FiberError(f"missing Hermitian partner for coefficient {n}")
             if abs(np.conj(self.coefficients[nm]) - v) > SYMMETRY_TOL:
                 raise FiberError(f"coefficient {n} breaks Hermitian symmetry")
+
+    @property
+    def even(self) -> bool:
+        """Every Vhat(g) is real (V is even): the fiber matrices are real."""
+        return not any(complex(v).imag for v in self.coefficients.values())
 
     @property
     def max_order(self) -> int:
@@ -213,7 +238,7 @@ def fiber_terms(potential: FourierPotential, basis: PlaneWaveBasis,
             f"cutoff {basis.cutoff} cannot contain potential support {potential.max_order}")
     n = np.array(list(potential.coefficients), dtype=int).reshape(-1, basis.lattice.dim)
     v = np.array([complex(c) for c in potential.coefficients.values()], dtype=complex)
-    real = not np.any(v.imag)
+    real = potential.even
     V = np.zeros((basis.size, basis.size), dtype=float if real else complex)
     # V[i, j] = Vhat(n) where offsets[i] - offsets[j] = n: for each n, row i
     # meets column index_of(offsets[i] - n) when that lies in the box
@@ -328,33 +353,62 @@ def kgrid_orbits(kgrid: KGrid, symmetries) -> tuple[np.ndarray, np.ndarray]:
     return rep, element
 
 
+def check_band_memory(potential: FourierPotential, shape, cutoff: int,
+                      n_bands: int) -> None:
+    """Refuse (DenseMemoryError) a solve_bands on a k-grid of this shape
+    whose working set would not fit: _CHUNK_COPIES chunks of fiber matrices
+    beside the stored vectors (n_bands, N, D) and the kinetic diagonals
+    (N, D).  Needs only the shape, so nothing grid-sized exists yet."""
+    D = (2 * cutoff + 1) ** potential.lattice.dim
+    N = math.prod(shape)
+    matrix = (8 if potential.even else 16) * D * D
+    chunk = min(max(CHUNK_BYTES // matrix, 1), N) * matrix
+    check_dense_memory(f"solve_bands at cutoff {cutoff}", tuple(shape),
+                       _CHUNK_COPIES * chunk + (16 * min(n_bands, D) + 8) * N * D)
+
+
 def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
                 n_bands: int) -> BandStructure:
     """Diagonalize the fiber family over the grid, eigenvalues ascending.
 
     The grid splits into orbits of the symmetry group of fiber_symmetries
     (kgrid_orbits: alpha M must land on a grid point without wrapping).
-    Only the representative of each orbit is diagonalized, in one batched
-    eigh; an image alpha_p = alpha_rep M gets bit-identical energies and
+    Only the representative of each orbit is diagonalized, in chunks of
+    CHUNK_BYTES of matrices, each cut down to the stored window before the
+    next is built (check_band_memory refuses first a solve that would not
+    fit); an image alpha_p = alpha_rep M gets bit-identical energies and
     guard energy and the vectors P_M u, or P_M conj(u) for a conj element.
     On potential_2d(v, w) over the square lattice the group is {+-I, +-S}
     with S the diagonal mirror, so a 15 x 15 centered grid needs 64
     diagonalizations.  The matrices are float64 when every Vhat(g) is real
     and complex128 otherwise; vectors are returned as complex128 either way.
     """
+    check_band_memory(potential, kgrid.shape, cutoff, n_bands)
     basis = fiber_basis(potential, cutoff, n_bands)
     N, D = kgrid.n_points, basis.size
     symmetries = fiber_symmetries(potential)
     rep, element = kgrid_orbits(kgrid, symmetries)
     solved = np.flatnonzero(rep == np.arange(N))
     V, kin = fiber_terms(potential, basis, kgrid.points[solved])
-    ham = np.broadcast_to(V, (solved.size, D, D)).copy()
-    ham[:, np.arange(D), np.arange(D)] += kin
-    evals, evecs = np.linalg.eigh(ham)
+    window = min(n_bands + 1, D)
+    evals = np.empty((solved.size, window))
+    vectors = np.empty((n_bands, N, D), dtype=complex)
+    step = max(CHUNK_BYTES // V.nbytes, 1)
+    diag = np.arange(D)
+    # one buffer serves every chunk: matrices allocated afresh per chunk
+    # mostly come from the heap, and what is freed there stays resident
+    chunk = np.empty((min(step, solved.size), D, D), dtype=V.dtype)
+    for start in range(0, solved.size, step):
+        part = slice(start, start + step)
+        ham = chunk[:len(kin[part])]
+        ham[...] = V
+        ham[:, diag, diag] += kin[part]
+        w, u = np.linalg.eigh(ham)
+        evals[part] = w[:, :window]
+        vectors[:, solved[part]] = np.transpose(u[:, :, :n_bands], (2, 0, 1))
+        del u      # freed before the next chunk is diagonalized
     row = np.searchsorted(solved, rep)
     energies = np.ascontiguousarray(evals[row, :n_bands].T)
-    vectors = np.empty((n_bands, N, D), dtype=complex)
-    vectors[:, solved] = np.transpose(evecs[:, :, :n_bands], (2, 0, 1))
     for s, (M, conj) in enumerate(symmetries[1:], start=1):
         images = np.flatnonzero(element == s)
         if images.size:
@@ -373,6 +427,10 @@ def check_gap(bands: BandStructure, index_set) -> float:
     """Infimum over the grid of the distance between the selected band family
     and the complementary spectrum.  Returns 0.0 when bands touch."""
     idx = sorted(int(i) for i in index_set)
+    if not idx:
+        raise FiberError("index set is empty")
+    if len(set(idx)) < len(idx):
+        raise FiberError(f"index set {idx} repeats a band")
     if idx != list(range(idx[0], idx[-1] + 1)):
         raise FiberError("index set must be contiguous")
     if idx[0] < 0 or idx[-1] >= bands.n_bands:

@@ -419,13 +419,21 @@ class Propagator:
         of e^{+i(t/eps)H} (all rows for idx None): ~2 m N^2 operations for
         m = len(idx) rows of an N x N problem, ~3 N^3 for all N.
         """
-        ph = np.exp(1j * (t / self.eps) * self.w)
-        Uh = self.U.conj().T
-        L = ((self.U if idx is None else self.U[idx]) * ph) @ Uh
-        return (L @ M) @ L.conj().T
+        ph = np.exp(-1j * (t / self.eps) * self.w)
+        # conj(L) = conj(U[idx]) e^{-i(t/eps)w} U^T needs no copy of U^dagger,
+        # and L^dagger = conj(L)^T is a view
+        L_conj = ((self.U if idx is None else self.U[idx]).conj() * ph) @ self.U.T
+        return (L_conj.conj() @ M) @ L_conj.T
 
 
 HERMITICITY_TOL = 1e-10  # largest Hermiticity defect propagate_reference accepts
+
+
+def _hermitian_part(h_op: QuantizedOperator) -> np.ndarray:
+    """(Op(h) + Op(h)^dagger) / 2, with one N x N temporary."""
+    M = h_op.matrix + h_op.matrix.conj().T
+    M *= 0.5
+    return M
 
 
 def propagate_reference(h_op: QuantizedOperator, field: EMFieldConfig,
@@ -435,16 +443,15 @@ def propagate_reference(h_op: QuantizedOperator, field: EMFieldConfig,
     defect = h_op.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise QuantumError(f"quantized Hamiltonian not Hermitian ({defect:.2e})")
-    M = 0.5 * (h_op.matrix + h_op.matrix.conj().T)
-    return Propagator.of(M, field.eps, h_op.grid.ns).apply(psi, t)
+    return Propagator.of(_hermitian_part(h_op), field.eps, h_op.grid.ns).apply(psi, t)
 
 
 def heisenberg_evolve(h_op: QuantizedOperator, f_op: QuantizedOperator,
                       field: EMFieldConfig, t: float, idx=None) -> np.ndarray:
     """e^{+i(t/eps)Op(h)} Op(f) e^{-i(t/eps)Op(h)}, or its (idx, idx) block
     (see Propagator.conjugate)."""
-    M = 0.5 * (h_op.matrix + h_op.matrix.conj().T)
-    return Propagator.of(M, field.eps, h_op.grid.ns).conjugate(f_op.matrix, t, idx)
+    return Propagator.of(_hermitian_part(h_op), field.eps,
+                         h_op.grid.ns).conjugate(f_op.matrix, t, idx)
 
 
 # -- Egorov-type error ------------------------------------------------------

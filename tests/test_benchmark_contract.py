@@ -6,7 +6,8 @@ module is loaded from its file and its own lookup (rebind, with an identity
 wrapper) is applied to every entry point.  Its right-hand side counter reads
 the momentum from the first positional argument of flow._rhs, which an RK4
 step is run to confirm.  perfbench/workloads.py runs egorov-2d through
-private CLI builders and quantum.egorov_error, which its smoke config runs.
+private CLI builders and quantum.egorov_error, and flow-2d through cli.run;
+both run here on their smoke configs.
 """
 
 import importlib
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -84,22 +86,43 @@ def _perfbench_files():
             if p.relative_to(PERFBENCH).parts[0] != "out"}
 
 
-def test_egorov_2d_workload_runs_on_its_smoke_config(tmp_path, monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, imported as the benchmark child imports it;
+    the test errors if it leaves a file under perfbench/ changed."""
     before = _perfbench_files()
     # workloads imports its sibling tracing as a top-level module
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     try:
         import workloads
-        assert workloads.config_path("egorov-2d", smoke=True) == \
-            PERFBENCH / "configs" / "smoke" / "egorov_2d.json"
-        cfg = workloads.load_config("egorov-2d", smoke=True)
-        report = workloads.run_egorov_2d(cfg, workloads.REFERENCE_SEED, tmp_path)
-        figures = workloads.figures("egorov-2d", tmp_path)
+        yield workloads
     finally:
         for name in ("workloads", "tracing"):
             sys.modules.pop(name, None)
+    assert _perfbench_files() == before
+
+
+def test_egorov_2d_workload_runs_on_its_smoke_config(tmp_path, workloads):
+    assert workloads.config_path("egorov-2d", smoke=True) == \
+        PERFBENCH / "configs" / "smoke" / "egorov_2d.json"
+    cfg = workloads.load_config("egorov-2d", smoke=True)
+    report = workloads.run_egorov_2d(cfg, workloads.REFERENCE_SEED, tmp_path)
+    figures = workloads.figures("egorov-2d", tmp_path)
     assert report["metrics"]["phases"] == [0.0, 0.0]
     assert report["passed"] and np.isfinite(figures["error"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["egorov.csv", "egorov_report.json"]
-    assert _perfbench_files() == before
+
+
+def test_flow_2d_workload_runs_on_its_smoke_config(tmp_path, workloads):
+    assert workloads.RUNNERS["flow-2d"] is workloads.run_cli
+    assert workloads.config_path("flow-2d", smoke=True) == \
+        PERFBENCH / "configs" / "smoke" / "flow_2d.json"
+    cfg = workloads.load_config("flow-2d", smoke=True)
+    report = workloads.run_cli(cfg, workloads.REFERENCE_SEED, tmp_path)
+    figures = workloads.figures("flow-2d", tmp_path)
+    assert report["passed"]
+    assert len(figures["distance"]) == len(cfg.numerics.eps_list)
+    assert np.all(np.isfinite(figures["distance"]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flow.csv", "flow.dat",
+                                                          "flow_report.json"]

@@ -671,17 +671,25 @@ def test_every_package_error_is_a_refusal():
         assert issubclass(cls, (ValueError, RuntimeError, MemoryError))
 
 
-@pytest.mark.parametrize("name", ["egorov_1d", "propagate_bloch"])
-def test_dense_runs_beyond_memory_exit_2_before_output(tmp_path, monkeypatch, capsys, name):
+@pytest.mark.parametrize("name, memory, key", [
+    ("egorov_1d", 2**20, "numerics.eps_list"),
+    ("propagate_bloch", 2**20, "numerics.eps_list"),
+    # the band solve on numerics.kgrid: 4.5 MiB of vectors on flow_2d, and
+    # 0.5 MiB of matrices and vectors on bands_mathieu
+    ("flow_2d", 2**20, "numerics.kgrid"),
+    ("bands_mathieu", 2**18, "numerics.kgrid"),
+], ids=["egorov_1d", "propagate_bloch", "flow_2d", "bands_mathieu"])
+def test_dense_runs_beyond_memory_exit_2_before_output(tmp_path, monkeypatch, capsys,
+                                                        name, memory, key):
     # the memory figure is faked: the whole-run estimate is refused before any output
     from peierls_lab import weyl
-    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"available memory": 2**20})
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"available memory": memory})
     path = ROOT / "configs" / f"{name}.json"
     experiment = parse_config(path.read_text()).experiment
     out = tmp_path / "o"
     assert main([experiment, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: numerics.eps_list: ")
+    assert err.startswith(f"config error: {key}: ")
     assert "GiB, more than the 0.0 GiB of available memory" in err
     assert not out.exists()
 

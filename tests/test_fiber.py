@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peierls_lab import fiber, weyl
 from peierls_lab.effective import BandData
 from peierls_lab.fiber import (BandStructure, FiberError, FourierPotential,
-                               PlaneWaveBasis, check_gap, fiber_matrix,
+                               PlaneWaveBasis, check_band_memory, check_gap,
+                               fiber_basis, fiber_matrix,
                                fiber_terms,
                                fiber_symmetries, kgrid_orbits,
                                mathieu_potential, potential_2d, solve_bands,
                                tau_equivariance_check)
 from peierls_lab.geometry import geometric_tensors
 from peierls_lab.lattice import Lattice, bz_coefficients, make_kgrid, wrap_to_bz
+from peierls_lab.weyl import DenseMemoryError
 
 LAT1 = Lattice.cubic(1)
 LAT2 = Lattice.cubic(2)
@@ -138,6 +143,17 @@ def test_check_gap_rejects_non_contiguous():
         check_gap(bands, [0, 2])
 
 
+@pytest.mark.parametrize("index_set, message", [
+    ([], "index set is empty"),
+    ([0, 0], r"index set \[0, 0\] repeats a band"),
+    ([1, 2, 1], r"index set \[1, 1, 2\] repeats a band"),
+])
+def test_check_gap_rejects_empty_or_repeated_index_sets(index_set, message):
+    bands = solve_bands(mathieu_potential(1.0), make_kgrid(LAT1, 8), 6, 4)
+    with pytest.raises(FiberError, match=message):
+        check_gap(bands, index_set)
+
+
 @pytest.mark.parametrize("n_bands", [0, -1])
 def test_solve_bands_rejects_n_bands_below_one(n_bands):
     with pytest.raises(FiberError):
@@ -215,17 +231,90 @@ def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands, n_group):
     (potential_2d(12, 2, Lattice.from_basis([[1.0, 0.0], [0.0, 1.3]])), 15, 113),
 ], ids=["15x15", "21x21", "s-breaking-15x15", "rectangular-15x15"])
 def test_solve_bands_diagonalizes_one_point_per_orbit(monkeypatch, pot, n, n_solved):
-    sizes = []
+    calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        sizes.append(a.shape[:-2])
+        calls.append(a)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     bands = solve_bands(pot, make_kgrid(pot.lattice, n), 5, 3)
-    assert sizes == [(n_solved,)]
+    assert sum(len(a) for a in calls) == n_solved
+    assert all(a.shape[1:] == (121, 121) and a.nbytes <= fiber.CHUNK_BYTES for a in calls)
     assert bands.energies.shape == (3, n * n)
+
+
+def batched_reference(pot, grid, cutoff, n_bands):
+    """The representatives, and all their eigenvalues and vectors from one
+    batched eigh over the stacked fiber matrices."""
+    basis = fiber_basis(pot, cutoff, n_bands)
+    rep, _ = kgrid_orbits(grid, fiber_symmetries(pot))
+    solved = np.flatnonzero(rep == np.arange(grid.n_points))
+    V, kin = fiber_terms(pot, basis, grid.points[solved])
+    ham = np.broadcast_to(V, (solved.size,) + V.shape).copy()
+    diag = np.arange(basis.size)
+    ham[:, diag, diag] += kin
+    evals, evecs = np.linalg.eigh(ham)
+    return solved, evals, evecs
+
+
+@pytest.mark.parametrize("pot, grid, cutoff", [
+    (potential_2d(12, 2), make_kgrid(LAT2, 15), 5),
+    (NON_EVEN_2D, make_kgrid(LAT2, 9), 4),
+    (CUBIC_3D, make_kgrid(LAT3, 4), 2),
+], ids=["real-15x15", "complex-9x9", "cubic-4x4x4"])
+def test_streamed_solve_is_bit_identical_to_one_batched_eigh(monkeypatch, pot, grid, cutoff):
+    n_bands = 3
+    solved, evals, evecs = batched_reference(pot, grid, cutoff, n_bands)
+    matrix = evecs[0].nbytes
+    assert solved.size > 3 and solved.size % 3
+    results = []
+    # one matrix per chunk, 3 (a ragged last chunk), all in one chunk
+    for chunk in (1, 3 * matrix, solved.size * matrix):
+        monkeypatch.setattr(fiber, "CHUNK_BYTES", chunk)
+        results.append(solve_bands(pot, grid, cutoff, n_bands))
+    for bands in results:
+        assert np.array_equal(bands.energies[:, solved], evals[:, :n_bands].T)
+        assert np.array_equal(bands.guard_energies[solved], evals[:, n_bands])
+        assert np.array_equal(bands.vectors[:, solved],
+                              np.transpose(evecs[:, :, :n_bands], (2, 0, 1)))
+        for name in ("energies", "guard_energies", "vectors"):
+            assert np.array_equal(getattr(bands, name), getattr(results[0], name))
+
+
+def test_solve_bands_holds_one_chunk_of_matrices_at_a_time():
+    # configs/flow_2d.json's band solve: 121 matrices of 225 x 225, 47 MiB
+    # when stacked at once
+    pot = potential_2d(12, 2)
+    grid = make_kgrid(LAT2, 21)
+    tracemalloc.start()
+    try:
+        bands = solve_bands(pot, grid, 7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = bands.energies.nbytes + bands.guard_energies.nbytes + bands.vectors.nbytes
+    assert peak < outputs + 3 * fiber.CHUNK_BYTES + 2**20
+
+
+def test_solve_bands_refuses_a_grid_beyond_memory_before_allocating(monkeypatch):
+    # the faked figure is above 3 chunks of matrices (12 MiB) and below them
+    # plus the 17 MiB of stored vectors, so the estimate must count both; a
+    # solve that is let through stays small enough to run
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"available memory": 2**24})
+    grid = make_kgrid(LAT2, 41)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseMemoryError, match=r"cutoff 7 on grid \(41, 41\)"):
+            solve_bands(potential_2d(12, 2), grid, 7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # 10^20 points overflow an int64 product of the shape
+    with pytest.raises(DenseMemoryError):
+        check_band_memory(potential_2d(12, 2), (10**10, 10**10), 7, 3)
 
 
 def direct_bands(pot, grid, cutoff, n_bands, rng):
