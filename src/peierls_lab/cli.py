@@ -8,12 +8,13 @@ Exit status: 0 when all checks hold, 1 on a violation or when the library
 refuses the run (the report then carries "refused"), 2 on config errors.
 
 The environment variable PEIERLS_LAB_THREADS (a positive integer; default
-the CPU count, and anything else exits 2) sets the worker threads: the
-butterfly's Chern-torus pool, and in `propagate` whether the flow oracle
-runs on a background thread beside the dense eigendecompositions (any
-value above 1) or inline.  Pin the BLAS threads (OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS, MKL_NUM_THREADS) so that workers x BLAS threads <= nproc.
-Each report records both under "threads"; the CSVs do not depend on them.
+the CPUs this process may run on, and anything else exits 2) sets the
+worker threads: the butterfly's Chern-torus pool, and in `propagate`
+whether the flow oracle runs on a background thread beside the dense
+eigendecompositions (any value above 1) or inline.  Pin the BLAS threads
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS) so that workers x
+BLAS threads <= nproc.  Each report records both under "threads"; the
+CSVs do not depend on them.
 """
 
 from __future__ import annotations
@@ -66,10 +67,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def n_workers() -> int:
-    """Worker count from PEIERLS_LAB_THREADS (a positive integer), or the
-    CPU count when it is unset or empty; anything else is a ConfigError."""
+    """Worker count from PEIERLS_LAB_THREADS (a positive integer), or, when
+    it is unset or empty, the CPUs this process may run on (its affinity
+    mask where the platform has one, else the CPU count); anything else is
+    a ConfigError."""
     env = os.environ.get(THREADS_VAR)
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return max(1, os.cpu_count() or 1)
     try:
         n = int(env)
@@ -295,10 +300,18 @@ def _pipeline_band(cfg: RunConfig):
 def _egorov_grids(cfg: RunConfig) -> list:
     """(grid, field) per eps_list entry: the n^d grid with n the odd number
     nearest macro_box / eps, and the field at the eps = macro_box / n it
-    realizes."""
+    realizes.  Two entries that realize one grid are refused (QuantumError):
+    the slope fit would count that grid twice (and with two entries, fit a
+    line through one point)."""
+    from .quantum import QuantumError
     from .weyl import PhaseSpaceGrid
-    d, L = cfg.lattice.dim, cfg.numerics.macro_box
-    ns = [int(round(L / eps)) | 1 for eps in cfg.numerics.eps_list]
+    d, L, eps_list = cfg.lattice.dim, cfg.numerics.macro_box, cfg.numerics.eps_list
+    ns = [int(round(L / eps)) | 1 for eps in eps_list]
+    # eps_list decreases, so equal grids are neighbors
+    for a, b, n, m in zip(eps_list, eps_list[1:], ns, ns[1:]):
+        if n == m:
+            raise QuantumError(f"eps {a!r} and {b!r} both realize the {n}-point grid "
+                               f"at macro_box {L!r}")
     return [(PhaseSpaceGrid.build((n,) * d, 1.0, eps=L / n), _build_field(cfg, d, L / n))
             for n in ns]
 
@@ -386,7 +399,8 @@ def _propagate_memory(cfg: RunConfig, lattice) -> None:
     check_limit_memory(lattice, cfg.numerics.eps_list, cfg.numerics.macro_box)
 
 
-# the whole-run estimates of the experiments with dense N x N steps
+# the whole-run estimates of the experiments that read macro_box: dense
+# N x N steps on n^d grids, n ~ macro_box / eps
 _MEMORY_CHECKS = {"egorov": _egorov_memory, "propagate": _propagate_memory}
 
 
@@ -421,34 +435,35 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
 
 
 def _preflight(cfg: RunConfig) -> None:
-    """Build the lattice, the potential and, for an experiment that solves
-    bands, the plane-wave basis; for one that solves them on numerics.kgrid,
-    check the band solve's memory estimate, then build the k-grid; build the
-    field of one that reads eps_list, and check a dense experiment's memory
-    estimate at every eps.  A config the library refuses then raises a
-    ConfigError naming the config path before any output exists."""
+    """Build the lattice and the potential, then what the run builds first
+    from the numerics keys its experiment reads: for kgrid, the band solve's
+    memory estimate (before anything grid- or basis-sized exists) and the
+    k-grid; for cutoff and n_bands, the plane-wave basis; for eps_list, the
+    field; for macro_box, the dense run's memory estimate at every eps.  A
+    config the library refuses then raises a ConfigError naming the config
+    path before any output exists."""
     from .fiber import check_band_memory, fiber_basis
     from .lattice import make_kgrid
-    num, exp = cfg.numerics, EXPERIMENTS[cfg.experiment]
-    bound = exp.band_bound
+    num, reads = cfg.numerics, EXPERIMENTS[cfg.experiment].reads
     path = "lattice.basis"      # parse_config keeps lattice.dim in {1, 2, 3}
     try:
         lat = _build_lattice(cfg)
         path = "potential.coefficients" if cfg.potential.coefficients else "potential.preset"
         pot = _build_potential(cfg, lat)
-        if bound is not None:
-            path = "numerics.cutoff"
-            fiber_basis(pot, num.cutoff)
-        if bound == "n_bands":
+        if "kgrid" in reads:
             path = "numerics.kgrid"
             check_band_memory(pot, num.kgrid, num.cutoff, num.n_bands)
             make_kgrid(lat, tuple(num.kgrid))
+        if "cutoff" in reads:
+            path = "numerics.cutoff"
+            fiber_basis(pot, num.cutoff)
+        if "n_bands" in reads:
             path = "numerics.n_bands"
             fiber_basis(pot, num.cutoff, num.n_bands)
-        if exp.n_eps:
+        if "eps_list" in reads:
             path = "field"
             _build_field(cfg, lat.dim, num.eps_list[0])
-        if cfg.experiment in _MEMORY_CHECKS:
+        if "macro_box" in reads:
             path = "numerics.eps_list"
             _MEMORY_CHECKS[cfg.experiment](cfg, lat)
     except PeierlsError as exc:

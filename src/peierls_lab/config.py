@@ -8,11 +8,13 @@ no default is required.  A nested spec is a nested object, so every
 attribute path is the JSON path (`cfg.field.phi.amplitude` reads
 `field.phi.amplitude`).  `parse_config` builds a RunConfig from these
 declarations and `serialize_config` writes one back with
-`dataclasses.asdict`; no key is listed anywhere else.
+`dataclasses.asdict`; no key is listed anywhere else, save the numerics
+keys each experiment reads, which EXPERIMENTS declares.
 
 Validation is strict: unknown keys are fatal (silent typos corrupt sweeps),
-missing required keys, wrong types and value violations are collected and
-reported with their field paths.
+and so is a numerics key the experiment does not read (EXPERIMENTS declares
+what each reads); missing required keys, wrong types and value violations
+are collected and reported with their field paths.
 """
 
 import collections
@@ -72,8 +74,9 @@ class NumericsSpec:
     eps_list: list = dataclasses.field(default_factory=lambda: [0.1, 0.05, 0.025])
     dt: float = 0.02
     t_final: float = 1.0
-    # unused: butterfly edges are exact and Chern labels pick their own
-    # grid; kept so configs that set it still parse
+    # retired: butterfly edges are exact and Chern labels pick their own
+    # grid, so no experiment reads it; kept, never checked, so that configs
+    # that set it still parse
     theta_resolution: int = 64
     q_max: int = 12
     chern_labels: bool = False
@@ -105,44 +108,53 @@ Check = collections.namedtuple("Check", "name metric key op dims", defaults=[ALL
 @dataclass(frozen=True)
 class Experiment:
     """What an experiment reads and checks: its Checks (two under one name
-    must both hold); the lattice.dim values it runs in, and why no other;
-    the bound on numerics.band_index: "n_bands" (n_bands bands are solved
-    on numerics.kgrid, which the CLI builds first), a number (that many are
-    solved on a grid of its own) or None (no band is solved, band_index and
-    cutoff are not read); how many eps_list entries it needs, 0 meaning
-    eps_list, dt and t_final are not read (a slope check needs two)."""
+    must both hold); the numerics keys its run reads, tolerances aside (the
+    checks declare those): parse_config range-checks these and refuses any
+    other that a config sets, and the CLI preflight builds from these only;
+    the lattice.dim values it runs in, and why no other; how many bands it
+    solves on a grid of its own, the bound on band_index when it reads
+    band_index but not n_bands; and the fewest eps_list entries it needs (a
+    slope check needs two)."""
     checks: tuple
+    reads: tuple
     dims: tuple = ALL_DIMS
     dims_reason: str = ""
-    band_bound: object = "n_bands"
+    own_bands: int = 0
     n_eps: int = 0
 
 
+# a band solve on numerics.kgrid, and the flows over eps_list that follow one
+_BAND_KEYS = ("cutoff", "kgrid", "n_bands", "band_index")
+_FLOW_KEYS = _BAND_KEYS + ("eps_list", "dt", "t_final")
+
 EXPERIMENTS = {
-    "bands": Experiment((Check("gap_above_min", "gap", "min_gap", ">="),)),
+    "bands": Experiment((Check("gap_above_min", "gap", "min_gap", ">="),), _BAND_KEYS),
     "geometry": Experiment((
         Check("chern_integral", "chern_integrality", "chern_tol", "<", (2, 3)),
         Check("zak_quantized", "zak_dist_to_0_pi", "zak_tol", "<", (1,)),
-        Check("gauge_invariant", "gauge_invariance_dev", "gauge_tol", "<"))),
+        Check("gauge_invariant", "gauge_invariance_dev", "gauge_tol", "<")), _BAND_KEYS),
     "butterfly": Experiment((
         Check("alpha_symmetry", "alpha_symmetry_dev", "symmetry_tol", "<"),),
-        band_bound=None),
+        ("q_max", "chern_labels")),
     # dense N x N operators on the n^d position grid (n ~ macro_box / eps):
     # a 3-D run at n = 9, then 13, was still going after 5 minutes at
     # 1.8 GB peak RSS on a 2-vCPU machine
     "egorov": Experiment((
         Check("slope", "slope", "slope_min", ">="),
         Check("error_within_eps2_budget", "error_per_eps2", "error_per_eps2", "<=")),
-        dims=(1, 2), n_eps=1,
+        _FLOW_KEYS + ("macro_box",), dims=(1, 2), n_eps=1,
         dims_reason="needs lattice.dim <= 2, the limit of its dense n^d x n^d operators"),
     "flow": Experiment((
         Check("slope", "slope", "slope_min", ">="),
         Check("slope", "slope", "slope_max", "<="),
-        Check("energy_drift", "energy_drift", "drift_tol", "<")), n_eps=2),
-    # quantum.semiclassical_limit_check is 1-D and solves quantum.LIMIT_BANDS = 3 bands
+        Check("energy_drift", "energy_drift", "drift_tol", "<")), _FLOW_KEYS, n_eps=2),
+    # quantum.semiclassical_limit_check is 1-D, solves quantum.LIMIT_BANDS = 3
+    # bands on the fiber grid of each box and steps its flow oracle by a dt
+    # of its own
     "propagate": Experiment((Check("slope_point", "slope_point", "slope_min", ">="),),
+                            ("cutoff", "band_index", "eps_list", "t_final", "macro_box"),
                             dims=(1,), dims_reason="needs lattice.dim == 1",
-                            band_bound=3, n_eps=2),
+                            own_bands=3, n_eps=2),
 }
 
 
@@ -199,9 +211,53 @@ def _nonfinite(node, path, problems):
         problems.append(f"{path}: must be finite")
 
 
-def _check(cfg: RunConfig, problems):
-    """Value ranges and cross-field rules of a built config; what the
-    experiment reads and checks comes from its EXPERIMENTS declaration."""
+def _at_least_one(value, num, exp):
+    return [] if value >= 1 else ["must be >= 1"]
+
+
+def _positive(value, num, exp):
+    return [] if value > 0 else ["must be a positive number"]
+
+
+def _kgrid(value, num, exp):
+    return [] if all(_is_a(n, int) and n >= 1 for n in value) else [
+        "entries must be positive integers"]
+
+
+def _band_index(value, num, exp):
+    own = "n_bands" not in exp.reads
+    bound = exp.own_bands if own else num.n_bands
+    return [] if 0 <= value < bound else ["must satisfy 0 <= band_index < " + (
+        str(bound) if own else f"numerics.n_bands ({bound})")]
+
+
+def _eps_list(value, num, exp):
+    # a slope is fit to two points or more
+    need = max([exp.n_eps] + [2 for c in exp.checks
+                              if c.key in num.tolerances and c.metric.startswith("slope")])
+    problems = []
+    if any(not _is_a(e, (int, float)) or e <= 0 for e in value):
+        problems.append("entries must be positive numbers")
+    elif any(b >= a for a, b in zip(value, value[1:])):
+        problems.append("must be strictly decreasing")
+    if len(value) < need:
+        problems.append("needs an entry" if need == 1 else
+                        "needs two or more entries to fit a slope")
+    return problems
+
+
+# the range rule of every numerics key an experiment can read, made when it
+# reads the key: rule(value, numerics, experiment) -> the value's problems
+_RULES = {"cutoff": _at_least_one, "kgrid": _kgrid, "n_bands": _at_least_one,
+          "band_index": _band_index, "eps_list": _eps_list, "dt": _positive,
+          "t_final": _positive, "q_max": _at_least_one,
+          "chern_labels": lambda value, num, exp: [], "macro_box": _positive}
+
+
+def _check(cfg: RunConfig, numerics_keys, problems):
+    """Value ranges and cross-field rules of a built config, numerics_keys
+    being the numerics keys its JSON sets; what the experiment reads and
+    checks comes from its EXPERIMENTS declaration."""
     exp, dim, num = EXPERIMENTS.get(cfg.experiment), cfg.lattice.dim, cfg.numerics
     if cfg.experiment is not None and exp is None:
         problems.append(f"experiment: must be one of {tuple(EXPERIMENTS)}")
@@ -229,16 +285,10 @@ def _check(cfg: RunConfig, problems):
             problems.append(f"{path}.n: must be a list of lattice.dim ({dim}) integers")
         problems.extend(f"{path}.{key}: must be a number" for key in ("re", "im")
                         if key in entry and not _is_a(entry[key], (int, float)))
-    if not all(_is_a(n, int) and n >= 1 for n in num.kgrid):
-        problems.append("numerics.kgrid: entries must be positive integers")
     if dim == 1 and cfg.field.b != 0:
         problems.append("field.b: must be 0 at lattice.dim 1, which has no magnetic field")
-    problems.extend(f"{path}: must be a positive number" for path, value in (
-        ("field.phi.period", cfg.field.phi.period), ("numerics.macro_box", num.macro_box))
-        if value <= 0)
-    for key, low in (("n_bands", 1), ("cutoff", 1), ("q_max", 1), ("theta_resolution", 2)):
-        if getattr(num, key) < low:
-            problems.append(f"numerics.{key}: must be >= {low}")
+    if cfg.field.phi.period <= 0:
+        problems.append("field.phi.period: must be a positive number")
     for name, value in num.tolerances.items():
         if not _is_a(value, (int, float)) or value <= 0:
             problems.append(f"numerics.tolerances.{name}: must be a positive number")
@@ -250,24 +300,12 @@ def _check(cfg: RunConfig, problems):
     problems.extend(f"numerics.tolerances.{name}: no check of experiment "
                     f"'{cfg.experiment}' reads it at lattice.dim {dim}; declared: {read}"
                     for name in num.tolerances if dim in ALL_DIMS and name not in read)
-    bound = num.n_bands if exp.band_bound == "n_bands" else exp.band_bound
-    if bound is not None and not 0 <= num.band_index < bound:
-        problems.append("numerics.band_index: must satisfy 0 <= band_index < " + (
-            f"numerics.n_bands ({bound})" if exp.band_bound == "n_bands" else str(bound)))
-    # a slope is fit to two points or more
-    need = max([exp.n_eps] + [2 for c in exp.checks
-                              if c.key in num.tolerances and c.metric.startswith("slope")])
-    if need:
-        problems.extend(f"numerics.{key}: must be a positive number"
-                        for key in ("dt", "t_final") if getattr(num, key) <= 0)
-        eps_list = num.eps_list
-        if any(not _is_a(e, (int, float)) or e <= 0 for e in eps_list):
-            problems.append("numerics.eps_list: entries must be positive numbers")
-        elif any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            problems.append("numerics.eps_list: must be strictly decreasing")
-        if len(eps_list) < need:
-            problems.append("numerics.eps_list: " + (
-                "needs an entry" if need == 1 else "needs two or more entries to fit a slope"))
+    for key in exp.reads:
+        problems.extend(f"numerics.{key}: {problem}"
+                        for problem in _RULES[key](getattr(num, key), num, exp))
+    problems.extend(f"numerics.{key}: experiment '{cfg.experiment}' does not read it; "
+                    f"reads: {list(exp.reads)}"
+                    for key in numerics_keys if key in _RULES and key not in exp.reads)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -282,7 +320,8 @@ def parse_config(text: str) -> RunConfig:
     problems = []
     cfg = _build(RunConfig, raw, "", problems)
     _nonfinite(raw, "", problems)
-    _check(cfg, problems)
+    numerics = raw.get("numerics")
+    _check(cfg, list(numerics) if isinstance(numerics, dict) else [], problems)
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -290,9 +329,12 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """The config as sorted, indented JSON, with every field written out
-    except an unset lattice basis or potential coefficient list."""
+    except an unset lattice basis or potential coefficient list and the
+    numerics keys the experiment does not read (which parse_config refuses)."""
     obj = dataclasses.asdict(cfg)
     for section, key in (("lattice", "basis"), ("potential", "coefficients")):
         if not obj[section][key]:
             del obj[section][key]
+    reads = EXPERIMENTS[cfg.experiment].reads + ("tolerances",)
+    obj["numerics"] = {key: obj["numerics"][key] for key in reads}
     return json.dumps(obj, indent=2, sort_keys=True)

@@ -11,7 +11,8 @@ import pytest
 import peierls_lab
 from peierls_lab import cli
 from peierls_lab.cli import emit_plotdata, main, n_workers, run, write_csv
-from peierls_lab.config import ConfigError, RunConfig, parse_config, serialize_config
+from peierls_lab.config import (EXPERIMENTS, ConfigError, NumericsSpec, RunConfig,
+                                parse_config, serialize_config)
 
 MINIMAL_BANDS = """
 {
@@ -61,11 +62,18 @@ def test_n_bands_below_one_rejected_with_path(n_bands):
 
 
 def test_empty_butterfly_sweep_rejected_with_paths():
+    # theta_resolution is retired: accepted whatever its value, never checked
     with pytest.raises(ConfigError) as exc:
         parse_config('{"experiment": "butterfly", '
                      '"numerics": {"q_max": 0, "theta_resolution": -4}}')
-    assert "numerics.q_max: must be >= 1" in exc.value.problems
-    assert "numerics.theta_resolution: must be >= 2" in exc.value.problems
+    assert exc.value.problems == ["numerics.q_max: must be >= 1"]
+
+
+@pytest.mark.parametrize("experiment", ["bands", "butterfly", "propagate"])
+def test_retired_theta_resolution_still_parses(experiment):
+    cfg = parse_config('{"experiment": "%s", "numerics": {"theta_resolution": 1}}'
+                       % experiment)
+    assert cfg.numerics.theta_resolution == 1
 
 
 @pytest.mark.parametrize("path,numerics", [
@@ -244,21 +252,27 @@ def test_shipped_configs_parse(path):
 
 def test_serialized_defaults_cover_every_spec_field():
     # each spec field appears under its JSON path with its declared default,
-    # so no second key list can drift from the dataclasses
-    def walk(cls, node, path):
+    # so no second key list can drift from the dataclasses; of the numerics,
+    # the keys the experiment reads and the tolerances
+    def walk(cls, node, path, experiment):
         fields = dataclasses.fields(cls)
-        assert set(node) == {f.name for f in fields} - {"basis", "coefficients"}, path
+        names = {f.name for f in fields} - {"basis", "coefficients"}
+        if cls is NumericsSpec:
+            names = set(EXPERIMENTS[experiment].reads) | {"tolerances"}
+        assert set(node) == names, path
         for f in fields:
             if dataclasses.is_dataclass(f.type):
-                walk(f.type, node[f.name], f"{path}{f.name}.")
+                walk(f.type, node[f.name], f"{path}{f.name}.", experiment)
             elif f.name in node and f.name != "experiment":
                 default = (f.default if f.default_factory is dataclasses.MISSING
                            else f.default_factory())
                 assert node[f.name] == default, path + f.name
 
-    obj = json.loads(serialize_config(parse_config('{"experiment": "bands"}')))
-    assert obj["experiment"] == "bands"
-    walk(RunConfig, obj, "")
+    for experiment in EXPERIMENTS:
+        cfg = parse_config('{"experiment": "%s"}' % experiment)
+        obj = json.loads(serialize_config(cfg))
+        assert obj["experiment"] == experiment
+        walk(RunConfig, obj, "", experiment)
 
 
 @pytest.mark.parametrize("name", ["geometry_3d", "flow_3d"])
@@ -304,6 +318,7 @@ REFUSED_BEFORE_OUTPUT = [
     # coefficient entries and kgrid entries are checked by parse_config
     ("bands", '"potential": {"coefficients": [{"re": 0.5}]}',
      "potential.coefficients[0].n"),
+    # or refused where the experiment does not read them
     ("butterfly", '"numerics": {"kgrid": [8.7]}', "numerics.kgrid"),
     ("propagate", '"numerics": {"kgrid": ["a"]}', "numerics.kgrid"),
     # a slope fit needs two points
@@ -344,10 +359,9 @@ def test_refused_configs_exit_2_before_output(tmp_path, capsys, experiment, sect
 @pytest.mark.parametrize("experiment,numerics,path", [
     ("flow", '"dt": -0.004', "numerics.dt"),
     ("egorov", '"t_final": 0', "numerics.t_final"),
-    ("propagate", '"dt": 0', "numerics.dt"),
     ("geometry", '"band_index": -1', "numerics.band_index"),
     ("bands", '"band_index": 4', "numerics.band_index"),
-    ("butterfly", '"cutoff": 0', "numerics.cutoff"),
+    ("bands", '"kgrid": [8.7]', "numerics.kgrid"),
     ("egorov", '"eps_list": []', "numerics.eps_list"),
     ("egorov", '"macro_box": -1', "numerics.macro_box"),
     ("propagate", '"macro_box": 0', "numerics.macro_box")])
@@ -355,6 +369,22 @@ def test_numerics_out_of_range_rejected(experiment, numerics, path):
     with pytest.raises(ConfigError) as exc:
         parse_config('{"experiment": "%s", "numerics": {%s}}' % (experiment, numerics))
     assert [p for p in exc.value.problems if p.startswith(path + ":")]
+
+
+@pytest.mark.parametrize("experiment,numerics,path", [
+    ("butterfly", '"cutoff": 0', "numerics.cutoff"),
+    ("propagate", '"dt": 0', "numerics.dt"),
+    ("flow", '"macro_box": 4.0', "numerics.macro_box"),
+    ("propagate", '"kgrid": [64]', "numerics.kgrid"),
+    ("propagate", '"n_bands": 3', "numerics.n_bands"),
+    ("butterfly", '"band_index": 0', "numerics.band_index")])
+def test_unread_numerics_keys_rejected(experiment, numerics, path):
+    # refused whatever the value, which is not range-checked
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"experiment": "%s", "numerics": {%s}}' % (experiment, numerics))
+    assert exc.value.problems == [
+        f"{path}: experiment '{experiment}' does not read it; "
+        f"reads: {list(EXPERIMENTS[experiment].reads)}"]
 
 
 def test_potential_coefficient_entries_checked():
@@ -471,7 +501,14 @@ def test_bad_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys, value
     assert not out.exists()
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return max(1, os.cpu_count() or 1)
+
+
 def test_thread_count_defaults_to_cpu_count(monkeypatch):
+    # the CPUs this process may run on
     monkeypatch.setenv("PEIERLS_LAB_THREADS", "3")
     assert n_workers() == 3
     for unset in ("", None):
@@ -479,7 +516,19 @@ def test_thread_count_defaults_to_cpu_count(monkeypatch):
             monkeypatch.delenv("PEIERLS_LAB_THREADS")
         else:
             monkeypatch.setenv("PEIERLS_LAB_THREADS", unset)
-        assert n_workers() == max(1, os.cpu_count() or 1)
+        assert n_workers() == _usable_cpus()
+
+
+def test_thread_count_default_follows_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU of a larger machine gets one worker
+    monkeypatch.delenv("PEIERLS_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert n_workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
+    assert n_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert n_workers() == 8
 
 
 def test_package_imports_load_no_scipy():
@@ -691,6 +740,45 @@ def test_dense_runs_beyond_memory_exit_2_before_output(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ")
     assert "GiB, more than the 0.0 GiB of available memory" in err
+    assert not out.exists()
+
+
+def test_band_memory_refused_before_the_basis_is_built(tmp_path, capsys):
+    # at cutoff 40 in 3-D the plane-wave coefficient box alone is 24 MiB
+    # (D = 81^3), and one fiber matrix 2 TB: the estimate comes first
+    import tracemalloc
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"experiment": "bands", "lattice": {"dim": 3}, '
+                        '"potential": {"preset": "free"}, '
+                        '"numerics": {"cutoff": 40, "kgrid": [4, 4, 4]}}')
+    out = tmp_path / "o"
+    argv = ["bands", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 2      # imports everything the traced call needs
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("config error: numerics.kgrid: ")
+    assert not out.exists()
+
+
+def test_repeated_egorov_grids_exit_2_before_output(tmp_path, capsys):
+    # both eps realize n = 129: two equal rows, and a slope fit to one point
+    from peierls_lab.quantum import QuantumError
+    text = ('{"experiment": "egorov", '
+            '"numerics": {"eps_list": [0.1, 0.0999, 0.05], "macro_box": 12.9}}')
+    message = "eps 0.1 and 0.0999 both realize the 129-point grid at macro_box 12.9"
+    with pytest.raises(QuantumError, match=message):
+        cli._egorov_grids(parse_config(text))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["egorov", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: numerics.eps_list: {message}\n"
     assert not out.exists()
 
 
