@@ -316,12 +316,6 @@ def _egorov_grids(cfg: RunConfig) -> list:
             for n in ns]
 
 
-def _egorov_flow_shape(grid):
-    """The flow grid of an egorov run: 17 points per axis on a 2-D grid finer
-    than 33, else the grid itself (None)."""
-    return (17,) * grid.dim if grid.dim == 2 and grid.ns[0] > 33 else None
-
-
 def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     from .effective import EffectiveHamiltonian
     from .quantum import egorov_error
@@ -334,8 +328,7 @@ def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     ns = [grid.ns[0] for grid, _ in grids]
     eps_used = [grid.eps for grid, _ in grids]
     errors = [egorov_error(f_obs, EffectiveHamiltonian(band, fld), grid, fld,
-                           t=cfg.numerics.t_final, dt=cfg.numerics.dt,
-                           flow_shape=_egorov_flow_shape(grid))
+                           t=cfg.numerics.t_final, dt=cfg.numerics.dt)
               for grid, fld in grids]
     # one point fixes no slope (parse_config requires two for slope_min)
     slope = (float(np.polyfit(np.log(eps_used), np.log(errors), 1)[0])
@@ -391,7 +384,7 @@ _COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
 def _egorov_memory(cfg: RunConfig, lattice) -> None:
     from .quantum import check_egorov_memory
     for grid, fld in _egorov_grids(cfg):
-        check_egorov_memory(grid, fld, _egorov_flow_shape(grid))
+        check_egorov_memory(grid, fld)
 
 
 def _propagate_memory(cfg: RunConfig, lattice) -> None:

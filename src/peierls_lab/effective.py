@@ -248,12 +248,6 @@ class EffectiveHamiltonian:
             out = out - self.field.lam * _contract(pair_weights(self.field.B(r)), _coupling(b))
         return out
 
-    def h0(self, k, r) -> np.ndarray:
-        return self.band.at(k).E + self.field.phi(_as_points(r, self.dim))
-
-    def h1(self, k, r) -> np.ndarray:
-        return self._h1(self.band.at(k), _as_points(r, self.dim))
-
     def value(self, k, r) -> np.ndarray:
         """h at momenta k (..., d) and positions r (..., d).
 

@@ -177,13 +177,14 @@ class EMFieldConfig:
 
     @classmethod
     def zero(cls, dim: int, eps: float, **potential) -> "EMFieldConfig":
-        """No magnetic field.  Each constructor passes its keyword arguments
-        `potential` (phi, grad_phi, grad_hess_phi) on to the field; those
-        left out give phi = 0."""
+        """No magnetic field: lam = 0 and A = 0, the symmetric gauge of B = 0.
+        Each constructor passes its keyword arguments `potential` (phi,
+        grad_phi, grad_hess_phi) on to the field; those left out give
+        phi = 0."""
         B = np.zeros((dim, dim))
         return cls(eps=eps, lam=0.0, dim=dim,
                    bfield=B, vector_potential=lambda r: np.zeros(np.shape(r)),
-                   gauge="zero", **potential)
+                   gauge="symmetric", **potential)
 
     @classmethod
     def constant(cls, dim: int, b: float, eps: float, lam: float = 1.0,
@@ -259,8 +260,6 @@ class EMFieldConfig:
         start, stop = np.broadcast_arrays(np.asarray(start, dtype=float),
                                           np.asarray(stop, dtype=float))
         delta = stop - start
-        if self.gauge in ("zero",):
-            return np.zeros(start.shape[:-1])
         if self.gauge in LINEAR_GAUGES:
             mid = 0.5 * self.eps * (start + stop)
             return np.einsum("...j,...j->...", self.A(mid), delta)

@@ -1,6 +1,7 @@
 """Quantum propagation harnesses: discrete Zak transform, band projection,
 reference propagation of quantized effective Hamiltonians, and the
-Egorov-type and semiclassical-limit error measurements.
+Egorov-type (on a flow grid picked by measurement) and semiclassical-limit
+error measurements.
 
 Propagators are built by exact eigendecomposition of dense Hermitian
 matrices (no splitting error), and all time conventions are macroscopic:
@@ -32,8 +33,8 @@ from .flow import _rk4_run
 from .geometry import fix_gauge
 from .lattice import Lattice, make_kgrid, signed_permutations
 from .weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid, QuantizedOperator,
-                   _table_bytes, check_dense_memory, operator_norm, quantize,
-                   resample_periodic, sample_broadcast)
+                   _table_bytes, _tail_fraction, check_dense_memory, operator_norm,
+                   quantize, resample_periodic, sample_broadcast)
 
 __all__ = [
     "RealSpaceBox",
@@ -461,12 +462,22 @@ def heisenberg_evolve(h_op: QuantizedOperator, f_op: QuantizedOperator,
 # sample of the resample, from tracemalloc at N = 129, 441 and 343 in 1D, 2D
 # and 3D (constant field, band spline): 240, 568 and 1016 per trajectory, 53.
 _FLOW_BYTES, _RESAMPLE_BYTES = 384, 64
+FLOW_TAIL_TOL = 1e-8    # largest spectral tail fraction of an accepted flow grid
 
 
 def _flow_bytes(grid: PhaseSpaceGrid, flow_shape) -> int:
-    """flowed_symbol's estimated peak bytes on grid, with flow_shape as there."""
-    M = grid.n_points if flow_shape is None else int(np.prod(flow_shape))
+    """flowed_symbol's estimated peak bytes on grid for one flow grid."""
+    M = int(np.prod(flow_shape))
     return _FLOW_BYTES * grid.dim * M * M + _RESAMPLE_BYTES * grid.n_points ** 2
+
+
+def _flow_values(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
+                 t: float, dt: float, j: np.ndarray) -> np.ndarray:
+    """func at Phi_t of the points at fractional grid indices j (P, X then k)."""
+    d, ns, h = grid.dim, np.array(grid.ns), np.array(grid.h)
+    k_t, r_t = _rk4_run(2 * np.pi * j[:, d:] / (ns * h), grid.eps * (j[:, :d] * h),
+                        model, field, None, t, dt, record=False)
+    return np.asarray(func(k_t, r_t), dtype=complex)
 
 
 def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
@@ -474,39 +485,45 @@ def flowed_symbol(func, grid: PhaseSpaceGrid, model, field: EMFieldConfig,
     """Samples of f o Phi_t (magnetic flow of the model Hamiltonian) on the
     phase-space grid.
 
-    func(k, r) takes (..., d) arrays.  Trajectories start on the same box
-    sampled at flow_shape points per axis, or on the grid itself; a flow
-    grid of its own is resampled trigonometrically onto the full one (valid
-    for smooth periodic data).
+    func(k, r) takes (..., d) arrays.  Trajectories start on a flow grid of
+    the same box, which checks its memory first.  flow_shape None climbs from
+    5 points per axis by the smallest odd m >= m 2^(1/d), capped at each n,
+    to the first flow grid whose samples' spectral tail fraction is at most
+    FLOW_TAIL_TOL and whose trigonometric resample matches f o Phi_t at 64
+    probe points to that energy fraction (aliasing leaves no tail), or to
+    the grid itself, not resampled.  An explicit flow_shape is resampled.
     """
-    d = grid.dim
-    ms = grid.ns if flow_shape is None else tuple(flow_shape)
-    check_dense_memory("flowed_symbol", grid.ns, _flow_bytes(grid, flow_shape))
-    # fractional fine-grid indices, the grid's own at m = n: the axes then
-    # repeat PhaseSpaceGrid.X_axis and xi_axis to the bit
-    j = [np.arange(m) * (n / m) - (n - 1) // 2 for n, m in zip(grid.ns, ms)]
-    axes = [grid.eps * (jl * h) for jl, h in zip(j, grid.h)] + \
-        [2 * np.pi * jl / (n * h) for jl, n, h in zip(j, grid.ns, grid.h)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack(mesh[:d], axis=-1).reshape(-1, d)
-    K = np.stack(mesh[d:], axis=-1).reshape(-1, d)
-    k_t, r_t = _rk4_run(K, X, model, field, None, t, dt, record=False)
-    vals = np.asarray(func(k_t, r_t), dtype=complex).reshape(ms + ms)
-    if flow_shape is not None:
-        vals = resample_periodic(vals, grid.ns + grid.ns)
-    return GridSymbol(grid=grid, samples=vals)
+    d, ns2, m = grid.dim, grid.ns + grid.ns, 5
+    while True:
+        ms = tuple(min(m, n) for n in grid.ns) if flow_shape is None else tuple(flow_shape)
+        check_dense_memory("flowed_symbol", grid.ns, _flow_bytes(grid, ms))
+        # fractional fine-grid indices, the grid's own at m = n
+        axes = [np.arange(m) * (n / m) - (n - 1) // 2 for n, m in zip(ns2, ms + ms)]
+        j = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * d)
+        vals = _flow_values(func, grid, model, field, t, dt, j).reshape(ms + ms)
+        if flow_shape is not None:
+            return GridSymbol(grid=grid, samples=resample_periodic(vals, ns2))
+        if ms == grid.ns:
+            return GridSymbol(grid=grid, samples=vals)
+        if _tail_fraction(np.fft.fftn(vals)) <= FLOW_TAIL_TOL:
+            full = resample_periodic(vals, ns2)
+            idx = np.random.default_rng(0).integers(0, ns2, (64, 2 * d))
+            miss = full[tuple(idx.T)] - _flow_values(func, grid, model, field, t, dt,
+                                                     idx - (np.array(ns2) - 1) // 2)
+            if np.mean(abs(miss) ** 2) <= FLOW_TAIL_TOL * np.mean(abs(vals) ** 2):
+                return GridSymbol(grid=grid, samples=full)
+        m = int(np.ceil(m * 2 ** (1 / d))) | 1
 
 
-def check_egorov_memory(grid: PhaseSpaceGrid, field: EMFieldConfig,
-                        flow_shape=None) -> None:
-    """Refuse (DenseMemoryError) an egorov_error (flow_shape as there) whose
-    steps would not fit.  Op(h) and Op(f) stay alive to its end, beside the
-    largest of a quantize (its table build included), the Heisenberg
-    eigensolve of the Hermitian part of Op(h) and the flowed_symbol."""
-    N = grid.n_points
+def check_egorov_memory(grid: PhaseSpaceGrid, field: EMFieldConfig) -> None:
+    """Refuse (DenseMemoryError) an egorov_error whose dense steps would not
+    fit: Op(h), Op(f) and the interior block of Op(f o Phi_t) beside the
+    largest of a quantize (its table build included) and the Heisenberg
+    eigensolve of the Hermitian part of Op(h).  Its flow runs before them,
+    and flowed_symbol checks each flow grid before it integrates it."""
+    N, W = grid.n_points, len(grid.interior_indices())
     step = max(_QUANTIZE_BYTES, _table_bytes(grid.dim, field), 16 * (1 + _EIGH_COPIES))
-    check_dense_memory("egorov_error", grid.ns,
-                       2 * 16 * N * N + max(step * N * N, _flow_bytes(grid, flow_shape)))
+    check_dense_memory("egorov_error", grid.ns, (2 * 16 + step) * N * N + 16 * W * W)
 
 
 def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
@@ -519,14 +536,13 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     grid.phase_points() (see weyl.sample_broadcast), so f_func(k, r) must
     broadcast k against r.
 
-    The whole run's memory is checked first (check_egorov_memory), and the
-    integrator budget by a step-halving probe on a trajectory subsample
-    before the norm is computed.
+    The dense steps' memory is checked first (check_egorov_memory), and the
+    integrator budget by a step-halving probe on a trajectory subsample.
+    f o Phi_t is sampled (flowed_symbol, flow_shape as there) before Op(h)
+    and Op(f) exist.
     """
     d = grid.dim
-    check_egorov_memory(grid, field, flow_shape)
-    h_op = quantize(sample_broadcast(heff.value, grid), field, assume_bandlimited=True)
-    f_op = quantize(sample_broadcast(f_func, grid), field, assume_bandlimited=True)
+    check_egorov_memory(grid, field)
     # integrator sanity on a small probe batch
     rng = np.random.default_rng(0)
     kp = rng.uniform(-np.pi, np.pi, (16, d))
@@ -539,10 +555,12 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
         raise QuantumError(
             f"integrator budget violation: halving probe {probe:.2e} vs eps^2 scale")
     iw = grid.interior_indices()
+    target = quantize(flowed_symbol(f_func, grid, heff, field, t, dt, flow_shape=flow_shape),
+                      field, assume_bandlimited=True).matrix[np.ix_(iw, iw)]
+    h_op = quantize(sample_broadcast(heff.value, grid), field, assume_bandlimited=True)
+    f_op = quantize(sample_broadcast(f_func, grid), field, assume_bandlimited=True)
     evolved = heisenberg_evolve(h_op, f_op, field, t, iw)
-    flowed = flowed_symbol(f_func, grid, heff, field, t, dt, flow_shape=flow_shape)
-    target = quantize(flowed, field, assume_bandlimited=True)
-    return operator_norm(evolved - target.matrix[np.ix_(iw, iw)])
+    return operator_norm(evolved - target)
 
 
 # -- semiclassical limit at the level of expectation values ----------------

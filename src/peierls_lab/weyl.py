@@ -263,7 +263,6 @@ def sample_broadcast(func, grid: PhaseSpaceGrid) -> GridSymbol:
 class QuantizedOperator:
     grid: PhaseSpaceGrid
     matrix: np.ndarray
-    provenance: dict
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
@@ -300,7 +299,7 @@ def _table_bytes(d: int, field: EMFieldConfig) -> int:
     arrays along its line integral (152 / 264 measured in 2D / 3D for a
     position-dependent B that allocates one such array per call)."""
     gather = 26 if d == 1 else 10
-    if field.lam == 0.0 or field.gauge == "zero":
+    if field.lam == 0.0:
         return gather
     if field.gauge in LINEAR_GAUGES:
         return gather + 18
@@ -376,7 +375,7 @@ def _quantizer_tables(grid: PhaseSpaceGrid, field: EMFieldConfig) -> _QuantizerT
         table = (((a + b) * ((n + 1) // 2)) % n * N + (b - a) % n) * stride
         gather = gather + table.reshape(_pair_shape(ns, l, l))
     weight = None
-    if field.lam != 0.0 and field.gauge != "zero":
+    if field.lam != 0.0:
         if field.gauge in LINEAR_GAUGES:
             weight = _linear_phase(grid, field)
         else:
@@ -429,9 +428,7 @@ def quantize(symbol: GridSymbol, field: EMFieldConfig,
     del F
     if tables.weight is not None:
         M *= tables.weight
-    return QuantizedOperator(grid=grid, matrix=M,
-                             provenance={"eps": field.eps, "lam": field.lam,
-                                         "gauge": field.gauge})
+    return QuantizedOperator(grid=grid, matrix=M)
 
 
 def dequantize(op: QuantizedOperator, field: EMFieldConfig) -> GridSymbol:
@@ -462,8 +459,7 @@ def exact_product(f: GridSymbol, g: GridSymbol, field: EMFieldConfig,
     check_dense_memory("exact_product", f.grid.ns, (32 + _QUANTIZE_BYTES) * N * N)
     Mf = quantize(f, field, assume_bandlimited=assume_bandlimited)
     Mg = quantize(g, field, assume_bandlimited=assume_bandlimited)
-    prod = QuantizedOperator(grid=f.grid, matrix=Mf.matrix @ Mg.matrix,
-                             provenance=Mf.provenance)
+    prod = QuantizedOperator(grid=f.grid, matrix=Mf.matrix @ Mg.matrix)
     return dequantize(prod, field)
 
 
@@ -545,8 +541,7 @@ def position_operator(grid: PhaseSpaceGrid, axis: int) -> QuantizedOperator:
     check_dense_memory("position_operator", grid.ns, 16 * N * N)
     matrix = np.zeros((N, N), dtype=complex)
     matrix.flat[::N + 1] = grid.eps * grid.points_micro()[:, axis]
-    return QuantizedOperator(grid=grid, matrix=matrix,
-                             provenance={"symbol": f"X_{axis}"})
+    return QuantizedOperator(grid=grid, matrix=matrix)
 
 
 def momentum_operator(grid: PhaseSpaceGrid, field: EMFieldConfig,

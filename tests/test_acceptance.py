@@ -210,8 +210,7 @@ def test_criterion_6_egorov_scaling(mathieu_band, tb_band_2d):
         heff = EffectiveHamiltonian(band2, fld)
         grid = PhaseSpaceGrid.build((n, n), 1.0, eps=eps)
         f = lambda k, r: np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 1] / L2)
-        errs2.append(egorov_error(f, heff, grid, fld, t=1.0, dt=0.02,
-                                  flow_shape=(13, 13)))
+        errs2.append(egorov_error(f, heff, grid, fld, t=1.0, dt=0.02))
     # eps pairs are set by odd grids; rescale the measured ratio to a halving
     ratio2 = (errs2[0] / errs2[1]) * (0.25 / ((21 / 43) ** 2))
     dt = time.time() - t0

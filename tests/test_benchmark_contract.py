@@ -7,7 +7,8 @@ wrapper) is applied to every entry point.  Its right-hand side counter reads
 the momentum from the first positional argument of flow._rhs, which an RK4
 step is run to confirm.  perfbench/workloads.py runs egorov-2d through
 private CLI builders and quantum.egorov_error, and flow-2d through cli.run;
-both run here on their smoke configs.
+both run here on their smoke configs, and the smoke egorov-2d still
+resamples its flow grid, which the benchmark's coverage gate requires.
 """
 
 import importlib
@@ -112,6 +113,33 @@ def test_egorov_2d_workload_runs_on_its_smoke_config(tmp_path, workloads):
     assert report["metrics"]["phases"] == [0.0, 0.0]
     assert report["passed"] and np.isfinite(figures["error"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["egorov.csv", "egorov_report.json"]
+
+
+def test_egorov_2d_smoke_still_resamples_its_flow_grid(tmp_path, workloads):
+    """The smoke egorov-2d (n = 7) passes an explicit 7 x 7 flow grid, the
+    grid itself.  An explicit flow grid is always resampled, so the run
+    still drives weyl.resample_s, which the smoke coverage gate requires on
+    egorov-2d."""
+    from peierls_lab import weyl
+    calls = []
+
+    def count(fn):
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return fn(*args, **kwargs)
+        return counting
+
+    original = weyl.resample_periodic
+    workloads.tracing.rebind("weyl", "resample_periodic", count)
+    try:
+        workloads.run_egorov_2d(workloads.load_config("egorov-2d", smoke=True),
+                                workloads.REFERENCE_SEED, tmp_path)
+    finally:
+        workloads.tracing.rebind("weyl", "resample_periodic", lambda fn: original)
+    assert weyl.resample_periodic is original
+    assert calls == [(7,) * 4]
+    assert "weyl.resample_s" in workloads.tracing.DRIVEN_ON
+    assert "egorov-2d" in workloads.tracing.DRIVEN_ON["weyl.resample_s"]
 
 
 def test_flow_2d_workload_runs_on_its_smoke_config(tmp_path, workloads):

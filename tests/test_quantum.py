@@ -271,38 +271,84 @@ def test_dense_runs_refuse_at_entry_beyond_memory(monkeypatch):
                                   0, [0.08, 0.04, 0.02], t=1.0)
 
 
+def _recording_flow_grids(monkeypatch):
+    """Each trajectory batch quantum._rk4_run integrates, in call order: the
+    points per axis, (X_1.., X_d, k_1.., k_d), of a flow grid, and the
+    number of starts of any other batch.  In egorov_error the first two are
+    the step-halving probe's 16 random starts; a flow grid that passes its
+    tail test is followed by flowed_symbol's 64 probe points."""
+    seen = []
+    rk4 = quantum._rk4_run
+
+    def recording(K, X, *args, **kwargs):
+        shape = tuple(len(np.unique(c)) for c in np.hstack([X, K]).T)
+        seen.append(shape if np.prod(shape) == len(K) else len(K))
+        return rk4(K, X, *args, **kwargs)
+    monkeypatch.setattr(quantum, "_rk4_run", recording)
+    return seen
+
+
 def test_egorov_counts_its_flow_at_entry(monkeypatch):
-    # 1-D flows run on the full grid: N^2 trajectories at 384 bytes each, plus
-    # 64 per N^2 sample, need more than Op(h), Op(f) and the dense steps (208
-    # per N^2 entry); a memory figure between the two is refused at entry
+    # egorov_error counts its first flow grid and its dense steps at entry
+    # (Op(h), Op(f) and a quantize, 208 per N^2 entry, plus the interior
+    # block of Op(f o Phi_t)); flowed_symbol runs before anything is
+    # quantized and refuses each larger flow grid before it integrates it.
+    # On the 1-D grid itself the flow, 384 bytes per trajectory plus 64 per
+    # N^2 sample, needs more than the dense steps: a memory figure between
+    # the two lets the run start and refuses the ladder's top
     from peierls_lab import weyl
     heff, fld, grid, f = _one_dim_zero_field()
-    N = grid.n_points
-    dense = (2 * 16 + weyl._QUANTIZE_BYTES) * N * N
-    whole = 2 * 16 * N * N + quantum._flow_bytes(grid, None)
-    assert dense == 208 * N * N and whole == 480 * N * N
+    N, W = grid.n_points, len(grid.interior_indices())
+    dense = (2 * 16 + weyl._QUANTIZE_BYTES) * N * N + 16 * W * W
+    assert dense < 300 * N * N < quantum._flow_bytes(grid, grid.ns) == 448 * N * N
+    assert quantum._flow_bytes(grid, (95,)) < 300 * N * N
     monkeypatch.setattr(weyl, "_memory_figures", lambda: {"physical memory": 300 * N * N})
 
     def unquantized(*args, **kwargs):
-        raise AssertionError("quantized before the memory check")
+        raise AssertionError("quantized before the flow")
     monkeypatch.setattr(quantum, "quantize", unquantized)
-    with pytest.raises(DenseMemoryError, match=r"egorov_error on grid \(129,\)"):
-        egorov_error(f, heff, grid, fld, t=0.3)
-    # the CLI preflight counts the same flow, on the shape its runner uses
+    flows = _recording_flow_grids(monkeypatch)
+    # r is not periodic on the box, so no flow grid below the grid resolves it
+    with pytest.raises(DenseMemoryError, match=r"flowed_symbol on grid \(129,\)"):
+        egorov_error(lambda k, r: f(k, r) + r[..., 0], heff, grid, fld, t=0.3)
+    assert flows[2:] == [(m, m) for m in (5, 11, 23, 47, 95)]
+    # the CLI preflight counts the same: the 1-D grids of
+    # configs/egorov_1d.json pass it where their dense steps fit
     cfg = parse_config((Path(__file__).parents[1] / "configs" / "egorov_1d.json").read_text())
     big = max(cli._egorov_grids(cfg), key=lambda gf: gf[0].n_points)[0]
-    assert cli._egorov_flow_shape(big) is None
-    monkeypatch.setattr(weyl, "_memory_figures",
-                        lambda: {"physical memory": 300 * big.n_points ** 2})
-    with pytest.raises(DenseMemoryError, match=rf"egorov_error on grid \({big.ns[0]},\)"):
-        cli._egorov_memory(cfg, LAT1)
+    for limit, refused in ((300, False), (200, True)):
+        monkeypatch.setattr(weyl, "_memory_figures",
+                            lambda: {"physical memory": limit * big.n_points ** 2})
+        if refused:
+            with pytest.raises(DenseMemoryError,
+                               match=rf"egorov_error on grid \({big.ns[0]},\)"):
+                cli._egorov_memory(cfg, LAT1)
+        else:
+            cli._egorov_memory(cfg, LAT1)
+
+
+def test_egorov_preflight_admits_2d_grids_its_dense_steps_fit(monkeypatch):
+    """With 7 GiB a 2-D egorov run fits to n = 77, bounded by its dense
+    steps, not by a flow on the grid itself (832 N^2 bytes)."""
+    from peierls_lab import weyl
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"physical memory": 7 * 2**30})
+    for n in (77, 79):
+        grid = PhaseSpaceGrid.build((n, n), 1.0, eps=2.1 / n)
+        fld = EMFieldConfig.constant(2, b=1.0, eps=grid.eps)
+        if n == 77:
+            quantum.check_egorov_memory(grid, fld)
+        else:
+            with pytest.raises(DenseMemoryError, match=r"egorov_error on grid \(79, 79\)"):
+                quantum.check_egorov_memory(grid, fld)
 
 
 @pytest.mark.parametrize("d,n,flow_shape", [(1, 129, None), (2, 15, None),
                                             (2, 21, (9, 9))])
 def test_flowed_symbol_preflight_covers_measured_peak(d, n, flow_shape, monkeypatch):
-    """flowed_symbol peaks below the bytes its preflight checked, with and
-    without a flow grid of its own (constant field, cosine band)."""
+    """flowed_symbol peaks below the largest of the bytes its preflights
+    checked, with an explicit flow grid and with the ladder, which climbs
+    to the grid itself here: cos(r) is not periodic on the box (constant
+    field, cosine band)."""
     lat = Lattice.cubic(d)
     skew = np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)
     band = BandData.synthetic(lat, (9,) * d, lambda k: np.cos(k).sum(-1),
@@ -311,9 +357,15 @@ def test_flowed_symbol_preflight_covers_measured_peak(d, n, flow_shape, monkeypa
                               lambda k: 0.2 * np.sin(k[..., :1])[..., None] * skew)
     grid = PhaseSpaceGrid.build((n,) * d, 1.0, eps=4.0 / n)
     fld = EMFieldConfig.constant(d, b=0.8 * (d > 1), eps=grid.eps, lam=0.7 * (d > 1))
-    checked = {}
-    monkeypatch.setattr(quantum, "check_dense_memory",
-                        lambda what, grid, nbytes: checked.setdefault(what, nbytes))
+    checked = []
+    # each check still refuses past 256 MiB, so a ladder that ran away would
+    # stop there instead of taking the machine's memory
+    from peierls_lab import weyl
+    check = quantum.check_dense_memory
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"physical memory": 2**28})
+    monkeypatch.setattr(quantum, "check_dense_memory", lambda what, grid, nbytes:
+                        checked.append((what, nbytes)) or check(what, grid, nbytes))
+    flows = _recording_flow_grids(monkeypatch)
     tracemalloc.start()
     try:
         quantum.flowed_symbol(lambda k, r: np.sin(k[..., 0]) + np.cos(r[..., -1]), grid,
@@ -321,7 +373,10 @@ def test_flowed_symbol_preflight_covers_measured_peak(d, n, flow_shape, monkeypa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= checked["flowed_symbol"]
+    assert all(isinstance(shape, tuple) for shape in flows)
+    assert len(checked) == len(flows) and {what for what, _ in checked} == {"flowed_symbol"}
+    assert flows[-1] == 2 * (flow_shape or grid.ns)
+    assert 0 < peak <= max(nbytes for _, nbytes in checked)
 
 
 def test_dense_quantum_paths_refuse_sizes_beyond_physical_memory():
@@ -366,28 +421,42 @@ def test_propagate_reference_rejects_nonhermitian():
     M = np.triu(np.ones((n, n), dtype=complex))
     fld = EMFieldConfig.zero(1, eps=0.1)
     with pytest.raises(QuantumError):
-        propagate_reference(QuantizedOperator(grid, M, {}), fld,
+        propagate_reference(QuantizedOperator(grid, M), fld,
                             np.ones(n) / 3.0, 0.1)
 
 
-def test_egorov_t0_zero_and_quadratic_floor():
+def test_egorov_t0_zero_and_quadratic_floor(monkeypatch):
     eps = 0.1
     n = 65
-    grid = PhaseSpaceGrid.build(n, 0.5, eps=eps)
     fld = EMFieldConfig.zero(1, eps=eps)
     band = BandData.synthetic(LAT1, (65,), lambda k: np.cos(k[..., 0]))
     heff = EffectiveHamiltonian(band, fld)
-    L = 65 * 0.5 * eps
-    f = lambda k, r, L=L: np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
-    assert egorov_error(f, heff, grid, fld, t=0.0, dt=0.01) < 1e-12
+    # f is one harmonic on the position box; on the momentum box, 2 pi / h
+    # long, sin k is harmonic 1 / h: at h = 0.5 that is the 5-point flow
+    # grid's top frequency, so the ladder stops at 11 points, not 5.
+    # Harmonic 5 of the position box is constant on the 5-point flow grid,
+    # so that grid has no tail; its 64 probe points reject it, 11 points
+    # put the harmonic in the tail shell, and 23 resolve it
+    flows = _recording_flow_grids(monkeypatch)
+    one = lambda k, r, L: np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
+    fifth = lambda k, r, L: np.cos(2 * np.pi * 5 * r[..., 0] / L) + 0 * k[..., 0]
+    for h, obs, ladder in ((1.0, one, [(5, 5), 64]),
+                           (0.5, one, [(5, 5), (11, 11), 64]),
+                           (1.0, fifth, [(5, 5), 64, (11, 11), (23, 23), 64])):
+        grid = PhaseSpaceGrid.build(n, h, eps=eps)
+        L = 65 * h * eps
+        flows.clear()
+        assert egorov_error(lambda k, r: obs(k, r, L), heff, grid, fld, t=0.0, dt=0.01) < 1e-12
+        assert flows[2:] == ladder
 
 
-def test_egorov_scaling_1d():
+def test_egorov_scaling_1d(monkeypatch):
     pot = mathieu_potential(1.0)
     bands = solve_bands(pot, make_kgrid(LAT1, 64), 8, 3)
     band = BandData.from_geometry(geometric_tensors(bands, 0))
     L = 12.9
     errs = []
+    flows = _recording_flow_grids(monkeypatch)
     for n in (129, 257):
         eps = L / n
         def phi(r, L=L):
@@ -404,7 +473,11 @@ def test_egorov_scaling_1d():
         heff = EffectiveHamiltonian(band, fld)
         grid = PhaseSpaceGrid.build(n, 1.0, eps=eps)
         f = lambda k, r, L=L: np.sin(k[..., 0]) + 0.3 * np.cos(2 * np.pi * r[..., 0] / L)
+        flows.clear()
         errs.append(egorov_error(f, heff, grid, fld, t=1.0, dt=0.02))
+        # the 47-point flow grid's tail, 7.5e-8, is above FLOW_TAIL_TOL; its
+        # error would be 6% (n = 129) and 57% (n = 257) off the full grid's
+        assert flows[2:] == [(m, m) for m in (5, 11, 23, 47, 95)] + [64]
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
 
@@ -590,6 +663,39 @@ def test_egorov_error_reduced_matches_complex_path(seed, monkeypatch):
     full = egorov_error(f, heff, grid, fld, **kwargs)
     assert len(reduced_calls) == 1
     assert abs(reduced - full) <= 1e-6 * full
+
+
+def test_flow_ladder_stops_at_the_benchmark_flow_grid(egorov_2d, monkeypatch):
+    """On the egorov-2d physics the ladder's 5 x 5 flow grid leaves a tail of
+    5.9e-5 and its 9 x 9 one 7.9e-10, so it stops where the benchmark's
+    explicit (9, 9) does, with the same error to the bit."""
+    heff, fld, grid, f = egorov_2d
+    explicit = egorov_error(f, heff, grid, fld, t=0.3, dt=0.05, flow_shape=(9, 9))
+    flows = _recording_flow_grids(monkeypatch)
+    assert egorov_error(f, heff, grid, fld, t=0.3, dt=0.05) == explicit
+    assert flows[2:] == [(5,) * 4, (9,) * 4, 64]
+
+
+def test_flow_ladder_ending_at_the_grid_is_not_resampled(monkeypatch):
+    """A ladder that finds no resolving flow grid ends at the grid itself,
+    each axis capped at its own n, and keeps those samples as they are."""
+    def no_resample(*args):
+        raise AssertionError("resampled a flow on the grid itself")
+    monkeypatch.setattr(quantum, "resample_periodic", no_resample)
+    # the grid's own flow needs 15 MB; a ladder climbing past it is refused
+    # within a few steps instead of growing until memory runs out
+    from peierls_lab import weyl
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"physical memory": 64 * 2**20})
+    flows = _recording_flow_grids(monkeypatch)
+    grid = PhaseSpaceGrid.build((9, 15), 1.0, eps=0.1)
+    fld = EMFieldConfig.zero(2, eps=0.1)
+    band = BandData.synthetic(Lattice.cubic(2), (9, 9), lambda k: np.cos(k).sum(-1))
+    # exp(2 cos k) has every harmonic, and r_2, not periodic on the box,
+    # keeps every flow grid's tail far above FLOW_TAIL_TOL
+    f = lambda k, r: np.exp(2 * np.cos(k[..., 0])) + r[..., 1]
+    sym = quantum.flowed_symbol(f, grid, EffectiveHamiltonian(band, fld), fld, 0.2, 0.05)
+    assert flows == [(5,) * 4, (9,) * 4, (9, 13, 9, 13), (9, 15, 9, 15)]
+    assert sym.samples.shape == grid.ns + grid.ns
 
 
 def test_propagator_rejects_a_grid_shape_that_does_not_fit_h():
