@@ -298,15 +298,15 @@ def _pipeline_band(cfg: RunConfig):
 
 
 def _egorov_grids(cfg: RunConfig) -> list:
-    """(grid, field) per eps_list entry: the n^d grid with n the odd number
-    nearest macro_box / eps, and the field at the eps = macro_box / n it
-    realizes.  Two entries that realize one grid are refused (QuantumError):
-    the slope fit would count that grid twice (and with two entries, fit a
-    line through one point)."""
-    from .quantum import QuantumError
+    """(grid, field) per eps_list entry: the n^d grid with n =
+    quantum.odd_points(macro_box, eps), and the field at the eps =
+    macro_box / n it realizes.  Two entries that realize one grid are refused
+    (QuantumError): the slope fit would count that grid twice (and with two
+    entries, fit a line through one point)."""
+    from .quantum import QuantumError, odd_points
     from .weyl import PhaseSpaceGrid
     d, L, eps_list = cfg.lattice.dim, cfg.numerics.macro_box, cfg.numerics.eps_list
-    ns = [int(round(L / eps)) | 1 for eps in eps_list]
+    ns = [odd_points(L, eps) for eps in eps_list]
     # eps_list decreases, so equal grids are neighbors
     for a, b, n, m in zip(eps_list, eps_list[1:], ns, ns[1:]):
         if n == m:

@@ -183,8 +183,6 @@ class BandData:
     def from_geometry(cls, geom: GeometricTensors) -> "BandData":
         bands = geom.frame.bands
         grid = bands.kgrid
-        if not grid.centered:
-            raise EffectiveError("band data requires a cell-centered k-grid")
         E = grid.reshape(bands.energies[geom.frame.band])
         return cls(lattice=grid.lattice, shape=grid.shape,
                    energy_samples=E, connection_samples=geom.connection,

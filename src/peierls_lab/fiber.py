@@ -328,9 +328,10 @@ def kgrid_orbits(kgrid: KGrid, symmetries) -> tuple[np.ndarray, np.ndarray]:
     (N,), the position in symmetries of an M with alpha_p = alpha_rep[p] M
     (the identity, position 0, for every representative).  A point is an
     image only when alpha M lands exactly on a grid point without wrapping,
-    so an element may leave some points without an image, such as the zone
-    edge alpha_j = -1/2 of an even zero-anchored grid.  The test is exact:
-    alpha is held as integers c = L alpha with L = 2 lcm(shape).
+    so an element may leave some points without an image, as a swap of two
+    axes of unequal length does.  The test is exact: the cell-centered
+    alpha = (2m + 1 - n) / 2n is held as integers c = L alpha with
+    L = 2 lcm(shape).
     """
     shape, d = kgrid.shape, kgrid.dim
     L = 2 * int(np.lcm.reduce(shape))
@@ -338,8 +339,7 @@ def kgrid_orbits(kgrid: KGrid, symmetries) -> tuple[np.ndarray, np.ndarray]:
     axes = []
     for ax, n in enumerate(shape):
         m = np.arange(n)
-        t = 2 * m + 1 - n if kgrid.centered else 2 * m - 2 * n * (2 * m >= n)
-        axes.append(L // (2 * n) * t)
+        axes.append(L // (2 * n) * (2 * m + 1 - n))
         lookup[ax, axes[-1] + L // 2] = m
     coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
@@ -369,7 +369,8 @@ def check_band_memory(potential: FourierPotential, shape, cutoff: int,
 
 def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
                 n_bands: int) -> BandStructure:
-    """Diagonalize the fiber family over the grid, eigenvalues ascending.
+    """Diagonalize the fiber family over the cell-centered k-grid,
+    eigenvalues ascending.
 
     The grid splits into orbits of the symmetry group of fiber_symmetries
     (kgrid_orbits: alpha M must land on a grid point without wrapping).
@@ -379,7 +380,7 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
     fit); an image alpha_p = alpha_rep M gets bit-identical energies and
     guard energy and the vectors P_M u, or P_M conj(u) for a conj element.
     On potential_2d(v, w) over the square lattice the group is {+-I, +-S}
-    with S the diagonal mirror, so a 15 x 15 centered grid needs 64
+    with S the diagonal mirror, so a 15 x 15 grid needs 64
     diagonalizations.  The matrices are float64 when every Vhat(g) is real
     and complex128 otherwise; vectors are returned as complex128 either way.
     """

@@ -31,6 +31,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
+_DB_STEP, _DB_TOL = 1e-5, 1e-6     # step and tolerance of _check_dbfield
+
 
 class FieldError(PeierlsError, ValueError):
     pass
@@ -129,7 +131,8 @@ class EMFieldConfig:
         (..., d, d), in one pass so the two derivatives can share work; the
         only route to the Hessian.
     dbfield : callable r -> (..., d, d, d) with entry [l, j, m] = d_m B_lj,
-        required by every r-gradient of a position-dependent B.
+        required by every r-gradient of a position-dependent B; checked
+        against central differences of bfield at sample points (FieldError).
     """
 
     eps: float
@@ -172,6 +175,8 @@ class EMFieldConfig:
             raise FieldError("magnetic field matrix must be antisymmetric")
         if self.gauge in LINEAR_GAUGES:
             self._check_linear_gauge(pts)
+        if self.dbfield is not None:
+            self._check_dbfield(pts)
 
     # -- constructors --------------------------------------------------
 
@@ -237,8 +242,9 @@ class EMFieldConfig:
         return self.bfield
 
     def dB(self, r) -> np.ndarray:
-        """d_m B_lj at points r, shape (..., d, d, d); read only for a
-        position-dependent B, which must come with dbfield."""
+        """d_m B_lj at points r, shape (..., d, d, d) with axis order
+        [l, j, m]; read only for a position-dependent B, which must come with
+        dbfield."""
         if self.dbfield is None:
             raise FieldError("position-dependent B needs dbfield")
         return np.asarray(self.dbfield(np.asarray(r, dtype=float)))
@@ -279,3 +285,18 @@ class EMFieldConfig:
             raise FieldError(f"a {self.gauge} gauge needs a vector potential affine in position")
         if np.abs(G.T - G - self.B(pts)).max() > 1e-6:
             raise FieldError("vector potential inconsistent with B (dA != B)")
+
+    def _check_dbfield(self, pts):
+        """Verify dbfield at sample points against central differences of B,
+        to _DB_TOL relative to 1 + max |dB|: entry [l, j, m] must be d_m B_lj.
+        A misordered layout such as [m, l, j] is off by O(1), the differences
+        themselves by about 1e-10."""
+        d = self.dim
+        dB = self.dB(pts)
+        if dB.shape[-3:] != (d, d, d):
+            raise FieldError("dbfield must produce (..., d, d, d) arrays")
+        fd = np.stack([(self.B(pts + _DB_STEP * e) - self.B(pts - _DB_STEP * e))
+                       / (2 * _DB_STEP) for e in np.eye(d)], axis=-1)
+        if np.abs(dB - fd).max() > _DB_TOL * (1.0 + np.abs(dB).max()):
+            raise FieldError("dbfield disagrees with central differences of bfield: "
+                             "entry [l, j, m] must be d_m B_lj")

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import PeierlsError
 from .fiber import DEGENERACY_TOL, BandStructure, fiber_terms
-from .lattice import bz_coefficients
 
 __all__ = [
     "Frame",
@@ -68,24 +67,6 @@ def _translate(basis, vecs: np.ndarray, axis: int, c: int) -> np.ndarray:
     return vecs @ basis.shift_matrix(n_shift).T
 
 
-def _link_jumps(kgrid, axis: int) -> np.ndarray:
-    """Integer jump c_j of the wrapped alpha-coordinate across link j -> j+1.
-
-    alpha_{j+1} - alpha_j = 1/n + c_j with c_j integer (c_j = -1 at the seam).
-    """
-    n = kgrid.shape[axis]
-    # the line of points varying only in `axis`
-    line = [0] * kgrid.dim
-    line[axis] = slice(None)
-    coords = bz_coefficients(kgrid.reshape(kgrid.points)[tuple(line)],
-                             kgrid.lattice)[:, axis]
-    jumps = np.roll(coords, -1) - coords - 1.0 / n
-    out = np.round(jumps).astype(int)
-    if np.abs(jumps - out).max() > 1e-9:
-        raise GaugeError("k-grid is not uniform along axis %d" % axis)
-    return out
-
-
 def _lift(theta: np.ndarray, axis: int) -> np.ndarray:
     """Continuous lift of the loop phases of the lines along `axis` over the
     torus of their base points, one torus axis at a time.
@@ -107,13 +88,15 @@ def _lift(theta: np.ndarray, axis: int) -> np.ndarray:
     return theta
 
 
-def _smooth_gauge(vectors: np.ndarray, jumps, shift, points: np.ndarray) -> np.ndarray:
-    """Smooth periodic gauge of an (n_1, ..., n_m, D) vector field.
+def _smooth_gauge(vectors: np.ndarray, shift, points: np.ndarray) -> np.ndarray:
+    """Smooth periodic gauge of an (n_1, ..., n_m, D) vector field on a
+    cell-centered k-grid.
 
-    The closure of the torus: jumps[a] holds the integer jumps across the
-    links along axis a (_link_jumps), and shift(v, a, c) continues vectors v
-    across c dual translations along axis a (_translate).  One vector (m = 0)
-    is anchored: its first significant component becomes real positive.
+    The closure of the torus: only the seam link of a line along axis a,
+    from its last point back to its first, crosses a dual translation, and
+    it crosses -1 of them (KGrid); shift(v, a, c) continues vectors v across
+    c dual translations along axis a (_translate).  One vector (m = 0) is
+    anchored: its first significant component becomes real positive.
     points, the (n_1, ..., n_m, d) k-points of the field, name the point
     where parallel transport loses overlap.
     """
@@ -123,13 +106,11 @@ def _smooth_gauge(vectors: np.ndarray, jumps, shift, points: np.ndarray) -> np.n
     axis = vectors.ndim - 2
     n = vectors.shape[-2]
     out = vectors.copy()
-    out[..., 0, :] = _smooth_gauge(vectors[..., 0, :], jumps[:-1], shift, points[..., 0, :])
-    cum = 0
+    out[..., 0, :] = _smooth_gauge(vectors[..., 0, :], shift, points[..., 0, :])
     chart = out[..., 0, :]
     for j in range(1, n + 1):
         # step j = n closes the loop onto the start of the line
-        cum += int(jumps[-1][j - 1])
-        w = shift(out[..., j % n, :], axis, cum)
+        w = out[..., j, :] if j < n else shift(out[..., 0, :], axis, -1)
         ov = (np.conj(chart)[..., None, :] @ w[..., :, None])[..., 0, 0]
         if j == n:
             break
@@ -168,21 +149,19 @@ def fix_gauge(bands: BandStructure, band: int) -> Frame:
         raise GaugeError(
             f"band {band} degenerate at k = {bands.kgrid.points[worst]} "
             f"(separation {gmin[worst]:.3e})")
-    jumps = [_link_jumps(grid, ax) for ax in range(grid.dim)]
-    vectors = _smooth_gauge(bands.frame(band), jumps,
+    vectors = _smooth_gauge(bands.frame(band),
                             functools.partial(_translate, bands.basis),
                             grid.reshape(grid.points))
     return Frame(bands=bands, band=band, vectors=vectors)
 
 
 def _neighbor(frame: Frame, axis: int, step: int) -> np.ndarray:
-    """Neighbor vectors along axis with equivariant closure, same shape as frame."""
-    jumps = _link_jumps(frame.kgrid, axis)
-    # jump crossed from point j to its neighbor j + step
-    cross = jumps if step == 1 else -np.roll(jumps, 1)
+    """Neighbor vectors along axis, step = +-1, with equivariant closure, same
+    shape as frame: the seam row, whose neighbor lies across the zone
+    boundary, is continued across -step dual translations (KGrid)."""
     out = np.moveaxis(np.roll(frame.vectors, -step, axis=axis), axis, 0).copy()
-    for j in np.flatnonzero(cross):
-        out[j] = _translate(frame.bands.basis, out[j], axis, int(cross[j]))
+    seam = -1 if step == 1 else 0
+    out[seam] = _translate(frame.bands.basis, out[seam], axis, -step)
     return np.moveaxis(out, 0, axis)
 
 
@@ -287,21 +266,15 @@ def berry_curvature(frame: Frame):
     """
     grid = frame.kgrid
     d = grid.dim
-    jumps = [_link_jumps(grid, ax) for ax in range(d)]
 
     def close(axis):
-        return lambda stack: _translate(frame.bands.basis, stack, axis,
-                                        int(jumps[axis][-1]))
+        return lambda stack: _translate(frame.bands.basis, stack, axis, -1)
 
     cofactors = _plane_cofactors(grid.lattice.dual)
     det_dual = float(np.linalg.det(grid.lattice.dual))
     Omega = np.zeros(grid.shape + (d, d))
     cherns = []
     for a, b in itertools.combinations(range(d), 2):
-        # mid-grid seams only occur on zero-anchored grids, which are not used
-        # for geometry; verify and fall back to a hard error otherwise
-        if np.any(jumps[a][:-1] != 0) or np.any(jumps[b][:-1] != 0):
-            raise GaugeError("curvature requires a centered (seam-free) k-grid")
         ang = curvature_from_vectors(np.moveaxis(frame.vectors, (a, b), (0, 1)),
                                      (close(a), close(b)))
         cherns.append(np.ravel(-np.sum(ang, axis=(0, 1)) / (2 * np.pi)))
@@ -317,8 +290,10 @@ def berry_curvature(frame: Frame):
 def rammal_wilkinson(bands: BandStructure, frame: Frame):
     """Band-energy second-moment tensor M_lj(k), real and antisymmetric.
 
-    M_lj = Re[(i/2) <d_l phi, (H(k) - E) d_j phi>]; the discarded imaginary
-    part (symmetric in l, j) is returned as a diagnostic residue field.
+    M_lj = Re[(i/2) <d_l phi, (H(k) - E) d_j phi>].  The imaginary part,
+    (1/2) Re<d_l phi, (H(k) - E) d_j phi>, is symmetric in l, j and is a
+    physical quantity, not a stencil residue: it does not fall under grid
+    refinement, so it is not returned.
     """
     grid = frame.kgrid
     d = grid.dim
@@ -328,10 +303,7 @@ def rammal_wilkinson(bands: BandStructure, frame: Frame):
     w = x @ V.T + (kin - bands.energies[frame.band][:, None]) * x
     t = np.einsum("lpg,jpg->ljp", np.conj(x), w)
     M = np.real(0.5j * t)  # (d, d, N)
-    residue = np.imag(0.5j * t)
-    M = np.moveaxis(M, -1, 0).reshape(grid.shape + (d, d))
-    residue = np.moveaxis(residue, -1, 0).reshape(grid.shape + (d, d))
-    return M, residue
+    return np.moveaxis(M, -1, 0).reshape(grid.shape + (d, d))
 
 
 @dataclass(frozen=True)
@@ -341,7 +313,7 @@ class GeometricTensors:
     connection : (grid..., d); curvature : (grid..., d, d) (zeros in 1-D);
     rw : (grid..., d, d); chern : the plane Chern number of largest
     magnitude (berry_curvature), None in 1-D; diagnostics carry the
-    imaginary residues of the stencils.
+    largest imaginary residue of the connection stencil.
     """
 
     frame: Frame
@@ -357,8 +329,7 @@ def geometric_tensors(bands: BandStructure, band: int) -> GeometricTensors:
     frame = fix_gauge(bands, band)
     A, res_a = berry_connection(frame)
     Omega, chern = berry_curvature(frame)
-    M, res_m = rammal_wilkinson(bands, frame)
+    M = rammal_wilkinson(bands, frame)
     return GeometricTensors(
         frame=frame, connection=A, curvature=Omega, rw=M, chern=chern,
-        diagnostics={"connection_imag_residue": res_a,
-                     "rw_imag_residue": float(np.abs(res_m).max())})
+        diagnostics={"connection_imag_residue": res_a})

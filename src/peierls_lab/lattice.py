@@ -116,19 +116,20 @@ def wrap_to_bz(k: np.ndarray, lattice: Lattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KGrid:
-    """Uniform grid over the Brillouin-zone coefficient box.
+    """Uniform cell-centered grid over the Brillouin-zone coefficient box.
 
     points has shape (N, d) with N = prod(shape); ordering is C-order over the
-    per-axis index.  `centered=True` places points at cell centers
-    alpha = (m + 1/2)/n - 1/2 (never touching the zone boundary); the
-    zero-anchored variant alpha = m/n wrapped is what a finite periodic box
-    of n cells produces as its fiber momenta.
+    per-axis index m, at alpha = (m + 1/2)/n - 1/2, never on the zone
+    boundary.  Along each axis the coefficient steps by 1/n, except on the
+    seam link from the last point back to the first, which steps by
+    1/n - 1: that link alone crosses a dual translation, and it crosses -1.
+    For odd n the axis holds alpha = q/n, q = -(n-1)/2, ..., (n-1)/2, which
+    are the fiber momenta 2 pi q / n of a periodic box of n cells.
     """
 
     lattice: Lattice
     shape: tuple
     points: np.ndarray
-    centered: bool
 
     @property
     def n_points(self) -> int:
@@ -143,8 +144,8 @@ class KGrid:
         return np.asarray(values).reshape(self.shape + np.asarray(values).shape[1:])
 
 
-def make_kgrid(lattice: Lattice, shape, centered: bool = True) -> KGrid:
-    """Build a uniform wrap-closed k-grid.
+def make_kgrid(lattice: Lattice, shape) -> KGrid:
+    """Build the cell-centered k-grid of KGrid.
 
     shape : int or sequence of d ints, all >= 1.
     """
@@ -155,19 +156,11 @@ def make_kgrid(lattice: Lattice, shape, centered: bool = True) -> KGrid:
         raise LatticeError(f"shape has {len(shape)} entries for a {lattice.dim}-d lattice")
     if any(s < 1 for s in shape):
         raise LatticeError("grid shape entries must be >= 1")
-    axes = []
-    for n in shape:
-        m = np.arange(n)
-        if centered:
-            alpha = (m + 0.5) / n - 0.5
-        else:
-            alpha = m / n
-            alpha = alpha - np.floor(alpha + 0.5)
-        axes.append(alpha)
+    axes = [(np.arange(n) + 0.5) / n - 0.5 for n in shape]
     mesh = np.meshgrid(*axes, indexing="ij")
     alpha = np.stack([a.ravel() for a in mesh], axis=-1)
     points = alpha @ lattice.dual
-    return KGrid(lattice=lattice, shape=shape, points=points, centered=centered)
+    return KGrid(lattice=lattice, shape=shape, points=points)
 
 
 def signed_permutations(d: int):

@@ -38,6 +38,7 @@ from .weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid, QuantizedOperato
 
 __all__ = [
     "RealSpaceBox",
+    "odd_points",
     "WaveFunction",
     "ZakField",
     "zak_transform",
@@ -67,11 +68,18 @@ class RealSpaceBox:
     """Periodic box of n_cells unit cells with m sample points per cell (1D).
 
     Grid points x[(c, j)] = c - n_cells//2 + j/m, C-ordered over (c, j).
+    n_cells is odd (QuantumError otherwise), so that the box's Zak fiber
+    momenta are the points of the cell-centered k-grid (fiber_grid).
     """
 
     lattice: Lattice
     n_cells: int
     m: int
+
+    def __post_init__(self):
+        if self.n_cells % 2 == 0:
+            raise QuantumError(f"a periodic box needs an odd number of cells, "
+                               f"got {self.n_cells}")
 
     @property
     def n_points(self) -> int:
@@ -87,11 +95,16 @@ class RealSpaceBox:
         return (self.cell_offsets()[:, None] + self.cell_coords()[None, :]).ravel()
 
     def fiber_grid(self):
-        """Zero-anchored k-grid matching the box's Zak fibers."""
-        return make_kgrid(self.lattice, self.n_cells, centered=False)
+        """The box's Zak fiber momenta as a k-grid: the cell-centered grid of
+        n_cells points, 2 pi q / n_cells for |q| <= (n_cells - 1)/2."""
+        return make_kgrid(self.lattice, self.n_cells)
 
-    def fiber_momenta_unwrapped(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.n_cells) / self.n_cells
+
+def odd_points(length: float, eps: float) -> int:
+    """The odd point count of a grid over a macroscopic length at eps:
+    round(length / eps), plus one when that is even (length / eps = 21.6
+    gives 23, 22.4 gives 23, 20.6 gives 21)."""
+    return int(round(length / eps)) | 1
 
 
 EDGE_FRACTION = 0.1     # outer share of the box that WaveFunction.edge_mass reads
@@ -138,11 +151,12 @@ class ZakField:
 
 
 def zak_transform(psi: WaveFunction) -> ZakField:
-    """u(k_q, y_j) = N^{-1/2} sum_c e^{-i k_q (y_j + c)} psi(c + y_j)."""
+    """u(k_q, y_j) = N^{-1/2} sum_c e^{-i k_q (y_j + c)} psi(c + y_j), with
+    k_q the points of box.fiber_grid(), in [-pi, pi)."""
     box = psi.box
     arr = psi.samples.reshape(box.n_cells, box.m)
     gam = box.cell_offsets()
-    kq = box.fiber_momenta_unwrapped()
+    kq = box.fiber_grid().points[:, 0]
     # sum over cells with e^{-i k_q gamma_c}
     ph_cell = np.exp(-1j * np.outer(kq, gam))
     u = ph_cell @ arr / np.sqrt(box.n_cells)
@@ -152,8 +166,9 @@ def zak_transform(psi: WaveFunction) -> ZakField:
 
 
 def zak_inverse(zf: ZakField) -> WaveFunction:
+    """The inverse of zak_transform, on the same fiber momenta."""
     box = zf.box
-    kq = box.fiber_momenta_unwrapped()
+    kq = box.fiber_grid().points[:, 0]
     y = box.cell_coords()
     u = zf.samples * np.exp(+1j * np.outer(kq, y))
     gam = box.cell_offsets()
@@ -167,15 +182,17 @@ ZAK_CHECK_FIBERS = 4     # fibers zak_equivariance_defect samples
 
 def zak_equivariance_defect(psi: WaveFunction) -> float:
     """Deviation of the dual-shift identity u(k - 2 pi, y) = e^{2 pi i y} u(k, y)
-    evaluated directly from the transform definition."""
+    evaluated directly from the transform definition, at fiber momenta k of
+    box.fiber_grid()."""
     box = psi.box
     zf = zak_transform(psi)
     arr = psi.samples.reshape(box.n_cells, box.m)
     gam = box.cell_offsets()
     y = box.cell_coords()
+    kq = box.fiber_grid().points[:, 0]
     worst = 0.0
     for q in range(0, box.n_cells, max(1, box.n_cells // ZAK_CHECK_FIBERS)):
-        k = 2 * np.pi * q / box.n_cells - 2 * np.pi
+        k = kq[q] - 2 * np.pi
         u_shift = (np.exp(-1j * k * gam) @ arr) / np.sqrt(box.n_cells) * np.exp(-1j * k * y)
         target = np.exp(2j * np.pi * y) * zf.samples[q]
         worst = max(worst, float(np.abs(u_shift - target).max()))
@@ -184,8 +201,9 @@ def zak_equivariance_defect(psi: WaveFunction) -> float:
 
 def _fiber_vectors_on_cells(bands: BandStructure, box: RealSpaceBox, band: int,
                             gauge: bool = True) -> np.ndarray:
-    """Cell-grid samples of the band eigenvectors at the box's unwrapped fiber
-    momenta (smooth in the fiber index when gauge=True)."""
+    """Cell-grid samples (n_cells, m) of the band eigenvectors at the box's
+    fiber momenta, the points of its fiber_grid() (smooth in the fiber index
+    when gauge=True)."""
     if bands.kgrid.shape != (box.n_cells,):
         raise QuantumError("band structure grid does not match the box fibers")
     if gauge:
@@ -193,13 +211,7 @@ def _fiber_vectors_on_cells(bands: BandStructure, box: RealSpaceBox, band: int,
         coeffs = frame.vectors
         bands = replace(bands, vectors=bands.vectors.copy())
         bands.vectors[band] = coeffs
-    samples = fiber_on_cell_grid(bands, band, box.m)  # (n_cells, m), wrapped reps
-    k_store = bands.kgrid.points.ravel()
-    k_unwrapped = box.fiber_momenta_unwrapped()
-    shift = k_unwrapped - k_store  # integer multiples of 2 pi
-    y = box.cell_coords()
-    # u(k + g) = e^{-i g y} u(k) on samples
-    return samples * np.exp(-1j * np.outer(shift, y))
+    return fiber_on_cell_grid(bands, band, box.m)
 
 
 def band_project(zf: ZakField, bands: BandStructure, band: int) -> ZakField:
@@ -218,7 +230,7 @@ def band_packet(bands: BandStructure, box: RealSpaceBox, band: int,
     smooth_gauge=False skips the parallel-transport pass (needed for bands
     that touch at the zone edge, e.g. the free lowest band)."""
     v = _fiber_vectors_on_cells(bands, box, band, gauge=smooth_gauge)
-    kq = box.fiber_momenta_unwrapped()
+    kq = box.fiber_grid().points[:, 0]
     dk = np.angle(np.exp(1j * (kq - k0)))
     env = np.exp(-dk ** 2 / (4 * sigma_k ** 2))
     u = env[:, None] * np.exp(-1j * kq * x0)[:, None] * v
@@ -598,12 +610,10 @@ LIMIT_K0 = 0.6
 
 
 def _limit_box(lattice: Lattice, eps: float, macro_box: float) -> RealSpaceBox:
-    """The periodic box of semiclassical_limit_check at eps: round(macro_box
-    / eps) cells, one more when that is even."""
-    n_cells = int(round(macro_box / eps))
-    if n_cells % 2 == 0:
-        n_cells += 1
-    return RealSpaceBox(lattice=lattice, n_cells=n_cells, m=LIMIT_M_PER_CELL)
+    """The periodic box of semiclassical_limit_check at eps: odd_points(
+    macro_box, eps) cells."""
+    return RealSpaceBox(lattice=lattice, n_cells=odd_points(macro_box, eps),
+                        m=LIMIT_M_PER_CELL)
 
 
 def check_limit_memory(lattice: Lattice, eps_list, macro_box: float) -> None:
@@ -711,8 +721,9 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
 
 
 def _band_data_1d(bands: BandStructure, band: int) -> BandData:
-    """Band data on a centered grid rebuilt from the same potential (the
-    zero-anchored fiber grid is not suitable for geometry stencils)."""
+    """Band data of one band, re-solved from the same potential on a grid of
+    at least 64 points: the box's fiber grid can be too coarse for the
+    spline of the flow oracle."""
     from .geometry import geometric_tensors
     lat = bands.kgrid.lattice
     n = max(64, bands.kgrid.shape[0])

@@ -294,13 +294,13 @@ def test_criterion_9_rammal_wilkinson_cross_check(mathieu_band):
     from test_geometry import rw_spectral_sum_oracle
     bands, _ = mathieu_band
     fr = fix_gauge(bands, 0)
-    M1, _ = rammal_wilkinson(bands, fr)
+    M1 = rammal_wilkinson(bands, fr)
     o1 = rw_spectral_sum_oracle(bands, fr)
     dev1 = float(np.abs(M1 - o1).max())
     # the same cross-check where the tensor is nonzero (2D, non-separable)
     b2 = solve_bands(potential_2d(1.0, 0.3), make_kgrid(LAT2, (11, 11)), 4, 2)
     fr2 = fix_gauge(b2, 0)
-    M2, _ = rammal_wilkinson(b2, fr2)
+    M2 = rammal_wilkinson(b2, fr2)
     o2 = rw_spectral_sum_oracle(b2, fr2)
     dev2 = float(np.abs(M2 - o2).max())
     scale2 = float(np.abs(M2).max())

@@ -106,19 +106,20 @@ def test_mathieu_band_energy_cross_check():
 
 def test_check_gap_free_lowest_touches():
     V0 = FourierPotential(LAT1, {})
-    # grid containing the zone edge, where the lowest free band touches
-    grid = make_kgrid(LAT1, 32, centered=False)
+    # free bands 1 and 2 touch at k = 0, a point of every odd grid
+    grid = make_kgrid(LAT1, 33)
     bands = solve_bands(V0, grid, 4, 3)
-    assert check_gap(bands, [0]) < 1e-12
+    assert check_gap(bands, [1]) < 1e-12
 
 
 def test_check_gap_mathieu_positive_and_refines():
     pot = mathieu_potential(1.0)
-    # even zero-anchored grids contain the zone edge, where the infimum sits
-    coarse = solve_bands(pot, make_kgrid(LAT1, 16, centered=False), 8, 3)
-    fine = solve_bands(pot, make_kgrid(LAT1, 128, centered=False), 10, 3)
-    g_coarse = check_gap(coarse, [0])
-    g_fine = check_gap(fine, [0])
+    # the infimum of band 1's gaps, to band 2, sits at k = 0, a point of
+    # every odd grid
+    coarse = solve_bands(pot, make_kgrid(LAT1, 15), 8, 3)
+    fine = solve_bands(pot, make_kgrid(LAT1, 129), 10, 3)
+    g_coarse = check_gap(coarse, [1])
+    g_fine = check_gap(fine, [1])
     assert g_fine > 0
     assert abs(g_coarse - g_fine) < 1e-6
 
@@ -179,14 +180,12 @@ CUBIC_3D = FourierPotential(LAT3, {n: 2.0 + 0.0j for n in
 @pytest.mark.parametrize("pot, grid, cutoff, n_bands, n_group", [
     (potential_2d(12, 2), make_kgrid(LAT2, 15), 5, 3, 4),
     (potential_2d(12, 2), make_kgrid(LAT2, 14), 5, 3, 4),
-    (mathieu_potential(3), make_kgrid(LAT1, 16, centered=False), 6, 4, 2),
     (NON_EVEN_2D, make_kgrid(LAT2, 9), 4, 3, 2),
     (S_BREAKING_2D, make_kgrid(LAT2, 9), 4, 3, 2),
     (HEX_2D, make_kgrid(LAT_HEX, 9), 4, 3, 4),
     (CUBIC_3D, make_kgrid(LAT3, 4), 2, 3, 48),
-    (potential_2d(12, 2), make_kgrid(LAT2, 8, centered=False), 4, 3, 4),
-], ids=["centered-15x15", "centered-14x14", "zero-anchored-16", "complex-9x9",
-        "s-breaking-9x9", "hexagonal-9x9", "cubic-4x4x4", "zero-anchored-8x8"])
+], ids=["centered-15x15", "centered-14x14", "complex-9x9", "s-breaking-9x9",
+        "hexagonal-9x9", "cubic-4x4x4"])
 def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands, n_group):
     bands = solve_bands(pot, grid, cutoff, n_bands)
     assert bands.vectors.dtype == np.complex128
@@ -212,8 +211,8 @@ def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands, n_group):
     R = np.stack([np.linalg.solve(dual, M @ dual) for M, _ in group])
     assert np.abs(np.einsum("pi,pij->pj", k[rep], R[element]) - k).max() < 1e-12
     assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(grid.dim)).max() < 1e-12
-    # +-k pairs share bit-identical energies; a zero-anchored even grid
-    # leaves its zone-edge points alpha_j = -1/2 without a partner
+    # +-k pairs share bit-identical energies; only a zone-edge point
+    # alpha_j = -1/2 could lack a partner, and a cell-centered grid has none
     dist = np.linalg.norm(k[:, None, :] + k[None, :, :], axis=-1)
     p, q = np.nonzero(dist < 1e-12)
     assert np.array_equal(bands.energies[:, p], bands.energies[:, q])

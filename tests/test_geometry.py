@@ -82,9 +82,10 @@ def test_gauge_rerandomization_invariance():
 
 def test_gauge_degenerate_band_raises():
     V0 = FourierPotential(LAT1, {})
-    bands = solve_bands(V0, make_kgrid(LAT1, 32, centered=False), 4, 2)
+    # free bands 1 and 2 touch at k = 0, a point of every odd grid
+    bands = solve_bands(V0, make_kgrid(LAT1, 33), 4, 3)
     with pytest.raises(GaugeError):
-        fix_gauge(bands, 0)
+        fix_gauge(bands, 1)
 
 
 def test_connection_free_band_zero_away_from_edge():
@@ -172,9 +173,8 @@ def test_full_pipeline_2d_gauge_invariants():
 
 def test_rw_1d_zero_and_diagnostic():
     bands, fr = mathieu_frame(32)
-    M, res = rammal_wilkinson(bands, fr)
+    M = rammal_wilkinson(bands, fr)
     assert np.abs(M).max() < 1e-12
-    assert np.abs(res).max() > 0  # imaginary residue reported, not hidden
 
 
 def rw_spectral_sum_oracle(bands, frame):
@@ -212,7 +212,7 @@ def test_rw_2d_matches_spectral_sum_oracle():
     pot = potential_2d(1.0, 0.3)
     bands = solve_bands(pot, make_kgrid(LAT2, (9, 9)), 4, 2)
     fr = fix_gauge(bands, 0)
-    M, _ = rammal_wilkinson(bands, fr)
+    M = rammal_wilkinson(bands, fr)
     oracle = rw_spectral_sum_oracle(bands, fr)
     assert np.abs(M - oracle).max() < 1e-6
     assert np.abs(M[..., 0, 1]).max() > 1e-4  # non-separable potential: nonzero
@@ -255,15 +255,14 @@ def test_gauge_obstruction_dirac(m, stack_axis):
     v, _ = dirac_family(m)
     if stack_axis is not None:
         v = np.stack([v] * 5, axis=stack_axis)
-    jumps = [np.zeros(n, dtype=int) for n in v.shape[:-1]]
     points = np.moveaxis(np.indices(v.shape[:-1]), 0, -1)
     if m != 3.0:
         plane = {None: "(0, 1)", 0: "(1, 2)", 1: "(0, 2)", 2: "(0, 1)"}[stack_axis]
         with pytest.raises(GaugeError, match=re.escape(
                 f"nonzero Chern number in plane {plane}")):
-            _smooth_gauge(v, jumps, identity_closure, points)
+            _smooth_gauge(v, identity_closure, points)
         return
-    out = _smooth_gauge(v, jumps, identity_closure, points)
+    out = _smooth_gauge(v, identity_closure, points)
     # a rephasing of the input that is smooth across every link, wrap included
     assert np.abs(np.abs(np.einsum("...c,...c->...", np.conj(out), v)) - 1).max() < 1e-12
     for ax in range(v.ndim - 1):

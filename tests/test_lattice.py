@@ -100,11 +100,24 @@ def test_kgrid_wrap_invariance_2d():
     assert np.abs(wrap_to_bz(g.points, lat) - g.points).max() < 1e-12
 
 
-def test_kgrid_zero_anchored_closed_under_wrap():
-    lat = Lattice.cubic(1)
-    g = make_kgrid(lat, 6, centered=False)
-    w = wrap_to_bz(g.points, lat)
-    assert np.abs(w - g.points).max() < 1e-12
+@pytest.mark.parametrize("basis", [
+    [[1.0]], np.eye(2), [[1.0, 0.0], [0.0, 1.3]], [[1.0, 0.0], [0.5, np.sqrt(3) / 2]],
+    np.eye(3)], ids=["1d", "square", "rectangular", "hexagonal", "cubic-3d"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15])
+def test_kgrid_steps_cross_the_zone_boundary_only_at_the_seam(basis, n):
+    # the geometry's closure relies on it: along each axis the coefficients
+    # step by 1/n, and only the seam link back to the first point crosses a
+    # dual translation, by -1
+    lat = Lattice.from_basis(basis)
+    g = make_kgrid(lat, n)
+    alpha = g.reshape(bz_coefficients(g.points, lat))
+    for ax in range(lat.dim):
+        steps = np.moveaxis(np.roll(alpha, -1, axis=ax) - alpha, ax, 0)
+        expected = np.zeros((n, lat.dim))
+        expected[:, ax] = 1.0 / n
+        expected[-1, ax] -= 1.0
+        assert np.abs(steps - expected.reshape((n,) + (1,) * (lat.dim - 1) + (lat.dim,))
+                      ).max() < 1e-12
 
 
 def test_kgrid_rejects_bad_shape():

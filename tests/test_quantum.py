@@ -49,13 +49,35 @@ def test_zak_unitary_roundtrip_and_parseval():
 
 
 def test_zak_plane_wave_single_fiber():
-    q0 = 7
-    k0 = 2 * np.pi * q0 / BOX.n_cells
+    k0 = 2 * np.pi * 7 / BOX.n_cells
+    # the fiber whose momentum is k0 modulo 2 pi
+    q0 = np.argmin(np.abs(np.angle(np.exp(1j * (BOX.fiber_grid().points[:, 0] - k0)))))
     pw = WaveFunction(BOX, np.exp(1j * k0 * BOX.points())).normalized()
     mass = np.abs(zak_transform(pw).samples) ** 2
     per_fiber = mass.sum(axis=1)
     assert np.argmax(per_fiber) == q0
     assert np.delete(per_fiber, q0).max() < 1e-25
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_box_refuses_even_cell_count(n):
+    with pytest.raises(QuantumError, match="odd number of cells"):
+        RealSpaceBox(lattice=LAT1, n_cells=n, m=14)
+
+
+@pytest.mark.parametrize("n", [1, 5, 31])
+def test_fiber_grid_holds_the_zak_momenta(n):
+    box = RealSpaceBox(lattice=LAT1, n_cells=n, m=6)
+    k = box.fiber_grid().points[:, 0]
+    assert np.abs(np.sort(np.mod(k, 2 * np.pi)) - 2 * np.pi * np.arange(n) / n).max() < 1e-12
+    assert -np.pi <= k.min() and k.max() < np.pi
+    for p, kp in enumerate(k):
+        # e^{i kp x} is constant in y on fiber p alone: the transform's
+        # momentum there is kp itself, not kp + 2 pi j
+        zf = zak_transform(WaveFunction(box, np.exp(1j * kp * box.points())))
+        expected = np.zeros((n, box.m))
+        expected[p] = np.sqrt(n)
+        assert np.abs(zf.samples - expected).max() < 1e-10
 
 
 def test_zak_equivariance():
@@ -89,7 +111,7 @@ def test_band_project_commutes_with_free_fiber_hamiltonian():
     proj_then = band_project(zf, bands, 0)
     worst = 0.0
     for q in (0, 5, 16):
-        k = BOX.fiber_momenta_unwrapped()[q]
+        k = BOX.fiber_grid().points[q, 0]
         kin = np.fft.ifft(np.diag(0.5 * (xi + k) ** 2) @ np.fft.fft(np.eye(m), axis=0), axis=0)
         H = kin + np.diag(pot.evaluate(y[:, None]))
         v = band_project(zf, bands, 0).samples[q]

@@ -386,6 +386,16 @@ def test_position_dependent_field_without_dbfield_refused():
             model.grad_pair(k, r)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_dbfield_layout_checked_against_bfield(d):
+    """dbfield is laid out [l, j, m] = d_m B_lj; the same derivative laid out
+    [m, l, j] is off by O(1) and is refused when the field is built."""
+    from peierls_lab.fields import FieldError
+    fld = _transversal(d, 0.1, 0.7)     # built: the [l, j, m] layout passes
+    with pytest.raises(FieldError, match="dbfield"):
+        dataclasses.replace(fld, dbfield=lambda r: np.moveaxis(fld.dbfield(r), -1, -3))
+
+
 def test_phi_gradient_without_its_hessian_refused():
     """grad phi reaches the effective grad_pair through grad_hess_phi and the
     semiclassical one through grad_phi, so a field gives both or neither."""
