@@ -125,12 +125,14 @@ def _phi_callables(cfg: RunConfig, dim: int) -> dict:
     if spec.preset == "cosine":
         # phi = amp prod_l c_l with s_l, c_l = sin, cos(w r_l): each derivative
         # d_l turns the factor c_l into -w s_l.  c[..., shift] over the cyclic
-        # shifts of the axes multiplies axis l by every c_m with m != l, and
-        # an off-diagonal Hessian entry of a 3-D pair keeps the third axis's c
-        diag = np.arange(dim)
-        shifts = [np.roll(diag, -j) for j in range(1, dim)]
+        # shifts of the axes (in 2D the reversal, a view) multiplies axis l by
+        # every c_m with m != l, and an off-diagonal Hessian entry of a 3-D
+        # pair keeps the third axis's c.  The scales are 0-d arrays, which
+        # numpy multiplies faster than floats, to the same bits
+        shifts = [np.s_[::-1]] if dim == 2 else [np.roll(np.arange(dim), -j) for j in range(1, dim)]
         thirds = [(l, m, n) for l, m in itertools.combinations(range(dim), 2)
                   for n in range(dim) if n not in (l, m)]
+        w0, g_scale, h_scale = map(np.array, (w, -amp * w, amp * w * w))
 
         def phi(r):
             r = np.asarray(r, float)
@@ -140,11 +142,11 @@ def _phi_callables(cfg: RunConfig, dim: int) -> dict:
             return out
 
         def sincos(r):
-            wr = w * np.asarray(r, float)
+            wr = w0 * np.asarray(r, float)
             return np.sin(wr), np.cos(wr)
 
         def grad(s, c):
-            g = (-amp * w) * s
+            g = g_scale * s
             for shift in shifts:
                 g = g * c[..., shift]
             return g
@@ -159,7 +161,7 @@ def _phi_callables(cfg: RunConfig, dim: int) -> dict:
                 full = full * c[..., ax]
             # the diagonal of the fresh (..., d, d) array, as one strided view
             h.reshape(h.shape[:-2] + (dim * dim,))[..., ::dim + 1] = -full[..., None]
-            h *= amp * w * w
+            h *= h_scale
             return h
 
         def grad_hess(r):
@@ -318,6 +320,7 @@ def _egorov_grids(cfg: RunConfig) -> list:
 
 def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     from .effective import EffectiveHamiltonian
+    from .flow import loglog_slope
     from .quantum import egorov_error
     band = _pipeline_band(cfg)
     L = cfg.numerics.macro_box
@@ -330,9 +333,7 @@ def run_egorov(cfg: RunConfig, out: Path) -> tuple:
     errors = [egorov_error(f_obs, EffectiveHamiltonian(band, fld), grid, fld,
                            t=cfg.numerics.t_final, dt=cfg.numerics.dt)
               for grid, fld in grids]
-    # one point fixes no slope (parse_config requires two for slope_min)
-    slope = (float(np.polyfit(np.log(eps_used), np.log(errors), 1)[0])
-             if len(errors) > 1 else float("nan"))
+    slope = loglog_slope(eps_used, errors)
     write_csv(out / "egorov.csv",
               ["eps_dimensionless", "grid_points", "error_opnorm", "slope_fit"],
               [row + (slope,) for row in zip(eps_used, ns, errors)])

@@ -20,11 +20,10 @@ spectra in one pass, so dual-lattice periodicity is exact: the channels
 [E, dE, A, m, omega], 1 + 2d + d(d-1) of them, with the 2-forms M and Omega
 stored by their pair components m and omega (fields.pairs).  BandData.at
 evaluates them for a batch of k as one BandFields record, values and
-k-derivatives together; a field of the record is made when it is first read,
-so a right-hand side that reads three of the eight pays for three.
-EffectiveHamiltonian and SemiclassicalHamiltonian offer value(k, r) and the
-flow protocol grad_pair(k, r) -> (grad_k h, grad_r h, fields), contracting
-B with the components, B:M = sum_p 2 B_p m_p, so no full M is formed.
+k-derivatives together.  EffectiveHamiltonian and SemiclassicalHamiltonian
+offer value(k, r) and the flow protocol grad_pair(k, r) -> (grad_k h,
+grad_r h, fields), contracting B with the components, B:M = sum_p 2 B_p m_p,
+so no full M is formed.
 """
 
 from __future__ import annotations
@@ -62,13 +61,8 @@ ANTISYMMETRY_TOL = 1e-9
 
 
 class _Field:
-    """A BandFields field, made from the evaluation block when first read and
-    then kept in the record's __dict__, where later reads find it first.  A
-    gradient (grad) sits on the block's derivative rows, so its columns are
-    moved in front of the derivative axis n."""
-
-    def __init__(self, grad: bool):
-        self.grad = grad
+    """A BandFields field: a basic index into the record's block, made when
+    first read and kept in the record's __dict__, where later reads find it."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -76,33 +70,30 @@ class _Field:
     def __get__(self, rec, owner=None):
         if rec is None:
             return self
-        index, tail = rec._layout[self.name]
-        view = rec._block[index]
-        view = (view.transpose(0, 2, 1) if self.grad else view).reshape(rec._lead + tail)
-        rec.__dict__[self.name] = view
+        view = rec.__dict__[self.name] = rec._block[rec._layout[self.name]]
         return view
 
 
 class BandFields:
     """Band fields at a batch of points k (..., d), derivatives in Cartesian k.
 
-    A field is made when it is first read, as a view into the one spline
-    evaluation block (points, 1 + d, F) of the batch, and kept; a caller
-    that reads three of them pays for three.  Copy before writing.  The
-    2-forms come as their pair components p = (l < j) (fields.pairs).
+    A field is made when first read, as a plain view into the batch's one
+    spline block (..., [E, dE, A, m, omega], [value, d/dk]); a caller that
+    reads three fields pays for three.  Copy before writing.  The 2-forms
+    come as their pair components p = (l < j) (fields.pairs).
     """
 
-    E = _Field(False)                   # (...)
-    A = _Field(False)                   # (..., l)       Berry connection
-    m = _Field(False)                   # (..., p)       Rammal-Wilkinson M_lj
-    om = _Field(False)                  # (..., p)       Berry curvature Omega_lj
-    dE = _Field(True)                   # (..., n)
-    hessE = _Field(True)                # (..., n, q)
-    dA = _Field(True)                   # (..., l, n)    d A_l / d k_n
-    dm = _Field(True)                   # (..., p, n)    d m_p / d k_n
+    E = _Field()                        # (...)
+    A = _Field()                        # (..., l)       Berry connection
+    m = _Field()                        # (..., p)       Rammal-Wilkinson M_lj
+    om = _Field()                       # (..., p)       Berry curvature Omega_lj
+    dE = _Field()                       # (..., n)
+    hessE = _Field()                    # (..., q, n)    d dE_q / d k_n
+    dA = _Field()                       # (..., l, n)    d A_l / d k_n
+    dm = _Field()                       # (..., p, n)    d m_p / d k_n
 
-    def __init__(self, block, lead, layout):
-        self._block, self._lead, self._layout = block, lead, layout
+    def __init__(self, block, layout):
+        self._block, self._layout = block, layout
 
 
 @dataclass
@@ -160,16 +151,15 @@ class BandData:
         # integrator accuracy); their own spline derivatives give the Hessian
         to_cart_T = self.lattice.basis / (2 * np.pi)
         ddk = 2j * np.pi * sum(P[ax] * to_cart_T[ax] for ax in range(d))
-        # each BandFields field: its rows and columns of the evaluation block
-        # (values; derivatives) x [E, dE/dk, A, m, omega], and its shape
-        p = d * (d - 1) // 2
-        e, a, m = 1 + d, 1 + 2 * d, 1 + 2 * d + p
-        val, grad = (slice(None), 0), (slice(None), slice(1, None))
+        # each BandFields field: its fields and columns of the block
+        # (..., [E, dE/dk, A, m, omega], [value, d/dk_1..d])
+        e, a, m = 1 + d, 1 + 2 * d, 1 + 2 * d + d * (d - 1) // 2
+        val, grad = 0, slice(1, None)
         self._layout = {
-            "E": (val + (0,), ()), "A": (val + (slice(e, a),), (d,)),
-            "m": (val + (slice(a, m),), (p,)), "om": (val + (slice(m, None),), (p,)),
-            "dE": (grad + (slice(0, 1),), (d,)), "hessE": (grad + (slice(1, e),), (d, d)),
-            "dA": (grad + (slice(e, a),), (d, d)), "dm": (grad + (slice(a, m),), (p, d))}
+            "E": (..., 0, val), "A": (..., slice(e, a), val), "m": (..., slice(a, m), val),
+            "om": (..., slice(m, None), val), "dE": (..., 0, grad),
+            "hessE": (..., slice(1, e), grad), "dA": (..., slice(e, a), grad),
+            "dm": (..., slice(a, m), grad)}
         # fine node i sits at k = (i / n_f - 1/2) @ dual: the spline takes
         # Cartesian k and returns Cartesian k-derivatives
         dual = self.lattice.dual
@@ -210,7 +200,8 @@ class BandData:
         """Band fields at Cartesian k (..., d): the values E, A, m, om and
         the derivatives dE, hessE, dA, dm, all from one spline evaluation."""
         k = _as_points(k, self.lattice.dim)
-        return BandFields(self._spline(k.reshape(-1, k.shape[-1])), k.shape[:-1],
+        block = self._spline(k.reshape(-1, k.shape[-1]))
+        return BandFields(block.reshape(k.shape[:-1] + block.shape[1:]).swapaxes(-1, -2),
                           self._layout)
 
 
@@ -228,15 +219,18 @@ def _coupling(b: BandFields) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """h = h0 + eps h1 for a single isolated band in an external field."""
-
+class _BandModel:
     band: BandData
     field: EMFieldConfig
 
     @property
     def dim(self) -> int:
         return self.band.lattice.dim
+
+
+@dataclass(frozen=True)
+class EffectiveHamiltonian(_BandModel):
+    """h = h0 + eps h1 for a single isolated band in an external field."""
 
     def _h1(self, b: BandFields, r) -> np.ndarray:
         # -F.A - lam B:M = d phi.A - lam B:(A dE^T + M): each term pairs an
@@ -277,10 +271,10 @@ class EffectiveHamiltonian:
         F = -gphi
         term_r = _vecmat(b.A, hphi)
         if lam != 0.0:
-            lamB = lam * fld.B(r)
-            F = F + _vecmat(b.dE, lamB.swapaxes(-1, -2))
-            term_k = -(_vecmat(F, b.dA) + _vecmat(_vecmat(b.A, lamB), b.hessE)
-                       + _vecmat(pair_weights(lamB), b.dm))
+            t = fld.lam_terms(r)
+            F = F + _vecmat(b.dE, t.lamB_T)
+            term_k = -(_vecmat(F, b.dA) + _vecmat(_vecmat(b.A, t.lamB), b.hessE)
+                       + _vecmat(t.weights, b.dm))
             if callable(fld.bfield):
                 term_r = term_r - lam * _vecmat(_coupling(b), pair_weights(fld.dB(r), 1))
         else:
@@ -289,15 +283,8 @@ class EffectiveHamiltonian:
 
 
 @dataclass(frozen=True)
-class SemiclassicalHamiltonian:
+class SemiclassicalHamiltonian(_BandModel):
     """h_sc(k, r) = E(k) + phi(r) - eps lam B(r) . M(k) on effective variables."""
-
-    band: BandData
-    field: EMFieldConfig
-
-    @property
-    def dim(self) -> int:
-        return self.band.lattice.dim
 
     def value(self, k, r) -> np.ndarray:
         """h_sc at momenta k (..., d) and positions r (..., d) whose leading
@@ -319,11 +306,10 @@ class SemiclassicalHamiltonian:
         fld = self.field
         eps, lam = fld.eps, fld.lam
         b = self.band.at(k)
-        gk = b.dE
-        gr = fld.grad_phi(r)
+        gk, gr = b.dE, fld.grad_phi(r)
         if eps != 0.0 and lam != 0.0:
             # grad_k (B : M) = B_lj d_n M_lj, grad_r (B : M) = d_n B_lj M_lj
-            gk = gk - _vecmat((eps * lam) * pair_weights(fld.B(r)), b.dm)
+            gk = gk - _vecmat(fld.lam_terms(r).eps_weights, b.dm)
             if callable(fld.bfield):
                 gr = gr - (eps * lam) * _vecmat(b.m, pair_weights(fld.dB(r), 1))
         return gk, gr, b
@@ -354,10 +340,8 @@ def t_eff_inverse(k_eff, r_eff, band: BandData, field: EMFieldConfig):
     k, r = k_eff.copy(), r_eff.copy()
     for _ in range(T_EFF_INVERSE_MAX_ITER):
         k2, r2 = t_eff(k, r, band, field)
-        dk = k_eff - k2
-        dr = r_eff - r2
-        k = k + dk
-        r = r + dr
+        dk, dr = k_eff - k2, r_eff - r2
+        k, r = k + dk, r + dr
         if max(np.abs(dk).max(), np.abs(dr).max()) < T_EFF_INVERSE_TOL:
             return k, r
     raise EffectiveError("effective-map inversion did not converge; eps too large")
@@ -373,9 +357,7 @@ def effective_observable(func, grid: PhaseSpaceGrid, band: BandData,
     """
     d = grid.dim
     if check_periodic:
-        rng = np.random.default_rng(0)
-        kp = rng.normal(size=(16, d))
-        rp = rng.normal(size=(16, d))
+        kp, rp = np.random.default_rng(0).normal(size=(2, 16, d))
         g = band.lattice.dual[0]
         dev = np.abs(np.asarray(func(kp + g, rp)) - np.asarray(func(kp, rp))).max()
         if dev > 1e-8:

@@ -12,17 +12,20 @@ B, the Berry curvature Omega and the Rammal-Wilkinson tensor M are 2-forms,
 held by their P = d(d-1)/2 pair components T_lj, l < j, in row order (12 in
 2D; 12, 13, 23 in 3D; none in 1D).  A full contraction of two 2-forms is
 sum_lj T_lj X_lj = sum_p (2 T_p) X_p: one side enters by its pair weights.
+EMFieldConfig.lam_terms hands out lam B and the arrays the flows and models
+make from it (LamTerms), built once per field when B is constant.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import PeierlsError
 
-__all__ = ["EMFieldConfig", "FieldError", "LINEAR_GAUGES"]
+__all__ = ["EMFieldConfig", "FieldError", "LINEAR_GAUGES", "LamTerms"]
 
 # gauge tags of a vector potential linear in position (a constant B)
 LINEAR_GAUGES = ("symmetric", "landau")
@@ -36,6 +39,11 @@ _DB_STEP, _DB_TOL = 1e-5, 1e-6     # step and tolerance of _check_dbfield
 
 class FieldError(PeierlsError, ValueError):
     pass
+
+
+# lam B (..., d, d), its transpose, the pair weights 2 lam B_p and
+# eps lam 2 B_p (..., P), and lam B_12 as (..., 1) in 2D (None otherwise)
+LamTerms = namedtuple("LamTerms", "lamB lamB_T weights eps_weights b12")
 
 
 def _contract(a, b) -> np.ndarray:
@@ -101,18 +109,15 @@ def antisymmetric(c, d: int, trailing: int = 0) -> np.ndarray:
 
 
 def _zero_phi(r):
-    r = np.asarray(r, dtype=float)
-    return np.zeros(r.shape[:-1])
+    return np.zeros(np.shape(r)[:-1])
 
 
 def _zero_grad(r):
-    r = np.asarray(r, dtype=float)
-    return np.zeros(r.shape)
+    return np.zeros(np.shape(r))
 
 
 def _zero_grad_hess(r):
-    g = _zero_grad(r)
-    return g, np.zeros(g.shape + g.shape[-1:])
+    return _zero_grad(r), np.zeros(np.shape(r) + np.shape(r)[-1:])
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,11 @@ class EMFieldConfig:
             self._check_linear_gauge(pts)
         if self.dbfield is not None:
             self._check_dbfield(pts)
+        terms = None if callable(self.bfield) else self._lam_terms(self.bfield)
+        for a in terms or ():
+            if a is not None:
+                a.flags.writeable = False
+        object.__setattr__(self, "_terms", terms)
 
     # -- constructors --------------------------------------------------
 
@@ -186,10 +196,8 @@ class EMFieldConfig:
         Each constructor passes its keyword arguments `potential` (phi,
         grad_phi, grad_hess_phi) on to the field; those left out give
         phi = 0."""
-        B = np.zeros((dim, dim))
-        return cls(eps=eps, lam=0.0, dim=dim,
-                   bfield=B, vector_potential=lambda r: np.zeros(np.shape(r)),
-                   gauge="symmetric", **potential)
+        return cls(eps=eps, lam=0.0, dim=dim, bfield=np.zeros((dim, dim)), gauge="symmetric",
+                   vector_potential=lambda r: np.zeros(np.shape(r)), **potential)
 
     @classmethod
     def constant(cls, dim: int, b: float, eps: float, lam: float = 1.0,
@@ -240,6 +248,17 @@ class EMFieldConfig:
         if callable(self.bfield):
             return np.asarray(self.bfield(np.asarray(r, dtype=float)))
         return self.bfield
+
+    def lam_terms(self, r) -> LamTerms:
+        """LamTerms at points r (..., d), shaped like B(r): built once, and
+        read-only, for a constant B; made from bfield(r) for a callable B."""
+        return self._lam_terms(self.B(r)) if callable(self.bfield) else self._terms
+
+    def _lam_terms(self, B) -> LamTerms:
+        lamB = self.lam * B
+        return LamTerms(lamB, lamB.swapaxes(-1, -2), pair_weights(lamB),
+                        (self.eps * self.lam) * pair_weights(B),
+                        lamB[..., 0, 1:] if self.dim == 2 else None)
 
     def dB(self, r) -> np.ndarray:
         """d_m B_lj at points r, shape (..., d, d, d) with axis order

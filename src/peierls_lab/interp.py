@@ -155,9 +155,9 @@ class PeriodicSpline:
         V = (u - base)[:, None] ** _POWERS              # (d, 4, B): t_l^j
         mono = V[0]
         for l in range(1, d):
-            mono = (mono[:, None] * V[l]).reshape(-1, n_pts)
+            mono = (mono[:, None] * V[l]).reshape(4 ** (l + 1), n_pts)
         flat = self._strides @ (base.astype(np.intp) % self._n)
-        return flat[:, None] + self._offsets, (mono.T @ self._K).reshape(n_pts, 1 + d, -1)
+        return flat[:, None] + self._offsets, (mono.T @ self._K).reshape(n_pts, 1 + d, len(self._K))
 
     def eval_prepped(self, prep: tuple) -> np.ndarray:
         """Values and first derivatives of all F fields, shape (B, 1 + d, F),

@@ -29,7 +29,7 @@ from . import PeierlsError
 from .effective import BandData, EffectiveHamiltonian
 from .fiber import BandStructure, FourierPotential, fiber_on_cell_grid, solve_bands
 from .fields import EMFieldConfig
-from .flow import _rk4_run
+from .flow import _rk4_run, loglog_slope
 from .geometry import fix_gauge
 from .lattice import Lattice, make_kgrid, signed_permutations
 from .weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid, QuantizedOperator,
@@ -684,9 +684,7 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
             args = (bands, band_index, fld, k_batch, x_batch, t, LIMIT_DT_FLOW)
             oracle = pool.submit(_flow_oracle, *args) if pool else _flow_oracle(*args)
             boxes.append((eps, fld, box, psi0, oracle, k_bar, x_bar))
-        errs_point = []
-        errs_avg = []
-        results = []
+        errs_point, errs_avg, results = [], [], []
         for eps, fld, box, psi0, oracle, k_bar, x_bar in boxes:
             # neither H nor its eigenbasis outlives this step, so the next,
             # larger box is not allocated beside them
@@ -711,12 +709,9 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         if pool:
             pool.shutdown(cancel_futures=True)
     eps_arr = np.asarray(list(eps_list), dtype=float)
-    ep = np.asarray(errs_point)
-    ea = np.asarray(errs_avg)
-    slope_point = float(np.polyfit(np.log(eps_arr), np.log(ep), 1)[0])
-    slope_avg = float(np.polyfit(np.log(eps_arr), np.log(ea), 1)[0])
+    ep, ea = np.asarray(errs_point), np.asarray(errs_avg)
     return {"eps": eps_arr, "error_point": ep, "error_avg": ea,
-            "slope_point": slope_point, "slope_avg": slope_avg,
+            "slope_point": loglog_slope(eps_arr, ep), "slope_avg": loglog_slope(eps_arr, ea),
             "details": results}
 
 

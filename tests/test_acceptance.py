@@ -112,15 +112,10 @@ def test_criterion_2_tau_equivariance():
 
 def test_criterion_3_gauge_covariance():
     t0 = time.time()
-    # 1D grid of 33 points (odd grids keep the correspondence exactly
-    # invertible; 32 in the plan reads as the test scale)
-    grid = PhaseSpaceGrid.build(33, 0.5, eps=0.1)
-    fld = EMFieldConfig.zero(1, eps=0.1)
-    sym = sample_symbol(lambda X, K: np.exp(-1.5 * X ** 2 - 0.8 * K ** 2), grid)
     rng = np.random.default_rng(0)
     worst = 0.0
     # 1D has no magnetic coupling; exercise the 2D covariance with 5
-    # polynomial gauge functions on a 13^2 grid as well
+    # polynomial gauge functions on a 13^2 grid
     grid2 = PhaseSpaceGrid.build((13, 13), 0.6, eps=0.1)
     b = 0.9
     f_sym = EMFieldConfig.constant(2, b=b, eps=0.1, lam=0.7)

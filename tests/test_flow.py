@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,7 +7,7 @@ from scipy.linalg import expm
 from peierls_lab.effective import BandData, EffectiveHamiltonian
 from peierls_lab.fields import EMFieldConfig, pairs
 from peierls_lab.flow import (AnalyticHamiltonian, FlowError, FlowState,
-                              _rk4_run, integrate, poisson_corrected,
+                              _rk4_run, compare_flows, integrate, poisson_corrected,
                               structure_factor, vector_field)
 from peierls_lab.lattice import Lattice
 from peierls_lab.quantum import QuantumError, egorov_error
@@ -190,6 +192,20 @@ def test_poisson_corrected_position_bracket():
     assert abs(br_kk[0] + b) < 2 * eps * om * b
     br_kr = poisson_corrected(Coord("k", 0), Coord("r", 0), k, r, fld, band)
     assert abs(br_kr[0] - 1.0) < 2 * eps * om * b
+
+
+def test_compare_flows_one_eps_fits_no_slope():
+    """One eps fixes no slope: the slope is nan, and no fit is tried (numpy
+    would warn and return a meaningless number)."""
+    band = BandData.synthetic(LAT2, (9, 9), energy=lambda k: np.cos(k).sum(-1),
+                              connection=lambda k: 0.3 * np.sin(k))
+    fld = EMFieldConfig.constant(2, b=0.8, eps=0.1, lam=0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = compare_flows(FlowState.of([0.7, 0.7], [0.1, 0.1]), band, fld, [0.1],
+                            t_final=0.1, dt=0.01)
+    assert rep["distance"].shape == (1,) and rep["distance"][0] > 0
+    assert np.isnan(rep["slope"])
 
 
 def test_trajectory_monotone_times():

@@ -190,7 +190,6 @@ def rw_spectral_sum_oracle(bands, frame):
     # over the grid (reuse the frame's own vectors, different combination)
     from peierls_lab.geometry import _k_derivatives
     dphi = _k_derivatives(frame)
-    E = grid.reshape(bands.energies[b])
     shape = grid.shape
     M = np.zeros(shape + (d, d))
     vecs_all = full.vectors  # (n_all, N, D)

@@ -1,9 +1,14 @@
-"""Every name a package module imports is read in that module.
+"""Every name a package module imports is read in that module, and every
+local a function binds is read in that function.
 
 The modules are parsed with ast, not imported.  A name counts as read when it
 appears as a load anywhere in the module (an attribute chain such as
 np.zeros reads np); names listed in the module's __all__ and `from
-__future__` imports are exempt.
+__future__` imports are exempt.  The local scan covers the package and the
+tests: a name that a plain single-name assignment binds in a function must
+be read somewhere in that function, its nested functions included (tuple
+unpacking and loop targets are exempt, and global or nonlocal names are not
+locals).
 """
 
 import ast
@@ -11,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "peierls_lab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "peierls_lab"
 
 
 def _exported(tree) -> set:
@@ -54,3 +60,58 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body outside its nested scopes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list:
+    """(line, name) of each local that a plain single-name assignment binds
+    and its function never reads."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        seen = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        seen.update(name for n in ast.walk(fn)
+                    if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names)
+        out += [(node.lineno, node.targets[0].id) for node in _own_nodes(fn)
+                if isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id not in seen]
+    return sorted(out)
+
+
+def test_scan_finds_an_unused_local():
+    src = ("COUNT = 0\n"
+           "def f(x):\n"
+           "    y = x + 1\n"
+           "    a, b = x, y\n"
+           "    for i in range(3):\n"
+           "        pass\n"
+           "    z = 2\n"
+           "    def g():\n"
+           "        w = 3\n"
+           "        return z\n"
+           "    global COUNT\n"
+           "    COUNT = 1\n"
+           "    u = v = 4\n"
+           "    dead = g()\n"
+           "    return a\n")
+    assert unused_locals(src) == [(9, "w"), (14, "dead")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_local(path):
+    assert unused_locals(path.read_text()) == []

@@ -262,8 +262,9 @@ def test_rhs_matches_einsum_oracle(d, kind, eps, lam):
         omega = band.at(k).om
         Omega = antisymmetric(omega, d)
         gk = np.broadcast_to(gk0, np.broadcast_shapes(k.shape, r.shape))
+        terms = fld.lam_terms(r) if fld.lam != 0.0 else None
         for om, Om, e in ((None, None, 0.0), (omega, Omega, eps), (omega, Omega, 0.3)):
-            new = flow._solve_structure(gk, gr0, fld.B(r), fld.lam, om, e)
+            new = flow._solve_structure(gk, gr0, terms, om, e)
             ref = oracle_solve_structure(gk, gr0, r, fld, Om, e)
             close(new[0], ref[0])
             close(new[1], ref[1], broadcast=True)
@@ -274,8 +275,10 @@ def test_rhs_matches_einsum_oracle(d, kind, eps, lam):
             close(sf, np.broadcast_to(oracle_structure_factor(k, r, fld, band, e), full))
         if fld.lam != 0.0:
             ref = oracle_reduced(fld.lam * full_B(fld, r), 0.3 * Omega)
-            # a constant B's (d, d) matrix leaves the shape of k alone
-            close(flow._reduced(fld.lam * fld.B(r), 0.3 * omega), ref, broadcast=True)
+            # a constant B's (d, d) matrix leaves the shape of k alone; the
+            # 2-D scalar comes as (..., 1)
+            red = flow._reduced(terms, 0.3 * omega)
+            close(red[..., 0] if d == 2 else red, ref, broadcast=True)
 
 
 def test_corrected_degeneracy_threshold_and_message_unchanged():
@@ -286,7 +289,7 @@ def test_corrected_degeneracy_threshold_and_message_unchanged():
     # 1 + lam B_12 eps Omega_21 = 0 for this eps
     eps = 1.0 / (fld.lam * fld.B(r)[0, 1] * om[0])
     g = np.ones(2)
-    for solve, arg in ((flow._solve_structure, (fld.B(r), fld.lam, om)),
+    for solve, arg in ((flow._solve_structure, (fld.lam_terms(r), om)),
                        (oracle_solve_structure, (r, fld, antisymmetric(om, 2)))):
         with pytest.raises(FlowError, match="corrected structure matrix is degenerate"):
             solve(g, g, *arg, eps)
@@ -332,6 +335,70 @@ def test_constant_field_matrix_is_read_only():
         assert np.all(B[..., 0, 1] == 0.8)
         with pytest.raises(ValueError):
             B[..., 0, 1] = 1.0
+
+
+def test_lam_terms_are_made_from_B():
+    """lam_terms(r) holds lam B(r), its transpose, the pair weights 2 lam B_p
+    and eps lam 2 B_p and, in 2D, lam B_12 as (..., 1): for a constant B the
+    read-only arrays built with the field (and rebuilt with a new eps), for
+    a callable B made from B(r) at the points."""
+    r = np.random.default_rng(3).normal(size=(4, 2))
+    for kind in ("symmetric", "transversal"):
+        for fld in (make_field(kind, 2, 0.1, 0.6), make_field(kind, 2, 0.3, 0.6)):
+            t, lamB = fld.lam_terms(r), 0.6 * fld.B(r)
+            assert np.array_equal(t.lamB, lamB)
+            assert np.array_equal(t.lamB_T, np.swapaxes(lamB, -1, -2))
+            assert np.array_equal(t.weights, 2.0 * lamB[..., 0, 1:])
+            assert np.array_equal(t.eps_weights, (fld.eps * 0.6) * (2.0 * fld.B(r)[..., 0, 1:]))
+            assert np.array_equal(t.b12, lamB[..., 0, 1:])
+            if kind == "symmetric":
+                assert fld.lam_terms(r[0]) is t
+                assert not any(a.flags.writeable for a in t)
+    assert make_field("symmetric", 3).lam_terms(np.zeros(3)).b12 is None
+
+
+# -- one right-hand side for every batch size ---------------------------------
+
+ROW_CASES = [(1, "zero"), (2, "symmetric"), (2, "transversal"), (3, "symmetric"),
+             (3, "transversal")]
+
+
+def _flow_models(d, kind):
+    """The field of kind on BANDS[d] and both models, each with the band its
+    flow passes to vector_field: h_sc the corrected one, h_eff none."""
+    band, fld = BANDS[d], make_field(kind, d)
+    return fld, [(SemiclassicalHamiltonian(band, fld), band),
+                 (EffectiveHamiltonian(band, fld), None)]
+
+
+@pytest.mark.parametrize("d,kind", ROW_CASES)
+def test_batch1_rows_match_batched_rows(d, kind):
+    """vector_field at one point equals that point's row of a 5-point batch
+    to 1e-13 relative, although a single point meets shared (d, d) band
+    matrices (one BLAS product each) where the batch sums per entry."""
+    fld, models = _flow_models(d, kind)
+    rng = np.random.default_rng(20 + d)
+    k, r = rng.uniform(-3, 3, (5, d)), rng.uniform(-3, 3, (5, d))
+    for model, band in models:
+        batch = flow.vector_field(k, r, model, fld, band)
+        for i in range(5):
+            for one, rows in zip(flow.vector_field(k[i], r[i], model, fld, band), batch):
+                assert one.shape == (d,)
+                close(one, rows[i])
+
+
+@pytest.mark.parametrize("d,kind", ROW_CASES)
+def test_empty_batch_gives_empty_fields_and_rates(d, kind):
+    fld, models = _flow_models(d, kind)
+    band, empty, p = BANDS[d], np.zeros((0, d)), d * (d - 1) // 2
+    assert band._spline(empty).shape == (0, 1 + d, band._spline.n_fields)
+    b = band.at(empty)
+    shapes = {"E": (0,), "A": (0, d), "m": (0, p), "om": (0, p), "dE": (0, d),
+              "hessE": (0, d, d), "dA": (0, d, d), "dm": (0, p, d)}
+    assert {name: getattr(b, name).shape for name in shapes} == shapes
+    for model, flow_band in models:
+        kdot, rdot = flow.vector_field(empty, empty, model, fld, flow_band)
+        assert kdot.shape == rdot.shape == (0, d)
 
 
 # -- call-count guard for batch-1 flows ---------------------------------------
