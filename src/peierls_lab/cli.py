@@ -19,7 +19,6 @@ CSVs do not depend on them.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import operator
@@ -467,6 +466,7 @@ def _preflight(cfg: RunConfig) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse     # only the command line needs it, not the library runs
     parser = argparse.ArgumentParser(
         prog="peierls-lab",
         description="Band structure, band geometry, effective dynamics and "

@@ -29,11 +29,20 @@ Vhat(g) is real (V even, as in all presets) H(k) is real symmetric and is
 assembled and diagonalized in real arithmetic.
 
 The representatives are solved in chunks of at most CHUNK_BYTES of
-matrices: each chunk is assembled, diagonalized and cut down to the stored
-window (n_bands + 1 eigenvalues, n_bands vectors) before the next one is
-built, so the matrices a solve holds at once do not grow with the grid.
-check_band_memory refuses a solve whose chunk working set and stored
-vectors would not fit, before anything is allocated.
+matrices: each chunk is assembled and cut down to the stored window
+(n_bands + 1 eigenvalues, n_bands vectors) before the next one is built, so
+the matrices a solve holds at once do not grow with the grid.  LAPACK gives
+only the eigenvalues (one batched eigvalsh); the stored vectors come from
+inverse iteration on a block LU factorization of H - lambda, which is cheap
+because H is block tridiagonal: V couples coefficient slice n_0 only to the
+slices within p = max(1, max |n_0| of V's support) of it, so slabs of p
+slices along axis 0 leave only the neighbouring slabs coupled.  Slice 0
+shares its slab with the p slices below it.  A band odd under the mirror
+n_0 -> -n_0 vanishes on slice 0, so the slices below it alone have its
+eigenvalue too, and a slab edge there would make a factor in the middle of
+the elimination singular.  check_band_memory refuses a solve whose chunk
+working set, block factors and stored vectors would not fit, before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -73,10 +82,29 @@ SYMMETRY_TOL = 1e-12    # Hermitian partners and Vhat under a symmetry agree to 
 # 1.1 MB: freeing a smaller chunk leaves glibc's dynamic mmap threshold below
 # the 3.1 MB matrices of its N = 441 Egorov stage.
 CHUNK_BYTES = 4 * 2**20
-# chunks of matrices check_band_memory counts: tracemalloc sees two alive at
-# once in solve_bands (the assembled matrices and eigh's eigenvectors), and
-# one more covers what the allocator keeps of the freed ones
-_CHUNK_COPIES = 3
+# chunks of matrices check_band_memory counts beside the block factors: one
+# is the reused buffer of assembled matrices (eigvalsh keeps no vectors), and
+# one covers the temporaries beside it, the image vectors among them;
+# tracemalloc put a solve's peak, less its outputs and factors, at 1.3-1.8
+# chunks (2-D at cutoffs 5 and 7, 3-D at cutoff 3)
+_CHUNK_COPIES = 2
+# The stored vectors' inverse iteration (_band_vectors).  Each eigenvalue
+# lambda is shifted up by SHIFT * ||H||_2, so that the diagonal H of the free
+# potential never meets an exactly singular block.  On 60 random and
+# symmetric 2-D potentials (cutoffs 3-6, 13 k-points each, 1, 3 and 5
+# bands) the worst residual over ||H|| was 3.3e-14 at 1e-14, against 7.4e-13,
+# 1.4e-13, 2.4e-12 and 1.6e-10 at 1e-15, 1e-13, 1e-12 and 1e-10: below
+# 1e-14 eigvalsh's own error rivals the shift, above it the sweeps converge
+# more slowly.  At 1e-14 the same sweep gave 4.2e-15 in 1-D and 2.0e-13 in
+# 3-D (cutoffs 2-3).
+SHIFT = 1e-14
+# sweeps of (H - lambda - delta)^-1 from the fixed starts: on flow-2d's 64
+# matrices one sweep left residuals of 6.9e-11 of ||H||, two 1.9e-15 (and
+# three no less); on the 2-D sweep above one sweep left 1.1e-8
+SWEEPS = 2
+# a returned vector u of eigenvalue lambda has |H u - lambda u| at most
+# RESIDUAL_TOL * ||H||_2, 5 times the worst of the sweeps above
+RESIDUAL_TOL = 1e-12
 
 
 class FiberError(PeierlsError, ValueError):
@@ -353,18 +381,94 @@ def kgrid_orbits(kgrid: KGrid, symmetries) -> tuple[np.ndarray, np.ndarray]:
     return rep, element
 
 
+def _reach(potential: FourierPotential) -> int:
+    """p = max(1, largest |n_0| in V's support): V couples coefficient slices
+    n_0 and n_0' only when |n_0 - n_0'| <= p."""
+    return max([1] + [abs(int(n[0])) for n in potential.coefficients])
+
+
+def _slabs(p: int, basis: PlaneWaveBasis) -> list:
+    """The slabs of the block LU, as slices of the flat basis index in
+    ascending n_0: slice 0 and the p slices below it form one slab, and the
+    others hold p slices each, counted outwards from it (the outermost ones
+    may be shorter)."""
+    c = basis.cutoff
+    width = basis.size // (2 * c + 1)
+    runs = -(-c // p)
+    lows = ([max(-c, -p * j) for j in range(runs, 0, -1)]
+            + [1 + p * j for j in range(runs)] + [c + 1])
+    return [slice((lo + c) * width, (hi + c) * width) for lo, hi in zip(lows, lows[1:])]
+
+
+def _band_vectors(ham: np.ndarray, V: np.ndarray, slabs: list, evals: np.ndarray,
+                  n_bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors of the fiber matrices ham (m, D, D) = V +
+    diag(kin) for their n_bands lowest eigenvalues, given all of them in
+    evals (m, D) ascending.
+
+    Each eigenvalue lambda gets a block LU factorization of
+    H - lambda - SHIFT ||H||_2 over slabs (_slabs): V supplies the
+    off-diagonal blocks B_i = H[i, i-1] and C_i = H[i, i+1], which every
+    matrix and band share, and only the inverses G_i of the Schur
+    complements S_i = A_i - B_i G_{i-1} C_{i-1} are kept, at most
+    m n_bands D x (slab width) numbers.  SWEEPS sweeps of inverse iteration from fixed starts
+    follow, then one QR and a Rayleigh-Ritz step in the n_bands span, so
+    bands that are degenerate or nearly so come out orthonormal.  Returns
+    the vectors (m, D, n_bands) and each one's residual
+    |H u - lambda u| / ||H||_2 (m, n_bands).
+    """
+    m, D = ham.shape[:2]
+    scale = np.abs(evals[:, [0, -1]]).max(axis=1)
+    lam = evals[:, :n_bands]
+    shift = (lam + SHIFT * scale[:, None])[..., None, None]
+    inv = []
+    for i, sl in enumerate(slabs):
+        s = ham[:, None, sl, sl] - shift * np.eye(sl.stop - sl.start)
+        if i:
+            up = slabs[i - 1]
+            s -= V[sl, up] @ inv[-1] @ V[up, sl]
+        inv.append(np.linalg.inv(s))
+    # fixed starts without symmetry: a start that a fiber symmetry fixes is
+    # orthogonal to every band odd under it
+    x = np.sin(1.0 + np.outer(1.0 + 0.618 * np.arange(n_bands), np.arange(D)))
+    x = np.repeat(x[None].astype(ham.dtype), m, axis=0)              # (m, n, D)
+    for _ in range(SWEEPS):
+        # x <- (H - shift)^-1 x: y_i = x_i - B_i G_{i-1} y_{i-1} downwards,
+        # then x_i = G_i (y_i - C_i x_{i+1}) upwards, both in place
+        for i in range(1, len(slabs)):
+            up = slabs[i - 1]
+            x[..., slabs[i]] -= (inv[i - 1] @ x[..., up, None])[..., 0] @ V[slabs[i], up].T
+        for i in range(len(slabs) - 1, -1, -1):
+            rhs = x[..., slabs[i], None]
+            if i + 1 < len(slabs):
+                down = slabs[i + 1]
+                rhs = rhs - V[slabs[i], down] @ x[..., down, None]
+            x[..., slabs[i]] = (inv[i] @ rhs)[..., 0]
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    q = np.linalg.qr(np.swapaxes(x, 1, 2))[0]                        # (m, D, n)
+    _, ritz = np.linalg.eigh(np.swapaxes(q.conj(), 1, 2) @ ham @ q)
+    u = q @ ritz
+    residual = np.linalg.norm(ham @ u - u * lam[:, None, :], axis=1) / scale[:, None]
+    return u, residual
+
+
 def check_band_memory(potential: FourierPotential, shape, cutoff: int,
                       n_bands: int) -> None:
     """Refuse (DenseMemoryError) a solve_bands on a k-grid of this shape
     whose working set would not fit: _CHUNK_COPIES chunks of fiber matrices
-    beside the stored vectors (n_bands, N, D) and the kinetic diagonals
-    (N, D).  Needs only the shape, so nothing grid-sized exists yet."""
-    D = (2 * cutoff + 1) ** potential.lattice.dim
+    beside a chunk's block factors (chunk x n_bands x D x the widest slab),
+    the stored vectors (n_bands, N, D) and the kinetic diagonals (N, D).
+    Needs only the shape, so nothing grid-sized exists yet."""
+    w = 2 * cutoff + 1
+    D = w ** potential.lattice.dim
     N = math.prod(shape)
-    matrix = (8 if potential.even else 16) * D * D
-    chunk = min(max(CHUNK_BYTES // matrix, 1), N) * matrix
+    item = 8 if potential.even else 16
+    per_chunk = min(max(CHUNK_BYTES // (item * D * D), 1), N)
+    n_bands = min(n_bands, D)
+    slab = min(_reach(potential) + 1, w) * D // w
     check_dense_memory(f"solve_bands at cutoff {cutoff}", tuple(shape),
-                       _CHUNK_COPIES * chunk + (16 * min(n_bands, D) + 8) * N * D)
+                       per_chunk * item * D * (_CHUNK_COPIES * D + n_bands * slab)
+                       + (16 * n_bands + 8) * N * D)
 
 
 def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
@@ -374,15 +478,22 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
 
     The grid splits into orbits of the symmetry group of fiber_symmetries
     (kgrid_orbits: alpha M must land on a grid point without wrapping).
-    Only the representative of each orbit is diagonalized, in chunks of
+    Only the representative of each orbit is solved, in chunks of
     CHUNK_BYTES of matrices, each cut down to the stored window before the
     next is built (check_band_memory refuses first a solve that would not
     fit); an image alpha_p = alpha_rep M gets bit-identical energies and
     guard energy and the vectors P_M u, or P_M conj(u) for a conj element.
     On potential_2d(v, w) over the square lattice the group is {+-I, +-S}
-    with S the diagonal mirror, so a 15 x 15 grid needs 64
-    diagonalizations.  The matrices are float64 when every Vhat(g) is real
-    and complex128 otherwise; vectors are returned as complex128 either way.
+    with S the diagonal mirror, so a 15 x 15 grid needs 64 solved matrices.
+
+    A chunk's energies and guard energies are LAPACK's, from one batched
+    eigvalsh; its n_bands vectors come from _band_vectors (block LU over
+    the slabs of _slabs, SWEEPS inverse-iteration sweeps at the shift
+    SHIFT ||H||_2, QR and Rayleigh-Ritz).  A vector whose residual
+    |H u - E u| exceeds RESIDUAL_TOL ||H||_2 is never returned: the solve
+    raises FiberError naming its k-point.  The matrices are float64 when
+    every Vhat(g) is real and complex128 otherwise; vectors are returned
+    as complex128 either way.
     """
     check_band_memory(potential, kgrid.shape, cutoff, n_bands)
     basis = fiber_basis(potential, cutoff, n_bands)
@@ -391,6 +502,7 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
     rep, element = kgrid_orbits(kgrid, symmetries)
     solved = np.flatnonzero(rep == np.arange(N))
     V, kin = fiber_terms(potential, basis, kgrid.points[solved])
+    slabs = _slabs(_reach(potential), basis)
     window = min(n_bands + 1, D)
     evals = np.empty((solved.size, window))
     vectors = np.empty((n_bands, N, D), dtype=complex)
@@ -404,10 +516,17 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
         ham = chunk[:len(kin[part])]
         ham[...] = V
         ham[:, diag, diag] += kin[part]
-        w, u = np.linalg.eigh(ham)
+        w = np.linalg.eigvalsh(ham)
         evals[part] = w[:, :window]
-        vectors[:, solved[part]] = np.transpose(u[:, :, :n_bands], (2, 0, 1))
-        del u      # freed before the next chunk is diagonalized
+        u, residual = _band_vectors(ham, V, slabs, w, n_bands)
+        bad = np.flatnonzero(~np.all(residual <= RESIDUAL_TOL, axis=1))     # NaN is bad
+        if bad.size:
+            p = solved[start + bad[0]]
+            raise FiberError(
+                f"band vectors at k = {tuple(kgrid.points[p].tolist())} (grid point {p}) "
+                f"miss the residual bound: {residual[bad[0]].max():.1e} of ||H|| "
+                f"> {RESIDUAL_TOL:.0e}")
+        vectors[:, solved[part]] = np.transpose(u, (2, 0, 1))
     row = np.searchsorted(solved, rep)
     energies = np.ascontiguousarray(evals[row, :n_bands].T)
     for s, (M, conj) in enumerate(symmetries[1:], start=1):

@@ -30,7 +30,15 @@ __all__ = ["EMFieldConfig", "FieldError", "LINEAR_GAUGES", "LamTerms"]
 # gauge tags of a vector potential linear in position (a constant B)
 LINEAR_GAUGES = ("symmetric", "landau")
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the values of numpy.polynomial.legendre.leggauss(8), written out: only the
+# transversal gauge reads them, and importing numpy.polynomial for them cost
+# every run its load
+_GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                      -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                      0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                        0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                        0.22238103445337443, 0.10122853629037706])
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 

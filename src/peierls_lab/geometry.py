@@ -193,7 +193,7 @@ def berry_connection(frame: Frame):
 def wilson_loop(frame: Frame, axis: int = 0) -> np.ndarray:
     """Closed-loop Berry phases along one grid axis.
 
-    Returns the per-line phase in (-pi, pi]: the discrete integral of A.dk
+    Returns the per-line phase in [-pi, pi): the discrete integral of A.dk
     along the closed line (with equivariant closure).
     """
     plus = _neighbor(frame, axis, +1)

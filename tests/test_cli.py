@@ -533,11 +533,14 @@ def test_thread_count_default_follows_cpu_affinity(monkeypatch):
 
 def test_package_imports_load_no_scipy():
     # scipy is a test-only dependency: importing scipy.linalg alone costs
-    # about 0.3 s and 27 MB of resident memory in every run
+    # about 0.3 s and 27 MB of resident memory in every run; numpy.polynomial
+    # and argparse are needed by no library run, only by the Hermite nodes of
+    # the propagate oracle and the command line, which import them on use
     code = ("import importlib, pkgutil, sys, peierls_lab\n"
             "for m in pkgutil.iter_modules(peierls_lab.__path__):\n"
             "    importlib.import_module('peierls_lab.' + m.name)\n"
-            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'\n"
+            "             or n in ('numpy.polynomial', 'argparse')))\n")
     src = str(Path(peierls_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -10,7 +10,7 @@ from peierls_lab.effective import (BandData, EffectiveError,
                                    SemiclassicalHamiltonian,
                                    effective_observable, t_eff,
                                    t_eff_inverse)
-from peierls_lab.fiber import fiber_matrix, potential_2d, solve_bands
+from peierls_lab.fiber import potential_2d, solve_bands
 from peierls_lab.fields import EMFieldConfig, antisymmetric, pairs
 from peierls_lab.geometry import geometric_tensors
 from peierls_lab.interp import BLOCK, PeriodicSpline

@@ -230,32 +230,50 @@ def test_solve_bands_matches_fiber_matrix(pot, grid, cutoff, n_bands, n_group):
     (potential_2d(12, 2, Lattice.from_basis([[1.0, 0.0], [0.0, 1.3]])), 15, 113),
 ], ids=["15x15", "21x21", "s-breaking-15x15", "rectangular-15x15"])
 def test_solve_bands_diagonalizes_one_point_per_orbit(monkeypatch, pot, n, n_solved):
-    calls = []
-    eigh = np.linalg.eigh
+    calls = {"eigvalsh": [], "eigh": []}
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a)
-        return eigh(a, *args, **kwargs)
+    def spy(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        def counting(a, *args, **kwargs):
+            calls[name].append(a)
+            return solver(a, *args, **kwargs)
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, spy(name))
     bands = solve_bands(pot, make_kgrid(pot.lattice, n), 5, 3)
-    assert sum(len(a) for a in calls) == n_solved
-    assert all(a.shape[1:] == (121, 121) and a.nbytes <= fiber.CHUNK_BYTES for a in calls)
+    # the full matrices go to eigvalsh, one per orbit representative, in
+    # chunks of at most CHUNK_BYTES; eigh sees only 3 x 3 Rayleigh-Ritz blocks
+    assert sum(len(a) for a in calls["eigvalsh"]) == n_solved
+    assert all(a.shape[1:] == (121, 121) and a.nbytes <= fiber.CHUNK_BYTES
+               for a in calls["eigvalsh"])
+    assert sum(len(a) for a in calls["eigh"]) == n_solved
+    assert all(a.shape[1:] == (3, 3) for a in calls["eigh"])
     assert bands.energies.shape == (3, n * n)
 
 
-def batched_reference(pot, grid, cutoff, n_bands):
-    """The representatives, and all their eigenvalues and vectors from one
-    batched eigh over the stacked fiber matrices."""
-    basis = fiber_basis(pot, cutoff, n_bands)
+def fiber_stack(pot, cutoff, k):
+    """V, and the fiber matrices at the momenta k (N, d) stacked."""
+    V, kin = fiber_terms(pot, fiber_basis(pot, cutoff), np.asarray(k, dtype=float))
+    ham = np.broadcast_to(V, kin.shape[:1] + V.shape).copy()
+    diag = np.arange(V.shape[0])
+    ham[:, diag, diag] += kin
+    return V, ham
+
+
+def batched_reference(pot, grid, cutoff):
+    """The representatives, all their eigenvalues from one batched eigvalsh
+    over the stacked fiber matrices, and their eigenvectors from eigh."""
     rep, _ = kgrid_orbits(grid, fiber_symmetries(pot))
     solved = np.flatnonzero(rep == np.arange(grid.n_points))
-    V, kin = fiber_terms(pot, basis, grid.points[solved])
-    ham = np.broadcast_to(V, (solved.size,) + V.shape).copy()
-    diag = np.arange(basis.size)
-    ham[:, diag, diag] += kin
-    evals, evecs = np.linalg.eigh(ham)
-    return solved, evals, evecs
+    _, ham = fiber_stack(pot, cutoff, grid.points[solved])
+    return solved, np.linalg.eigvalsh(ham), np.linalg.eigh(ham)[1]
+
+
+def projectors(vectors):
+    """u u^H of (..., D, n) column vectors."""
+    return vectors @ np.swapaxes(vectors.conj(), -1, -2)
 
 
 @pytest.mark.parametrize("pot, grid, cutoff", [
@@ -265,21 +283,101 @@ def batched_reference(pot, grid, cutoff, n_bands):
 ], ids=["real-15x15", "complex-9x9", "cubic-4x4x4"])
 def test_streamed_solve_is_bit_identical_to_one_batched_eigh(monkeypatch, pot, grid, cutoff):
     n_bands = 3
-    solved, evals, evecs = batched_reference(pot, grid, cutoff, n_bands)
+    solved, evals, evecs = batched_reference(pot, grid, cutoff)
     matrix = evecs[0].nbytes
     assert solved.size > 3 and solved.size % 3
     results = []
-    # one matrix per chunk, 3 (a ragged last chunk), all in one chunk
-    for chunk in (1, 3 * matrix, solved.size * matrix):
+    # all in one chunk, one matrix per chunk, 3 (a ragged last chunk)
+    for chunk in (solved.size * matrix, 1, 3 * matrix):
         monkeypatch.setattr(fiber, "CHUNK_BYTES", chunk)
         results.append(solve_bands(pot, grid, cutoff, n_bands))
     for bands in results:
         assert np.array_equal(bands.energies[:, solved], evals[:, :n_bands].T)
         assert np.array_equal(bands.guard_energies[solved], evals[:, n_bands])
-        assert np.array_equal(bands.vectors[:, solved],
-                              np.transpose(evecs[:, :, :n_bands], (2, 0, 1)))
         for name in ("energies", "guard_energies", "vectors"):
             assert np.array_equal(getattr(bands, name), getattr(results[0], name))
+    # the stored vectors span eigh's lowest n_bands, or, where the window's
+    # edge cuts a degenerate cluster (bands 1-3 of the cubic grid), lie in
+    # the span of the bands up to the cluster's end
+    for row, p in enumerate(solved):
+        m = np.count_nonzero(evals[row] <= evals[row, n_bands - 1] + 1e-9)
+        q, u = evecs[row, :, :m], results[0].vectors[:, p].T
+        assert np.abs(u - q @ (q.conj().T @ u)).max() < 1e-10
+
+
+FREE_1D = FourierPotential(LAT1, {})
+FREE_2D = FourierPotential(LAT2, {})
+# a (2, 0) coefficient: V reaches two slices along axis 0
+REACH_2_2D = FourierPotential(LAT2, {(2, 0): 3.0, (-2, 0): 3.0, (1, 1): 1.5 - 0.5j,
+                                     (-1, -1): 1.5 + 0.5j, (0, 1): 2.0, (0, -1): 2.0})
+SEPARABLE_2D = potential_2d(12, 0)
+CORNER = [np.pi, np.pi]
+
+
+@pytest.mark.parametrize("pot, cutoff, k, n_bands", [
+    (potential_2d(12, 2), 5, [[0.3, -1.1], [0.0, 0.0], [2.0, 2.0]], 3),
+    (NON_EVEN_2D, 4, [[0.3, -1.1], [0.0, 0.0], [-2.5, 0.7]], 3),
+    (mathieu_potential(1.0), 8, [[0.0], [0.4], [-np.pi + 0.1]], 3),
+    (CUBIC_3D, 2, [[0.3, -1.1, 0.5], [0.0, 0.0, 0.0]], 4),
+    (FREE_1D, 4, [[0.0], [0.7]], 3),
+    (FREE_2D, 3, [[0.0, 0.0], [0.7, -0.2]], 5),
+    (REACH_2_2D, 4, [[0.3, -1.1], [0.0, 0.0], [0.0, 2.1]], 3),
+    # odd-in-x bands vanish on slice 0 when k_0 = 0 (see fiber._slabs), and
+    # nearly so when a tiny w breaks the mirror
+    (SEPARABLE_2D, 5, [[0.0, 0.0], [0.0, 1.3], [0.0, -2.9]], 3),
+    (potential_2d(12, 1e-6), 5, [[0.0, 0.0], [0.0, 1.3], [0.0, -2.9]], 3),
+    # the degenerate pair at the zone corner
+    (SEPARABLE_2D, 5, [CORNER], 3),
+    (potential_2d(1.0, 0.0), 3, [CORNER, [np.pi, 0.0]], 3),
+], ids=["real-2d", "complex-2d", "mathieu-1d", "cubic-3d", "free-1d", "free-2d",
+        "reach-2", "separable-k0-axis", "near-mirror-k0-axis", "separable-corner",
+        "weak-separable-corner"])
+def test_block_solve_matches_dense_eigh(pot, cutoff, k, n_bands):
+    V, ham = fiber_stack(pot, cutoff, k)
+    evals, evecs = np.linalg.eigh(ham)
+    # the stored window's edge is not degenerate, so its projector is unique
+    assert np.all(evals[:, n_bands] - evals[:, n_bands - 1] > 1e-3)
+    w = np.linalg.eigvalsh(ham)
+    basis = fiber_basis(pot, cutoff)
+    u, residual = fiber._band_vectors(ham, V, fiber._slabs(fiber._reach(pot), basis), w, n_bands)
+    assert u.dtype == ham.dtype and u.shape == ham.shape[:2] + (n_bands,)
+    resid = np.linalg.norm(ham @ u - u * w[:, None, :n_bands], axis=1)
+    assert resid.max() < 1e-10
+    scale = np.abs(w[:, [0, -1]]).max(axis=1)
+    assert np.allclose(residual, resid / scale[:, None], rtol=1e-6, atol=1e-18)
+    assert np.abs(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(n_bands)).max() < 1e-12
+    assert np.abs(projectors(u) - projectors(evecs[:, :, :n_bands])).max() < 1e-10
+
+
+@pytest.mark.parametrize("p, cutoff, lows", [
+    (1, 3, [-3, -2, -1, 1, 2, 3]),
+    (2, 5, [-5, -4, -2, 1, 3, 5]),
+    (3, 7, [-7, -6, -3, 1, 4, 7]),
+    (2, 2, [-2, 1]),
+])
+def test_slabs_cover_the_box_with_slice_0_above_the_p_below_it(p, cutoff, lows):
+    basis = PlaneWaveBasis.build(LAT2, cutoff)
+    slabs = fiber._slabs(p, basis)
+    n0 = basis.offsets[:, 0]
+    assert [int(n0[sl.start]) for sl in slabs] == lows
+    assert slabs[0].start == 0 and slabs[-1].stop == basis.size
+    assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
+    centre = next(sl for sl in slabs if n0[sl.start] <= 0 <= n0[sl.stop - 1])
+    assert set(n0[centre]) == set(range(-min(p, cutoff), 1))
+    # V couples only neighbouring slabs
+    label = np.zeros(basis.size, dtype=int)
+    for i, sl in enumerate(slabs):
+        label[sl] = i
+    far = np.abs(label[:, None] - label[None, :]) > 1
+    assert np.all(np.abs(n0[:, None] - n0[None, :])[far] > p)
+
+
+def test_solve_bands_refuses_vectors_that_miss_the_residual_bound(monkeypatch):
+    # one sweep leaves residuals up to 7e-11 of ||H|| on this grid
+    monkeypatch.setattr(fiber, "SWEEPS", 1)
+    with pytest.raises(FiberError, match=r"band vectors at k = \(.*\) \(grid point \d+\) "
+                                         r"miss the residual bound"):
+        solve_bands(potential_2d(12, 2), make_kgrid(LAT2, 15), 5, 3)
 
 
 def test_solve_bands_holds_one_chunk_of_matrices_at_a_time():
@@ -298,9 +396,10 @@ def test_solve_bands_holds_one_chunk_of_matrices_at_a_time():
 
 
 def test_solve_bands_refuses_a_grid_beyond_memory_before_allocating(monkeypatch):
-    # the faked figure is above 3 chunks of matrices (12 MiB) and below them
-    # plus the 17 MiB of stored vectors, so the estimate must count both; a
-    # solve that is let through stays small enough to run
+    # the faked figure is above 2 chunks of matrices and their block factors
+    # (9.3 MiB) and below them plus the 17 MiB of stored vectors, so the
+    # estimate must count both; a solve that is let through stays small
+    # enough to run
     monkeypatch.setattr(weyl, "_memory_figures", lambda: {"available memory": 2**24})
     grid = make_kgrid(LAT2, 41)
     tracemalloc.start()
@@ -314,6 +413,25 @@ def test_solve_bands_refuses_a_grid_beyond_memory_before_allocating(monkeypatch)
     # 10^20 points overflow an int64 product of the shape
     with pytest.raises(DenseMemoryError):
         check_band_memory(potential_2d(12, 2), (10**10, 10**10), 7, 3)
+
+
+@pytest.mark.parametrize("pot, grid, cutoff, n_bands", [
+    (potential_2d(12, 2), make_kgrid(LAT2, 21), 7, 3),
+    (CUBIC_3D, make_kgrid(LAT3, 6), 3, 4),
+    (REACH_2_2D, make_kgrid(LAT2, 9), 4, 3),
+    (potential_2d(1.0, 0.3), make_kgrid(LAT2, 7), 5, 121),
+], ids=["2d-cutoff-7", "3d-cutoff-3", "complex-reach-2", "every-band"])
+def test_band_memory_estimate_covers_the_traced_peak(monkeypatch, pot, grid, cutoff, n_bands):
+    counted = []
+    monkeypatch.setattr(fiber, "check_dense_memory",
+                        lambda label, shape, nbytes: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        solve_bands(pot, grid, cutoff, n_bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1 and peak <= counted[0]
 
 
 def direct_bands(pot, grid, cutoff, n_bands, rng):

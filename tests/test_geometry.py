@@ -179,7 +179,6 @@ def test_rw_1d_zero_and_diagnostic():
 
 def rw_spectral_sum_oracle(bands, frame):
     """Sum-over-states evaluation with independent one-sided stencils."""
-    from peierls_lab.fiber import fiber_matrix
     grid = frame.kgrid
     d = grid.dim
     full = solve_bands(bands.potential, grid, bands.basis.cutoff,

@@ -1,11 +1,11 @@
-"""Every name a package module imports is read in that module, and every
-local a function binds is read in that function.
+"""Every name a package or test module imports is read in that module, and
+every local a function binds is read in that function.
 
 The modules are parsed with ast, not imported.  A name counts as read when it
 appears as a load anywhere in the module (an attribute chain such as
 np.zeros reads np); names listed in the module's __all__ and `from
-__future__` imports are exempt.  The local scan covers the package and the
-tests: a name that a plain single-name assignment binds in a function must
+__future__` imports are exempt.  Both scans cover the package and the
+tests.  A name that a plain single-name assignment binds in a function must
 be read somewhere in that function, its nested functions included (tuple
 unpacking and loop targets are exempt, and global or nonlocal names are not
 locals).
@@ -57,7 +57,8 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(src) == [(3, "os"), (4, "KGrid")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -15,8 +15,7 @@ import pytest
 from peierls_lab import cli
 from peierls_lab.config import parse_config
 from peierls_lab.effective import BandData, EffectiveHamiltonian
-from peierls_lab.fiber import (FourierPotential, fiber_matrix,
-                               mathieu_potential, solve_bands)
+from peierls_lab.fiber import FourierPotential, mathieu_potential, solve_bands
 from peierls_lab.fields import EMFieldConfig
 from peierls_lab.geometry import geometric_tensors
 from peierls_lab import quantum
@@ -28,8 +27,8 @@ from peierls_lab.quantum import (Propagator, QuantumError, RealSpaceBox,
                                  semiclassical_limit_check,
                                  zak_equivariance_defect, zak_inverse,
                                  zak_transform)
-from peierls_lab.weyl import (DenseMemoryError, PhaseSpaceGrid, position_operator,
-                              quantize, sample_broadcast, sample_symbol)
+from peierls_lab.weyl import (DenseMemoryError, PhaseSpaceGrid, quantize,
+                              sample_broadcast, sample_symbol)
 
 LAT1 = Lattice.cubic(1)
 BOX = RealSpaceBox(lattice=LAT1, n_cells=31, m=14)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peierls_lab import weyl
+from peierls_lab import fields, weyl
 from peierls_lab.fields import EMFieldConfig, FieldError
 from peierls_lab.interp import _sym_freqs
 from peierls_lab.weyl import (DenseMemoryError, GridSymbol, PhaseSpaceGrid,
@@ -273,6 +273,12 @@ def test_transversal_phase_stays_quadrature(monkeypatch):
     pts = grid.points_micro()
     ref = np.exp(-1j * fld.lam * fld.line_integral(pts[:, None, :], pts[None, :, :]))
     assert np.array_equal(weight, ref)
+
+
+def test_gauss_legendre_nodes_match_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.abs(fields._GL_NODES - nodes).max() <= 1e-15
+    assert np.abs(fields._GL_WEIGHTS - weights).max() <= 1e-15
 
 
 def test_guarded_quantize_equals_bandlimited_matrix():
