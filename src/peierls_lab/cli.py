@@ -381,19 +381,20 @@ _RUNNERS = {name: globals()["run_" + name] for name in EXPERIMENTS}
 _COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
 
 
-def _egorov_memory(cfg: RunConfig, lattice) -> None:
+def _egorov_memory(cfg: RunConfig, potential) -> None:
     from .quantum import check_egorov_memory
     for grid, fld in _egorov_grids(cfg):
         check_egorov_memory(grid, fld)
 
 
-def _propagate_memory(cfg: RunConfig, lattice) -> None:
+def _propagate_memory(cfg: RunConfig, potential) -> None:
     from .quantum import check_limit_memory
-    check_limit_memory(lattice, cfg.numerics.eps_list, cfg.numerics.macro_box)
+    check_limit_memory(potential, cfg.numerics.cutoff, cfg.numerics.eps_list,
+                       cfg.numerics.macro_box)
 
 
-# the whole-run estimates of the experiments that read macro_box: dense
-# N x N steps on n^d grids, n ~ macro_box / eps
+# the whole-run estimates of the experiments that read macro_box, from the
+# config and its potential: dense N x N steps on n^d grids, n ~ macro_box / eps
 _MEMORY_CHECKS = {"egorov": _egorov_memory, "propagate": _propagate_memory}
 
 
@@ -458,7 +459,7 @@ def _preflight(cfg: RunConfig) -> None:
             _build_field(cfg, lat.dim, num.eps_list[0])
         if "macro_box" in reads:
             path = "numerics.eps_list"
-            _MEMORY_CHECKS[cfg.experiment](cfg, lat)
+            _MEMORY_CHECKS[cfg.experiment](cfg, pot)
     except PeierlsError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     except OverflowError as exc:    # macro_box / eps beyond any grid size

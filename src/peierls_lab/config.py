@@ -149,8 +149,9 @@ EXPERIMENTS = {
         Check("slope", "slope", "slope_max", "<="),
         Check("energy_drift", "energy_drift", "drift_tol", "<")), _FLOW_KEYS, n_eps=2),
     # quantum.semiclassical_limit_check is 1-D, solves quantum.LIMIT_BANDS = 3
-    # bands on the fiber grid of each box and steps its flow oracle by a dt
-    # of its own
+    # bands on the fiber grid of each box, samples each cell at
+    # 2 max(cutoff, reach of V) + 1 points (so every cutoff fits its box) and
+    # steps its flow oracle by a dt of its own
     "propagate": Experiment((Check("slope_point", "slope_point", "slope_min", ">="),),
                             ("cutoff", "band_index", "eps_list", "t_final", "macro_box"),
                             dims=(1,), dims_reason="needs lattice.dim == 1",

@@ -69,7 +69,10 @@ class RealSpaceBox:
 
     Grid points x[(c, j)] = c - n_cells//2 + j/m, C-ordered over (c, j).
     n_cells is odd (QuantumError otherwise), so that the box's Zak fiber
-    momenta are the points of the cell-centered k-grid (fiber_grid).
+    momenta are the points of the cell-centered k-grid (fiber_grid).  Band
+    vectors of plane-wave cutoff c sample exactly for m > 2c; the boxes of
+    semiclassical_limit_check take the fewest such odd m that also holds V
+    (_limit_box), so their n_points is odd.
     """
 
     lattice: Lattice
@@ -598,29 +601,45 @@ def _flow_oracle(bands: BandStructure, band_index: int, fld: EMFieldConfig,
 
 
 # semiclassical_limit_check: bands solved per box (band_index is below this),
-# the RK4 step of the flow oracle, the Gauss-Hermite nodes per axis, the
-# sample points per cell, the packet's momentum width over sqrt(eps) and its
-# central momentum
+# the RK4 step of the flow oracle, the packet's momentum width over sqrt(eps)
+# and its central momentum.  A box samples each cell at the fewest points
+# that hold both its band vectors and V exactly (_limit_box)
 LIMIT_BANDS = 3
 LIMIT_DT_FLOW = 5e-3
-LIMIT_HERMITE_NODES = 8
-LIMIT_M_PER_CELL = 14
 LIMIT_SIGMA_SCALE = 1.0
 LIMIT_K0 = 0.6
 
+# the values of numpy.polynomial.hermite_e.hermegauss(8), written out: the
+# 8 Gauss-Hermite nodes per axis of the quadrature oracle, with weights for
+# the weight exp(-x^2 / 2); importing numpy.polynomial for them cost every
+# propagate run its load
+_GH_NODES = np.array([-4.1445471861258945, -2.8024858612875416, -1.636519042435108,
+                      -0.5390798113513751, 0.5390798113513751, 1.636519042435108,
+                      2.8024858612875416, 4.1445471861258945])
+_GH_WEIGHTS = np.array([0.00028228278602621435, 0.02415191518706137, 0.2938768674600929,
+                        0.9350030718823198, 0.9350030718823198, 0.2938768674600929,
+                        0.02415191518706137, 0.00028228278602621435])
 
-def _limit_box(lattice: Lattice, eps: float, macro_box: float) -> RealSpaceBox:
+
+def _limit_box(potential: FourierPotential, cutoff: int, eps: float,
+               macro_box: float) -> RealSpaceBox:
     """The periodic box of semiclassical_limit_check at eps: odd_points(
-    macro_box, eps) cells."""
-    return RealSpaceBox(lattice=lattice, n_cells=odd_points(macro_box, eps),
-                        m=LIMIT_M_PER_CELL)
+    macro_box, eps) cells of m = 2 max(cutoff, reach) + 1 points, reach the
+    largest |n| in V's support (potential.max_order).  That is the fewest
+    points per cell on which the cutoff-c band vectors (fiber_on_cell_grid
+    needs m > 2 cutoff) and V both sample without aliasing; Mathieu at
+    cutoff 6 gives 13.  Both counts are odd, so the box's n_points is odd."""
+    m = 2 * max(cutoff, potential.max_order) + 1
+    return RealSpaceBox(lattice=potential.lattice, n_cells=odd_points(macro_box, eps), m=m)
 
 
-def check_limit_memory(lattice: Lattice, eps_list, macro_box: float) -> None:
+def check_limit_memory(potential: FourierPotential, cutoff: int, eps_list,
+                       macro_box: float) -> None:
     """Refuse (DenseMemoryError) a semiclassical_limit_check whose largest
-    box, at the smallest eps, would not fit: its real dense H beside the
-    eigendecomposition of Propagator.of."""
-    n = _limit_box(lattice, min(eps_list), macro_box).n_points
+    box, the _limit_box of the potential and cutoff at the smallest eps,
+    would not fit: its real dense H beside the eigendecomposition of
+    Propagator.of."""
+    n = _limit_box(potential, cutoff, min(eps_list), macro_box).n_points
     check_dense_memory("semiclassical_limit_check", (n,), 8 * (1 + _EIGH_COPIES) * n * n)
 
 
@@ -630,7 +649,9 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
                               n_workers: int = 1) -> dict:
     """Bloch-oscillation expectation test against the corrected flow (1D).
 
-    For each eps an n_cells ~ macro_box/eps periodic box is built, a band
+    For each eps an n_cells ~ macro_box/eps periodic box is built, with
+    m = 2 max(cutoff, reach) + 1 points per cell (_limit_box: the fewest that
+    hold the band vectors and V exactly, 13 for Mathieu at cutoff 6), a band
     packet is prepared, propagated with the dense real-space Hamiltonian, and
     <Op(sin k)> is compared with sin(k(t)) along the corrected flow, both for
     the measured packet center (point oracle) and averaged over the packet's
@@ -645,16 +666,14 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
     results are the same either way.  The dense boxes are propagated one at
     a time, so only one dense H and its eigenbasis are alive at once.
     """
-    from numpy.polynomial.hermite_e import hermegauss
     lat = potential.lattice
     if lat.dim != 1:
         raise QuantumError("expectation test implemented in one dimension")
     if not 0 <= band_index < LIMIT_BANDS:
         raise QuantumError(f"band_index {band_index} outside [0, {LIMIT_BANDS})")
-    check_limit_memory(lat, eps_list, macro_box)
-    nodes, weights = hermegauss(LIMIT_HERMITE_NODES)
-    weights = weights / np.sqrt(2 * np.pi)
-    KK, XX = np.meshgrid(nodes, nodes, indexing="ij")
+    check_limit_memory(potential, cutoff, eps_list, macro_box)
+    weights = _GH_WEIGHTS / np.sqrt(2 * np.pi)
+    KK, XX = np.meshgrid(_GH_NODES, _GH_NODES, indexing="ij")
     WW = np.outer(weights, weights).ravel()
     pool = None
     if n_workers > 1:
@@ -664,7 +683,7 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         boxes = []
         for eps in eps_list:
             fld = replace(field_template, eps=float(eps))
-            box = _limit_box(lat, eps, macro_box)
+            box = _limit_box(potential, cutoff, eps, macro_box)
             bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS)
             sigma_k = LIMIT_SIGMA_SCALE * np.sqrt(eps)
             psi0 = band_packet(bands, box, band_index, k0=LIMIT_K0, x0=0.0, sigma_k=sigma_k)

@@ -531,22 +531,39 @@ def test_thread_count_default_follows_cpu_affinity(monkeypatch):
     assert n_workers() == 8
 
 
-def test_package_imports_load_no_scipy():
-    # scipy is a test-only dependency: importing scipy.linalg alone costs
-    # about 0.3 s and 27 MB of resident memory in every run; numpy.polynomial
-    # and argparse are needed by no library run, only by the Hermite nodes of
-    # the propagate oracle and the command line, which import them on use
-    code = ("import importlib, pkgutil, sys, peierls_lab\n"
-            "for m in pkgutil.iter_modules(peierls_lab.__path__):\n"
-            "    importlib.import_module('peierls_lab.' + m.name)\n"
-            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'\n"
-            "             or n in ('numpy.polynomial', 'argparse')))\n")
+def _fresh_interpreter_output(code):
+    """The stripped stdout of code run in a fresh interpreter on this package."""
     src = str(Path(peierls_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_imports_load_no_scipy():
+    # scipy is a test-only dependency: importing scipy.linalg alone costs
+    # about 0.3 s and 27 MB of resident memory in every run; numpy.polynomial
+    # and argparse are needed by no library run, only by the command line,
+    # which imports argparse on use
+    code = ("import importlib, pkgutil, sys, peierls_lab\n"
+            "for m in pkgutil.iter_modules(peierls_lab.__path__):\n"
+            "    importlib.import_module('peierls_lab.' + m.name)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'\n"
+            "             or n in ('numpy.polynomial', 'argparse')))\n")
+    assert _fresh_interpreter_output(code) == "[]"
+
+
+def test_propagate_run_loads_no_numpy_polynomial(tmp_path):
+    # the Gauss-Hermite nodes of the quadrature oracle are written out, so a
+    # whole semiclassical_limit_check leaves numpy.polynomial unloaded
+    code = ("import sys\n"
+            "from peierls_lab.cli import run\n"
+            "from peierls_lab.config import parse_config\n"
+            f"run(parse_config({SMALL_PROPAGATE!r}), {str(tmp_path)!r})\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    assert _fresh_interpreter_output(code) == "False"
+    assert (tmp_path / "propagate.csv").exists()
 
 
 @pytest.mark.parametrize("preset,dim", [("cosine", 1), ("cosine", 2), ("cosine", 3),
@@ -744,6 +761,43 @@ def test_dense_runs_beyond_memory_exit_2_before_output(tmp_path, monkeypatch, ca
     assert err.startswith(f"config error: {key}: ")
     assert "GiB, more than the 0.0 GiB of available memory" in err
     assert not out.exists()
+
+
+def _propagate_config(tmp_path, **numerics):
+    """configs/propagate_bloch.json with numerics keys replaced, written to
+    tmp_path; returns its path."""
+    cfg = json.loads((ROOT / "configs" / "propagate_bloch.json").read_text())
+    cfg["numerics"].update(numerics)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("cutoff, m", [(3, 7), (6, 13), (7, 15)])
+def test_propagate_preflight_sizes_the_box_the_run_builds(tmp_path, monkeypatch, capsys,
+                                                          cutoff, m):
+    # the refusal names the run's own largest box: 201 cells at eps 0.02, of
+    # 2 cutoff + 1 points each (Mathieu reaches |n| = 1 only)
+    from peierls_lab import quantum, weyl
+    monkeypatch.setattr(weyl, "_memory_figures", lambda: {"available memory": 2**20})
+    path = _propagate_config(tmp_path, cutoff=cutoff)
+    cfg = parse_config(path.read_text())
+    box = quantum._limit_box(cli._build_potential(cfg, cli._build_lattice(cfg)), cutoff,
+                             min(cfg.numerics.eps_list), cfg.numerics.macro_box)
+    assert (box.n_cells, box.m) == (201, m)
+    assert main(["propagate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert (f"numerics.eps_list: semiclassical_limit_check on grid ({box.n_points},)"
+            in capsys.readouterr().err)
+
+
+def test_propagate_above_cutoff_6_runs(tmp_path):
+    # a cutoff-7 band has 15 plane waves, so its box samples each cell at 15
+    # points (fiber_on_cell_grid refuses fewer) and the run completes
+    path = _propagate_config(tmp_path, cutoff=7, eps_list=[0.1, 0.05])
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "propagate_report.json").read_text())
+    assert report["passed"] and "refused" not in report
 
 
 def test_band_memory_refused_before_the_basis_is_built(tmp_path, capsys):

@@ -260,8 +260,11 @@ def test_windowed_conjugation_is_block_of_full():
         assert np.abs(block - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_realspace_hamiltonian_matches_index_table_build():
-    box = RealSpaceBox(lattice=LAT1, n_cells=5, m=7)
+@pytest.mark.parametrize("m", [7, 8, 13])
+def test_realspace_hamiltonian_matches_index_table_build(m):
+    # n_cells is odd, so an odd m gives an odd N, as in every box of
+    # semiclassical_limit_check (13: Mathieu at cutoff 6), and m = 8 an even N
+    box = RealSpaceBox(lattice=LAT1, n_cells=5, m=m)
     fld = EMFieldConfig.zero(1, eps=0.2, phi=lambda r: 0.3 * np.cos(r[..., 0]))
     pot = mathieu_potential(1.3)
     n = box.n_points
@@ -293,9 +296,54 @@ def test_dense_runs_refuse_at_entry_beyond_memory(monkeypatch):
     def unsolved(*args, **kwargs):
         raise AssertionError("solved before the memory check")
     monkeypatch.setattr(quantum, "solve_bands", unsolved)
-    with pytest.raises(DenseMemoryError, match=r"semiclassical_limit_check on grid \(2814,\)"):
+    with pytest.raises(DenseMemoryError, match=r"semiclassical_limit_check on grid \(2613,\)"):
         semiclassical_limit_check(mathieu_potential(3.0), EMFieldConfig.zero(1, eps=0.08),
                                   0, [0.08, 0.04, 0.02], t=1.0)
+
+
+def test_gauss_hermite_nodes_match_hermegauss():
+    nodes, weights = np.polynomial.hermite_e.hermegauss(8)
+    assert np.abs(quantum._GH_NODES - nodes).max() <= 1e-15
+    assert np.abs(quantum._GH_WEIGHTS - weights).max() <= 1e-15
+
+
+def test_limit_box_samples_a_potential_beyond_the_cutoff_unaliased():
+    # V reaches |n| = 4 past a cutoff of 2: the box takes 2 * 4 + 1 points per
+    # cell, on which the cell DFT of V gives back each coefficient, where the
+    # band vectors' own 5 points would fold n = 4 onto n = -1
+    coeffs = {(1,): 0.5, (-1,): 0.5, (4,): 0.3 - 0.2j, (-4,): 0.3 + 0.2j}
+    pot = FourierPotential(LAT1, coeffs)
+    box = quantum._limit_box(pot, 2, 0.1, 4.0)
+    assert (box.n_cells, box.m) == (41, 9)
+
+    def cell_dft(m):
+        return np.fft.fft(pot.evaluate(np.arange(m) / m)) / m
+    vhat = cell_dft(box.m)
+    for n in range(-4, 5):
+        assert abs(vhat[n % box.m] - pot.vhat((n,))) < 1e-15, n
+    assert abs(cell_dft(5)[-1] - pot.vhat((-1,))) > 0.1
+    assert quantum._limit_box(mathieu_potential(3.0), 2, 0.1, 4.0).m == 5
+
+
+def test_limit_box_floor_loses_nothing():
+    # one cutoff-6 band packet on 13 points per cell (the floor) and on 15,
+    # each evolved by its box's dense H: <T_1> agrees to rounding
+    cfg = parse_config(
+        '{"experiment": "propagate", "lattice": {"dim": 1}, '
+        '"field": {"phi": {"preset": "sine_ramp", "amplitude": 0.4, "period": 4.0}}}')
+    eps, pot = 0.1, mathieu_potential(3.0)
+    fld = cli._build_field(cfg, 1, eps)
+    floor = quantum._limit_box(pot, 6, eps, 4.0)
+    assert floor.m == 13
+    t1 = []
+    for box in (floor, dataclasses.replace(floor, m=15)):
+        bands = solve_bands(pot, box.fiber_grid(), 6, quantum.LIMIT_BANDS)
+        psi0 = band_packet(bands, box, 0, k0=quantum.LIMIT_K0, x0=0.0,
+                           sigma_k=np.sqrt(eps))
+        prop = Propagator.of(realspace_hamiltonian(box, pot, fld), eps)
+        psi_t = WaveFunction(box, prop.apply(psi0.samples, 1.0))
+        t1.append(quantum._translation_expectation(psi_t))
+    assert abs(t1[0] - t1[1]) <= 1e-10
 
 
 def _recording_flow_grids(monkeypatch):
