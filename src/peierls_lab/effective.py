@@ -38,7 +38,6 @@ from .fields import (EMFieldConfig, _contract, _vecmat, pair_weights, pairs,
 from .geometry import GeometricTensors
 from .interp import PeriodicSpline
 from .lattice import Lattice
-from .weyl import GridSymbol, PhaseSpaceGrid, sample_broadcast
 
 __all__ = [
     "BandData",
@@ -47,7 +46,6 @@ __all__ = [
     "SemiclassicalHamiltonian",
     "t_eff",
     "t_eff_inverse",
-    "effective_observable",
 ]
 
 
@@ -177,22 +175,6 @@ class BandData:
         return cls(lattice=grid.lattice, shape=grid.shape,
                    energy_samples=E, connection_samples=geom.connection,
                    rw_samples=geom.rw, curvature_samples=geom.curvature)
-
-    @classmethod
-    def synthetic(cls, lattice: Lattice, shape, energy, connection=None,
-                  rw=None, curvature=None, upsample: int = 8) -> "BandData":
-        """Build from callables of k evaluated on a cell-centered grid."""
-        from .lattice import make_kgrid
-        grid = make_kgrid(lattice, shape)
-        d = lattice.dim
-        k = grid.points
-        E = grid.reshape(np.asarray(energy(k), dtype=float))
-        A, M, Om = [grid.reshape(np.asarray(f(k), dtype=float)) if f
-                    else np.zeros(grid.shape + tail)
-                    for f, tail in ((connection, (d,)), (rw, (d, d)), (curvature, (d, d)))]
-        return cls(lattice=lattice, shape=grid.shape, energy_samples=E,
-                   connection_samples=A, rw_samples=M, curvature_samples=Om,
-                   upsample=upsample)
 
     # -- evaluation -----------------------------------------------------
 
@@ -345,21 +327,3 @@ def t_eff_inverse(k_eff, r_eff, band: BandData, field: EMFieldConfig):
         if max(np.abs(dk).max(), np.abs(dr).max()) < T_EFF_INVERSE_TOL:
             return k, r
     raise EffectiveError("effective-map inversion did not converge; eps too large")
-
-
-def effective_observable(func, grid: PhaseSpaceGrid, band: BandData,
-                         field: EMFieldConfig, check_periodic: bool = True) -> GridSymbol:
-    """Samples of f o T_eff on a phase-space grid.
-
-    func(k, r) takes (..., d) arrays (momentum first) whose leading shapes
-    broadcast; it must be periodic in k under dual-lattice shifts, which is
-    verified on a sample unless check_periodic is disabled.
-    """
-    d = grid.dim
-    if check_periodic:
-        kp, rp = np.random.default_rng(0).normal(size=(2, 16, d))
-        g = band.lattice.dual[0]
-        dev = np.abs(np.asarray(func(kp + g, rp)) - np.asarray(func(kp, rp))).max()
-        if dev > 1e-8:
-            raise EffectiveError("observable is not periodic in k under dual shifts")
-    return sample_broadcast(lambda k, r: func(*t_eff(k, r, band, field)), grid)

@@ -59,17 +59,14 @@ from .weyl import check_dense_memory
 __all__ = [
     "FourierPotential",
     "PlaneWaveBasis",
-    "FiberMatrix",
     "BandStructure",
     "fiber_basis",
     "fiber_terms",
-    "fiber_matrix",
     "fiber_symmetries",
     "kgrid_orbits",
     "solve_bands",
     "check_band_memory",
     "check_gap",
-    "tau_equivariance_check",
     "mathieu_potential",
     "potential_2d",
 ]
@@ -231,13 +228,6 @@ class PlaneWaveBasis:
         return S
 
 
-@dataclass(frozen=True)
-class FiberMatrix:
-    k: np.ndarray
-    basis: PlaneWaveBasis
-    matrix: np.ndarray
-
-
 def fiber_basis(potential: FourierPotential, cutoff: int,
                 n_bands: int = 1) -> PlaneWaveBasis:
     """The plane-wave basis of a band solve, refused (FiberError) when it
@@ -276,21 +266,6 @@ def fiber_terms(potential: FourierPotential, basis: PlaneWaveBasis,
     g = basis.gvectors()
     kin = 0.5 * np.sum((np.asarray(kpoints, dtype=float)[:, None, :] + g) ** 2, axis=-1)
     return V, kin
-
-
-def fiber_matrix(k, potential: FourierPotential, cutoff: int,
-                 basis: PlaneWaveBasis | None = None) -> FiberMatrix:
-    """Assemble the Hermitian plane-wave fiber matrix at momentum k.
-
-    The matrix is real symmetric (float64) when every Vhat(g) is real.
-    """
-    if basis is None:
-        basis = PlaneWaveBasis.build(potential.lattice, cutoff)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if not np.all(np.isfinite(k)):
-        raise FiberError("k must be finite")
-    V, kin = fiber_terms(potential, basis, k[None, :])
-    return FiberMatrix(k=k, basis=basis, matrix=V + np.diag(kin[0]))
 
 
 @dataclass(frozen=True)
@@ -564,30 +539,6 @@ def check_gap(bands: BandStructure, index_set) -> float:
     else:
         dists.append(bands.guard_energies - bands.energies[sel_hi])
     return float(max(0.0, min(np.min(d) for d in dists)))
-
-
-def tau_equivariance_check(potential: FourierPotential, k, n_shift, cutoff: int) -> float:
-    """Deviation of H(k - g) from the index-shift conjugation of H(k).
-
-    n_shift are the integer coefficients of the dual vector g.  The comparison
-    is restricted to the sub-box that both index sets cover; a shift exceeding
-    the cutoff margin is rejected.
-    """
-    n_shift = np.atleast_1d(np.asarray(n_shift, dtype=int))
-    margin = int(np.max(np.abs(n_shift)))
-    if margin >= cutoff + 1:
-        raise FiberError(f"shift {tuple(n_shift)} exceeds cutoff margin")
-    lat = potential.lattice
-    basis = PlaneWaveBasis.build(lat, cutoff)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    g = lat.dual_vector(n_shift)
-    H_k = fiber_matrix(k, potential, cutoff, basis).matrix
-    H_shift = fiber_matrix(k - g, potential, cutoff, basis).matrix
-    S = basis.shift_matrix(n_shift)
-    conj = S @ H_k @ S.T
-    keep = np.all(np.abs(basis.offsets - n_shift) <= cutoff, axis=1)
-    sub = np.ix_(keep, keep)
-    return float(np.linalg.norm(H_shift[sub] - conj[sub]))
 
 
 def fiber_on_cell_grid(bands: BandStructure, band: int, m_per_axis: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import PeierlsError
-from .fields import EMFieldConfig, _contract, _vecmat, antisymmetric
+from .fields import EMFieldConfig, _vecmat, antisymmetric
 
 __all__ = [
     "FlowState",
@@ -45,8 +45,6 @@ __all__ = [
     "vector_field",
     "integrate",
     "compare_flows",
-    "poisson_corrected",
-    "AnalyticHamiltonian",
     "loglog_slope",
 ]
 
@@ -63,26 +61,15 @@ class FlowState:
     r: np.ndarray
     t: float = 0.0
 
+    def __post_init__(self):
+        if np.ndim(self.k) != 1 or np.shape(self.k) != np.shape(self.r):
+            raise FlowError(f"k and r must be 1-d arrays of equal length, got shapes "
+                            f"{np.shape(self.k)} and {np.shape(self.r)}")
+
     @classmethod
     def of(cls, k, r, t: float = 0.0) -> "FlowState":
         return cls(k=np.atleast_1d(np.asarray(k, dtype=float)),
                    r=np.atleast_1d(np.asarray(r, dtype=float)), t=float(t))
-
-
-@dataclass
-class AnalyticHamiltonian:
-    """Adapter for closed-form Hamiltonians used in tests and experiments:
-    f is the value, fk and fr its k- and r-gradients."""
-
-    f: object
-    fk: object
-    fr: object
-
-    def value(self, k, r):
-        return self.f(k, r)
-
-    def grad_pair(self, k, r):
-        return self.fk(k, r), self.fr(k, r), None
 
 
 @dataclass
@@ -251,22 +238,3 @@ def loglog_slope(eps, values) -> float:
     if np.any(np.asarray(values) == 0):
         return float("inf")
     return float(np.polyfit(np.log(eps), np.log(values), 1)[0])
-
-
-def poisson_corrected(f, g, k, r, field: EMFieldConfig, band):
-    """Corrected Poisson bracket of two observables at sampled points.
-
-    f and g offer grad_pair(k, r) like the models; band supplies omega(k)
-    and field.eps its weight.  The bracket follows the flow orientation
-    df/dt = {h, f}, i.e. {f, g} = -(grad f)^T J^{-1} grad g, so that
-    {r_l, r_j} = -eps Omega_lj at leading order.
-    """
-    k = np.asarray(k, dtype=float)
-    r = np.asarray(r, dtype=float)
-    omega = band.at(k).om if band is not None else None
-    terms = field.lam_terms(r) if field.lam != 0.0 else None
-    fk, fr, _ = f.grad_pair(k, r)
-    gk, gr, _ = g.grad_pair(k, r)
-    # J^{-1} grad g is the vector field of g: (rdot, kdot)
-    kdot, rdot = _solve_structure(gk, gr, terms, omega, field.eps)
-    return -(_contract(fr, rdot) + _contract(fk, kdot))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -32,9 +31,7 @@ __all__ = [
     "harper_bloch_matrix",
     "spectrum_at_flux",
     "butterfly",
-    "subband_chern",
-    "transfer_trace_edges",
-    "diophantine_chern_labels",
+    "subband_cherns",
 ]
 
 
@@ -50,13 +47,6 @@ class FluxRational:
     def __post_init__(self):
         if self.q < 1:
             raise HofstadterError("q must be >= 1")
-
-    @classmethod
-    def of(cls, p: int, q: int, warn=None) -> "FluxRational":
-        g = gcd(p, q)
-        if g > 1 and warn is not None:
-            warn(f"flux {p}/{q} reduced to {p // g}/{q // g}")
-        return cls(p=p // g if g else p, q=q // g if g else q)
 
     @property
     def alpha(self) -> float:
@@ -135,40 +125,6 @@ def spectrum_at_flux(flux: FluxRational) -> np.ndarray:
     return np.stack([lo, hi], axis=-1)
 
 
-def transfer_trace_edges(flux: FluxRational) -> np.ndarray:
-    """Independent band edges from the transfer-matrix trace condition.
-
-    The one-cycle transfer trace splits as tr M(E, theta2) = G(E) + a cos(q theta2);
-    the spectrum is {E : |G(E)| <= 2 + |a|}, so edges are roots of
-    G(E) = +-(2 + |a|).  G is reconstructed as a degree-q polynomial from
-    sampled traces.
-    """
-    q = flux.q
-
-    def trace(E, th2):
-        M = np.eye(2)
-        for nn in range(q):
-            v = np.cos(2 * np.pi * flux.alpha * nn + th2)
-            T = np.array([[2.0 * (E - v), -1.0], [1.0, 0.0]])
-            M = T @ M
-        return np.trace(M)
-
-    Es = np.cos(np.pi * (2 * np.arange(q + 1) + 1) / (2 * (q + 1))) * 2.5
-    G = np.array([0.5 * (trace(E, 0.0) + trace(E, np.pi / q)) for E in Es])
-    a = 0.5 * (trace(Es[0], 0.0) - trace(Es[0], np.pi / q))
-    coeffs = np.polyfit(Es, G, q)
-    edges = []
-    for s in (+1.0, -1.0):
-        c = coeffs.copy()
-        c[-1] -= s * (2.0 + abs(a))
-        roots = np.roots(c)
-        edges.extend(np.sort(roots[np.abs(roots.imag) < 1e-9].real))
-    edges = np.sort(np.asarray(edges))
-    if len(edges) != 2 * q:
-        raise HofstadterError("edge extraction failed (unexpected root count)")
-    return edges.reshape(q, 2)
-
-
 CHERN_Q_MAX = 10    # largest flux denominator butterfly labels with Chern numbers
 
 
@@ -177,8 +133,8 @@ def butterfly(q_max: int, chern_labels: bool = False, n_workers: int = 1) -> But
     deterministic ordering by (alpha, band index).
 
     Edges come from the Chambers points (`spectrum_at_flux`); Chern labels,
-    for q <= CHERN_Q_MAX, use `subband_chern`'s torus grid, with one
-    torus diagonalization per flux shared by its q subbands.  A flux whose
+    for q <= CHERN_Q_MAX, come from `subband_cherns`, one torus
+    diagonalization per flux shared by its q subbands.  A flux whose
     subbands touch gets no labels.
 
     Edges run serially on the calling thread: four q x q solves per flux
@@ -197,7 +153,7 @@ def butterfly(q_max: int, chern_labels: bool = False, n_workers: int = 1) -> But
         if not (chern_labels and fl.q <= CHERN_Q_MAX):
             return [None] * fl.q
         try:
-            return _subband_cherns(fl)
+            return subband_cherns(fl)
         except HofstadterError:
             return [None] * fl.q
 
@@ -221,23 +177,16 @@ def butterfly(q_max: int, chern_labels: bool = False, n_workers: int = 1) -> But
 GAP_TOL = 1e-9    # smallest subband separation on the theta torus
 
 
-def subband_chern(flux: FluxRational, band: int) -> int:
-    """Chern number of one magnetic subband.
+def subband_cherns(flux: FluxRational) -> list:
+    """Chern numbers of the q magnetic subbands, from one diagonalization of
+    the Bloch family on the full theta torus.
 
     The plaquette sum runs over the full theta torus, which is a q-fold cover
     of the magnetic Brillouin zone along theta_1; the subband invariant is the
     covered value divided by q, with the orientation fixed so that the
     standard gap-labeling convention (p t = r mod q) is reproduced.  Raises
-    when the band touches a neighbor anywhere on the grid.
+    on the first band that touches a neighbor anywhere on the grid.
     """
-    if band < 0 or band >= flux.q:
-        raise HofstadterError("band index out of range")
-    return _chern_on_torus(flux, band, *_torus_eigh(flux))
-
-
-def _subband_cherns(flux: FluxRational) -> list:
-    """subband_chern for every band of the flux from one torus
-    diagonalization; raises on the first band that touches a neighbor."""
     evals, evecs = _torus_eigh(flux)
     return [_chern_on_torus(flux, j, evals, evecs) for j in range(flux.q)]
 
@@ -260,17 +209,3 @@ def _chern_on_torus(flux: FluxRational, band: int, evals, evecs) -> int:
     if abs(c - ci) > 1e-6:
         raise HofstadterError(f"Chern number not integral: {c}")
     return ci
-
-
-def diophantine_chern_labels(flux: FluxRational) -> list:
-    """Brute-force gap labels: t_r solves p t = r (mod q) with |t| <= q/2;
-    subband Chern numbers are first differences."""
-    p, q = flux.p, flux.q
-    ts = [0]
-    for r in range(1, q):
-        sols = [t for t in range(-(q // 2), q // 2 + 1) if (p * t - r) % q == 0]
-        if len(sols) != 1:
-            raise HofstadterError(f"gap label ambiguous at r={r} for {p}/{q}")
-        ts.append(sols[0])
-    ts.append(0)
-    return [ts[r + 1] - ts[r] for r in range(q)]

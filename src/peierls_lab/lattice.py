@@ -2,7 +2,8 @@
 
 The Brillouin zone is realized as the centered coefficient box: k belongs to
 the fundamental cell iff its coefficients alpha_j in the dual basis satisfy
--1/2 <= alpha_j < 1/2.  Wrapping is exact integer arithmetic on coefficients,
+-1/2 <= alpha_j < 1/2.  The k-grids are cell-centered in that box, and band
+quantities are interpolated in the coefficients alpha (effective.BandData),
 so every band quantity downstream inherits clean dual-lattice periodicity.
 """
 
@@ -19,8 +20,6 @@ __all__ = [
     "Lattice",
     "KGrid",
     "dual_basis",
-    "wrap_to_bz",
-    "bz_coefficients",
     "make_kgrid",
     "signed_permutations",
 ]
@@ -80,38 +79,6 @@ class Lattice:
     def dual_vector(self, coeffs) -> np.ndarray:
         """Integer coefficients -> dual lattice vector."""
         return np.asarray(coeffs, dtype=float) @ self.dual
-
-
-def _as_vectors(k: np.ndarray, dim: int) -> tuple:
-    """Normalize k to shape (..., dim); returns (array, original_shape)."""
-    k = np.asarray(k, dtype=float)
-    if dim == 1 and (k.ndim == 0 or k.shape[-1] != 1):
-        k = k[..., None]
-    if k.shape[-1] != dim:
-        raise LatticeError(f"expected vectors with last axis {dim}, got shape {k.shape}")
-    return k, k.shape
-
-
-def bz_coefficients(k: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Coefficients alpha with k = sum_j alpha_j e*_j (last axis of k is d)."""
-    k, shape = _as_vectors(k, lattice.dim)
-    flat = k.reshape(-1, lattice.dim)
-    alpha = np.linalg.solve(lattice.dual.T, flat.T).T
-    return alpha.reshape(shape)
-
-
-def wrap_to_bz(k: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Wrap k modulo the dual lattice into the centered cell, alpha_j in [-1/2, 1/2).
-
-    Accepts a single vector or an (..., d) array (bare floats in 1D).
-    """
-    karr, shape = _as_vectors(k, lattice.dim)
-    if not np.all(np.isfinite(karr)):
-        raise LatticeError("wrap_to_bz requires finite k")
-    alpha = bz_coefficients(karr, lattice)
-    alpha = alpha - np.floor(alpha + 0.5)
-    out = alpha @ lattice.dual
-    return out.reshape(np.asarray(k, dtype=float).shape)
 
 
 @dataclass(frozen=True)

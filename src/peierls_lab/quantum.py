@@ -1,7 +1,7 @@
-"""Quantum propagation harnesses: discrete Zak transform, band projection,
-reference propagation of quantized effective Hamiltonians, and the
-Egorov-type (on a flow grid picked by measurement) and semiclassical-limit
-error measurements.
+"""Quantum propagation harnesses: inverse discrete Zak transform, band
+projection and band packets, Heisenberg evolution of quantized effective
+Hamiltonians, and the Egorov-type (on a flow grid picked by measurement) and
+semiclassical-limit error measurements.
 
 Propagators are built by exact eigendecomposition of dense Hermitian
 matrices (no splitting error), and all time conventions are macroscopic:
@@ -34,22 +34,19 @@ from .geometry import fix_gauge
 from .lattice import Lattice, make_kgrid, signed_permutations
 from .weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid, QuantizedOperator,
                    _table_bytes, _tail_fraction, check_dense_memory, operator_norm,
-                   quantize, resample_periodic, sample_broadcast)
+                   quantize, resample_periodic, sample_symbol)
 
 __all__ = [
     "RealSpaceBox",
     "odd_points",
     "WaveFunction",
     "ZakField",
-    "zak_transform",
     "zak_inverse",
-    "zak_equivariance_defect",
     "Propagator",
     "grid_involutions",
     "realspace_hamiltonian",
     "band_project",
     "band_packet",
-    "propagate_reference",
     "heisenberg_evolve",
     "flowed_symbol",
     "check_egorov_memory",
@@ -149,27 +146,11 @@ class ZakField:
     box: RealSpaceBox
     samples: np.ndarray  # (n_cells, m)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.samples))
-
-
-def zak_transform(psi: WaveFunction) -> ZakField:
-    """u(k_q, y_j) = N^{-1/2} sum_c e^{-i k_q (y_j + c)} psi(c + y_j), with
-    k_q the points of box.fiber_grid(), in [-pi, pi)."""
-    box = psi.box
-    arr = psi.samples.reshape(box.n_cells, box.m)
-    gam = box.cell_offsets()
-    kq = box.fiber_grid().points[:, 0]
-    # sum over cells with e^{-i k_q gamma_c}
-    ph_cell = np.exp(-1j * np.outer(kq, gam))
-    u = ph_cell @ arr / np.sqrt(box.n_cells)
-    y = box.cell_coords()
-    u = u * np.exp(-1j * np.outer(kq, y))
-    return ZakField(box=box, samples=u)
-
 
 def zak_inverse(zf: ZakField) -> WaveFunction:
-    """The inverse of zak_transform, on the same fiber momenta."""
+    """psi(c + y_j) = N^{-1/2} sum_q e^{i k_q (y_j + c)} u(k_q, y_j), with
+    k_q the points of box.fiber_grid(): the inverse of the unitary Zak
+    transform (tests/oracles.py zak_transform)."""
     box = zf.box
     kq = box.fiber_grid().points[:, 0]
     y = box.cell_coords()
@@ -178,28 +159,6 @@ def zak_inverse(zf: ZakField) -> WaveFunction:
     ph_cell = np.exp(+1j * np.outer(gam, kq))
     arr = ph_cell @ u / np.sqrt(box.n_cells)
     return WaveFunction(box=box, samples=arr.ravel())
-
-
-ZAK_CHECK_FIBERS = 4     # fibers zak_equivariance_defect samples
-
-
-def zak_equivariance_defect(psi: WaveFunction) -> float:
-    """Deviation of the dual-shift identity u(k - 2 pi, y) = e^{2 pi i y} u(k, y)
-    evaluated directly from the transform definition, at fiber momenta k of
-    box.fiber_grid()."""
-    box = psi.box
-    zf = zak_transform(psi)
-    arr = psi.samples.reshape(box.n_cells, box.m)
-    gam = box.cell_offsets()
-    y = box.cell_coords()
-    kq = box.fiber_grid().points[:, 0]
-    worst = 0.0
-    for q in range(0, box.n_cells, max(1, box.n_cells // ZAK_CHECK_FIBERS)):
-        k = kq[q] - 2 * np.pi
-        u_shift = (np.exp(-1j * k * gam) @ arr) / np.sqrt(box.n_cells) * np.exp(-1j * k * y)
-        target = np.exp(2j * np.pi * y) * zf.samples[q]
-        worst = max(worst, float(np.abs(u_shift - target).max()))
-    return worst
 
 
 def _fiber_vectors_on_cells(bands: BandStructure, box: RealSpaceBox, band: int,
@@ -442,24 +401,11 @@ class Propagator:
         return (L_conj.conj() @ M) @ L_conj.T
 
 
-HERMITICITY_TOL = 1e-10  # largest Hermiticity defect propagate_reference accepts
-
-
 def _hermitian_part(h_op: QuantizedOperator) -> np.ndarray:
     """(Op(h) + Op(h)^dagger) / 2, with one N x N temporary."""
     M = h_op.matrix + h_op.matrix.conj().T
     M *= 0.5
     return M
-
-
-def propagate_reference(h_op: QuantizedOperator, field: EMFieldConfig,
-                        psi: np.ndarray, t: float) -> np.ndarray:
-    """Evolve psi under the quantized effective Hamiltonian for macroscopic
-    time t (spectral, unitary)."""
-    defect = h_op.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        raise QuantumError(f"quantized Hamiltonian not Hermitian ({defect:.2e})")
-    return Propagator.of(_hermitian_part(h_op), field.eps, h_op.grid.ns).apply(psi, t)
 
 
 def heisenberg_evolve(h_op: QuantizedOperator, f_op: QuantizedOperator,
@@ -548,7 +494,7 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     e^{+i(t/eps)Op(h)} Op(f) e^{-i(t/eps)Op(h)} - Op(f o Phi_t).
 
     h and f are sampled once on the broadcast axis pair of
-    grid.phase_points() (see weyl.sample_broadcast), so f_func(k, r) must
+    grid.phase_points() (see weyl.sample_symbol), so f_func(k, r) must
     broadcast k against r.
 
     The dense steps' memory is checked first (check_egorov_memory), and the
@@ -572,8 +518,8 @@ def egorov_error(f_func, heff: EffectiveHamiltonian, grid: PhaseSpaceGrid,
     iw = grid.interior_indices()
     target = quantize(flowed_symbol(f_func, grid, heff, field, t, dt, flow_shape=flow_shape),
                       field, assume_bandlimited=True).matrix[np.ix_(iw, iw)]
-    h_op = quantize(sample_broadcast(heff.value, grid), field, assume_bandlimited=True)
-    f_op = quantize(sample_broadcast(f_func, grid), field, assume_bandlimited=True)
+    h_op = quantize(sample_symbol(heff.value, grid), field, assume_bandlimited=True)
+    f_op = quantize(sample_symbol(f_func, grid), field, assume_bandlimited=True)
     evolved = heisenberg_evolve(h_op, f_op, field, t, iw)
     return operator_norm(evolved - target)
 

@@ -1,13 +1,14 @@
-"""Grid-level magnetic Weyl quantization and its small-parameter expansion.
+"""Grid-level magnetic Weyl quantization.
 
 Operators live on a truncated uniform position grid with odd point counts per
 axis; momenta are the symmetric FFT-dual frequencies.  The quantizer composes
 an exactly invertible discrete Weyl correspondence with the gauge phase
-factors e^{-i lam Gamma} built from line integrals of the vector potential,
-so quantize / dequantize form an exact inverse pair and the symbol product
-realized as dequantize(quantize(f) @ quantize(g)) is the operator product by
-construction.  Comparisons against continuum formulas are meaningful on
-interior windows and on band-limited states; the box seam carries the usual
+factors e^{-i lam Gamma} built from line integrals of the vector potential.
+Its exact inverse, dequantize, and the symbol product
+dequantize(quantize(f) @ quantize(g)) built on it are test oracles
+(tests/oracles.py), beside the small-eps product expansion they are compared
+with.  Comparisons against continuum formulas are meaningful on interior
+windows and on band-limited states; the box seam carries the usual
 truncation artifacts.
 
 quantize is one transform pair and one gather:
@@ -37,17 +38,7 @@ __all__ = [
     "DenseMemoryError",
     "QuantizedOperator",
     "sample_symbol",
-    "sample_broadcast",
     "quantize",
-    "dequantize",
-    "exact_product",
-    "magnetic_poisson",
-    "expanded_product",
-    "gauge_covariance_check",
-    "position_operator",
-    "momentum_operator",
-    "coherent_state",
-    "commutation_check",
     "operator_norm",
     "resample_periodic",
 ]
@@ -115,9 +106,9 @@ class PhaseSpaceGrid:
     """Tensor phase-space grid: micro positions x, macro positions X = eps x,
     and the dual momentum grid.
 
-    ns : odd point count per axis.
-    h : micro spacing per axis (momenta then live on [-pi/h, pi/h)).
-    eps : scale factor relating micro and macro position.
+    ns : positive odd point count per axis.
+    h : positive micro spacing per axis (momenta then live on [-pi/h, pi/h)).
+    eps : positive scale factor relating micro and macro position.
     """
 
     ns: tuple
@@ -125,8 +116,14 @@ class PhaseSpaceGrid:
     eps: float
 
     def __post_init__(self):
-        if any(n % 2 == 0 for n in self.ns):
-            raise WeylError("grid sizes must be odd")
+        if not self.ns or any(n < 1 or n % 2 == 0 for n in self.ns):
+            raise WeylError(f"grid sizes must be positive and odd, got {self.ns}")
+        if len(self.h) != len(self.ns):
+            raise WeylError(f"{len(self.h)} spacings h for the {len(self.ns)} axes of {self.ns}")
+        if not all(np.isfinite(v) and v > 0 for v in self.h):
+            raise WeylError(f"spacings h must be positive and finite, got {self.h}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise WeylError(f"eps must be positive and finite, got {self.eps}")
 
     @classmethod
     def build(cls, ns, h, eps: float) -> "PhaseSpaceGrid":
@@ -160,12 +157,6 @@ class PhaseSpaceGrid:
         """(N, d) micro position grid points, C-ordered."""
         mesh = np.meshgrid(*[self.x_axis(l) for l in range(self.dim)], indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def phase_mesh(self):
-        """Meshgrid (X_1..X_d, xi_1..xi_d) over the full phase-space grid."""
-        axes = [self.X_axis(l) for l in range(self.dim)] + \
-               [self.xi_axis(l) for l in range(self.dim)]
-        return np.meshgrid(*axes, indexing="ij")
 
     def phase_points(self):
         """Positions X of shape ns + (1,)*d + (d,) and momenta K of shape
@@ -215,13 +206,6 @@ class GridSymbol:
         """Energy fraction of the top 10% frequency shell (aliasing guard)."""
         return _tail_fraction(np.fft.fftn(self.samples))
 
-    def interior_max(self, other=None) -> float:
-        """Max |self - other| over the interior phase-space window."""
-        diff = self.samples if other is None else self.samples - (
-            other.samples if isinstance(other, GridSymbol) else other)
-        sl = [slice(_interior_margin(n), n - _interior_margin(n)) for n in self.samples.shape]
-        return float(np.abs(diff[tuple(sl)]).max())
-
 
 def _tail_fraction(F: np.ndarray) -> float:
     """Energy fraction of the spectrum F (FFT layout) in its top 10%
@@ -241,12 +225,6 @@ def _tail_fraction(F: np.ndarray) -> float:
 
 
 def sample_symbol(func, grid: PhaseSpaceGrid) -> GridSymbol:
-    """Sample func(X_1.., X_d, xi_1.., xi_d) on the phase-space grid."""
-    mesh = grid.phase_mesh()
-    return GridSymbol(grid=grid, samples=np.asarray(func(*mesh), dtype=complex))
-
-
-def sample_broadcast(func, grid: PhaseSpaceGrid) -> GridSymbol:
     """Sample func(k, r) (momentum first) on the phase-space grid.
 
     func is called once on the axis pair of grid.phase_points(), so it must
@@ -429,185 +407,6 @@ def quantize(symbol: GridSymbol, field: EMFieldConfig,
     if tables.weight is not None:
         M *= tables.weight
     return QuantizedOperator(grid=grid, matrix=M)
-
-
-def dequantize(op: QuantizedOperator, field: EMFieldConfig) -> GridSymbol:
-    """Exact inverse of quantize on the same grid."""
-    grid = op.grid
-    d, ns, N = grid.dim, grid.ns, grid.n_points
-    if op.matrix.shape != (N, N):
-        raise WeylError("operator matrix does not match its grid")
-    check_dense_memory("dequantize", ns, _QUANTIZE_BYTES * N * N)
-    tables = _quantizer_tables(grid, field)
-    # for odd n the gather is a bijection onto the (mu, delta) table, so
-    # scattering through it inverts quantize's gather exactly
-    T = np.empty(ns + ns, dtype=complex)
-    T.reshape(-1)[tables.gather] = (op.matrix if tables.weight is None
-                                    else op.matrix / tables.weight)
-    np.fft.fftn(T, axes=tuple(range(d)), norm="forward", out=T)
-    np.fft.ifftn(_half_shift(T, d), norm="forward", out=T)
-    return GridSymbol(grid=grid, samples=np.fft.fftshift(T, axes=tuple(range(d, 2 * d))))
-
-
-def exact_product(f: GridSymbol, g: GridSymbol, field: EMFieldConfig,
-                  assume_bandlimited: bool = False) -> GridSymbol:
-    """Symbol of the operator product: dequantize(quantize(f) quantize(g))."""
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise WeylError("operands live on different grids")
-    N = f.grid.n_points
-    # both factors stay alive through the second quantize and the dequantize
-    check_dense_memory("exact_product", f.grid.ns, (32 + _QUANTIZE_BYTES) * N * N)
-    Mf = quantize(f, field, assume_bandlimited=assume_bandlimited)
-    Mg = quantize(g, field, assume_bandlimited=assume_bandlimited)
-    prod = QuantizedOperator(grid=f.grid, matrix=Mf.matrix @ Mg.matrix)
-    return dequantize(prod, field)
-
-
-def _centered_derivative(samples: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Fourth-order centered difference with periodic wrap (exact on linear
-    data away from the seam)."""
-    p1 = np.roll(samples, -1, axis=axis)
-    m1 = np.roll(samples, +1, axis=axis)
-    p2 = np.roll(samples, -2, axis=axis)
-    m2 = np.roll(samples, +2, axis=axis)
-    return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * spacing)
-
-
-def magnetic_poisson(f: GridSymbol, g: GridSymbol, field: EMFieldConfig) -> GridSymbol:
-    """Magnetic Poisson bracket
-    {f, g} = sum_l (d_xi_l f d_X_l g - d_X_l f d_xi_l g)
-             - lam sum_lj B_lj(X) d_xi_l f d_xi_j g.
-
-    Centered differences (fourth order) with periodic wrap; rows within two
-    points of the box seam are only trustworthy for seam-periodic symbols, so
-    comparisons belong on interior windows.
-    """
-    grid = f.grid
-    d = grid.dim
-    hX = [grid.eps * grid.h[l] for l in range(d)]
-    hXi = [grid.xi_axis(l)[1] - grid.xi_axis(l)[0] for l in range(d)]
-    dXf = [_centered_derivative(f.samples, l, hX[l]) for l in range(d)]
-    dXg = [_centered_derivative(g.samples, l, hX[l]) for l in range(d)]
-    dKf = [_centered_derivative(f.samples, d + l, hXi[l]) for l in range(d)]
-    dKg = [_centered_derivative(g.samples, d + l, hXi[l]) for l in range(d)]
-    out = np.zeros_like(f.samples)
-    for l in range(d):
-        out = out + dKf[l] * dXg[l] - dXf[l] * dKg[l]
-    if field.lam != 0.0:
-        B = field.B(grid.phase_points()[0])
-        for l in range(d):
-            for j in range(d):
-                if l == j:
-                    continue
-                out = out - field.lam * B[..., l, j] * dKf[l] * dKg[j]
-    return GridSymbol(grid=grid, samples=out)
-
-
-def expanded_product(f: GridSymbol, g: GridSymbol, field: EMFieldConfig,
-                     order: int) -> GridSymbol:
-    """Asymptotic product: order 0 is the pointwise product, order 1 adds
-    -(i eps / 2) {f, g}."""
-    if order not in (0, 1):
-        raise WeylError("order must be 0 or 1")
-    samples = f.samples * g.samples
-    if order == 1:
-        br = magnetic_poisson(f, g, field)
-        samples = samples - 0.5j * field.eps * br.samples
-    return GridSymbol(grid=f.grid, samples=samples)
-
-
-def gauge_covariance_check(symbol: GridSymbol, field: EMFieldConfig,
-                           field_prime: EMFieldConfig, chi) -> float:
-    """Deviation of Op_{A'}(f) from the chi-conjugation of Op_A(f).
-
-    A' and A must differ by the gradient of chi (a function of the macro
-    position).  The conjugating unitary is exp(+i (lam/eps) chi(eps x)).
-    Returns the largest entry of the difference matrix.
-    """
-    Ma = quantize(symbol, field, assume_bandlimited=True)
-    Mb = quantize(symbol, field_prime, assume_bandlimited=True)
-    Xpts = field.eps * symbol.grid.points_micro()
-    u = np.exp(1j * (field.lam / field.eps) * np.asarray(chi(Xpts)))
-    conj = u[:, None] * Ma.matrix * np.conj(u)[None, :]
-    return float(np.abs(Mb.matrix - conj).max())
-
-
-# -- dedicated operators and probes --------------------------------------
-
-
-def position_operator(grid: PhaseSpaceGrid, axis: int) -> QuantizedOperator:
-    """Quantization of the macro coordinate X_axis: the diagonal matrix."""
-    N = grid.n_points
-    check_dense_memory("position_operator", grid.ns, 16 * N * N)
-    matrix = np.zeros((N, N), dtype=complex)
-    matrix.flat[::N + 1] = grid.eps * grid.points_micro()[:, axis]
-    return QuantizedOperator(grid=grid, matrix=matrix)
-
-
-def momentum_operator(grid: PhaseSpaceGrid, field: EMFieldConfig,
-                      axis: int) -> QuantizedOperator:
-    """Quantization of xi_axis (kinetic momentum when lam > 0)."""
-    sh = [1] * (2 * grid.dim)
-    sh[grid.dim + axis] = grid.ns[axis]
-    xi = grid.xi_axis(axis).astype(complex).reshape(sh)
-    sym = GridSymbol(grid=grid, samples=np.broadcast_to(xi, grid.ns + grid.ns))
-    return quantize(sym, field, assume_bandlimited=True)
-
-
-def coherent_state(grid: PhaseSpaceGrid, x0, k0, sigma) -> np.ndarray:
-    """Normalized Gaussian wave packet on the micro grid (flat vector)."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    k0 = np.atleast_1d(np.asarray(k0, dtype=float))
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (grid.dim,))
-    parts = []
-    for l in range(grid.dim):
-        x = grid.x_axis(l)
-        parts.append(np.exp(-((x - x0[l]) ** 2) / (4 * sigma[l] ** 2) + 1j * k0[l] * x))
-    v = parts[0]
-    for p in parts[1:]:
-        v = np.multiply.outer(v, p)
-    v = v.ravel()
-    return v / np.linalg.norm(v)
-
-
-def commutation_check(grid: PhaseSpaceGrid, field: EMFieldConfig,
-                      n_states: int = 12, seed: int = 0) -> dict:
-    """Residuals of the canonical commutation relations on interior
-    band-limited probe states.
-
-    Measures max over a batch of coherent states of
-      |([Q_l, Q_j]) psi|, |([Q_l, P_j] - i eps delta_lj) psi|,
-      |([P_l, P_j] - i eps lam B_lj(Q)) psi|.
-    """
-    d = grid.dim
-    N = grid.n_points
-    # d position and d momentum matrices, the last built by quantize
-    check_dense_memory("commutation_check", grid.ns, (32 * d + _QUANTIZE_BYTES) * N * N)
-    rng = np.random.default_rng(seed)
-    Q = [position_operator(grid, l).matrix for l in range(d)]
-    P = [momentum_operator(grid, field, l).matrix for l in range(d)]
-    pts = grid.eps * grid.points_micro()
-    box = min(grid.x_axis(l)[-1] for l in range(d))
-    nyq = min(np.pi / grid.h[l] for l in range(d))
-    sigma = np.sqrt(box / (2 * nyq)) * np.ones(d)
-    res = {"qq": 0.0, "qp": 0.0, "pp": 0.0}
-    for _ in range(n_states):
-        x0 = rng.uniform(-0.15 * box, 0.15 * box, d)
-        k0 = rng.uniform(-0.15 * nyq, 0.15 * nyq, d)
-        psi = coherent_state(grid, x0, k0, sigma)
-        for l in range(d):
-            for j in range(d):
-                r_qq = (Q[l] @ (Q[j] @ psi)) - (Q[j] @ (Q[l] @ psi))
-                res["qq"] = max(res["qq"], float(np.abs(r_qq).max()))
-                r_qp = (Q[l] @ (P[j] @ psi)) - (P[j] @ (Q[l] @ psi))
-                target = 1j * field.eps * psi if l == j else 0.0
-                res["qp"] = max(res["qp"], float(np.abs(r_qp - target).max()))
-                if j > l:
-                    r_pp = (P[l] @ (P[j] @ psi)) - (P[j] @ (P[l] @ psi))
-                    Bq = field.B(pts)[..., l, j]
-                    t_pp = 1j * field.eps * field.lam * Bq * psi
-                    res["pp"] = max(res["pp"], float(np.abs(r_pp - t_pp).max()))
-    return res
 
 
 OPNORM_ITERS = 60      # power iterations of operator_norm, from a seed-0 start

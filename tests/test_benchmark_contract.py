@@ -47,13 +47,14 @@ def test_tracer_entry_points_resolve():
 
 
 def test_rhs_receives_the_state_momentum_first():
+    from oracles import AnalyticHamiltonian
     from peierls_lab import flow
     from peierls_lab.fields import EMFieldConfig
     tracing = _load_tracing()
     tracer = tracing.Tracer()
-    free = flow.AnalyticHamiltonian(f=lambda k, r: 0.5 * np.sum(k ** 2, -1),
-                                    fk=lambda k, r: k,
-                                    fr=lambda k, r: np.zeros_like(r))
+    free = AnalyticHamiltonian(f=lambda k, r: 0.5 * np.sum(k ** 2, -1),
+                               fk=lambda k, r: k,
+                               fr=lambda k, r: np.zeros_like(r))
     fld = EMFieldConfig.constant(2, b=0.9, eps=0.1, lam=0.7)
     state = flow.FlowState.of([0.4, 0.1], [0.2, -0.3])
     seen = []

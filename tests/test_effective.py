@@ -7,15 +7,16 @@ import pytest
 from fourier_oracle import PeriodicFourier, fourier_coeffs_centered
 from peierls_lab.effective import (BandData, EffectiveError,
                                    EffectiveHamiltonian,
-                                   SemiclassicalHamiltonian,
-                                   effective_observable, t_eff,
+                                   SemiclassicalHamiltonian, t_eff,
                                    t_eff_inverse)
 from peierls_lab.fiber import potential_2d, solve_bands
 from peierls_lab.fields import EMFieldConfig, antisymmetric, pairs
 from peierls_lab.geometry import geometric_tensors
 from peierls_lab.interp import BLOCK, PeriodicSpline
 from peierls_lab.lattice import Lattice, make_kgrid
-from peierls_lab.weyl import PhaseSpaceGrid
+from peierls_lab.weyl import PhaseSpaceGrid, sample_symbol
+
+from oracles import synthetic_band
 
 LAT2 = Lattice.cubic(2)
 RNG = np.random.default_rng(0)
@@ -63,8 +64,8 @@ FIELD = field_2d()
 
 
 def test_h0_hofstadter_ansatz():
-    bd = BandData.synthetic(LAT2, (33, 33),
-                            lambda k: np.cos(k[..., 0]) + np.cos(k[..., 1]))
+    bd = synthetic_band(LAT2, (33, 33),
+                        lambda k: np.cos(k[..., 0]) + np.cos(k[..., 1]))
     fld = EMFieldConfig.zero(2, eps=0.1)
     h0, _ = h0_h1(bd, fld)
     k = RNG.uniform(-4, 4, (30, 2))
@@ -73,7 +74,7 @@ def test_h0_hofstadter_ansatz():
 
 
 def test_h0_constant_band():
-    bd = BandData.synthetic(LAT2, (9, 9), lambda k: 2.5 + 0 * k[..., 0])
+    bd = synthetic_band(LAT2, (9, 9), lambda k: 2.5 + 0 * k[..., 0])
     phi, gphi, hphi = cos_phi_callables(0.3)
     fld = EMFieldConfig.zero(2, eps=0.1, phi=phi, grad_phi=gphi,
                              grad_hess_phi=lambda r: (gphi(r), hphi(r)))
@@ -94,7 +95,7 @@ def test_h0_pipeline_sample_oracle():
 
 
 def test_h1_zero_without_geometry():
-    bd = BandData.synthetic(LAT2, (9, 9), lambda k: np.cos(k[..., 0]))
+    bd = synthetic_band(LAT2, (9, 9), lambda k: np.cos(k[..., 0]))
     _, h1 = h0_h1(bd, field_2d())
     k = RNG.uniform(-3, 3, (10, 2))
     r = RNG.uniform(-3, 3, (10, 2))
@@ -230,14 +231,9 @@ def test_t_eff_first_order_inverse_consistency():
 def test_effective_observable_constant():
     grid = PhaseSpaceGrid.build((9, 9), 0.7, eps=0.05)
     fld = dataclasses.replace(FIELD, eps=0.05)
-    sym = effective_observable(lambda k, r: 1.7 + 0 * k[..., 0], grid, BAND, fld)
+    f = lambda k, r: 1.7 + 0 * k[..., 0]
+    sym = sample_symbol(lambda k, r: f(*t_eff(k, r, BAND, fld)), grid)
     assert np.abs(sym.samples - 1.7).max() < 1e-12
-
-
-def test_effective_observable_rejects_nonperiodic():
-    grid = PhaseSpaceGrid.build((9, 9), 0.7, eps=0.05)
-    with pytest.raises(EffectiveError):
-        effective_observable(lambda k, r: k[..., 0], grid, BAND, FIELD)
 
 
 def test_effective_observable_taylor_consistency():
@@ -246,13 +242,9 @@ def test_effective_observable_taylor_consistency():
     for eps in (0.04, 0.02, 0.01):
         fld = dataclasses.replace(FIELD, eps=eps)
         grid = PhaseSpaceGrid.build((9, 9), 0.7, eps=eps)
-        sym = effective_observable(f0, grid, BAND, fld, check_periodic=False)
+        sym = sample_symbol(lambda k, r: f0(*t_eff(k, r, BAND, fld)), grid)
         d = 2
-        mesh = grid.phase_mesh()
-        X = np.stack([np.broadcast_to(mesh[l], grid.ns + grid.ns)
-                      for l in range(d)], -1)
-        K = np.stack([np.broadcast_to(mesh[d + l], grid.ns + grid.ns)
-                      for l in range(d)], -1)
+        X, K = (np.broadcast_to(a, grid.ns + grid.ns + (d,)) for a in grid.phase_points())
         A = BAND.at(K).A
         B = fld.B(X)
         df0_dk = np.cos(K[..., 0]) * np.cos(X[..., 1])
@@ -268,7 +260,7 @@ def test_effective_observable_taylor_consistency():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_value_on_broadcast_axes_matches_full_mesh(dim):
     if dim == 1:
-        band = BandData.synthetic(
+        band = synthetic_band(
             Lattice.cubic(1), (33,), lambda k: np.cos(k[..., 0]),
             connection=lambda k: 0.3 * np.sin(k))
         def gphi(r):
@@ -283,7 +275,8 @@ def test_value_on_broadcast_axes_matches_full_mesh(dim):
     grid = PhaseSpaceGrid.build((9,) * dim, 0.7, eps=fld.eps)
     X, K = grid.phase_points()
     full = grid.ns + grid.ns
-    mesh = grid.phase_mesh()
+    mesh = np.meshgrid(*[grid.X_axis(l) for l in range(dim)],
+                       *[grid.xi_axis(l) for l in range(dim)], indexing="ij")
     assert np.array_equal(np.broadcast_to(X, full + (dim,)), np.stack(mesh[:dim], -1))
     assert np.array_equal(np.broadcast_to(K, full + (dim,)), np.stack(mesh[dim:], -1))
     for model in (EffectiveHamiltonian(band, fld), SemiclassicalHamiltonian(band, fld)):
@@ -343,7 +336,7 @@ def test_band_fields_stacked_evaluator(basis, shape, upsample):
     lat = Lattice.from_basis(basis)
     d = lat.dim
     E, A, M, Om = trig_band_fields(lat)
-    bd = BandData.synthetic(lat, shape, E, A, M, Om, upsample=upsample)
+    bd = synthetic_band(lat, shape, E, A, M, Om, upsample=upsample)
     # a (2, 700) batch spans more than one evaluation block
     k = np.random.default_rng(3).uniform(-4, 4, (2, 700, d))
     assert k[..., 0].size > BLOCK
@@ -432,7 +425,7 @@ def test_one_pass_band_data_matches_two_pass_build(name):
     basis, shape, upsample = LATTICES[name]
     lat = Lattice.from_basis(basis)
     d = lat.dim
-    bd = BandData.synthetic(lat, shape, *trig_band_fields(lat), upsample=upsample)
+    bd = synthetic_band(lat, shape, *trig_band_fields(lat), upsample=upsample)
     k = np.random.default_rng(4).uniform(-3, 3, (400, d))
     new = bd.at(k)
     old = eager_fields(two_pass_spline(bd)(k), (400,), d)
@@ -481,7 +474,7 @@ def test_band_data_build_holds_one_coefficient_array():
 def test_two_forms_are_exactly_antisymmetric(basis, shape):
     lat = Lattice.from_basis(basis)
     d = lat.dim
-    bd = BandData.synthetic(lat, shape, *trig_band_fields(lat), upsample=4)
+    bd = synthetic_band(lat, shape, *trig_band_fields(lat), upsample=4)
     assert bd._spline.n_fields == 1 + 2 * d + d * (d - 1)
     b = bd.at(np.random.default_rng(6).uniform(-3, 3, (50, d)))
     assert b.m.shape == b.om.shape == (50, d * (d - 1) // 2)

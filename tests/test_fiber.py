@@ -9,14 +9,14 @@ from peierls_lab import fiber, weyl
 from peierls_lab.effective import BandData
 from peierls_lab.fiber import (BandStructure, FiberError, FourierPotential,
                                PlaneWaveBasis, check_band_memory, check_gap,
-                               fiber_basis, fiber_matrix,
-                               fiber_terms,
+                               fiber_basis, fiber_terms,
                                fiber_symmetries, kgrid_orbits,
-                               mathieu_potential, potential_2d, solve_bands,
-                               tau_equivariance_check)
+                               mathieu_potential, potential_2d, solve_bands)
 from peierls_lab.geometry import geometric_tensors
-from peierls_lab.lattice import Lattice, bz_coefficients, make_kgrid, wrap_to_bz
+from peierls_lab.lattice import Lattice, make_kgrid
 from peierls_lab.weyl import DenseMemoryError
+
+from oracles import bz_coefficients, fiber_matrix, tau_equivariance_check, wrap_to_bz
 
 LAT1 = Lattice.cubic(1)
 LAT2 = Lattice.cubic(2)

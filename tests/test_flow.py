@@ -1,17 +1,19 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from peierls_lab.effective import BandData, EffectiveHamiltonian
+from peierls_lab.effective import EffectiveHamiltonian
 from peierls_lab.fields import EMFieldConfig, pairs
-from peierls_lab.flow import (AnalyticHamiltonian, FlowError, FlowState,
-                              _rk4_run, compare_flows, integrate, poisson_corrected,
-                              structure_factor, vector_field)
+from peierls_lab.flow import (FlowError, FlowState, _rk4_run, compare_flows,
+                              integrate, structure_factor, vector_field)
 from peierls_lab.lattice import Lattice
 from peierls_lab.quantum import QuantumError, egorov_error
 from peierls_lab.weyl import PhaseSpaceGrid
+
+from oracles import AnalyticHamiltonian, poisson_corrected, synthetic_band
 
 LAT2 = Lattice.cubic(2)
 
@@ -23,9 +25,16 @@ EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def omega_band(om):
-    return BandData.synthetic(
+    return synthetic_band(
         LAT2, (9, 9), energy=lambda k: 0 * k[..., 0],
         curvature=lambda k: np.einsum("...,lj->...lj", om + 0 * k[..., 0], EPS2))
+
+
+@pytest.mark.parametrize("k, r", [([0.4, 0.1], [0.2]), ([[0.4, 0.1]], [[0.2, 0.3]])],
+                         ids=["unequal_lengths", "two_dim"])
+def test_flow_state_rejects_points_of_other_shapes(k, r):
+    with pytest.raises(FlowError, match=re.escape(f"got shapes {np.shape(k)} and {np.shape(r)}")):
+        FlowState.of(k, r)
 
 
 def test_free_motion_exact():
@@ -160,7 +169,7 @@ def test_step_halving_guard():
         return gphi(r), -0.3 * w * w * np.cos(w * r)[..., None]
     fld = EMFieldConfig.zero(1, eps=eps, phi=lambda r: 0.3 * np.cos(w * r[..., 0]),
                              grad_phi=gphi, grad_hess_phi=grad_hess)
-    band = BandData.synthetic(Lattice.cubic(1), (65,), lambda k: np.cos(k[..., 0]))
+    band = synthetic_band(Lattice.cubic(1), (65,), lambda k: np.cos(k[..., 0]))
     grid = PhaseSpaceGrid.build(n, 1.0, eps=eps)
     heff = EffectiveHamiltonian(band, fld)
     f = lambda k, r: np.sin(k[..., 0])
@@ -197,8 +206,8 @@ def test_poisson_corrected_position_bracket():
 def test_compare_flows_one_eps_fits_no_slope():
     """One eps fixes no slope: the slope is nan, and no fit is tried (numpy
     would warn and return a meaningless number)."""
-    band = BandData.synthetic(LAT2, (9, 9), energy=lambda k: np.cos(k).sum(-1),
-                              connection=lambda k: 0.3 * np.sin(k))
+    band = synthetic_band(LAT2, (9, 9), energy=lambda k: np.cos(k).sum(-1),
+                          connection=lambda k: 0.3 * np.sin(k))
     fld = EMFieldConfig.constant(2, b=0.8, eps=0.1, lam=0.7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -279,7 +288,7 @@ def test_closed_form_structure_matches_assembled_solve(d):
 
 def test_corrected_integrate_evaluates_band_once_per_rhs():
     from peierls_lab.effective import SemiclassicalHamiltonian
-    band = BandData.synthetic(
+    band = synthetic_band(
         LAT2, (9, 9), energy=lambda k: np.cos(k[..., 0]) + np.cos(k[..., 1]),
         rw=lambda k: np.einsum("...,lj->...lj", 0.1 * np.sin(k[..., 0]), EPS2),
         curvature=lambda k: np.einsum("...,lj->...lj", 0.3 * np.cos(k[..., 1]), EPS2))

@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from peierls_lab import effective, flow
-from peierls_lab.effective import (BandData, EffectiveHamiltonian,
-                                   SemiclassicalHamiltonian, _as_points)
+from peierls_lab.effective import (EffectiveHamiltonian, SemiclassicalHamiltonian,
+                                   _as_points)
 from peierls_lab.fields import EMFieldConfig, _vecmat, antisymmetric
 from peierls_lab.flow import FlowError
 from peierls_lab.lattice import Lattice
+
+from oracles import synthetic_band
 
 # -- oracle: the einsum forms -------------------------------------------------
 
@@ -163,8 +165,8 @@ def _band(d):
         for n, e in enumerate(_antisym(d)):
             out = out + (0.3 + 0.2 * np.cos(k[..., n % d]))[..., None, None] * e
         return out
-    return BandData.synthetic(lat, SHAPES[d], energy, connection, rw, curvature,
-                              upsample=2 if d == 3 else 4)
+    return synthetic_band(lat, SHAPES[d], energy, connection, rw, curvature,
+                          upsample=2 if d == 3 else 4)
 
 
 BANDS = {d: _band(d) for d in (1, 2, 3)}

@@ -8,13 +8,12 @@ from peierls_lab import fields, weyl
 from peierls_lab.fields import EMFieldConfig, FieldError
 from peierls_lab.interp import _sym_freqs
 from peierls_lab.weyl import (DenseMemoryError, GridSymbol, PhaseSpaceGrid,
-                              QuantizedOperator, WeylError,
-                              coherent_state, commutation_check, dequantize,
-                              exact_product, expanded_product,
-                              gauge_covariance_check, magnetic_poisson,
-                              momentum_operator, operator_norm,
-                              position_operator, quantize, resample_periodic,
-                              sample_symbol)
+                              QuantizedOperator, WeylError, operator_norm, quantize,
+                              resample_periodic, sample_symbol)
+
+from oracles import (coherent_state, commutation_check, dequantize, exact_product,
+                     expanded_product, gauge_covariance_check, interior_max,
+                     magnetic_poisson, momentum_operator, position_operator)
 
 
 def moyal_oracle(f: GridSymbol, g: GridSymbol, eps: float) -> np.ndarray:
@@ -53,14 +52,50 @@ FIELD_0 = EMFieldConfig.zero(1, eps=0.1)
 def gaussian_symbol(grid, cx=0.0, ck=0.0, ax=1.5, ak=0.8):
     if grid.dim == 1:
         return sample_symbol(
-            lambda X, K: np.exp(-ax * (X - cx) ** 2 - ak * (K - ck) ** 2), grid)
+            lambda k, r: np.exp(-ax * (r[..., 0] - cx) ** 2 - ak * (k[..., 0] - ck) ** 2),
+            grid)
     return sample_symbol(
-        lambda X1, X2, K1, K2: np.exp(-ax * ((X1 - cx) ** 2 + X2 ** 2)
-                                      - ak * ((K1 - ck) ** 2 + K2 ** 2)), grid)
+        lambda k, r: np.exp(-ax * ((r[..., 0] - cx) ** 2 + r[..., 1] ** 2)
+                            - ak * ((k[..., 0] - ck) ** 2 + k[..., 1] ** 2)), grid)
+
+
+@pytest.mark.parametrize("ns, h, eps", [
+    ((5, 5), (1.0,), 0.1),      # fewer spacings than axes
+    ((5,), 0.0, 0.1),           # h = 0
+    ((5,), -0.5, 0.1),          # h < 0
+    ((-3,), 1.0, 0.1),          # a negative point count
+    ((5,), 1.0, 0.0),           # eps = 0
+    ((5,), 1.0, -0.1),          # eps < 0
+], ids=["h_short", "h_zero", "h_negative", "n_negative", "eps_zero", "eps_negative"])
+def test_phase_space_grid_rejects_unusable_grids(ns, h, eps):
+    with pytest.raises(WeylError):
+        PhaseSpaceGrid.build(ns, h, eps)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_symbol_matches_full_mesh_evaluation(dim):
+    """sample_symbol evaluates func(k, r) on the broadcast axis pair; an
+    elementwise symbol gives the same bits as on the full phase-space mesh,
+    and a constant still fills the whole ns + ns grid."""
+    grid = PhaseSpaceGrid.build((9,) * dim if dim == 2 else 33, 0.6, eps=0.2)
+    mesh = np.meshgrid(*[grid.X_axis(l) for l in range(dim)],
+                       *[grid.xi_axis(l) for l in range(dim)], indexing="ij")
+    X, K = np.stack(mesh[:dim], -1), np.stack(mesh[dim:], -1)
+    symbols = [
+        lambda k, r: np.exp(-r[..., 0] ** 2 - 0.5 * k[..., -1] ** 2 + 0.4 * r[..., -1] * k[..., 0]),
+        lambda k, r: np.cos(k[..., -1]) * np.sin(r[..., 0]) + r[..., -1] * k[..., 0],
+        lambda k, r: np.sign(np.sin(40 * r[..., 0] + 0.1)),
+        lambda k, r: 2.5,
+    ]
+    for func in symbols:
+        sampled = sample_symbol(func, grid).samples
+        assert sampled.shape == grid.ns + grid.ns
+        assert np.array_equal(sampled, np.broadcast_to(np.asarray(func(K, X), dtype=complex),
+                                                       grid.ns + grid.ns))
 
 
 def test_quantize_unit_symbol_identity():
-    one = sample_symbol(lambda X, K: np.ones_like(X), GRID_1D)
+    one = sample_symbol(lambda k, r: 1.0, GRID_1D)
     op = quantize(one, FIELD_0)
     assert np.abs(op.matrix - np.eye(33)).max() < 1e-14
 
@@ -386,7 +421,7 @@ def test_dequantize_gaussian_roundtrip_interior():
     fld = EMFieldConfig.zero(1, eps=0.4)
     sym = gaussian_symbol(grid)
     back = dequantize(quantize(sym, fld), fld)
-    assert sym.interior_max(back) < 1e-8
+    assert interior_max(sym, back) < 1e-8
 
 
 def test_dequantize_hermitian_gives_real():
@@ -409,7 +444,7 @@ def test_hermiticity_of_real_symbol():
 
 
 def test_aliasing_guard():
-    rough = sample_symbol(lambda X, K: np.sign(np.sin(40 * X + 0.1)), GRID_1D)
+    rough = sample_symbol(lambda k, r: np.sign(np.sin(40 * r[..., 0] + 0.1)), GRID_1D)
     with pytest.raises(WeylError):
         quantize(rough, FIELD_0)
 
@@ -445,7 +480,7 @@ def test_exact_product_unit():
     grid = PhaseSpaceGrid.build(33, np.sqrt(2 * np.pi / 33), eps=0.4)
     fld = EMFieldConfig.zero(1, eps=0.4)
     f = gaussian_symbol(grid)
-    one = sample_symbol(lambda X, K: np.ones_like(X), grid)
+    one = sample_symbol(lambda k, r: 1.0, grid)
     prod = exact_product(f, one, fld)
     assert np.abs(prod.samples - f.samples).max() < 1e-10
 
@@ -458,7 +493,7 @@ def test_exact_product_matches_moyal_oracle():
     g = gaussian_symbol(grid, cx=0.15, ck=-0.2, ax=1.4, ak=1.0)
     prod = exact_product(f, g, fld)
     oracle = moyal_oracle(f, g, 0.4)
-    assert GridSymbol(grid, prod.samples - oracle).interior_max() < 1e-7
+    assert interior_max(prod, oracle) < 1e-7
 
 
 def moyal_oracle_2d(f: GridSymbol, g: GridSymbol, eps: float) -> np.ndarray:
@@ -513,7 +548,7 @@ def test_lambda_continuity_to_moyal():
     p_zero = exact_product(f, g, fld_zero, assume_bandlimited=True)
     assert np.abs(p_tiny.samples - p_zero.samples).max() < 1e-5
     oracle = moyal_oracle_2d(f, g, 0.8)
-    assert GridSymbol(grid2, p_zero.samples - oracle).interior_max() < 2e-2
+    assert interior_max(p_zero, oracle) < 2e-2
 
 
 def test_real_square_hermitian_symbol():
@@ -525,20 +560,20 @@ def test_real_square_hermitian_symbol():
     assert np.abs((op.matrix @ op.matrix)
                   - (op.matrix @ op.matrix).conj().T).max() < 1e-10
     # symbol of a Hermitian operator square is real
-    assert GridSymbol(grid, np.imag(sq.samples)
-                      + 0j).interior_max() < 1e-8
+    assert interior_max(GridSymbol(grid, np.imag(sq.samples)
+                                   + 0j)) < 1e-8
 
 
 def test_poisson_trivials():
     grid = PhaseSpaceGrid.build((11, 11), 0.6, eps=0.1)
     fld = EMFieldConfig.constant(2, b=0.9, eps=0.1, lam=0.7)
-    s_x1 = sample_symbol(lambda X1, X2, K1, K2: X1 + 0 * K1, grid)
-    s_k1 = sample_symbol(lambda X1, X2, K1, K2: K1 + 0 * X1, grid)
-    s_k2 = sample_symbol(lambda X1, X2, K1, K2: K2 + 0 * X1, grid)
+    s_x1 = sample_symbol(lambda k, r: r[..., 0], grid)
+    s_k1 = sample_symbol(lambda k, r: k[..., 0], grid)
+    s_k2 = sample_symbol(lambda k, r: k[..., 1], grid)
     br = magnetic_poisson(s_k1, s_x1, fld)
-    assert GridSymbol(grid, br.samples - 1.0).interior_max() < 1e-12
+    assert interior_max(br, 1.0) < 1e-12
     br_kk = magnetic_poisson(s_k1, s_k2, fld)
-    assert GridSymbol(grid, br_kk.samples + 0.7 * 0.9).interior_max() < 1e-12
+    assert interior_max(GridSymbol(grid, br_kk.samples + 0.7 * 0.9)) < 1e-12
     fld0 = EMFieldConfig.constant(2, b=0.9, eps=0.1, lam=0.0)
     br0 = magnetic_poisson(s_k1, s_k2, fld0)
     assert np.abs(br0.samples).max() < 1e-12
@@ -562,13 +597,13 @@ def expansion_errors(eps_list, lam=0.0, b=0.0):
         grid = PhaseSpaceGrid.build(n, h, eps=ee)
         fld = EMFieldConfig.zero(1, eps=ee) if lam == 0.0 else \
             EMFieldConfig.constant(1, b=b, eps=ee, lam=lam)
-        f = sample_symbol(lambda X, K: np.exp(-X ** 2 - 0.5 * K ** 2
-                                              + 0.4 * X * K), grid)
-        g = sample_symbol(lambda X, K: np.exp(-1.3 * (X - 0.2) ** 2
-                                              - 0.8 * (K + 0.3) ** 2), grid)
+        f = sample_symbol(lambda k, r: np.exp(-r[..., 0] ** 2 - 0.5 * k[..., 0] ** 2
+                                              + 0.4 * r[..., 0] * k[..., 0]), grid)
+        g = sample_symbol(lambda k, r: np.exp(-1.3 * (r[..., 0] - 0.2) ** 2
+                                              - 0.8 * (k[..., 0] + 0.3) ** 2), grid)
         ex = exact_product(f, g, fld)
         o1 = expanded_product(f, g, fld, 1)
-        errs.append(GridSymbol(grid, ex.samples - o1.samples).interior_max())
+        errs.append(interior_max(ex, o1))
     return np.asarray(errs)
 
 
@@ -584,14 +619,14 @@ def test_antisymmetrized_product_vs_bracket():
     h = (2 * 5.0 / 0.05) / n
     grid = PhaseSpaceGrid.build(n, h, eps=ee)
     fld = EMFieldConfig.zero(1, eps=ee)
-    f = sample_symbol(lambda X, K: np.exp(-X ** 2 - 0.5 * K ** 2), grid)
-    g = sample_symbol(lambda X, K: np.exp(-1.3 * (X - 0.3) ** 2
-                                          - 0.7 * (K - 0.4) ** 2), grid)
+    f = sample_symbol(lambda k, r: np.exp(-r[..., 0] ** 2 - 0.5 * k[..., 0] ** 2), grid)
+    g = sample_symbol(lambda k, r: np.exp(-1.3 * (r[..., 0] - 0.3) ** 2
+                                          - 0.7 * (k[..., 0] - 0.4) ** 2), grid)
     comm = exact_product(f, g, fld).samples - exact_product(g, f, fld).samples
     br = magnetic_poisson(f, g, fld)
     resid = GridSymbol(grid, comm + 1j * ee * br.samples)
     scale = ee * np.abs(br.samples).max()
-    assert resid.interior_max() < 0.05 * scale
+    assert interior_max(resid) < 0.05 * scale
 
 
 def test_gauge_covariance_zero_and_constant_chi():
