@@ -201,20 +201,21 @@ def _build_field(cfg: RunConfig, dim: int, eps: float):
 # -- experiment runners ------------------------------------------------------
 
 
-def _solve_configured_bands(cfg: RunConfig):
-    """Bands of the configured potential on the configured k-grid."""
+def _solve_configured_bands(cfg: RunConfig, vector_bands: tuple):
+    """Bands of the configured potential on the configured k-grid, with the
+    vectors of vector_bands only (the bands the run reads)."""
     # imported at call time, so a rebound fiber.solve_bands is the one used
     from .fiber import solve_bands
     from .lattice import make_kgrid
     lat = _build_lattice(cfg)
     grid = make_kgrid(lat, tuple(cfg.numerics.kgrid))
     return solve_bands(_build_potential(cfg, lat), grid, cfg.numerics.cutoff,
-                       cfg.numerics.n_bands)
+                       cfg.numerics.n_bands, vector_bands)
 
 
 def run_bands(cfg: RunConfig, out: Path) -> tuple:
     from .fiber import check_gap
-    bands = _solve_configured_bands(cfg)
+    bands = _solve_configured_bands(cfg, ())
     grid, d = bands.kgrid, bands.kgrid.dim
     header = [f"k{i+1}_inv_length" for i in range(d)] + \
         [f"E{n}_energy" for n in range(bands.n_bands)]
@@ -230,7 +231,7 @@ def run_bands(cfg: RunConfig, out: Path) -> tuple:
 def run_geometry(cfg: RunConfig, out: Path) -> tuple:
     import dataclasses as dc
     from .geometry import geometric_tensors, wilson_loop
-    bands = _solve_configured_bands(cfg)
+    bands = _solve_configured_bands(cfg, (cfg.numerics.band_index,))
     grid, d = bands.kgrid, bands.kgrid.dim
     geom = geometric_tensors(bands, cfg.numerics.band_index)
     planes = list(itertools.combinations(range(d), 2))
@@ -248,8 +249,8 @@ def run_geometry(cfg: RunConfig, out: Path) -> tuple:
     # gauge invariance under re-randomized input phases
     rng = np.random.default_rng(cfg.seed)
     vecs = bands.vectors.copy()
-    vecs[cfg.numerics.band_index] = vecs[cfg.numerics.band_index] * np.exp(
-        1j * rng.uniform(0, 2 * np.pi, vecs.shape[1]))[:, None]
+    row = bands.row(cfg.numerics.band_index)
+    vecs[row] = vecs[row] * np.exp(1j * rng.uniform(0, 2 * np.pi, vecs.shape[1]))[:, None]
     geom2 = geometric_tensors(dc.replace(bands, vectors=vecs), cfg.numerics.band_index)
     inv_dev = max(float(np.abs(geom.curvature - geom2.curvature).max()),
                   float(np.abs(geom.rw - geom2.rw).max()))
@@ -294,7 +295,7 @@ def run_butterfly(cfg: RunConfig, out: Path) -> tuple:
 def _pipeline_band(cfg: RunConfig):
     from .effective import BandData
     from .geometry import geometric_tensors
-    bands = _solve_configured_bands(cfg)
+    bands = _solve_configured_bands(cfg, (cfg.numerics.band_index,))
     return BandData.from_geometry(geometric_tensors(bands, cfg.numerics.band_index))
 
 
@@ -446,7 +447,8 @@ def _preflight(cfg: RunConfig) -> None:
         pot = _build_potential(cfg, lat)
         if "kgrid" in reads:
             path = "numerics.kgrid"
-            check_band_memory(pot, num.kgrid, num.cutoff, num.n_bands)
+            # the most vectors a run on numerics.kgrid stores: its band's
+            check_band_memory(pot, num.kgrid, num.cutoff, num.n_bands, (num.band_index,))
             make_kgrid(lat, tuple(num.kgrid))
         if "cutoff" in reads:
             path = "numerics.cutoff"

@@ -30,24 +30,25 @@ assembled and diagonalized in real arithmetic.
 
 The representatives are solved in chunks of at most CHUNK_BYTES of
 matrices: each chunk is assembled and cut down to the stored window
-(n_bands + 1 eigenvalues, n_bands vectors) before the next one is built, so
-the matrices a solve holds at once do not grow with the grid.  LAPACK gives
-only the eigenvalues (one batched eigvalsh); the stored vectors come from
-inverse iteration on a block LU factorization of H - lambda, which is cheap
-because H is block tridiagonal: V couples coefficient slice n_0 only to the
-slices within p = max(1, max |n_0| of V's support) of it, so slabs of p
-slices along axis 0 leave only the neighbouring slabs coupled.  Slice 0
-shares its slab with the p slices below it.  A band odd under the mirror
-n_0 -> -n_0 vanishes on slice 0, so the slices below it alone have its
-eigenvalue too, and a slab edge there would make a factor in the middle of
-the elimination singular.  check_band_memory refuses a solve whose chunk
-working set, block factors and stored vectors would not fit, before
-anything is allocated.
+(n_bands + 1 eigenvalues, the vectors of the bands asked for) before the
+next one is built, so the matrices a solve holds at once do not grow with
+the grid.  LAPACK gives only the eigenvalues (one batched eigvalsh); the
+stored vectors come from inverse iteration on a block LU factorization of
+H - lambda, which is cheap because H is block tridiagonal: V couples
+coefficient slice n_0 only to the slices within p = max(1, max |n_0| of V's
+support) of it, so slabs of p slices along axis 0 leave only the
+neighbouring slabs coupled.  Slice 0 shares its slab with the p slices
+below it.  A band odd under the mirror n_0 -> -n_0 vanishes on slice 0, so
+the slices below it alone have its eigenvalue too, and a slab edge there
+would make a factor in the middle of the elimination singular.
+check_band_memory refuses a solve whose chunk working set, block factors
+and stored vectors would not fit, before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,7 +274,9 @@ class BandStructure:
     """Eigenvalues/vectors of the fiber family over a k-grid.
 
     energies : (n_bands, N) ascending per k-point.
-    vectors : (n_bands, N, D) plane-wave coefficients, orthonormal per k.
+    vector_bands : the ascending bands whose vectors were solved.
+    vectors : (len(vector_bands), N, D) plane-wave coefficients, row i
+        holding band vector_bands[i] (row(band) finds it), orthonormal per k.
     guard_energies : (N,) first eigenvalue above the stored window (+inf if
         the window exhausts the matrix), used by gap checks.
     """
@@ -282,6 +285,7 @@ class BandStructure:
     basis: PlaneWaveBasis
     potential: FourierPotential
     energies: np.ndarray
+    vector_bands: tuple
     vectors: np.ndarray
     guard_energies: np.ndarray
 
@@ -289,9 +293,17 @@ class BandStructure:
     def n_bands(self) -> int:
         return self.energies.shape[0]
 
+    def row(self, band: int) -> int:
+        """The row of vectors holding this band's vectors; FiberError when
+        they were not solved."""
+        if band not in self.vector_bands:
+            raise FiberError(f"band {band} has no vectors: solved for "
+                             f"{list(self.vector_bands)}")
+        return self.vector_bands.index(band)
+
     def frame(self, band: int) -> np.ndarray:
         """Eigenvector field of one band, shape (grid shape..., D)."""
-        return self.kgrid.reshape(self.vectors[band])
+        return self.kgrid.reshape(self.vectors[self.row(band)])
 
 
 def fiber_symmetries(potential: FourierPotential) -> list:
@@ -376,25 +388,27 @@ def _slabs(p: int, basis: PlaneWaveBasis) -> list:
 
 
 def _band_vectors(ham: np.ndarray, V: np.ndarray, slabs: list, evals: np.ndarray,
-                  n_bands: int) -> tuple[np.ndarray, np.ndarray]:
+                  bands) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors of the fiber matrices ham (m, D, D) = V +
-    diag(kin) for their n_bands lowest eigenvalues, given all of them in
-    evals (m, D) ascending.
+    diag(kin) for the listed bands (ascending indices), given all their
+    eigenvalues in evals (m, D) ascending.
 
-    Each eigenvalue lambda gets a block LU factorization of
+    Each listed eigenvalue lambda gets a block LU factorization of
     H - lambda - SHIFT ||H||_2 over slabs (_slabs): V supplies the
     off-diagonal blocks B_i = H[i, i-1] and C_i = H[i, i+1], which every
     matrix and band share, and only the inverses G_i of the Schur
     complements S_i = A_i - B_i G_{i-1} C_{i-1} are kept, at most
-    m n_bands D x (slab width) numbers.  SWEEPS sweeps of inverse iteration from fixed starts
-    follow, then one QR and a Rayleigh-Ritz step in the n_bands span, so
-    bands that are degenerate or nearly so come out orthonormal.  Returns
-    the vectors (m, D, n_bands) and each one's residual
-    |H u - lambda u| / ||H||_2 (m, n_bands).
+    m n D x (slab width) numbers for n listed bands.  SWEEPS sweeps of
+    inverse iteration from fixed starts (band b's start does not depend on
+    which other bands are listed) follow, then one QR and a Rayleigh-Ritz
+    step in the span of the listed bands, so listed bands that are
+    degenerate or nearly so come out orthonormal.  Returns the vectors
+    (m, D, n) and each one's residual |H u - lambda u| / ||H||_2 (m, n).
     """
+    bands = np.asarray(bands, dtype=int)
     m, D = ham.shape[:2]
     scale = np.abs(evals[:, [0, -1]]).max(axis=1)
-    lam = evals[:, :n_bands]
+    lam = evals[:, bands]
     shift = (lam + SHIFT * scale[:, None])[..., None, None]
     inv = []
     for i, sl in enumerate(slabs):
@@ -405,7 +419,7 @@ def _band_vectors(ham: np.ndarray, V: np.ndarray, slabs: list, evals: np.ndarray
         inv.append(np.linalg.inv(s))
     # fixed starts without symmetry: a start that a fiber symmetry fixes is
     # orthogonal to every band odd under it
-    x = np.sin(1.0 + np.outer(1.0 + 0.618 * np.arange(n_bands), np.arange(D)))
+    x = np.sin(1.0 + np.outer(1.0 + 0.618 * bands, np.arange(D)))
     x = np.repeat(x[None].astype(ham.dtype), m, axis=0)              # (m, n, D)
     for _ in range(SWEEPS):
         # x <- (H - shift)^-1 x: y_i = x_i - B_i G_{i-1} y_{i-1} downwards,
@@ -427,29 +441,45 @@ def _band_vectors(ham: np.ndarray, V: np.ndarray, slabs: list, evals: np.ndarray
     return u, residual
 
 
+def _vector_bands(n_bands: int, vector_bands) -> tuple:
+    """The bands whose vectors a solve stores, ascending: all n_bands for
+    None; FiberError for an index outside [0, n_bands) or a repeated one."""
+    if vector_bands is None:
+        return tuple(range(n_bands))
+    listed = [operator.index(b) for b in vector_bands]
+    if len(set(listed)) < len(listed):
+        raise FiberError(f"vector_bands {listed} repeats a band")
+    if any(not 0 <= b < n_bands for b in listed):
+        raise FiberError(f"vector_bands {listed} outside [0, {n_bands})")
+    return tuple(sorted(listed))
+
+
 def check_band_memory(potential: FourierPotential, shape, cutoff: int,
-                      n_bands: int) -> None:
+                      n_bands: int, vector_bands=None) -> None:
     """Refuse (DenseMemoryError) a solve_bands on a k-grid of this shape
     whose working set would not fit: _CHUNK_COPIES chunks of fiber matrices
-    beside a chunk's block factors (chunk x n_bands x D x the widest slab),
-    the stored vectors (n_bands, N, D) and the kinetic diagonals (N, D).
-    Needs only the shape, so nothing grid-sized exists yet."""
+    beside a chunk's block factors (chunk x n x D x the widest slab), the
+    stored vectors (n, N, D) and the kinetic diagonals (N, D), for the
+    n bands of vector_bands (as in solve_bands).  Needs only the shape, so
+    nothing grid-sized exists yet."""
     w = 2 * cutoff + 1
     D = w ** potential.lattice.dim
     N = math.prod(shape)
     item = 8 if potential.even else 16
     per_chunk = min(max(CHUNK_BYTES // (item * D * D), 1), N)
-    n_bands = min(n_bands, D)
+    n_vec = min(n_bands if vector_bands is None else len(vector_bands), D)
     slab = min(_reach(potential) + 1, w) * D // w
     check_dense_memory(f"solve_bands at cutoff {cutoff}", tuple(shape),
-                       per_chunk * item * D * (_CHUNK_COPIES * D + n_bands * slab)
-                       + (16 * n_bands + 8) * N * D)
+                       per_chunk * item * D * (_CHUNK_COPIES * D + n_vec * slab)
+                       + (16 * n_vec + 8) * N * D)
 
 
 def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
-                n_bands: int) -> BandStructure:
+                n_bands: int, vector_bands=None) -> BandStructure:
     """Diagonalize the fiber family over the cell-centered k-grid,
-    eigenvalues ascending.
+    eigenvalues ascending: the n_bands lowest energies everywhere, and the
+    vectors of the bands in vector_bands (indices below n_bands, each at
+    most once; None for all n_bands, () for none).
 
     The grid splits into orbits of the symmetry group of fiber_symmetries
     (kgrid_orbits: alpha M must land on a grid point without wrapping).
@@ -462,16 +492,19 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
     with S the diagonal mirror, so a 15 x 15 grid needs 64 solved matrices.
 
     A chunk's energies and guard energies are LAPACK's, from one batched
-    eigvalsh; its n_bands vectors come from _band_vectors (block LU over
-    the slabs of _slabs, SWEEPS inverse-iteration sweeps at the shift
-    SHIFT ||H||_2, QR and Rayleigh-Ritz).  A vector whose residual
-    |H u - E u| exceeds RESIDUAL_TOL ||H||_2 is never returned: the solve
-    raises FiberError naming its k-point.  The matrices are float64 when
-    every Vhat(g) is real and complex128 otherwise; vectors are returned
-    as complex128 either way.
+    eigvalsh, whichever vectors are asked for; the vectors come from
+    _band_vectors (block LU over the slabs of _slabs, SWEEPS
+    inverse-iteration sweeps at the shift SHIFT ||H||_2, QR and
+    Rayleigh-Ritz in the span of the listed bands), whose cost grows with
+    the number of listed bands.  A vector whose residual |H u - E u|
+    exceeds RESIDUAL_TOL ||H||_2 is never returned: the solve raises
+    FiberError naming its k-point.  The matrices are float64 when every
+    Vhat(g) is real and complex128 otherwise; vectors are returned as
+    complex128 either way.
     """
-    check_band_memory(potential, kgrid.shape, cutoff, n_bands)
+    check_band_memory(potential, kgrid.shape, cutoff, n_bands, vector_bands)
     basis = fiber_basis(potential, cutoff, n_bands)
+    vector_bands = _vector_bands(n_bands, vector_bands)
     N, D = kgrid.n_points, basis.size
     symmetries = fiber_symmetries(potential)
     rep, element = kgrid_orbits(kgrid, symmetries)
@@ -480,7 +513,7 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
     slabs = _slabs(_reach(potential), basis)
     window = min(n_bands + 1, D)
     evals = np.empty((solved.size, window))
-    vectors = np.empty((n_bands, N, D), dtype=complex)
+    vectors = np.empty((len(vector_bands), N, D), dtype=complex)
     step = max(CHUNK_BYTES // V.nbytes, 1)
     diag = np.arange(D)
     # one buffer serves every chunk: matrices allocated afresh per chunk
@@ -493,7 +526,9 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
         ham[:, diag, diag] += kin[part]
         w = np.linalg.eigvalsh(ham)
         evals[part] = w[:, :window]
-        u, residual = _band_vectors(ham, V, slabs, w, n_bands)
+        if not vector_bands:
+            continue
+        u, residual = _band_vectors(ham, V, slabs, w, vector_bands)
         bad = np.flatnonzero(~np.all(residual <= RESIDUAL_TOL, axis=1))     # NaN is bad
         if bad.size:
             p = solved[start + bad[0]]
@@ -515,7 +550,8 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
     else:
         guard = np.full(N, np.inf)
     return BandStructure(kgrid=kgrid, basis=basis, potential=potential,
-                         energies=energies, vectors=vectors, guard_energies=guard)
+                         energies=energies, vector_bands=vector_bands,
+                         vectors=vectors, guard_energies=guard)
 
 
 def check_gap(bands: BandStructure, index_set) -> float:
@@ -556,7 +592,7 @@ def fiber_on_cell_grid(bands: BandStructure, band: int, m_per_axis: int) -> np.n
     mesh = np.meshgrid(*([frac] * d), indexing="ij")
     y = sum(mesh[ax][..., None] * lat.basis[ax] for ax in range(d))
     phases = np.exp(1j * np.tensordot(y, basis.gvectors().T, axes=1))  # (grid..., D)
-    coeffs = bands.vectors[band]  # (N_k, D)
+    coeffs = bands.vectors[bands.row(band)]  # (N_k, D)
     samples = np.tensordot(coeffs, phases, axes=([1], [d]))  # (N_k, grid...)
     samples = samples.reshape(coeffs.shape[0], -1)
     samples /= np.sqrt(m_per_axis ** d)

@@ -55,11 +55,11 @@ class FlowError(PeierlsError, RuntimeError):
 
 @dataclass(frozen=True)
 class FlowState:
-    """Phase-space point; k and r are 1-d arrays of equal length."""
+    """Phase-space point; k and r are 1-d arrays of equal length.  It holds
+    no time: integrate starts every trajectory at t = 0."""
 
     k: np.ndarray
     r: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         if np.ndim(self.k) != 1 or np.shape(self.k) != np.shape(self.r):
@@ -67,9 +67,9 @@ class FlowState:
                             f"{np.shape(self.k)} and {np.shape(self.r)}")
 
     @classmethod
-    def of(cls, k, r, t: float = 0.0) -> "FlowState":
+    def of(cls, k, r) -> "FlowState":
         return cls(k=np.atleast_1d(np.asarray(k, dtype=float)),
-                   r=np.atleast_1d(np.asarray(r, dtype=float)), t=float(t))
+                   r=np.atleast_1d(np.asarray(r, dtype=float)))
 
 
 @dataclass

@@ -179,13 +179,13 @@ def _k_derivatives(frame: Frame) -> np.ndarray:
     return np.tensordot(T.T, dalpha, axes=([1], [0]))
 
 
-def berry_connection(frame: Frame):
-    """Connection A_m(k) = Re[i <phi, d phi/dk_m>] on the grid.
+def berry_connection(frame: Frame, dphi: np.ndarray):
+    """Connection A_m(k) = Re[i <phi, d phi/dk_m>] on the grid, from the
+    frame's derivatives dphi = _k_derivatives(frame).
 
     Returns (A, residue): A with shape (grid..., d) real, and the largest
     imaginary residue |Im(i<phi, dphi>)| as a stencil diagnostic.
     """
-    dphi = _k_derivatives(frame)
     raw = 1j * np.einsum("...c,m...c->...m", np.conj(frame.vectors), dphi)
     return raw.real, float(np.abs(raw.imag).max())
 
@@ -287,8 +287,9 @@ def berry_curvature(frame: Frame):
     return Omega, float(cherns[np.argmax(np.abs(cherns))])
 
 
-def rammal_wilkinson(bands: BandStructure, frame: Frame):
-    """Band-energy second-moment tensor M_lj(k), real and antisymmetric.
+def rammal_wilkinson(bands: BandStructure, frame: Frame, dphi: np.ndarray):
+    """Band-energy second-moment tensor M_lj(k), real and antisymmetric,
+    from the frame's derivatives dphi = _k_derivatives(frame).
 
     M_lj = Re[(i/2) <d_l phi, (H(k) - E) d_j phi>].  The imaginary part,
     (1/2) Re<d_l phi, (H(k) - E) d_j phi>, is symmetric in l, j and is a
@@ -297,7 +298,7 @@ def rammal_wilkinson(bands: BandStructure, frame: Frame):
     """
     grid = frame.kgrid
     d = grid.dim
-    x = _k_derivatives(frame).reshape(d, grid.n_points, -1)  # (d, N, D)
+    x = dphi.reshape(d, grid.n_points, -1)  # (d, N, D)
     # (H(k) - E) x = V x + (kin(k) - E) x, all k-points at once
     V, kin = fiber_terms(bands.potential, bands.basis, bands.kgrid.points)
     w = x @ V.T + (kin - bands.energies[frame.band][:, None]) * x
@@ -325,11 +326,13 @@ class GeometricTensors:
 
 
 def geometric_tensors(bands: BandStructure, band: int) -> GeometricTensors:
-    """Full geometric pipeline: gauge, connection, curvature, RW tensor."""
+    """Full geometric pipeline: gauge, connection, curvature, RW tensor
+    (connection and RW tensor from one set of frame derivatives)."""
     frame = fix_gauge(bands, band)
-    A, res_a = berry_connection(frame)
+    dphi = _k_derivatives(frame)
+    A, res_a = berry_connection(frame, dphi)
     Omega, chern = berry_curvature(frame)
-    M = rammal_wilkinson(bands, frame)
+    M = rammal_wilkinson(bands, frame, dphi)
     return GeometricTensors(
         frame=frame, connection=A, curvature=Omega, rw=M, chern=chern,
         diagnostics={"connection_imag_residue": res_a})

@@ -172,7 +172,7 @@ def _fiber_vectors_on_cells(bands: BandStructure, box: RealSpaceBox, band: int,
         frame = fix_gauge(bands, band)
         coeffs = frame.vectors
         bands = replace(bands, vectors=bands.vectors.copy())
-        bands.vectors[band] = coeffs
+        bands.vectors[bands.row(band)] = coeffs
     return fiber_on_cell_grid(bands, band, box.m)
 
 
@@ -630,7 +630,7 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         for eps in eps_list:
             fld = replace(field_template, eps=float(eps))
             box = _limit_box(potential, cutoff, eps, macro_box)
-            bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS)
+            bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS, (band_index,))
             sigma_k = LIMIT_SIGMA_SCALE * np.sqrt(eps)
             psi0 = band_packet(bands, box, band_index, k0=LIMIT_K0, x0=0.0, sigma_k=sigma_k)
             if psi0.edge_mass() > 1e-8:
@@ -688,6 +688,6 @@ def _band_data_1d(bands: BandStructure, band: int) -> BandData:
     lat = bands.kgrid.lattice
     n = max(64, bands.kgrid.shape[0])
     grid = make_kgrid(lat, n)
-    bb = solve_bands(bands.potential, grid, bands.basis.cutoff, max(2, band + 2))
+    bb = solve_bands(bands.potential, grid, bands.basis.cutoff, max(2, band + 2), (band,))
     geom = geometric_tensors(bb, band)
     return BandData.from_geometry(geom)

@@ -10,6 +10,7 @@ call them (tests/test_package_holds_what_runs.py keeps it so):
 - Hofstadter: band edges from the transfer-matrix trace and Chern labels
   from the Diophantine gap equation;
 - fiber: single fiber matrices and the dual-shift equivariance defect;
+- geometry: the Rammal-Wilkinson tensor as a sum over every band's states;
 - quantum: the Zak transform's dual-shift identity and a reference
   propagation of a quantized Hamiltonian;
 - flow: closed-form Hamiltonians and the corrected Poisson bracket;
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from peierls_lab.effective import BandData
-from peierls_lab.fiber import FiberError, FourierPotential, PlaneWaveBasis, fiber_terms
+from peierls_lab.fiber import (FiberError, FourierPotential, PlaneWaveBasis, fiber_terms,
+                               solve_bands)
 from peierls_lab.fields import EMFieldConfig, _contract
 from peierls_lab.flow import _solve_structure
 from peierls_lab.hofstadter import FluxRational, HofstadterError
@@ -323,6 +325,38 @@ def tau_equivariance_check(potential: FourierPotential, k, n_shift, cutoff: int)
     keep = np.all(np.abs(basis.offsets - n_shift) <= cutoff, axis=1)
     sub = np.ix_(keep, keep)
     return float(np.linalg.norm(H_shift[sub] - conj[sub]))
+
+
+# -- geometry -----------------------------------------------------------------
+
+
+def rw_spectral_sum_oracle(bands, frame):
+    """Sum-over-states evaluation with independent one-sided stencils."""
+    grid = frame.kgrid
+    d = grid.dim
+    full = solve_bands(bands.potential, grid, bands.basis.cutoff,
+                       bands.basis.size)
+    n_all = full.n_bands
+    b = frame.band
+    # derivatives of the frame by 4th-order one-sided-free centered stencil
+    # over the grid (reuse the frame's own vectors, different combination)
+    from peierls_lab.geometry import _k_derivatives
+    dphi = _k_derivatives(frame)
+    shape = grid.shape
+    M = np.zeros(shape + (d, d))
+    vecs_all = full.vectors  # (n_all, N, D)
+    E_all = full.energies
+    N = grid.n_points
+    dphi_flat = dphi.reshape(d, N, -1)
+    for p in range(N):
+        t = np.zeros((d, d), dtype=complex)
+        for m in range(n_all):
+            if m == b:
+                continue
+            amp = np.conj(vecs_all[m, p]) @ dphi_flat[:, p, :].T  # (d,)
+            t += np.outer(np.conj(amp), amp) * (E_all[m, p] - bands.energies[b, p])
+        M.reshape(N, d, d)[p] = np.real(0.5j * t)
+    return M
 
 
 # -- quantum ------------------------------------------------------------------

@@ -25,7 +25,8 @@ from peierls_lab.weyl import PhaseSpaceGrid, sample_symbol
 
 from oracles import (commutation_check, diophantine_chern_labels, exact_product,
                      expanded_product, gauge_covariance_check, interior_max,
-                     tau_equivariance_check, transfer_trace_edges)
+                     rw_spectral_sum_oracle, tau_equivariance_check,
+                     transfer_trace_edges)
 
 LAT1 = Lattice.cubic(1)
 LAT2 = Lattice.cubic(2)
@@ -286,19 +287,16 @@ def test_criterion_8_geometric_data(mathieu_band):
 
 def test_criterion_9_rammal_wilkinson_cross_check(mathieu_band):
     t0 = time.time()
-    from peierls_lab.geometry import fix_gauge, rammal_wilkinson
-    import sys
-    sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-    from test_geometry import rw_spectral_sum_oracle
+    from peierls_lab.geometry import _k_derivatives, fix_gauge, rammal_wilkinson
     bands, _ = mathieu_band
     fr = fix_gauge(bands, 0)
-    M1 = rammal_wilkinson(bands, fr)
+    M1 = rammal_wilkinson(bands, fr, _k_derivatives(fr))
     o1 = rw_spectral_sum_oracle(bands, fr)
     dev1 = float(np.abs(M1 - o1).max())
     # the same cross-check where the tensor is nonzero (2D, non-separable)
     b2 = solve_bands(potential_2d(1.0, 0.3), make_kgrid(LAT2, (11, 11)), 4, 2)
     fr2 = fix_gauge(b2, 0)
-    M2 = rammal_wilkinson(b2, fr2)
+    M2 = rammal_wilkinson(b2, fr2, _k_derivatives(fr2))
     o2 = rw_spectral_sum_oracle(b2, fr2)
     dev2 = float(np.abs(M2 - o2).max())
     scale2 = float(np.abs(M2).max())

@@ -113,6 +113,33 @@ def test_bands_run_emits_csv_with_units(tmp_path):
     assert data["checks"]["gap_above_min"] is True
 
 
+def test_bands_run_solves_no_vectors(tmp_path, monkeypatch):
+    from peierls_lab import fiber
+
+    def no_vectors(*args):
+        raise AssertionError("the bands experiment ran inverse iteration")
+    monkeypatch.setattr(fiber, "_band_vectors", no_vectors)
+    assert run(parse_config(MINIMAL_BANDS), tmp_path)["passed"]
+
+
+def test_geometry_run_solves_only_its_band_vectors(tmp_path, monkeypatch):
+    from peierls_lab import fiber
+    solved = []
+    solve = fiber.solve_bands
+
+    def spy(*args):
+        bands = solve(*args)
+        solved.append(bands.vector_bands)
+        return bands
+    monkeypatch.setattr(fiber, "solve_bands", spy)
+    cfg = parse_config('{"experiment": "geometry", "lattice": {"dim": 1}, '
+                       '"potential": {"preset": "mathieu", "v": 1.0}, '
+                       '"numerics": {"cutoff": 8, "kgrid": [64], "n_bands": 3, '
+                       '"band_index": 1, "tolerances": {"gauge_tol": 1e-10}}}')
+    assert run(cfg, tmp_path)["passed"]
+    assert solved == [(1,)]
+
+
 def test_run_determinism_byte_identical(tmp_path):
     cfg = parse_config(MINIMAL_BANDS)
     run(cfg, tmp_path / "a")

@@ -339,7 +339,8 @@ def test_block_solve_matches_dense_eigh(pot, cutoff, k, n_bands):
     assert np.all(evals[:, n_bands] - evals[:, n_bands - 1] > 1e-3)
     w = np.linalg.eigvalsh(ham)
     basis = fiber_basis(pot, cutoff)
-    u, residual = fiber._band_vectors(ham, V, fiber._slabs(fiber._reach(pot), basis), w, n_bands)
+    u, residual = fiber._band_vectors(ham, V, fiber._slabs(fiber._reach(pot), basis), w,
+                                      range(n_bands))
     assert u.dtype == ham.dtype and u.shape == ham.shape[:2] + (n_bands,)
     resid = np.linalg.norm(ham @ u - u * w[:, None, :n_bands], axis=1)
     assert resid.max() < 1e-10
@@ -378,6 +379,83 @@ def test_solve_bands_refuses_vectors_that_miss_the_residual_bound(monkeypatch):
     with pytest.raises(FiberError, match=r"band vectors at k = \(.*\) \(grid point \d+\) "
                                          r"miss the residual bound"):
         solve_bands(potential_2d(12, 2), make_kgrid(LAT2, 15), 5, 3)
+
+
+# no band of these touches a neighbour on its grid, so each band's vectors
+# are unique up to a phase
+LOW_SYMMETRY_3D = FourierPotential(LAT3, {
+    (1, 0, 0): 3.0, (-1, 0, 0): 3.0, (0, 1, 0): 2.0, (0, -1, 0): 2.0,
+    (0, 0, 1): 1.2, (0, 0, -1): 1.2, (1, 1, 0): 0.8, (-1, -1, 0): 0.8,
+    (0, 1, 1): 0.5, (0, -1, -1): 0.5})
+VECTOR_BAND_CASES = [
+    (mathieu_potential(1.0), make_kgrid(LAT1, 16), 6),
+    (potential_2d(12, 2), make_kgrid(LAT2, 9), 4),
+    (LOW_SYMMETRY_3D, make_kgrid(LAT3, 4), 2),
+    (NON_EVEN_2D, make_kgrid(LAT2, 9), 4),
+]
+VECTOR_BAND_IDS = ["mathieu-1d", "cosine-2d", "low-symmetry-3d", "complex-2d"]
+
+
+@pytest.mark.parametrize("pot, grid, cutoff", VECTOR_BAND_CASES, ids=VECTOR_BAND_IDS)
+@pytest.mark.parametrize("vector_bands", [(0,), (1,), (2,), (0, 2)],
+                         ids=["band-0", "band-1", "band-2", "bands-0-2"])
+def test_vectors_of_listed_bands_match_the_all_band_solve(pot, grid, cutoff, vector_bands):
+    n_bands = 3
+    full = solve_bands(pot, grid, cutoff, n_bands)
+    part = solve_bands(pot, grid, cutoff, n_bands, vector_bands)
+    assert np.diff(np.vstack([full.energies, full.guard_energies]), axis=0).min() > 1e-3
+    # the energies come from the same eigvalsh whatever vectors are asked for
+    assert np.array_equal(part.energies, full.energies)
+    assert np.array_equal(part.guard_energies, full.guard_energies)
+    assert part.vector_bands == vector_bands
+    assert part.vectors.shape == (len(vector_bands), grid.n_points, full.basis.size)
+    for band in vector_bands:
+        u = part.frame(band).reshape(grid.n_points, -1)
+        u_all = full.vectors[band]
+        assert np.abs(np.einsum("pc,pc->p", u.conj(), u_all)).min() >= 1 - 1e-12
+        for p in range(grid.n_points):
+            H = fiber_matrix(grid.points[p], pot, cutoff).matrix
+            scale = np.abs(np.linalg.eigvalsh(H)[[0, -1]]).max()
+            assert (np.linalg.norm(H @ u[p] - part.energies[band, p] * u[p])
+                    <= fiber.RESIDUAL_TOL * scale)
+
+
+def test_solve_bands_without_vectors_runs_no_inverse_iteration(monkeypatch):
+    pot, grid = potential_2d(12, 2), make_kgrid(LAT2, 9)
+    full = solve_bands(pot, grid, 4, 3)
+
+    def no_vectors(*args):
+        raise AssertionError("inverse iteration ran for a solve without vectors")
+    monkeypatch.setattr(fiber, "_band_vectors", no_vectors)
+    bands = solve_bands(pot, grid, 4, 3, ())
+    assert np.array_equal(bands.energies, full.energies)
+    assert np.array_equal(bands.guard_energies, full.guard_energies)
+    assert bands.vector_bands == () and bands.vectors.shape == (0, grid.n_points, 81)
+    with pytest.raises(FiberError, match=r"band 0 has no vectors: solved for \[\]"):
+        bands.frame(0)
+
+
+def test_frame_of_a_band_without_vectors_is_refused():
+    bands = solve_bands(mathieu_potential(1.0), make_kgrid(LAT1, 8), 6, 3, (1,))
+    assert bands.row(1) == 0 and bands.frame(1).shape == (8, 13)
+    for band in (0, 2):
+        with pytest.raises(FiberError, match=rf"band {band} has no vectors: solved for \[1\]"):
+            bands.frame(band)
+
+
+@pytest.mark.parametrize("vector_bands, message", [
+    ((3,), r"vector_bands \[3\] outside \[0, 3\)"),
+    ((-1,), r"vector_bands \[-1\] outside \[0, 3\)"),
+    ((1, 1), r"vector_bands \[1, 1\] repeats a band"),
+], ids=["above", "negative", "repeated"])
+def test_solve_bands_refuses_bad_vector_bands(vector_bands, message):
+    with pytest.raises(FiberError, match=message):
+        solve_bands(mathieu_potential(1.0), make_kgrid(LAT1, 8), 6, 3, vector_bands)
+
+
+def test_vector_bands_are_stored_ascending():
+    bands = solve_bands(mathieu_potential(1.0), make_kgrid(LAT1, 8), 6, 3, (2, 0))
+    assert bands.vector_bands == (0, 2) and bands.row(2) == 1
 
 
 def test_solve_bands_holds_one_chunk_of_matrices_at_a_time():
@@ -443,6 +521,7 @@ def direct_bands(pot, grid, cutoff, n_bands, rng):
     return BandStructure(
         kgrid=grid, basis=PlaneWaveBasis.build(pot.lattice, cutoff), potential=pot,
         energies=evals[:, :n_bands].T.copy(), guard_energies=evals[:, n_bands],
+        vector_bands=tuple(range(n_bands)),
         vectors=np.transpose(evecs[:, :, :n_bands], (2, 0, 1)) * phases[..., None])
 
 

@@ -37,6 +37,14 @@ def test_flow_state_rejects_points_of_other_shapes(k, r):
         FlowState.of(k, r)
 
 
+def test_flow_state_refuses_a_start_time():
+    # trajectories start at t = 0; a state that took a time would drop it
+    with pytest.raises(TypeError):
+        FlowState.of([0.4, 0.1], [0.0, 0.0], t=1.0)
+    with pytest.raises(TypeError):
+        FlowState(np.zeros(2), np.zeros(2), 1.0)
+
+
 def test_free_motion_exact():
     fld = EMFieldConfig.zero(2, eps=0.1)
     st = FlowState.of([0.4, 0.1], [0.0, 0.0])

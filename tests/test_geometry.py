@@ -7,12 +7,14 @@ import pytest
 
 from peierls_lab.fiber import (FourierPotential, mathieu_potential,
                                potential_2d, solve_bands)
-from peierls_lab.geometry import (Frame, GaugeError, _smooth_gauge,
+from peierls_lab.geometry import (Frame, GaugeError, _k_derivatives, _smooth_gauge,
                                   berry_connection, berry_curvature,
                                   chern_from_vectors, curvature_from_vectors,
                                   fix_gauge, geometric_tensors,
                                   rammal_wilkinson, wilson_loop)
 from peierls_lab.lattice import Lattice, make_kgrid
+
+from oracles import rw_spectral_sum_oracle
 
 LAT1 = Lattice.cubic(1)
 LAT2 = Lattice.cubic(2)
@@ -92,7 +94,7 @@ def test_connection_free_band_zero_away_from_edge():
     V0 = FourierPotential(LAT1, {})
     bands = solve_bands(V0, make_kgrid(LAT1, 16), 4, 1)
     fr = fix_gauge(bands, 0)
-    A, _ = berry_connection(fr)
+    A, _ = berry_connection(fr, _k_derivatives(fr))
     # the free band touches its neighbor at the zone edge; the statement
     # A = 0 holds away from it (the stencil at the seam sees the touching)
     assert np.abs(A.ravel()[2:-2]).max() < 1e-10
@@ -106,19 +108,19 @@ def test_zak_phase_inversion_symmetric():
                abs(abs(zak) % (2 * np.pi) - 2 * np.pi))
     assert dist < 1e-4
     # the distributed gauge makes the discrete A-integral land on the loop phase
-    A, _ = berry_connection(fr)
+    A, _ = berry_connection(fr, _k_derivatives(fr))
     zak_from_A = float(np.sum(A) * 2 * np.pi / 64)
     assert abs(np.angle(np.exp(1j * (zak_from_A - zak)))) < 5e-3
 
 
 def test_gauge_shift_moves_connection():
     _, fr = mathieu_frame(128)
-    A, _ = berry_connection(fr)
+    A, _ = berry_connection(fr, _k_derivatives(fr))
     k = fr.kgrid.points.ravel()
     theta = 0.3 * np.sin(k)
     shifted = dataclasses.replace(fr, vectors=fr.vectors *
                                   np.exp(1j * theta)[:, None])
-    A2, _ = berry_connection(shifted)
+    A2, _ = berry_connection(shifted, _k_derivatives(shifted))
     # A -> A - dtheta/dk; wilson loop unchanged
     dk = 2 * np.pi / 128
     dtheta = (np.roll(theta, -1) - np.roll(theta, 1)) / (2 * dk)
@@ -173,47 +175,35 @@ def test_full_pipeline_2d_gauge_invariants():
 
 def test_rw_1d_zero_and_diagnostic():
     bands, fr = mathieu_frame(32)
-    M = rammal_wilkinson(bands, fr)
+    M = rammal_wilkinson(bands, fr, _k_derivatives(fr))
     assert np.abs(M).max() < 1e-12
-
-
-def rw_spectral_sum_oracle(bands, frame):
-    """Sum-over-states evaluation with independent one-sided stencils."""
-    grid = frame.kgrid
-    d = grid.dim
-    full = solve_bands(bands.potential, grid, bands.basis.cutoff,
-                       bands.basis.size)
-    n_all = full.n_bands
-    b = frame.band
-    # derivatives of the frame by 4th-order one-sided-free centered stencil
-    # over the grid (reuse the frame's own vectors, different combination)
-    from peierls_lab.geometry import _k_derivatives
-    dphi = _k_derivatives(frame)
-    shape = grid.shape
-    M = np.zeros(shape + (d, d))
-    vecs_all = full.vectors  # (n_all, N, D)
-    E_all = full.energies
-    N = grid.n_points
-    dphi_flat = dphi.reshape(d, N, -1)
-    for p in range(N):
-        t = np.zeros((d, d), dtype=complex)
-        for m in range(n_all):
-            if m == b:
-                continue
-            amp = np.conj(vecs_all[m, p]) @ dphi_flat[:, p, :].T  # (d,)
-            t += np.outer(np.conj(amp), amp) * (E_all[m, p] - bands.energies[b, p])
-        M.reshape(N, d, d)[p] = np.real(0.5j * t)
-    return M
 
 
 def test_rw_2d_matches_spectral_sum_oracle():
     pot = potential_2d(1.0, 0.3)
     bands = solve_bands(pot, make_kgrid(LAT2, (9, 9)), 4, 2)
     fr = fix_gauge(bands, 0)
-    M = rammal_wilkinson(bands, fr)
+    M = rammal_wilkinson(bands, fr, _k_derivatives(fr))
     oracle = rw_spectral_sum_oracle(bands, fr)
     assert np.abs(M - oracle).max() < 1e-6
     assert np.abs(M[..., 0, 1]).max() > 1e-4  # non-separable potential: nonzero
+
+
+def test_geometric_tensors_differentiates_the_frame_once(monkeypatch):
+    from peierls_lab import geometry
+    bands = solve_bands(potential_2d(1.0, 0.3), make_kgrid(LAT2, (9, 9)), 4, 2, (0,))
+    frame = fix_gauge(bands, 0)
+    A, residue = berry_connection(frame, _k_derivatives(frame))
+    M = rammal_wilkinson(bands, frame, _k_derivatives(frame))
+    calls = []
+    differentiate = geometry._k_derivatives
+    monkeypatch.setattr(geometry, "_k_derivatives",
+                        lambda fr: calls.append(fr) or differentiate(fr))
+    geom = geometric_tensors(bands, 0)
+    assert len(calls) == 1
+    # the shared derivatives give the figures of separate calls, bit for bit
+    assert np.array_equal(geom.connection, A) and np.array_equal(geom.rw, M)
+    assert geom.diagnostics["connection_imag_residue"] == residue
 
 
 def test_stencil_convergence_second_order():
@@ -227,10 +217,10 @@ def test_stencil_convergence_second_order():
     for n in (48, 144, 432):
         bands = solve_bands(pot, make_kgrid(LAT1, n), 8, 2)
         frames[n] = fix_gauge(bands, 0)
-    A_ref, _ = berry_connection(frames[432])
+    A_ref, _ = berry_connection(frames[432], _k_derivatives(frames[432]))
     errs = []
     for n in (48, 144):
-        A, _ = berry_connection(frames[n])
+        A, _ = berry_connection(frames[n], _k_derivatives(frames[n]))
         step = 432 // n
         shared_ref = A_ref.ravel()[(step - 1) // 2::step]
         errs.append(np.abs(A.ravel() - shared_ref).max())
