@@ -213,20 +213,14 @@ class PlaneWaveBasis:
             idx = idx * w + (n[..., ax] + self.cutoff)
         return idx
 
-    def shift_matrix(self, n_shift) -> np.ndarray:
-        """Matrix of multiplication by e^{+i g.y} for g with integer coefficients
-        n_shift: basis vector g_m is sent to g_m + g.
-
-        Targets outside the box are dropped (zero fill); callers must keep
-        shifts within their accuracy margin.
-        """
-        n_shift = np.asarray(n_shift, dtype=int)
-        D = self.size
-        S = np.zeros((D, D))
-        tgt = self.offsets + n_shift
-        ok = np.all(np.abs(tgt) <= self.cutoff, axis=1)
-        S[self.index_of(tgt[ok]), np.nonzero(ok)[0]] = 1.0
-        return S
+    def take(self, vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Index gather: out[..., j] = vectors[..., index_of(rows[j])] for the
+        integer coefficient rows (D, d), zero where a row leaves the box."""
+        inside = np.all(np.abs(rows) <= self.cutoff, axis=-1)
+        out = vectors[..., self.index_of(np.where(inside[:, None], rows, 0))]
+        if not inside.all():
+            out[..., ~inside] = 0
+        return out
 
 
 def fiber_basis(potential: FourierPotential, cutoff: int,
@@ -279,6 +273,10 @@ class BandStructure:
         holding band vector_bands[i] (row(band) finds it), orthonormal per k.
     guard_energies : (N,) first eigenvalue above the stored window (+inf if
         the window exhausts the matrix), used by gap checks.
+
+    The coefficient layout stays in this module: geometry reads a family only
+    through kgrid, energies, guard_energies, n_bands, frame, translate and
+    shifted_hamiltonian, so any family offering those runs through it.
     """
 
     kgrid: KGrid
@@ -304,6 +302,19 @@ class BandStructure:
     def frame(self, band: int) -> np.ndarray:
         """Eigenvector field of one band, shape (grid shape..., D)."""
         return self.kgrid.reshape(self.vectors[self.row(band)])
+
+    def translate(self, vectors: np.ndarray, axis: int, c: int) -> np.ndarray:
+        """Vectors (..., D) continued across c dual translations along axis:
+        times e^{i c e*_axis . y}, coefficient g sent to g + c e*_axis, and
+        dropped (zero fill) where that leaves the box."""
+        shift = np.zeros(self.basis.lattice.dim, dtype=int)
+        shift[axis] = c
+        return self.basis.take(vectors, self.basis.offsets - shift)
+
+    def shifted_hamiltonian(self, x: np.ndarray, band: int) -> np.ndarray:
+        """(H(k) - E_band(k)) x at every grid point, for x (..., N, D)."""
+        V, kin = fiber_terms(self.potential, self.basis, self.kgrid.points)
+        return x @ V.T + (kin - self.energies[band][:, None]) * x
 
 
 def fiber_symmetries(potential: FourierPotential) -> list:
@@ -543,7 +554,7 @@ def solve_bands(potential: FourierPotential, kgrid: KGrid, cutoff: int,
         images = np.flatnonzero(element == s)
         if images.size:
             # (P_M u)[j] = u[index(offsets[j] M^-1)], and M^-1 = M^T
-            u = vectors[:, rep[images]][:, :, basis.index_of(basis.offsets @ M.T)]
+            u = basis.take(vectors[:, rep[images]], basis.offsets @ M.T)
             vectors[:, images] = u.conj() if conj else u
     if n_bands < D:
         guard = evals[row, n_bands]
@@ -577,8 +588,10 @@ def check_gap(bands: BandStructure, index_set) -> float:
     return float(max(0.0, min(np.min(d) for d in dists)))
 
 
-def fiber_on_cell_grid(bands: BandStructure, band: int, m_per_axis: int) -> np.ndarray:
-    """Sample the band eigenvectors on a uniform cell grid.
+def fiber_on_cell_grid(bands: BandStructure, coeffs: np.ndarray,
+                       m_per_axis: int) -> np.ndarray:
+    """Sample fiber vectors, given by their (N_k, D) coefficients in the basis
+    of bands (a band's vectors or a gauged frame), on a uniform cell grid.
 
     Returns (N_k, m^d) complex samples, discretely normalized so that
     sum_j |phi_j|^2 = 1 on each fiber.  Exact provided m_per_axis > 2*cutoff.
@@ -592,7 +605,6 @@ def fiber_on_cell_grid(bands: BandStructure, band: int, m_per_axis: int) -> np.n
     mesh = np.meshgrid(*([frac] * d), indexing="ij")
     y = sum(mesh[ax][..., None] * lat.basis[ax] for ax in range(d))
     phases = np.exp(1j * np.tensordot(y, basis.gvectors().T, axes=1))  # (grid..., D)
-    coeffs = bands.vectors[bands.row(band)]  # (N_k, D)
     samples = np.tensordot(coeffs, phases, axes=([1], [d]))  # (N_k, grid...)
     samples = samples.reshape(coeffs.shape[0], -1)
     samples /= np.sqrt(m_per_axis ** d)

@@ -4,24 +4,27 @@ A smooth periodic gauge is built by recursion over the axes: the slice
 k_d = 0 is gauged as a (d-1)-dimensional field, and every point of it is
 parallel-transported along the last axis with the loop phase distributed
 uniformly.  Centered finite differences of the frame are then second-order
-accurate everywhere, including across the zone boundary (closed with the
-exact dual-lattice index shift).  The loop phases must lift continuously over
-the (d-1)-torus; a winding is a nonzero Chern number and has no smooth
-periodic gauge.  The curvature is computed from plaquette link phases in
-every coordinate plane, which is manifestly gauge invariant and produces
-integer Chern numbers without any gauge-obstruction bookkeeping.
+accurate everywhere, including across the zone boundary.  The loop phases
+must lift continuously over the (d-1)-torus; a winding is a nonzero Chern
+number and has no smooth periodic gauge.  The curvature is computed from
+plaquette link phases in every coordinate plane, which is manifestly gauge
+invariant and produces integer Chern numbers without any gauge-obstruction
+bookkeeping.
+
+One neighbour rule closes the k-torus (_neighbor), and a band family is read
+only through the BandStructure interface, whose translate crosses the seam:
+any family offering that interface runs through here.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import PeierlsError
-from .fiber import DEGENERACY_TOL, BandStructure, fiber_terms
+from .fiber import DEGENERACY_TOL, BandStructure
 
 __all__ = [
     "Frame",
@@ -57,14 +60,16 @@ class Frame:
         return self.bands.kgrid
 
 
-def _translate(basis, vecs: np.ndarray, axis: int, c: int) -> np.ndarray:
-    """A stack of vectors continued across c dual translations along axis
-    (the dual-translation index shift)."""
-    if c == 0:
-        return vecs
-    n_shift = np.zeros(basis.lattice.dim, dtype=int)
-    n_shift[axis] = c
-    return vecs @ basis.shift_matrix(n_shift).T
+def _neighbor(vectors: np.ndarray, axis: int, step: int, translate=None) -> np.ndarray:
+    """Neighbor vectors along a grid axis of a (grid..., D) field, step = +-1:
+    the seam row, whose neighbor lies across the zone boundary, is continued
+    across -step dual translations by translate(stack, axis, c), a family's
+    translate (KGrid); None is a plain periodic wrap."""
+    out = np.roll(vectors, -step, axis=axis)
+    if translate is not None:
+        seam = (slice(None),) * axis + (-1 if step == 1 else 0,)
+        out[seam] = translate(out[seam], axis, -step)
+    return out
 
 
 def _lift(theta: np.ndarray, axis: int) -> np.ndarray:
@@ -88,17 +93,16 @@ def _lift(theta: np.ndarray, axis: int) -> np.ndarray:
     return theta
 
 
-def _smooth_gauge(vectors: np.ndarray, shift, points: np.ndarray) -> np.ndarray:
+def _smooth_gauge(vectors: np.ndarray, translate, points: np.ndarray) -> np.ndarray:
     """Smooth periodic gauge of an (n_1, ..., n_m, D) vector field on a
     cell-centered k-grid.
 
-    The closure of the torus: only the seam link of a line along axis a,
-    from its last point back to its first, crosses a dual translation, and
-    it crosses -1 of them (KGrid); shift(v, a, c) continues vectors v across
-    c dual translations along axis a (_translate).  One vector (m = 0) is
-    anchored: its first significant component becomes real positive.
-    points, the (n_1, ..., n_m, d) k-points of the field, name the point
-    where parallel transport loses overlap.
+    Each line along the last axis is parallel-transported from its first
+    point through its neighbors (_neighbor with translate, None for a plain
+    periodic wrap), the last of which is its first point across the seam.
+    One vector (m = 0) is anchored: its first significant component becomes
+    real positive.  points, the (n_1, ..., n_m, d) k-points of the field,
+    name the point where parallel transport loses overlap.
     """
     if vectors.ndim == 1:
         iref = int(np.argmax(np.abs(vectors) > 1e-8 * np.abs(vectors).max()))
@@ -106,11 +110,12 @@ def _smooth_gauge(vectors: np.ndarray, shift, points: np.ndarray) -> np.ndarray:
     axis = vectors.ndim - 2
     n = vectors.shape[-2]
     out = vectors.copy()
-    out[..., 0, :] = _smooth_gauge(vectors[..., 0, :], shift, points[..., 0, :])
+    out[..., 0, :] = _smooth_gauge(vectors[..., 0, :], translate, points[..., 0, :])
+    # step j reaches point j; step n closes the loop onto the start of the line
+    following = _neighbor(out, axis, +1, translate)
     chart = out[..., 0, :]
     for j in range(1, n + 1):
-        # step j = n closes the loop onto the start of the line
-        w = out[..., j, :] if j < n else shift(out[..., 0, :], axis, -1)
+        w = following[..., j - 1, :]
         ov = (np.conj(chart)[..., None, :] @ w[..., :, None])[..., 0, 0]
         if j == n:
             break
@@ -149,20 +154,8 @@ def fix_gauge(bands: BandStructure, band: int) -> Frame:
         raise GaugeError(
             f"band {band} degenerate at k = {bands.kgrid.points[worst]} "
             f"(separation {gmin[worst]:.3e})")
-    vectors = _smooth_gauge(bands.frame(band),
-                            functools.partial(_translate, bands.basis),
-                            grid.reshape(grid.points))
+    vectors = _smooth_gauge(bands.frame(band), bands.translate, grid.reshape(grid.points))
     return Frame(bands=bands, band=band, vectors=vectors)
-
-
-def _neighbor(frame: Frame, axis: int, step: int) -> np.ndarray:
-    """Neighbor vectors along axis, step = +-1, with equivariant closure, same
-    shape as frame: the seam row, whose neighbor lies across the zone
-    boundary, is continued across -step dual translations (KGrid)."""
-    out = np.moveaxis(np.roll(frame.vectors, -step, axis=axis), axis, 0).copy()
-    seam = -1 if step == 1 else 0
-    out[seam] = _translate(frame.bands.basis, out[seam], axis, -step)
-    return np.moveaxis(out, 0, axis)
 
 
 def _k_derivatives(frame: Frame) -> np.ndarray:
@@ -171,9 +164,10 @@ def _k_derivatives(frame: Frame) -> np.ndarray:
     Returns (d, grid shape..., D): component m is d(phi)/dk_m.
     """
     grid = frame.kgrid
+    v, translate = frame.vectors, frame.bands.translate
     # derivative w.r.t. alpha_ax
-    dalpha = np.stack([(_neighbor(frame, ax, +1) - _neighbor(frame, ax, -1)) * (n / 2.0)
-                       for ax, n in enumerate(grid.shape)])
+    dalpha = np.stack([(_neighbor(v, ax, +1, translate) - _neighbor(v, ax, -1, translate))
+                       * (n / 2.0) for ax, n in enumerate(grid.shape)])
     # dk/dalpha_j = e*_j  =>  d/dk_m = sum_j (basis[j,m]/2pi) d/dalpha_j
     T = grid.lattice.basis / (2 * np.pi)  # (j, m)
     return np.tensordot(T.T, dalpha, axes=([1], [0]))
@@ -194,41 +188,39 @@ def wilson_loop(frame: Frame, axis: int = 0) -> np.ndarray:
     """Closed-loop Berry phases along one grid axis.
 
     Returns the per-line phase in [-pi, pi): the discrete integral of A.dk
-    along the closed line (with equivariant closure).
+    along the closed line (closed across the seam, _neighbor).
     """
-    plus = _neighbor(frame, axis, +1)
+    plus = _neighbor(frame.vectors, axis, +1, frame.bands.translate)
     links = np.einsum("...c,...c->...", np.conj(frame.vectors), plus)
     prod = np.prod(np.moveaxis(links, axis, 0), axis=0)
     return -np.angle(prod)
 
 
-def curvature_from_vectors(vectors: np.ndarray, closure=None):
-    """Plaquette curvature angles for an (n1, n2, ..., D) eigenvector field.
-
-    The plaquettes span the first two axes, batched over any axes before D.
-    closure: optional pair of callables (close_axis0, close_axis1) mapping the
-    (m, ..., D) boundary stack to its continuation; defaults to periodic wrap.
-    Returns the (n1, n2, ...) plaquette angles; minus their plane sum / 2 pi
-    is the Chern number.  Raises GaugeError if any plaquette phase reaches pi.
-    """
-    vp1 = np.roll(vectors, -1, axis=0)
-    vp2 = np.roll(vectors, -1, axis=1)
-    vp12 = np.roll(vp1, -1, axis=1)
-    if closure is not None:
-        c0, c1 = closure
-        vp1[-1] = c0(vectors[0])
-        vp12[-1] = c0(vp2[0])
-        vp2[:, -1] = c1(vectors[:, 0])
-        vp12[:, -1] = c1(vp1[:, 0])
-    u1 = np.einsum("ij...c,ij...c->ij...", np.conj(vectors), vp1)
-    u2 = np.einsum("ij...c,ij...c->ij...", np.conj(vp1), vp12)
-    u3 = np.einsum("ij...c,ij...c->ij...", np.conj(vp12), vp2)
-    u4 = np.einsum("ij...c,ij...c->ij...", np.conj(vp2), vectors)
+def _plaquette_angles(vectors: np.ndarray, a: int, b: int, translate=None) -> np.ndarray:
+    """Plaquette angles of a (grid..., D) field in the plane of grid axes
+    (a, b) on every parallel slice, the torus closed by _neighbor(translate).
+    Plaquette (i, j) spans points i..i+1 along a and j..j+1 along b and is
+    stored at point (i, j).  GaugeError if a plaquette phase reaches pi."""
+    vp1 = _neighbor(vectors, a, +1, translate)
+    vp2 = _neighbor(vectors, b, +1, translate)
+    vp12 = _neighbor(vp1, b, +1, translate)
+    u1 = np.einsum("...c,...c->...", np.conj(vectors), vp1)
+    u2 = np.einsum("...c,...c->...", np.conj(vp1), vp12)
+    u3 = np.einsum("...c,...c->...", np.conj(vp12), vp2)
+    u4 = np.einsum("...c,...c->...", np.conj(vp2), vectors)
     loop = u1 * u2 * u3 * u4
     ang = np.angle(loop)
     if np.abs(ang).max() >= np.pi - 1e-9:
         raise GaugeError("plaquette phase reached pi: refine the grid")
     return ang
+
+
+def curvature_from_vectors(vectors: np.ndarray) -> np.ndarray:
+    """Plaquette angles (n1, n2, ...) of an (n1, n2, ..., D) eigenvector field
+    that wraps plainly (a theta-torus), in the plane of the first two axes,
+    batched over the others; minus their plane sum / 2 pi is the Chern number.
+    GaugeError if a plaquette phase reaches pi."""
+    return _plaquette_angles(vectors, 0, 1)
 
 
 def chern_from_vectors(vectors: np.ndarray) -> float:
@@ -266,21 +258,16 @@ def berry_curvature(frame: Frame):
     """
     grid = frame.kgrid
     d = grid.dim
-
-    def close(axis):
-        return lambda stack: _translate(frame.bands.basis, stack, axis, -1)
-
     cofactors = _plane_cofactors(grid.lattice.dual)
     det_dual = float(np.linalg.det(grid.lattice.dual))
     Omega = np.zeros(grid.shape + (d, d))
     cherns = []
     for a, b in itertools.combinations(range(d), 2):
-        ang = curvature_from_vectors(np.moveaxis(frame.vectors, (a, b), (0, 1)),
-                                     (close(a), close(b)))
-        cherns.append(np.ravel(-np.sum(ang, axis=(0, 1)) / (2 * np.pi)))
+        ang = _plaquette_angles(frame.vectors, a, b, frame.bands.translate)
+        cherns.append(np.ravel(-np.sum(ang, axis=(a, b)) / (2 * np.pi)))
         # plaquette angle ~ -Omega^alpha_ab * dalpha_a * dalpha_b
         omega = -ang * (grid.shape[a] * grid.shape[b]) / det_dual
-        Omega += np.moveaxis(omega, (0, 1), (a, b))[..., None, None] * cofactors[a, b]
+        Omega += omega[..., None, None] * cofactors[a, b]
     if not cherns:
         return Omega, None
     cherns = np.concatenate(cherns)
@@ -299,9 +286,7 @@ def rammal_wilkinson(bands: BandStructure, frame: Frame, dphi: np.ndarray):
     grid = frame.kgrid
     d = grid.dim
     x = dphi.reshape(d, grid.n_points, -1)  # (d, N, D)
-    # (H(k) - E) x = V x + (kin(k) - E) x, all k-points at once
-    V, kin = fiber_terms(bands.potential, bands.basis, bands.kgrid.points)
-    w = x @ V.T + (kin - bands.energies[frame.band][:, None]) * x
+    w = bands.shifted_hamiltonian(x, frame.band)
     t = np.einsum("lpg,jpg->ljp", np.conj(x), w)
     M = np.real(0.5j * t)  # (d, d, N)
     return np.moveaxis(M, -1, 0).reshape(grid.shape + (d, d))

@@ -169,11 +169,10 @@ def _fiber_vectors_on_cells(bands: BandStructure, box: RealSpaceBox, band: int,
     if bands.kgrid.shape != (box.n_cells,):
         raise QuantumError("band structure grid does not match the box fibers")
     if gauge:
-        frame = fix_gauge(bands, band)
-        coeffs = frame.vectors
-        bands = replace(bands, vectors=bands.vectors.copy())
-        bands.vectors[bands.row(band)] = coeffs
-    return fiber_on_cell_grid(bands, band, box.m)
+        coeffs = fix_gauge(bands, band).vectors
+    else:
+        coeffs = bands.vectors[bands.row(band)]
+    return fiber_on_cell_grid(bands, coeffs, box.m)
 
 
 def band_project(zf: ZakField, bands: BandStructure, band: int) -> ZakField:

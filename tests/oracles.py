@@ -9,7 +9,8 @@ call them (tests/test_package_holds_what_runs.py keeps it so):
   commutation relations on coherent states;
 - Hofstadter: band edges from the transfer-matrix trace and Chern labels
   from the Diophantine gap equation;
-- fiber: single fiber matrices and the dual-shift equivariance defect;
+- fiber: single fiber matrices, the dense dual-shift matrix and the
+  dual-shift equivariance defect;
 - geometry: the Rammal-Wilkinson tensor as a sum over every band's states;
 - quantum: the Zak transform's dual-shift identity and a reference
   propagation of a quantized Hamiltonian;
@@ -303,6 +304,23 @@ def fiber_matrix(k, potential: FourierPotential, cutoff: int,
     return FiberMatrix(k=k, basis=basis, matrix=V + np.diag(kin[0]))
 
 
+def shift_matrix(basis: PlaneWaveBasis, n_shift) -> np.ndarray:
+    """Matrix of multiplication by e^{+i g.y} for g with integer coefficients
+    n_shift: basis vector g_m is sent to g_m + g.
+
+    Targets outside the box are dropped (zero fill); callers must keep
+    shifts within their accuracy margin.  The dense counterpart of
+    BandStructure.translate's index gather.
+    """
+    n_shift = np.asarray(n_shift, dtype=int)
+    D = basis.size
+    S = np.zeros((D, D))
+    tgt = basis.offsets + n_shift
+    ok = np.all(np.abs(tgt) <= basis.cutoff, axis=1)
+    S[basis.index_of(tgt[ok]), np.nonzero(ok)[0]] = 1.0
+    return S
+
+
 def tau_equivariance_check(potential: FourierPotential, k, n_shift, cutoff: int) -> float:
     """Deviation of H(k - g) from the index-shift conjugation of H(k).
 
@@ -320,7 +338,7 @@ def tau_equivariance_check(potential: FourierPotential, k, n_shift, cutoff: int)
     g = lat.dual_vector(n_shift)
     H_k = fiber_matrix(k, potential, cutoff, basis).matrix
     H_shift = fiber_matrix(k - g, potential, cutoff, basis).matrix
-    S = basis.shift_matrix(n_shift)
+    S = shift_matrix(basis, n_shift)
     conj = S @ H_k @ S.T
     keep = np.all(np.abs(basis.offsets - n_shift) <= cutoff, axis=1)
     sub = np.ix_(keep, keep)

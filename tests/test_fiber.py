@@ -16,7 +16,8 @@ from peierls_lab.geometry import geometric_tensors
 from peierls_lab.lattice import Lattice, make_kgrid
 from peierls_lab.weyl import DenseMemoryError
 
-from oracles import bz_coefficients, fiber_matrix, tau_equivariance_check, wrap_to_bz
+from oracles import (bz_coefficients, fiber_matrix, shift_matrix, tau_equivariance_check,
+                     wrap_to_bz)
 
 LAT1 = Lattice.cubic(1)
 LAT2 = Lattice.cubic(2)
@@ -601,12 +602,39 @@ def test_potential_hermitian_symmetry_enforced():
 
 def test_shift_matrix_composition():
     basis = PlaneWaveBasis.build(LAT1, 4)
-    S1 = basis.shift_matrix([1])
-    S2 = basis.shift_matrix([-1])
+    S1 = shift_matrix(basis, [1])
+    S2 = shift_matrix(basis, [-1])
     # inverse on the common sub-box
     P = S2 @ S1
     keep = np.abs(basis.offsets[:, 0] + 1) <= 4
     assert np.allclose(P[np.ix_(keep, keep)], np.eye(keep.sum()))
+
+
+@pytest.mark.parametrize("c", [-2, -1, 1, 2])
+@pytest.mark.parametrize("basis, cutoff", [([[1.3]], 3), ([[1.0, 0.0], [0.4, 1.1]], 2),
+                                           (np.eye(3), 2)], ids=["1d", "2d", "3d"])
+def test_translate_gather_matches_dense_shift_matrix(basis, cutoff, c):
+    # the index gather of BandStructure.translate against the dense 0/1
+    # matrix it replaced, rows that leave the box (zero fill) included
+    lat = Lattice.from_basis(basis)
+    plane_waves = PlaneWaveBasis.build(lat, cutoff)
+    bands = BandStructure(kgrid=make_kgrid(lat, 1), basis=plane_waves,
+                          potential=FourierPotential(lat, {}), energies=np.zeros((1, 1)),
+                          vector_bands=(), vectors=np.zeros((0, 1, plane_waves.size)),
+                          guard_energies=np.zeros(1))
+    rng = np.random.default_rng(lat.dim)
+    size = (3, 2, plane_waves.size)
+    stack = rng.normal(size=size) + 1j * rng.normal(size=size)
+    for axis in range(lat.dim):
+        n_shift = np.zeros(lat.dim, dtype=int)
+        n_shift[axis] = c
+        dense = stack @ shift_matrix(plane_waves, n_shift).T
+        moved = bands.translate(stack, axis, c)
+        assert np.array_equal(moved, dense)
+        # the coefficient slices pushed out of the box come back as zeros
+        lost = np.abs(plane_waves.offsets[:, axis] - c) > cutoff
+        assert lost.sum() == abs(c) * plane_waves.size // (2 * cutoff + 1)
+        assert not moved[..., lost].any() and moved[..., ~lost].all()
 
 
 def mask_loop_fiber_terms(potential, basis, kpoints):

@@ -1,11 +1,14 @@
 import dataclasses
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from peierls_lab.fiber import (FourierPotential, mathieu_potential,
+from peierls_lab.cli import _solve_configured_bands
+from peierls_lab.config import parse_config
+from peierls_lab.fiber import (BandStructure, FourierPotential, mathieu_potential,
                                potential_2d, solve_bands)
 from peierls_lab.geometry import (Frame, GaugeError, _k_derivatives, _smooth_gauge,
                                   berry_connection, berry_curvature,
@@ -14,7 +17,9 @@ from peierls_lab.geometry import (Frame, GaugeError, _k_derivatives, _smooth_gau
                                   rammal_wilkinson, wilson_loop)
 from peierls_lab.lattice import Lattice, make_kgrid
 
-from oracles import rw_spectral_sum_oracle
+from oracles import rw_spectral_sum_oracle, shift_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LAT1 = Lattice.cubic(1)
 LAT2 = Lattice.cubic(2)
@@ -231,10 +236,6 @@ def test_stencil_convergence_second_order():
 LAT3 = Lattice.cubic(3)
 
 
-def identity_closure(vecs, axis, c):
-    return vecs
-
-
 @pytest.mark.parametrize("stack_axis", [None, 0, 1, 2])
 @pytest.mark.parametrize("m", [1.0, -1.0, 3.0])
 def test_gauge_obstruction_dirac(m, stack_axis):
@@ -248,9 +249,9 @@ def test_gauge_obstruction_dirac(m, stack_axis):
         plane = {None: "(0, 1)", 0: "(1, 2)", 1: "(0, 2)", 2: "(0, 1)"}[stack_axis]
         with pytest.raises(GaugeError, match=re.escape(
                 f"nonzero Chern number in plane {plane}")):
-            _smooth_gauge(v, identity_closure, points)
+            _smooth_gauge(v, None, points)
         return
-    out = _smooth_gauge(v, identity_closure, points)
+    out = _smooth_gauge(v, None, points)
     # a rephasing of the input that is smooth across every link, wrap included
     assert np.abs(np.abs(np.einsum("...c,...c->...", np.conj(out), v)) - 1).max() < 1e-12
     for ax in range(v.ndim - 1):
@@ -263,8 +264,8 @@ def test_chern_is_the_signed_largest_over_planes_and_slices():
     # two-component vectors continue across the zone boundary unchanged
     ms = (3.0, 3.0, 1.0)
     v = np.stack([dirac_family(m)[0] for m in ms], axis=2)
-    basis = SimpleNamespace(lattice=LAT3, shift_matrix=lambda n_shift: np.eye(2))
-    bands = SimpleNamespace(kgrid=make_kgrid(LAT3, v.shape[:-1]), basis=basis)
+    bands = SimpleNamespace(kgrid=make_kgrid(LAT3, v.shape[:-1]),
+                            translate=lambda vectors, axis, c: vectors)
     Omega, chern = berry_curvature(Frame(bands=bands, band=0, vectors=v))
     assert abs(chern + 1) < 1e-10
     # the Cartesian field of a layer is its plaquette angles over the plaquette area
@@ -371,3 +372,92 @@ def test_full_pipeline_3d_gauge_invariants(product_3d):
     assert abs(g1.chern - round(g1.chern)) < 1e-6
     assert np.abs(g1.curvature + np.swapaxes(g1.curvature, -1, -2)).max() < 1e-12
     assert np.abs(g1.rw + np.swapaxes(g1.rw, -1, -2)).max() < 1e-12
+
+
+def test_tensors_are_bit_identical_with_the_dense_shift_matrix(monkeypatch):
+    # flow_2d.json's band through the pipeline twice: with the index gather
+    # of BandStructure.translate and with the dense 0/1 matrix it replaced
+    cfg = parse_config((ROOT / "configs" / "flow_2d.json").read_text())
+    band = cfg.numerics.band_index
+    bands = _solve_configured_bands(cfg, (band,))
+    gathered = geometric_tensors(bands, band)
+    calls = []
+
+    def dense(self, vectors, axis, c):
+        n_shift = np.zeros(self.basis.lattice.dim, dtype=int)
+        n_shift[axis] = c
+        calls.append(n_shift)
+        return vectors @ shift_matrix(self.basis, n_shift).T
+
+    monkeypatch.setattr(BandStructure, "translate", dense)
+    multiplied = geometric_tensors(bands, band)
+    assert calls
+    assert np.array_equal(gathered.frame.vectors, multiplied.frame.vectors)
+    for name in ("connection", "curvature", "rw", "chern", "diagnostics"):
+        assert np.array_equal(getattr(gathered, name), getattr(multiplied, name)), name
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+class QWZBand:
+    """The lower band of the two-orbital Qi-Wu-Zhang model H(k) = d(k).sigma,
+    d = (sin k1, sin k2, mass - cos k1 - cos k2), as a band family for the
+    geometry: the orbitals sit on the sites, so H(k + 2 pi e_j) = H(k) and
+    translate is the identity.  The vectors carry random phases."""
+
+    n_bands = 2
+
+    def __init__(self, n, mass=3.0, seed=0):
+        self.kgrid = make_kgrid(LAT2, (n, n))
+        k1, k2 = self.kgrid.points.T
+        self.d = np.stack([np.sin(k1), np.sin(k2), mass - np.cos(k1) - np.cos(k2)], axis=-1)
+        self.hamiltonian = np.einsum("pa,aij->pij", self.d, PAULI)
+        energies, vectors = np.linalg.eigh(self.hamiltonian)
+        self.energies = np.ascontiguousarray(energies.T)
+        self.guard_energies = np.full(self.kgrid.n_points, np.inf)
+        phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(self.kgrid.n_points))
+        self.vectors = vectors[:, :, 0] * phases[:, None]
+
+    def frame(self, band):
+        assert band == 0
+        return self.kgrid.reshape(self.vectors)
+
+    def translate(self, vectors, axis, c):
+        return vectors
+
+    def shifted_hamiltonian(self, x, band):
+        return (self.hamiltonian @ x[..., None])[..., 0] - self.energies[band][:, None] * x
+
+    def exact_curvature(self):
+        """Omega_12 = (1/2) d.(d_1 d x d_2 d) / |d|^3 of the lower band."""
+        k1, k2 = self.kgrid.points.T
+        d1 = np.stack([np.cos(k1), 0 * k1, np.sin(k1)], axis=-1)
+        d2 = np.stack([0 * k2, np.cos(k2), np.sin(k2)], axis=-1)
+        cross = np.einsum("pa,pa->p", self.d, np.cross(d1, d2))
+        return self.kgrid.reshape(0.5 * cross / np.linalg.norm(self.d, axis=-1) ** 3)
+
+
+def test_qwz_lattice_band_runs_through_the_geometry():
+    # a second fiber family, not plane waves, through geometric_tensors
+    # unchanged.  Its band carries Omega and M, zero on every cosine band:
+    # H - E_- = (E_+ - E_-) P_+ gives M_12 = (E_+ - E_-) Omega_12 / 4.
+    # Measured max |M - (E_+ - E_-) Omega_exact / 4| 0.040 / 0.0117 / 0.0031
+    # on 21^2 / 41^2 / 81^2 (rate 1.84, then 1.95); max |Omega| 0.40 / 0.47 /
+    # 0.49, first-order off Omega_exact because a plaquette sits half a cell
+    # from the point that stores it.
+    errors = []
+    for n in (41, 81):
+        family = QWZBand(n)
+        geom = geometric_tensors(family, 0)
+        exact = family.exact_curvature()
+        gap = family.kgrid.reshape(family.energies[1] - family.energies[0])
+        M, Omega = geom.rw[..., 0, 1], geom.curvature[..., 0, 1]
+        assert abs(geom.chern) < 1e-12
+        assert np.abs(Omega).max() > 0.45 and np.abs(Omega - exact).max() < 0.1
+        assert np.abs(M).max() > 0.2
+        assert np.abs(geom.rw + np.swapaxes(geom.rw, -1, -2)).max() < 1e-12
+        errors.append(np.abs(M - gap * exact / 4).max())
+    assert errors[1] < 0.005
+    rate = np.log(errors[0] / errors[1]) / np.log(81 / 41)
+    assert 1.8 < rate < 2.2
