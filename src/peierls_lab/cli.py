@@ -269,26 +269,22 @@ def run_geometry(cfg: RunConfig, out: Path) -> tuple:
 
 def run_butterfly(cfg: RunConfig, out: Path) -> tuple:
     from .hofstadter import butterfly
-    data = butterfly(cfg.numerics.q_max, chern_labels=cfg.numerics.chern_labels,
-                     n_workers=n_workers())
-    rows = [[float(e[0]), e[1], e[2], e[3], "" if e[4] is None else e[4]]
-            for e in data.entries]
+    table = butterfly(cfg.numerics.q_max, chern_labels=cfg.numerics.chern_labels,
+                      n_workers=n_workers())
+    rows = [[float(fr), j, lo, hi, "" if c is None else c]
+            for fr, bands in table.items() for j, (lo, hi, c) in enumerate(bands)]
     write_csv(out / "butterfly.csv",
               ["alpha_dimensionless", "band_index", "E_min_energy",
                "E_max_energy", "chern"], rows)
     emit_plotdata(out / "butterfly.dat", {
-        "alpha": [float(e[0]) for e in data.entries],
-        "E_min": [e[2] for e in data.entries],
-        "E_max": [e[3] for e in data.entries]})
+        "alpha": [r[0] for r in rows], "E_min": [r[2] for r in rows],
+        "E_max": [r[3] for r in rows]})
     # q subbands at flux p/q, and the spectrum at 1 - alpha mirrors alpha
-    sym_dev = 0.0
-    for fr in data.fluxes():
-        iv1 = np.sort(np.array(data.intervals(fr)).ravel())
-        iv2 = np.sort(np.array(data.intervals(1 - fr)).ravel())
-        if iv2.size:
-            sym_dev = max(sym_dev, float(np.abs(iv1 - iv2).max()))
-    subband_ok = all(len(data.intervals(fr)) == fr.denominator for fr in data.fluxes())
-    return ({"n_fluxes": len(data.fluxes()), "alpha_symmetry_dev": sym_dev},
+    edges = {fr: np.sort(np.array([b[:2] for b in bands]).ravel())
+             for fr, bands in table.items()}
+    sym_dev = max(float(np.abs(e - edges[1 - fr]).max()) for fr, e in edges.items())
+    subband_ok = all(len(bands) == fr.denominator for fr, bands in table.items())
+    return ({"n_fluxes": len(table), "alpha_symmetry_dev": sym_dev},
             {"subband_count": subband_ok})
 
 
@@ -378,7 +374,8 @@ def run_propagate(cfg: RunConfig, out: Path) -> tuple:
 
 
 # each runner returns its metrics and its structural checks (no tolerance read)
-_RUNNERS = {name: globals()["run_" + name] for name in EXPERIMENTS}
+_RUNNERS = {"bands": run_bands, "geometry": run_geometry, "butterfly": run_butterfly,
+            "egorov": run_egorov, "flow": run_flow, "propagate": run_propagate}
 _COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
 
 

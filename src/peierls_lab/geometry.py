@@ -274,7 +274,7 @@ def berry_curvature(frame: Frame):
     return Omega, float(cherns[np.argmax(np.abs(cherns))])
 
 
-def rammal_wilkinson(bands: BandStructure, frame: Frame, dphi: np.ndarray):
+def rammal_wilkinson(frame: Frame, dphi: np.ndarray):
     """Band-energy second-moment tensor M_lj(k), real and antisymmetric,
     from the frame's derivatives dphi = _k_derivatives(frame).
 
@@ -286,7 +286,7 @@ def rammal_wilkinson(bands: BandStructure, frame: Frame, dphi: np.ndarray):
     grid = frame.kgrid
     d = grid.dim
     x = dphi.reshape(d, grid.n_points, -1)  # (d, N, D)
-    w = bands.shifted_hamiltonian(x, frame.band)
+    w = frame.bands.shifted_hamiltonian(x, frame.band)
     t = np.einsum("lpg,jpg->ljp", np.conj(x), w)
     M = np.real(0.5j * t)  # (d, d, N)
     return np.moveaxis(M, -1, 0).reshape(grid.shape + (d, d))
@@ -317,7 +317,7 @@ def geometric_tensors(bands: BandStructure, band: int) -> GeometricTensors:
     dphi = _k_derivatives(frame)
     A, res_a = berry_connection(frame, dphi)
     Omega, chern = berry_curvature(frame)
-    M = rammal_wilkinson(bands, frame, dphi)
+    M = rammal_wilkinson(frame, dphi)
     return GeometricTensors(
         frame=frame, connection=A, curvature=Omega, rw=M, chern=chern,
         diagnostics={"connection_imag_residue": res_a})

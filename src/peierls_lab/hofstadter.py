@@ -12,12 +12,14 @@ at the four Chambers points (q theta_i in {0, pi}; W. G. Chambers,
 Phys. Rev. 140, A135 (1965)).  Subband edges are therefore the per-branch
 min/max over those four matrices, exactly; only the subband Chern numbers,
 which integrate over the torus, need a theta grid.
+
+A flux is a `fractions.Fraction`; the layer reads only its reduced
+denominator q and float(alpha), so Fraction(2, 4) is the flux 1/2 with two
+subbands.  `butterfly` returns its sweep as a plain per-flux table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +28,6 @@ from . import PeierlsError
 from .geometry import chern_from_vectors
 
 __all__ = [
-    "FluxRational",
-    "ButterflyData",
     "harper_bloch_matrix",
     "spectrum_at_flux",
     "butterfly",
@@ -39,59 +39,18 @@ class HofstadterError(PeierlsError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FluxRational:
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise HofstadterError("q must be >= 1")
-
-    @property
-    def alpha(self) -> float:
-        return self.p / self.q
-
-
-@dataclass(frozen=True)
-class ButterflyData:
-    """Subband intervals per flux: entries (alpha: Fraction, band_index,
-    e_min, e_max, chern) with chern None when labels were not requested.
-    `entries` is stored as a tuple; `fluxes` and `intervals` read a
-    per-flux table built from it once."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @cached_property
-    def _by_flux(self) -> dict:
-        table = {}
-        for e in self.entries:
-            table.setdefault(e[0], []).append((e[2], e[3]))
-        return {fr: table[fr] for fr in sorted(table)}
-
-    def fluxes(self):
-        return list(self._by_flux)
-
-    def intervals(self, alpha):
-        key = alpha if isinstance(alpha, Fraction) else Fraction(alpha).limit_denominator(10 ** 6)
-        return list(self._by_flux.get(key, ()))
-
-
-def harper_bloch_matrix(flux: FluxRational, theta1, theta2) -> np.ndarray:
+def harper_bloch_matrix(flux: Fraction, theta1, theta2) -> np.ndarray:
     """q x q Hermitian Bloch matrices at magnetic Bloch phases (theta1, theta2).
 
     The angles broadcast against each other; the result has shape
     broadcast(theta1, theta2).shape + (q, q).
     """
-    q = flux.q
+    q = flux.denominator
     t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float),
                                  np.asarray(theta2, dtype=float))
     n = np.arange(q)
     H = np.zeros(t1.shape + (q, q), dtype=complex)
-    H[..., n, n] = np.cos(2 * np.pi * flux.alpha * n + t2[..., None])
+    H[..., n, n] = np.cos(2 * np.pi * float(flux) * n + t2[..., None])
     if q == 1:
         H[..., 0, 0] += np.cos(t1)
         return H
@@ -103,19 +62,19 @@ def harper_bloch_matrix(flux: FluxRational, theta1, theta2) -> np.ndarray:
     return H
 
 
-def _bloch_family(flux: FluxRational, n_theta: int, reduced: bool = True):
+def _bloch_family(flux: Fraction, n_theta: int, reduced: bool = True):
     """Angles th and stacked H(theta) over the n_theta x n_theta grid th x th.
 
     reduced=True spans [0, 2 pi / q) per angle (n_theta = 2 gives the four
     Chambers points); otherwise the full [0, 2 pi) torus.
     """
-    period = 2 * np.pi / flux.q if reduced else 2 * np.pi
+    period = 2 * np.pi / flux.denominator if reduced else 2 * np.pi
     th = period * np.arange(n_theta) / n_theta
     T1, T2 = np.meshgrid(th, th, indexing="ij")
     return th, harper_bloch_matrix(flux, T1, T2)
 
 
-def spectrum_at_flux(flux: FluxRational) -> np.ndarray:
+def spectrum_at_flux(flux: Fraction) -> np.ndarray:
     """Exact subband intervals [(e_min, e_max)] * q: per-branch extrema of
     the Bloch family over the four Chambers points."""
     _, H = _bloch_family(flux, 2, reduced=True)
@@ -128,9 +87,10 @@ def spectrum_at_flux(flux: FluxRational) -> np.ndarray:
 CHERN_Q_MAX = 10    # largest flux denominator butterfly labels with Chern numbers
 
 
-def butterfly(q_max: int, chern_labels: bool = False, n_workers: int = 1) -> ButterflyData:
-    """Subband intervals for all reduced fluxes p/q with q <= q_max,
-    deterministic ordering by (alpha, band index).
+def butterfly(q_max: int, chern_labels: bool = False, n_workers: int = 1) -> dict:
+    """Subband table {alpha: [(e_min, e_max, chern)] * q} over all reduced
+    fluxes alpha = p/q (Fractions) with 0 <= p <= q <= q_max, in ascending
+    alpha and band order; chern is None when labels were not requested.
 
     Edges come from the Chambers points (`spectrum_at_flux`); Chern labels,
     for q <= CHERN_Q_MAX, come from `subband_cherns`, one torus
@@ -145,39 +105,36 @@ def butterfly(q_max: int, chern_labels: bool = False, n_workers: int = 1) -> But
     """
     if q_max < 1:
         raise HofstadterError(f"q_max must be >= 1, got {q_max}")
-    fracs = sorted({Fraction(p, q) for q in range(1, q_max + 1)
-                    for p in range(0, q + 1)})
-    fluxes = [FluxRational(fr.numerator, fr.denominator) for fr in fracs]
+    fluxes = sorted({Fraction(p, q) for q in range(1, q_max + 1)
+                     for p in range(0, q + 1)})
 
-    def labels(fl):
-        if not (chern_labels and fl.q <= CHERN_Q_MAX):
-            return [None] * fl.q
+    def labels(flux):
+        q = flux.denominator
+        if not (chern_labels and q <= CHERN_Q_MAX):
+            return [None] * q
         try:
-            return subband_cherns(fl)
+            return subband_cherns(flux)
         except HofstadterError:
-            return [None] * fl.q
+            return [None] * q
 
     pool = None
     if chern_labels and n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(max_workers=n_workers)
     try:
-        entries = []
         all_labels = (pool.map if pool else map)(labels, fluxes)
-        for fr, fl, cherns in zip(fracs, fluxes, all_labels):
-            ivals = spectrum_at_flux(fl)
-            entries.extend((fr, j, float(ivals[j, 0]), float(ivals[j, 1]), cherns[j])
-                           for j in range(fl.q))
+        return {flux: [(lo, hi, c) for (lo, hi), c
+                       in zip(spectrum_at_flux(flux).tolist(), cherns)]
+                for flux, cherns in zip(fluxes, all_labels)}
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    return ButterflyData(entries=entries)
 
 
 GAP_TOL = 1e-9    # smallest subband separation on the theta torus
 
 
-def subband_cherns(flux: FluxRational) -> list:
+def subband_cherns(flux: Fraction) -> list:
     """Chern numbers of the q magnetic subbands, from one diagonalization of
     the Bloch family on the full theta torus.
 
@@ -188,18 +145,18 @@ def subband_cherns(flux: FluxRational) -> list:
     on the first band that touches a neighbor anywhere on the grid.
     """
     evals, evecs = _torus_eigh(flux)
-    return [_chern_on_torus(flux, j, evals, evecs) for j in range(flux.q)]
+    return [_chern_on_torus(flux, j, evals, evecs) for j in range(flux.denominator)]
 
 
-def _torus_eigh(flux: FluxRational):
+def _torus_eigh(flux: Fraction):
     """Eigenpairs of the Bloch family on the full theta torus, max(24, 6q)
     points per angle."""
-    _, H = _bloch_family(flux, max(24, 6 * flux.q), reduced=False)
+    _, H = _bloch_family(flux, max(24, 6 * flux.denominator), reduced=False)
     return np.linalg.eigh(H)
 
 
-def _chern_on_torus(flux: FluxRational, band: int, evals, evecs) -> int:
-    q = flux.q
+def _chern_on_torus(flux: Fraction, band: int, evals, evecs) -> int:
+    q = flux.denominator
     if band > 0 and np.min(evals[..., band] - evals[..., band - 1]) < GAP_TOL:
         raise HofstadterError(f"subband {band} touches band {band - 1}")
     if band + 1 < q and np.min(evals[..., band + 1] - evals[..., band]) < GAP_TOL:

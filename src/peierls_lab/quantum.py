@@ -26,11 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import PeierlsError
-from .effective import BandData, EffectiveHamiltonian
+from .effective import BandData, EffectiveHamiltonian, SemiclassicalHamiltonian
 from .fiber import BandStructure, FourierPotential, fiber_on_cell_grid, solve_bands
 from .fields import EMFieldConfig
 from .flow import _rk4_run, loglog_slope
-from .geometry import fix_gauge
+from .geometry import fix_gauge, geometric_tensors
 from .lattice import Lattice, make_kgrid, signed_permutations
 from .weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid, QuantizedOperator,
                    _table_bytes, _tail_fraction, check_dense_memory, operator_norm,
@@ -537,7 +537,6 @@ def _flow_oracle(bands: BandStructure, band_index: int, fld: EMFieldConfig,
                  k_batch: np.ndarray, x_batch: np.ndarray, t: float,
                  dt_flow: float) -> np.ndarray:
     """sin k(t) along the corrected flow from each (k, eps x) of the batch."""
-    from .effective import SemiclassicalHamiltonian
     geom_band = _band_data_1d(bands, band_index)
     hsc = SemiclassicalHamiltonian(geom_band, fld)
     kt, _ = _rk4_run(k_batch[:, None], x_batch[:, None], hsc, fld, geom_band,
@@ -683,7 +682,6 @@ def _band_data_1d(bands: BandStructure, band: int) -> BandData:
     """Band data of one band, re-solved from the same potential on a grid of
     at least 64 points: the box's fiber grid can be too coarse for the
     spline of the flow oracle."""
-    from .geometry import geometric_tensors
     lat = bands.kgrid.lattice
     n = max(64, bands.kgrid.shape[0])
     grid = make_kgrid(lat, n)

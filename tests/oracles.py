@@ -23,6 +23,7 @@ call them (tests/test_package_holds_what_runs.py keeps it so):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from peierls_lab.fiber import (FiberError, FourierPotential, PlaneWaveBasis, fib
                                solve_bands)
 from peierls_lab.fields import EMFieldConfig, _contract
 from peierls_lab.flow import _solve_structure
-from peierls_lab.hofstadter import FluxRational, HofstadterError
+from peierls_lab.hofstadter import HofstadterError
 from peierls_lab.lattice import Lattice, LatticeError, make_kgrid
 from peierls_lab.quantum import (Propagator, QuantumError, WaveFunction, ZakField,
                                  _hermitian_part)
@@ -231,7 +232,7 @@ def interior_max(symbol: GridSymbol, other=None) -> float:
 # -- Hofstadter ---------------------------------------------------------------
 
 
-def transfer_trace_edges(flux: FluxRational) -> np.ndarray:
+def transfer_trace_edges(flux: Fraction) -> np.ndarray:
     """Independent band edges from the transfer-matrix trace condition.
 
     The one-cycle transfer trace splits as tr M(E, theta2) = G(E) + a cos(q theta2);
@@ -239,12 +240,12 @@ def transfer_trace_edges(flux: FluxRational) -> np.ndarray:
     G(E) = +-(2 + |a|).  G is reconstructed as a degree-q polynomial from
     sampled traces.
     """
-    q = flux.q
+    q = flux.denominator
 
     def trace(E, th2):
         M = np.eye(2)
         for nn in range(q):
-            v = np.cos(2 * np.pi * flux.alpha * nn + th2)
+            v = np.cos(2 * np.pi * float(flux) * nn + th2)
             T = np.array([[2.0 * (E - v), -1.0], [1.0, 0.0]])
             M = T @ M
         return np.trace(M)
@@ -265,10 +266,10 @@ def transfer_trace_edges(flux: FluxRational) -> np.ndarray:
     return edges.reshape(q, 2)
 
 
-def diophantine_chern_labels(flux: FluxRational) -> list:
+def diophantine_chern_labels(flux: Fraction) -> list:
     """Brute-force gap labels: t_r solves p t = r (mod q) with |t| <= q/2;
     subband Chern numbers are first differences."""
-    p, q = flux.p, flux.q
+    p, q = flux.numerator, flux.denominator
     ts = [0]
     for r in range(1, q):
         sols = [t for t in range(-(q // 2), q // 2 + 1) if (p * t - r) % q == 0]

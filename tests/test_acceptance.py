@@ -6,6 +6,7 @@ Run as `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 
 import dataclasses
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from peierls_lab.fiber import (FourierPotential, mathieu_potential,
 from peierls_lab.fields import EMFieldConfig
 from peierls_lab.flow import FlowState, compare_flows, integrate
 from peierls_lab.geometry import geometric_tensors, wilson_loop
-from peierls_lab.hofstadter import (FluxRational, butterfly, spectrum_at_flux,
-                                    subband_cherns)
+from peierls_lab.hofstadter import butterfly, spectrum_at_flux, subband_cherns
 from peierls_lab.lattice import Lattice, make_kgrid
 from peierls_lab.quantum import egorov_error, semiclassical_limit_check
 from peierls_lab.weyl import PhaseSpaceGrid, sample_symbol
@@ -249,7 +249,7 @@ def test_criterion_8_geometric_data(mathieu_band):
         worst_int = max(worst_int, abs(c - expect))
     # Harper subband Chern integrality
     for (p, q) in ((1, 3), (2, 5)):
-        subband_cherns(FluxRational(p, q))  # raises if non-integral
+        subband_cherns(Fraction(p, q))  # raises if non-integral
     # gauge invariance of the full pipeline under re-randomization, over
     # several phase seeds; the Mathieu band's Zak phase is pi, on the branch
     # cut of wilson_loop's [-pi, pi), so the phases are compared on the circle
@@ -290,13 +290,13 @@ def test_criterion_9_rammal_wilkinson_cross_check(mathieu_band):
     from peierls_lab.geometry import _k_derivatives, fix_gauge, rammal_wilkinson
     bands, _ = mathieu_band
     fr = fix_gauge(bands, 0)
-    M1 = rammal_wilkinson(bands, fr, _k_derivatives(fr))
+    M1 = rammal_wilkinson(fr, _k_derivatives(fr))
     o1 = rw_spectral_sum_oracle(bands, fr)
     dev1 = float(np.abs(M1 - o1).max())
     # the same cross-check where the tensor is nonzero (2D, non-separable)
     b2 = solve_bands(potential_2d(1.0, 0.3), make_kgrid(LAT2, (11, 11)), 4, 2)
     fr2 = fix_gauge(b2, 0)
-    M2 = rammal_wilkinson(b2, fr2, _k_derivatives(fr2))
+    M2 = rammal_wilkinson(fr2, _k_derivatives(fr2))
     o2 = rw_spectral_sum_oracle(b2, fr2)
     dev2 = float(np.abs(M2 - o2).max())
     scale2 = float(np.abs(M2).max())
@@ -310,23 +310,22 @@ def test_criterion_9_rammal_wilkinson_cross_check(mathieu_band):
 def test_criterion_10_hofstadter_structure():
     t0 = time.time()
     data = butterfly(20)
-    from fractions import Fraction
-    ok_counts = all(len(data.intervals(fr)) == fr.denominator
-                    for fr in data.fluxes())
+    ok_counts = all(len(data[fr]) == fr.denominator for fr in data)
     sym_alpha = 0.0
     sym_E = 0.0
-    for fr in data.fluxes():
-        iv = np.sort(np.asarray(data.intervals(fr)).ravel())
-        iv2 = np.sort(np.asarray(data.intervals(Fraction(1) - fr)).ravel())
+    for fr in data:
+        iv = np.sort(np.asarray([(lo, hi) for lo, hi, _ in data[fr]]).ravel())
+        iv2 = np.sort(np.asarray([(lo, hi) for lo, hi, _ in data[Fraction(1) - fr]])
+                      .ravel())
         sym_alpha = max(sym_alpha, float(np.abs(iv - iv2).max()))
         sym_E = max(sym_E, float(np.abs(iv + iv[::-1]).max()))
-    edges = spectrum_at_flux(FluxRational(1, 3))
-    oracle = transfer_trace_edges(FluxRational(1, 3))
+    edges = spectrum_at_flux(Fraction(1, 3))
+    oracle = transfer_trace_edges(Fraction(1, 3))
     edge_dev = float(np.abs(edges - oracle).max())
     chern_sums = []
     for (p, q) in ((1, 3), (1, 5), (2, 5)):
-        cs = subband_cherns(FluxRational(p, q))
-        assert cs == diophantine_chern_labels(FluxRational(p, q))
+        cs = subband_cherns(Fraction(p, q))
+        assert cs == diophantine_chern_labels(Fraction(p, q))
         chern_sums.append(sum(cs))
     dt = time.time() - t0
     ok = ok_counts and sym_alpha < 1e-10 and sym_E < 1e-10 \

@@ -25,6 +25,10 @@ MINIMAL_BANDS = """
 """
 
 
+def test_every_experiment_has_one_runner():
+    assert set(cli._RUNNERS) == set(EXPERIMENTS)
+
+
 def test_parse_minimal_config():
     cfg = parse_config(MINIMAL_BANDS)
     assert cfg.experiment == "bands"

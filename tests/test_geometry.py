@@ -179,8 +179,8 @@ def test_full_pipeline_2d_gauge_invariants():
 
 
 def test_rw_1d_zero_and_diagnostic():
-    bands, fr = mathieu_frame(32)
-    M = rammal_wilkinson(bands, fr, _k_derivatives(fr))
+    _, fr = mathieu_frame(32)
+    M = rammal_wilkinson(fr, _k_derivatives(fr))
     assert np.abs(M).max() < 1e-12
 
 
@@ -188,7 +188,7 @@ def test_rw_2d_matches_spectral_sum_oracle():
     pot = potential_2d(1.0, 0.3)
     bands = solve_bands(pot, make_kgrid(LAT2, (9, 9)), 4, 2)
     fr = fix_gauge(bands, 0)
-    M = rammal_wilkinson(bands, fr, _k_derivatives(fr))
+    M = rammal_wilkinson(fr, _k_derivatives(fr))
     oracle = rw_spectral_sum_oracle(bands, fr)
     assert np.abs(M - oracle).max() < 1e-6
     assert np.abs(M[..., 0, 1]).max() > 1e-4  # non-separable potential: nonzero
@@ -199,7 +199,7 @@ def test_geometric_tensors_differentiates_the_frame_once(monkeypatch):
     bands = solve_bands(potential_2d(1.0, 0.3), make_kgrid(LAT2, (9, 9)), 4, 2, (0,))
     frame = fix_gauge(bands, 0)
     A, residue = berry_connection(frame, _k_derivatives(frame))
-    M = rammal_wilkinson(bands, frame, _k_derivatives(frame))
+    M = rammal_wilkinson(frame, _k_derivatives(frame))
     calls = []
     differentiate = geometry._k_derivatives
     monkeypatch.setattr(geometry, "_k_derivatives",

@@ -17,8 +17,8 @@ ast, not imported.
 
 Limitation: methods are matched by bare name, so a read of one method
 covers every method of that name in the package.  A read of Propagator.of
-would keep an unused FluxRational.of alive; such methods have to be found
-and removed by hand.
+would keep an unused `of` method of any other class alive; such methods have
+to be found and removed by hand.
 """
 
 import ast
@@ -34,8 +34,6 @@ TESTS = ROOT / "tests"
 # keeps a definition that no package code reads
 ALLOWED = {
     "__init__.__version__": "the package version, read by users and packaging tools",
-    "cli.run_*": "cli._RUNNERS dispatches each experiment runner by name, "
-                 "globals()['run_' + experiment]",
     "quantum.band_project": "ROADMAP 6(a): the fiberwise band projection that the "
                             "almost invariant subspace is built from",
     "fields.EMFieldConfig.transversal": "ROADMAP 5(a): the transversal gauge of a "
