@@ -9,9 +9,7 @@ refuses the run (the report then carries "refused"), 2 on config errors.
 
 The environment variable PEIERLS_LAB_THREADS (a positive integer; default
 the CPUs this process may run on, and anything else exits 2) sets the
-worker threads: the butterfly's Chern-torus pool, and in `propagate`
-whether the flow oracle runs on a background thread beside the dense
-eigendecompositions (any value above 1) or inline.  Pin the BLAS threads
+worker threads of the butterfly's Chern-torus pool.  Pin the BLAS threads
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS) so that workers x
 BLAS threads <= nproc.  Each report records both under "threads"; the
 CSVs do not depend on them.
@@ -357,20 +355,22 @@ def run_flow(cfg: RunConfig, out: Path) -> tuple:
 
 
 def run_propagate(cfg: RunConfig, out: Path) -> tuple:
-    from .quantum import semiclassical_limit_check
+    from .quantum import SPLIT_PROBE_TOL, semiclassical_limit_check
     lat = _build_lattice(cfg)
     pot = _build_potential(cfg, lat)
     fld = _build_field(cfg, lat.dim, cfg.numerics.eps_list[0])
     rep = semiclassical_limit_check(
         pot, fld, cfg.numerics.band_index, cfg.numerics.eps_list,
         t=cfg.numerics.t_final, macro_box=cfg.numerics.macro_box,
-        cutoff=cfg.numerics.cutoff, n_workers=n_workers())
+        cutoff=cfg.numerics.cutoff)
     write_csv(out / "propagate.csv", ["eps_dimensionless", "error_point", "error_avg"],
               zip(rep["eps"], rep["error_point"], rep["error_avg"]))
     emit_plotdata(out / "propagate.dat", {
         "eps": rep["eps"], "error_point": rep["error_point"],
         "error_avg": rep["error_avg"]})
-    return {"slope_point": rep["slope_point"], "slope_avg": rep["slope_avg"]}, {}
+    # each eps's split-step probe is a health figure: the report JSON only
+    return {"slope_point": rep["slope_point"], "slope_avg": rep["slope_avg"],
+            "details": rep["details"], "split_probe_tol": SPLIT_PROBE_TOL}, {}
 
 
 # each runner returns its metrics and its structural checks (no tolerance read)

@@ -3,9 +3,11 @@ projection and band packets, Heisenberg evolution of quantized effective
 Hamiltonians, and the Egorov-type (on a flow grid picked by measurement) and
 semiclassical-limit error measurements.
 
-Propagators are built by exact eigendecomposition of dense Hermitian
-matrices (no splitting error), and all time conventions are macroscopic:
-states evolve under exp(-i (t/eps) H).
+Egorov propagators are exact eigendecompositions of dense Hermitian
+matrices.  semiclassical_limit_check steps its boxes by a fourth-order
+Bloch-decomposition split-step (split_step), whose splitting error a
+step-halving probe bounds.  All time conventions are macroscopic: states
+evolve under exp(-i (t/eps) H).
 
 A complex H on a position grid often has an anti-unitary symmetry: a signed
 permutation S of the grid axes with S conj(H) S^T = H.  For a constant B in
@@ -51,6 +53,8 @@ __all__ = [
     "flowed_symbol",
     "check_egorov_memory",
     "egorov_error",
+    "fiber_blocks",
+    "split_step",
     "check_limit_memory",
     "semiclassical_limit_check",
 ]
@@ -150,15 +154,13 @@ class ZakField:
 def zak_inverse(zf: ZakField) -> WaveFunction:
     """psi(c + y_j) = N^{-1/2} sum_q e^{i k_q (y_j + c)} u(k_q, y_j), with
     k_q the points of box.fiber_grid(): the inverse of the unitary Zak
-    transform (tests/oracles.py zak_transform)."""
+    transform (tests/oracles.py zak_transform).  Both c and q are centered
+    (n_cells is odd), so the sum over q is an inverse FFT between shifts."""
     box = zf.box
     kq = box.fiber_grid().points[:, 0]
-    y = box.cell_coords()
-    u = zf.samples * np.exp(+1j * np.outer(kq, y))
-    gam = box.cell_offsets()
-    ph_cell = np.exp(+1j * np.outer(gam, kq))
-    arr = ph_cell @ u / np.sqrt(box.n_cells)
-    return WaveFunction(box=box, samples=arr.ravel())
+    u = zf.samples * np.exp(+1j * np.outer(kq, box.cell_coords()))
+    arr = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(u, axes=0), axis=0), axes=0)
+    return WaveFunction(box=box, samples=arr.ravel() * np.sqrt(box.n_cells))
 
 
 def _fiber_vectors_on_cells(bands: BandStructure, box: RealSpaceBox, band: int,
@@ -322,7 +324,8 @@ def _pair_basis_eigh(H: np.ndarray, p: np.ndarray):
 
 @dataclass
 class Propagator:
-    """Spectral propagator psi(t) = U e^{-i (t/eps) w} U^dagger psi(0).
+    """Spectral propagator psi(t) = U e^{-i (t/eps) w} U^dagger psi(0), or a
+    stack of them: w (..., N) and U (..., N, N) for a stack of blocks.
 
     symmetry : the signed permutation S (d, d) of the grid axes whose
         anti-unitary action S conj(H) S^T = H the eigensolve used (the
@@ -351,8 +354,13 @@ class Propagator:
         The first S that fixes H to GRID_SYMMETRY_TOL makes H real symmetric
         in its pair basis, and one real eigh of that matrix gives the
         spectrum (see _pair_basis_eigh).  With none, H goes to the complex
-        eigh as it is.
+        eigh as it is.  A stack of blocks (..., m, m) goes to one batched
+        eigh, with no symmetry search; w and U are then stacks too.
         """
+        if H.ndim > 2:
+            check_dense_memory("Propagator.of", H.shape[:-1], _EIGH_COPIES * H.nbytes)
+            w, U = np.linalg.eigh(H)
+            return cls(w=w, U=U, eps=eps)
         n = H.shape[0]
         ns = tuple(ns) if ns is not None else (n,)
         if np.prod(ns) != n:
@@ -533,17 +541,6 @@ def _translation_expectation(psi: WaveFunction) -> complex:
     return complex(np.vdot(psi.samples, shifted))
 
 
-def _flow_oracle(bands: BandStructure, band_index: int, fld: EMFieldConfig,
-                 k_batch: np.ndarray, x_batch: np.ndarray, t: float,
-                 dt_flow: float) -> np.ndarray:
-    """sin k(t) along the corrected flow from each (k, eps x) of the batch."""
-    geom_band = _band_data_1d(bands, band_index)
-    hsc = SemiclassicalHamiltonian(geom_band, fld)
-    kt, _ = _rk4_run(k_batch[:, None], x_batch[:, None], hsc, fld, geom_band,
-                     t, dt_flow, record=False)
-    return np.sin(kt[:, 0])
-
-
 # semiclassical_limit_check: bands solved per box (band_index is below this),
 # the RK4 step of the flow oracle, the packet's momentum width over sqrt(eps)
 # and its central momentum.  A box samples each cell at the fewest points
@@ -577,38 +574,93 @@ def _limit_box(potential: FourierPotential, cutoff: int, eps: float,
     return RealSpaceBox(lattice=potential.lattice, n_cells=odd_points(macro_box, eps), m=m)
 
 
+# -- Bloch-decomposition split-step ------------------------------------------
+
+# semiclassical_limit_check's micro time step, and the bound on its probe
+# |Im<T_1>_tau - Im<T_1>_2tau|: 12x the largest probe of the shipped configs
+# and test fixtures, 4.1e-10 at eps 0.1 and t = 1 (2.7e-11 at eps 0.02)
+SPLIT_TAU, SPLIT_PROBE_TOL = 0.05, 5e-9
+# its peak bytes per N m (N points, m per cell): blocks, eigenvectors and
+# half-step unitaries, beside the previous box's; tracemalloc read 78-103 over
+# eps lists down to 0.035 and 0.01 at cutoffs 3-7 (N = 805 to 6015)
+_SPLIT_BYTES = 128
+
+
+def fiber_blocks(box: RealSpaceBox, potential: FourierPotential) -> np.ndarray:
+    """The blocks (n_cells, m, m) of the box's H_per = -(1/2) d^2/dx^2 + V(x)
+    on the FFT of its cell axis.  The box momenta xi = 2 pi n / n_cells of
+    realspace_hamiltonian with n = q mod n_cells land on fiber q, so block q
+    is E_q^dagger diag(xi^2 / 2) E_q + diag V(y_j), E_q[G, j] =
+    m^{-1/2} e^{-i xi_qG y_j} over those m momenta."""
+    m = box.m
+    xi = (2 * np.pi * np.fft.fftfreq(box.n_points, d=1.0 / m)).reshape(m, -1).T
+    y = box.cell_coords()
+    E = np.exp(-1j * xi[..., None] * y) / np.sqrt(m)
+    H = np.conj(E.transpose(0, 2, 1)) @ (0.5 * xi[..., None] ** 2 * E)
+    H[:, range(m), range(m)] += potential.evaluate(y)
+    return H
+
+
+def split_step(blocks: Propagator, box: RealSpaceBox, field: EMFieldConfig,
+               psi: np.ndarray, t: float, tau: float) -> np.ndarray:
+    """e^{-i (t/eps) H} psi (flat) for H = H_per + W, W = phi(eps x), in
+    n = ceil((t/eps) / tau) steps of tau = (t/eps) / n of Chin's fourth-order
+    factorization (Phys. Lett. A 226, 344 (1997)), e^{-i tau W/6}
+    e^{-i tau H_per/2} e^{-2i tau W~/3} e^{-i tau H_per/2} e^{-i tau W/6} with
+    W~ = W - tau^2 |W'|^2 / 48, W' = eps field.grad_phi(eps x), since
+    [W, [H_per, W]] = |W'|^2 exactly.  The H_per
+    half-steps are exact: a cell-axis FFT, the fiber unitaries of blocks
+    (Propagator.of of fiber_blocks) and the inverse FFT, the Bloch-
+    decomposition split-step of Huang, Jin, Markowich and Sparber (SIAM J.
+    Sci. Comput. 29, 515 (2007))."""
+    if field.lam != 0.0:
+        raise QuantumError("split-step propagator implemented for B = 0 (1D)")
+    # the guard keeps a quotient like 400.00000000000006 at 400 steps
+    steps = max(1, int(np.ceil(t / field.eps / tau - 1e-9)))
+    tau = t / field.eps / steps
+    half = (blocks.U * np.exp(-0.5j * tau * blocks.w)[:, None, :]) @ np.conj(
+        blocks.U.transpose(0, 2, 1))
+    x = field.eps * box.points()[:, None]
+    W = field.phi(x).reshape(box.n_cells, box.m)
+    W_mid = W - (tau * field.eps * field.grad_phi(x)[:, 0].reshape(W.shape)) ** 2 / 48
+    edge, inner, mid = (np.exp(-1j * c * tau * w) for c, w in
+                        ((1 / 6, W), (1 / 3, W), (2 / 3, W_mid)))
+    psi = psi.reshape(W.shape) * edge
+    for step in range(steps):
+        for after in (mid, edge if step == steps - 1 else inner):
+            psi = np.fft.ifft((half @ np.fft.fft(psi, axis=0)[..., None])[..., 0], axis=0)
+            psi *= after
+    return psi.ravel()
+
+
 def check_limit_memory(potential: FourierPotential, cutoff: int, eps_list,
                        macro_box: float) -> None:
     """Refuse (DenseMemoryError) a semiclassical_limit_check whose largest
     box, the _limit_box of the potential and cutoff at the smallest eps,
-    would not fit: its real dense H beside the eigendecomposition of
-    Propagator.of."""
-    n = _limit_box(potential, cutoff, min(eps_list), macro_box).n_points
-    check_dense_memory("semiclassical_limit_check", (n,), 8 * (1 + _EIGH_COPIES) * n * n)
+    would not fit its split-step (_SPLIT_BYTES)."""
+    box = _limit_box(potential, cutoff, min(eps_list), macro_box)
+    check_dense_memory("semiclassical_limit_check", (box.n_points,),
+                       _SPLIT_BYTES * box.n_points * box.m)
 
 
 def semiclassical_limit_check(potential: FourierPotential, field_template: EMFieldConfig,
                               band_index: int, eps_list, t: float,
-                              macro_box: float = 4.0, cutoff: int = 6,
-                              n_workers: int = 1) -> dict:
+                              macro_box: float = 4.0, cutoff: int = 6) -> dict:
     """Bloch-oscillation expectation test against the corrected flow (1D).
 
     For each eps an n_cells ~ macro_box/eps periodic box is built, with
     m = 2 max(cutoff, reach) + 1 points per cell (_limit_box: the fewest that
-    hold the band vectors and V exactly, 13 for Mathieu at cutoff 6), a band
-    packet is prepared, propagated with the dense real-space Hamiltonian, and
+    hold the band vectors and V exactly, 13 for Mathieu at cutoff 6), and a
+    band packet is prepared and propagated by split_step at SPLIT_TAU.
     <Op(sin k)> is compared with sin(k(t)) along the corrected flow, both for
     the measured packet center (point oracle) and averaged over the packet's
     phase-space Gaussian (quadrature oracle).  Returns errors and log-log
     slopes; the point-oracle slope is the conservative figure.
 
-    Every box's bands, packet and measured center are built first.  With
-    n_workers > 1 the flow oracles (band data and one RK4 run per box) then
-    go to one background thread, which runs them while the main thread does
-    the dense real-space eigendecompositions (numpy's eigh releases the
-    GIL); with n_workers = 1 they run inline and no thread is started.  The
-    results are the same either way.  The dense boxes are propagated one at
-    a time, so only one dense H and its eigenbasis are alive at once.
+    The packet is also propagated at 2 SPLIT_TAU; a probe |Im<T_1>_tau -
+    Im<T_1>_2tau| past SPLIT_PROBE_TOL is refused (QuantumError).  The scheme
+    is fourth order, so probe / 15 estimates the splitting error; each eps's
+    details carry its probe.
     """
     lat = potential.lattice
     if lat.dim != 1:
@@ -619,58 +671,49 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
     weights = _GH_WEIGHTS / np.sqrt(2 * np.pi)
     KK, XX = np.meshgrid(_GH_NODES, _GH_NODES, indexing="ij")
     WW = np.outer(weights, weights).ravel()
-    pool = None
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor   # kept out of start-up
-        pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        boxes = []
-        for eps in eps_list:
-            fld = replace(field_template, eps=float(eps))
-            box = _limit_box(potential, cutoff, eps, macro_box)
-            bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS, (band_index,))
-            sigma_k = LIMIT_SIGMA_SCALE * np.sqrt(eps)
-            psi0 = band_packet(bands, box, band_index, k0=LIMIT_K0, x0=0.0, sigma_k=sigma_k)
-            if psi0.edge_mass() > 1e-8:
-                raise QuantumError("packet touches the box boundary; enlarge the box")
-            # measured initial phase-space center and spreads
-            T1 = _translation_expectation(psi0)
-            k_bar = float(np.angle(T1))
-            sig_k_meas = float(np.sqrt(max(-2.0 * np.log(abs(T1)), 1e-30)))
-            x_bar = psi0.position_expectation()
-            sig_x = np.sqrt(psi0.position_variance())
-            # corrected-flow oracle from the measured center, batched together
-            # with the Gauss-Hermite quadrature nodes of the Wigner Gaussian
-            k_batch = np.concatenate([[k_bar], (k_bar + sig_k_meas * KK).ravel()])
-            x_batch = np.concatenate([[eps * x_bar],
-                                      eps * (x_bar + sig_x * XX).ravel()])
-            args = (bands, band_index, fld, k_batch, x_batch, t, LIMIT_DT_FLOW)
-            oracle = pool.submit(_flow_oracle, *args) if pool else _flow_oracle(*args)
-            boxes.append((eps, fld, box, psi0, oracle, k_bar, x_bar))
-        errs_point, errs_avg, results = [], [], []
-        for eps, fld, box, psi0, oracle, k_bar, x_bar in boxes:
-            # neither H nor its eigenbasis outlives this step, so the next,
-            # larger box is not allocated beside them
-            prop = Propagator.of(realspace_hamiltonian(box, potential, fld), eps)
-            psi_t = WaveFunction(box, prop.apply(psi0.samples, t))
-            del prop
-            if psi_t.edge_mass() > 1e-6:
-                raise QuantumError("evolved packet reaches the box boundary")
-            # <Op(sin k)> = Im <T_1> exactly for B = 0
-            obs = float(np.imag(_translation_expectation(psi_t)))
-            vals = oracle.result() if pool else oracle
-            val_point = float(vals[0])
-            acc = float(np.sum(WW * vals[1:]))
-            errs_point.append(abs(obs - val_point))
-            errs_avg.append(abs(obs - acc))
-            results.append({"eps": eps, "n_cells": box.n_cells, "obs": obs,
-                            "oracle_point": val_point, "oracle_avg": acc,
-                            "k_bar": k_bar, "x_bar": x_bar})
-    finally:
-        # every oracle has been collected unless something raised; then the
-        # queued ones are dropped and the running one is waited for
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    errs_point, errs_avg, results = [], [], []
+    for eps in eps_list:
+        fld = replace(field_template, eps=float(eps))
+        box = _limit_box(potential, cutoff, eps, macro_box)
+        bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS, (band_index,))
+        sigma_k = LIMIT_SIGMA_SCALE * np.sqrt(eps)
+        psi0 = band_packet(bands, box, band_index, k0=LIMIT_K0, x0=0.0, sigma_k=sigma_k)
+        if psi0.edge_mass() > 1e-8:
+            raise QuantumError("packet touches the box boundary; enlarge the box")
+        # measured initial phase-space center and spreads
+        T1 = _translation_expectation(psi0)
+        k_bar = float(np.angle(T1))
+        sig_k_meas = float(np.sqrt(max(-2.0 * np.log(abs(T1)), 1e-30)))
+        x_bar = psi0.position_expectation()
+        sig_x = np.sqrt(psi0.position_variance())
+        # corrected-flow oracle from the measured center, batched together
+        # with the Gauss-Hermite quadrature nodes of the Wigner Gaussian
+        k_batch = np.concatenate([[k_bar], (k_bar + sig_k_meas * KK).ravel()])
+        x_batch = np.concatenate([[eps * x_bar],
+                                  eps * (x_bar + sig_x * XX).ravel()])
+        geom_band = _band_data_1d(bands, band_index)
+        kt, _ = _rk4_run(k_batch[:, None], x_batch[:, None],
+                         SemiclassicalHamiltonian(geom_band, fld), fld, geom_band,
+                         t, LIMIT_DT_FLOW, record=False)
+        vals = np.sin(kt[:, 0])
+        blocks = Propagator.of(fiber_blocks(box, potential), eps)
+        psi_t, psi_2t = (WaveFunction(box, split_step(blocks, box, fld, psi0.samples, t, tau))
+                         for tau in (SPLIT_TAU, 2 * SPLIT_TAU))
+        if psi_t.edge_mass() > 1e-6:
+            raise QuantumError("evolved packet reaches the box boundary")
+        # <Op(sin k)> = Im <T_1> exactly for B = 0
+        obs = float(np.imag(_translation_expectation(psi_t)))
+        probe = abs(obs - float(np.imag(_translation_expectation(psi_2t))))
+        if probe > SPLIT_PROBE_TOL:
+            raise QuantumError(f"split-step probe {probe:.2e} at eps {eps} passes "
+                               f"{SPLIT_PROBE_TOL:.0e}")
+        val_point = float(vals[0])
+        acc = float(np.sum(WW * vals[1:]))
+        errs_point.append(abs(obs - val_point))
+        errs_avg.append(abs(obs - acc))
+        results.append({"eps": eps, "n_cells": box.n_cells, "obs": obs,
+                        "oracle_point": val_point, "oracle_avg": acc,
+                        "k_bar": k_bar, "x_bar": x_bar, "split_probe": probe})
     eps_arr = np.asarray(list(eps_list), dtype=float)
     ep, ea = np.asarray(errs_point), np.asarray(errs_avg)
     return {"eps": eps_arr, "error_point": ep, "error_avg": ea,

@@ -360,10 +360,13 @@ def test_criterion_11_semiclassical_limit_expectation():
     rep = semiclassical_limit_check(pot, fld, 0, [0.08, 0.04, 0.02], t=1.0,
                                     macro_box=L, cutoff=6)
     dt = time.time() - t0
-    ok = rep["slope_point"] >= 1.0
+    # the Wigner-averaged slope's window, declared from the dense propagator's
+    # 2.051 on these eps (pairwise 2.065 and 2.037) and 2.069 on the
+    # benchmark's 0.1 / 0.05 / 0.035
+    ok = rep["slope_point"] >= 1.0 and 1.9 <= rep["slope_avg"] <= 2.2
     verdict("criterion 11 (semiclassical expectation tracking)",
             ok and dt < 600.0,
             f"point-oracle slope {rep['slope_point']:.2f} (required >= 1; the "
             f"band-projected packet carries an O(eps) wavepacket-spread term), "
-            f"Wigner-averaged slope {rep['slope_avg']:.2f} (expected ~2), "
+            f"Wigner-averaged slope {rep['slope_avg']:.4f} (window [1.9, 2.2]), "
             f"{dt:.0f} s (budget 600 s)")

@@ -42,6 +42,10 @@ ALLOWED = {
                                               "run report",
     "weyl.QuantizedOperator.hermiticity_defect": "ROADMAP 1: a health figure for the "
                                                  "run report",
+    "quantum.realspace_hamiltonian": "ROADMAP 2(f): perfbench/tracing.py binds it by "
+                                     "name; the dense oracle of split_step's tests",
+    "quantum.Propagator.apply": "ROADMAP 2(f): perfbench/tracing.py binds it by name; "
+                                "the dense oracle of split_step's tests",
 }
 
 

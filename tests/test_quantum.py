@@ -1,10 +1,8 @@
-import concurrent.futures
 import dataclasses
 import json
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -172,7 +170,7 @@ def test_apply_with_real_basis_allocates_no_dense_copy():
         assert peak < n * n, shape
 
 
-def _small_limit(n_workers, eps_list=(0.12, 0.06)):
+def _small_limit(eps_list=(0.12, 0.06)):
     """A two-box limit check (N = 434 and 854) under phi(r) = -0.2 sin r."""
     def gphi(r):
         return -0.2 * np.cos(r[..., :1])
@@ -182,7 +180,7 @@ def _small_limit(n_workers, eps_list=(0.12, 0.06)):
     fld = EMFieldConfig.zero(1, eps=0.12, phi=lambda r: -0.2 * np.sin(r[..., 0]),
                              grad_phi=gphi, grad_hess_phi=grad_hess)
     return semiclassical_limit_check(mathieu_potential(3.0), fld, 0, list(eps_list),
-                                     t=0.4, macro_box=3.6, n_workers=n_workers)
+                                     t=0.4, macro_box=3.6)
 
 
 def test_semiclassical_limit_one_eps_fits_no_slope():
@@ -190,7 +188,7 @@ def test_semiclassical_limit_one_eps_fits_no_slope():
     (numpy would warn and return a meaningless number)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = _small_limit(n_workers=1, eps_list=[0.12])
+        rep = _small_limit(eps_list=[0.12])
     assert rep["error_point"].shape == rep["error_avg"].shape == (1,)
     assert np.isnan(rep["slope_point"]) and np.isnan(rep["slope_avg"])
 
@@ -204,42 +202,6 @@ def test_semiclassical_limit_refuses_band_index_before_solving(monkeypatch, band
     with pytest.raises(QuantumError, match=f"band_index {band_index} outside"):
         semiclassical_limit_check(mathieu_potential(3.0), fld, band_index, [0.12, 0.06],
                                   t=0.4, macro_box=3.6)
-
-
-def test_semiclassical_limit_same_with_background_oracle():
-    inline = _small_limit(n_workers=1)
-    overlapped = _small_limit(n_workers=2)
-    for key in ("eps", "error_point", "error_avg"):
-        assert np.array_equal(inline[key], overlapped[key]), key
-    assert inline["slope_point"] == overlapped["slope_point"]
-    assert inline["slope_avg"] == overlapped["slope_avg"]
-    assert inline["details"] == overlapped["details"]
-
-
-def test_semiclassical_limit_inline_oracle_starts_no_executor(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("executor constructed at n_workers = 1")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    before = threading.active_count()
-    assert _small_limit(n_workers=1)["error_point"].shape == (2,)
-    assert threading.active_count() == before
-
-
-def test_semiclassical_limit_worker_failure_reaches_caller(monkeypatch):
-    threads = []
-
-    def failing(*args, **kwargs):
-        threads.append(threading.current_thread())
-        raise FloatingPointError("oracle failed")
-
-    monkeypatch.setattr(quantum, "_rk4_run", failing)
-    before = set(threading.enumerate())
-    with pytest.raises(FloatingPointError, match="oracle failed"):
-        _small_limit(n_workers=2)
-    assert threads and all(t is not threading.main_thread() for t in threads)
-    assert not any(t.is_alive() for t in threads)
-    assert set(threading.enumerate()) == before
 
 
 def test_windowed_conjugation_is_block_of_full():
@@ -307,12 +269,16 @@ def test_gauss_hermite_nodes_match_hermegauss():
     assert np.abs(quantum._GH_WEIGHTS - weights).max() <= 1e-15
 
 
+# a potential whose support |n| = 4 reaches past a band cutoff of 2
+BEYOND_CUTOFF = FourierPotential(LAT1, {(1,): 0.5, (-1,): 0.5, (4,): 0.3 - 0.2j,
+                                        (-4,): 0.3 + 0.2j})
+
+
 def test_limit_box_samples_a_potential_beyond_the_cutoff_unaliased():
     # V reaches |n| = 4 past a cutoff of 2: the box takes 2 * 4 + 1 points per
     # cell, on which the cell DFT of V gives back each coefficient, where the
     # band vectors' own 5 points would fold n = 4 onto n = -1
-    coeffs = {(1,): 0.5, (-1,): 0.5, (4,): 0.3 - 0.2j, (-4,): 0.3 + 0.2j}
-    pot = FourierPotential(LAT1, coeffs)
+    pot = BEYOND_CUTOFF
     box = quantum._limit_box(pot, 2, 0.1, 4.0)
     assert (box.n_cells, box.m) == (41, 9)
 
@@ -344,6 +310,61 @@ def test_limit_box_floor_loses_nothing():
         psi_t = WaveFunction(box, prop.apply(psi0.samples, 1.0))
         t1.append(quantum._translation_expectation(psi_t))
     assert abs(t1[0] - t1[1]) <= 1e-10
+
+
+@pytest.mark.parametrize("pot, box", [
+    (mathieu_potential(1.3), RealSpaceBox(lattice=LAT1, n_cells=7, m=13)),
+    (mathieu_potential(1.3), RealSpaceBox(lattice=LAT1, n_cells=7, m=8)),
+    (BEYOND_CUTOFF, quantum._limit_box(BEYOND_CUTOFF, 2, 0.4, 4.0)),
+], ids=["odd_m", "even_m", "beyond_cutoff"])
+def test_fiber_blocks_reproduce_the_dense_box_hamiltonian(pot, box):
+    # the dense H_per (phi = 0) carried to the cell-axis FFT is block
+    # diagonal, with fiber_blocks on the diagonal, to rounding
+    nc, m = box.n_cells, box.m
+    H = realspace_hamiltonian(box, pot, EMFieldConfig.zero(1, eps=0.1))
+    F = np.fft.fft(np.eye(nc), axis=0) / np.sqrt(nc)
+    Hq = np.einsum("qc,cjdl,pd->qjpl", F, H.reshape(nc, m, nc, m), F.conj(), optimize=True)
+    expected = np.zeros_like(Hq)
+    for q, block in enumerate(quantum.fiber_blocks(box, pot)):
+        expected[q, :, q, :] = block
+    assert np.abs(Hq - expected).max() <= 1e-13 * np.abs(H).max()
+
+
+def _propagate_box(eps):
+    """The propagate_bloch field, box and band packet at eps (cutoff 6)."""
+    cfg = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                        / "propagate_bloch.json").read_text())
+    pot, fld = mathieu_potential(3.0), cli._build_field(cfg, 1, eps)
+    box = quantum._limit_box(pot, 6, eps, 4.0)
+    bands = solve_bands(pot, box.fiber_grid(), 6, quantum.LIMIT_BANDS)
+    psi0 = band_packet(bands, box, 0, k0=quantum.LIMIT_K0, x0=0.0, sigma_k=np.sqrt(eps))
+    return pot, fld, box, psi0
+
+
+def test_split_step_matches_the_dense_propagator():
+    # at eps 0.12 and t = 1 (167 steps): the state is 1.2e-7 from the dense
+    # propagator's in norm, most of it in the plane waves past |G| = 2, and
+    # Im<T_1> 3.2e-11 from it; the bounds are about 10x those
+    pot, fld, box, psi0 = _propagate_box(0.12)
+    dense = Propagator.of(realspace_hamiltonian(box, pot, fld), fld.eps).apply(psi0.samples, 1.0)
+    blocks = Propagator.of(quantum.fiber_blocks(box, pot), fld.eps)
+    assert blocks.w.shape == (box.n_cells, box.m) and blocks.symmetry is None
+    split = quantum.split_step(blocks, box, fld, psi0.samples, 1.0, quantum.SPLIT_TAU)
+    assert np.linalg.norm(split - dense) <= 1e-6
+    t1 = [quantum._translation_expectation(WaveFunction(box, psi)) for psi in (split, dense)]
+    assert abs(np.imag(t1[0] - t1[1])) <= 3e-10
+
+
+def test_split_step_is_fourth_order():
+    # |Delta Im<T_1>| between tau = 0.1 and 0.05 over that between 0.05 and
+    # 0.025: 16 for a fourth-order scheme, 4 for a second-order one (the W~
+    # correction dropped or of the wrong sign)
+    pot, fld, box, psi0 = _propagate_box(0.1)
+    blocks = Propagator.of(quantum.fiber_blocks(box, pot), fld.eps)
+    t1 = [np.imag(quantum._translation_expectation(WaveFunction(
+        box, quantum.split_step(blocks, box, fld, psi0.samples, 1.0, tau))))
+        for tau in (0.1, 0.05, 0.025)]
+    assert abs(t1[0] - t1[1]) >= 12 * abs(t1[1] - t1[2])
 
 
 def _recording_flow_grids(monkeypatch):
