@@ -3,11 +3,12 @@ projection and band packets, Heisenberg evolution of quantized effective
 Hamiltonians, and the Egorov-type (on a flow grid picked by measurement) and
 semiclassical-limit error measurements.
 
-Egorov propagators are exact eigendecompositions of dense Hermitian
-matrices.  semiclassical_limit_check steps its boxes by a fourth-order
-Bloch-decomposition split-step (split_step), whose splitting error a
-step-halving probe bounds.  All time conventions are macroscopic: states
-evolve under exp(-i (t/eps) H).
+A Propagator is the exact eigendecomposition of a dense Hermitian H, or of a
+stack of blocks, and Propagator.unitary forms the rows of e^{-isH} at a micro
+time s.  The harnesses take macroscopic times t and evolve for s = t/eps:
+heisenberg_evolve conjugates by e^{-i(t/eps)H}, and semiclassical_limit_check
+steps its boxes by a fourth-order Bloch-decomposition split-step
+(split_step), whose splitting error a step-halving probe bounds.
 
 A complex H on a position grid often has an anti-unitary symmetry: a signed
 permutation S of the grid axes with S conj(H) S^T = H.  For a constant B in
@@ -17,8 +18,9 @@ orientation of their plane and so the sign of B, and so does complex
 conjugation.  With no field and a symbol even in the momentum, the
 identity is one (H is real).  When S squares to the identity, H is real
 symmetric in the pair basis e_a (S a = a), (e_a + e_Sa)/sqrt 2 and
-i (e_a - e_Sa)/sqrt 2, so Propagator.of finds S at run time and runs one
-real eigh instead of a complex one, about a quarter of the arithmetic.
+i (e_a - e_Sa)/sqrt 2, so Propagator.of, given the grid, finds S at run time
+and runs one real eigh instead of a complex one, about a quarter of the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "RealSpaceBox",
     "odd_points",
     "WaveFunction",
-    "ZakField",
     "zak_inverse",
     "Propagator",
     "grid_involutions",
@@ -145,20 +146,14 @@ class WaveFunction:
         return float((w[:lo].sum() + w[n - lo:].sum()) / w.sum())
 
 
-@dataclass
-class ZakField:
-    box: RealSpaceBox
-    samples: np.ndarray  # (n_cells, m)
-
-
-def zak_inverse(zf: ZakField) -> WaveFunction:
-    """psi(c + y_j) = N^{-1/2} sum_q e^{i k_q (y_j + c)} u(k_q, y_j), with
-    k_q the points of box.fiber_grid(): the inverse of the unitary Zak
-    transform (tests/oracles.py zak_transform).  Both c and q are centered
-    (n_cells is odd), so the sum over q is an inverse FFT between shifts."""
-    box = zf.box
+def zak_inverse(box: RealSpaceBox, u: np.ndarray) -> WaveFunction:
+    """psi(c + y_j) = N^{-1/2} sum_q e^{i k_q (y_j + c)} u(k_q, y_j) for the
+    Zak samples u (n_cells, m), with k_q the points of box.fiber_grid(): the
+    inverse of the unitary Zak transform (tests/oracles.py zak_transform).
+    Both c and q are centered (n_cells is odd), so the sum over q is an
+    inverse FFT between shifts."""
     kq = box.fiber_grid().points[:, 0]
-    u = zf.samples * np.exp(+1j * np.outer(kq, box.cell_coords()))
+    u = u * np.exp(+1j * np.outer(kq, box.cell_coords()))
     arr = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(u, axes=0), axis=0), axes=0)
     return WaveFunction(box=box, samples=arr.ravel() * np.sqrt(box.n_cells))
 
@@ -177,11 +172,13 @@ def _fiber_vectors_on_cells(bands: BandStructure, box: RealSpaceBox, band: int,
     return fiber_on_cell_grid(bands, coeffs, box.m)
 
 
-def band_project(zf: ZakField, bands: BandStructure, band: int) -> ZakField:
-    """Fiberwise rank-one projection onto the band eigenvectors."""
-    v = _fiber_vectors_on_cells(bands, zf.box, band, gauge=False)
-    amp = np.einsum("qj,qj->q", np.conj(v), zf.samples)
-    return ZakField(box=zf.box, samples=v * amp[:, None])
+def band_project(box: RealSpaceBox, u: np.ndarray, bands: BandStructure,
+                 band: int) -> np.ndarray:
+    """Fiberwise rank-one projection of the box's Zak samples u (n_cells, m)
+    onto the band eigenvectors."""
+    v = _fiber_vectors_on_cells(bands, box, band, gauge=False)
+    amp = np.einsum("qj,qj->q", np.conj(v), u)
+    return v * amp[:, None]
 
 
 def band_packet(bands: BandStructure, box: RealSpaceBox, band: int,
@@ -197,8 +194,7 @@ def band_packet(bands: BandStructure, box: RealSpaceBox, band: int,
     dk = np.angle(np.exp(1j * (kq - k0)))
     env = np.exp(-dk ** 2 / (4 * sigma_k ** 2))
     u = env[:, None] * np.exp(-1j * kq * x0)[:, None] * v
-    psi = zak_inverse(ZakField(box=box, samples=u))
-    return psi.normalized()
+    return zak_inverse(box, u).normalized()
 
 
 # -- dense real-space Hamiltonian and propagation --------------------------
@@ -324,88 +320,69 @@ def _pair_basis_eigh(H: np.ndarray, p: np.ndarray):
 
 @dataclass
 class Propagator:
-    """Spectral propagator psi(t) = U e^{-i (t/eps) w} U^dagger psi(0), or a
-    stack of them: w (..., N) and U (..., N, N) for a stack of blocks.
+    """Eigendecomposition H = U diag(w) U^dagger of a Hermitian H, or of a
+    stack of blocks: w (..., N) and U (..., N, N).  Its times are micro
+    times s, evolving under e^{-isH}; a macroscopic time t is s = t/eps.
 
     symmetry : the signed permutation S (d, d) of the grid axes whose
-        anti-unitary action S conj(H) S^T = H the eigensolve used (the
-        identity for a real H), or None when it ran the complex eigh.
-    symmetry_defect : max |S conj(H) S^T - H| / max|H| for that S (0.0 for a
-        real H); on the complex fallback, the least defect seen among the
-        candidates, a lower bound (see _grid_symmetry).  None when the
-        propagator was not built by Propagator.of.
+        anti-unitary action S conj(H) S^T = H the eigensolve used, or None
+        when it ran eigh on H as it is.
+    symmetry_defect : max |S conj(H) S^T - H| / max|H| for that S; on the
+        complex fallback, the least defect seen among the candidates, a lower
+        bound (see _grid_symmetry).  None when no grid was searched.
     """
 
     w: np.ndarray
     U: np.ndarray
-    eps: float
     symmetry: np.ndarray | None = None
     symmetry_defect: float | None = None
 
     @classmethod
-    def of(cls, H: np.ndarray, eps: float, ns=None) -> "Propagator":
-        """Eigendecompose the Hermitian H, whose rows index the points of a
-        centered position grid of shape ns (C order; None reads them as one
-        axis of N points).
+    def of(cls, H: np.ndarray, ns=None) -> "Propagator":
+        """Eigendecompose the Hermitian H (N, N), or a stack (..., N, N).
 
-        A real H goes to a real eigh.  A complex H is tested against every
-        grid involution S (grid_involutions: the identity, axis reflections
-        and swaps of equal-length axes) combined with complex conjugation.
-        The first S that fixes H to GRID_SYMMETRY_TOL makes H real symmetric
-        in its pair basis, and one real eigh of that matrix gives the
-        spectrum (see _pair_basis_eigh).  With none, H goes to the complex
-        eigh as it is.  A stack of blocks (..., m, m) goes to one batched
-        eigh, with no symmetry search; w and U are then stacks too.
+        With no grid, H goes to one eigh, batched over a stack.  With ns, the
+        rows of H index the points of a centered position grid of shape ns
+        (C order), and H is tested against every grid involution S
+        (grid_involutions: the identity, axis reflections and swaps of
+        equal-length axes) combined with complex conjugation.  The first S
+        that fixes H to GRID_SYMMETRY_TOL makes H real symmetric in its pair
+        basis, and one real eigh of that matrix gives the spectrum (see
+        _pair_basis_eigh).  With none, H goes to the complex eigh as it is.
         """
-        if H.ndim > 2:
-            check_dense_memory("Propagator.of", H.shape[:-1], _EIGH_COPIES * H.nbytes)
-            w, U = np.linalg.eigh(H)
-            return cls(w=w, U=U, eps=eps)
-        n = H.shape[0]
-        ns = tuple(ns) if ns is not None else (n,)
-        if np.prod(ns) != n:
-            raise QuantumError(f"grid shape {ns} does not index the {n} rows of H")
+        if ns is not None and np.prod(ns) != H.shape[-1]:
+            raise QuantumError(f"grid shape {tuple(ns)} does not index the "
+                               f"{H.shape[-1]} rows of H")
         # eigh holds H's copy, the eigenvectors and LAPACK's work arrays: at
         # N = 441 the peak RSS rose by 4.5 copies of a complex H on the
         # complex path, 3.5 on the pair-basis path, and 4.3 copies of a
-        # real H on the real path
-        check_dense_memory("Propagator.of", ns, _EIGH_COPIES * H.dtype.itemsize * n * n)
-        if not np.iscomplexobj(H):
-            w, U = np.linalg.eigh(H)
-            return cls(w=w, U=U, eps=eps, symmetry=np.eye(len(ns), dtype=int),
-                       symmetry_defect=0.0)
-        S, p, defect = _grid_symmetry(H, ns)
+        # real H with no grid
+        check_dense_memory("Propagator.of", H.shape[:-1] if ns is None else tuple(ns),
+                           _EIGH_COPIES * H.nbytes)
+        S, p, defect = (None, None, None) if ns is None else _grid_symmetry(H, ns)
         w, U = np.linalg.eigh(H) if S is None else _pair_basis_eigh(H, p)
-        return cls(w=w, U=U, eps=eps, symmetry=S, symmetry_defect=defect)
+        return cls(w=w, U=U, symmetry=S, symmetry_defect=defect)
 
-    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """U e^{-i (t/eps) w} U^dagger psi for psi of shape (N,) or (N, m).
+    def unitary(self, s: float, rows=None) -> np.ndarray:
+        """The rows (flat indices; all for rows None) of e^{-isH}, per block
+        for a stack: U[rows] e^{-isw} U^dagger, formed as
+        conj(conj(U[rows]) e^{+isw} U^T), which needs no copy of U^dagger.
+        ~2 m N^2 operations for m rows of an N x N problem."""
+        U = self.U if rows is None else self.U[..., rows, :]
+        ph = np.exp(1j * s * self.w)[..., None, :]
+        return np.conj((U.conj() * ph) @ np.swapaxes(self.U, -1, -2))
 
-        A real U acts on the (N, 2m) real view of psi, so U is neither
-        copied nor cast to complex."""
-        psi = np.asarray(psi)
-        ph = np.exp(-1j * (t / self.eps) * self.w).reshape((-1,) + (1,) * (psi.ndim - 1))
-        if np.iscomplexobj(self.U):
-            return self.U @ (ph * (self.U.conj().T @ psi))
-        n = psi.shape[0]
-        re = np.ascontiguousarray(psi, dtype=complex).view(np.float64).reshape(n, -1)
-        c = (self.U.T @ re).view(complex).reshape(psi.shape)
-        c *= ph
-        return (self.U @ c.view(np.float64).reshape(n, -1)).view(complex).reshape(psi.shape)
+    def apply(self, psi: np.ndarray, s: float) -> np.ndarray:
+        """U e^{-isw} U^dagger psi for psi of shape (N,) or (N, m)."""
+        ph = np.exp(-1j * s * self.w).reshape((-1,) + (1,) * (np.ndim(psi) - 1))
+        return self.U @ (ph * (self.U.conj().T @ psi))
 
-    def conjugate(self, M: np.ndarray, t: float, idx=None) -> np.ndarray:
-        """Heisenberg evolution e^{+i(t/eps)H} M e^{-i(t/eps)H}, or only its
-        (idx, idx) block when idx (flat indices) is given.
-
-        Both are L M L^dagger, L = U[idx] e^{i(t/eps)w} U^dagger the idx rows
-        of e^{+i(t/eps)H} (all rows for idx None): ~2 m N^2 operations for
-        m = len(idx) rows of an N x N problem, ~3 N^3 for all N.
-        """
-        ph = np.exp(-1j * (t / self.eps) * self.w)
-        # conj(L) = conj(U[idx]) e^{-i(t/eps)w} U^T needs no copy of U^dagger,
-        # and L^dagger = conj(L)^T is a view
-        L_conj = ((self.U if idx is None else self.U[idx]).conj() * ph) @ self.U.T
-        return (L_conj.conj() @ M) @ L_conj.T
+    def conjugate(self, M: np.ndarray, s: float, idx=None) -> np.ndarray:
+        """Heisenberg evolution e^{+isH} M e^{-isH}, or only its (idx, idx)
+        block when idx (flat indices) is given: L M L^dagger with L the idx
+        rows of e^{+isH} (unitary at -s)."""
+        L = self.unitary(-s, idx)
+        return (L @ M) @ L.conj().T
 
 
 def _hermitian_part(h_op: QuantizedOperator) -> np.ndarray:
@@ -419,8 +396,8 @@ def heisenberg_evolve(h_op: QuantizedOperator, f_op: QuantizedOperator,
                       field: EMFieldConfig, t: float, idx=None) -> np.ndarray:
     """e^{+i(t/eps)Op(h)} Op(f) e^{-i(t/eps)Op(h)}, or its (idx, idx) block
     (see Propagator.conjugate)."""
-    return Propagator.of(_hermitian_part(h_op), field.eps,
-                         h_op.grid.ns).conjugate(f_op.matrix, t, idx)
+    return Propagator.of(_hermitian_part(h_op), h_op.grid.ns).conjugate(
+        f_op.matrix, t / field.eps, idx)
 
 
 # -- Egorov-type error ------------------------------------------------------
@@ -608,9 +585,9 @@ def split_step(blocks: Propagator, box: RealSpaceBox, field: EMFieldConfig,
     factorization (Phys. Lett. A 226, 344 (1997)), e^{-i tau W/6}
     e^{-i tau H_per/2} e^{-2i tau W~/3} e^{-i tau H_per/2} e^{-i tau W/6} with
     W~ = W - tau^2 |W'|^2 / 48, W' = eps field.grad_phi(eps x), since
-    [W, [H_per, W]] = |W'|^2 exactly.  The H_per
-    half-steps are exact: a cell-axis FFT, the fiber unitaries of blocks
-    (Propagator.of of fiber_blocks) and the inverse FFT, the Bloch-
+    [W, [H_per, W]] = |W'|^2 exactly.  The H_per half-steps are exact: a
+    cell-axis FFT, the fiber unitaries blocks.unitary(tau / 2) (blocks the
+    Propagator.of of fiber_blocks) and the inverse FFT, the Bloch-
     decomposition split-step of Huang, Jin, Markowich and Sparber (SIAM J.
     Sci. Comput. 29, 515 (2007))."""
     if field.lam != 0.0:
@@ -618,8 +595,7 @@ def split_step(blocks: Propagator, box: RealSpaceBox, field: EMFieldConfig,
     # the guard keeps a quotient like 400.00000000000006 at 400 steps
     steps = max(1, int(np.ceil(t / field.eps / tau - 1e-9)))
     tau = t / field.eps / steps
-    half = (blocks.U * np.exp(-0.5j * tau * blocks.w)[:, None, :]) @ np.conj(
-        blocks.U.transpose(0, 2, 1))
+    half = blocks.unitary(0.5 * tau)
     x = field.eps * box.points()[:, None]
     W = field.phi(x).reshape(box.n_cells, box.m)
     W_mid = W - (tau * field.eps * field.grad_phi(x)[:, 0].reshape(W.shape)) ** 2 / 48
@@ -696,7 +672,7 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
                          SemiclassicalHamiltonian(geom_band, fld), fld, geom_band,
                          t, LIMIT_DT_FLOW, record=False)
         vals = np.sin(kt[:, 0])
-        blocks = Propagator.of(fiber_blocks(box, potential), eps)
+        blocks = Propagator.of(fiber_blocks(box, potential))
         psi_t, psi_2t = (WaveFunction(box, split_step(blocks, box, fld, psi0.samples, t, tau))
                          for tau in (SPLIT_TAU, 2 * SPLIT_TAU))
         if psi_t.edge_mass() > 1e-6:

@@ -34,8 +34,7 @@ from peierls_lab.fields import EMFieldConfig, _contract
 from peierls_lab.flow import _solve_structure
 from peierls_lab.hofstadter import HofstadterError
 from peierls_lab.lattice import Lattice, LatticeError, make_kgrid
-from peierls_lab.quantum import (Propagator, QuantumError, WaveFunction, ZakField,
-                                 _hermitian_part)
+from peierls_lab.quantum import Propagator, QuantumError, WaveFunction, _hermitian_part
 from peierls_lab.weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid,
                               QuantizedOperator, WeylError, _half_shift, _interior_margin,
                               _quantizer_tables, check_dense_memory, quantize)
@@ -381,9 +380,10 @@ def rw_spectral_sum_oracle(bands, frame):
 # -- quantum ------------------------------------------------------------------
 
 
-def zak_transform(psi: WaveFunction) -> ZakField:
-    """u(k_q, y_j) = N^{-1/2} sum_c e^{-i k_q (y_j + c)} psi(c + y_j), with
-    k_q the points of box.fiber_grid(), in [-pi, pi)."""
+def zak_transform(psi: WaveFunction) -> np.ndarray:
+    """The Zak samples u (n_cells, m), u(k_q, y_j) = N^{-1/2} sum_c
+    e^{-i k_q (y_j + c)} psi(c + y_j), with k_q the points of
+    box.fiber_grid(), in [-pi, pi)."""
     box = psi.box
     arr = psi.samples.reshape(box.n_cells, box.m)
     gam = box.cell_offsets()
@@ -391,9 +391,7 @@ def zak_transform(psi: WaveFunction) -> ZakField:
     # sum over cells with e^{-i k_q gamma_c}
     ph_cell = np.exp(-1j * np.outer(kq, gam))
     u = ph_cell @ arr / np.sqrt(box.n_cells)
-    y = box.cell_coords()
-    u = u * np.exp(-1j * np.outer(kq, y))
-    return ZakField(box=box, samples=u)
+    return u * np.exp(-1j * np.outer(kq, box.cell_coords()))
 
 
 ZAK_CHECK_FIBERS = 4     # fibers zak_equivariance_defect samples
@@ -404,7 +402,7 @@ def zak_equivariance_defect(psi: WaveFunction) -> float:
     evaluated directly from the transform definition, at fiber momenta k of
     box.fiber_grid()."""
     box = psi.box
-    zf = zak_transform(psi)
+    u = zak_transform(psi)
     arr = psi.samples.reshape(box.n_cells, box.m)
     gam = box.cell_offsets()
     y = box.cell_coords()
@@ -413,7 +411,7 @@ def zak_equivariance_defect(psi: WaveFunction) -> float:
     for q in range(0, box.n_cells, max(1, box.n_cells // ZAK_CHECK_FIBERS)):
         k = kq[q] - 2 * np.pi
         u_shift = (np.exp(-1j * k * gam) @ arr) / np.sqrt(box.n_cells) * np.exp(-1j * k * y)
-        target = np.exp(2j * np.pi * y) * zf.samples[q]
+        target = np.exp(2j * np.pi * y) * u[q]
         worst = max(worst, float(np.abs(u_shift - target).max()))
     return worst
 
@@ -428,7 +426,7 @@ def propagate_reference(h_op: QuantizedOperator, field: EMFieldConfig,
     defect = h_op.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise QuantumError(f"quantized Hamiltonian not Hermitian ({defect:.2e})")
-    return Propagator.of(_hermitian_part(h_op), field.eps, h_op.grid.ns).apply(psi, t)
+    return Propagator.of(_hermitian_part(h_op), h_op.grid.ns).apply(psi, t / field.eps)
 
 
 # -- flow ---------------------------------------------------------------------

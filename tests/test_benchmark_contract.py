@@ -7,8 +7,9 @@ wrapper) is applied to every entry point.  Its right-hand side counter reads
 the momentum from the first positional argument of flow._rhs, which an RK4
 step is run to confirm.  perfbench/workloads.py runs egorov-2d through
 private CLI builders and quantum.egorov_error, and flow-2d through cli.run;
-both run here on their smoke configs, and the smoke egorov-2d still
-resamples its flow grid, which the benchmark's coverage gate requires.
+both run here on their smoke configs.  The smoke egorov-2d still
+resamples its flow grid, and the smoke propagate-1d still eigensolves its
+fiber stacks, which the benchmark's coverage gate requires.
 """
 
 import importlib
@@ -141,6 +142,36 @@ def test_egorov_2d_smoke_still_resamples_its_flow_grid(tmp_path, workloads):
     assert calls == [(7,) * 4]
     assert "weyl.resample_s" in workloads.tracing.DRIVEN_ON
     assert "egorov-2d" in workloads.tracing.DRIVEN_ON["weyl.resample_s"]
+
+
+def test_propagate_1d_smoke_eigensolves_its_fiber_stacks(tmp_path, workloads):
+    """The smoke propagate-1d eigensolves each box's fiber blocks, a stack
+    (n_cells, m, m), in one Propagator.of call whose w is (n_cells, m).  That
+    call keeps quantum.eigh_s non-zero on propagate-1d, which the smoke
+    coverage gate requires."""
+    from peierls_lab import cli, quantum
+    calls = []
+
+    def count(fn):
+        def counting(cls, H, *args, **kwargs):
+            prop = fn(cls, H, *args, **kwargs)
+            calls.append((H.shape, prop.w.shape))
+            return prop
+        return counting
+
+    cfg = workloads.load_config("propagate-1d", smoke=True)
+    original = quantum.Propagator.__dict__["of"]
+    workloads.tracing.rebind("quantum", "Propagator.of", count)
+    try:
+        report = workloads.run_cli(cfg, workloads.REFERENCE_SEED, tmp_path)
+    finally:
+        quantum.Propagator.of = original
+    assert quantum.Propagator.__dict__["of"] is original
+    assert report["passed"]
+    pot, num = cli._build_potential(cfg, cli._build_lattice(cfg)), cfg.numerics
+    boxes = [quantum._limit_box(pot, num.cutoff, eps, num.macro_box) for eps in num.eps_list]
+    assert calls == [((b.n_cells, b.m, b.m), (b.n_cells, b.m)) for b in boxes]
+    assert "propagate-1d" in workloads.tracing.DRIVEN_ON["quantum.eigh_s"]
 
 
 def test_flow_2d_workload_runs_on_its_smoke_config(tmp_path, workloads):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from peierls_lab import cli
 from peierls_lab.config import parse_config
@@ -40,9 +41,9 @@ def random_state(box=BOX):
 
 def test_zak_unitary_roundtrip_and_parseval():
     psi = random_state()
-    zf = zak_transform(psi)
-    assert abs(np.linalg.norm(zf.samples) - 1.0) < 1e-12
-    back = zak_inverse(zf)
+    u = zak_transform(psi)
+    assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+    back = zak_inverse(BOX, u)
     assert np.abs(back.samples - psi.samples).max() < 1e-12
 
 
@@ -51,7 +52,7 @@ def test_zak_plane_wave_single_fiber():
     # the fiber whose momentum is k0 modulo 2 pi
     q0 = np.argmin(np.abs(np.angle(np.exp(1j * (BOX.fiber_grid().points[:, 0] - k0)))))
     pw = WaveFunction(BOX, np.exp(1j * k0 * BOX.points())).normalized()
-    mass = np.abs(zak_transform(pw).samples) ** 2
+    mass = np.abs(zak_transform(pw)) ** 2
     per_fiber = mass.sum(axis=1)
     assert np.argmax(per_fiber) == q0
     assert np.delete(per_fiber, q0).max() < 1e-25
@@ -72,10 +73,10 @@ def test_fiber_grid_holds_the_zak_momenta(n):
     for p, kp in enumerate(k):
         # e^{i kp x} is constant in y on fiber p alone: the transform's
         # momentum there is kp itself, not kp + 2 pi j
-        zf = zak_transform(WaveFunction(box, np.exp(1j * kp * box.points())))
+        u = zak_transform(WaveFunction(box, np.exp(1j * kp * box.points())))
         expected = np.zeros((n, box.m))
         expected[p] = np.sqrt(n)
-        assert np.abs(zf.samples - expected).max() < 1e-10
+        assert np.abs(u - expected).max() < 1e-10
 
 
 def test_zak_equivariance():
@@ -85,23 +86,23 @@ def test_zak_equivariance():
 def test_band_project_idempotent_and_eigen():
     pot = mathieu_potential(1.0)
     bands = solve_bands(pot, BOX.fiber_grid(), 6, 3)
-    zf = zak_transform(random_state())
-    p1 = band_project(zf, bands, 0)
-    p2 = band_project(p1, bands, 0)
-    assert np.abs(p2.samples - p1.samples).max() < 1e-10
+    u = zak_transform(random_state())
+    p1 = band_project(BOX, u, bands, 0)
+    p2 = band_project(BOX, p1, bands, 0)
+    assert np.abs(p2 - p1).max() < 1e-10
     pk = band_packet(bands, BOX, 0, k0=0.6, x0=0.0, sigma_k=0.25)
     zpk = zak_transform(pk)
-    proj = band_project(zpk, bands, 0)
-    assert np.abs(proj.samples - zpk.samples).max() < 1e-10
+    proj = band_project(BOX, zpk, bands, 0)
+    assert np.abs(proj - zpk).max() < 1e-10
     # complementary projection annihilates the packet
-    comp = zpk.samples - proj.samples
+    comp = zpk - proj
     assert np.abs(comp).max() < 1e-10
 
 
 def test_band_project_commutes_with_free_fiber_hamiltonian():
     pot = mathieu_potential(1.0)
     bands = solve_bands(pot, BOX.fiber_grid(), 6, 3)
-    zf = zak_transform(random_state())
+    zak = zak_transform(random_state())
     m = BOX.m
     y = BOX.cell_coords()
     # per-fiber Hamiltonian on the cell grid (spectral kinetic + potential)
@@ -112,7 +113,7 @@ def test_band_project_commutes_with_free_fiber_hamiltonian():
         kin = np.fft.ifft(np.diag(0.5 * (xi + k) ** 2) @ np.fft.fft(np.eye(m), axis=0), axis=0)
         H = kin + np.diag(pot.evaluate(y[:, None]))
         # compare P H u vs H P u on this fiber
-        u = zf.samples[q]
+        u = zak[q]
         # rank-one projector from the packet machinery
         from peierls_lab.quantum import _fiber_vectors_on_cells
         vq = _fiber_vectors_on_cells(bands, BOX, 0, gauge=False)[q]
@@ -125,49 +126,34 @@ def test_propagator_trivials():
     pot = mathieu_potential(1.0)
     fld = EMFieldConfig.zero(1, eps=0.1)
     H = realspace_hamiltonian(BOX, pot, fld)
-    prop = Propagator.of(H, 0.1)
+    prop = Propagator.of(H)
     psi = random_state().samples
     assert np.abs(prop.apply(psi, 0.0) - psi).max() < 1e-12
-    out = prop.apply(psi, 0.7)
+    out = prop.apply(psi, 0.7 / 0.1)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def _complex_formula(prop, psi, t):
+def _complex_formula(prop, psi, s):
     U = prop.U.astype(complex)
-    ph = np.exp(-1j * (t / prop.eps) * prop.w).reshape((-1,) + (1,) * (psi.ndim - 1))
+    ph = np.exp(-1j * s * prop.w).reshape((-1,) + (1,) * (psi.ndim - 1))
     return U @ (ph * (U.conj().T @ psi))
 
 
 @pytest.mark.parametrize("shape", [(BOX.n_points,), (BOX.n_points, 3)])
 def test_apply_with_real_basis_matches_complex_formula(shape):
     H = realspace_hamiltonian(BOX, mathieu_potential(1.0), EMFieldConfig.zero(1, eps=0.1))
-    prop = Propagator.of(H, 0.1)
+    prop = Propagator.of(H)
     assert prop.U.dtype == np.float64
     psi = RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
     psi /= np.linalg.norm(psi, axis=0)
-    out = prop.apply(psi, 0.7)
+    out = prop.apply(psi, 0.7 / 0.1)
     assert out.shape == shape and out.dtype == complex
-    assert np.abs(out - _complex_formula(prop, psi, 0.7)).max() < 1e-13
+    assert np.abs(out - _complex_formula(prop, psi, 0.7 / 0.1)).max() < 1e-13
     # real input, and a complex basis on the same shapes
-    assert np.abs(prop.apply(psi.real, 0.7)
-                  - _complex_formula(prop, psi.real, 0.7)).max() < 1e-13
-    cprop = Propagator(w=prop.w, U=prop.U * np.exp(0.3j), eps=0.1)
-    assert np.abs(cprop.apply(psi, 0.7) - out).max() < 1e-13
-
-
-def test_apply_with_real_basis_allocates_no_dense_copy():
-    n = 1610
-    rng = np.random.default_rng(1)
-    prop = Propagator(w=rng.normal(size=n), U=rng.normal(size=(n, n)), eps=0.1)
-    for shape in ((n,), (n, 4)):
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        tracemalloc.start()
-        try:
-            prop.apply(psi, 0.7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n, shape
+    assert np.abs(prop.apply(psi.real, 0.7 / 0.1)
+                  - _complex_formula(prop, psi.real, 0.7 / 0.1)).max() < 1e-13
+    cprop = Propagator(w=prop.w, U=prop.U * np.exp(0.3j))
+    assert np.abs(cprop.apply(psi, 0.7 / 0.1) - out).max() < 1e-13
 
 
 def _small_limit(eps_list=(0.12, 0.06)):
@@ -208,18 +194,37 @@ def test_windowed_conjugation_is_block_of_full():
     rng = np.random.default_rng(4)
     n = 60
     H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    prop = Propagator.of(H + H.conj().T, 0.1)
+    prop = Propagator.of(H + H.conj().T)
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    # oracle: the two-sided product U (e^{iwt/eps} (U^dagger M U) e^{-iwt/eps}) U^dagger
-    ph = np.exp(1j * (0.7 / prop.eps) * prop.w)
+    # oracle: the two-sided product U (e^{iws} (U^dagger M U) e^{-iws}) U^dagger
+    ph = np.exp(1j * (0.7 / 0.1) * prop.w)
     Uh = prop.U.conj().T
     full = prop.U @ (ph[:, None] * (Uh @ M @ prop.U) * np.conj(ph)[None, :]) @ Uh
-    assert np.abs(prop.conjugate(M, 0.7) - full).max() <= 1e-13 * np.abs(full).max()
+    assert np.abs(prop.conjugate(M, 0.7 / 0.1) - full).max() <= 1e-13 * np.abs(full).max()
     for idx in (np.arange(20, 41), rng.choice(n, 17, replace=False)):
-        block = prop.conjugate(M, 0.7, idx)
+        block = prop.conjugate(M, 0.7 / 0.1, idx)
         assert block.shape == (len(idx), len(idx))
         ref = full[np.ix_(idx, idx)]
         assert np.abs(block - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["complex", "real", "rows", "stack"])
+def test_unitary_matches_the_matrix_exponential(case):
+    rng = np.random.default_rng(5)
+    shape = (4, 13, 13) if case == "stack" else (30, 30)
+    A = rng.normal(size=shape)
+    if case != "real":
+        A = A + 1j * rng.normal(size=shape)
+    H = A + np.conj(np.swapaxes(A, -1, -2))
+    s = 0.7 / 0.1
+    rows = rng.choice(30, 11, replace=False) if case == "rows" else None
+    expected = np.array([expm(-1j * s * h) for h in H.reshape((-1,) + H.shape[-2:])])
+    expected = expected.reshape(H.shape)[() if rows is None else rows]
+    prop = Propagator.of(H)
+    assert prop.U.dtype == (np.float64 if case == "real" else complex)
+    out = prop.unitary(s, rows)
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("m", [7, 8, 13])
@@ -306,8 +311,8 @@ def test_limit_box_floor_loses_nothing():
         bands = solve_bands(pot, box.fiber_grid(), 6, quantum.LIMIT_BANDS)
         psi0 = band_packet(bands, box, 0, k0=quantum.LIMIT_K0, x0=0.0,
                            sigma_k=np.sqrt(eps))
-        prop = Propagator.of(realspace_hamiltonian(box, pot, fld), eps)
-        psi_t = WaveFunction(box, prop.apply(psi0.samples, 1.0))
+        prop = Propagator.of(realspace_hamiltonian(box, pot, fld))
+        psi_t = WaveFunction(box, prop.apply(psi0.samples, 1.0 / eps))
         t1.append(quantum._translation_expectation(psi_t))
     assert abs(t1[0] - t1[1]) <= 1e-10
 
@@ -346,8 +351,9 @@ def test_split_step_matches_the_dense_propagator():
     # propagator's in norm, most of it in the plane waves past |G| = 2, and
     # Im<T_1> 3.2e-11 from it; the bounds are about 10x those
     pot, fld, box, psi0 = _propagate_box(0.12)
-    dense = Propagator.of(realspace_hamiltonian(box, pot, fld), fld.eps).apply(psi0.samples, 1.0)
-    blocks = Propagator.of(quantum.fiber_blocks(box, pot), fld.eps)
+    dense = Propagator.of(realspace_hamiltonian(box, pot, fld)).apply(psi0.samples,
+                                                                      1.0 / fld.eps)
+    blocks = Propagator.of(quantum.fiber_blocks(box, pot))
     assert blocks.w.shape == (box.n_cells, box.m) and blocks.symmetry is None
     split = quantum.split_step(blocks, box, fld, psi0.samples, 1.0, quantum.SPLIT_TAU)
     assert np.linalg.norm(split - dense) <= 1e-6
@@ -360,7 +366,7 @@ def test_split_step_is_fourth_order():
     # 0.025: 16 for a fourth-order scheme, 4 for a second-order one (the W~
     # correction dropped or of the wrong sign)
     pot, fld, box, psi0 = _propagate_box(0.1)
-    blocks = Propagator.of(quantum.fiber_blocks(box, pot), fld.eps)
+    blocks = Propagator.of(quantum.fiber_blocks(box, pot))
     t1 = [np.imag(quantum._translation_expectation(WaveFunction(
         box, quantum.split_step(blocks, box, fld, psi0.samples, 1.0, tau))))
         for tau in (0.1, 0.05, 0.025)]
@@ -483,7 +489,7 @@ def test_dense_quantum_paths_refuse_sizes_beyond_physical_memory():
         with pytest.raises(DenseMemoryError, match="GiB"):
             realspace_hamiltonian(box, mathieu_potential(1.0), fld)
         with pytest.raises(DenseMemoryError, match="GiB"):
-            Propagator.of(np.broadcast_to(0.0, (10**6, 10**6)), 0.1)
+            Propagator.of(np.broadcast_to(0.0, (10**6, 10**6)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -622,9 +628,9 @@ def test_free_packet_group_velocity():
     pk0 = band_packet(bands0, BOX, 0, k0=0.7, x0=0.0, sigma_k=0.3,
                       smooth_gauge=False)
     fld = EMFieldConfig.zero(1, eps=0.05)
-    prop = Propagator.of(realspace_hamiltonian(BOX, V0, fld), 0.05)
+    prop = Propagator.of(realspace_hamiltonian(BOX, V0, fld))
     t = 0.012
-    psit = WaveFunction(BOX, prop.apply(pk0.samples, t))
+    psit = WaveFunction(BOX, prop.apply(pk0.samples, t / 0.05))
     expected = 0.7 * t / 0.05
     assert abs(psit.position_expectation() - expected) < 1e-6
     assert abs(np.linalg.norm(psit.samples) - 1.0) < 1e-12
@@ -703,7 +709,7 @@ def test_reduced_eigensolve_matches_complex_eigh(problem, egorov_2d):
     heff, fld, grid, f = egorov_2d if problem == "2d_symmetric_gauge" else _one_dim_zero_field()
     M = _hermitian_op(heff, fld, grid)
     assert np.iscomplexobj(M)
-    prop = Propagator.of(M, fld.eps, grid.ns)
+    prop = Propagator.of(M, grid.ns)
     expected = np.array([[0, 1], [1, 0]]) if grid.dim == 2 else np.eye(1)
     assert np.array_equal(prop.symmetry, expected)
     assert prop.symmetry_defect <= quantum.GRID_SYMMETRY_TOL
@@ -711,8 +717,8 @@ def test_reduced_eigensolve_matches_complex_eigh(problem, egorov_2d):
     assert np.abs(prop.w - w).max() <= 1e-12 * np.abs(w).max()
     f_op = quantize(sample_symbol(f, grid), fld, assume_bandlimited=True)
     iw = grid.interior_indices()
-    ref = Propagator(w=w, U=U, eps=fld.eps).conjugate(f_op.matrix, 0.3, iw)
-    out = prop.conjugate(f_op.matrix, 0.3, iw)
+    ref = Propagator(w=w, U=U).conjugate(f_op.matrix, 0.3 / fld.eps, iw)
+    out = prop.conjugate(f_op.matrix, 0.3 / fld.eps, iw)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -728,7 +734,7 @@ def _swap_broken(M, size=1e-10):
 def test_broken_symmetry_takes_the_complex_eigh_bit_for_bit(egorov_2d):
     heff, fld, grid, _ = egorov_2d
     M = _swap_broken(_hermitian_op(heff, fld, grid))
-    prop = Propagator.of(M, fld.eps, grid.ns)
+    prop = Propagator.of(M, grid.ns)
     assert prop.symmetry is None
     assert prop.symmetry_defect > quantum.GRID_SYMMETRY_TOL
     w, U = np.linalg.eigh(M)
@@ -737,10 +743,10 @@ def test_broken_symmetry_takes_the_complex_eigh_bit_for_bit(egorov_2d):
 
 def test_real_hamiltonian_takes_the_real_eigh_bit_for_bit():
     H = realspace_hamiltonian(BOX, mathieu_potential(1.0), EMFieldConfig.zero(1, eps=0.1))
-    prop = Propagator.of(H, 0.1)
+    prop = Propagator.of(H)
     w, U = np.linalg.eigh(H)
     assert np.array_equal(prop.w, w) and np.array_equal(prop.U, U)
-    assert np.array_equal(prop.symmetry, np.eye(1)) and prop.symmetry_defect == 0.0
+    assert prop.symmetry is None and prop.symmetry_defect is None
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -796,7 +802,7 @@ def test_flow_ladder_ending_at_the_grid_is_not_resampled(monkeypatch):
 
 def test_propagator_rejects_a_grid_shape_that_does_not_fit_h():
     with pytest.raises(QuantumError, match="does not index"):
-        Propagator.of(np.eye(60, dtype=complex), 0.1, (5, 5))
+        Propagator.of(np.eye(60, dtype=complex), (5, 5))
 
 
 def test_grid_involutions_map_the_grid_onto_itself():
@@ -826,7 +832,7 @@ H = np.load(sys.argv[1])
 for dtype in (float, complex):          # page LAPACK in before measuring
     np.linalg.eigh(np.eye(64, dtype=dtype))
 before = peak_rss()
-prop = quantum.Propagator.of(H, 0.1, (21, 21))
+prop = quantum.Propagator.of(H, (21, 21))
 print(json.dumps({"checked": checked["Propagator.of"], "growth": peak_rss() - before,
                   "reduced": prop.symmetry is not None}))
 """
