@@ -368,9 +368,11 @@ def run_propagate(cfg: RunConfig, out: Path) -> tuple:
     emit_plotdata(out / "propagate.dat", {
         "eps": rep["eps"], "error_point": rep["error_point"],
         "error_avg": rep["error_avg"]})
-    # each eps's split-step probe is a health figure: the report JSON only
+    # each eps's split-step probe and the oracle's size are health figures:
+    # the report JSON only
     return {"slope_point": rep["slope_point"], "slope_avg": rep["slope_avg"],
-            "details": rep["details"], "split_probe_tol": SPLIT_PROBE_TOL}, {}
+            "details": rep["details"], "split_probe_tol": SPLIT_PROBE_TOL,
+            "oracle": rep["oracle"]}, {}
 
 
 # each runner returns its metrics and its structural checks (no tolerance read)

@@ -159,7 +159,9 @@ def structure_factor(k, r, field: EMFieldConfig, band):
 _rhs = vector_field
 
 
-def _rk4_run(k0, r0, model, field, band, t_final, dt, record=True):
+def _rk4_steps(t_final, dt) -> tuple:
+    """(n_steps, dt) of _rk4_run: round(t_final / dt) steps of dt, or one
+    more of t_final / n_steps when those miss t_final."""
     if not (np.isfinite(dt) and dt > 0):
         raise FlowError(f"dt must be a positive finite number, got {dt!r}")
     if not (np.isfinite(t_final) and t_final >= 0):
@@ -168,6 +170,11 @@ def _rk4_run(k0, r0, model, field, band, t_final, dt, record=True):
     if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
         n_steps += 1
         dt = t_final / n_steps
+    return n_steps, dt
+
+
+def _rk4_run(k0, r0, model, field, band, t_final, dt, record=True):
+    n_steps, dt = _rk4_steps(t_final, dt)
     # one phase-space state y = (k, r), shape (..., 2d); the step's scalars
     # are 0-d arrays, which numpy multiplies faster than floats, to the same bits
     d = np.shape(k0)[-1]

@@ -33,7 +33,7 @@ from . import PeierlsError
 from .effective import BandData, EffectiveHamiltonian, SemiclassicalHamiltonian
 from .fiber import BandStructure, FourierPotential, fiber_on_cell_grid, solve_bands
 from .fields import EMFieldConfig
-from .flow import _rk4_run, loglog_slope
+from .flow import _rk4_run, _rk4_steps, loglog_slope
 from .geometry import fix_gauge, geometric_tensors
 from .lattice import Lattice, make_kgrid, signed_permutations
 from .weyl import (_QUANTIZE_BYTES, GridSymbol, PhaseSpaceGrid, QuantizedOperator,
@@ -519,11 +519,13 @@ def _translation_expectation(psi: WaveFunction) -> complex:
 
 
 # semiclassical_limit_check: bands solved per box (band_index is below this),
-# the RK4 step of the flow oracle, the packet's momentum width over sqrt(eps)
-# and its central momentum.  A box samples each cell at the fewest points
-# that hold both its band vectors and V exactly (_limit_box)
+# the RK4 step of the flow oracle and the fewest k-points of its band data,
+# the packet's momentum width over sqrt(eps) and its central momentum.  A box
+# samples each cell at the fewest points that hold both its band vectors and
+# V exactly (_limit_box)
 LIMIT_BANDS = 3
 LIMIT_DT_FLOW = 5e-3
+LIMIT_FLOW_GRID = 64
 LIMIT_SIGMA_SCALE = 1.0
 LIMIT_K0 = 0.6
 
@@ -558,8 +560,10 @@ def _limit_box(potential: FourierPotential, cutoff: int, eps: float,
 # and test fixtures, 4.1e-10 at eps 0.1 and t = 1 (2.7e-11 at eps 0.02)
 SPLIT_TAU, SPLIT_PROBE_TOL = 0.05, 5e-9
 # its peak bytes per N m (N points, m per cell): blocks, eigenvectors and
-# half-step unitaries, beside the previous box's; tracemalloc read 78-103 over
-# eps lists down to 0.035 and 0.01 at cutoffs 3-7 (N = 805 to 6015)
+# half-step unitaries, beside the previous box's; tracemalloc, one fresh
+# process per run, read 78-114 over eps lists down to 0.035, 0.02 and 0.01 at
+# cutoffs 3-7 (N = 805 to 6015), the most on the smallest box, where one-time
+# allocations weigh most
 _SPLIT_BYTES = 128
 
 
@@ -589,7 +593,9 @@ def split_step(blocks: Propagator, box: RealSpaceBox, field: EMFieldConfig,
     cell-axis FFT, the fiber unitaries blocks.unitary(tau / 2) (blocks the
     Propagator.of of fiber_blocks) and the inverse FFT, the Bloch-
     decomposition split-step of Huang, Jin, Markowich and Sparber (SIAM J.
-    Sci. Comput. 29, 515 (2007))."""
+    Sci. Comput. 29, 515 (2007)).  Each half-step writes its FFT, fiber
+    product and inverse FFT into two arrays allocated once per call and the
+    state itself, so no step allocates a new state."""
     if field.lam != 0.0:
         raise QuantumError("split-step propagator implemented for B = 0 (1D)")
     # the guard keeps a quotient like 400.00000000000006 at 400 steps
@@ -602,9 +608,12 @@ def split_step(blocks: Propagator, box: RealSpaceBox, field: EMFieldConfig,
     edge, inner, mid = (np.exp(-1j * c * tau * w) for c, w in
                         ((1 / 6, W), (1 / 3, W), (2 / 3, W_mid)))
     psi = psi.reshape(W.shape) * edge
+    fwd, vec = np.empty_like(psi), np.empty(W.shape + (1,), dtype=complex)
     for step in range(steps):
         for after in (mid, edge if step == steps - 1 else inner):
-            psi = np.fft.ifft((half @ np.fft.fft(psi, axis=0)[..., None])[..., 0], axis=0)
+            np.fft.fft(psi, axis=0, out=fwd)
+            np.matmul(half, fwd[..., None], out=vec)
+            np.fft.ifft(vec[..., 0], axis=0, out=psi)
             psi *= after
     return psi.ravel()
 
@@ -637,21 +646,45 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
     Im<T_1>_2tau| past SPLIT_PROBE_TOL is refused (QuantumError).  The scheme
     is fourth order, so probe / 15 estimates the splitting error; each eps's
     details carry its probe.
+
+    The oracle is one RK4 run over the 1 + 64 starts of every eps, on one
+    BandData (_band_data_1d of the finest box's bands).  That is exact: in
+    1D Omega has no components and at B = 0, which split_step enforces, no
+    eps enters h_sc, so the corrected flow does not read eps.  A 2-D check
+    (ROADMAP item 10(f)) would lose this even at B = 0: there
+    rdot = grad_k h - eps Omega kdot reads eps, and each eps needs its own
+    flow.  The result's "oracle" holds that run's size: the band data's
+    kgrid points, its trajectories and its RK4 steps.
+
+    t must be finite and >= 0 and eps_list a non-empty list of finite
+    positive eps; the inputs, the band index and the largest box's memory
+    (check_limit_memory) are checked before any band is solved.
     """
     lat = potential.lattice
     if lat.dim != 1:
         raise QuantumError("expectation test implemented in one dimension")
     if not 0 <= band_index < LIMIT_BANDS:
         raise QuantumError(f"band_index {band_index} outside [0, {LIMIT_BANDS})")
+    if not (np.isfinite(t) and t >= 0):
+        raise QuantumError(f"t must be a finite number >= 0, got {t!r}")
+    eps_list = list(eps_list)
+    if not eps_list:
+        raise QuantumError("eps_list is empty")
+    for eps in eps_list:
+        if not (np.isfinite(eps) and eps > 0):
+            raise QuantumError(f"eps must be a positive finite number, got {eps!r}")
     check_limit_memory(potential, cutoff, eps_list, macro_box)
     weights = _GH_WEIGHTS / np.sqrt(2 * np.pi)
     KK, XX = np.meshgrid(_GH_NODES, _GH_NODES, indexing="ij")
     WW = np.outer(weights, weights).ravel()
-    errs_point, errs_avg, results = [], [], []
+    k_starts, x_starts, results = [], [], []
+    eps_min = min(eps_list)
     for eps in eps_list:
         fld = replace(field_template, eps=float(eps))
         box = _limit_box(potential, cutoff, eps, macro_box)
         bands = solve_bands(potential, box.fiber_grid(), cutoff, LIMIT_BANDS, (band_index,))
+        if eps == eps_min:
+            finest = bands, fld
         sigma_k = LIMIT_SIGMA_SCALE * np.sqrt(eps)
         psi0 = band_packet(bands, box, band_index, k0=LIMIT_K0, x0=0.0, sigma_k=sigma_k)
         if psi0.edge_mass() > 1e-8:
@@ -662,16 +695,10 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         sig_k_meas = float(np.sqrt(max(-2.0 * np.log(abs(T1)), 1e-30)))
         x_bar = psi0.position_expectation()
         sig_x = np.sqrt(psi0.position_variance())
-        # corrected-flow oracle from the measured center, batched together
-        # with the Gauss-Hermite quadrature nodes of the Wigner Gaussian
-        k_batch = np.concatenate([[k_bar], (k_bar + sig_k_meas * KK).ravel()])
-        x_batch = np.concatenate([[eps * x_bar],
-                                  eps * (x_bar + sig_x * XX).ravel()])
-        geom_band = _band_data_1d(bands, band_index)
-        kt, _ = _rk4_run(k_batch[:, None], x_batch[:, None],
-                         SemiclassicalHamiltonian(geom_band, fld), fld, geom_band,
-                         t, LIMIT_DT_FLOW, record=False)
-        vals = np.sin(kt[:, 0])
+        # the oracle's starts: the measured center, then the Gauss-Hermite
+        # quadrature nodes of the Wigner Gaussian
+        k_starts += [[k_bar], (k_bar + sig_k_meas * KK).ravel()]
+        x_starts += [[eps * x_bar], eps * (x_bar + sig_x * XX).ravel()]
         blocks = Propagator.of(fiber_blocks(box, potential))
         psi_t, psi_2t = (WaveFunction(box, split_step(blocks, box, fld, psi0.samples, t, tau))
                          for tau in (SPLIT_TAU, 2 * SPLIT_TAU))
@@ -683,27 +710,37 @@ def semiclassical_limit_check(potential: FourierPotential, field_template: EMFie
         if probe > SPLIT_PROBE_TOL:
             raise QuantumError(f"split-step probe {probe:.2e} at eps {eps} passes "
                                f"{SPLIT_PROBE_TOL:.0e}")
-        val_point = float(vals[0])
-        acc = float(np.sum(WW * vals[1:]))
-        errs_point.append(abs(obs - val_point))
-        errs_avg.append(abs(obs - acc))
         results.append({"eps": eps, "n_cells": box.n_cells, "obs": obs,
-                        "oracle_point": val_point, "oracle_avg": acc,
                         "k_bar": k_bar, "x_bar": x_bar, "split_probe": probe})
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    ep, ea = np.asarray(errs_point), np.asarray(errs_avg)
+    # one corrected flow for every eps (see above)
+    bands, fld = finest
+    geom_band = _band_data_1d(bands, band_index)
+    k0, x0 = np.concatenate(k_starts), np.concatenate(x_starts)
+    kt, _ = _rk4_run(k0[:, None], x0[:, None], SemiclassicalHamiltonian(geom_band, fld),
+                     fld, geom_band, t, LIMIT_DT_FLOW, record=False)
+    vals = np.sin(kt[:, 0]).reshape(len(eps_list), -1)
+    for res, v in zip(results, vals):
+        res["oracle_point"] = float(v[0])
+        res["oracle_avg"] = float(np.sum(WW * v[1:]))
+    eps_arr = np.asarray(eps_list, dtype=float)
+    ep = np.array([abs(r["obs"] - r["oracle_point"]) for r in results])
+    ea = np.array([abs(r["obs"] - r["oracle_avg"]) for r in results])
     return {"eps": eps_arr, "error_point": ep, "error_avg": ea,
             "slope_point": loglog_slope(eps_arr, ep), "slope_avg": loglog_slope(eps_arr, ea),
-            "details": results}
+            "details": results,
+            "oracle": {"kgrid": int(geom_band.shape[0]), "trajectories": len(k0),
+                       "steps": _rk4_steps(t, LIMIT_DT_FLOW)[0]}}
 
 
 def _band_data_1d(bands: BandStructure, band: int) -> BandData:
-    """Band data of one band, re-solved from the same potential on a grid of
-    at least 64 points: the box's fiber grid can be too coarse for the
-    spline of the flow oracle."""
-    lat = bands.kgrid.lattice
-    n = max(64, bands.kgrid.shape[0])
-    grid = make_kgrid(lat, n)
-    bb = solve_bands(bands.potential, grid, bands.basis.cutoff, max(2, band + 2), (band,))
-    geom = geometric_tensors(bb, band)
-    return BandData.from_geometry(geom)
+    """Band data of one band for the flow oracle, from the box's own bands
+    when their grid has at least LIMIT_FLOW_GRID points, else re-solved from
+    the same potential on LIMIT_FLOW_GRID points: a coarser fiber grid is
+    too coarse for the oracle's spline.  Only the listed band's vectors and
+    its neighbors' energies are read, so the box's bands give the data a
+    re-solve on their own grid would, bit for bit."""
+    if bands.kgrid.shape[0] < LIMIT_FLOW_GRID:
+        grid = make_kgrid(bands.kgrid.lattice, LIMIT_FLOW_GRID)
+        bands = solve_bands(bands.potential, grid, bands.basis.cutoff, max(2, band + 2),
+                            (band,))
+    return BandData.from_geometry(geometric_tensors(bands, band))

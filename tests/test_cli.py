@@ -488,6 +488,11 @@ def test_propagate_run_small(tmp_path):
     report = run(cfg, tmp_path)
     assert report["passed"], report["metrics"]
     assert (tmp_path / "propagate.csv").exists()
+    # boxes of 31 and 61 cells: the oracle's band data is re-solved on 64
+    # points, and one flow of 0.4 / LIMIT_DT_FLOW = 80 steps carries 1 + 64
+    # starts per eps
+    written = json.loads((tmp_path / "propagate_report.json").read_text())
+    assert written["metrics"]["oracle"] == {"kgrid": 64, "trajectories": 130, "steps": 80}
 
 
 SMALL_PROPAGATE = (

@@ -324,6 +324,32 @@ def test_rk4_rejects_bad_step_or_duration(t_final, dt):
         integrate(FlowState.of([0.4, 0.1], [0.0, 0.0]), FREE, fld, t_final, dt)
 
 
+def test_one_dimensional_corrected_flow_reads_no_eps():
+    # in 1D Omega has no components and at B = 0 h_sc holds no eps, so the
+    # corrected flow of a Mathieu band under propagate-1d's phi ends on the
+    # same bits at two eps: quantum.semiclassical_limit_check integrates one
+    # flow for all of its eps on this
+    from peierls_lab import cli
+    from peierls_lab.config import parse_config
+    from peierls_lab.effective import BandData, SemiclassicalHamiltonian
+    from peierls_lab.fiber import mathieu_potential, solve_bands
+    from peierls_lab.geometry import geometric_tensors
+    from peierls_lab.lattice import make_kgrid
+    cfg = parse_config('{"experiment": "propagate", "lattice": {"dim": 1}, "field": '
+                       '{"phi": {"preset": "sine_ramp", "amplitude": 0.4, "period": 4.0}}}')
+    pot = mathieu_potential(3.0)
+    band = BandData.from_geometry(geometric_tensors(
+        solve_bands(pot, make_kgrid(pot.lattice, 64), 6, 2, (0,)), 0))
+    rng = np.random.default_rng(7)
+    k0, r0 = rng.uniform(-np.pi, np.pi, (65, 1)), rng.uniform(-0.3, 0.3, (65, 1))
+    ends = []
+    for eps in (0.1, 0.035):
+        fld = cli._build_field(cfg, 1, eps)
+        ends.append(_rk4_run(k0, r0, SemiclassicalHamiltonian(band, fld), fld, band,
+                             1.0, 5e-3, record=False))
+    assert all(np.array_equal(a, b) for a, b in zip(*ends))
+
+
 def test_rk4_zero_duration_returns_the_initial_point():
     fld = EMFieldConfig.zero(2, eps=0.1)
     ts, ks, rs = _rk4_run(np.array([0.4, 0.1]), np.zeros(2), FREE, fld, None, 0.0, 0.01)

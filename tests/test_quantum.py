@@ -190,6 +190,65 @@ def test_semiclassical_limit_refuses_band_index_before_solving(monkeypatch, band
                                   t=0.4, macro_box=3.6)
 
 
+@pytest.mark.parametrize("eps_list, t, message", [
+    ([0.12, 0.06], float("nan"), "t must be a finite number >= 0"),
+    ([0.12, 0.06], float("inf"), "t must be a finite number >= 0"),
+    ([0.12, 0.06], -1.0, "t must be a finite number >= 0"),
+    ([], 0.4, "eps_list is empty"),
+    ([0.12, 0.0], 0.4, "eps must be a positive finite number"),
+    ([-0.12], 0.4, "eps must be a positive finite number"),
+    ([0.12, float("nan")], 0.4, "eps must be a positive finite number"),
+    ([float("inf")], 0.4, "eps must be a positive finite number"),
+], ids=["t_nan", "t_inf", "t_negative", "no_eps", "eps_zero", "eps_negative", "eps_nan",
+        "eps_inf"])
+def test_semiclassical_limit_refuses_bad_inputs_before_solving(monkeypatch, eps_list, t,
+                                                                message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("bands solved before the inputs were checked")
+    monkeypatch.setattr(quantum, "solve_bands", no_solve)
+    fld = EMFieldConfig.zero(1, eps=0.12)
+    with pytest.raises(QuantumError, match=message):
+        semiclassical_limit_check(mathieu_potential(3.0), fld, 0, eps_list, t=t,
+                                  macro_box=3.6)
+
+
+def _counting_limit(monkeypatch, eps_list):
+    """_small_limit at eps_list, with the starts of each quantum._rk4_run
+    call and the k-points of each quantum.solve_bands call recorded."""
+    runs, solves = [], []
+    run, solve = quantum._rk4_run, quantum.solve_bands
+
+    def counting_run(k0, *args, **kwargs):
+        runs.append(len(k0))
+        return run(k0, *args, **kwargs)
+
+    def counting_solve(potential, kgrid, *args, **kwargs):
+        solves.append(kgrid.shape)
+        return solve(potential, kgrid, *args, **kwargs)
+    monkeypatch.setattr(quantum, "_rk4_run", counting_run)
+    monkeypatch.setattr(quantum, "solve_bands", counting_solve)
+    rep = _small_limit(eps_list)
+    return rep, runs, solves
+
+
+def test_semiclassical_limit_integrates_one_flow_for_every_eps(monkeypatch):
+    # boxes of 31 and 61 cells, both under the oracle's 64 points: one
+    # re-solve on 64 points serves the one flow of 1 + 64 starts per eps
+    rep, runs, solves = _counting_limit(monkeypatch, (0.12, 0.06))
+    assert runs == [130]
+    assert solves == [(31,), (61,), (quantum.LIMIT_FLOW_GRID,)]
+    assert rep["oracle"] == {"kgrid": 64, "trajectories": 130, "steps": 80}
+
+
+def test_semiclassical_limit_reads_the_finest_box_bands(monkeypatch):
+    # the finest box has 73 cells: its own bands give the band data, so
+    # each eps solves once and nothing more
+    rep, runs, solves = _counting_limit(monkeypatch, (0.12, 0.05))
+    assert runs == [130]
+    assert solves == [(31,), (73,)]
+    assert rep["oracle"]["kgrid"] == 73
+
+
 def test_windowed_conjugation_is_block_of_full():
     rng = np.random.default_rng(4)
     n = 60
